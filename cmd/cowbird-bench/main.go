@@ -10,10 +10,11 @@
 //	cowbird-bench -ops 10000      # longer runs (tighter steady state)
 //	cowbird-bench -spotjson BENCH_spot_datapath.json
 //	                              # run the real-engine scaling sweep and
-//	                              # write the serial-vs-parallel report
+//	                              # write the Workers=1 vs worker-per-queue
+//	                              # report
 //	cowbird-bench -fabricjson BENCH_fabric_datapath.json
 //	                              # run the raw NIC+fabric datapath sweep and
-//	                              # write the fast-vs-legacy report
+//	                              # write its report
 //	cowbird-bench -telemetryjson BENCH_telemetry_overhead.json
 //	                              # measure telemetry-off vs sampled vs
 //	                              # every-request instrumentation overhead

@@ -16,18 +16,15 @@ import (
 // The fabric-datapath sweep measures the software NIC + fabric layer in
 // isolation (no Cowbird engine): N client threads, each with its own QP
 // pair on a shared NIC pair, drive closed-loop windows of 3:1 read:write
-// RDMA verbs. "fast" is the default datapath — pooled frames recycled
-// after delivery, senders delivering directly to the destination inbox off
-// an atomic COW snapshot, per-QP locks. "legacy" re-enables the
-// pre-sharding path behind its knobs: every frame allocated and routed
-// through the single forwarding goroutine (SetSerialForwarding) and the
-// NIC-wide lock (Config.CoarseLocking). Results land in
-// BENCH_fabric_datapath.json via WriteFabricDatapathJSON /
+// RDMA verbs over the datapath as deployed — pooled frames recycled after
+// delivery, senders delivering directly to the destination inbox off an
+// atomic COW snapshot, per-QP locks. (The pre-sharding datapath it was once
+// compared against is gone; its last figures are frozen in EXPERIMENTS.md.)
+// Results land in BENCH_fabric_datapath.json via WriteFabricDatapathJSON /
 // cmd/cowbird-bench -fabricjson.
 
 // FabricScalePoint is one measured configuration of the sweep.
 type FabricScalePoint struct {
-	Mode         string  `json:"mode"`        // "fast" | "legacy"
 	InboxBatch   string  `json:"inbox_batch"` // "fixed" | "adaptive"
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	Threads      int     `json:"threads"`
@@ -44,7 +41,6 @@ type FabricScalePoint struct {
 // fabricScaleParams configures one point.
 type fabricScaleParams struct {
 	threads       int
-	legacy        bool
 	adaptiveInbox bool
 	gomaxprocs    int // <= 0: leave the ambient value alone
 	opsPerThread  int
@@ -160,10 +156,9 @@ func (ft *fabricThread) runLoop(ti, ops, window, opBytes int, dst []time.Duratio
 // steady state, not setup cost.
 func runFabricScale(p fabricScaleParams) (FabricScalePoint, error) {
 	// On the testbed hardware the ICRC is generated and checked by the RNIC,
-	// not by a core; paying the CRC in software here would tax both modes
-	// identically and compress the very overhead difference the sweep exists
-	// to measure. Both the TX-side computation and the RX-side check are
-	// skipped, for both modes alike (the report records this).
+	// not by a core; paying the CRC in software here would bury the datapath
+	// overhead the sweep exists to measure. Both the TX-side computation and
+	// the RX-side check are skipped (the report records this).
 	defer func(oldV, oldC bool) {
 		wire.VerifyICRC = oldV
 		wire.ComputeICRC = oldC
@@ -174,13 +169,9 @@ func runFabricScale(p fabricScaleParams) (FabricScalePoint, error) {
 	defer pinGMP(p.gomaxprocs)()
 
 	cfg := rdma.DefaultConfig()
-	cfg.CoarseLocking = p.legacy
 	cfg.AdaptiveInboxBatch = p.adaptiveInbox
 	f := rdma.NewFabric()
 	defer f.Close()
-	if p.legacy {
-		f.SetSerialForwarding(true)
-	}
 	cli := rdma.NewNIC(f, wire.MAC{2, 0xFB, 0, 0, 0, 1}, wire.IPv4Addr{10, 9, 0, 1}, cfg)
 	srv := rdma.NewNIC(f, wire.MAC{2, 0xFB, 0, 0, 0, 2}, wire.IPv4Addr{10, 9, 0, 2}, cfg)
 	defer srv.Close()
@@ -213,8 +204,7 @@ func runFabricScale(p fabricScaleParams) (FabricScalePoint, error) {
 	}
 
 	// Timer-resolution keeper (see runSpotScale): keeps the runtime out of
-	// the OS timer path so retransmit timers fire with µs accuracy in both
-	// modes.
+	// the OS timer path so retransmit timers fire with µs accuracy.
 	keeperStop := make(chan struct{})
 	defer close(keeperStop)
 	go func() {
@@ -295,17 +285,12 @@ func runFabricScale(p fabricScaleParams) (FabricScalePoint, error) {
 		}
 		return float64(allLats[int(q*float64(len(allLats)-1))]) / 1e3
 	}
-	mode := "fast"
-	if p.legacy {
-		mode = "legacy"
-	}
 	inbox := "fixed"
 	if p.adaptiveInbox {
 		inbox = "adaptive"
 	}
 	ops := p.threads * p.opsPerThread
 	return FabricScalePoint{
-		Mode:         mode,
 		InboxBatch:   inbox,
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		Threads:      p.threads,
@@ -320,59 +305,36 @@ func runFabricScale(p fabricScaleParams) (FabricScalePoint, error) {
 	}, nil
 }
 
-// FabricScale is the datapath-scaling exhibit: aggregate throughput,
-// frame rate, and allocation rate of the pooled sharded fast path against
-// the retained pre-sharding baseline as client threads grow.
+// FabricScale is the datapath-scaling exhibit: aggregate throughput and
+// allocation rate of the pooled sharded datapath as client threads grow.
 func FabricScale() Experiment {
 	e := Experiment{
 		ID:     "fabric-scale",
-		Title:  "Fabric datapath: pooled sharded fast path vs retained serial baseline",
+		Title:  "Fabric datapath: pooled sharded NIC + fabric, raw verbs",
 		XLabel: "client threads (one QP pair each)",
 		YLabel: "ops/s / allocs per op",
 	}
-	legacyT := Series{Label: "legacy ops/s"}
-	fastT := Series{Label: "fast ops/s"}
-	legacyA := Series{Label: "legacy allocs/op"}
-	fastA := Series{Label: "fast allocs/op"}
+	opsT := Series{Label: "ops/s"}
+	allocs := Series{Label: "allocs/op"}
 	ops := OpsPerThread
 	if ops < 200 {
 		ops = 200
 	}
-	var lastLegacy, lastFast FabricScalePoint
 	for _, th := range []int{1, 2, 4} {
-		base := fabricScaleParams{
+		pt, err := bestFabricScale(fabricScaleParams{
 			threads: th, opsPerThread: ops,
 			window: fabricScaleWindow, opBytes: fabricScaleOpBytes,
-		}
-		base.legacy = true
-		pl, err := bestFabricScale(base)
+		})
 		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("legacy@%d failed: %v", th, err))
+			e.Notes = append(e.Notes, fmt.Sprintf("%d threads failed: %v", th, err))
 			continue
 		}
-		base.legacy = false
-		pf, err := bestFabricScale(base)
-		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("fast@%d failed: %v", th, err))
-			continue
-		}
-		legacyT.X = append(legacyT.X, float64(th))
-		legacyT.Y = append(legacyT.Y, pl.OpsPerSec)
-		fastT.X = append(fastT.X, float64(th))
-		fastT.Y = append(fastT.Y, pf.OpsPerSec)
-		legacyA.X = append(legacyA.X, float64(th))
-		legacyA.Y = append(legacyA.Y, pl.AllocsPerOp)
-		fastA.X = append(fastA.X, float64(th))
-		fastA.Y = append(fastA.Y, pf.AllocsPerOp)
-		lastLegacy, lastFast = pl, pf
+		opsT.X = append(opsT.X, float64(th))
+		opsT.Y = append(opsT.Y, pt.OpsPerSec)
+		allocs.X = append(allocs.X, float64(th))
+		allocs.Y = append(allocs.Y, pt.AllocsPerOp)
 	}
-	e.Series = []Series{legacyT, fastT, legacyA, fastA}
-	if lastLegacy.OpsPerSec > 0 {
-		e.Notes = append(e.Notes, fmt.Sprintf(
-			"fast/legacy aggregate ops/s at %d threads: %.2fx (allocs/op %.2f -> %.2f)",
-			lastLegacy.Threads, lastFast.OpsPerSec/lastLegacy.OpsPerSec,
-			lastLegacy.AllocsPerOp, lastFast.AllocsPerOp))
-	}
+	e.Series = []Series{opsT, allocs}
 	e.Notes = append(e.Notes, fmt.Sprintf(
 		"raw NIC pair, closed loop, window %d/thread, 3:1 read:write, %d B ops, per-thread QPs+MRs",
 		fabricScaleWindow, fabricScaleOpBytes))
@@ -393,15 +355,13 @@ type FabricDatapathReport struct {
 	ICRCOffload  bool               `json:"icrc_hw_offload"`
 	Trials       int                `json:"trials_per_point_best_of"`
 	Points       []FabricScalePoint `json:"points"`
-	SpeedupAt4   float64            `json:"fast_over_legacy_at_4_threads"`
-	CoreScaling4 float64            `json:"fast_gomaxprocs4_over_gomaxprocs1"`
+	CoreScaling4 float64            `json:"gomaxprocs4_over_gomaxprocs1"`
 }
 
 // RunFabricDatapathReport runs the full sweep with opsPerThread ops per
-// client thread: the fast-vs-legacy matrix pinned at GOMAXPROCS=1
-// (continuity with the pre-sweep baseline), then the GOMAXPROCS ladder
-// (GMPSweep) for the fast path at 4 threads with the inbox pop batch fixed
-// and adaptive.
+// client thread: 1/2/4 threads pinned at GOMAXPROCS=1, then the GOMAXPROCS
+// ladder (GMPSweep) at 4 threads with the inbox pop batch fixed and
+// adaptive.
 func RunFabricDatapathReport(opsPerThread int) (FabricDatapathReport, error) {
 	r := FabricDatapathReport{
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
@@ -425,32 +385,19 @@ func RunFabricDatapathReport(opsPerThread int) (FabricDatapathReport, error) {
 			"host exposes %d CPU(s); GOMAXPROCS points above that measure scheduler multiplexing of the datapath goroutines, not hardware parallelism",
 			r.NumCPU)
 	}
-	var legacy4, fast4 float64
-	for _, legacy := range []bool{true, false} {
-		for _, th := range []int{1, 2, 4} {
-			pt, err := bestFabricScale(fabricScaleParams{
-				threads: th, legacy: legacy, gomaxprocs: 1, opsPerThread: opsPerThread,
-				window: fabricScaleWindow, opBytes: fabricScaleOpBytes,
-			})
-			if err != nil {
-				return r, err
-			}
-			r.Points = append(r.Points, pt)
-			if th == 4 {
-				if legacy {
-					legacy4 = pt.OpsPerSec
-				} else {
-					fast4 = pt.OpsPerSec
-				}
-			}
+	for _, th := range []int{1, 2, 4} {
+		pt, err := bestFabricScale(fabricScaleParams{
+			threads: th, gomaxprocs: 1, opsPerThread: opsPerThread,
+			window: fabricScaleWindow, opBytes: fabricScaleOpBytes,
+		})
+		if err != nil {
+			return r, err
 		}
-	}
-	if legacy4 > 0 {
-		r.SpeedupAt4 = fast4 / legacy4
+		r.Points = append(r.Points, pt)
 	}
 
-	// GOMAXPROCS ladder: fast path, 4 client threads, fixed vs adaptive
-	// inbox pop batch at every core count.
+	// GOMAXPROCS ladder: 4 client threads, fixed vs adaptive inbox pop
+	// batch at every core count.
 	scaling := map[int]float64{}
 	for _, gmp := range GMPSweep {
 		for _, adaptive := range []bool{false, true} {

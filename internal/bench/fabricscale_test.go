@@ -2,61 +2,38 @@ package bench
 
 import "testing"
 
-// TestFabricScalePoint runs one small point of the raw-datapath sweep in
-// each mode and sanity-checks the measurements. The full fast-vs-legacy
-// comparison is the fabric-scale exhibit / BENCH_fabric_datapath.json;
-// this test only guards the harness against rot.
+// TestFabricScalePoint runs one small point of the raw-datapath sweep and
+// sanity-checks the measurements. The full sweep is the fabric-scale
+// exhibit / BENCH_fabric_datapath.json; this test only guards the harness
+// against rot.
 func TestFabricScalePoint(t *testing.T) {
-	for _, legacy := range []bool{true, false} {
-		pt, err := runFabricScale(fabricScaleParams{
-			threads: 2, legacy: legacy, opsPerThread: 80,
-			window: 8, opBytes: 1024,
-		})
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		if pt.Ops != 160 || pt.OpsPerSec <= 0 || pt.FramesPerSec <= 0 {
-			t.Fatalf("legacy=%v: bad point %+v", legacy, pt)
-		}
-		if pt.P50Micros <= 0 || pt.P99Micros < pt.P50Micros {
-			t.Fatalf("legacy=%v: bad latencies %+v", legacy, pt)
-		}
-		wantMode := "fast"
-		if legacy {
-			wantMode = "legacy"
-		}
-		if pt.Mode != wantMode {
-			t.Fatalf("mode = %q, want %q", pt.Mode, wantMode)
-		}
-		// The legacy path allocates at least one frame per packet; the fast
-		// path must recycle. Small runs carry setup noise, so only the
-		// direction is asserted, not exact counts.
-		if legacy && pt.AllocsPerOp < 1 {
-			t.Fatalf("legacy path reports %.2f allocs/op, expected >= 1 (pooling leaked into the baseline?)", pt.AllocsPerOp)
-		}
+	pt, err := runFabricScale(fabricScaleParams{
+		threads: 2, opsPerThread: 80,
+		window: 8, opBytes: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Ops != 160 || pt.OpsPerSec <= 0 || pt.FramesPerSec <= 0 {
+		t.Fatalf("bad point %+v", pt)
+	}
+	if pt.P50Micros <= 0 || pt.P99Micros < pt.P50Micros {
+		t.Fatalf("bad latencies %+v", pt)
 	}
 }
 
 // BenchmarkFabricDatapathScaling is the CI smoke entry point (-benchtime=1x):
-// one pair of 4-thread sweep points per iteration, reporting the
-// fast-over-legacy throughput ratio and the fast path's allocation rate.
+// one 4-thread sweep point per iteration, reporting its allocation rate.
 func BenchmarkFabricDatapathScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pl, err := runFabricScale(fabricScaleParams{
-			threads: 4, legacy: true, opsPerThread: 300,
+		pt, err := runFabricScale(fabricScaleParams{
+			threads: 4, opsPerThread: 300,
 			window: fabricScaleWindow, opBytes: fabricScaleOpBytes,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pf, err := runFabricScale(fabricScaleParams{
-			threads: 4, legacy: false, opsPerThread: 300,
-			window: fabricScaleWindow, opBytes: fabricScaleOpBytes,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pf.OpsPerSec/pl.OpsPerSec, "fast/legacy@4threads")
-		b.ReportMetric(pf.AllocsPerOp, "fastallocs/op")
+		b.ReportMetric(pt.OpsPerSec, "ops/s")
+		b.ReportMetric(pt.AllocsPerOp, "datapathallocs/op")
 	}
 }

@@ -16,16 +16,16 @@ import (
 
 // The engine-scaling sweep measures the real Cowbird-Spot datapath (no
 // perfsim): a deployment per point, N client threads driving closed-loop
-// windows of async reads/writes, serial vs sharded engine. The fabric runs
-// with a fixed propagation latency (SetLatency: infinite bandwidth, fixed
-// delay — the pipelining-relevant model of the testbed network), so an
-// engine that keeps only one round in flight pays round trips the sharded
-// engine overlaps. Results land in BENCH_spot_datapath.json via
+// windows of async reads/writes, one shared engine worker vs a worker per
+// queue set. The fabric runs with a fixed propagation latency (SetLatency:
+// infinite bandwidth, fixed delay — the pipelining-relevant model of the
+// testbed network), so an engine that keeps only one round in flight pays
+// round trips the worker-per-queue engine overlaps. Results land in BENCH_spot_datapath.json via
 // WriteSpotDatapathJSON / cmd/cowbird-bench -spotjson.
 
 // SpotScalePoint is one measured configuration of the sweep.
 type SpotScalePoint struct {
-	Mode        string  `json:"mode"`     // "serial" | "parallel"
+	Mode        string  `json:"mode"`     // "workers=1" | "workers=queues"
 	Batching    string  `json:"batching"` // "static" | "adaptive"
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 	Threads     int     `json:"threads"`
@@ -41,7 +41,7 @@ type SpotScalePoint struct {
 // spotScaleParams configures one point.
 type spotScaleParams struct {
 	threads      int
-	serial       bool
+	workers      int // spot.Config.Workers: 1 (one shared worker) or 0 (a worker per queue set)
 	batch        int
 	adaptive     bool // Spot.AdaptiveBatch + adaptive NIC inbox pop
 	gomaxprocs   int  // 0: ambient
@@ -76,7 +76,7 @@ func runSpotScale(p spotScaleParams) (SpotScalePoint, error) {
 	cfg := system.DefaultConfig()
 	cfg.Threads = p.threads
 	cfg.RegionSize = 8 << 20
-	cfg.Spot.Serial = p.serial
+	cfg.Spot.Workers = p.workers
 	cfg.Spot.BatchSize = p.batch
 	cfg.Spot.AdaptiveBatch = p.adaptive
 	cfg.NIC.AdaptiveInboxBatch = p.adaptive
@@ -94,8 +94,8 @@ func runSpotScale(p spotScaleParams) (SpotScalePoint, error) {
 	// Timer-resolution keeper: when every goroutine in the process is
 	// sleeping, the Go runtime parks in the OS and short timers fire with
 	// ~1 ms granularity; with any runnable goroutine they fire with µs
-	// accuracy. The parallel engine always has a runnable worker, the
-	// serial one often does not, so without a keeper the sweep would
+	// accuracy. The worker-per-queue engine always has a runnable worker, the
+	// one-worker engine often does not, so without a keeper the sweep would
 	// measure OS timer coarseness instead of datapath overlap. The keeper
 	// yields every iteration, so real work always runs first.
 	keeperStop := make(chan struct{})
@@ -235,9 +235,9 @@ func runSpotScale(p spotScaleParams) (SpotScalePoint, error) {
 		i := int(q * float64(len(allLats)-1))
 		return float64(allLats[i]) / 1e3
 	}
-	mode := "parallel"
-	if p.serial {
-		mode = "serial"
+	mode := "workers=queues"
+	if p.workers > 0 {
+		mode = fmt.Sprintf("workers=%d", p.workers)
 	}
 	batching := "static"
 	if p.adaptive {
@@ -398,65 +398,65 @@ func runSpotBurst(adaptive bool, gmp, bursts, burstSize int) (SpotBurstPoint, er
 }
 
 // SpotScale is the engine-scaling exhibit: aggregate throughput and tail
-// latency of the serial vs sharded datapath as client threads (and with
-// them queue sets and workers) grow, plus a batching on/off comparison at
-// the highest thread count.
+// latency of one shared worker vs a worker per queue set as client threads
+// (and with them queue sets) grow, plus a batching on/off comparison at the
+// highest thread count.
 func SpotScale() Experiment {
 	e := Experiment{
 		ID:     "spot-scale",
-		Title:  "Spot-engine datapath scaling: serial loop vs worker-per-queue shards",
-		XLabel: "client threads (= queue sets = workers)",
+		Title:  "Spot-engine datapath scaling: Workers=1 vs a worker per queue set",
+		XLabel: "client threads (= queue sets)",
 		YLabel: "ops/s / us",
 	}
-	serialT := Series{Label: "serial ops/s"}
-	parT := Series{Label: "parallel ops/s"}
-	serialP99 := Series{Label: "serial p99 (us)"}
-	parP99 := Series{Label: "parallel p99 (us)"}
+	oneT := Series{Label: "workers=1 ops/s"}
+	perQT := Series{Label: "workers=queues ops/s"}
+	oneP99 := Series{Label: "workers=1 p99 (us)"}
+	perQP99 := Series{Label: "workers=queues p99 (us)"}
 	ops := OpsPerThread / 4
 	if ops < 100 {
 		ops = 100
 	}
-	var lastSerial, lastParallel SpotScalePoint
+	var lastOne, lastPerQ SpotScalePoint
 	for _, th := range []int{1, 2, 4} {
 		base := spotScaleParams{
 			threads: th, batch: 32, opsPerThread: ops,
 			window: spotScaleWindow, latency: spotScaleLatency,
 		}
-		base.serial = true
-		ps, err := runSpotScale(base)
+		base.workers = 1
+		p1, err := runSpotScale(base)
 		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("serial@%d failed: %v", th, err))
+			e.Notes = append(e.Notes, fmt.Sprintf("workers=1@%d failed: %v", th, err))
 			continue
 		}
-		base.serial = false
-		pp, err := runSpotScale(base)
+		base.workers = 0
+		pq, err := runSpotScale(base)
 		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("parallel@%d failed: %v", th, err))
+			e.Notes = append(e.Notes, fmt.Sprintf("workers=queues@%d failed: %v", th, err))
 			continue
 		}
-		serialT.X = append(serialT.X, float64(th))
-		serialT.Y = append(serialT.Y, ps.OpsPerSec)
-		parT.X = append(parT.X, float64(th))
-		parT.Y = append(parT.Y, pp.OpsPerSec)
-		serialP99.X = append(serialP99.X, float64(th))
-		serialP99.Y = append(serialP99.Y, ps.P99Micros)
-		parP99.X = append(parP99.X, float64(th))
-		parP99.Y = append(parP99.Y, pp.P99Micros)
-		lastSerial, lastParallel = ps, pp
+		oneT.X = append(oneT.X, float64(th))
+		oneT.Y = append(oneT.Y, p1.OpsPerSec)
+		perQT.X = append(perQT.X, float64(th))
+		perQT.Y = append(perQT.Y, pq.OpsPerSec)
+		oneP99.X = append(oneP99.X, float64(th))
+		oneP99.Y = append(oneP99.Y, p1.P99Micros)
+		perQP99.X = append(perQP99.X, float64(th))
+		perQP99.Y = append(perQP99.Y, pq.P99Micros)
+		lastOne, lastPerQ = p1, pq
 	}
-	e.Series = []Series{serialT, parT, serialP99, parP99}
-	if lastSerial.OpsPerSec > 0 {
+	e.Series = []Series{oneT, perQT, oneP99, perQP99}
+	if lastOne.OpsPerSec > 0 {
 		e.Notes = append(e.Notes, fmt.Sprintf(
-			"parallel/serial aggregate ops/s at %d threads: %.2fx",
-			lastSerial.Threads, lastParallel.OpsPerSec/lastSerial.OpsPerSec))
+			"workers=queues / workers=1 aggregate ops/s at %d threads: %.2fx",
+			lastOne.Threads, lastPerQ.OpsPerSec/lastOne.OpsPerSec))
 	}
 	if nb, err := runSpotScale(spotScaleParams{
 		threads: 4, batch: 1, opsPerThread: ops,
 		window: spotScaleWindow, latency: spotScaleLatency,
-	}); err == nil && lastParallel.OpsPerSec > 0 {
+	}); err == nil && lastPerQ.OpsPerSec > 0 {
 		e.Notes = append(e.Notes, fmt.Sprintf(
 			"batching off (BATCH_SIZE=1) at 4 threads: %.0f ops/s (%.2fx of batched)",
-			nb.OpsPerSec, nb.OpsPerSec/lastParallel.OpsPerSec))
+			nb.OpsPerSec, nb.OpsPerSec/lastPerQ.OpsPerSec))
 	}
 	e.Notes = append(e.Notes, fmt.Sprintf(
 		"real engine over a %v-latency fabric; closed loop, window %d/thread, 3:1 read:write, 64 B ops",
@@ -476,15 +476,15 @@ type SpotDatapathReport struct {
 	Workload        string           `json:"workload"`
 	Points          []SpotScalePoint `json:"points"`
 	Burst           []SpotBurstPoint `json:"burst_points"`
-	SpeedupAt4      float64          `json:"parallel_over_serial_at_4_threads"`
-	CoreScaling4    float64          `json:"parallel_gomaxprocs4_over_gomaxprocs1"`
+	SpeedupAt4      float64          `json:"worker_per_queue_over_one_worker_at_4_threads"`
+	CoreScaling4    float64          `json:"worker_per_queue_gomaxprocs4_over_gomaxprocs1"`
 }
 
 // RunSpotDatapathReport runs the full sweep with opsPerThread ops per
-// client thread: the serial-vs-parallel matrix pinned at GOMAXPROCS=1
-// (continuity with the pre-sweep baseline), the batching-off points, the
-// GOMAXPROCS ladder (GMPSweep) for the parallel datapath in both batching
-// modes, and the bursty open-loop adaptive-vs-static comparison.
+// client thread: the Workers=1 vs worker-per-queue matrix pinned at
+// GOMAXPROCS=1, the batching-off points, the GOMAXPROCS ladder (GMPSweep)
+// for a worker per queue set in both batching modes, and the bursty
+// open-loop adaptive-vs-static comparison.
 func RunSpotDatapathReport(opsPerThread int) (SpotDatapathReport, error) {
 	r := SpotDatapathReport{
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
@@ -507,13 +507,12 @@ func RunSpotDatapathReport(opsPerThread int) (SpotDatapathReport, error) {
 			r.NumCPU)
 	}
 
-	// Serial-vs-parallel matrix at GOMAXPROCS=1 — comparable with the
-	// committed pre-sweep baseline numbers.
-	var serial4, par4 float64
-	for _, serial := range []bool{true, false} {
+	// Workers=1 vs worker-per-queue matrix at GOMAXPROCS=1.
+	at4 := map[int]float64{}
+	for _, workers := range []int{1, 0} {
 		for _, th := range []int{1, 2, 4} {
 			pt, err := runSpotScale(spotScaleParams{
-				threads: th, serial: serial, batch: 32, gomaxprocs: 1,
+				threads: th, workers: workers, batch: 32, gomaxprocs: 1,
 				opsPerThread: opsPerThread, window: spotScaleWindow, latency: spotScaleLatency,
 			})
 			if err != nil {
@@ -521,17 +520,13 @@ func RunSpotDatapathReport(opsPerThread int) (SpotDatapathReport, error) {
 			}
 			r.Points = append(r.Points, pt)
 			if th == 4 {
-				if serial {
-					serial4 = pt.OpsPerSec
-				} else {
-					par4 = pt.OpsPerSec
-				}
+				at4[workers] = pt.OpsPerSec
 			}
 		}
 	}
-	for _, serial := range []bool{true, false} {
+	for _, workers := range []int{1, 0} {
 		pt, err := runSpotScale(spotScaleParams{
-			threads: 4, serial: serial, batch: 1, gomaxprocs: 1,
+			threads: 4, workers: workers, batch: 1, gomaxprocs: 1,
 			opsPerThread: opsPerThread, window: spotScaleWindow, latency: spotScaleLatency,
 		})
 		if err != nil {
@@ -539,11 +534,11 @@ func RunSpotDatapathReport(opsPerThread int) (SpotDatapathReport, error) {
 		}
 		r.Points = append(r.Points, pt)
 	}
-	if serial4 > 0 {
-		r.SpeedupAt4 = par4 / serial4
+	if at4[1] > 0 {
+		r.SpeedupAt4 = at4[0] / at4[1]
 	}
 
-	// GOMAXPROCS ladder: the parallel datapath at 4 queue sets, static and
+	// GOMAXPROCS ladder: a worker per queue set at 4 queue sets, static and
 	// adaptive batching at every core count.
 	scaling := map[int]float64{}
 	for _, gmp := range GMPSweep {

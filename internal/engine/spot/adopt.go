@@ -34,60 +34,42 @@ import (
 //     ordering — and the read-after-write conflict splits derived from it —
 //     is preserved across the failover boundary.
 //
-// The adoption reads run on the control shard under the stop-the-world
-// barrier (quiesceWorkers): the write side of ioMu fences the serial loop
-// and control-shard rounds, and every queue worker's round lock is held,
-// so adoption never interleaves with a serve round even on a running
-// engine. Workers added by a concurrent AddInstance after the barrier's
-// snapshot serve unrelated queues, so they cannot observe the instance
-// being reconstructed here.
+// The adoption reads run on the control goroutine, on the control shard,
+// under the stop-the-world barrier (quiesceWorkers holds every worker's
+// round lock), so adoption never interleaves with a serve round even on a
+// running engine. A dedicated worker spawned by a concurrent registration
+// after the barrier's snapshot serves an unrelated queue, so it cannot
+// observe the instance being reconstructed here.
 func (e *Engine) AdoptInstance(in *core.Instance, computeQP, memQP *rdma.QP) error {
 	return e.AdoptInstanceReplicated(in, computeQP, []PoolReplica{{QP: memQP, Regions: in.Regions}})
 }
 
 // AdoptInstanceReplicated is AdoptInstance for an instance whose regions are
-// backed by multiple pool replicas (see AddInstanceReplicated): the takeover
+// backed by multiple pool replicas (see AddInstanceWired): the takeover
 // engine gets its own QP to every replica and the same priority order the
 // dead engine used, so mirroring and failover state carry across the
 // takeover. Replica death is soft state and is re-detected by the new
 // engine's first failed round or heartbeat against a dead pool.
 func (e *Engine) AdoptInstanceReplicated(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica) error {
-	if e.preempted.Load() {
-		return ErrPreempted
-	}
-	inst := newInstance(in, computeQP, reps)
-	e.stampConn(inst.shared)      // adopted QPs inherit the engine's fencing epoch
-	inst.queues = inst.queues[:0] // rebuilt below from the durable red blocks
-	release := e.quiesceWorkers()
-	for _, qi := range in.Queues {
+	return e.register(registration{in: in, computeQP: computeQP, reps: reps, adopt: true})
+}
+
+// readRedBlocks reconstructs every queue's engine-side state from its
+// durable red block. lastRed stays zero: the first heartbeat check writes
+// immediately, announcing the takeover to the compute node's lease monitor.
+// Runs on the control goroutine inside the quiesce barrier.
+func (e *Engine) readRedBlocks(inst *instance) error {
+	for _, q := range inst.queues {
 		ar := arenaAlloc{s: e.ctl}
 		redVA, redBuf, _ := ar.alloc(rings.RedSize)
-		err := e.postAndWait(e.ctl, computeQP, rdma.WorkRequest{
+		err := e.postAndWait(e.ctl, inst.shared.computeQP, rdma.WorkRequest{
 			Verb: rdma.VerbRead, LocalVA: redVA, Length: rings.RedSize,
-			RemoteVA: qi.BaseVA + uint64(qi.Layout.RedOffset()), RKey: qi.RKey,
+			RemoteVA: q.qi.BaseVA + uint64(q.qi.Layout.RedOffset()), RKey: q.qi.RKey,
 		})
 		if err != nil {
-			release()
-			return fmt.Errorf("spot: adopt instance %d queue %d: %w", in.ID, qi.Index, err)
+			return fmt.Errorf("spot: adopt instance %d queue %d: %w", inst.info.ID, q.qi.Index, err)
 		}
-		// lastRed stays zero: the first heartbeat check writes immediately,
-		// announcing the takeover to the compute node's lease monitor.
-		qs := newQueueState(qi)
-		qs.red = rings.DecodeRed(redBuf)
-		inst.queues = append(inst.queues, qs)
+		q.red = rings.DecodeRed(redBuf)
 	}
-	release()
-	// Publication goes through the control goroutine like AddInstance: the
-	// reconstructed instance appears to the datapath as one COW snapshot
-	// flip, after the quiesce barrier above has already guaranteed no round
-	// observed the half-built state.
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, nil)
-			e.mu.Unlock()
-		}
-	})
 	return nil
 }

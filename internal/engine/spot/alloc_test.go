@@ -14,9 +14,9 @@ import (
 // engine's per-request path: after warmup, a full round trip — client issue,
 // one serveQueue round (probe, fetch, execute, red publish), client harvest —
 // must not allocate on either side. The engine is never Run: rounds execute
-// on the test goroutine via the control shard, exactly as the serial loop
-// would drive them, so the measurement covers the real serve path without
-// background-goroutine noise. Any allocation is a regression: a staging
+// on the test goroutine via the control shard, exactly as a worker would
+// drive them on its own, so the measurement covers the real serve path
+// without background-goroutine noise. Any allocation is a regression: a staging
 // buffer that escaped the arena, a per-round slice that lost its capacity, a
 // map on the hot path.
 func TestServePathAllocFree(t *testing.T) {
@@ -48,11 +48,9 @@ func TestServePathAllocFree(t *testing.T) {
 		if ids[1], err = th.AsyncRead(0, 4096, dest); err != nil {
 			t.Fatal(err)
 		}
-		eng.ioMu.RLock()
-		worked, err := eng.serveQueue(eng.ctl, inst.shared, inst, q)
-		eng.ioMu.RUnlock()
-		if err != nil || !worked {
-			t.Fatalf("round: worked=%v err=%v", worked, err)
+		n, err := eng.serveQueue(eng.ctl, inst.shared, inst, q, eng.cfg.MaxEntriesPerRound)
+		if err != nil || n != 2 {
+			t.Fatalf("round: served=%d err=%v", n, err)
 		}
 		if !th.Completed(ids[0]) || !th.Completed(ids[1]) {
 			t.Fatal("round did not complete both requests")

@@ -78,11 +78,9 @@ func TestMetaRingWrapFetch(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	eng.ioMu.RLock()
-	worked, err := eng.serveQueue(eng.ctl, inst.shared, inst, q)
-	eng.ioMu.RUnlock()
-	if err != nil || !worked {
-		t.Fatalf("first round: worked=%v err=%v", worked, err)
+	n, err := eng.serveQueue(eng.ctl, inst.shared, inst, q, eng.cfg.MaxEntriesPerRound)
+	if err != nil || n != 5 {
+		t.Fatalf("first round: served=%d err=%v", n, err)
 	}
 	if !th.WaitAll(ids, 10*time.Second) {
 		t.Fatal("first round writes not harvested")
@@ -103,11 +101,9 @@ func TestMetaRingWrapFetch(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	eng.ioMu.RLock()
-	worked, err = eng.serveQueue(eng.ctl, inst.shared, inst, q)
-	eng.ioMu.RUnlock()
-	if err != nil || !worked {
-		t.Fatalf("wrap round: worked=%v err=%v", worked, err)
+	n, err = eng.serveQueue(eng.ctl, inst.shared, inst, q, eng.cfg.MaxEntriesPerRound)
+	if err != nil || n != 6 {
+		t.Fatalf("wrap round: served=%d err=%v", n, err)
 	}
 	if !th.WaitAll(ids, 10*time.Second) {
 		t.Fatal("wrap round writes not harvested")
@@ -135,7 +131,7 @@ func TestMetaRingWrapFetch(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueuesUnderLoss exercises the sharded datapath end to end:
+// TestConcurrentQueuesUnderLoss exercises dedicated workers end to end:
 // four queue sets served by four workers concurrently, with frame loss
 // injected into the fabric so Go-Back-N recovery interleaves with normal
 // rounds. Run under -race this is the main memory-safety check for the
@@ -215,8 +211,8 @@ func TestConcurrentQueuesUnderLoss(t *testing.T) {
 }
 
 // TestAddInstanceWhileRunning checks that a queue registered after Run gets
-// a live worker: the sharded engine spawns workers dynamically rather than
-// snapshotting its instance list at startup.
+// a live worker: a Workers: 0 engine spawns dedicated workers dynamically
+// rather than snapshotting its instance list at startup.
 func TestAddInstanceWhileRunning(t *testing.T) {
 	f := rdma.NewFabric()
 	t.Cleanup(f.Close)
@@ -254,40 +250,43 @@ func TestAddInstanceWhileRunning(t *testing.T) {
 	}
 }
 
-// TestSerialModeServes runs the legacy single-loop datapath (Config.Serial)
-// end to end, including its generation-counter instance snapshot: the
-// second instance is added after Run, so the loop must observe the new
-// generation and fold it in without re-copying the list every iteration.
-func TestSerialModeServes(t *testing.T) {
+// TestOneWorkerServesAll runs a Workers: 1 engine end to end: both
+// instances share the single pinned worker, and the second is added after
+// Run, so the running worker must pick the new slot up from its
+// copy-on-write list on a later pass.
+func TestOneWorkerServesAll(t *testing.T) {
 	f := rdma.NewFabric()
 	t.Cleanup(f.Close)
 	engNIC := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 3}, wire.IPv4Addr{10, 7, 0, 3}, rdma.DefaultConfig())
 	t.Cleanup(engNIC.Close)
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
-	cfg.Serial = true
+	cfg.Workers = 1
 	eng := New(engNIC, cfg)
 
 	c0, _ := wireInstance(t, f, eng, 0)
 	eng.Run()
 	t.Cleanup(eng.Stop)
 
-	c1, _ := wireInstance(t, f, eng, 1) // added after Run: needs the gen bump
+	c1, _ := wireInstance(t, f, eng, 1) // added after Run
+	if len(eng.workers) != 1 || len(*eng.workers[0].slots.Load()) != 2 {
+		t.Fatalf("%d workers, want the one pinned worker holding both slots", len(eng.workers))
+	}
 	for i, c := range []*core.Client{c0, c1} {
 		th, _ := c.Thread(0)
 		data := bytes.Repeat([]byte{byte(0x60 + i)}, 128)
 		if err := th.WriteSync(0, data, 1024, 10*time.Second); err != nil {
-			t.Fatalf("serial instance %d write: %v", i, err)
+			t.Fatalf("instance %d write: %v", i, err)
 		}
 		dest := make([]byte, 128)
 		if err := th.ReadSync(0, 1024, dest, 10*time.Second); err != nil {
-			t.Fatalf("serial instance %d read: %v", i, err)
+			t.Fatalf("instance %d read: %v", i, err)
 		}
 		if !bytes.Equal(dest, data) {
-			t.Fatalf("serial instance %d data mismatch", i)
+			t.Fatalf("instance %d data mismatch", i)
 		}
 	}
 	if st := eng.Stats(); st.EntriesServed != 4 {
-		t.Fatalf("serial stats: %+v", st)
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -78,7 +78,9 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 9100)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 9000)
 
-	eng.AddInstanceReplicated(client.Describe(0), eComp, reps)
+	if err := eng.AddInstanceWired(client.Describe(0), eComp, reps, nil); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 	t.Cleanup(eng.Stop)
 	return h
@@ -213,13 +215,13 @@ func TestIdlePrimaryDeathDetectedByHeartbeat(t *testing.T) {
 	}
 }
 
-// TestReplicatedSerialMode: the legacy serial datapath drives the same
-// mirroring, heartbeat, and failover machinery.
-func TestReplicatedSerialMode(t *testing.T) {
+// TestReplicatedOneWorker: a pinned shared worker drives the same
+// mirroring, heartbeat, and failover machinery as a dedicated one.
+func TestReplicatedOneWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
-	cfg.Serial = true
+	cfg.Workers = 1
 	h := wireReplicated(t, 2, cfg)
 	th, _ := h.client.Thread(0)
 
@@ -230,10 +232,10 @@ func TestReplicatedSerialMode(t *testing.T) {
 	h.pools[0].Crash()
 	dest := make([]byte, 256)
 	if err := th.ReadSync(0, 2048, dest, 10*time.Second); err != nil {
-		t.Fatalf("serial-mode failover read: %v", err)
+		t.Fatalf("one-worker failover read: %v", err)
 	}
 	if !bytes.Equal(dest, data) {
-		t.Fatal("serial-mode failover read returned wrong data")
+		t.Fatal("one-worker failover read returned wrong data")
 	}
 	if !h.eng.PoolDegraded() {
 		t.Fatal("PoolDegraded should be true")

@@ -50,12 +50,12 @@ const scrubSettle = 200 * time.Microsecond
 
 // scrubShardLazy returns the scrubber's dedicated shard, creating it on
 // first use. Scrub I/O must not share an arena or pending set with the
-// control shard — the serial loop and adoption reads run rounds there.
+// control shard — adoption reads run there.
 func (e *Engine) scrubShardLazy() *shard {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.scrubShard == nil {
-		e.scrubShard = e.newShardLocked(nil)
+		e.scrubShard = e.takeShardLocked(nil)
 	}
 	return e.scrubShard
 }
@@ -64,12 +64,10 @@ func (e *Engine) scrubShardLazy() *shard {
 // ScrubPass per interval until the engine stops, is preempted, or fenced.
 func (e *Engine) scrubLoop() {
 	defer e.wg.Done()
-	s := e.scrubShardLazy()
+	tick := time.NewTimer(time.Hour)
+	defer tick.Stop()
 	for {
-		if !e.pause(s, e.cfg.ScrubInterval) {
-			return
-		}
-		if e.preempted.Load() || e.fenced.Load() {
+		if !e.park(tick, e.cfg.ScrubInterval) {
 			return
 		}
 		// Pass errors are terminal signals (fenced, preempted, stop) or
@@ -183,13 +181,7 @@ func (e *Engine) scrubFailure(inst *instance, err error) error {
 func (e *Engine) detectChunk(s *shard, inst *instance, reg core.RegionInfo, off uint64, n uint32) (bool, error) {
 	const tries = 3
 	for try := 0; ; try++ {
-		// Each comparison round holds the read side of the adoption barrier,
-		// like any other control-shard RDMA round, and releases it between
-		// tries — detection must never hold ioMu when the repair phase later
-		// takes the write side via quiesceWorkers.
-		e.ioMu.RLock()
 		equal, err := e.chunkSumsEqual(s, inst, reg, off, n)
-		e.ioMu.RUnlock()
 		if err != nil || equal {
 			return false, err
 		}

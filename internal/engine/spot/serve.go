@@ -34,25 +34,26 @@ func (a *arenaAlloc) alloc(n int) (uint64, []byte, bool) {
 }
 
 // serveQueue runs one Probe/Execute/Complete round for a queue set on shard
-// s, driving every RDMA message through the QPs of c. It returns whether any
-// requests were served. All scratch state lives in the shard, so rounds for
-// different queues run concurrently and the steady-state round allocates
-// nothing.
+// s, driving every RDMA message through the QPs of c and serving at most
+// limit entries (the scheduler's cap: MaxEntriesPerRound, or less under
+// deficit round-robin). It returns how many entries were served. All scratch
+// state lives in the shard, so rounds on different shards run concurrently
+// and the steady-state round allocates nothing.
 //
 // Any error abandons the round with WRs possibly still in flight; they must
 // be canceled before this shard's next round, or a late response — a
 // retransmission finally landing after a loss burst, a sibling WR of a
 // failed batch — would DMA into arena bytes the next round has already
 // handed out.
-func (e *Engine) serveQueue(s *shard, c conn, inst *instance, q *queueState) (bool, error) {
-	served, err := e.serveRound(s, c, inst, q)
+func (e *Engine) serveQueue(s *shard, c conn, inst *instance, q *queueState, limit int) (int, error) {
+	served, err := e.serveRound(s, c, inst, q, limit)
 	if err != nil {
 		s.abandonPending()
 	}
 	return served, err
 }
 
-func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bool, error) {
+func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, limit int) (int, error) {
 	ar := arenaAlloc{s: s}
 	lay := q.qi.Layout
 
@@ -73,9 +74,9 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 	var quota int
 	qos := inst.qos.Load()
 	if qos != nil {
-		quota = qos.reserve(e.cfg.MaxEntriesPerRound)
+		quota = qos.reserve(limit)
 		if quota == 0 {
-			return false, nil
+			return 0, nil
 		}
 	}
 	// Phase II (Probe): read the green bookkeeping half in one RDMA read.
@@ -89,7 +90,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		e.tel.StageProbe.Observe(time.Since(t0))
 	}
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	green := rings.DecodeGreen(greenBuf)
 	if green.MetaTail == q.red.MetaHead {
@@ -99,7 +100,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		if s.bat != nil {
 			s.bat.Next(0) // idle observation: decay the coalescing batch
 		}
-		return false, nil
+		return 0, nil
 	}
 
 	// Fetch the new metadata entries (head→tail), at most two RDMA reads
@@ -111,28 +112,13 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 	if s.bat != nil {
 		batchLimit = s.bat.Next(backlog)
 	}
-	count := backlog
-	if count > e.cfg.MaxEntriesPerRound {
-		count = e.cfg.MaxEntriesPerRound
-	}
+	count := min(backlog, limit)
 	if qos != nil {
-		if count > quota {
-			count = quota
-		}
-		// Deficit round-robin (serial datapath): the pass loop tops the
-		// queue up by its tenant's quantum; a backlogged tenant drains at
-		// most its balance per round so peers interleave fairly.
-		if q.deficit >= 0 && count > q.deficit {
-			count = q.deficit
-		}
-		if count == 0 {
-			qos.refund(quota)
-			return false, nil
-		}
+		count = min(count, quota)
 	}
 	metaVA, metaBuf, ok := ar.alloc(count * rings.MetaEntrySize)
 	if !ok {
-		return false, fmt.Errorf("spot: staging arena too small for %d entries", count)
+		return 0, fmt.Errorf("spot: staging arena too small for %d entries", count)
 	}
 	h0 := int(q.red.MetaHead % uint64(lay.MetaEntries))
 	run1 := count
@@ -147,7 +133,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		RemoteVA: q.qi.BaseVA + uint64(lay.MetaOffset(h0)), RKey: q.qi.RKey,
 	})
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	if run1 < count {
 		_, err = e.post(s, c.computeQP, rdma.WorkRequest{
@@ -156,11 +142,11 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 			RemoteVA: q.qi.BaseVA + uint64(lay.MetaOffset(0)), RKey: q.qi.RKey,
 		})
 		if err != nil {
-			return false, err
+			return 0, err
 		}
 	}
 	if err := e.waitAll(s); err != nil {
-		return false, err
+		return 0, err
 	}
 	if sampled {
 		e.tel.StageFetch.Observe(time.Since(t0))
@@ -177,7 +163,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		}
 		region, ok := inst.regions.Lookup(ent.RegionID)
 		if !ok {
-			return false, fmt.Errorf("spot: entry references unknown region %d", ent.RegionID)
+			return 0, fmt.Errorf("spot: entry references unknown region %d", ent.RegionID)
 		}
 		va, buf, ok := ar.alloc(int(ent.Length))
 		if !ok {
@@ -189,13 +175,10 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		if qos != nil {
 			qos.refund(quota)
 		}
-		return false, nil
+		return 0, nil
 	}
 	if qos != nil {
 		qos.refund(quota - len(s.ops))
-		if q.deficit >= 0 {
-			q.deficit -= len(s.ops)
-		}
 	}
 	if e.tel != nil {
 		e.tel.EngineRounds.Inc(s.id)
@@ -251,7 +234,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		if sampled {
 			t0 = time.Now()
 		}
-		if err := e.writeRed(s, c, inst, q); err != nil {
+		if err := e.writeRed(s, c, q); err != nil {
 			return err
 		}
 		if sampled {
@@ -263,14 +246,14 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 		if conflicts(s.ops[start:i], s.ops[i]) {
 			s.stats.stalls.Add(1)
 			if err := flush(i); err != nil {
-				return false, err
+				return 0, err
 			}
 		}
 	}
 	if err := flush(len(s.ops)); err != nil {
-		return false, err
+		return 0, err
 	}
-	return true, nil
+	return len(s.ops), nil
 }
 
 // conflicts reports whether o's pool range overlaps an opposite-type
@@ -288,7 +271,7 @@ func conflicts(batch []op, o op) bool {
 // lease; the heartbeat paths call this directly on idle queues. The staging
 // arena is free by the time a round reaches Phase IV, so a fresh bump
 // allocator is safe here.
-func (e *Engine) writeRed(s *shard, c conn, _ *instance, q *queueState) error {
+func (e *Engine) writeRed(s *shard, c conn, q *queueState) error {
 	q.red.Heartbeat++
 	ar := arenaAlloc{s: s}
 	redVA, redBuf, _ := ar.alloc(rings.RedSize)

@@ -13,20 +13,25 @@
 //     when they actually conflict with an in-flight write, instead of
 //     pausing all reads as the switch must.
 //
-// The datapath is sharded: every queue set is owned by a dedicated worker
-// goroutine with a private completion queue, a private staging sub-arena,
-// and a private WR-id space, so Probe/Execute/Complete rounds for different
-// queues overlap instead of serializing. A demultiplexer goroutine drains
-// the one hardware send CQ and routes each completion to the shard that
-// posted it (the shard index lives in the WR id's high bits). AdoptInstance
-// quiesces the workers through an RW barrier while it reconstructs state,
-// preserving the internal/ha takeover semantics.
+// The datapath is M workers × their queue slots. A worker is a goroutine
+// owning one shard — a private completion queue, staging arena, WR-id space
+// and scratch — and serving a copy-on-write list of queue slots (instance,
+// queue set, QPs) in deficit-round-robin order, with per-slot probe pacing
+// and one spin → yield → park idle ladder. Config.Workers picks M: 0 gives
+// every queue set a dedicated one-slot worker, n > 0 pins n workers that
+// share the queue sets between them. A demultiplexer goroutine drains the
+// one hardware send CQ and routes each completion to the shard that posted
+// it (the shard index lives in the WR id's high bits). Registration,
+// adoption and removal run on a control goroutine; adoption and removal
+// stop the world through every worker's round lock, preserving the
+// internal/ha takeover semantics.
 package spot
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,14 +48,16 @@ type Config struct {
 	// ProbeInterval paces green-block probes when a queue is idle.
 	ProbeInterval time.Duration
 	// IdleQueueProbeInterval, when > ProbeInterval, caps an exponential
-	// per-queue probe backoff in the serial datapath: a queue's first empty
-	// rounds re-probe at ProbeInterval (so a briefly-idle active tenant
-	// pays microseconds, not the cap), and each further miss doubles the
-	// pacing up to this bound. The split matters at fleet scale — the
-	// serial loop's park interval must stay short so an op on any active
-	// queue is picked up promptly, while thousands of registered-but-idle
-	// tenants must not each cost a probe RDMA round per park interval.
-	// 0 disables the backoff (every idle queue re-probes at ProbeInterval).
+	// per-queue probe backoff: a queue whose probe found nothing (and, on
+	// a dedicated worker, has used up its spin and yield re-probes) is
+	// paced at ProbeInterval (so a briefly-idle active tenant pays
+	// microseconds, not the cap), and each further miss doubles the pacing
+	// up to this bound. A worker parks until its earliest queue
+	// is due, so its park backs off with them. The split matters at fleet
+	// scale — an op on any active queue must be picked up promptly, while
+	// thousands of registered-but-idle tenants must not each cost a probe
+	// RDMA round per ProbeInterval. 0 disables the backoff (every idle
+	// queue re-probes at ProbeInterval).
 	IdleQueueProbeInterval time.Duration
 	// BatchSize is the maximum read responses coalesced into one RDMA
 	// write to the compute node. 1 disables batching (the "Cowbird
@@ -58,9 +65,9 @@ type Config struct {
 	BatchSize int
 	// MaxEntriesPerRound caps metadata entries fetched per queue visit.
 	MaxEntriesPerRound int
-	// StagingBytes sizes each datapath shard's staging arena. Every queue
-	// worker (and the control shard used for adoption reads and the serial
-	// datapath) gets its own arena of this size.
+	// StagingBytes sizes each shard's staging arena. Every worker, the
+	// control shard (adoption reads) and the scrubber get their own arena
+	// of this size.
 	StagingBytes int
 	// OpTimeout bounds any single RDMA completion wait.
 	OpTimeout time.Duration
@@ -72,12 +79,15 @@ type Config struct {
 	// stalls past its lease timeout, so the lease timeout must be a
 	// multiple of this interval.
 	HeartbeatInterval time.Duration
-	// Serial selects the legacy single-goroutine datapath: one loop serves
-	// every queue of every instance round-robin through the control shard.
-	// The default (false) is the sharded datapath — a dedicated worker per
-	// queue set. Serial exists as the baseline of the engine-scaling
-	// benchmarks (internal/bench) and as a minimal-footprint fallback.
-	Serial bool
+	// Workers is the number of datapath workers. 0 (the default) gives
+	// every registered queue set a dedicated worker — run-to-completion on
+	// the queue's own QPs when the instance was wired with QueueEndpoints.
+	// n > 0 pins exactly n workers and assigns each new queue set to the
+	// least-loaded one; a pinned worker serves its queue sets in
+	// deficit-round-robin order through the instance-wide QPs, so the
+	// engine's goroutine count stays bounded however many tenants register
+	// (the fleet runs Workers = 1).
+	Workers int
 	// AdaptiveBatch replaces the static BatchSize cap on response
 	// coalescing with a per-shard backlog-driven controller
 	// (internal/batch): the batch limit latches to the metadata-ring
@@ -88,13 +98,14 @@ type Config struct {
 	// controller ranges over [1, MaxEntriesPerRound], which the per-round
 	// entry cap already bounds to the staging arena and metadata ring.
 	AdaptiveBatch bool
-	// IdleSpinRounds and IdleYieldRounds shape the worker idle policy.
-	// A worker whose probe finds no work re-probes immediately for
-	// IdleSpinRounds rounds (lowest wake-up latency, highest probe rate),
-	// then re-probes with a scheduler yield between rounds for
-	// IdleYieldRounds more, and only then parks on a ProbeInterval timer —
-	// so a busy or briefly-idle shard never pays a timer wakeup, and a
-	// long-idle shard costs one timer per ProbeInterval exactly as before.
+	// IdleSpinRounds and IdleYieldRounds shape the idle ladder of a worker
+	// that serves a single queue. A probe that finds no work is repeated at
+	// once for IdleSpinRounds passes (lowest wake-up latency, highest probe
+	// rate), then with a scheduler yield between passes for IdleYieldRounds
+	// more, and only then paced at ProbeInterval, the worker parking on a
+	// timer — so a busy or briefly-idle queue never pays a timer wakeup,
+	// and a long-idle one costs one timer per ProbeInterval. A worker that
+	// serves several queues parks after every pass that found no work.
 	// Zero selects the defaults; negative disables that phase.
 	IdleSpinRounds  int
 	IdleYieldRounds int
@@ -177,16 +188,21 @@ const (
 	wrSeqMask    = uint64(1)<<wrShardShift - 1
 )
 
-// shard is one slice of the engine's datapath: a private software
-// completion queue fed by the demultiplexer, a private staging arena with
-// its own MR, a private WR-id sequence, and private activity counters. The
-// control shard (index 0) serves adoption reads and the serial datapath;
-// each queue worker owns one further shard. Within a shard nothing is
-// shared between goroutines, so the serve path runs lock-free and — after
-// the first few rounds warm the reusable slices — allocation-free.
+// shard is one slice of the engine's datapath: a completion queue, a
+// private staging arena with its own MR, a private WR-id sequence, and
+// private activity counters. Every worker owns one; the control shard
+// (index 0) serves adoption reads and the scrubber has its own. Within a
+// shard nothing is shared between goroutines, so the serve path runs
+// lock-free and — after the first few rounds warm the reusable slices —
+// allocation-free.
 type shard struct {
-	id      int
+	id int
+	// cq is where the owner harvests completions: demuxCQ, unless the
+	// shard serves one queue set over dedicated QPs, whose private send CQ
+	// it then is. demuxCQ is the software CQ the demultiplexer feeds;
+	// immutable, because the demultiplexer reads it with no lock.
 	cq      *rdma.CQ
+	demuxCQ *rdma.CQ
 	wrSeq   atomic.Uint64
 	arena   []byte
 	arenaVA uint64
@@ -196,7 +212,7 @@ type shard struct {
 	ops     []op        // decoded entries of the current round
 	run     []op        // response-batch run under construction
 	cqeBuf  [64]rdma.CQE
-	timer   *time.Timer
+	timer   *time.Timer // waitAll's completion-wait timeout
 
 	// bat is the adaptive response-batch controller (Config.AdaptiveBatch);
 	// nil under the static BatchSize baseline. Owned by the shard's worker,
@@ -204,15 +220,14 @@ type shard struct {
 	bat *batch.Controller
 
 	// rounds drives 1-in-N stage-timing sampling. Plain counter: only the
-	// owning worker touches it (the control shard's single loop included).
+	// owner touches it.
 	rounds uint64
 
 	stats shardCounters
 }
 
 // shardCounters are the per-shard halves of Stats. Plain atomics: the
-// owning worker is the only writer, Stats() the only other reader, so the
-// old per-increment engine mutex is gone from the hot path.
+// owning worker is the only writer, Stats() the only other reader.
 type shardCounters struct {
 	probes, entries, reads, writes  atomic.Int64
 	batches, stalls, reds, hbWrites atomic.Int64
@@ -220,37 +235,59 @@ type shardCounters struct {
 
 // conn names the QPs a serve round drives its queue through: the
 // compute-node QP and one pool QP per replica of the instance (same order
-// as instance.replicas). Shared-wiring instances hand every worker the one
-// instance-wide conn, whose completions arrive via the demultiplexer;
-// dedicated wiring (AddInstanceWired) gives each worker private QPs whose
-// send CQ is the worker shard's own CQ, so the full request lifecycle —
-// post, completion, harvest — runs on the worker goroutine with no
+// as instance.replicas). A slot normally carries the one instance-wide
+// conn, whose completions arrive via the demultiplexer; a dedicated worker
+// of an AddInstanceWired instance gets the queue's private QPs, whose send
+// CQ is the worker shard's own CQ, so the full request lifecycle — post,
+// completion, harvest — runs on the worker goroutine with no
 // cross-goroutine handoff and no per-QP lock sharing between shards.
 type conn struct {
 	computeQP *rdma.QP
 	pools     []*rdma.QP
 }
 
-// worker binds a shard to the one queue set it serves and the QPs it
-// serves it through.
+// slot is one queue set as a worker serves it: the queue, the QPs it is
+// served through, and its scheduling state. A slot belongs to one worker
+// for life, and only that worker's goroutine touches the scheduling fields.
+type slot struct {
+	inst *instance
+	q    *queueState
+	conn conn
+
+	// deficit is the slot's deficit-round-robin balance (entries): a worker
+	// sharing itself between slots tops it up by the tenant's quantum each
+	// pass and a round consumes what it serves, so a backlogged tenant
+	// drains at most its quantum per pass while its peers get theirs.
+	deficit int
+	// idle counts consecutive probes that found no work. A worker's only
+	// slot is due again on the very next pass up to the spin and yield
+	// budgets; past them, and from the first miss on a worker with several
+	// slots, nextProbe paces it, so a pass over thousands of registered
+	// queues only pays RDMA rounds for the active ones.
+	idle      int
+	nextProbe time.Time // zero: due now
+}
+
+// worker is one datapath goroutine: a shard and the slots it serves.
 type worker struct {
-	shard   *shard
-	inst    *instance
-	q       *queueState
-	conn    conn
+	shard *shard
+	// slots is the copy-on-write slot list. The control goroutine swaps it
+	// (appends freely; removals only inside the quiesce barrier), the
+	// worker loads it once per pass under its round lock.
+	slots   atomic.Pointer[[]*slot]
 	running bool // guarded by Engine.mu
 
-	// retired tells the worker its instance was removed (live migration).
-	// Set under the quiesce barrier while the worker's roundMu is held, and
-	// checked by the worker after acquiring roundMu — so a retired worker
-	// can never start another round on the departed instance.
+	// retired tells a dedicated worker its queue set was removed (live
+	// migration). Set under the quiesce barrier while the worker's roundMu
+	// is held, and checked by the worker after acquiring roundMu — so a
+	// retired worker never touches its shard again, and the shard can go
+	// back on the free list at once.
 	retired atomic.Bool
 
-	// roundMu serializes this worker's serve rounds against the
-	// AdoptInstance stop-the-world barrier. In steady state it is
-	// uncontended — only the worker itself takes it, once per round, on
-	// its own cache line — which is what lets the per-round hot path drop
-	// the engine-wide ioMu read lock the shards used to share.
+	// roundMu serializes this worker's passes against the stop-the-world
+	// barrier (quiesceWorkers). In steady state it is uncontended — only
+	// the worker itself takes it, once per pass, on its own cache line —
+	// so no datapath round takes a lock shared with another worker.
 	roundMu sync.Mutex
 }
 
@@ -261,38 +298,32 @@ type Engine struct {
 	tel *telemetry.Telemetry
 	cq  *rdma.CQ // shared hardware send CQ; the demux drains it
 
-	mu      sync.Mutex // guards workers and shard creation
+	mu      sync.Mutex // guards workers, free and shard creation
 	workers []*worker
+	free    []*shard // shards of retired dedicated workers, for reuse
 	nextVA  uint64
 
-	// insts is the generation-stamped COW snapshot of the instance table
-	// (DESIGN.md §13). Only the control goroutine publishes new snapshots
-	// (register/adopt); the serial loop, PoolDegraded, and scrapes read it
-	// with a single atomic load — no lock, no copy, no matter how many
-	// instances are registered.
+	// insts is the COW snapshot of the instance table (DESIGN.md §13). Only
+	// the control goroutine publishes new snapshots (register/adopt/
+	// remove); PoolDegraded, the scrubber and scrapes read it with a single
+	// atomic load — no lock, no copy, no matter how many instances are
+	// registered. The datapath never reads it: workers see slots.
 	insts atomic.Pointer[instSnap]
 
 	// ctlOps feeds the control goroutine, which serializes every metadata
-	// mutation (register/adopt/promote state rebuilds) off the datapath.
+	// mutation (register/adopt/remove, with the adoption reads on the
+	// control shard) off the datapath.
 	// Unbuffered: a submit either rendezvouses with the live control loop
 	// or — after Stop — falls back to inline execution under ctlGate.
 	ctlOps  chan func()
 	ctlGate sync.Mutex
 
 	// shards is the []*shard routing table, copy-on-write under e.mu and
-	// read lock-free by the demultiplexer. shards[0] is the control shard.
+	// read lock-free by the demultiplexer. shards[0] is the control shard,
+	// which only the control goroutine (and tests driving rounds by hand on
+	// an engine that is not running) may use.
 	shards atomic.Value
 	ctl    *shard
-
-	// ioMu is the serial-mode and control-shard half of the adoption
-	// barrier: the serial loop holds the read lock once per full pass over
-	// the instance table (tests driving rounds on the control shard take it
-	// per round); AdoptInstance takes the write lock. Queue workers do NOT touch it — their rounds run under their
-	// own worker.roundMu, which quiesceWorkers acquires alongside ioMu, so
-	// the sharded per-round path performs no shared-lock acquisition at
-	// all (the RWMutex read counter was the last cross-shard cache line on
-	// the request path).
-	ioMu sync.RWMutex
 
 	// Spot-preemption injection (internal/ha tests): killAfter is the
 	// number of further RDMA posts allowed before the engine "loses its
@@ -317,8 +348,8 @@ type Engine struct {
 	fenceEpoch atomic.Uint32
 
 	// Replica scrubber state: a dedicated shard (lazily created — scrub
-	// I/O must not share arenas or pending sets with the serial loop's
-	// control shard) and one-pass-at-a-time serialization.
+	// I/O must not share an arena or pending set with adoption reads on
+	// the control shard) and one-pass-at-a-time serialization.
 	scrubShard *shard
 	scrubMu    sync.Mutex
 
@@ -343,17 +374,15 @@ type Engine struct {
 }
 
 // instSnap is one published instance-table snapshot. The slice is immutable
-// after Store; gen increments with every publication so readers can detect
-// topology changes with one atomic load and an integer compare.
+// after Store.
 type instSnap struct {
-	gen       uint64
 	instances []*instance
 }
 
 type instance struct {
 	info    *core.Instance
 	regions *core.RegionTable // dense region-ID lookup for the serve path
-	shared  conn              // instance-wide QPs: adoption reads, serial mode, fallback
+	shared  conn              // instance-wide QPs: adoption reads, shared workers, scrub
 	queues  []*queueState
 
 	// Pool replication (§5.3 extension): the instance's regions are backed
@@ -503,26 +532,6 @@ type queueState struct {
 	qi      core.QueueInfo
 	red     rings.Red // engine-local authoritative copy of the red block
 	lastRed time.Time // when the red block (and thus the lease) last renewed
-
-	// deficit is the queue's deficit-round-robin balance in the serial
-	// datapath: the serial pass tops it up by the tenant's quantum and a
-	// serve round consumes what it serves, so a backlogged tenant drains at
-	// most its quantum per pass. -1 (the default) disables the cap — the
-	// sharded datapath schedules by goroutine, not by deficit. Touched only
-	// by the single serial goroutine.
-	deficit int
-	// nextProbe paces idle probes in the serial datapath: a queue whose
-	// probe found nothing is not probed again until this deadline, so a
-	// pass over thousands of registered queues only pays RDMA rounds for
-	// the active ones. Zero means probe now.
-	nextProbe time.Time
-	// idleStreak counts consecutive empty rounds, driving the exponential
-	// probe backoff toward IdleQueueProbeInterval.
-	idleStreak int
-}
-
-func newQueueState(qi core.QueueInfo) *queueState {
-	return &queueState{qi: qi, deficit: -1}
 }
 
 // New creates an idle engine on nic. Call AddInstance, then Run. The
@@ -576,7 +585,10 @@ func New(nic *rdma.NIC, cfg Config) *Engine {
 	}
 	e.killAfter.Store(-1)
 	e.insts.Store(&instSnap{})
-	e.ctl = e.newShardLocked(nil)
+	e.ctl = e.takeShardLocked(nil)
+	for i := 0; i < cfg.Workers; i++ {
+		e.workers = append(e.workers, e.newWorkerLocked(nil))
+	}
 	e.wg.Add(2)
 	go e.demux()
 	go e.ctlLoop()
@@ -627,38 +639,43 @@ func (e *Engine) runCtl(fn func()) {
 	}
 }
 
-// publishInstance appends inst to the COW instance table. Must run on the
-// control path (ctlGate held via runCtl).
-func (e *Engine) publishInstance(inst *instance) {
-	old := e.insts.Load()
-	ns := &instSnap{gen: old.gen + 1, instances: make([]*instance, 0, len(old.instances)+1)}
-	ns.instances = append(append(ns.instances, old.instances...), inst)
-	e.insts.Store(ns)
+// takeShardLocked hands out a shard: one parked on the free list by a
+// retired worker if there is any, else a new one, whose staging arena it
+// allocates and registers and which it publishes in the routing table. The
+// NIC cannot deregister an MR, so reuse is what keeps migrate-in/migrate-out
+// cycles from growing the arena set without bound. A non-nil cq makes that
+// CQ the shard's completion queue — the dedicated-wiring case, where the
+// queue's own QPs complete straight into it and the demultiplexer never
+// touches the shard's traffic. Caller holds e.mu (or is New).
+func (e *Engine) takeShardLocked(cq *rdma.CQ) *shard {
+	var s *shard
+	if n := len(e.free); n > 0 {
+		s, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		old := e.shardList()
+		s = &shard{id: len(old), demuxCQ: rdma.NewCQ()}
+		if e.cfg.AdaptiveBatch {
+			s.bat = batch.New(1, e.cfg.MaxEntriesPerRound, 0)
+		}
+		s.arena = make([]byte, e.cfg.StagingBytes)
+		s.arenaVA = e.nextVA
+		e.nextVA += uint64(e.cfg.StagingBytes)
+		e.nic.RegisterMR(s.arenaVA, s.arena)
+		e.shards.Store(append(slices.Clip(old), s))
+	}
+	s.cq = cq
+	if cq == nil {
+		s.cq = s.demuxCQ
+	}
+	return s
 }
 
-// newShardLocked allocates and registers a shard's staging arena and
-// publishes the shard in the routing table. A non-nil cq makes that CQ the
-// shard's completion queue — the dedicated-wiring case, where the queue's
-// own QPs complete straight into it and the demultiplexer never touches the
-// shard's traffic. Caller holds e.mu (or is New).
-func (e *Engine) newShardLocked(cq *rdma.CQ) *shard {
-	old := e.shardList()
-	if cq == nil {
-		cq = rdma.NewCQ()
-	}
-	s := &shard{id: len(old), cq: cq}
-	if e.cfg.AdaptiveBatch {
-		s.bat = batch.New(1, e.cfg.MaxEntriesPerRound, 0)
-	}
-	s.arena = make([]byte, e.cfg.StagingBytes)
-	s.arenaVA = e.nextVA
-	e.nextVA += uint64(e.cfg.StagingBytes)
-	e.nic.RegisterMR(s.arenaVA, s.arena)
-	list := make([]*shard, len(old)+1)
-	copy(list, old)
-	list[len(old)] = s
-	e.shards.Store(list)
-	return s
+// newWorkerLocked creates a worker with no slots on a shard of its own.
+// Caller holds e.mu (or is New).
+func (e *Engine) newWorkerLocked(cq *rdma.CQ) *worker {
+	w := &worker{shard: e.takeShardLocked(cq)}
+	w.slots.Store(new([]*slot))
+	return w
 }
 
 func (e *Engine) shardList() []*shard {
@@ -668,8 +685,8 @@ func (e *Engine) shardList() []*shard {
 
 // demux drains the shared hardware send CQ and routes every completion to
 // the software CQ of the shard that posted it, keyed by the WR id's high
-// bits. Workers then wait only on their own completions — the reason
-// serving rounds no longer need a global lock.
+// bits. Workers then wait only on their own completions, so serving rounds
+// need no global lock.
 func (e *Engine) demux() {
 	defer e.wg.Done()
 	var buf [64]rdma.CQE
@@ -687,7 +704,7 @@ func (e *Engine) demux() {
 					e.tripFenced()
 				}
 				if idx := int(c.WRID >> wrShardShift); idx < len(shards) {
-					shards[idx].cq.Push(c)
+					shards[idx].demuxCQ.Push(c)
 				}
 			}
 			continue
@@ -707,25 +724,14 @@ func (e *Engine) CQ() *rdma.CQ { return e.cq }
 func (e *Engine) NIC() *rdma.NIC { return e.nic }
 
 // AddInstance registers a compute/memory node pair. computeQP and memQP
-// must be connected QPs on the engine's NIC whose send CQ is e.CQ(). In
-// the sharded datapath each of the instance's queue sets gets its own
-// worker (started immediately if the engine is already running, so
-// instances can be added live).
+// must be connected QPs on the engine's NIC whose send CQ is e.CQ(). Its
+// queue sets are served from the worker's next pass on (workers start
+// immediately if the engine is already running, so instances can be added
+// live).
 func (e *Engine) AddInstance(in *core.Instance, computeQP, memQP *rdma.QP) {
-	e.AddInstanceReplicated(in, computeQP, []PoolReplica{{QP: memQP, Regions: in.Regions}})
-}
-
-// AddInstanceReplicated registers an instance whose regions are backed by
-// one pool node per entry of reps, in priority order: reps[0] starts as the
-// primary. Every replica must host a copy of every region in in.Regions
-// (same id and size; base and rkey may differ per node). The engine mirrors
-// every WRITE to all live replicas before publishing progress and serves
-// READs from the primary, failing over to the next live replica when the
-// primary dies — detected by Go-Back-N retry exhaustion on a data op or on
-// a paced heartbeat READ (Config.PoolHeartbeatInterval).
-func (e *Engine) AddInstanceReplicated(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica) {
-	if err := e.addInstance(in, computeQP, reps, nil); err != nil {
-		panic(err) // unreachable: nil endpoints never fail validation
+	err := e.register(registration{in: in, computeQP: computeQP, reps: []PoolReplica{{QP: memQP, Regions: in.Regions}}})
+	if err != nil {
+		panic(err) // unreachable: without homes, endpoints or adoption nothing can fail
 	}
 }
 
@@ -742,64 +748,121 @@ type QueueEndpoints struct {
 	Pools     []*rdma.QP
 }
 
-// AddInstanceWired registers an instance whose queue sets each bring their
-// own QPs (one per queue to the compute node, one per queue per pool
-// replica), making every worker's request lifecycle run to completion on
-// its own goroutine: post on private QPs, complete into the private CQ,
-// harvest locally — no demultiplexer hop and no per-QP lock shared with
-// another shard. computeQP and reps are the instance-wide control-path QPs
-// (adoption reads, serial mode, pool heartbeats' fallback); queues must
-// have one entry per queue of in, each with exactly one pool QP per entry
-// of reps. A serial-mode engine accepts the wiring but serves through the
-// shared conn, ignoring the dedicated QPs.
+// AddInstanceWired registers an instance whose regions are backed by one
+// pool node per entry of reps, in priority order: reps[0] starts as the
+// primary. Every replica must host a copy of every region in in.Regions
+// (same id and size; base and rkey may differ per node). The engine mirrors
+// every WRITE to all live replicas before publishing progress and serves
+// READs from the primary, failing over to the next live replica when the
+// primary dies — detected by Go-Back-N retry exhaustion on a data op or on
+// a paced heartbeat READ (Config.PoolHeartbeatInterval).
+//
+// computeQP and reps are the instance-wide QPs (adoption reads, shared
+// workers, scrub). A non-nil queues additionally brings each queue set its
+// own QPs (one to the compute node, one per pool replica), making a
+// dedicated worker's request lifecycle run to completion on its own
+// goroutine: post on private QPs, complete into the private CQ, harvest
+// locally — no demultiplexer hop and no per-QP lock shared with another
+// shard. queues must then have one entry per queue of in, each with exactly
+// one pool QP per entry of reps. A pinned worker (Config.Workers > 0) is
+// not dedicated to any one queue: it accepts the wiring but serves through
+// the instance-wide QPs.
 func (e *Engine) AddInstanceWired(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, queues []QueueEndpoints) error {
-	return e.addInstance(in, computeQP, reps, queues)
+	return e.register(registration{in: in, computeQP: computeQP, reps: reps, queues: queues})
 }
 
-func (e *Engine) addInstance(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, queues []QueueEndpoints) error {
-	if queues != nil {
-		if len(queues) != len(in.Queues) {
-			return fmt.Errorf("spot: AddInstanceWired: %d queue endpoints for %d queues", len(queues), len(in.Queues))
+// registration is everything the Add*/Adopt* entry points can ask of
+// register.
+type registration struct {
+	in        *core.Instance
+	computeQP *rdma.QP
+	reps      []PoolReplica
+	queues    []QueueEndpoints // non-nil: dedicated per-queue QPs (AddInstanceWired)
+	homes     [][]int          // non-nil: composed address space (AddInstancePlaced), validated
+	adopt     bool             // rebuild queue state from the durable red blocks
+}
+
+// register builds the instance and hands it to the control goroutine,
+// which — for an adoption, inside the stop-the-world barrier — reads the red
+// blocks back, publishes the new instance-table snapshot and gives every
+// queue set a slot on a worker.
+func (e *Engine) register(r registration) error {
+	if r.queues != nil {
+		if len(r.queues) != len(r.in.Queues) {
+			return fmt.Errorf("spot: AddInstanceWired: %d queue endpoints for %d queues", len(r.queues), len(r.in.Queues))
 		}
-		for i, qe := range queues {
-			if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(reps) {
-				return fmt.Errorf("spot: AddInstanceWired: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(reps))
+		for i, qe := range r.queues {
+			if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(r.reps) {
+				return fmt.Errorf("spot: AddInstanceWired: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(r.reps))
 			}
 		}
 	}
-	inst := newInstance(in, computeQP, reps)
-	// QPs wired after a SetFenceEpoch inherit the engine's epoch, or their
-	// first write would NAK against the already-raised floors.
-	e.stampConn(inst.shared)
-	for _, qe := range queues {
-		e.stampConn(conn{computeQP: qe.ComputeQP, pools: qe.Pools})
+	if r.adopt && e.preempted.Load() {
+		return ErrPreempted
 	}
-	// Registration is a control-plane op: the control goroutine publishes
-	// the new COW snapshot and spins up the workers; the datapath observes
-	// the instance on its next snapshot load without ever locking.
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, queues)
-			e.mu.Unlock()
-		}
-	})
-	return nil
-}
-
-func newInstance(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica) *instance {
-	inst := &instance{info: in, regions: core.NewRegionTable(in.Regions), shared: conn{computeQP: computeQP}}
-	for i, pr := range reps {
-		r := &replica{regions: core.NewRegionTable(pr.Regions)}
-		inst.replicas = append(inst.replicas, r)
+	inst := &instance{info: r.in, regions: core.NewRegionTable(r.in.Regions), shared: conn{computeQP: r.computeQP}, homes: r.homes}
+	for i, pr := range r.reps {
+		inst.replicas = append(inst.replicas, &replica{regions: core.NewRegionTable(pr.Regions)})
 		inst.shared.pools = append(inst.shared.pools, pr.QP)
 		inst.allTargets = append(inst.allTargets, i)
 	}
-	for _, qi := range in.Queues {
-		inst.queues = append(inst.queues, newQueueState(qi))
+	for _, qi := range r.in.Queues {
+		inst.queues = append(inst.queues, &queueState{qi: qi})
 	}
-	return inst
+	// QPs wired after a SetFenceEpoch inherit the engine's epoch, or their
+	// first write would NAK against the already-raised floors.
+	e.stampConn(inst.shared)
+	for _, qe := range r.queues {
+		e.stampConn(conn{computeQP: qe.ComputeQP, pools: qe.Pools})
+	}
+	var err error
+	e.runCtl(func() {
+		if r.adopt {
+			// No serve round may interleave with the reconstruction, and the
+			// slots must not be served before every red block is read back.
+			defer e.quiesceWorkers()()
+			if err = e.readRedBlocks(inst); err != nil {
+				return
+			}
+		}
+		old := e.insts.Load().instances
+		e.insts.Store(&instSnap{instances: append(slices.Clip(old), inst)})
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.placeLocked(inst, r.queues)
+	})
+	return err
+}
+
+// placeLocked gives every queue set of inst a slot on a worker. With pinned
+// workers it is the least-loaded one, served through the instance-wide
+// conn. Otherwise the slot gets a dedicated new worker, which — for an
+// AddInstanceWired instance — serves it through the queue's own QPs with
+// their send CQ as the shard's completion queue. Caller holds e.mu, on the
+// control goroutine.
+func (e *Engine) placeLocked(inst *instance, eps []QueueEndpoints) {
+	for i, q := range inst.queues {
+		sl := &slot{inst: inst, q: q, conn: inst.shared}
+		var w *worker
+		if e.cfg.Workers > 0 {
+			w = slices.MinFunc(e.workers, func(a, b *worker) int {
+				return len(*a.slots.Load()) - len(*b.slots.Load())
+			})
+		} else {
+			var cq *rdma.CQ
+			if eps != nil {
+				sl.conn = conn{computeQP: eps[i].ComputeQP, pools: eps[i].Pools}
+				cq = eps[i].SendCQ
+			}
+			w = e.newWorkerLocked(cq)
+			e.workers = append(e.workers, w)
+		}
+		slots := append(slices.Clip(*w.slots.Load()), sl)
+		w.slots.Store(&slots)
+	}
+	if e.started.Load() {
+		e.startWorkersLocked()
+	}
 }
 
 // PoolDegraded reports whether any pool replica of any instance has been
@@ -858,37 +921,31 @@ func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 		e.tripFenced()
 		return
 	}
-	for i, qp := range c.pools {
-		if qp.QPN() == wf.qpn {
-			e.markReplicaDead(inst, i)
-			return
-		}
-	}
-	for i, qp := range inst.shared.pools {
-		if qp.QPN() == wf.qpn {
-			e.markReplicaDead(inst, i)
-			return
+	for _, pools := range [][]*rdma.QP{c.pools, inst.shared.pools} {
+		for i, qp := range pools {
+			if qp.QPN() == wf.qpn {
+				e.markReplicaDead(inst, i)
+				return
+			}
 		}
 	}
 }
 
 // maybePoolHeartbeat issues one 8-byte liveness READ to every live replica
-// of a replicated instance when the heartbeat interval has elapsed. The CAS
-// on nextPoolHB elects exactly one heartbeater per interval across the
-// instance's workers; the elected worker posts on its own conn's pool QPs,
-// so even heartbeats stay off shared QPs under dedicated wiring. A
+// of a replicated instance when the heartbeat interval has elapsed at now.
+// The CAS on nextPoolHB elects exactly one heartbeater per interval across
+// the instance's slots; the elected worker posts on its own conn's pool
+// QPs, so even heartbeats stay off shared QPs under dedicated wiring. A
 // heartbeat that fails through retry exhaustion declares the replica dead —
-// the idle-primary detection path. Caller holds its round barrier (the
-// worker's roundMu, or ioMu.RLock on the serial path), like any other RDMA
-// round.
-func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance) {
+// the idle-primary detection path. Caller holds its round lock, like any
+// other RDMA round.
+func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance, now time.Time) {
 	iv := e.cfg.PoolHeartbeatInterval
 	if iv <= 0 || len(inst.replicas) < 2 || len(inst.info.Regions) == 0 {
 		return
 	}
-	now := time.Now().UnixNano()
 	next := inst.nextPoolHB.Load()
-	if now < next || !inst.nextPoolHB.CompareAndSwap(next, now+iv.Nanoseconds()) {
+	if now.UnixNano() < next || !inst.nextPoolHB.CompareAndSwap(next, now.Add(iv).UnixNano()) {
 		return
 	}
 	reg := inst.info.Regions[0]
@@ -916,37 +973,14 @@ func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance) {
 	}
 }
 
-// addWorkersLocked creates one worker+shard per queue of inst and starts
-// them if the engine is running. A non-nil eps (AddInstanceWired) gives
-// worker i the dedicated QPs of eps[i] and makes eps[i].SendCQ the shard's
-// completion queue; otherwise every worker shares the instance conn and is
-// fed by the demultiplexer. Caller holds e.mu.
-func (e *Engine) addWorkersLocked(inst *instance, eps []QueueEndpoints) {
-	for i, q := range inst.queues {
-		c := inst.shared
-		var cq *rdma.CQ
-		if eps != nil {
-			c = conn{computeQP: eps[i].ComputeQP, pools: eps[i].Pools}
-			cq = eps[i].SendCQ
-		}
-		e.workers = append(e.workers, &worker{shard: e.newShardLocked(cq), inst: inst, q: q, conn: c})
-	}
-	if e.started.Load() {
-		e.startWorkersLocked()
-	}
-}
-
-// quiesceWorkers stops the world between serve rounds: it acquires the
-// write side of ioMu (fencing the serial loop and control-shard rounds)
-// and every worker's round lock, in worker-creation order. It returns the
-// matching release. Workers never take another round lock or ioMu, so the
-// ordering here cannot deadlock against the datapath.
+// quiesceWorkers stops the world between passes: it acquires every
+// worker's round lock, in worker-creation order, and returns the matching
+// release. Workers never take another round lock, so the ordering here
+// cannot deadlock against the datapath.
 func (e *Engine) quiesceWorkers() func() {
 	e.mu.Lock()
-	ws := make([]*worker, len(e.workers))
-	copy(ws, e.workers)
+	ws := slices.Clone(e.workers)
 	e.mu.Unlock()
-	e.ioMu.Lock()
 	for _, w := range ws {
 		w.roundMu.Lock()
 	}
@@ -954,19 +988,13 @@ func (e *Engine) quiesceWorkers() func() {
 		for _, w := range ws {
 			w.roundMu.Unlock()
 		}
-		e.ioMu.Unlock()
 	}
 }
 
 // startWorkersLocked launches every not-yet-running worker. Caller holds
 // e.mu.
 func (e *Engine) startWorkersLocked() {
-	select {
-	case <-e.stop:
-		return
-	default:
-	}
-	if e.preempted.Load() || e.fenced.Load() {
+	if e.halted() {
 		return
 	}
 	for _, w := range e.workers {
@@ -1051,21 +1079,16 @@ func (e *Engine) Run() {
 		e.wg.Add(1)
 		go e.scrubLoop()
 	}
-	if e.cfg.Serial {
-		e.wg.Add(1)
-		go e.serialLoop()
-		return
-	}
 	e.mu.Lock()
 	e.startWorkersLocked()
 	e.mu.Unlock()
 }
 
-// Stop halts the agent — workers, serial loop, and demultiplexer — waits
-// for them to exit, and releases the shards' reusable park timers (lazily
-// allocated in pause/waitAll; without the explicit Stop a timer parked
-// mid-interval would keep its runtime entry live until it fired). Safe to
-// call on a never-Run engine and to call repeatedly.
+// Stop halts the agent — workers, control goroutine, and demultiplexer —
+// waits for them to exit, and releases the shards' reusable wait timers
+// (lazily allocated in waitAll; without the explicit Stop a timer armed
+// mid-wait would keep its runtime entry live until it fired). Safe to call
+// on a never-Run engine and to call repeatedly.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
@@ -1099,6 +1122,17 @@ func (e *Engine) tripPreempt() {
 	e.preemptOnce.Do(func() { close(e.preemptCh) })
 }
 
+// halted reports whether the engine is stopped, preempted or fenced — the
+// three states in which no serving goroutine may start another round.
+func (e *Engine) halted() bool {
+	select {
+	case <-e.stop:
+		return true
+	default:
+		return e.preempted.Load() || e.fenced.Load()
+	}
+}
+
 // Fenced reports whether the engine has been deposed by a newer fencing
 // epoch. Terminal: a fenced engine never serves again.
 func (e *Engine) Fenced() bool { return e.fenced.Load() }
@@ -1115,10 +1149,10 @@ func isFencedFailure(err error) bool {
 }
 
 // SetFenceEpoch stamps the fencing epoch on every QP the engine serves
-// through: the shared conn of every instance plus each worker's dedicated
-// conn. The wiring layer calls it at bind time; a promoted standby's epoch
-// is stamped by ha.Standby before adoption (its QPs are not registered here
-// yet at that point).
+// through: the shared conn of every instance plus every slot's conn (a
+// dedicated worker's differs). The wiring layer calls it at bind time; a
+// promoted standby's epoch is stamped by ha.Standby before adoption (its
+// QPs are not registered here yet at that point).
 func (e *Engine) SetFenceEpoch(epoch uint16) {
 	e.fenceEpoch.Store(uint32(epoch))
 	for _, inst := range e.insts.Load().instances {
@@ -1127,7 +1161,9 @@ func (e *Engine) SetFenceEpoch(epoch uint16) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, w := range e.workers {
-		e.stampConn(w.conn)
+		for _, sl := range *w.slots.Load() {
+			e.stampConn(sl.conn)
+		}
 	}
 }
 
@@ -1146,268 +1182,161 @@ func (e *Engine) stampConn(c conn) {
 	}
 }
 
-// workerLoop serves one queue set to completion forever: round, heartbeat
-// check, then the adaptive idle policy. Each round runs under the worker's
-// own round lock (the adoption barrier), never a shared one.
+// workerLoop is the datapath: it serves the worker's slots pass after pass,
+// each pass under the worker's own round lock (the stop-the-world barrier),
+// never a shared one.
 //
-// The idle policy is spin-then-yield-then-park. While a probe keeps
-// finding work the loop turns flat out. The first IdleSpinRounds empty
-// rounds re-probe immediately — the probe's own fabric round trip is the
-// pacing — so a request arriving just after a drain is picked up with no
-// scheduler or timer latency. The next IdleYieldRounds empty rounds insert
-// a runtime.Gosched, surrendering the P to co-located shards while still
-// probing far faster than ProbeInterval. Only after both budgets are
-// exhausted does the worker park on its ProbeInterval timer — the one
-// place the old fixed policy put every idle iteration, costing a timer
-// wakeup each. Any served round resets the ladder.
+// A pass visits every slot in order. A slot whose tenant has QoS installed,
+// on a worker it shares with others, is scheduled by deficit round-robin:
+// the pass tops its balance up by the tenant's quantum (bounded
+// accumulation) and the round may serve at most the balance. A slot that is
+// not yet due (see slot.idle) is skipped with no RDMA. Every slot, served or
+// not, gets its lease heartbeat when the red block has gone unwritten for
+// HeartbeatInterval — busy queues renew for free with their Phase IV
+// writes — and its instance's pool heartbeat.
+//
+// The idle ladder is spin → yield → park. While any slot finds work the
+// loop turns flat out. A worker with a single slot has nothing else to
+// serve, so it climbs all three rungs: for the slot's first IdleSpinRounds
+// misses the pass repeats at once — the probe's own fabric round trip is
+// the pacing — so a request arriving just after a drain is picked up with
+// no scheduler or timer latency; for the next IdleYieldRounds misses the
+// loop inserts a runtime.Gosched, surrendering the P to co-located workers
+// while still probing far faster than ProbeInterval. A worker that shares
+// itself between slots goes straight to the last rung: a fruitless pass
+// already cost a probe per due slot, and the park is what hands the CPU to
+// the co-located engines and clients whose requests the next pass will
+// find. Parked, the worker sleeps until its earliest slot is due, backing
+// off toward IdleQueueProbeInterval as its slots do.
 func (e *Engine) workerLoop(w *worker) {
 	defer e.wg.Done()
 	s := w.shard
-	idle := 0
-	for {
-		select {
-		case <-e.stop:
-			return
-		default:
-		}
-		if e.preempted.Load() || e.fenced.Load() {
-			return
-		}
+	spin, rungs := e.cfg.IdleSpinRounds, e.cfg.IdleSpinRounds+e.cfg.IdleYieldRounds
+	// The park timer belongs to this goroutine, not to the shard: a retired
+	// worker may still be parked here when its shard is already serving
+	// another worker, and nothing but the owner may Reset or drain a timer
+	// it is waiting on (a swallowed wakeup wedges the loop forever).
+	park := time.NewTimer(time.Hour)
+	defer park.Stop()
+	for !e.halted() {
 		w.roundMu.Lock()
 		if w.retired.Load() {
-			// The instance migrated away while the removal barrier held this
-			// round lock; its rings now belong to another engine.
+			// The queue set migrated away while the removal barrier held
+			// this round lock; its rings now belong to another engine.
 			w.roundMu.Unlock()
 			return
 		}
-		worked, err := e.serveQueue(s, w.conn, w.inst, w.q)
-		if err != nil {
-			// A WR failure on a pool replica QP declares that replica dead
-			// and rotates the primary; the retry below then re-executes the
-			// abandoned round against the survivor (idempotently — progress
-			// was never published for it). A fenced NAK instead demotes this
-			// engine terminally (notePoolFailure classifies both).
-			e.notePoolFailure(w.inst, w.conn, err)
+		// The slot list is loaded inside the round lock: RemoveInstance
+		// swaps it under the barrier, so a pass that was blocked there must
+		// not resurrect the pre-removal list and serve a queue set that now
+		// belongs to another engine.
+		slots := *w.slots.Load()
+		budget := 0 // misses a slot may run up before it is paced
+		if len(slots) == 1 {
+			budget = rungs
 		}
-		e.maybePoolHeartbeat(s, w.conn, w.inst)
-		if err == nil && time.Since(w.q.lastRed) >= e.cfg.HeartbeatInterval {
-			if rerr := e.writeRed(s, w.conn, w.inst, w.q); rerr == nil {
-				s.stats.hbWrites.Add(1)
-			} else {
-				e.notePoolFailure(w.inst, w.conn, rerr)
+		now := time.Now()
+		worked := false
+		climbing := 0 // misses of the slot still inside its budget, if any
+		wake := now.Add(max(e.cfg.ProbeInterval, e.cfg.IdleQueueProbeInterval))
+		for _, sl := range slots {
+			limit := e.cfg.MaxEntriesPerRound
+			if qos := sl.inst.qos.Load(); qos != nil && len(slots) > 1 {
+				sl.deficit = min(sl.deficit+qos.quantum, 8*qos.quantum)
+				limit = min(limit, sl.deficit)
+			}
+			var err error
+			if !now.Before(sl.nextProbe) {
+				var n int
+				n, err = e.serveQueue(s, sl.conn, sl.inst, sl.q, limit)
+				sl.deficit = max(sl.deficit-n, 0)
+				switch {
+				case err != nil:
+					// A WR failure on a pool replica QP declares that replica
+					// dead and rotates the primary; the retry then re-executes
+					// the abandoned round against the survivor (idempotently —
+					// progress was never published for it). A fenced NAK
+					// instead demotes this engine terminally (notePoolFailure
+					// classifies both). Anything else (peer gone, timeout)
+					// retries at probe pace; the fabric-level Go-Back-N already
+					// absorbed transient loss.
+					e.notePoolFailure(sl.inst, sl.conn, err)
+					sl.idle, sl.nextProbe = 0, now.Add(e.cfg.ProbeInterval)
+				case n > 0:
+					worked = true
+					sl.idle, sl.nextProbe = 0, time.Time{}
+				default:
+					if sl.idle++; sl.idle <= budget {
+						climbing = sl.idle
+					} else {
+						sl.nextProbe = now.Add(e.probePacing(sl.idle - budget))
+					}
+				}
+			}
+			if wake.After(sl.nextProbe) {
+				wake = sl.nextProbe
+			}
+			e.maybePoolHeartbeat(s, sl.conn, sl.inst, now)
+			if err == nil && now.Sub(sl.q.lastRed) >= e.cfg.HeartbeatInterval {
+				if rerr := e.writeRed(s, sl.conn, sl.q); rerr == nil {
+					s.stats.hbWrites.Add(1)
+				} else {
+					e.notePoolFailure(sl.inst, sl.conn, rerr)
+				}
 			}
 		}
 		w.roundMu.Unlock()
-		if err == nil && worked {
-			idle = 0
-			continue
-		}
-		if err != nil {
-			// A failed instance (e.g. peer gone) retries at probe pace; the
-			// fabric-level Go-Back-N already absorbed transient loss.
-			idle = 0
-			if !e.pause(s, e.cfg.ProbeInterval) {
-				return
-			}
-			continue
-		}
-		idle++
 		switch {
-		case idle <= e.cfg.IdleSpinRounds:
-			// Spin: re-probe immediately.
-		case idle <= e.cfg.IdleSpinRounds+e.cfg.IdleYieldRounds:
+		case worked || 0 < climbing && climbing <= spin:
+		case climbing > 0:
 			runtime.Gosched()
 		default:
-			if !e.pause(s, e.cfg.ProbeInterval) {
+			if !e.park(park, max(wake.Sub(now), e.cfg.ProbeInterval)) {
 				return
 			}
 		}
 	}
 }
 
-// serialLoop is the legacy single-goroutine datapath (Config.Serial): every
-// queue of every instance served round-robin through the control shard.
-//
-// The instance table comes from the published COW snapshot — one atomic
-// load and a pointer compare per pass, with no engine lock and no copy —
-// and the whole pass (every serve round, pool heartbeat, and lease
-// heartbeat) runs under a single ioMu read acquisition instead of the old
-// two-per-queue churn. The adoption-quiesce semantics of DESIGN.md §7 are
-// unchanged: AdoptInstance's write lock still fences every serial I/O
-// round; it now waits for a pass boundary rather than a queue boundary,
-// which the (rare, milliseconds-scale) takeover path absorbs.
-func (e *Engine) serialLoop() {
-	defer e.wg.Done()
-	var snap *instSnap
-	var insts []*instance
-	// The idle park below happens OUTSIDE the ioMu barrier, so it must not
-	// use the ctl shard's reusable timer: adoption (AdoptInstancePlaced /
-	// AdoptInstanceReplicated) runs red-block reads on the ctl shard from
-	// the caller's goroutine under the write side of the barrier, and its
-	// waitAll Resets and drains the shard timer. If the park shared that
-	// timer, an adoption concurrent with a parked pass would swallow the
-	// park's wakeup and wedge the loop forever.
-	idle := time.NewTimer(time.Hour)
-	defer idle.Stop()
-	// parkStreak backs the whole loop's park off exponentially (capped at
-	// IdleQueueProbeInterval, like the per-queue pacing): a fleet of
-	// engines whose tenants are all idle must cost ~1 wakeup/s each, not a
-	// wakeup per ProbeInterval — at 64 engines on one host the difference
-	// is millions of spurious wakeups per second. Any served work snaps
-	// the park back to ProbeInterval.
-	parkStreak := 0
-	for {
+// probePacing returns how long a slot waits for its next probe after its
+// nth miss beyond the spin and yield budgets: ProbeInterval, doubling with
+// every further miss up to IdleQueueProbeInterval when that is the larger.
+func (e *Engine) probePacing(n int) time.Duration {
+	iv, bound := e.cfg.ProbeInterval, e.cfg.IdleQueueProbeInterval
+	for ; n > 1 && iv < bound; n-- {
+		iv *= 2
+	}
+	if bound > e.cfg.ProbeInterval {
+		iv = min(iv, bound)
+	}
+	return iv
+}
+
+// park sleeps for d on t, the calling goroutine's own timer, waking early
+// on stop, preemption or fencing. It reports whether the caller should keep
+// serving.
+func (e *Engine) park(t *time.Timer, d time.Duration) bool {
+	if !t.Stop() {
 		select {
-		case <-e.stop:
-			return
+		case <-t.C:
 		default:
 		}
-		if e.preempted.Load() || e.fenced.Load() {
-			return
-		}
-		didWork := false
-		e.ioMu.RLock()
-		// The snapshot load happens INSIDE the pass lock: RemoveInstance
-		// flips the table under the write side, so a pass that was parked on
-		// the barrier must not resurrect the pre-removal list and serve a
-		// queue set that now belongs to another engine.
-		if s := e.insts.Load(); s != snap {
-			snap = s
-			insts = snap.instances
-		}
-		now := time.Now()
-		for _, inst := range insts {
-			qos := inst.qos.Load()
-			for _, q := range inst.queues {
-				if qos != nil {
-					// Deficit round-robin: top the queue up by its tenant's
-					// quantum each pass (bounded accumulation), so one
-					// backlogged tenant drains at most a quantum per pass
-					// while every peer gets its own.
-					if q.deficit < 0 {
-						q.deficit = 0
-					}
-					if q.deficit += qos.quantum; q.deficit > 8*qos.quantum {
-						q.deficit = 8 * qos.quantum
-					}
-				} else if q.deficit >= 0 {
-					q.deficit = -1 // QoS cleared: back to uncapped rounds
-				}
-				// Idle-probe pacing: with thousands of registered queue sets
-				// a pass must not pay an RDMA probe round per idle queue.
-				if !q.nextProbe.IsZero() && now.Before(q.nextProbe) {
-					continue
-				}
-				worked, err := e.serveQueue(e.ctl, inst.shared, inst, q)
-				if err != nil {
-					e.notePoolFailure(inst, inst.shared, err)
-					continue
-				}
-				if worked {
-					q.nextProbe = time.Time{}
-					q.idleStreak = 0
-				} else {
-					iv := e.cfg.ProbeInterval
-					if bound := e.cfg.IdleQueueProbeInterval; bound > iv {
-						if q.idleStreak < 24 {
-							q.idleStreak++
-						}
-						for i := 0; i < q.idleStreak && iv < bound; i++ {
-							iv *= 2
-						}
-						if iv > bound {
-							iv = bound
-						}
-					}
-					q.nextProbe = now.Add(iv)
-				}
-				didWork = didWork || worked
-			}
-			e.maybePoolHeartbeat(e.ctl, inst.shared, inst)
-		}
-		e.heartbeatPass(insts)
-		e.ioMu.RUnlock()
-		if !didWork {
-			d := e.cfg.ProbeInterval
-			if bound := e.cfg.IdleQueueProbeInterval; bound > d {
-				if parkStreak < 24 {
-					parkStreak++
-				}
-				for i := 0; i < parkStreak && d < bound; i++ {
-					d *= 2
-				}
-				if d > bound {
-					d = bound
-				}
-			}
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(d)
-			select {
-			case <-e.stop:
-				return
-			case <-e.preemptCh:
-				return
-			case <-e.fencedCh:
-				return
-			case <-idle.C:
-			}
-		} else {
-			parkStreak = 0
-		}
 	}
-}
-
-// heartbeatPass renews the lease on queues the serial serve pass left
-// untouched: a queue whose red block was last written more than a heartbeat
-// interval ago gets a heartbeat-only bookkeeping write. Busy queues renew
-// for free via their Phase IV writes, so under load heartbeats cost nothing
-// (§4.2's single-message red update carries the counter). The caller holds
-// the pass-wide ioMu read lock.
-func (e *Engine) heartbeatPass(insts []*instance) {
-	for _, inst := range insts {
-		for _, q := range inst.queues {
-			if time.Since(q.lastRed) < e.cfg.HeartbeatInterval {
-				continue
-			}
-			if err := e.writeRed(e.ctl, inst.shared, inst, q); err != nil {
-				e.notePoolFailure(inst, inst.shared, err)
-				continue
-			}
-			e.ctl.stats.hbWrites.Add(1)
-		}
-	}
-}
-
-// pause sleeps for d using the shard's reusable timer, waking early on
-// stop or preemption. It reports whether the caller should keep serving.
-func (e *Engine) pause(s *shard, d time.Duration) bool {
-	if s.timer == nil {
-		s.timer = time.NewTimer(d)
-	} else {
-		s.timer.Reset(d)
-	}
+	t.Reset(d)
 	select {
 	case <-e.stop:
-		s.stopTimer()
 		return false
 	case <-e.preemptCh:
-		s.stopTimer()
 		return false
 	case <-e.fencedCh:
-		s.stopTimer()
 		return false
-	case <-s.timer.C:
+	case <-t.C:
 		return true
 	}
 }
 
-// stopTimer halts the reusable timer and drains a concurrently-fired tick
-// so the next Reset starts clean.
+// stopTimer halts the shard's wait timer and drains a concurrently-fired
+// tick so the next Reset starts clean.
 func (s *shard) stopTimer() {
 	if !s.timer.Stop() {
 		select {
@@ -1555,25 +1484,21 @@ func (e *Engine) waitAll(s *shard) error {
 		} else {
 			s.timer.Reset(remaining)
 		}
+		err := errTimeout // the wait timed out, or the engine is stopping
 		select {
 		case <-s.cq.Notify():
 			s.stopTimer()
+			continue
 		case <-s.timer.C:
-			s.abandonPending()
-			return errTimeout
-		case <-e.preemptCh:
-			s.stopTimer()
-			s.abandonPending()
-			return ErrPreempted
-		case <-e.fencedCh:
-			s.stopTimer()
-			s.abandonPending()
-			return core.ErrFenced
 		case <-e.stop:
-			s.stopTimer()
-			s.abandonPending()
-			return errTimeout
+		case <-e.preemptCh:
+			err = ErrPreempted
+		case <-e.fencedCh:
+			err = core.ErrFenced
 		}
+		s.stopTimer()
+		s.abandonPending()
+		return err
 	}
 	return nil
 }

@@ -2,13 +2,13 @@ package spot
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"cowbird/internal/cluster"
 	"cowbird/internal/core"
 	"cowbird/internal/rdma"
-	"cowbird/internal/rings"
 )
 
 // TenantQoS bounds one instance's (tenant's) share of the engine.
@@ -20,9 +20,12 @@ type TenantQoS struct {
 	// above its rate after idling. <= 0 takes RatePerSec/10 (min 1).
 	Burst int
 	// Quantum is the tenant's deficit-round-robin allowance: entries added
-	// per serve pass in the serial datapath, so a backlogged tenant drains
-	// at most its quantum per pass while peers get theirs. <= 0 takes the
-	// engine's MaxEntriesPerRound.
+	// to each of its queue sets' balances per pass of a worker that serves
+	// two or more queue sets, so a backlogged tenant drains at most its
+	// quantum per pass while the worker's other queue sets get theirs.
+	// <= 0 takes the engine's MaxEntriesPerRound. A worker dedicated to one
+	// queue set (Config.Workers = 0) has nothing to share and ignores it:
+	// its rounds are capped by MaxEntriesPerRound and the rate alone.
 	Quantum int
 }
 
@@ -135,18 +138,7 @@ func (e *Engine) AddInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps [
 	if err := validateHomes(in, reps, homes); err != nil {
 		return err
 	}
-	inst := newInstance(in, computeQP, reps)
-	inst.homes = homes
-	e.stampConn(inst.shared)
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, nil)
-			e.mu.Unlock()
-		}
-	})
-	return nil
+	return e.register(registration{in: in, computeQP: computeQP, reps: reps, homes: homes})
 }
 
 // AdoptInstancePlaced is AdoptInstanceReplicated for a composed
@@ -159,43 +151,11 @@ func (e *Engine) AdoptInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps
 	if err := validateHomes(in, reps, homes); err != nil {
 		return err
 	}
-	if e.preempted.Load() {
-		return ErrPreempted
-	}
-	inst := newInstance(in, computeQP, reps)
-	inst.homes = homes
-	e.stampConn(inst.shared)
-	inst.queues = inst.queues[:0]
-	release := e.quiesceWorkers()
-	for _, qi := range in.Queues {
-		ar := arenaAlloc{s: e.ctl}
-		redVA, redBuf, _ := ar.alloc(rings.RedSize)
-		err := e.postAndWait(e.ctl, computeQP, rdma.WorkRequest{
-			Verb: rdma.VerbRead, LocalVA: redVA, Length: rings.RedSize,
-			RemoteVA: qi.BaseVA + uint64(qi.Layout.RedOffset()), RKey: qi.RKey,
-		})
-		if err != nil {
-			release()
-			return fmt.Errorf("spot: adopt placed instance %d queue %d: %w", in.ID, qi.Index, err)
-		}
-		qs := newQueueState(qi)
-		qs.red = rings.DecodeRed(redBuf)
-		inst.queues = append(inst.queues, qs)
-	}
-	release()
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, nil)
-			e.mu.Unlock()
-		}
-	})
-	return nil
+	return e.register(registration{in: in, computeQP: computeQP, reps: reps, homes: homes, adopt: true})
 }
 
 // RemoveInstance unregisters the instance with the given ID, quiescing the
-// datapath so no serve round is mid-flight on it and retiring its workers.
+// datapath so no serve round is mid-flight on it and retiring its slots.
 // It is the release half of a live queue-set migration: once it returns, no
 // further RDMA of this engine touches the tenant's rings or regions, so the
 // target engine's AdoptInstancePlaced reads a stable red block and replays
@@ -203,41 +163,38 @@ func (e *Engine) AdoptInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps
 func (e *Engine) RemoveInstance(instanceID int) bool {
 	found := false
 	e.runCtl(func() {
-		old := e.insts.Load()
-		var target *instance
-		ns := &instSnap{gen: old.gen + 1, instances: make([]*instance, 0, len(old.instances))}
-		for _, inst := range old.instances {
-			if inst.info.ID == instanceID && target == nil {
-				target = inst
-				continue
-			}
-			ns.instances = append(ns.instances, inst)
-		}
-		if target == nil {
+		old := e.insts.Load().instances
+		i := slices.IndexFunc(old, func(inst *instance) bool { return inst.info.ID == instanceID })
+		if i < 0 {
 			return
 		}
 		found = true
-		// The quiesce barrier guarantees the flip happens between rounds:
-		// the serial loop re-loads the snapshot inside its pass lock, and
-		// each retired worker observes its flag under its own round lock
-		// before it could start another round.
-		release := e.quiesceWorkers()
-		e.insts.Store(ns)
+		target := old[i]
+		// The quiesce barrier guarantees the flip happens between passes: a
+		// worker loads its slot list under its round lock, so none can start
+		// another round on a slot dropped here.
+		defer e.quiesceWorkers()()
+		e.insts.Store(&instSnap{instances: slices.Delete(slices.Clone(old), i, i+1)})
 		e.mu.Lock()
+		defer e.mu.Unlock()
 		kept := e.workers[:0]
 		for _, w := range e.workers {
-			if w.inst == target {
-				w.retired.Store(true)
-				continue
+			slots := *w.slots.Load()
+			live := slices.DeleteFunc(slices.Clone(slots), func(sl *slot) bool { return sl.inst == target })
+			if len(live) < len(slots) {
+				w.slots.Store(&live)
+				if len(live) == 0 && e.cfg.Workers == 0 {
+					// A dedicated worker goes with its queue set; the shard
+					// it will never touch again is reusable at once.
+					w.retired.Store(true)
+					e.free = append(e.free, w.shard)
+					continue
+				}
 			}
 			kept = append(kept, w)
 		}
-		for i := len(kept); i < len(e.workers); i++ {
-			e.workers[i] = nil
-		}
+		clear(e.workers[len(kept):])
 		e.workers = kept
-		e.mu.Unlock()
-		release()
 	})
 	return found
 }

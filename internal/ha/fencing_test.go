@@ -113,7 +113,9 @@ func buildFencedRig(t *testing.T) *fencedRig {
 
 	pComp := connect(primary, computeNIC, 1000, 1100)
 	pComp.SetRetryPolicy(time.Millisecond, 30_000)
-	primary.AddInstanceReplicated(client.Describe(1), pComp, pReps)
+	if err := primary.AddInstanceWired(client.Describe(1), pComp, pReps, nil); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(primary.Stop)
 
 	if err := st.RegisterReplicated(client.Describe(1), connect(standbyEng, computeNIC, 2000, 2100), sReps); err != nil {

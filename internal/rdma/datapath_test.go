@@ -162,11 +162,12 @@ func TestLatencyAppliesOnFastPath(t *testing.T) {
 	}
 }
 
-// TestSerialForwardingBaseline: the legacy knob must route every frame
-// through the forwarding goroutine and still deliver correctly.
-func TestSerialForwardingBaseline(t *testing.T) {
+// TestSlowPathNeverRecycles: a knob that needs the forwarding goroutine (a
+// loss predicate, here one that drops nothing) must route every frame
+// through it, deliver correctly, and recycle none of them.
+func TestSlowPathNeverRecycles(t *testing.T) {
 	p := newAllocPair(t, DefaultConfig())
-	p.fabric.SetSerialForwarding(true)
+	p.fabric.SetLossFn(func([]byte) bool { return false })
 	copy(p.cliBuf, bytes.Repeat([]byte{0xEE}, 64))
 	scratch := make([]CQE, 1)
 	for i := 0; i < 20; i++ {
@@ -174,27 +175,10 @@ func TestSerialForwardingBaseline(t *testing.T) {
 	}
 	quiesce(p.pair)
 	if !bytes.Equal(p.srvBuf[:64], p.cliBuf[:64]) {
-		t.Fatal("data corrupted under serial forwarding")
+		t.Fatal("data corrupted on the slow path")
 	}
 	if n := len(p.fabric.pool.small) + len(p.fabric.pool.large); n != 0 {
-		t.Fatalf("%d frames recycled on the serial slow path, want 0", n)
-	}
-}
-
-// TestCoarseLockingBaseline: the pre-sharding NIC lock mode must behave
-// identically for correctness.
-func TestCoarseLockingBaseline(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CoarseLocking = true
-	p := newAllocPair(t, cfg)
-	copy(p.cliBuf, bytes.Repeat([]byte{0xAB, 0xCD}, 32))
-	scratch := make([]CQE, 1)
-	for i := 0; i < 20; i++ {
-		writeAndWait(t, p.pair, scratch)
-	}
-	quiesce(p.pair)
-	if !bytes.Equal(p.srvBuf[:64], p.cliBuf[:64]) {
-		t.Fatal("data corrupted under coarse locking")
+		t.Fatalf("%d frames recycled on the slow path, want 0", n)
 	}
 }
 

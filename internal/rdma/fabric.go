@@ -93,10 +93,10 @@ type fabricSnap struct {
 	tap        *PcapTap
 
 	// direct is true when nothing forces frames through the forwarding
-	// goroutine: no interposer, no loss injection, no serialized delay, and
-	// serial-forwarding compatibility mode off. Latency and the pcap tap do
-	// not disqualify the fast path — latency is applied at the destination
-	// inbox and the tap copies frames under its own lock.
+	// goroutine: no interposer, no loss injection, no serialized delay.
+	// Latency and the pcap tap do not disqualify the fast path — latency is
+	// applied at the destination inbox and the tap copies frames under its
+	// own lock.
 	direct bool
 }
 
@@ -119,7 +119,6 @@ type Fabric struct {
 	delay   time.Duration
 	latency time.Duration
 	tap     *PcapTap
-	serial  bool // SetSerialForwarding: force the legacy slow path
 	closed  bool
 
 	snap atomic.Pointer[fabricSnap]
@@ -169,7 +168,7 @@ func (f *Fabric) publishLocked() {
 		delay:      f.delay,
 		latency:    f.latency,
 		tap:        f.tap,
-		direct:     f.interp == nil && f.lossFn == nil && f.delay == 0 && !f.serial,
+		direct:     f.interp == nil && f.lossFn == nil && f.delay == 0,
 	})
 }
 
@@ -217,17 +216,6 @@ func (f *Fabric) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.latency = d
-	f.publishLocked()
-}
-
-// SetSerialForwarding forces every frame through the single forwarding
-// goroutine even when no interposer, loss, or delay knob is installed —
-// the pre-sharding datapath, kept as a measured baseline for the
-// fabric-scaling benchmarks (internal/bench).
-func (f *Fabric) SetSerialForwarding(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.serial = on
 	f.publishLocked()
 }
 
@@ -310,58 +298,17 @@ func (f *Fabric) forwardLoop() {
 // forward runs one frame through the slow path: interposer, then delivery.
 // Frames that touched the slow path are never recycled — an interposer may
 // retain them, and the conservatism costs nothing on the paths that matter.
-//
-// Unlike the fast path, forward reads the live knob state under f.mu rather
-// than the published snapshot: the pre-sharding datapath saw SetLossFn /
-// SetDelay / SetTap changes on the very next frame, and the serial baseline
-// (SetSerialForwarding) must preserve both that semantics and its cost
-// profile, since it is the measured "before" of the datapath benchmarks.
+// The snapshot is loaded per frame, so a Set* call takes effect on the very
+// next frame forwarded.
 func (f *Fabric) forward(frame []byte) {
-	f.mu.Lock()
-	interp := f.interp
-	f.mu.Unlock()
-	if interp != nil {
-		for _, fr := range interp.Process(frame) {
-			f.forwardDeliver(fr)
+	s := f.snap.Load()
+	if s.interposer != nil {
+		for _, fr := range s.interposer.Process(frame) {
+			f.deliver(f.snap.Load(), fr, false)
 		}
 		return
 	}
-	f.forwardDeliver(frame)
-}
-
-// forwardDeliver is the slow-path twin of deliver: same knob pipeline, but
-// the per-frame state reads happen under f.mu, exactly as the pre-sharding
-// forwarding goroutine did.
-func (f *Fabric) forwardDeliver(fr []byte) {
-	if len(fr) < wire.EthernetLen {
-		return
-	}
-	f.mu.Lock()
-	lossFn := f.lossFn
-	delay := f.delay
-	latency := f.latency
-	tap := f.tap
-	f.mu.Unlock()
-	if lossFn != nil && lossFn(fr) {
-		f.dropped.Add(1)
-		return
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if tap != nil {
-		tap.Capture(fr)
-	}
-	var dst wire.MAC
-	copy(dst[:], fr[0:6])
-	f.mu.Lock()
-	ib := f.devices[dst]
-	f.mu.Unlock()
-	f.frames.Add(1)
-	f.bytes.Add(int64(len(fr)))
-	if ib != nil {
-		ib.put(fr, latency, false)
-	}
+	f.deliver(s, frame, false)
 }
 
 // deliver applies the loss/delay/tap knobs and deposits fr into the

@@ -18,11 +18,6 @@ type Config struct {
 	RetransmitTimeout time.Duration
 	// MaxRetries bounds consecutive timeouts before a WR fails.
 	MaxRetries int
-	// CoarseLocking makes every QP on the NIC share one datapath lock — the
-	// pre-sharding behavior, kept as a measured baseline for the fabric
-	// benchmarks (internal/bench). Off by default: each QP gets its own
-	// lock, so verbs and frame handling on different QPs never contend.
-	CoarseLocking bool
 	// InboxBatch bounds how many queued frames the NIC's fabric inbox
 	// delivery goroutine drains per lock acquisition. Zero keeps the legacy
 	// fixed batch of 32.
@@ -64,7 +59,6 @@ type NIC struct {
 	cfg    Config
 
 	mu       sync.Mutex // control plane only
-	dpMu     sync.Mutex // shared datapath lock under Config.CoarseLocking
 	qps      map[uint32]*QP
 	mrs      []*MR
 	mrByRKey map[uint32]*MR
@@ -82,9 +76,7 @@ type NIC struct {
 // NewNIC creates a NIC, attaches it to the fabric, and returns it.
 func NewNIC(f *Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *NIC {
 	if cfg.MTU <= 0 {
-		coarse := cfg.CoarseLocking
 		cfg = DefaultConfig()
-		cfg.CoarseLocking = coarse
 	}
 	n := &NIC{
 		fabric:   f,
@@ -236,15 +228,11 @@ func (n *NIC) CreateQP(sendCQ, recvCQ *CQ, firstPSN uint32) *QP {
 	q := &QP{
 		nic:         n,
 		qpn:         n.nextQPN,
-		mu:          &sync.Mutex{},
 		sendCQ:      sendCQ,
 		recvCQ:      recvCQ,
 		nextPSN:     firstPSN,
 		ackPSN:      firstPSN,
 		atomicCache: make(map[uint32]uint64),
-	}
-	if n.cfg.CoarseLocking {
-		q.mu = &n.dpMu
 	}
 	n.nextQPN++
 	n.qps[q.qpn] = q

@@ -83,14 +83,13 @@ type recvCtx struct {
 }
 
 // QP is a reliably-connected queue pair. All methods are safe for
-// concurrent use; internally each QP serializes on its own datapath lock
-// (or, under Config.CoarseLocking, on a lock shared by every QP on the
-// NIC — the pre-sharding baseline). Queues are rings, and reassembly
-// contexts live inline, so the steady-state datapath allocates nothing.
+// concurrent use; internally each QP serializes on its own datapath lock.
+// Queues are rings, and reassembly contexts live inline, so the
+// steady-state datapath allocates nothing.
 type QP struct {
 	nic    *NIC
 	qpn    uint32
-	mu     *sync.Mutex // per-QP datapath lock; aliases nic.dpMu under CoarseLocking
+	mu     sync.Mutex // per-QP datapath lock
 	remote RemoteEndpoint
 
 	connected bool

@@ -13,7 +13,7 @@ import (
 	"cowbird/internal/wire"
 )
 
-// Fleet assembles a multi-tenant deployment: a fleet of serial Spot
+// Fleet assembles a multi-tenant deployment: a fleet of one-worker Spot
 // engines, a pool of memnodes composing one remote address space, and many
 // tenant compute nodes sharing them. Placement is policy from
 // internal/cluster — a consistent-hash ring assigns each tenant's queue
@@ -23,7 +23,7 @@ import (
 // engine registration calls.
 //
 // The fleet deliberately reuses the single-tenant machinery one level
-// down. Engines are ordinary spot.Engines in serial mode (one goroutine
+// down. Engines are ordinary spot.Engines with Workers = 1 (one goroutine
 // serving all resident tenants round-robin, with per-tenant token buckets
 // and deficit-round-robin interleaving — spot.TenantQoS). Tenants are
 // ordinary core.Clients; each one's Instance is registered with
@@ -63,9 +63,9 @@ type Tenant struct {
 	engine   int // index into Fleet.engines
 	inst     *core.Instance
 	extents  []cluster.Extent
-	repNodes []int                // memnode index per replica slot
-	reps     []spot.PoolReplica   // region descriptors per replica slot (QPs rewired per engine)
-	homes    [][]int              // stripe -> replica slots, AddInstancePlaced shape
+	repNodes []int              // memnode index per replica slot
+	reps     []spot.PoolReplica // region descriptors per replica slot (QPs rewired per engine)
+	homes    [][]int            // stripe -> replica slots, AddInstancePlaced shape
 	qos      spot.TenantQoS
 }
 
@@ -93,10 +93,10 @@ type FleetConfig struct {
 	Threads int
 	Layout  rings.Layout
 	NIC     rdma.Config
-	// Spot tunes the engines. Serial is forced on — the fleet's engines
+	// Spot tunes the engines. Workers is forced to 1 — the fleet's engines
 	// multiplex thousands of tenants on one goroutine each, relying on the
-	// serial datapath's DRR scheduling and idle-probe pacing; a worker
-	// goroutine per tenant queue set would defeat the bounded-state claim.
+	// worker's DRR scheduling and idle-probe pacing; a worker goroutine per
+	// tenant queue set would defeat the bounded-state claim.
 	Spot spot.Config
 	// DefaultQoS is installed for every tenant at AddTenant;
 	// Fleet.SetTenantQoS retunes individual tenants afterwards.
@@ -117,7 +117,7 @@ func DefaultFleetConfig() FleetConfig {
 		NIC:              rdma.DefaultConfig(),
 		Spot:             spot.DefaultConfig(),
 	}
-	cfg.Spot.Serial = true
+	cfg.Spot.Workers = 1
 	cfg.Spot.StagingBytes = 256 << 10
 	// Lease heartbeats are a red write per tenant queue per interval; at
 	// fleet tenant counts the engine-scale default would drown the
@@ -154,7 +154,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.StripeSize <= 0 {
 		cfg.StripeSize = 256 << 10
 	}
-	cfg.Spot.Serial = true
+	cfg.Spot.Workers = 1
 	f := &Fleet{
 		Fabric:  rdma.NewFabric(),
 		cfg:     cfg,

@@ -10,22 +10,39 @@ import (
 	"testing"
 	"time"
 
+	"cowbird/internal/core"
+	"cowbird/internal/engine/spot"
+	"cowbird/internal/rdma"
 	"cowbird/internal/telemetry"
+	"cowbird/internal/wire"
 )
 
 // TestMulticoreStressUnderLoss drives 8 queue sets at GOMAXPROCS=4 through
-// the run-to-completion sharded datapath while the fabric drops a
-// deterministic ~1.5% of frames and two observer goroutines hammer Stats()
-// and the telemetry registry. It asserts exactly-once completion accounting
-// (every op completes, the engine served exactly one entry per op) and a
-// bounded p99 — the Clio-style property that tails stay flat when
-// parallelism is real. Run it with -race: the point is that worker rounds,
-// the adoption barrier, loss recovery, and the scrape paths share no
-// unsynchronized state.
-func TestMulticoreStressUnderLoss(t *testing.T) {
+// a run-to-completion worker each while the fabric drops a deterministic
+// ~1.5% of frames and two observer goroutines hammer Stats() and the
+// telemetry registry. It asserts exactly-once completion accounting (every
+// op completes, the engine served exactly one entry per op) and a bounded
+// p99 — the Clio-style property that tails stay flat when parallelism is
+// real. Run it with -race: the point is that worker rounds, the adoption
+// barrier, loss recovery, and the scrape paths share no unsynchronized
+// state.
+func TestMulticoreStressUnderLoss(t *testing.T) { runMulticoreStress(t, 0, 0) }
+
+// TestSharedWorkersStressUnderLoss is the same workout for the configuration
+// between the two deployed ones: Workers: 2, so each worker multiplexes four
+// of the 8 queue sets plus whatever the control plane throws at it — a side
+// instance is adopted, served and removed over and over while the main
+// traffic runs, so slot lists are swapped under the barrier mid-pass-stream.
+func TestSharedWorkersStressUnderLoss(t *testing.T) { runMulticoreStress(t, 2, 12) }
+
+// runMulticoreStress is the body of both: workers is spot.Config.Workers,
+// churn how many adopt → serve → remove cycles a side instance goes through
+// concurrently with the main traffic.
+func runMulticoreStress(t *testing.T, workers, churn int) {
 	const (
 		threads      = 8
 		opsPerThread = 150
+		churnPairs   = 4 // write/read pairs per churn cycle
 	)
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -34,6 +51,7 @@ func TestMulticoreStressUnderLoss(t *testing.T) {
 	s := startSystem(t, func(c *Config) {
 		c.Threads = threads
 		c.Telemetry = tel
+		c.Spot.Workers = workers
 		c.Spot.AdaptiveBatch = true // the controller must hold up under stress too
 		c.NIC.AdaptiveInboxBatch = true
 	})
@@ -72,6 +90,71 @@ func TestMulticoreStressUnderLoss(t *testing.T) {
 		}
 	}()
 
+	// Control-plane churn: one side instance (own compute node, own pool
+	// region) migrates in and out of the engine. Every adoption reads the
+	// red blocks the previous residency left behind, so a lost or replayed
+	// entry across a removal shows up in the accounting below.
+	churnErr := make(chan error, 1)
+	go func() {
+		churnErr <- func() error {
+			if churn == 0 {
+				return nil
+			}
+			compute := rdma.NewNIC(s.Fabric, wire.MAC{0x02, 0xC0, 0, 9, 0, 1}, wire.IPv4Addr{10, 0, 9, 1}, rdma.DefaultConfig())
+			t.Cleanup(compute.Close)
+			client, err := core.NewClient(compute, core.ClientConfig{Threads: 1, Layout: DefaultConfig().Layout, BaseVA: 0x10_0000})
+			if err != nil {
+				return err
+			}
+			region, err := s.Pool.AllocRegion(1, 1<<20)
+			if err != nil {
+				return err
+			}
+			client.RegisterRegion(region)
+			inst := client.Describe(100)
+			unused := rdma.NewCQ()
+			connect := func(peer *rdma.NIC, ePSN, pPSN uint32) *rdma.QP {
+				eQP := s.Spot.NIC().CreateQP(s.Spot.CQ(), unused, ePSN)
+				pQP := peer.CreateQP(rdma.NewCQ(), rdma.NewCQ(), pPSN)
+				eQP.Connect(rdma.RemoteEndpoint{QPN: pQP.QPN(), MAC: peer.MAC(), IP: peer.IP()}, pPSN)
+				pQP.Connect(rdma.RemoteEndpoint{QPN: eQP.QPN(), MAC: s.Spot.NIC().MAC(), IP: s.Spot.NIC().IP()}, ePSN)
+				return eQP
+			}
+			eComp, eMem := connect(compute, 7000, 7100), connect(s.Pool.NIC(), 7200, 7300)
+			th, err := client.Thread(0)
+			if err != nil {
+				return err
+			}
+			data, dest := bytes.Repeat([]byte{0xC4}, 128), make([]byte, 128)
+			for c := 0; c < churn; c++ {
+				if c%2 == 0 {
+					err = s.Spot.AdoptInstance(inst, eComp, eMem)
+				} else {
+					err = s.Spot.AdoptInstanceReplicated(inst, eComp, []spot.PoolReplica{{QP: eMem, Regions: inst.Regions}})
+				}
+				if err != nil {
+					return fmt.Errorf("churn %d adopt: %w", c, err)
+				}
+				for k := 0; k < churnPairs; k++ {
+					off := uint64(c*churnPairs+k) * 256
+					if err := th.WriteSync(1, data, off, 30*time.Second); err != nil {
+						return fmt.Errorf("churn %d write %d: %w", c, k, err)
+					}
+					if err := th.ReadSync(1, off, dest, 30*time.Second); err != nil {
+						return fmt.Errorf("churn %d read %d: %w", c, k, err)
+					}
+					if !bytes.Equal(dest, data) {
+						return fmt.Errorf("churn %d op %d data mismatch", c, k)
+					}
+				}
+				if !s.Spot.RemoveInstance(100) {
+					return fmt.Errorf("churn %d: side instance not resident", c)
+				}
+			}
+			return nil
+		}()
+	}()
+
 	lats := make([][]time.Duration, threads)
 	errs := make([]error, threads)
 	var workWG sync.WaitGroup
@@ -107,6 +190,9 @@ func TestMulticoreStressUnderLoss(t *testing.T) {
 		}(i)
 	}
 	workWG.Wait()
+	if err := <-churnErr; err != nil {
+		t.Fatal(err)
+	}
 	close(stop)
 	scrapeWG.Wait()
 	for ti, err := range errs {
@@ -116,9 +202,10 @@ func TestMulticoreStressUnderLoss(t *testing.T) {
 	}
 
 	// Exactly-once accounting: one metadata entry per op, none lost, none
-	// double-served, across every shard.
+	// double-served, across every shard and every residency of the side
+	// instance.
 	st := s.Spot.Stats()
-	wantEntries := int64(2 * threads * opsPerThread)
+	wantEntries := int64(2*threads*opsPerThread + 2*churn*churnPairs)
 	if st.EntriesServed != wantEntries ||
 		st.ReadsExecuted != wantEntries/2 || st.WritesExecuted != wantEntries/2 {
 		t.Fatalf("completion accounting off: served=%d reads=%d writes=%d, want %d/%d/%d",

@@ -65,14 +65,15 @@ rec:
 }
 
 // spotColdPath lists the spot engine frames allowed to contend: the
-// stop-the-world adoption barrier, worker lifecycle, replica failover
-// bookkeeping, and the control goroutine that publishes instance snapshots
-// (ctlLoop serializes control ops under ctlGate; runCtl is its inline
-// fallback after Stop). None of these sit on the serve path.
+// stop-the-world barrier, registration and worker lifecycle, replica
+// failover bookkeeping, and the control goroutine that publishes instance
+// snapshots and slot lists (ctlLoop serializes control ops under ctlGate;
+// runCtl is its inline fallback after Stop). None of these sit on the serve
+// path.
 var spotColdPath = []string{
-	".quiesceWorkers", ".AdoptInstance", ".addInstance",
+	".quiesceWorkers", ".register", ".placeLocked", ".RemoveInstance",
 	".markReplicaDead", ".PoolDegraded", ".startWorkers", ".Stop",
-	".ctlLoop", ".runCtl", ".publishInstance",
+	".ctlLoop", ".runCtl",
 }
 
 // p4ColdPath lists the p4 engine frames allowed to contend: Setup is the
@@ -164,24 +165,29 @@ func runMutexGate(t *testing.T, mutate func(*Config), pkgPrefix string, coldPath
 }
 
 // TestHotPathMutexProfileClean is the contention smoke gate for the spot
-// engine's parallel (sharded-worker) datapath: the worker round lock
-// (worker.roundMu) is taken once per round but only ever by its own worker
-// outside an adoption, so it must record zero contention; ioMu must never
-// appear because workers no longer touch it. A regression that reintroduces
-// a shared lock on the per-request path fails this test before it shows up
-// as a scaling-curve plateau.
+// engine with a dedicated worker per queue set: the worker round lock
+// (worker.roundMu) is taken once per pass but only ever by its own worker
+// outside the stop-the-world barrier, so it must record zero contention,
+// and no other engine lock may appear at all. A regression that
+// reintroduces a shared lock on the per-request path fails this test before
+// it shows up as a scaling-curve plateau.
 func TestHotPathMutexProfileClean(t *testing.T) {
 	runMutexGate(t, func(c *Config) { c.Threads = 4 },
 		"cowbird/internal/engine/spot.", spotColdPath)
 }
 
-// TestHotPathMutexProfileCleanSpotSerial gates the spot serial loop: one
-// goroutine serves every queue of every instance, taking the adoption fence
-// (ioMu) exactly once per full pass and reading the instance set from an
-// atomic snapshot. No per-queue or per-instance lock may appear.
-func TestHotPathMutexProfileCleanSpotSerial(t *testing.T) {
-	runMutexGate(t, func(c *Config) { c.Threads = 4; c.Spot.Serial = true },
-		"cowbird/internal/engine/spot.", spotColdPath)
+// TestHotPathMutexProfileCleanSpotShared gates pinned workers that share
+// queue sets — Workers: 1 (the fleet's setting: one goroutine serves every
+// slot) and Workers: 2 (two workers, two slots each). Each takes only its
+// own round lock, once per pass, and reads its slot list from an atomic
+// snapshot. No per-queue or per-instance lock may appear.
+func TestHotPathMutexProfileCleanSpotShared(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			runMutexGate(t, func(c *Config) { c.Threads = 4; c.Spot.Workers = workers },
+				"cowbird/internal/engine/spot.", spotColdPath)
+		})
+	}
 }
 
 // TestHotPathMutexProfileCleanP4 gates the p4 engine: Process runs on the

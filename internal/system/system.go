@@ -69,13 +69,6 @@ type Config struct {
 	// therefore always unfenced) are unchanged.
 	DisableFencing bool
 
-	// LegacyDatapath reverts the substrate to its pre-sharding behavior:
-	// one datapath lock per NIC and every frame serialized through the
-	// fabric's forwarding goroutine. Kept as the measured baseline for the
-	// fabric-scaling benchmarks (internal/bench); no production reason to
-	// enable it.
-	LegacyDatapath bool
-
 	// Cache configures the client-side hot-data tier (internal/cache): a
 	// write-through read cache with an optional stride prefetcher, layered
 	// over the per-thread rings. Zero value (Enabled == false) keeps the
@@ -144,9 +137,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.LegacyDatapath {
-		cfg.NIC.CoarseLocking = true
-	}
 	if cfg.PoolReplicas <= 0 {
 		cfg.PoolReplicas = 1
 	}
@@ -154,9 +144,6 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("system: EngineP4 does not support PoolReplicas > 1 (the switch pipeline cannot mirror writes); use EngineSpot")
 	}
 	s := &System{Fabric: rdma.NewFabric()}
-	if cfg.LegacyDatapath {
-		s.Fabric.SetSerialForwarding(true)
-	}
 	s.Compute = rdma.NewNIC(s.Fabric, computeMAC, computeIP, cfg.NIC)
 	for r := 0; r < cfg.PoolReplicas; r++ {
 		s.Pools = append(s.Pools, memnode.New(s.Fabric, PoolMAC(r), PoolIP(r), cfg.NIC))
@@ -277,13 +264,14 @@ func WireSpotInstance(eng *spot.Engine, inst *core.Instance, compute, pool *rdma
 // poolMaxRetries, when nonzero, install a per-QP Go-Back-N override on the
 // engine→pool QPs (see Config.PoolRetransmitTimeout).
 //
-// Beyond the instance-wide control-path QPs, every queue set also gets its
-// own dedicated datapath QPs — one to the compute node and one per pool
-// replica, all completing into a private send CQ — so the engine's sharded
-// datapath runs each queue worker to completion on its own goroutine
-// (spot.AddInstanceWired): no shared hardware CQ, no demultiplexer hop, no
-// per-QP lock shared between shards. A serial-mode engine accepts the same
-// wiring and simply serves through the shared QPs.
+// Beyond the instance-wide QPs, every queue set also gets its own dedicated
+// datapath QPs — one to the compute node and one per pool replica, all
+// completing into a private send CQ — so an engine with a worker per queue
+// set (spot.Config.Workers = 0) runs each worker to completion on its own
+// goroutine (spot.AddInstanceWired): no shared hardware CQ, no
+// demultiplexer hop, no per-QP lock shared between shards. An engine with
+// pinned workers accepts the same wiring and simply serves through the
+// instance-wide QPs.
 func WireSpotInstanceReplicated(eng *spot.Engine, inst *core.Instance, compute *rdma.NIC, pools []*memnode.Node, poolRTO time.Duration, poolMaxRetries int) error {
 	if len(pools) == 0 {
 		return fmt.Errorf("system: no pool replicas to wire")
@@ -300,7 +288,7 @@ func WireSpotInstanceReplicated(eng *spot.Engine, inst *core.Instance, compute *
 		return eQP
 	}
 
-	// Instance-wide control-path QPs: adoption reads, serial mode, fallback.
+	// Instance-wide QPs: adoption reads, pinned workers, scrub.
 	eCompQP := connect(eng.CQ(), compute, 1000, 2000)
 	var reps []spot.PoolReplica
 	for r, pool := range pools {
