@@ -6,29 +6,12 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 )
 
 // OpsPerThread scales simulation length; tests lower it for speed.
 var OpsPerThread = 2500
-
-// GMPSweep is the GOMAXPROCS ladder the datapath reports sweep so the
-// committed BENCH_*.json record a scaling curve, not a 1-core constant. The
-// CI bench smoke narrows it (cowbird-bench -gmp) to keep the parallel path
-// exercised on every push without the full ladder's runtime.
-var GMPSweep = []int{1, 2, 4, 8}
-
-// pinGMP sets GOMAXPROCS for one measured point and returns the restore.
-// n <= 0 leaves the ambient value alone.
-func pinGMP(n int) func() {
-	if n <= 0 {
-		return func() {}
-	}
-	prev := runtime.GOMAXPROCS(n)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
 
 // Series is one curve of a figure.
 type Series struct {

@@ -18,8 +18,7 @@ func TestIDsCoverEveryExhibit(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14", "table5",
 		"ablation-probe", "ablation-batch", "ablation-pause",
 		"ablation-bookkeeping", "ablation-gbn", "ablation-failover",
-		"spot-scale", "fabric-scale", "cache-sweep", "engine-scale",
-		"multitenant-scale",
+		"cache-sweep", "engine-scale", "multitenant-scale",
 	}
 	got := IDs()
 	if len(got) != len(want) {

@@ -1,12 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"cowbird/internal/cache"
@@ -23,8 +18,7 @@ import (
 // records are dispersed across the region instead of packed into a few
 // adjacent lines — a plain Zipfian would let spatial locality flatter the
 // tier. A sequential-scan pair isolates the stride prefetcher. Results land
-// in BENCH_client_cache.json via WriteClientCacheJSON / cowbird-bench
-// -cachejson.
+// in BENCH_client_cache.json via cowbird-bench -sweep cache.
 
 // CacheSweepPoint is one measured configuration of the sweep.
 type CacheSweepPoint struct {
@@ -50,7 +44,6 @@ type cacheSweepParams struct {
 	enabled      bool
 	threads      int
 	opsPerThread int
-	latency      time.Duration
 }
 
 const (
@@ -58,10 +51,7 @@ const (
 	cacheSweepTrials  = 3
 
 	// Warmup draws (total, split across threads) before the measured phase of
-	// a cache-enabled skew point: the sweep reports steady-state hit rates,
-	// not the compulsory-miss transient of a cold tier. Warmup reads are
-	// pipelined (async, windowed) so filling the tier costs a fraction of the
-	// measured sync loop's wall clock.
+	// a cache-enabled skew point, and the window they are pipelined at.
 	cacheSweepWarmup       = 48000
 	cacheSweepWarmupWindow = 32
 
@@ -99,20 +89,11 @@ func (p cacheSweepParams) workloadName() string {
 	return fmt.Sprintf("zipf-%.2f", p.theta)
 }
 
-// bestCacheSweep runs a point cacheSweepTrials times and keeps the
-// highest-throughput trial (peak-of-N, as the other datapath sweeps do).
+// bestCacheSweep keeps the highest-throughput trial of a point.
 func bestCacheSweep(p cacheSweepParams) (CacheSweepPoint, error) {
-	var best CacheSweepPoint
-	for i := 0; i < cacheSweepTrials; i++ {
-		pt, err := runCacheSweep(p, int64(i))
-		if err != nil {
-			return CacheSweepPoint{}, err
-		}
-		if pt.OpsPerSec > best.OpsPerSec {
-			best = pt
-		}
-	}
-	return best, nil
+	return bestOf(cacheSweepTrials,
+		func(i int) (CacheSweepPoint, error) { return runCacheSweep(p, int64(i)) },
+		func(a, b CacheSweepPoint) bool { return a.OpsPerSec > b.OpsPerSec })
 }
 
 // runCacheSweep builds a deployment, drives it, and tears it down.
@@ -129,144 +110,82 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 		return CacheSweepPoint{}, err
 	}
 	defer sys.Close()
-	if p.latency > 0 {
-		sys.Fabric.SetLatency(p.latency)
-	}
-
-	// Timer-resolution keeper (see runSpotScale): a synchronous closed loop
-	// sleeps between completions, and without a runnable goroutine the
-	// engine's µs-scale probe timers fire with ~1 ms OS granularity.
-	keeperStop := make(chan struct{})
-	defer close(keeperStop)
-	go func() {
-		for {
-			select {
-			case <-keeperStop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
+	sys.Fabric.SetLatency(cacheSweepLatency)
+	defer keepTimersFine()()
 
 	w := ycsb.WorkloadB(cacheSweepRecords, cacheSweepValueSize, p.dist)
 	w.Theta = p.theta
 
-	// Cache-enabled skew points warm the tier first; cache-off points have no
-	// state to warm, and the sequential pair is the prefetcher's cold-start
-	// exhibit by design.
-	warmPerThread := 0
-	if p.enabled && !p.sequential {
-		warmPerThread = cacheSweepWarmup / p.threads
+	// Two loops per thread over one key generator: a pipelined read-only
+	// warm-up that fills the tier at a fraction of the synchronous loop's
+	// wall clock, then the measured synchronous (window 1) YCSB-B loop.
+	warm := make([]*closedLoop, p.threads)
+	measured := make([]*closedLoop, p.threads)
+	for ti := range measured {
+		th, err := sys.Client.Thread(ti)
+		if err != nil {
+			return CacheSweepPoint{}, err
+		}
+		g, err := ycsb.NewGenerator(w, seed*64+int64(ti)+1)
+		if err != nil {
+			return CacheSweepPoint{}, err
+		}
+		who := fmt.Sprintf("thread %d", ti)
+		warm[ti] = &closedLoop{
+			th: th, who: who + " warmup", window: cacheSweepWarmupWindow,
+			ops: cacheSweepWarmup / p.threads, destBytes: cacheSweepValueSize,
+			issue: func(_ int, dest []byte) (core.ReqID, error) {
+				return th.AsyncRead(0, uint64(g.NextIndex())*cacheSweepValueSize, dest)
+			},
+		}
+		// Sequential scans start at a per-thread stripe so concurrent
+		// streams do not trivially prefetch for each other.
+		stripe := ti * (cacheSweepRecords / p.threads)
+		wbuf := make([]byte, cacheSweepValueSize)
+		measured[ti] = &closedLoop{
+			th: th, who: who, window: 1, ops: p.opsPerThread, destBytes: cacheSweepValueSize,
+			issue: func(i int, dest []byte) (core.ReqID, error) {
+				if p.sequential {
+					return th.AsyncRead(0, uint64((stripe+i)%cacheSweepRecords)*cacheSweepValueSize, dest)
+				}
+				idx := g.NextIndex()
+				off := uint64(idx) * cacheSweepValueSize
+				if g.NextOp() == ycsb.OpUpdate {
+					return th.AsyncWrite(0, g.Value(idx, wbuf), off)
+				}
+				return th.AsyncRead(0, off, dest)
+			},
+		}
 	}
 
-	var (
-		latMu    sync.Mutex
-		allLats  []time.Duration
-		firstErr error
-	)
-	var warmWG, wg sync.WaitGroup
-	startCh := make(chan struct{})
-	for ti := 0; ti < p.threads; ti++ {
-		warmWG.Add(1)
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			warmed := false
-			fail := func(err error) {
-				latMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("thread %d: %w", ti, err)
-				}
-				latMu.Unlock()
-				if !warmed {
-					warmed = true
-					warmWG.Done()
-				}
-			}
-			th, err := sys.Client.Thread(ti)
-			if err != nil {
-				fail(err)
-				return
-			}
-			g, err := ycsb.NewGenerator(w, seed*64+int64(ti)+1)
-			if err != nil {
-				fail(err)
-				return
-			}
-			dest := make([]byte, cacheSweepValueSize)
-			wbuf := make([]byte, cacheSweepValueSize)
-			lats := make([]time.Duration, 0, p.opsPerThread)
-			if warmPerThread > 0 {
-				if err := cacheSweepWarm(th, g, warmPerThread); err != nil {
-					fail(err)
-					return
-				}
-			}
-			warmed = true
-			warmWG.Done()
-			<-startCh
-			// Sequential scans start at a per-thread stripe so concurrent
-			// streams do not trivially prefetch for each other.
-			cursor := int64(ti) * (cacheSweepRecords / int64(p.threads))
-			for op := 0; op < p.opsPerThread; op++ {
-				var idx int64
-				if p.sequential {
-					idx = cursor % cacheSweepRecords
-					cursor++
-				} else {
-					idx = g.NextIndex()
-				}
-				off := uint64(idx) * cacheSweepValueSize
-				t0 := time.Now()
-				if !p.sequential && g.NextOp() == ycsb.OpUpdate {
-					err = th.WriteSync(0, g.Value(idx, wbuf), off, 5*time.Second)
-				} else {
-					err = th.ReadSync(0, off, dest, 5*time.Second)
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				lats = append(lats, time.Since(t0))
-			}
-			latMu.Lock()
-			allLats = append(allLats, lats...)
-			latMu.Unlock()
-		}(ti)
+	// Cache-enabled skew points warm the tier first: the sweep reports
+	// steady-state hit rates, not the compulsory-miss transient of a cold
+	// tier. Cache-off points have no state to warm, and the sequential pair
+	// is the prefetcher's cold-start exhibit by design.
+	if p.enabled && !p.sequential {
+		if err := driveThreads(warm, nil); err != nil {
+			return CacheSweepPoint{}, err
+		}
 	}
-	warmWG.Wait()
 	// Snapshot after warmup so the report's hit rate and prefetch accuracy
 	// describe the measured phase only.
 	var st0 cache.Stats
 	if cc := sys.Client.Cache(); cc != nil {
 		st0 = cc.Stats()
 	}
-	start := time.Now()
-	close(startCh)
-	wg.Wait()
-	wall := time.Since(start)
-	if firstErr != nil {
-		return CacheSweepPoint{}, firstErr
+	if err := driveThreads(measured, nil); err != nil {
+		return CacheSweepPoint{}, err
 	}
-
-	sort.Slice(allLats, func(i, j int) bool { return allLats[i] < allLats[j] })
-	pct := func(q float64) float64 {
-		if len(allLats) == 0 {
-			return 0
-		}
-		return float64(allLats[int(q*float64(len(allLats)-1))]) / 1e3
-	}
-	ops := p.threads * p.opsPerThread
+	sum := summarize(measured...)
 	pt := CacheSweepPoint{
 		Workload:     p.workloadName(),
 		CacheEnabled: p.enabled,
 		Threads:      p.threads,
-		Ops:          ops,
-		WallMS:       float64(wall) / 1e6,
-		OpsPerSec:    float64(ops) / wall.Seconds(),
-		P50Micros:    pct(0.50),
-		P99Micros:    pct(0.99),
+		Ops:          sum.ops,
+		WallMS:       float64(sum.wall) / 1e6,
+		OpsPerSec:    sum.opsPerSec,
+		P50Micros:    sum.p50,
+		P99Micros:    sum.p99,
 	}
 	if cc := sys.Client.Cache(); cc != nil {
 		st := cc.Stats()
@@ -281,41 +200,6 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 	return pt, nil
 }
 
-// cacheSweepWarm drives warm read draws from g through th with a windowed
-// async closed loop — filling the tier at pipelined speed rather than one
-// fabric round trip per record.
-func cacheSweepWarm(th *core.Thread, g *ycsb.Generator, warm int) error {
-	pg := th.PollCreate()
-	dests := make([][]byte, cacheSweepWarmupWindow)
-	for i := range dests {
-		dests[i] = make([]byte, cacheSweepValueSize)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	issued, done := 0, 0
-	for done < warm {
-		for issued < warm && issued-done < cacheSweepWarmupWindow {
-			off := uint64(g.NextIndex()) * cacheSweepValueSize
-			id, err := th.AsyncRead(0, off, dests[issued%cacheSweepWarmupWindow])
-			if err != nil {
-				break // ring full: drain completions first
-			}
-			if err := pg.Add(id); err != nil {
-				return err
-			}
-			issued++
-		}
-		ids, err := pg.WaitErr(cacheSweepWarmupWindow, time.Second)
-		if err != nil {
-			return err
-		}
-		done += len(ids)
-		if time.Now().After(deadline) {
-			return fmt.Errorf("warmup stalled at %d/%d ops", done, warm)
-		}
-	}
-	return nil
-}
-
 // CacheSweep is the hot-data-tier exhibit: ops/s with the cache off vs on
 // across the skew sweep, plus the sequential pair for the prefetcher.
 func CacheSweep() Experiment {
@@ -325,78 +209,47 @@ func CacheSweep() Experiment {
 		XLabel: "Zipfian theta (0 = uniform; 1.10 marks the sequential scan)",
 		YLabel: "ops/s / hit rate",
 	}
-	offT := Series{Label: "cache off ops/s"}
-	onT := Series{Label: "cache on ops/s"}
-	onH := Series{Label: "cache on hit rate"}
-	ops := OpsPerThread / 4
-	if ops < 100 {
-		ops = 100
+	ops := max(OpsPerThread/4, 100)
+	r, err := runClientCacheReport(ops, 0)
+	if err != nil {
+		e.Notes = append(e.Notes, fmt.Sprintf("sweep failed: %v", err))
+		return e
 	}
-	var hiOff, hiOn CacheSweepPoint
-	for _, pt := range cacheSweepPoints(2, ops) {
-		x := pt.theta
-		if pt.sequential {
+	offT, onT, onH := Series{Label: "cache off ops/s"}, Series{Label: "cache on ops/s"}, Series{Label: "cache on hit rate"}
+	for i, p := range cacheSweepPoints(ops) {
+		x := p.theta
+		if p.sequential {
 			x = 1.10 // off the theta axis, labeled in XLabel
 		}
-		pt.enabled = false
-		off, err := bestCacheSweep(pt)
-		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("%s off failed: %v", pt.workloadName(), err))
-			continue
-		}
-		pt.enabled = true
-		on, err := bestCacheSweep(pt)
-		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("%s on failed: %v", pt.workloadName(), err))
-			continue
-		}
-		offT.X = append(offT.X, x)
-		offT.Y = append(offT.Y, off.OpsPerSec)
-		onT.X = append(onT.X, x)
-		onT.Y = append(onT.Y, on.OpsPerSec)
-		onH.X = append(onH.X, x)
-		onH.Y = append(onH.Y, on.HitRate)
-		if pt.theta == 0.99 {
-			hiOff, hiOn = off, on
-		}
+		off, on := r.Points[2*i], r.Points[2*i+1]
+		offT.X, offT.Y = append(offT.X, x), append(offT.Y, off.OpsPerSec)
+		onT.X, onT.Y = append(onT.X, x), append(onT.Y, on.OpsPerSec)
+		onH.X, onH.Y = append(onH.X, x), append(onH.Y, on.HitRate)
 	}
 	e.Series = []Series{offT, onT, onH}
-	if hiOff.OpsPerSec > 0 {
-		e.Notes = append(e.Notes, fmt.Sprintf(
-			"cache on/off ops/s at zipf-0.99: %.2fx (hit rate %.0f%%)",
-			hiOn.OpsPerSec/hiOff.OpsPerSec, 100*hiOn.HitRate))
-	}
-	e.Notes = append(e.Notes, fmt.Sprintf(
-		"YCSB-B (95/5) scrambled-Zipfian keys, sync closed loop over a %v-latency fabric; %d records x %d B, tier %d lines x %d B",
-		cacheSweepLatency, cacheSweepRecords, cacheSweepValueSize, cacheSweepLines, cacheSweepLineSize))
+	e.Notes = append(e.Notes,
+		fmt.Sprintf("cache on/off ops/s at zipf-0.99: %.2fx (hit rate %.0f%%)", r.SpeedupAtZipf99, 100*r.HitRateAtZipf99),
+		fmt.Sprintf("YCSB-B (95/5) scrambled-Zipfian keys, sync closed loop over a %v-latency fabric; %d records x %d B, tier %d lines x %d B",
+			cacheSweepLatency, cacheSweepRecords, cacheSweepValueSize, cacheSweepLines, cacheSweepLineSize))
 	return e
 }
 
-// cacheSweepPoints enumerates the sweep's workload axis.
-func cacheSweepPoints(threads, opsPerThread int) []cacheSweepParams {
-	base := cacheSweepParams{
-		threads: threads, opsPerThread: opsPerThread, latency: cacheSweepLatency,
+// cacheSweepPoints enumerates the sweep's workload axis (cache off; the
+// sweep runs every point off, then on).
+func cacheSweepPoints(opsPerThread int) []cacheSweepParams {
+	base := cacheSweepParams{threads: 2, opsPerThread: opsPerThread}
+	out := []cacheSweepParams{base, base, base, base, base}
+	out[0].dist = ycsb.Uniform
+	for i, theta := range []float64{0.60, 0.90, 0.99} {
+		out[1+i].dist, out[1+i].theta = ycsb.ScrambledZipfian, theta
 	}
-	var out []cacheSweepParams
-	u := base
-	u.dist = ycsb.Uniform
-	out = append(out, u)
-	for _, theta := range []float64{0.60, 0.90, 0.99} {
-		z := base
-		z.dist = ycsb.ScrambledZipfian
-		z.theta = theta
-		out = append(out, z)
-	}
-	s := base
-	s.sequential = true
-	out = append(out, s)
+	out[4].sequential = true
 	return out
 }
 
 // ClientCacheReport is the document committed as BENCH_client_cache.json.
 type ClientCacheReport struct {
-	GOMAXPROCS      int               `json:"gomaxprocs"`
-	NumCPU          int               `json:"num_cpu"`
+	hostEnv
 	FabricLatencyUS float64           `json:"fabric_latency_us"`
 	OpsPerThread    int               `json:"ops_per_thread"`
 	Records         int               `json:"records"`
@@ -412,12 +265,11 @@ type ClientCacheReport struct {
 	SeqSpeedup      float64           `json:"prefetch_over_none_sequential"`
 }
 
-// RunClientCacheReport runs the full sweep (cache off/on x uniform,
+// runClientCacheReport runs the full sweep (cache off/on x uniform,
 // zipf-0.60/0.90/0.99, sequential) with opsPerThread ops per client thread.
-func RunClientCacheReport(opsPerThread int) (ClientCacheReport, error) {
+func runClientCacheReport(opsPerThread, _ int) (ClientCacheReport, error) {
 	r := ClientCacheReport{
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
+		hostEnv:         currentEnv(),
 		FabricLatencyUS: float64(cacheSweepLatency) / 1e3,
 		OpsPerThread:    opsPerThread,
 		Records:         cacheSweepRecords,
@@ -427,8 +279,7 @@ func RunClientCacheReport(opsPerThread int) (ClientCacheReport, error) {
 		Workload:        "YCSB-B (95% read, 5% update), scrambled-Zipfian keys, sync closed loop, 2 threads; sequential pair isolates the stride prefetcher",
 		Trials:          cacheSweepTrials,
 	}
-	for _, pt := range cacheSweepPoints(2, opsPerThread) {
-		pt.enabled = false
+	for _, pt := range cacheSweepPoints(opsPerThread) {
 		off, err := bestCacheSweep(pt)
 		if err != nil {
 			return r, err
@@ -458,17 +309,16 @@ func RunClientCacheReport(opsPerThread int) (ClientCacheReport, error) {
 	return r, nil
 }
 
-// WriteClientCacheJSON runs the sweep and writes the report to path.
-func WriteClientCacheJSON(path string, opsPerThread int) error {
-	r, err := RunClientCacheReport(opsPerThread)
-	if err != nil {
-		return err
+// Check is the hot-data-tier gate: at θ = 0.99 the cached points must beat
+// the uncached ones with most reads served locally, even at smoke op counts.
+func (r ClientCacheReport) Check() error {
+	if r.SpeedupAtZipf99 <= 1 {
+		return fmt.Errorf("client cache: %.2fx ops/s over no cache at zipf-0.99, want > 1x", r.SpeedupAtZipf99)
 	}
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	if r.HitRateAtZipf99 <= 0.5 {
+		return fmt.Errorf("client cache: hit rate %.2f at zipf-0.99, want > 0.5", r.HitRateAtZipf99)
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return nil
 }
 
 func init() {

@@ -2,11 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"sort"
 	"time"
 
 	"cowbird/internal/core"
@@ -17,8 +13,7 @@ import (
 // tolerance on the Cowbird-Spot datapath (no perfsim): what replication
 // does to steady-state throughput, and how long a primary-pool crash stalls
 // the data path before reads flow again off the survivor. Results land in
-// BENCH_chaos_recovery.json via WriteChaosRecoveryJSON /
-// cmd/cowbird-bench -chaosjson.
+// BENCH_chaos_recovery.json via cowbird-bench -sweep chaos.
 
 // ChaosRecoveryPoint is one measured throughput configuration.
 type ChaosRecoveryPoint struct {
@@ -31,6 +26,7 @@ type ChaosRecoveryPoint struct {
 
 // ChaosRecoveryReport is the full sweep.
 type ChaosRecoveryReport struct {
+	hostEnv
 	GeneratedAt string `json:"generated_at"`
 	// DetectBudgetMicros is the configured replica-death detection budget:
 	// pool retry timeout x max retries, the floor of any recovery time.
@@ -67,20 +63,41 @@ func chaosConfig(replicas int) system.Config {
 	return cfg
 }
 
-// chaosThroughput drives a closed-loop 50/50 read/write workload on a fresh
-// deployment and reports ops/sec. When degrade is set, the primary pool is
-// crashed (and detection waited out) before the measured run, so the point
-// captures the degraded-but-serving state off the survivor.
+// mixedThroughput is the closed loop the pool-robustness sweeps share: one
+// thread, window 16, 50/50 read:write, 256 B ops striding 1 KiB slots.
+func mixedThroughput(sys *system.System, ops int, fill byte) (liveSummary, error) {
+	th, err := sys.Client.Thread(0)
+	if err != nil {
+		return liveSummary{}, err
+	}
+	defer keepTimersFine()()
+	wbuf := bytes.Repeat([]byte{fill}, 256)
+	l := &closedLoop{
+		th: th, who: "thread 0", window: 16, ops: ops, destBytes: 256,
+		issue: func(i int, dest []byte) (core.ReqID, error) {
+			off := uint64(i%1024) * 1024
+			if i%2 == 0 {
+				return th.AsyncWrite(0, wbuf, off)
+			}
+			return th.AsyncRead(0, off, dest)
+		},
+	}
+	if err := l.run(nil); err != nil {
+		return liveSummary{}, err
+	}
+	return summarize(l), nil
+}
+
+// chaosThroughput measures mixedThroughput on a fresh deployment. When
+// degrade is set, the primary pool is crashed (and detection waited out)
+// before the measured run, so the point captures the degraded-but-serving
+// state off the survivor.
 func chaosThroughput(mode string, replicas, ops int, degrade bool) (ChaosRecoveryPoint, error) {
 	sys, err := system.New(chaosConfig(replicas))
 	if err != nil {
 		return ChaosRecoveryPoint{}, err
 	}
 	defer sys.Close()
-	th, err := sys.Client.Thread(0)
-	if err != nil {
-		return ChaosRecoveryPoint{}, err
-	}
 	if degrade {
 		sys.Pools[0].Crash()
 		deadline := time.Now().Add(5 * time.Second)
@@ -91,54 +108,16 @@ func chaosThroughput(mode string, replicas, ops int, degrade bool) (ChaosRecover
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-
-	const window = 16
-	g := th.PollCreate()
-	dests := make([][]byte, window)
-	for i := range dests {
-		dests[i] = make([]byte, 256)
+	sum, err := mixedThroughput(sys, ops, 0xAB)
+	if err != nil {
+		return ChaosRecoveryPoint{}, err
 	}
-	wbuf := bytes.Repeat([]byte{0xAB}, 256)
-	inflight := 0
-	issued := 0
-	start := time.Now()
-	for issued < ops || inflight > 0 {
-		for inflight < window && issued < ops {
-			off := uint64(issued%1024) * 1024
-			var id core.ReqID
-			var ierr error
-			if issued%2 == 0 {
-				id, ierr = th.AsyncWrite(0, wbuf, off)
-			} else {
-				id, ierr = th.AsyncRead(0, off, dests[inflight])
-			}
-			if ierr != nil {
-				if inflight == 0 {
-					return ChaosRecoveryPoint{}, ierr
-				}
-				break // ring full; drain below frees space
-			}
-			if err := g.Add(id); err != nil {
-				return ChaosRecoveryPoint{}, err
-			}
-			issued++
-			inflight++
-		}
-		done, werr := g.WaitErr(window, 10*time.Second)
-		if werr != nil && !isAdvisory(werr) {
-			return ChaosRecoveryPoint{}, werr
-		}
-		inflight -= len(done)
-	}
-	wall := time.Since(start)
 	return ChaosRecoveryPoint{
 		Mode: mode, Replicas: replicas, Ops: ops,
-		WallMS:    float64(wall.Microseconds()) / 1e3,
-		OpsPerSec: float64(ops) / wall.Seconds(),
+		WallMS:    float64(sum.wall.Microseconds()) / 1e3,
+		OpsPerSec: sum.opsPerSec,
 	}, nil
 }
-
-func isAdvisory(err error) bool { return errors.Is(err, core.ErrPoolDegraded) }
 
 // chaosRecoveryTrial measures one crash: healthy read latency, then the
 // latency of the first read after the primary dies.
@@ -179,11 +158,12 @@ func chaosRecoveryTrial() (healthy, recovery time.Duration, err error) {
 	return healthy, recovery, nil
 }
 
-// RunChaosRecoveryReport runs the full sweep: recovery-latency trials plus
+// runChaosRecoveryReport runs the full sweep: recovery-latency trials plus
 // the three throughput points.
-func RunChaosRecoveryReport(opsPerThread int) (*ChaosRecoveryReport, error) {
+func runChaosRecoveryReport(opsPerThread, _ int) (ChaosRecoveryReport, error) {
 	const trials = 5
-	r := &ChaosRecoveryReport{
+	r := ChaosRecoveryReport{
+		hostEnv:            currentEnv(),
 		GeneratedAt:        time.Now().UTC().Format(time.RFC3339),
 		DetectBudgetMicros: float64((chaosPoolRTO * chaosPoolRetries).Microseconds()),
 	}
@@ -191,17 +171,13 @@ func RunChaosRecoveryReport(opsPerThread int) (*ChaosRecoveryReport, error) {
 	for i := 0; i < trials; i++ {
 		h, rec, err := chaosRecoveryTrial()
 		if err != nil {
-			return nil, err
+			return r, err
 		}
 		healthies = append(healthies, float64(h.Nanoseconds())/1e3)
 		r.RecoveryMicros = append(r.RecoveryMicros, float64(rec.Nanoseconds())/1e3)
 	}
-	sort.Float64s(healthies)
-	r.HealthyReadMicros = healthies[len(healthies)/2]
-	sorted := append([]float64(nil), r.RecoveryMicros...)
-	sort.Float64s(sorted)
-	r.RecoveryP50 = sorted[len(sorted)/2]
-	r.RecoveryMax = sorted[len(sorted)-1]
+	r.HealthyReadMicros, _ = medianMax(healthies)
+	r.RecoveryP50, r.RecoveryMax = medianMax(r.RecoveryMicros)
 
 	for _, pt := range []struct {
 		mode     string
@@ -214,22 +190,29 @@ func RunChaosRecoveryReport(opsPerThread int) (*ChaosRecoveryReport, error) {
 	} {
 		p, err := chaosThroughput(pt.mode, pt.replicas, opsPerThread, pt.degrade)
 		if err != nil {
-			return nil, err
+			return r, err
 		}
 		r.Throughput = append(r.Throughput, p)
 	}
 	return r, nil
 }
 
-// WriteChaosRecoveryJSON runs the sweep and writes the report.
-func WriteChaosRecoveryJSON(path string, opsPerThread int) error {
-	r, err := RunChaosRecoveryReport(opsPerThread)
-	if err != nil {
-		return err
+// Check is the pool fault-tolerance gate: a primary crash must stall the
+// data path for a bounded time (every post-crash read returned the right
+// bytes or the trial already failed), and every configuration — the
+// degraded one included — must keep serving.
+func (r ChaosRecoveryReport) Check() error {
+	if len(r.RecoveryMicros) == 0 || r.RecoveryMax >= 1e6 {
+		return fmt.Errorf("chaos recovery: worst post-crash read %.0f us over %d trials, want < 1 s",
+			r.RecoveryMax, len(r.RecoveryMicros))
 	}
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	if len(r.Throughput) != 3 {
+		return fmt.Errorf("chaos recovery: %d throughput points, want 3", len(r.Throughput))
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	for _, p := range r.Throughput {
+		if p.OpsPerSec <= 0 {
+			return fmt.Errorf("chaos recovery: %s served nothing", p.Mode)
+		}
+	}
+	return nil
 }

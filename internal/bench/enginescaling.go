@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"cowbird/internal/core"
@@ -23,16 +19,10 @@ import (
 // leaks onto the serve path — a lock whose holders scale with N, a map
 // that rehashes, a snapshot copied per request — the curve bends: p99
 // grows with N, or allocs/op comes off zero. Results land in
-// BENCH_engine_scaling.json via WriteEngineScalingJSON /
-// cmd/cowbird-bench -scalingjson.
-//
-// The driver itself is allocation-free after warmup (fixed slot table, no
-// per-op map, latencies into a preallocated slice) so the allocs/op column
-// measures the system — client rings, fabric, engine — rather than the
-// harness.
+// BENCH_engine_scaling.json via cowbird-bench -sweep scaling.
 
 // EngineScalingRungs are the registered-queue-set counts of the full
-// sweep. The CI smoke truncates with -scalingmax.
+// sweep. The CI smoke truncates with -max.
 var EngineScalingRungs = []int{4, 16, 64, 256, 1024}
 
 // engineScaleActive is the fixed active set: how many of the registered
@@ -58,15 +48,10 @@ const (
 	engineScaleWindow  = 16
 )
 
-// opSlot tracks one in-flight request of the closed-loop window. The
-// table is fixed-size and reused, so the issue/harvest loop allocates
-// nothing.
-type opSlot struct {
-	id   core.ReqID
-	idx  int // issue index; ops below the warmup mark are not recorded
-	t0   time.Time
-	busy bool
-}
+// engineScaleWarmup is how many ops each active thread runs ahead of the
+// measured ones: workers spin up, reusable slices and rings reach their
+// steady size, so allocs/op is the steady state and not setup cost.
+func engineScaleWarmup(opsPerThread int) int { return min(opsPerThread, 200) }
 
 // runEngineScale measures one rung: registered queue sets, 4 active.
 func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
@@ -116,204 +101,56 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 		}
 	}
 
-	// Timer-resolution keeper, as in runSpotScale: with every goroutine
-	// asleep the runtime parks in the OS and short timers coarsen to ~1 ms.
-	keeperStop := make(chan struct{})
-	defer close(keeperStop)
-	go func() {
-		for {
-			select {
-			case <-keeperStop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
+	defer keepTimersFine()()
 
-	var (
-		latMu    sync.Mutex
-		firstErr error
-	)
-	// Preallocated to final size: the per-thread merge appends land inside
-	// the measured window, and a capacity growth there would charge the
-	// harness's own bookkeeping to allocs/op.
-	allLats := make([]time.Duration, 0, engineScaleActive*(opsPerThread+engineScaleWindow))
-	record := func(err error) {
-		latMu.Lock()
-		if firstErr == nil && err != nil {
-			firstErr = err
+	// 3:1 read:write on disjoint per-thread strips, 64 B payloads.
+	loops := make([]*closedLoop, engineScaleActive)
+	for ti := range loops {
+		th, err := sys.Client.Thread(ti)
+		if err != nil {
+			return EngineScalePoint{}, err
 		}
-		latMu.Unlock()
-	}
-
-	// drive runs warmup+ops closed-loop operations through one thread with
-	// a fixed slot table: issue until the window is full, harvest by
-	// polling Completed over the slots, repeat. 3:1 read:write on disjoint
-	// per-thread strips, 64 B payloads. Warmup flows straight into the
-	// measured ops with no barrier in between — any pause long enough for
-	// the thread's worker to exhaust its idle ladder and park would put
-	// one ProbeInterval into the latency tail, measuring the harness's
-	// phase structure instead of the datapath. Latencies are recorded only
-	// for ops issued at index >= warmup; onWarm fires once when the warmup
-	// prefix has completed.
-	drive := func(ti, warmup, ops int, th *core.Thread, slots []opSlot,
-		dests [][]byte, wbuf []byte, lats []time.Duration,
-		onWarm func()) ([]time.Duration, time.Time, error) {
 		base := uint64(ti) * 0x80000
-		deadline := time.Now().Add(120 * time.Second)
-		total := warmup + ops
-		issued, done, inflight := 0, 0, 0
-		var warmAt time.Time
-		for done < total {
-			// Warmup runs at double the measured window so every
-			// high-water mark — frame-pool population, inbox backlog
-			// depth, ring occupancy — is set before the window opens;
-			// a new high during measurement would otherwise show up as
-			// a one-off pool-miss allocation.
-			limit := len(slots)
-			if issued >= warmup {
-				limit = engineScaleWindow
-			}
-			for si := range slots {
-				if issued == total || inflight >= limit {
-					break
+		wbuf := make([]byte, 64)
+		loops[ti] = &closedLoop{
+			th: th, who: fmt.Sprintf("thread %d", ti),
+			window: engineScaleWindow, warmWindow: 2 * engineScaleWindow,
+			warmup: engineScaleWarmup(opsPerThread), ops: opsPerThread, destBytes: 64,
+			issue: func(i int, dest []byte) (core.ReqID, error) {
+				off := base + uint64(i%1024)*256
+				if i%4 == 3 {
+					return th.AsyncWrite(0, wbuf, off+0x40000)
 				}
-				if slots[si].busy {
-					continue
-				}
-				off := base + uint64(issued%1024)*256
-				var id core.ReqID
-				var err error
-				if issued%4 == 3 {
-					id, err = th.AsyncWrite(0, wbuf, off+0x40000)
-				} else {
-					id, err = th.AsyncRead(0, off, dests[si])
-				}
-				if err != nil {
-					break // ring full: harvest first
-				}
-				slots[si] = opSlot{id: id, idx: issued, t0: time.Now(), busy: true}
-				issued++
-				inflight++
-			}
-			progressed := false
-			for si := range slots {
-				if !slots[si].busy || !th.Completed(slots[si].id) {
-					continue
-				}
-				if slots[si].idx >= warmup {
-					lats = append(lats, time.Since(slots[si].t0))
-				}
-				slots[si].busy = false
-				inflight--
-				done++
-				progressed = true
-			}
-			if warmAt.IsZero() && done >= warmup {
-				warmAt = time.Now()
-				onWarm()
-			}
-			if !progressed {
-				runtime.Gosched()
-				if time.Now().After(deadline) {
-					return lats, warmAt, fmt.Errorf("thread %d stalled at %d/%d ops", ti, done, total)
-				}
-			}
+				return th.AsyncRead(0, off, dest)
+			},
 		}
-		return lats, warmAt, nil
-	}
-
-	warmup := spotWarmupOps(opsPerThread)
-	var warmWG, runWG sync.WaitGroup
-	var (
-		spanMu   sync.Mutex
-		lastWarm time.Time
-		lastEnd  time.Time
-	)
-	for ti := 0; ti < engineScaleActive; ti++ {
-		warmWG.Add(1)
-		runWG.Add(1)
-		go func(ti int) {
-			defer runWG.Done()
-			warmed := false
-			onWarm := func() { warmed = true; warmWG.Done() }
-			defer func() {
-				if !warmed {
-					warmWG.Done()
-				}
-			}()
-			th, err := sys.Client.Thread(ti)
-			if err != nil {
-				record(err)
-				return
-			}
-			slots := make([]opSlot, 2*engineScaleWindow)
-			dests := make([][]byte, 2*engineScaleWindow)
-			for i := range dests {
-				dests[i] = make([]byte, 64)
-			}
-			wbuf := make([]byte, 64)
-			lats := make([]time.Duration, 0, opsPerThread+engineScaleWindow)
-			lats, warmAt, err := drive(ti, warmup, opsPerThread, th, slots, dests, wbuf, lats[:0], onWarm)
-			end := time.Now()
-			if err != nil {
-				record(err)
-				return
-			}
-			latMu.Lock()
-			allLats = append(allLats, lats...)
-			latMu.Unlock()
-			spanMu.Lock()
-			if warmAt.After(lastWarm) {
-				lastWarm = warmAt
-			}
-			if end.After(lastEnd) {
-				lastEnd = end
-			}
-			spanMu.Unlock()
-		}(ti)
 	}
 	// The allocation window opens once every thread is past its warmup
-	// prefix — traffic keeps flowing through the read, so no worker ever
-	// goes idle around it. The forced GC drains the garbage of setup and
-	// settle first: with a near-zero allocation rate inside the window, a
-	// cycle triggering mid-measurement (and charging its own bookkeeping
-	// to allocs/op) would otherwise be the column's noise floor.
-	warmWG.Wait()
-	runtime.GC()
+	// prefix. The forced GC drains the garbage of setup and settle first:
+	// with a near-zero allocation rate inside the window, a cycle triggering
+	// mid-measurement (and charging its own bookkeeping to allocs/op) would
+	// otherwise be the column's noise floor.
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	runWG.Wait()
+	err = driveThreads(loops, func() {
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+	})
 	runtime.ReadMemStats(&m1)
-	if firstErr != nil {
-		return EngineScalePoint{}, firstErr
+	if err != nil {
+		return EngineScalePoint{}, err
 	}
-	wall := lastEnd.Sub(lastWarm)
-	runtime.ReadMemStats(&m1)
-	if firstErr != nil {
-		return EngineScalePoint{}, firstErr
-	}
-
-	sort.Slice(allLats, func(i, j int) bool { return allLats[i] < allLats[j] })
-	pct := func(q float64) float64 {
-		if len(allLats) == 0 {
-			return 0
-		}
-		return float64(allLats[int(q*float64(len(allLats)-1))]) / 1e3
-	}
-	ops := engineScaleActive * opsPerThread
+	sum := summarize(loops...)
 	return EngineScalePoint{
 		Registered:  registered,
 		Active:      engineScaleActive,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Ops:         ops,
+		Ops:         sum.ops,
 		SetupMS:     float64(setup) / 1e6,
-		WallMS:      float64(wall) / 1e6,
-		OpsPerSec:   float64(ops) / wall.Seconds(),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		P50Micros:   pct(0.50),
-		P99Micros:   pct(0.99),
+		WallMS:      float64(sum.wall) / 1e6,
+		OpsPerSec:   sum.opsPerSec,
+		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(sum.ops),
+		P50Micros:   sum.p50,
+		P99Micros:   sum.p99,
 	}, nil
 }
 
@@ -325,33 +162,20 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 // clock than one episode.
 const engineScaleTrials = 5
 
-// bestEngineScale runs a rung engineScaleTrials times and keeps the best
-// trial — the same peak-of-N treatment as bestFabricScale and
-// bestSpotBurst: short single-core runs swing with host mood (a scheduler
-// hiccup lands a millisecond outlier in a µs-scale tail), every rung gets
-// the same treatment, and the exhibit is the *shape* of the curve across
-// rungs, which noise suppression sharpens rather than biases. "Best" is
-// zero-alloc first, then lowest p99: a stray malloc in the window is the
-// same host-mood interference (a GC wakeup or timer landing mid-window)
-// that inflates the tail, so a clean trial always outranks a dirty one.
+// bestEngineScale keeps the best of engineScaleTrials trials of a rung.
+// "Best" is zero-alloc first, then lowest p99: a stray malloc in the window
+// is the same host-mood interference (a GC wakeup or timer landing
+// mid-window) that inflates the tail, so a clean trial always outranks a
+// dirty one.
 func bestEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
-	var best EngineScalePoint
-	better := func(a, b EngineScalePoint) bool {
-		if (a.AllocsPerOp == 0) != (b.AllocsPerOp == 0) {
-			return a.AllocsPerOp == 0
-		}
-		return a.P99Micros < b.P99Micros
-	}
-	for i := 0; i < engineScaleTrials; i++ {
-		pt, err := runEngineScale(registered, opsPerThread)
-		if err != nil {
-			return EngineScalePoint{}, err
-		}
-		if best.Ops == 0 || better(pt, best) {
-			best = pt
-		}
-	}
-	return best, nil
+	return bestOf(engineScaleTrials,
+		func(int) (EngineScalePoint, error) { return runEngineScale(registered, opsPerThread) },
+		func(a, b EngineScalePoint) bool {
+			if (a.AllocsPerOp == 0) != (b.AllocsPerOp == 0) {
+				return a.AllocsPerOp == 0
+			}
+			return a.P99Micros < b.P99Micros
+		})
 }
 
 // EngineScaling is the registry exhibit: the first rungs of the sweep,
@@ -364,38 +188,29 @@ func EngineScaling() Experiment {
 		XLabel: "registered queue sets (4 active)",
 		YLabel: "ops/s / us",
 	}
-	thr := Series{Label: "ops/s"}
-	p99 := Series{Label: "p99 (us)"}
-	ops := OpsPerThread / 4
-	if ops < 100 {
-		ops = 100
+	r, err := runEngineScalingReport(max(OpsPerThread/4, 100), 64)
+	if err != nil {
+		e.Notes = append(e.Notes, fmt.Sprintf("sweep failed: %v", err))
 	}
-	for _, reg := range []int{4, 16, 64} {
-		pt, err := runEngineScale(reg, ops)
-		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("rung %d failed: %v", reg, err))
-			continue
-		}
-		thr.X = append(thr.X, float64(reg))
-		thr.Y = append(thr.Y, pt.OpsPerSec)
-		p99.X = append(p99.X, float64(reg))
-		p99.Y = append(p99.Y, pt.P99Micros)
+	thr, p99 := Series{Label: "ops/s"}, Series{Label: "p99 (us)"}
+	for _, pt := range r.Points {
+		thr.X, thr.Y = append(thr.X, float64(pt.Registered)), append(thr.Y, pt.OpsPerSec)
+		p99.X, p99.Y = append(p99.X, float64(pt.Registered)), append(p99.Y, pt.P99Micros)
 		e.Notes = append(e.Notes, fmt.Sprintf(
 			"%d registered: %.0f ops/s, p99 %.1f us, %.3f allocs/op",
-			reg, pt.OpsPerSec, pt.P99Micros, pt.AllocsPerOp))
+			pt.Registered, pt.OpsPerSec, pt.P99Micros, pt.AllocsPerOp))
 	}
 	e.Series = []Series{thr, p99}
 	e.Notes = append(e.Notes, fmt.Sprintf(
-		"real engine over a %v-latency fabric; closed loop, window %d/thread, 3:1 read:write, 64 B ops",
-		engineScaleLatency, engineScaleWindow))
+		"real engine over a %v-latency fabric; %s, window %d/thread, best of %d trials per rung",
+		engineScaleLatency, r.Workload, r.Window, r.Trials))
 	return e
 }
 
 // EngineScalingReport is the document committed as
 // BENCH_engine_scaling.json.
 type EngineScalingReport struct {
-	GOMAXPROCS      int                `json:"gomaxprocs"`
-	NumCPU          int                `json:"num_cpu"`
+	hostEnv
 	HostNote        string             `json:"host_note,omitempty"`
 	FabricLatencyUS float64            `json:"fabric_latency_us"`
 	OpsPerThread    int                `json:"ops_per_thread"`
@@ -409,12 +224,11 @@ type EngineScalingReport struct {
 	MaxAllocsPerOp  float64            `json:"max_allocs_per_op"`
 }
 
-// RunEngineScalingReport runs the ladder up to maxRegistered (0: the full
+// runEngineScalingReport runs the ladder up to maxRegistered (0: the full
 // 4→1024 sweep) with opsPerThread ops per active thread per rung.
-func RunEngineScalingReport(opsPerThread, maxRegistered int) (EngineScalingReport, error) {
+func runEngineScalingReport(opsPerThread, maxRegistered int) (EngineScalingReport, error) {
 	r := EngineScalingReport{
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
+		hostEnv:         currentEnv(),
 		FabricLatencyUS: float64(engineScaleLatency) / 1e3,
 		OpsPerThread:    opsPerThread,
 		ActiveThreads:   engineScaleActive,
@@ -452,17 +266,21 @@ func RunEngineScalingReport(opsPerThread, maxRegistered int) (EngineScalingRepor
 	return r, nil
 }
 
-// WriteEngineScalingJSON runs the sweep and writes the report to path.
-func WriteEngineScalingJSON(path string, opsPerThread, maxRegistered int) error {
-	r, err := RunEngineScalingReport(opsPerThread, maxRegistered)
-	if err != nil {
-		return err
+// Check is the bounded-state gate: p99 may not more than double between
+// adjacent rungs (registration cost leaking onto the serve path) and no
+// rung may allocate on the per-request path.
+func (r EngineScalingReport) Check() error {
+	p99 := make([]float64, len(r.Points))
+	for i, p := range r.Points {
+		p99[i] = p.P99Micros
+		if p.AllocsPerOp != 0 {
+			return fmt.Errorf("engine scaling: %d queue sets: %g allocs/op, want 0", p.Registered, p.AllocsPerOp)
+		}
 	}
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	if ratio := maxAdjacentRatio(p99); ratio > 2 {
+		return fmt.Errorf("engine scaling: p99 grew %.2fx between adjacent rungs %v, limit 2x", ratio, p99)
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return nil
 }
 
 func init() {

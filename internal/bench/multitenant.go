@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,10 +28,10 @@ import (
 // an aggressor hammers the same engine under a token-bucket cap must stay
 // within 2x its isolated baseline, with the aggressor actually held to its
 // configured share. Results land in BENCH_multitenant_scale.json via
-// WriteMultiTenantJSON / cmd/cowbird-bench -tenantjson.
+// cowbird-bench -sweep tenants.
 
 // MultiTenantRungs are the registered-tenant counts of the full sweep. The
-// CI smoke truncates with -tenantmax.
+// CI smoke truncates with -max.
 var MultiTenantRungs = []int{64, 256, 1024, 4096}
 
 const (
@@ -44,9 +41,7 @@ const (
 	// multiTenantWindow is each active tenant's closed-loop depth.
 	multiTenantWindow = 4
 	// multiTenantTrials drives each rung's fleet this many times (same
-	// deployment, fresh measurement) and keeps the lowest-p99 trial — the
-	// peak-of-N treatment every other sweep in this package uses on the
-	// shared 1-CPU host.
+	// deployment, fresh measurement) and keeps the lowest-p99 trial.
 	multiTenantTrials = 3
 	// multiTenantSpan is the per-stripe byte span each active tenant
 	// writes; must fit the bench StripeSize.
@@ -90,78 +85,31 @@ type MultiTenantPoint struct {
 	IsolationViolations int     `json:"isolation_violations"`
 }
 
-// driveTenant runs warmup+ops closed-loop operations through one tenant's
-// thread 0: window multiTenantWindow, 3:1 read:write, 64 B tag payloads,
-// stripes alternated so the composed address space (distinct memnodes per
-// stripe) is on the measured path. Latencies are recorded from issue index
-// warmup on.
-func driveTenant(ten *system.Tenant, tag byte, warmup, ops int) ([]time.Duration, time.Time, time.Time, error) {
+// tenantLoop is one active tenant's closed loop on its thread 0: window
+// multiTenantWindow, 3:1 write:read, 64 B tag payloads, stripes alternated
+// so the composed address space (distinct memnodes per stripe) is on the
+// measured path.
+func tenantLoop(ten *system.Tenant, tag byte, warmup, ops int) (*closedLoop, error) {
 	th, err := ten.Client.Thread(0)
 	if err != nil {
-		return nil, time.Time{}, time.Time{}, err
+		return nil, err
 	}
 	wbuf := make([]byte, 64)
 	for i := range wbuf {
 		wbuf[i] = tag
 	}
-	slots := make([]opSlot, 2*multiTenantWindow)
-	dests := make([][]byte, 2*multiTenantWindow)
-	for i := range dests {
-		dests[i] = make([]byte, 64)
-	}
-	lats := make([]time.Duration, 0, ops+multiTenantWindow)
-	total := warmup + ops
-	deadline := time.Now().Add(120 * time.Second)
-	issued, done, inflight := 0, 0, 0
-	var warmAt time.Time
-	for done < total {
-		for si := range slots {
-			if issued == total || inflight >= multiTenantWindow {
-				break
+	return &closedLoop{
+		th: th, who: fmt.Sprintf("tenant %d", ten.ID),
+		window: multiTenantWindow, warmup: warmup, ops: ops, destBytes: 64,
+		issue: func(i int, dest []byte) (core.ReqID, error) {
+			stripe := uint16(i % 2)
+			off := uint64(i%(multiTenantSpan/64)) * 64
+			if i%4 == 3 {
+				return th.AsyncRead(stripe, off, dest)
 			}
-			if slots[si].busy {
-				continue
-			}
-			stripe := uint16(issued % 2)
-			off := uint64(issued%(multiTenantSpan/64)) * 64
-			var id core.ReqID
-			var err error
-			if issued%4 == 3 {
-				id, err = th.AsyncRead(stripe, off, dests[si])
-			} else {
-				id, err = th.AsyncWrite(stripe, wbuf, off)
-			}
-			if err != nil {
-				break // ring full: harvest first
-			}
-			slots[si] = opSlot{id: id, idx: issued, t0: time.Now(), busy: true}
-			issued++
-			inflight++
-		}
-		progressed := false
-		for si := range slots {
-			if !slots[si].busy || !th.Completed(slots[si].id) {
-				continue
-			}
-			if slots[si].idx >= warmup {
-				lats = append(lats, time.Since(slots[si].t0))
-			}
-			slots[si].busy = false
-			inflight--
-			done++
-			progressed = true
-		}
-		if warmAt.IsZero() && done >= warmup {
-			warmAt = time.Now()
-		}
-		if !progressed {
-			runtime.Gosched()
-			if time.Now().After(deadline) {
-				return lats, warmAt, time.Now(), fmt.Errorf("tenant %d stalled at %d/%d ops", ten.ID, done, total)
-			}
-		}
-	}
-	return lats, warmAt, time.Now(), nil
+			return th.AsyncWrite(stripe, wbuf, off)
+		},
+	}, nil
 }
 
 // auditIsolation sweeps the active tenants' extents (only {0, own tag}
@@ -239,85 +187,38 @@ func runMultiTenantRung(tenants, opsPerTenant int) (MultiTenantPoint, error) {
 		tags[ai*stride] = multiTenantTag(ai)
 	}
 
-	// Timer-resolution keeper, as in runEngineScale: with every goroutine
-	// asleep the runtime parks in the OS and short timers coarsen to ~1 ms,
-	// which would dominate the serial engines' park/resume cadence.
-	keeperStop := make(chan struct{})
-	defer close(keeperStop)
-	go func() {
-		for {
-			select {
-			case <-keeperStop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
+	defer keepTimersFine()()
 
-	warmup := multiTenantWindow * 4
-	if warmup > opsPerTenant {
-		warmup = opsPerTenant
-	}
-	best := MultiTenantPoint{}
-	for trial := 0; trial < multiTenantTrials; trial++ {
-		var (
-			mu       sync.Mutex
-			firstErr error
-			allLats  []time.Duration
-			lastWarm time.Time
-			lastEnd  time.Time
-		)
-		var wg sync.WaitGroup
-		for _, id := range activeIDs {
+	warmup := min(multiTenantWindow*4, opsPerTenant)
+	best, err := bestOf(multiTenantTrials, func(int) (MultiTenantPoint, error) {
+		loops := make([]*closedLoop, len(activeIDs))
+		for i, id := range activeIDs {
 			ten, _ := f.Tenant(id)
-			wg.Add(1)
-			go func(ten *system.Tenant, tag byte) {
-				defer wg.Done()
-				lats, warmAt, end, err := driveTenant(ten, tag, warmup, opsPerTenant)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-					return
-				}
-				allLats = append(allLats, lats...)
-				if warmAt.After(lastWarm) {
-					lastWarm = warmAt
-				}
-				if end.After(lastEnd) {
-					lastEnd = end
-				}
-			}(ten, tags[id])
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return MultiTenantPoint{}, firstErr
-		}
-		sort.Slice(allLats, func(i, j int) bool { return allLats[i] < allLats[j] })
-		pct := func(q float64) float64 {
-			if len(allLats) == 0 {
-				return 0
+			l, err := tenantLoop(ten, tags[id], warmup, opsPerTenant)
+			if err != nil {
+				return MultiTenantPoint{}, err
 			}
-			return float64(allLats[int(q*float64(len(allLats)-1))]) / 1e3
+			loops[i] = l
 		}
-		wall := lastEnd.Sub(lastWarm)
-		ops := active * opsPerTenant
-		pt := MultiTenantPoint{
+		if err := driveThreads(loops, nil); err != nil {
+			return MultiTenantPoint{}, err
+		}
+		sum := summarize(loops...)
+		return MultiTenantPoint{
 			Tenants:      tenants,
 			Engines:      engines,
 			Memnodes:     cfg.Memnodes,
 			Active:       active,
-			Ops:          ops,
+			Ops:          sum.ops,
 			SetupMS:      float64(setup) / 1e6,
-			WallMS:       float64(wall) / 1e6,
-			AggOpsPerSec: float64(ops) / wall.Seconds(),
-			P50Micros:    pct(0.50),
-			P99Micros:    pct(0.99),
-		}
-		if best.Ops == 0 || pt.P99Micros < best.P99Micros {
-			best = pt
-		}
+			WallMS:       float64(sum.wall) / 1e6,
+			AggOpsPerSec: sum.opsPerSec,
+			P50Micros:    sum.p50,
+			P99Micros:    sum.p99,
+		}, nil
+	}, func(a, b MultiTenantPoint) bool { return a.P99Micros < b.P99Micros })
+	if err != nil {
+		return MultiTenantPoint{}, err
 	}
 	best.IsolationViolations = auditIsolation(f, activeIDs, tags, tenants)
 	return best, nil
@@ -332,6 +233,25 @@ type NoisyNeighborResult struct {
 	ContendedP99Micros   float64 `json:"victim_contended_p99_us"`
 	P99Ratio             float64 `json:"victim_p99_ratio"` // contended / baseline
 	AggressorAchievedOps float64 `json:"aggressor_achieved_ops_per_sec"`
+}
+
+// noisyNeighborLoop is a tenant's closed loop of 64 B writes over one 4 KiB
+// strip: window 1 for the synchronous victim, deeper for the aggressor.
+func noisyNeighborLoop(ten *system.Tenant, who string, fill byte, window int) (*closedLoop, error) {
+	th, err := ten.Client.Thread(0)
+	if err != nil {
+		return nil, err
+	}
+	wbuf := make([]byte, 64)
+	for i := range wbuf {
+		wbuf[i] = fill
+	}
+	return &closedLoop{
+		th: th, who: who, window: window,
+		issue: func(i int, _ []byte) (core.ReqID, error) {
+			return th.AsyncWrite(0, wbuf, uint64(i%64)*64)
+		},
+	}, nil
 }
 
 // runNoisyNeighbor measures the victim's synchronous-op p99 alone, then
@@ -350,121 +270,75 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 			return NoisyNeighborResult{}, err
 		}
 	}
-
-	keeperStop := make(chan struct{})
-	defer close(keeperStop)
-	go func() {
-		for {
-			select {
-			case <-keeperStop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	victim, _ := f.Tenant(0)
-	vth, err := victim.Client.Thread(0)
-	if err != nil {
-		return NoisyNeighborResult{}, err
-	}
-	wbuf := make([]byte, 64)
-	for i := range wbuf {
-		wbuf[i] = 0x11
-	}
-	syncRun := func(ops int) ([]time.Duration, error) {
-		lats := make([]time.Duration, 0, ops)
-		for i := 0; i < ops; i++ {
-			t0 := time.Now()
-			id, err := vth.AsyncWrite(0, wbuf, uint64(i%64)*64)
-			if err != nil {
-				return nil, err
-			}
-			if !vth.WaitAll([]core.ReqID{id}, 30*time.Second) {
-				return nil, fmt.Errorf("victim op %d timed out", i)
-			}
-			lats = append(lats, time.Since(t0))
-		}
-		return lats, nil
-	}
-	p99 := func(lats []time.Duration) float64 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return float64(lats[int(0.99*float64(len(lats)-1))]) / 1e3
-	}
+	defer keepTimersFine()()
 
 	// Warm the path, then the isolated baseline.
-	if _, err := syncRun(32); err != nil {
-		return NoisyNeighborResult{}, err
-	}
-	baseLats, err := syncRun(victimOps)
+	victimTenant, _ := f.Tenant(0)
+	victim, err := noisyNeighborLoop(victimTenant, "victim", 0x11, 1)
 	if err != nil {
 		return NoisyNeighborResult{}, err
 	}
+	victim.warmup, victim.ops = 32, victimOps
+	if err := victim.run(nil); err != nil {
+		return NoisyNeighborResult{}, err
+	}
+	baseline := summarize(victim)
 
 	// Cap the aggressor and let it hammer with a deep window while the
-	// victim repeats its run.
-	if err := f.SetTenantQoS(1, spot.TenantQoS{RatePerSec: aggressorRate, Burst: 64}); err != nil {
+	// victim repeats its run. The aggressor goes round in burst-sized laps
+	// of the same loop until told to stop, and its achieved rate is taken
+	// over its own laps.
+	const aggressorBurst = 64
+	if err := f.SetTenantQoS(1, spot.TenantQoS{RatePerSec: aggressorRate, Burst: aggressorBurst}); err != nil {
 		return NoisyNeighborResult{}, err
 	}
-	aggressor, _ := f.Tenant(1)
-	ath, err := aggressor.Client.Thread(0)
+	aggressorTenant, _ := f.Tenant(1)
+	aggressor, err := noisyNeighborLoop(aggressorTenant, "aggressor", 0x22, 8)
 	if err != nil {
 		return NoisyNeighborResult{}, err
 	}
-	stop := make(chan struct{})
-	var aggDone int64
-	var aggWG sync.WaitGroup
+	aggressor.ops = aggressorBurst
+	var (
+		stop    = make(chan struct{})
+		aggWG   sync.WaitGroup
+		aggDone int
+		aggWall time.Duration
+		aggErr  error
+	)
 	aggWG.Add(1)
 	go func() {
 		defer aggWG.Done()
-		abuf := make([]byte, 64)
-		for i := range abuf {
-			abuf[i] = 0x22
-		}
-		var pending []core.ReqID
-		i := 0
+		start := time.Now()
 		for {
 			select {
 			case <-stop:
+				aggWall = time.Since(start)
 				return
 			default:
 			}
-			for len(pending) < 8 {
-				id, err := ath.AsyncWrite(0, abuf, uint64(i%64)*64)
-				if err != nil {
-					break
-				}
-				pending = append(pending, id)
-				i++
+			if aggErr = aggressor.run(nil); aggErr != nil {
+				return
 			}
-			kept := pending[:0]
-			for _, id := range pending {
-				if ath.Completed(id) {
-					aggDone++
-				} else {
-					kept = append(kept, id)
-				}
-			}
-			pending = kept
-			runtime.Gosched()
+			aggDone += aggressor.ops
 		}
 	}()
-	contStart := time.Now()
-	contLats, err := syncRun(victimOps)
-	contWall := time.Since(contStart)
+	victim.warmup = 0
+	err = victim.run(nil)
 	close(stop)
 	aggWG.Wait()
-	if err != nil {
+	if err = errors.Join(err, aggErr); err != nil {
 		return NoisyNeighborResult{}, err
 	}
+	contended := summarize(victim)
 
 	r := NoisyNeighborResult{
-		VictimOps:            victimOps,
-		AggressorRatePerSec:  aggressorRate,
-		BaselineP99Micros:    p99(baseLats),
-		ContendedP99Micros:   p99(contLats),
-		AggressorAchievedOps: float64(aggDone) / contWall.Seconds(),
+		VictimOps:           victimOps,
+		AggressorRatePerSec: aggressorRate,
+		BaselineP99Micros:   baseline.p99,
+		ContendedP99Micros:  contended.p99,
+	}
+	if aggWall > 0 {
+		r.AggressorAchievedOps = float64(aggDone) / aggWall.Seconds()
 	}
 	if r.BaselineP99Micros > 0 {
 		r.P99Ratio = r.ContendedP99Micros / r.BaselineP99Micros
@@ -475,8 +349,7 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 // MultiTenantReport is the document committed as
 // BENCH_multitenant_scale.json.
 type MultiTenantReport struct {
-	GOMAXPROCS          int                 `json:"gomaxprocs"`
-	NumCPU              int                 `json:"num_cpu"`
+	hostEnv
 	HostNote            string              `json:"host_note,omitempty"`
 	OpsPerTenant        int                 `json:"ops_per_tenant"`
 	ActiveTenants       int                 `json:"active_tenants"`
@@ -490,12 +363,11 @@ type MultiTenantReport struct {
 	NoisyNeighbor       NoisyNeighborResult `json:"noisy_neighbor"`
 }
 
-// RunMultiTenantReport runs the ladder up to maxTenants (0: the full
+// runMultiTenantReport runs the ladder up to maxTenants (0: the full
 // 64→4096 sweep) plus the noisy-neighbor scenario.
-func RunMultiTenantReport(opsPerTenant, maxTenants int) (MultiTenantReport, error) {
+func runMultiTenantReport(opsPerTenant, maxTenants int) (MultiTenantReport, error) {
 	r := MultiTenantReport{
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
+		hostEnv:       currentEnv(),
 		OpsPerTenant:  opsPerTenant,
 		ActiveTenants: multiTenantActive,
 		Window:        multiTenantWindow,
@@ -506,7 +378,7 @@ func RunMultiTenantReport(opsPerTenant, maxTenants int) (MultiTenantReport, erro
 	if r.NumCPU == 1 {
 		r.HostNote = "host exposes 1 CPU; every engine, memnode, and tenant shares it, so absolute ops/s is the single-core figure and the exhibit is the shape of the curve across rungs"
 	}
-	var prevP99 float64
+	var p99 []float64
 	for _, tenants := range MultiTenantRungs {
 		if maxTenants > 0 && tenants > maxTenants {
 			break
@@ -517,11 +389,9 @@ func RunMultiTenantReport(opsPerTenant, maxTenants int) (MultiTenantReport, erro
 		}
 		r.Points = append(r.Points, pt)
 		r.IsolationViolations += pt.IsolationViolations
-		if prevP99 > 0 && pt.P99Micros/prevP99 > r.AdjacentP99MaxRatio {
-			r.AdjacentP99MaxRatio = pt.P99Micros / prevP99
-		}
-		prevP99 = pt.P99Micros
+		p99 = append(p99, pt.P99Micros)
 	}
+	r.AdjacentP99MaxRatio = maxAdjacentRatio(p99)
 	// 4000 victim ops keep the contended window an order of magnitude longer
 	// than burst/rate (32 ms), so the aggressor's achieved rate measures its
 	// cap and not the one-off burst allowance amortized over a short run.
@@ -533,17 +403,31 @@ func RunMultiTenantReport(opsPerTenant, maxTenants int) (MultiTenantReport, erro
 	return r, nil
 }
 
-// WriteMultiTenantJSON runs the sweep and writes the report to path.
-func WriteMultiTenantJSON(path string, opsPerTenant, maxTenants int) error {
-	r, err := RunMultiTenantReport(opsPerTenant, maxTenants)
-	if err != nil {
-		return err
+// Check is the fleet gate: p99 may not more than double between adjacent
+// rungs, the physical audit may not find one foreign byte in any tenant
+// extent, and the QoS scenario must hold the victim's p99 within 2x its
+// isolated baseline with the aggressor inside 1.5x its configured rate.
+func (r MultiTenantReport) Check() error {
+	p99 := make([]float64, len(r.Points))
+	violations := 0
+	for i, p := range r.Points {
+		p99[i] = p.P99Micros
+		violations += p.IsolationViolations
 	}
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	nn := r.NoisyNeighbor
+	switch ratio := maxAdjacentRatio(p99); {
+	case ratio > 2:
+		return fmt.Errorf("multi-tenant: p99 grew %.2fx between adjacent rungs %v, limit 2x", ratio, p99)
+	case violations != 0:
+		return fmt.Errorf("multi-tenant: %d isolation violations", violations)
+	case nn.P99Ratio > 2:
+		return fmt.Errorf("multi-tenant: noisy neighbor moved victim p99 %.2fx (%.1f -> %.1f us), limit 2x",
+			nn.P99Ratio, nn.BaselineP99Micros, nn.ContendedP99Micros)
+	case nn.AggressorAchievedOps > 1.5*nn.AggressorRatePerSec:
+		return fmt.Errorf("multi-tenant: aggressor achieved %.0f ops/s against a %.0f/s cap, limit 1.5x",
+			nn.AggressorAchievedOps, nn.AggressorRatePerSec)
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return nil
 }
 
 // MultiTenantScaling is the registry exhibit: the first rungs of the sweep
@@ -557,34 +441,24 @@ func MultiTenantScaling() Experiment {
 		XLabel: "registered tenants (16 active)",
 		YLabel: "agg ops/s / us",
 	}
-	thr := Series{Label: "agg ops/s"}
-	p99 := Series{Label: "p99 (us)"}
-	ops := OpsPerThread / 8
-	if ops < 100 {
-		ops = 100
+	r, err := runMultiTenantReport(max(OpsPerThread/8, 100), 256)
+	if err != nil {
+		e.Notes = append(e.Notes, fmt.Sprintf("sweep failed: %v", err))
 	}
-	for _, tenants := range []int{64, 256} {
-		pt, err := runMultiTenantRung(tenants, ops)
-		if err != nil {
-			e.Notes = append(e.Notes, fmt.Sprintf("rung %d failed: %v", tenants, err))
-			continue
-		}
-		thr.X = append(thr.X, float64(tenants))
-		thr.Y = append(thr.Y, pt.AggOpsPerSec)
-		p99.X = append(p99.X, float64(tenants))
-		p99.Y = append(p99.Y, pt.P99Micros)
+	thr, p99 := Series{Label: "agg ops/s"}, Series{Label: "p99 (us)"}
+	for _, pt := range r.Points {
+		thr.X, thr.Y = append(thr.X, float64(pt.Tenants)), append(thr.Y, pt.AggOpsPerSec)
+		p99.X, p99.Y = append(p99.X, float64(pt.Tenants)), append(p99.Y, pt.P99Micros)
 		e.Notes = append(e.Notes, fmt.Sprintf(
 			"%d tenants / %d engines: %.0f ops/s, p99 %.1f us, %d isolation violations",
-			tenants, pt.Engines, pt.AggOpsPerSec, pt.P99Micros, pt.IsolationViolations))
+			pt.Tenants, pt.Engines, pt.AggOpsPerSec, pt.P99Micros, pt.IsolationViolations))
 	}
 	e.Series = []Series{thr, p99}
-	if nn, err := runNoisyNeighbor(400, 2000); err == nil {
+	if nn := r.NoisyNeighbor; nn.VictimOps > 0 {
 		e.Notes = append(e.Notes, fmt.Sprintf(
 			"noisy neighbor: victim p99 %.1f us alone, %.1f us contended (%.2fx); aggressor capped at %.0f/s achieved %.0f/s",
 			nn.BaselineP99Micros, nn.ContendedP99Micros, nn.P99Ratio,
 			nn.AggressorRatePerSec, nn.AggressorAchievedOps))
-	} else {
-		e.Notes = append(e.Notes, fmt.Sprintf("noisy neighbor failed: %v", err))
 	}
 	return e
 }

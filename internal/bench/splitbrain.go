@@ -2,14 +2,10 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"time"
 
-	"cowbird/internal/core"
 	"cowbird/internal/system"
 )
 
@@ -28,8 +24,7 @@ import (
 //     how fast repair rewrites divergent chunks, the background cost of the
 //     integrity tier.
 //
-// Results land in BENCH_split_brain.json via WriteFenceJSON /
-// cmd/cowbird-bench -fencejson.
+// Results land in BENCH_split_brain.json via cowbird-bench -sweep fence.
 
 // FencePoint is one fencing mode's measured best-of-N throughput.
 type FencePoint struct {
@@ -42,9 +37,8 @@ type FencePoint struct {
 
 // SplitBrainReport is the document committed as BENCH_split_brain.json.
 type SplitBrainReport struct {
+	hostEnv
 	GeneratedAt string `json:"generated_at"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
 	Workload    string `json:"workload"`
 
 	// Healthy-path fencing overhead, best-of-N interleaved reps.
@@ -78,8 +72,8 @@ type SplitBrainReport struct {
 
 const fenceReps = 5
 
-// fenceThroughput drives the chaos sweep's closed-loop 50/50 workload on a
-// fresh single-replica deployment with fencing on or off.
+// fenceThroughput measures mixedThroughput on a fresh single-replica
+// deployment with fencing on or off.
 func fenceThroughput(fenced bool, ops int) (float64, error) {
 	cfg := system.DefaultConfig()
 	cfg.Spot.ProbeInterval = 2 * time.Microsecond
@@ -89,49 +83,8 @@ func fenceThroughput(fenced bool, ops int) (float64, error) {
 		return 0, err
 	}
 	defer sys.Close()
-	th, err := sys.Client.Thread(0)
-	if err != nil {
-		return 0, err
-	}
-
-	const window = 16
-	g := th.PollCreate()
-	dests := make([][]byte, window)
-	for i := range dests {
-		dests[i] = make([]byte, 256)
-	}
-	wbuf := bytes.Repeat([]byte{0xF5}, 256)
-	inflight, issued := 0, 0
-	start := time.Now()
-	for issued < ops || inflight > 0 {
-		for inflight < window && issued < ops {
-			off := uint64(issued%1024) * 1024
-			var id core.ReqID
-			var ierr error
-			if issued%2 == 0 {
-				id, ierr = th.AsyncWrite(0, wbuf, off)
-			} else {
-				id, ierr = th.AsyncRead(0, off, dests[inflight])
-			}
-			if ierr != nil {
-				if inflight == 0 {
-					return 0, ierr
-				}
-				break // ring full; drain below frees space
-			}
-			if err := g.Add(id); err != nil {
-				return 0, err
-			}
-			issued++
-			inflight++
-		}
-		done, werr := g.WaitErr(window, 10*time.Second)
-		if werr != nil {
-			return 0, werr
-		}
-		inflight -= len(done)
-	}
-	return float64(ops) / time.Since(start).Seconds(), nil
+	sum, err := mixedThroughput(sys, ops, 0xF5)
+	return sum.opsPerSec, err
 }
 
 // zombieDetectTrial deploys a fenced system, lets it heartbeat, then plays
@@ -236,34 +189,30 @@ func (r *SplitBrainReport) scrubThroughput() error {
 	return nil
 }
 
-// RunSplitBrainReport runs the full sweep: interleaved fencing-overhead
+// runSplitBrainReport runs the full sweep: interleaved fencing-overhead
 // reps, zombie-detection trials, and the scrub pass.
-func RunSplitBrainReport(ops int) (*SplitBrainReport, error) {
-	r := &SplitBrainReport{
+func runSplitBrainReport(ops, _ int) (SplitBrainReport, error) {
+	r := SplitBrainReport{
+		hostEnv:     currentEnv(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
 		Workload:    "closed loop, 50/50 read:write, 256 B ops, window 16, single replica",
 		BudgetPct:   2,
 	}
-	modes := []struct {
-		name   string
-		fenced bool
-	}{{"unfenced", false}, {"fenced", true}}
+	// Reps alternate unfenced and fenced so slow drift in the host hits both
+	// modes equally; the peaks are the comparable quantity.
 	r.Fencing = []FencePoint{
 		{Mode: "unfenced", Ops: ops, Reps: fenceReps},
 		{Mode: "fenced", Ops: ops, Reps: fenceReps},
 	}
 	for rep := 0; rep < fenceReps; rep++ {
-		for i, m := range modes {
-			opsSec, err := fenceThroughput(m.fenced, ops)
+		for i := range r.Fencing {
+			pt := &r.Fencing[i]
+			opsSec, err := fenceThroughput(pt.Mode == "fenced", ops)
 			if err != nil {
-				return nil, fmt.Errorf("fence throughput %s rep %d: %w", m.name, rep, err)
+				return r, fmt.Errorf("fence throughput %s rep %d: %w", pt.Mode, rep, err)
 			}
-			r.Fencing[i].OpsPerSec = append(r.Fencing[i].OpsPerSec, opsSec)
-			if opsSec > r.Fencing[i].BestOpsSec {
-				r.Fencing[i].BestOpsSec = opsSec
-			}
+			pt.OpsPerSec = append(pt.OpsPerSec, opsSec)
+			pt.BestOpsSec = slices.Max(pt.OpsPerSec)
 		}
 	}
 	if off := r.Fencing[0].BestOpsSec; off > 0 {
@@ -275,34 +224,30 @@ func RunSplitBrainReport(ops int) (*SplitBrainReport, error) {
 	for i := 0; i < trials; i++ {
 		d, err := zombieDetectTrial()
 		if err != nil {
-			return nil, err
+			return r, err
 		}
 		r.ZombieDetectMicros = append(r.ZombieDetectMicros, float64(d.Nanoseconds())/1e3)
 	}
-	sorted := append([]float64(nil), r.ZombieDetectMicros...)
-	sort.Float64s(sorted)
-	r.ZombieDetectP50 = sorted[len(sorted)/2]
-	r.ZombieDetectMax = sorted[len(sorted)-1]
+	r.ZombieDetectP50, r.ZombieDetectMax = medianMax(r.ZombieDetectMicros)
 
 	if err := r.scrubThroughput(); err != nil {
-		return nil, err
+		return r, err
 	}
 	return r, nil
 }
 
-// WriteFenceJSON runs the sweep and writes the report to path.
-func WriteFenceJSON(path string, ops int) error {
-	r, err := RunSplitBrainReport(ops)
-	if err != nil {
-		return err
+// Check is the split-brain gate: healthy-path fencing overhead inside its
+// budget, the zombie demoted in bounded time, and one scrub pass repairing
+// exactly the corrupted chunks.
+func (r SplitBrainReport) Check() error {
+	switch {
+	case !r.WithinBudget:
+		return fmt.Errorf("split brain: fencing overhead %.2f%% exceeds the %.0f%% budget", r.OverheadPct, r.BudgetPct)
+	case len(r.ZombieDetectMicros) == 0 || r.ZombieDetectMax >= 1e6:
+		return fmt.Errorf("split brain: worst zombie demotion %.0f us over %d trials, want < 1 s",
+			r.ZombieDetectMax, len(r.ZombieDetectMicros))
+	case !r.ScrubDetectedExact:
+		return fmt.Errorf("split brain: scrub repaired %d chunks, %d were corrupted", r.RepairedChunks, r.CorruptChunks)
 	}
-	if !r.WithinBudget {
-		fmt.Fprintf(os.Stderr, "warning: fencing overhead %.2f%% exceeds the %.0f%% budget\n",
-			r.OverheadPct, r.BudgetPct)
-	}
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return nil
 }

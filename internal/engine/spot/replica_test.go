@@ -17,13 +17,25 @@ type repHarness struct {
 	eng    *Engine
 	client *core.Client
 	pools  []*memnode.Node
+	eMem   []*rdma.QP // engine→pool QPs, one per replica
 }
 
-// wireReplicated builds an engine with fast failure detection (sub-ms retry
-// exhaustion, scoped to its pool-facing QPs via SetRetryPolicy) serving one
-// instance backed by nreps pool replicas. Replicas beyond the first host
-// region 0 at a shifted base so the test exercises per-replica address
-// translation, not just QP fan-out.
+// detectFast scopes a sub-millisecond retry budget to the engine's
+// pool-facing QPs (SetRetryPolicy), so a crashed replica is declared dead
+// promptly. Only the tests that kill a replica call it: under the race
+// detector the scheduler alone can outlast 300 µs × 3 with zero drops, and a
+// test that never kills anything then loses a healthy replica.
+func (h *repHarness) detectFast() {
+	for _, qp := range h.eMem {
+		qp.SetRetryPolicy(300*time.Microsecond, 3)
+	}
+}
+
+// wireReplicated builds an engine serving one instance backed by nreps pool
+// replicas, its pool-facing QPs on a retry budget (2 s of unanswered
+// retransmissions) that no scheduler stall expires. Replicas beyond the
+// first host region 0 at a shifted base so the test exercises per-replica
+// address translation, not just QP fan-out.
 func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	t.Helper()
 	f := rdma.NewFabric()
@@ -68,9 +80,10 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn+100)
 		eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, psn+100)
 		mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, psn)
-		eMem.SetRetryPolicy(300*time.Microsecond, 3)
+		eMem.SetRetryPolicy(2*time.Millisecond, 1000)
 		reps = append(reps, PoolReplica{QP: eMem, Regions: []core.RegionInfo{region}})
 		h.pools = append(h.pools, pool)
+		h.eMem = append(h.eMem, eMem)
 	}
 
 	eComp := engNIC.CreateQP(eng.CQ(), unused, 9000)
@@ -133,6 +146,7 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
 	h := wireReplicated(t, 2, cfg)
+	h.detectFast()
 	th, _ := h.client.Thread(0)
 
 	data := bytes.Repeat([]byte{0xA7}, 512)
@@ -182,6 +196,7 @@ func TestIdlePrimaryDeathDetectedByHeartbeat(t *testing.T) {
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
 	h := wireReplicated(t, 2, cfg)
+	h.detectFast()
 	th, _ := h.client.Thread(0)
 
 	data := bytes.Repeat([]byte{0xD4}, 64)
@@ -223,6 +238,7 @@ func TestReplicatedOneWorker(t *testing.T) {
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
 	cfg.Workers = 1
 	h := wireReplicated(t, 2, cfg)
+	h.detectFast()
 	th, _ := h.client.Thread(0)
 
 	data := bytes.Repeat([]byte{0x66}, 256)

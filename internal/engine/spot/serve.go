@@ -97,22 +97,12 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 		if qos != nil {
 			qos.refund(quota)
 		}
-		if s.bat != nil {
-			s.bat.Next(0) // idle observation: decay the coalescing batch
-		}
 		return 0, nil
 	}
 
 	// Fetch the new metadata entries (head→tail), at most two RDMA reads
-	// when the ring wraps. The uncapped depth is the backlog signal for the
-	// adaptive response-batch controller: sustained backlog grows the Stage C
-	// coalescing limit, a drained ring lets it decay back toward 1.
-	backlog := int(green.MetaTail - q.red.MetaHead)
-	batchLimit := e.cfg.BatchSize
-	if s.bat != nil {
-		batchLimit = s.bat.Next(backlog)
-	}
-	count := min(backlog, limit)
+	// when the ring wraps.
+	count := min(int(green.MetaTail-q.red.MetaHead), limit)
 	if qos != nil {
 		count = min(count, quota)
 	}
@@ -207,7 +197,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 		if sampled {
 			t0 = time.Now()
 		}
-		if err := e.executeBatch(s, c, inst, q, s.ops[start:end], batchLimit); err != nil {
+		if err := e.executeBatch(s, c, inst, q, s.ops[start:end]); err != nil {
 			return err
 		}
 		if sampled {
@@ -330,11 +320,10 @@ func overlapsRead(batch []op, o op) bool {
 //	stage B: memnode writes, issued in entry order (the RC QP executes
 //	         them in order, preserving write-write ordering);
 //	stage C: read responses pushed to the compute node, coalescing
-//	         contiguous response-ring reservations up to limit entries per
-//	         RDMA write (§6 batching — limit is the static BatchSize or the
-//	         shard's adaptive controller's current size);
+//	         contiguous response-ring reservations up to BatchSize entries
+//	         per RDMA write (§6 batching);
 //	then the progress counters advance.
-func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, batch []op, limit int) error {
+func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, batch []op) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -489,7 +478,7 @@ func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, b
 			prev := s.run[len(s.run)-1]
 			contiguous := prev.entry.RespAddr+uint64(prev.entry.Length) == o.entry.RespAddr &&
 				prev.stageVA+uint64(prev.entry.Length) == o.stageVA
-			if !contiguous || len(s.run) >= limit {
+			if !contiguous || len(s.run) >= e.cfg.BatchSize {
 				if err := flushRun(); err != nil {
 					return err
 				}

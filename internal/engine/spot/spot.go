@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cowbird/internal/batch"
 	"cowbird/internal/core"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
@@ -88,16 +87,6 @@ type Config struct {
 	// engine's goroutine count stays bounded however many tenants register
 	// (the fleet runs Workers = 1).
 	Workers int
-	// AdaptiveBatch replaces the static BatchSize cap on response
-	// coalescing with a per-shard backlog-driven controller
-	// (internal/batch): the batch limit latches to the metadata-ring
-	// backlog while it stays fed — amortizing response doorbells, and
-	// draining a burst at full batch from the first round — and decays to 1
-	// once the queue drains, so a lone request is pushed the moment it
-	// completes. BatchSize is ignored while AdaptiveBatch is set; the
-	// controller ranges over [1, MaxEntriesPerRound], which the per-round
-	// entry cap already bounds to the staging arena and metadata ring.
-	AdaptiveBatch bool
 	// IdleSpinRounds and IdleYieldRounds shape the idle ladder of a worker
 	// that serves a single queue. A probe that finds no work is repeated at
 	// once for IdleSpinRounds passes (lowest wake-up latency, highest probe
@@ -173,12 +162,15 @@ type Stats struct {
 	HeartbeatWrites int64 // heartbeat-only red writes (idle lease renewals)
 	PoolHeartbeats  int64 // liveness READs issued to pool replicas
 	PoolFailovers   int64 // primary-replica rotations after a pool death
-	ReplicaWrites   int64 // extra WRITE mirrors beyond the first replica
-	ScrubPasses     int64 // completed full scrub passes
-	ScrubChunks     int64 // chunks checksum-compared across replicas
-	ScrubDivergent  int64 // chunks found (and confirmed) divergent
-	ScrubRepairs    int64 // divergent chunks rewritten from the primary
-	ReadRepairs     int64 // serve-path reads that repaired a divergent chunk
+	// ComputePathsDead counts queue sets this engine stopped serving because
+	// the QP it reaches their compute node through went to the error state.
+	ComputePathsDead int64
+	ReplicaWrites    int64 // extra WRITE mirrors beyond the first replica
+	ScrubPasses      int64 // completed full scrub passes
+	ScrubChunks      int64 // chunks checksum-compared across replicas
+	ScrubDivergent   int64 // chunks found (and confirmed) divergent
+	ScrubRepairs     int64 // divergent chunks rewritten from the primary
+	ReadRepairs      int64 // serve-path reads that repaired a divergent chunk
 }
 
 // WR ids carry the owning shard in the high bits so the demultiplexer can
@@ -213,11 +205,6 @@ type shard struct {
 	run     []op        // response-batch run under construction
 	cqeBuf  [64]rdma.CQE
 	timer   *time.Timer // waitAll's completion-wait timeout
-
-	// bat is the adaptive response-batch controller (Config.AdaptiveBatch);
-	// nil under the static BatchSize baseline. Owned by the shard's worker,
-	// like every other field here.
-	bat *batch.Controller
 
 	// rounds drives 1-in-N stage-timing sampling. Plain counter: only the
 	// owner touches it.
@@ -266,6 +253,12 @@ type slot struct {
 	// queues only pays RDMA rounds for the active ones.
 	idle      int
 	nextProbe time.Time // zero: due now
+	// dead is set once the slot's compute QP has failed a work request. An
+	// RC QP never leaves the error state, so nothing posted for this slot
+	// can succeed again: the worker stops probing it and stops renewing its
+	// lease (the client's lease monitor then reports core.ErrEngineDead).
+	// RemoveInstance + Adopt* over fresh QPs is the way back.
+	dead bool
 }
 
 // worker is one datapath goroutine: a shard and the slots it serves.
@@ -366,6 +359,8 @@ type Engine struct {
 	poolHeartbeats atomic.Int64
 	poolFailovers  atomic.Int64
 	replicaWrites  atomic.Int64
+	// computePathsDead counts slots retired for a dead compute QP.
+	computePathsDead atomic.Int64
 
 	started  atomic.Bool
 	stop     chan struct{}
@@ -654,9 +649,6 @@ func (e *Engine) takeShardLocked(cq *rdma.CQ) *shard {
 	} else {
 		old := e.shardList()
 		s = &shard{id: len(old), demuxCQ: rdma.NewCQ()}
-		if e.cfg.AdaptiveBatch {
-			s.bat = batch.New(1, e.cfg.MaxEntriesPerRound, 0)
-		}
 		s.arena = make([]byte, e.cfg.StagingBytes)
 		s.arenaVA = e.nextVA
 		e.nextVA += uint64(e.cfg.StagingBytes)
@@ -907,8 +899,8 @@ func (e *Engine) markReplicaDead(inst *instance, idx int) {
 // notePoolFailure classifies a serve-round error: if it is a WR failure on
 // one of the pool QPs of c (or of the instance's shared conn — heartbeats
 // post there), the corresponding replica is declared dead and the primary
-// rotated. Compute-QP failures and timeouts are left to the existing
-// retry-at-probe-pace behavior.
+// rotated. A compute-QP failure is the caller's to classify
+// (computePathDead); timeouts retry at probe pace.
 func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 	var wf *wrFailure
 	if !errors.As(err, &wf) {
@@ -1023,6 +1015,7 @@ func (e *Engine) Stats() Stats {
 	}
 	st.PoolHeartbeats = e.poolHeartbeats.Load()
 	st.PoolFailovers = e.poolFailovers.Load()
+	st.ComputePathsDead = e.computePathsDead.Load()
 	st.ReplicaWrites = e.replicaWrites.Load()
 	st.ScrubPasses = e.scrubPasses.Load()
 	st.ScrubChunks = e.scrubChunks.Load()
@@ -1055,6 +1048,7 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("cowbird_spot_heartbeat_writes", field(func(c *shardCounters) int64 { return c.hbWrites.Load() }))
 	reg.Gauge("cowbird_spot_pool_heartbeats", e.poolHeartbeats.Load)
 	reg.Gauge("cowbird_spot_pool_failovers", e.poolFailovers.Load)
+	reg.Gauge("cowbird_spot_compute_paths_dead", e.computePathsDead.Load)
 	reg.Gauge("cowbird_spot_replica_writes", e.replicaWrites.Load)
 	reg.Gauge("cowbird_spot_scrub_passes", e.scrubPasses.Load)
 	reg.Gauge("cowbird_spot_scrub_chunks", e.scrubChunks.Load)
@@ -1240,6 +1234,9 @@ func (e *Engine) workerLoop(w *worker) {
 		climbing := 0 // misses of the slot still inside its budget, if any
 		wake := now.Add(max(e.cfg.ProbeInterval, e.cfg.IdleQueueProbeInterval))
 		for _, sl := range slots {
+			if sl.dead {
+				continue
+			}
 			limit := e.cfg.MaxEntriesPerRound
 			if qos := sl.inst.qos.Load(); qos != nil && len(slots) > 1 {
 				sl.deficit = min(sl.deficit+qos.quantum, 8*qos.quantum)
@@ -1257,10 +1254,14 @@ func (e *Engine) workerLoop(w *worker) {
 					// the abandoned round against the survivor (idempotently —
 					// progress was never published for it). A fenced NAK
 					// instead demotes this engine terminally (notePoolFailure
-					// classifies both). Anything else (peer gone, timeout)
-					// retries at probe pace; the fabric-level Go-Back-N already
-					// absorbed transient loss.
+					// classifies both). A failure of the slot's own compute QP
+					// retires the slot. Anything else (timeout) retries at
+					// probe pace; the fabric-level Go-Back-N already absorbed
+					// transient loss.
 					e.notePoolFailure(sl.inst, sl.conn, err)
+					if e.computePathDead(sl, err) {
+						continue
+					}
 					sl.idle, sl.nextProbe = 0, now.Add(e.cfg.ProbeInterval)
 				case n > 0:
 					worked = true
@@ -1282,6 +1283,7 @@ func (e *Engine) workerLoop(w *worker) {
 					s.stats.hbWrites.Add(1)
 				} else {
 					e.notePoolFailure(sl.inst, sl.conn, rerr)
+					e.computePathDead(sl, rerr)
 				}
 			}
 		}
@@ -1296,6 +1298,21 @@ func (e *Engine) workerLoop(w *worker) {
 			}
 		}
 	}
+}
+
+// computePathDead retires sl if err says its compute QP is in the error
+// state: a post refused by the QP (pool-QP posts never surface that bare,
+// failedPost wraps them) or a failed completion carrying the QP's number —
+// other than a fencing NAK, which deposes the whole engine instead
+// (notePoolFailure). It reports whether the slot is dead.
+func (e *Engine) computePathDead(sl *slot, err error) bool {
+	var wf *wrFailure
+	if errors.Is(err, rdma.ErrQPError) || errors.Is(err, rdma.ErrNotConnected) ||
+		errors.As(err, &wf) && wf.qpn == sl.conn.computeQP.QPN() && wf.st != rdma.StatusFenced {
+		sl.dead = true
+		e.computePathsDead.Add(1)
+	}
+	return sl.dead
 }
 
 // probePacing returns how long a slot waits for its next probe after its

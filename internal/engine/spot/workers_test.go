@@ -189,6 +189,90 @@ func TestFailingSlotDoesNotStarveWorker(t *testing.T) {
 	}
 }
 
+// TestDeadComputeQPRetiresSlot is the regression test for the silent spin: a
+// compute-side QP that exhausts its retries is errored for good, and the
+// worker used to re-probe that slot at ProbeInterval forever, every post
+// refused, nothing served and nothing reported. Two instances share the one
+// worker; instance 0's compute QP is given a retry budget a brief outage
+// exhausts. The slot must be retired and counted, the peer served throughout,
+// the engine must go quiet on the dead QP even though the node is back, and
+// re-adopting the instance over fresh QPs must serve it again — including the
+// write it had queued when the path died.
+func TestDeadComputeQPRetiresSlot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ProbeInterval = 2 * time.Microsecond
+	cfg.IdleQueueProbeInterval = 20 * time.Millisecond // an idle live slot backs off to ~50 probes/s
+	cfg.Workers = 1
+	h := wireSharedPool(t, cfg, 2)
+	h.eComp[0].SetRetryPolicy(200*time.Microsecond, 2)
+	h.eng.Run()
+	sick, _ := h.clients[0].Thread(0)
+	well, _ := h.clients[1].Thread(0)
+	if err := sick.WriteSync(0, []byte("before"), 0, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	h.computes[0].SetDead(true)
+	queued, err := sick.AsyncWrite(0, []byte("queued"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5E}, 64)
+	dest := make([]byte, len(data))
+	for deadline := time.Now().Add(10 * time.Second); h.eng.Stats().ComputePathsDead == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("dead compute QP never reported")
+		}
+		if err := well.WriteSync(0, data, 4096, 10*time.Second); err != nil {
+			t.Fatalf("peer write next to the dying slot: %v", err)
+		}
+	}
+	h.computes[0].SetDead(false) // the node is back; its QP is not
+
+	// Let the peer's idle backoff saturate, then watch the probe counter: the
+	// retired slot contributes nothing, the idle peer a handful. The old loop
+	// added a refused probe per pass — tens of thousands a second.
+	time.Sleep(100 * time.Millisecond)
+	p0 := h.eng.Stats().Probes
+	time.Sleep(100 * time.Millisecond)
+	if dp := h.eng.Stats().Probes - p0; dp > 20 {
+		t.Fatalf("%d probes in 100 ms with one slot dead and the other idle", dp)
+	}
+	if err := well.ReadSync(0, 4096, dest, 10*time.Second); err != nil || !bytes.Equal(dest, data) {
+		t.Fatalf("peer read after the slot died: %q, %v", dest, err)
+	}
+	if n := h.eng.Stats().ComputePathsDead; n != 1 {
+		t.Fatalf("ComputePathsDead = %d, want 1", n)
+	}
+	if sick.Completed(queued) {
+		t.Fatal("op completed over a dead compute QP")
+	}
+
+	// Recovery is migration onto itself: drop the instance, adopt it over a
+	// fresh compute QP (its pool QP never failed).
+	if !h.eng.RemoveInstance(0) {
+		t.Fatal("instance 0 not registered")
+	}
+	engNIC, compute := h.eng.NIC(), h.computes[0]
+	eComp := engNIC.CreateQP(h.eng.CQ(), rdma.NewCQ(), 50_000)
+	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 50_100)
+	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 50_100)
+	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 50_000)
+	if err := h.eng.AdoptInstance(h.clients[0].Describe(0), eComp, h.eMem[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !sick.WaitAll([]core.ReqID{queued}, 10*time.Second) {
+		t.Fatal("queued write not served after re-adoption")
+	}
+	got := make([]byte, 6)
+	if err := sick.ReadSync(0, 0, got, 10*time.Second); err != nil || string(got) != "queued" {
+		t.Fatalf("re-adopted instance read %q, %v", got, err)
+	}
+	if n := h.eng.Stats().ComputePathsDead; n != 1 {
+		t.Fatalf("ComputePathsDead = %d after recovery, want 1", n)
+	}
+}
+
 // TestShardReuseAcrossMigrations is the regression test for the shard leak:
 // on a Workers: 0 engine every adopted queue set gets a dedicated worker and
 // every removal retires one, and the NIC cannot deregister an MR — so the

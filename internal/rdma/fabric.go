@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cowbird/internal/batch"
 	"cowbird/internal/container"
 	"cowbird/internal/wire"
 )
@@ -39,17 +38,6 @@ type Device interface {
 // devices are always left to the garbage collector.
 type nonRetaining interface {
 	nonRetainingInput()
-}
-
-// inboxBatcher lets a device choose the batch policy of its inbox delivery
-// goroutine (see inbox.run): max is the most frames drained per lock
-// acquisition (non-positive selects the legacy defaultInboxBatch), and
-// adaptive selects the backlog-driven controller (internal/batch) that
-// ranges the drain limit over [1, max] instead of pinning it at max. Same
-// unexported-marker pattern as nonRetaining; devices that don't implement
-// it get the legacy fixed batch.
-type inboxBatcher interface {
-	inboxBatchPolicy() (max int, adaptive bool)
 }
 
 // Interposer sits on the fabric's forwarding path — the role of the
@@ -359,18 +347,11 @@ type inbox struct {
 	cond       *sync.Cond
 	flows      map[uint32]*inboxFlow
 	active     container.Ring[*inboxFlow] // flows with queued frames, RR order
-	depth      int                        // total queued frames across flows
 	waiting    bool                       // consumer is parked in cond.Wait; Signal only then
 	closed     bool
 	dev        Device
 	pool       *framePool
 	recyclable bool
-
-	// maxBatch bounds frames drained per lock acquisition; bat, when
-	// non-nil, adapts the drain limit to the observed queue depth (owned by
-	// the delivery goroutine, which is the only caller of Next).
-	maxBatch int
-	bat      *batch.Controller
 }
 
 // inboxFlow is one destination QP's FIFO within an inbox. queued marks
@@ -412,12 +393,12 @@ func flowKey(frame []byte) uint32 {
 	return binary.BigEndian.Uint32(frame[bth+4:bth+8]) & 0x00ffffff
 }
 
-// defaultInboxBatch is how many queued frames the delivery goroutine drains
-// per lock acquisition when the device doesn't choose its own policy
-// (inboxBatcher). Batching amortizes the mutex and condvar traffic under
+// inboxBatch is how many queued frames the delivery goroutine drains per
+// lock acquisition. Batching amortizes the mutex and condvar traffic under
 // load without adding latency: the consumer only batches what is already
-// queued.
-const defaultInboxBatch = 32
+// queued, and delivers it in order, so a smaller limit would add lock round
+// trips without shortening any frame's wait.
+const inboxBatch = 32
 
 func newInbox(d Device, pool *framePool) *inbox {
 	_, recyclable := d.(nonRetaining)
@@ -425,17 +406,7 @@ func newInbox(d Device, pool *framePool) *inbox {
 		dev:        d,
 		pool:       pool,
 		recyclable: recyclable,
-		maxBatch:   defaultInboxBatch,
 		flows:      make(map[uint32]*inboxFlow),
-	}
-	if p, ok := d.(inboxBatcher); ok {
-		max, adaptive := p.inboxBatchPolicy()
-		if max > 0 {
-			ib.maxBatch = max
-		}
-		if adaptive {
-			ib.bat = batch.New(1, ib.maxBatch, 0)
-		}
 	}
 	ib.cond = sync.NewCond(&ib.mu)
 	return ib
@@ -455,7 +426,6 @@ func (ib *inbox) put(frame []byte, latency time.Duration, recycle bool) {
 			ib.flows[key] = fl
 		}
 		fl.frames.Push(inboxItem{frame: frame, due: due, recycle: recycle})
-		ib.depth++
 		if !fl.queued {
 			fl.queued = true
 			ib.active.Push(fl)
@@ -479,13 +449,10 @@ func (ib *inbox) close() {
 func (ib *inbox) pending() bool { return ib.active.Len() > 0 }
 
 func (ib *inbox) run() {
-	buf := make([]inboxItem, ib.maxBatch)
+	var buf [inboxBatch]inboxItem
 	for {
 		ib.mu.Lock()
 		for !ib.pending() && !ib.closed {
-			if ib.bat != nil {
-				ib.bat.Next(0) // about to park: an idle round decays the limit
-			}
 			ib.waiting = true
 			ib.cond.Wait()
 			ib.waiting = false
@@ -494,23 +461,13 @@ func (ib *inbox) run() {
 			ib.mu.Unlock()
 			return
 		}
-		limit := ib.maxBatch
-		if ib.bat != nil {
-			// The queue depth at drain time is the backlog signal: sustained
-			// depth grows the per-acquisition drain toward maxBatch, a mostly
-			// empty inbox shrinks it back so a trickle of frames never waits
-			// on batch assembly. Next is integer-only, so holding the lock
-			// through it costs nothing measurable.
-			limit = ib.bat.Next(ib.depth)
-		}
 		// One frame per active flow per turn: a burst on one QP contributes
 		// one frame per round while every waiting peer's head frame departs
 		// in the same round.
 		n := 0
-		for n < limit && ib.active.Len() > 0 {
+		for n < inboxBatch && ib.active.Len() > 0 {
 			fl := ib.active.Pop()
 			buf[n] = fl.frames.Pop()
-			ib.depth--
 			n++
 			if fl.frames.Len() > 0 {
 				ib.active.Push(fl)

@@ -18,17 +18,6 @@ type Config struct {
 	RetransmitTimeout time.Duration
 	// MaxRetries bounds consecutive timeouts before a WR fails.
 	MaxRetries int
-	// InboxBatch bounds how many queued frames the NIC's fabric inbox
-	// delivery goroutine drains per lock acquisition. Zero keeps the legacy
-	// fixed batch of 32.
-	InboxBatch int
-	// AdaptiveInboxBatch replaces the fixed inbox drain batch with a
-	// backlog-driven controller (internal/batch) ranging over [1,
-	// InboxBatch]: the drain limit latches to the queued-frame backlog
-	// while frames keep arriving faster than they deliver and decays
-	// back to 1 when the inbox runs near-empty. Off by default — the fixed batch is the measured
-	// baseline.
-	AdaptiveInboxBatch bool
 }
 
 // DefaultConfig returns the paper-faithful defaults.
@@ -124,10 +113,6 @@ func (n *NIC) MAC() wire.MAC { return n.mac }
 // nonRetainingInput marks the NIC's frames as recyclable: Input copies any
 // payload bytes it keeps (into registered MRs) before returning.
 func (n *NIC) nonRetainingInput() {}
-
-// inboxBatchPolicy hands the NIC's Config.InboxBatch/AdaptiveInboxBatch
-// knobs to its fabric inbox (the inboxBatcher marker interface).
-func (n *NIC) inboxBatchPolicy() (int, bool) { return n.cfg.InboxBatch, n.cfg.AdaptiveInboxBatch }
 
 // IP returns the NIC's IPv4 address.
 func (n *NIC) IP() wire.IPv4Addr { return n.ip }

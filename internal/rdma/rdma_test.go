@@ -778,14 +778,20 @@ func TestReadPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCQE(t, p.cliCQ, 1, time.Second)
-	p.fabric.SetTap(nil)
+	// Removing the tap does not stop a delivery that already loaded the
+	// snapshot carrying it, so quiesce both NICs before touching the buffer:
+	// their Close returns once every in-flight handler, and with it every
+	// Capture, has finished. Frames takes the tap's lock, which orders those
+	// writes before the read below.
+	quiesce(p)
+	captured := tap.Frames()
 
 	records, err := ReadPcap(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(records)) != tap.Frames() {
-		t.Fatalf("read %d records, captured %d", len(records), tap.Frames())
+	if int64(len(records)) != captured {
+		t.Fatalf("read %d records, captured %d", len(records), captured)
 	}
 	var pkt wire.Packet
 	sawWrite, sawAck := false, false

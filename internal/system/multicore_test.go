@@ -52,8 +52,6 @@ func runMulticoreStress(t *testing.T, workers, churn int) {
 		c.Threads = threads
 		c.Telemetry = tel
 		c.Spot.Workers = workers
-		c.Spot.AdaptiveBatch = true // the controller must hold up under stress too
-		c.NIC.AdaptiveInboxBatch = true
 	})
 
 	// Deterministic loss: every 67th frame disappears. Go-Back-N recovers;

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/memnode"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
@@ -179,7 +180,7 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 			time.Sleep(20 * time.Millisecond) // let the main workload get going
 
 			regClient, regInst, regNIC := sideInstance(1, 1)
-			if err := WireSpotInstance(s.Spot, regInst, regNIC, s.Pool.NIC()); err != nil {
+			if err := WireSpotInstanceReplicated(s.Spot, regInst, regNIC, []*memnode.Node{s.Pool}, 0, 0); err != nil {
 				return fmt.Errorf("register: %w", err)
 			}
 			th, err := regClient.Thread(0)

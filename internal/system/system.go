@@ -235,32 +235,12 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// WireSpotInstance performs the Setup handshake between a Spot engine and a
-// compute/pool pair: it creates the engine-side QPs, the passive QPs on the
-// compute and pool NICs, exchanges PSNs, and registers the instance.
-func WireSpotInstance(eng *spot.Engine, inst *core.Instance, compute, pool *rdma.NIC) error {
-	unusedCQ := rdma.NewCQ()
-
-	// Engine <-> compute node.
-	eCompQP := eng.NIC().CreateQP(eng.CQ(), unusedCQ, 1000)
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	eCompQP.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 2000)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eCompQP.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, 1000)
-
-	// Engine <-> memory pool.
-	eMemQP := eng.NIC().CreateQP(eng.CQ(), unusedCQ, 3000)
-	mQP := pool.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
-	eMemQP.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.MAC(), IP: pool.IP()}, 4000)
-	mQP.Connect(rdma.RemoteEndpoint{QPN: eMemQP.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, 3000)
-
-	eng.AddInstance(inst, eCompQP, eMemQP)
-	return nil
-}
-
-// WireSpotInstanceReplicated is WireSpotInstance for an instance backed by
-// one or more pool replicas (priority order; pools[0] is the primary). Each
-// replica gets its own engine-side QP, and its own region descriptors are
-// handed to the engine for per-replica address translation. poolRTO and
+// WireSpotInstanceReplicated performs the Setup handshake between a Spot
+// engine and a compute node backed by one or more pool replicas (priority
+// order; pools[0] is the primary): it creates the engine-side QPs and the
+// passive QPs on the compute and pool NICs, exchanges PSNs, and registers
+// the instance. Each replica gets its own engine-side QP, and its own region
+// descriptors are handed to the engine for per-replica address translation. poolRTO and
 // poolMaxRetries, when nonzero, install a per-QP Go-Back-N override on the
 // engine→pool QPs (see Config.PoolRetransmitTimeout).
 //
