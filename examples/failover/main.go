@@ -54,39 +54,35 @@ func main() {
 	ecfg.ProbeInterval = 5 * time.Microsecond
 	ecfg.HeartbeatInterval = *heartbeat
 
-	// wire connects an engine to the compute node and pool on a fresh QP
-	// pair — done for the standby at startup, so promotion is a local call.
-	wireEngine := func(eng *spot.Engine, nicName wire.MAC, ip wire.IPv4Addr, basePSN uint32) (*rdma.QP, *rdma.QP) {
-		unused := rdma.NewCQ()
-		eComp := eng.NIC().CreateQP(eng.CQ(), unused, basePSN)
-		cQP := computeNIC.CreateQP(rdma.NewCQ(), rdma.NewCQ(), basePSN+1)
-		eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: computeNIC.MAC(), IP: computeNIC.IP()}, basePSN+1)
-		cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: nicName, IP: ip}, basePSN)
-		eMem := eng.NIC().CreateQP(eng.CQ(), unused, basePSN+2)
-		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), basePSN+3)
-		eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, basePSN+3)
-		mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: nicName, IP: ip}, basePSN+2)
-		return eComp, eMem
+	// attach hands the instance to an engine (or to its standby wrapper) over
+	// fresh QPs to the compute node and the pool — done for the standby at
+	// startup, so promotion is a local call.
+	inst := client.Describe(1)
+	attach := func(eng *spot.Engine, basePSN uint32, register func(spot.Registration) error) {
+		eComp, _ := rdma.ConnectPair(eng.NIC(), eng.CQ(), basePSN, computeNIC, basePSN+1)
+		eMem, _ := rdma.ConnectPair(eng.NIC(), eng.CQ(), basePSN+2, pool.NIC(), basePSN+3)
+		err := register(spot.Registration{
+			Instance:  inst,
+			ComputeQP: eComp,
+			Pools:     []spot.PoolReplica{{QP: eMem, Regions: inst.Regions}},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 
-	primaryMAC, primaryIP := wire.MAC{2, 0, 0, 0, 0, 3}, wire.IPv4Addr{10, 0, 0, 3}
-	primaryNIC := rdma.NewNIC(fabric, primaryMAC, primaryIP, rdma.DefaultConfig())
+	primaryNIC := rdma.NewNIC(fabric, wire.MAC{2, 0, 0, 0, 0, 3}, wire.IPv4Addr{10, 0, 0, 3}, rdma.DefaultConfig())
 	defer primaryNIC.Close()
 	primary := spot.New(primaryNIC, ecfg)
-	pComp, pMem := wireEngine(primary, primaryMAC, primaryIP, 1000)
-	primary.AddInstance(client.Describe(1), pComp, pMem)
+	attach(primary, 1000, primary.Register)
 	primary.Run()
 	defer primary.Stop()
 
-	standbyMAC, standbyIP := wire.MAC{2, 0, 0, 0, 0, 4}, wire.IPv4Addr{10, 0, 0, 4}
-	standbyNIC := rdma.NewNIC(fabric, standbyMAC, standbyIP, rdma.DefaultConfig())
+	standbyNIC := rdma.NewNIC(fabric, wire.MAC{2, 0, 0, 0, 0, 4}, wire.IPv4Addr{10, 0, 0, 4}, rdma.DefaultConfig())
 	defer standbyNIC.Close()
 	standbyEng := spot.New(standbyNIC, ecfg)
-	sComp, sMem := wireEngine(standbyEng, standbyMAC, standbyIP, 2000)
 	standby := ha.NewStandby(standbyEng)
-	if err := standby.Register(client.Describe(1), sComp, sMem); err != nil {
-		log.Fatal(err)
-	}
+	attach(standbyEng, 2000, standby.Register)
 	defer standbyEng.Stop()
 
 	var died, promoted time.Time

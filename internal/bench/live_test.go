@@ -190,7 +190,9 @@ func TestReportGates(t *testing.T) {
 		{"chaos degraded dead", chaos(func(r *ChaosRecoveryReport) { r.Throughput[2].OpsPerSec = 0 }), "replicas2_degraded served nothing"},
 		{"chaos point missing", chaos(func(r *ChaosRecoveryReport) { r.Throughput = r.Throughput[:2] }), "2 throughput points"},
 		{"fence ok", fence(func(*SplitBrainReport) {}), ""},
-		{"fence over budget", fence(func(r *SplitBrainReport) { r.OverheadPct, r.WithinBudget = 3.4, false }), "3.40% exceeds the 2% budget"},
+		{"fence over budget unresolved", fence(func(r *SplitBrainReport) { r.OverheadPct, r.WithinBudget = 3.4, false }), ""},
+		{"fence over budget resolved", fence(func(r *SplitBrainReport) { r.OverheadPct, r.WithinBudget, r.Resolved = 3.4, false, true }), "3.40% exceeds the 2% budget"},
+		{"fence resolved within budget", fence(func(r *SplitBrainReport) { r.OverheadPct, r.Resolved = 1.1, true }), ""},
 		{"fence zombie lingers", fence(func(r *SplitBrainReport) { r.ZombieDetectMax = 1.5e6 }), "worst zombie demotion 1500000 us"},
 		{"fence scrub inexact", fence(func(r *SplitBrainReport) { r.RepairedChunks, r.ScrubDetectedExact = 15, false }), "repaired 15 chunks, 16 were corrupted"},
 	} {

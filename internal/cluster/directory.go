@@ -20,7 +20,8 @@ type Extent struct {
 // region ids. Placement is deterministic (tenant hash picks the starting
 // node, stripes round-robin from there) so a tenant with more than one
 // stripe always spans more than one memnode when the fleet has them.
-// Not safe for concurrent use; the fleet serializes access.
+// Not safe for concurrent use; the fleet calls it from its single control
+// goroutine.
 type Directory struct {
 	memnodes []int
 	nextID   map[int]uint16 // per-memnode next node-local region id

@@ -6,7 +6,7 @@
 // serve loop uses to keep a noisy tenant from starving peers.
 //
 // The package is pure policy: it knows nothing about QPs, rings, or frames.
-// internal/system/fleet.go turns its decisions into wiring, and
+// internal/system turns its decisions into wiring, and
 // internal/engine/spot enforces its QoS numbers inside the serve loop.
 package cluster
 
@@ -34,8 +34,8 @@ type point struct {
 // Ring is a consistent-hash ring over integer member ids (engine indices).
 // Each member contributes vnodes virtual points, so load spreads evenly and
 // membership changes move only ~1/n of the keyspace. Not safe for
-// concurrent mutation; the fleet serializes membership changes and lookups
-// race-free behind its own lock.
+// concurrent use, and the fleet adds no lock: its control plane (membership
+// changes and lookups alike) runs on a single goroutine.
 type Ring struct {
 	vnodes  int
 	points  []point

@@ -317,7 +317,8 @@ func TestUDPDeployment(t *testing.T) {
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: PoolMAC, IP: PoolIP}, 4000)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: EngineMAC, IP: EngineIP}, 5000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: EngineMAC, IP: EngineIP}, 6000)
-	eng.AddInstance(client.Describe(0), eComp, eMem)
+	in := client.Describe(0)
+	must(eng.Register(spot.Registration{Instance: in, ComputeQP: eComp, Pools: []spot.PoolReplica{{QP: eMem, Regions: in.Regions}}}))
 	eng.Run()
 	t.Cleanup(eng.Stop)
 

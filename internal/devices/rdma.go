@@ -73,10 +73,7 @@ func (d *RDMADevice) Session(threadID int) kv.DeviceSession {
 	d.mu.Unlock()
 
 	cq := rdma.NewCQ()
-	lQP := d.local.CreateQP(cq, rdma.NewCQ(), localPSN)
-	pQP := d.pool.CreateQP(rdma.NewCQ(), rdma.NewCQ(), poolPSN)
-	lQP.Connect(rdma.RemoteEndpoint{QPN: pQP.QPN(), MAC: d.pool.MAC(), IP: d.pool.IP()}, poolPSN)
-	pQP.Connect(rdma.RemoteEndpoint{QPN: lQP.QPN(), MAC: d.local.MAC(), IP: d.local.IP()}, localPSN)
+	lQP, _ := rdma.ConnectPair(d.local, cq, localPSN, d.pool, poolPSN)
 
 	arena := make([]byte, d.slotSize*d.numSlots)
 	d.local.RegisterMR(va, arena)

@@ -3,18 +3,19 @@ package spot
 import (
 	"fmt"
 
-	"cowbird/internal/core"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 )
 
-// AdoptInstance registers a compute/pool pair previously served by another
-// (now presumed-dead) engine: the takeover path of internal/ha. Instead of
-// starting from zeroed pointers as AddInstance does, it reconstructs the
-// engine-side state by reading the durable red bookkeeping block back from
-// the compute node — one RDMA read per queue. The engine is pure soft state
-// (§4.2: all durable bookkeeping lives in compute-node memory), so that
-// single read per queue recovers exactly where the dead engine stopped.
+// readRedBlocks is the adoption half of Register: for an instance previously
+// served by another engine — presumed dead (the takeover path of
+// internal/ha) or quiesced by RemoveInstance (the fleet's migration) — it
+// reconstructs the engine-side state by reading the durable red bookkeeping
+// block back from the compute node, one RDMA read per queue. The engine is
+// pure soft state (§4.2: all durable bookkeeping lives in compute-node
+// memory), so that single read per queue recovers exactly where the previous
+// engine stopped. Replica death is soft state too and is re-detected by the
+// first failed round or heartbeat against a dead pool.
 //
 // Exactly-once replay. The red block (heads, per-type progress counters,
 // heartbeat) is only ever updated in a single RDMA write, so the durable
@@ -22,7 +23,7 @@ import (
 // replay on duplicate" idiom internal/rdma uses for atomics, applied at the
 // protocol level. Entries below the durable MetaHead have had their effects
 // published and are never re-executed. Entries at or above it may have been
-// partially executed by the dead engine, but their completions never
+// partially executed by the previous engine, but their completions never
 // landed; re-executing them is safe because
 //
 //   - write payloads are still pinned in the request data ring (the client
@@ -34,30 +35,12 @@ import (
 //     ordering — and the read-after-write conflict splits derived from it —
 //     is preserved across the failover boundary.
 //
-// The adoption reads run on the control goroutine, on the control shard,
-// under the stop-the-world barrier (quiesceWorkers holds every worker's
-// round lock), so adoption never interleaves with a serve round even on a
-// running engine. A dedicated worker spawned by a concurrent registration
-// after the barrier's snapshot serves an unrelated queue, so it cannot
-// observe the instance being reconstructed here.
-func (e *Engine) AdoptInstance(in *core.Instance, computeQP, memQP *rdma.QP) error {
-	return e.AdoptInstanceReplicated(in, computeQP, []PoolReplica{{QP: memQP, Regions: in.Regions}})
-}
-
-// AdoptInstanceReplicated is AdoptInstance for an instance whose regions are
-// backed by multiple pool replicas (see AddInstanceWired): the takeover
-// engine gets its own QP to every replica and the same priority order the
-// dead engine used, so mirroring and failover state carry across the
-// takeover. Replica death is soft state and is re-detected by the new
-// engine's first failed round or heartbeat against a dead pool.
-func (e *Engine) AdoptInstanceReplicated(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica) error {
-	return e.register(registration{in: in, computeQP: computeQP, reps: reps, adopt: true})
-}
-
-// readRedBlocks reconstructs every queue's engine-side state from its
-// durable red block. lastRed stays zero: the first heartbeat check writes
-// immediately, announcing the takeover to the compute node's lease monitor.
-// Runs on the control goroutine inside the quiesce barrier.
+// lastRed stays zero: the first heartbeat check writes immediately,
+// announcing the takeover to the compute node's lease monitor. Runs on the
+// control goroutine, on the control shard, inside the quiesce barrier (every
+// worker's round lock held). A dedicated worker spawned by a concurrent
+// registration after the barrier's snapshot serves an unrelated queue, so it
+// cannot observe the instance being reconstructed here.
 func (e *Engine) readRedBlocks(inst *instance) error {
 	for _, q := range inst.queues {
 		ar := arenaAlloc{s: e.ctl}

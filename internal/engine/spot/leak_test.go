@@ -83,7 +83,9 @@ func runCycle(t *testing.T, cycle int) {
 	mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 3000)
-	eng.AddInstance(client.Describe(0), eComp, eMem)
+	if err := eng.Register(onePool(client.Describe(0), eComp, eMem)); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 
 	th, _ := client.Thread(0)

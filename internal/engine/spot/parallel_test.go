@@ -44,7 +44,9 @@ func wireInstanceLayout(t *testing.T, f *rdma.Fabric, eng *Engine, i, threads in
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(3000+i*100))
 
-	eng.AddInstance(client.Describe(i), eComp, eMem)
+	if err := eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
+		t.Fatal(err)
+	}
 	return client, pool
 }
 
@@ -210,10 +212,10 @@ func TestConcurrentQueuesUnderLoss(t *testing.T) {
 	}
 }
 
-// TestAddInstanceWhileRunning checks that a queue registered after Run gets
+// TestRegisterWhileRunning checks that a queue registered after Run gets
 // a live worker: a Workers: 0 engine spawns dedicated workers dynamically
 // rather than snapshotting its instance list at startup.
-func TestAddInstanceWhileRunning(t *testing.T) {
+func TestRegisterWhileRunning(t *testing.T) {
 	f := rdma.NewFabric()
 	t.Cleanup(f.Close)
 	engNIC := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 4}, wire.IPv4Addr{10, 7, 0, 4}, rdma.DefaultConfig())

@@ -91,7 +91,7 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 9100)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 9000)
 
-	if err := eng.AddInstanceWired(client.Describe(0), eComp, reps, nil); err != nil {
+	if err := eng.Register(Registration{Instance: client.Describe(0), ComputeQP: eComp, Pools: reps}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

@@ -99,7 +99,7 @@ type Config struct {
 	IdleSpinRounds  int
 	IdleYieldRounds int
 	// PoolHeartbeatInterval paces the liveness READs the engine issues to
-	// every pool replica of a replicated instance (AddInstanceReplicated):
+	// every pool replica of a mirrored instance (Registration.Pools):
 	// an 8-byte READ of the first region, piggybacked on the serving loop.
 	// A heartbeat that exhausts its Go-Back-N retries marks the replica
 	// dead — the detection path for an idle primary, whose death would
@@ -224,10 +224,10 @@ type shardCounters struct {
 // compute-node QP and one pool QP per replica of the instance (same order
 // as instance.replicas). A slot normally carries the one instance-wide
 // conn, whose completions arrive via the demultiplexer; a dedicated worker
-// of an AddInstanceWired instance gets the queue's private QPs, whose send
-// CQ is the worker shard's own CQ, so the full request lifecycle — post,
-// completion, harvest — runs on the worker goroutine with no
-// cross-goroutine handoff and no per-QP lock sharing between shards.
+// of an instance registered with QueueEndpoints gets the queue's private
+// QPs, whose send CQ is the worker shard's own CQ, so the full request
+// lifecycle — post, completion, harvest — runs on the worker goroutine with
+// no cross-goroutine handoff and no per-QP lock sharing between shards.
 type conn struct {
 	computeQP *rdma.QP
 	pools     []*rdma.QP
@@ -257,7 +257,7 @@ type slot struct {
 	// RC QP never leaves the error state, so nothing posted for this slot
 	// can succeed again: the worker stops probing it and stops renewing its
 	// lease (the client's lease monitor then reports core.ErrEngineDead).
-	// RemoveInstance + Adopt* over fresh QPs is the way back.
+	// RemoveInstance + an adopting Register over fresh QPs is the way back.
 	dead bool
 }
 
@@ -336,8 +336,8 @@ type Engine struct {
 	fencedCh   chan struct{}
 	fencedOnce sync.Once
 	// The engine's current fencing epoch (SetFenceEpoch), kept so QPs wired
-	// into the engine after the stamp — a later AddInstance, an adoption —
-	// inherit it instead of presenting epoch 0 to already-fenced targets.
+	// into the engine after the stamp — every later Register — inherit it
+	// instead of presenting epoch 0 to already-fenced targets.
 	fenceEpoch atomic.Uint32
 
 	// Replica scrubber state: a dedicated shard (lazily created — scrub
@@ -404,7 +404,7 @@ type instance struct {
 
 	// homes, when non-nil, composes the instance's address space from
 	// several memnodes instead of mirroring it: homes[regionID] lists the
-	// replica indices hosting that region (AddInstancePlaced). READs go to
+	// replica indices hosting that region (Registration.Homes). READs go to
 	// the region's first live home, WRITEs to all of its homes; the
 	// mirror-everything invariants (scrub, read-repair, cross-replica
 	// failover) do not apply. Immutable after construction.
@@ -503,9 +503,9 @@ type replica struct {
 	dead    atomic.Bool
 }
 
-// PoolReplica describes one pool node backing an instance, for
-// AddInstanceReplicated: the engine-side QP connected to that node and the
-// node's own descriptors for every region of the instance.
+// PoolReplica describes one pool node backing an instance: the engine-side
+// QP connected to that node and the node's own descriptors for the regions
+// of the instance it hosts.
 type PoolReplica struct {
 	QP      *rdma.QP
 	Regions []core.RegionInfo
@@ -529,7 +529,7 @@ type queueState struct {
 	lastRed time.Time // when the red block (and thus the lease) last renewed
 }
 
-// New creates an idle engine on nic. Call AddInstance, then Run. The
+// New creates an idle engine on nic. Call Register, then Run. The
 // completion demultiplexer starts immediately so that adoption reads on a
 // not-yet-Run standby engine complete; Stop shuts it down.
 func New(nic *rdma.NIC, cfg Config) *Engine {
@@ -715,101 +715,104 @@ func (e *Engine) CQ() *rdma.CQ { return e.cq }
 // NIC returns the engine's NIC.
 func (e *Engine) NIC() *rdma.NIC { return e.nic }
 
-// AddInstance registers a compute/memory node pair. computeQP and memQP
-// must be connected QPs on the engine's NIC whose send CQ is e.CQ(). Its
-// queue sets are served from the worker's next pass on (workers start
-// immediately if the engine is already running, so instances can be added
-// live).
-func (e *Engine) AddInstance(in *core.Instance, computeQP, memQP *rdma.QP) {
-	err := e.register(registration{in: in, computeQP: computeQP, reps: []PoolReplica{{QP: memQP, Regions: in.Regions}}})
-	if err != nil {
-		panic(err) // unreachable: without homes, endpoints or adoption nothing can fail
-	}
-}
-
-// QueueEndpoints carries one queue set's dedicated datapath QPs for
-// AddInstanceWired. SendCQ must be the send completion queue of ComputeQP
-// and of every pool QP — it becomes the queue worker's private CQ, so the
-// worker harvests its own completions directly instead of receiving them
-// from the shared-CQ demultiplexer. Pools holds one connected QP per pool
-// replica of the instance, in the same priority order as the
-// AddInstanceWired reps argument.
+// QueueEndpoints carries one queue set's dedicated datapath QPs. SendCQ must
+// be the send completion queue of ComputeQP and of every pool QP — it
+// becomes the queue worker's private CQ, so the worker harvests its own
+// completions directly instead of receiving them from the shared-CQ
+// demultiplexer. Pools holds one connected QP per entry of
+// Registration.Pools, in the same order.
 type QueueEndpoints struct {
 	SendCQ    *rdma.CQ
 	ComputeQP *rdma.QP
 	Pools     []*rdma.QP
 }
 
-// AddInstanceWired registers an instance whose regions are backed by one
-// pool node per entry of reps, in priority order: reps[0] starts as the
-// primary. Every replica must host a copy of every region in in.Regions
-// (same id and size; base and rkey may differ per node). The engine mirrors
-// every WRITE to all live replicas before publishing progress and serves
-// READs from the primary, failing over to the next live replica when the
-// primary dies — detected by Go-Back-N retry exhaustion on a data op or on
-// a paced heartbeat READ (Config.PoolHeartbeatInterval).
-//
-// computeQP and reps are the instance-wide QPs (adoption reads, shared
-// workers, scrub). A non-nil queues additionally brings each queue set its
-// own QPs (one to the compute node, one per pool replica), making a
-// dedicated worker's request lifecycle run to completion on its own
-// goroutine: post on private QPs, complete into the private CQ, harvest
-// locally — no demultiplexer hop and no per-QP lock shared with another
-// shard. queues must then have one entry per queue of in, each with exactly
-// one pool QP per entry of reps. A pinned worker (Config.Workers > 0) is
-// not dedicated to any one queue: it accepts the wiring but serves through
-// the instance-wide QPs.
-func (e *Engine) AddInstanceWired(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, queues []QueueEndpoints) error {
-	return e.register(registration{in: in, computeQP: computeQP, reps: reps, queues: queues})
+// Registration is the engine's half of Phase I Setup for one compute node:
+// the instance, the connected QPs on this engine's NIC that reach it and its
+// pool nodes, and how its address space is laid out over those nodes.
+type Registration struct {
+	Instance *core.Instance
+	// ComputeQP and Pools[i].QP are the instance-wide QPs (adoption reads,
+	// shared workers, scrub); their send CQ must be e.CQ().
+	ComputeQP *rdma.QP
+	// Pools lists the pool nodes backing the instance. With Homes nil they
+	// are mirrors in priority order, Pools[0] the first primary: every one
+	// must host a copy of every region of the instance (same id and size;
+	// base and rkey may differ per node), every WRITE goes to all live
+	// replicas before progress is published, and READs are served from the
+	// primary, failing over to the next live replica when it dies — detected
+	// by Go-Back-N retry exhaustion on a data op or on a paced heartbeat READ
+	// (Config.PoolHeartbeatInterval).
+	Pools []PoolReplica
+	// Queues, when non-nil, brings every queue set its own QPs (one to the
+	// compute node, one per entry of Pools), making a dedicated worker's
+	// request lifecycle run to completion on its own goroutine: post on
+	// private QPs, complete into the private CQ, harvest locally — no
+	// demultiplexer hop and no per-QP lock shared with another shard. One
+	// entry per queue of Instance. A pinned worker (Config.Workers > 0) is
+	// not dedicated to any one queue: the engine accepts the endpoints but
+	// serves through the instance-wide QPs.
+	Queues []QueueEndpoints
+	// Homes, when non-nil, composes the address space from the pool nodes
+	// instead of mirroring it across them: Homes[regionID] names the indices
+	// into Pools hosting that region (the fleet directory's placement). READs
+	// and WRITEs of a region go only to its homes; there is no cross-node
+	// mirroring, scrub or read-repair, heartbeat failover still marks dead
+	// nodes.
+	Homes [][]int
+	// Adopt rebuilds the queue state from the durable red blocks instead of
+	// starting from zeroed pointers: the HA takeover and the fleet's
+	// queue-set migration (see readRedBlocks for why the replay is
+	// exactly-once). The adoption reads run on the control goroutine, on the
+	// control shard, under the stop-the-world barrier, so adoption never
+	// interleaves with a serve round even on a running engine.
+	Adopt bool
 }
 
-// registration is everything the Add*/Adopt* entry points can ask of
-// register.
-type registration struct {
-	in        *core.Instance
-	computeQP *rdma.QP
-	reps      []PoolReplica
-	queues    []QueueEndpoints // non-nil: dedicated per-queue QPs (AddInstanceWired)
-	homes     [][]int          // non-nil: composed address space (AddInstancePlaced), validated
-	adopt     bool             // rebuild queue state from the durable red blocks
-}
-
-// register builds the instance and hands it to the control goroutine,
-// which — for an adoption, inside the stop-the-world barrier — reads the red
-// blocks back, publishes the new instance-table snapshot and gives every
-// queue set a slot on a worker.
-func (e *Engine) register(r registration) error {
-	if r.queues != nil {
-		if len(r.queues) != len(r.in.Queues) {
-			return fmt.Errorf("spot: AddInstanceWired: %d queue endpoints for %d queues", len(r.queues), len(r.in.Queues))
+// Register validates r, builds the instance and hands it to the control
+// goroutine, which — for an adoption, inside the stop-the-world barrier —
+// reads the red blocks back, publishes the new instance-table snapshot and
+// gives every queue set a slot on a worker. The queue sets are served from
+// their worker's next pass on (workers start at once if the engine is
+// already running, so instances can be registered live). Nothing is
+// registered when an error is returned.
+func (e *Engine) Register(r Registration) error {
+	if r.Queues != nil {
+		if len(r.Queues) != len(r.Instance.Queues) {
+			return fmt.Errorf("spot: register: %d queue endpoints for %d queues", len(r.Queues), len(r.Instance.Queues))
 		}
-		for i, qe := range r.queues {
-			if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(r.reps) {
-				return fmt.Errorf("spot: AddInstanceWired: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(r.reps))
+		for i, qe := range r.Queues {
+			if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(r.Pools) {
+				return fmt.Errorf("spot: register: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(r.Pools))
 			}
 		}
 	}
-	if r.adopt && e.preempted.Load() {
+	if r.Homes != nil {
+		if err := validateHomes(r.Instance, r.Pools, r.Homes); err != nil {
+			return err
+		}
+	}
+	if r.Adopt && e.preempted.Load() {
 		return ErrPreempted
 	}
-	inst := &instance{info: r.in, regions: core.NewRegionTable(r.in.Regions), shared: conn{computeQP: r.computeQP}, homes: r.homes}
-	for i, pr := range r.reps {
+	inst := &instance{info: r.Instance, regions: core.NewRegionTable(r.Instance.Regions), shared: conn{computeQP: r.ComputeQP}, homes: r.Homes}
+	for i, pr := range r.Pools {
 		inst.replicas = append(inst.replicas, &replica{regions: core.NewRegionTable(pr.Regions)})
 		inst.shared.pools = append(inst.shared.pools, pr.QP)
 		inst.allTargets = append(inst.allTargets, i)
 	}
-	for _, qi := range r.in.Queues {
+	for _, qi := range r.Instance.Queues {
 		inst.queues = append(inst.queues, &queueState{qi: qi})
 	}
 	// QPs wired after a SetFenceEpoch inherit the engine's epoch, or their
 	// first write would NAK against the already-raised floors.
 	e.stampConn(inst.shared)
-	for _, qe := range r.queues {
+	for _, qe := range r.Queues {
 		e.stampConn(conn{computeQP: qe.ComputeQP, pools: qe.Pools})
 	}
 	var err error
 	e.runCtl(func() {
-		if r.adopt {
+		if r.Adopt {
 			// No serve round may interleave with the reconstruction, and the
 			// slots must not be served before every red block is read back.
 			defer e.quiesceWorkers()()
@@ -821,17 +824,17 @@ func (e *Engine) register(r registration) error {
 		e.insts.Store(&instSnap{instances: append(slices.Clip(old), inst)})
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		e.placeLocked(inst, r.queues)
+		e.placeLocked(inst, r.Queues)
 	})
 	return err
 }
 
 // placeLocked gives every queue set of inst a slot on a worker. With pinned
 // workers it is the least-loaded one, served through the instance-wide
-// conn. Otherwise the slot gets a dedicated new worker, which — for an
-// AddInstanceWired instance — serves it through the queue's own QPs with
-// their send CQ as the shard's completion queue. Caller holds e.mu, on the
-// control goroutine.
+// conn. Otherwise the slot gets a dedicated new worker, which — given
+// QueueEndpoints — serves it through the queue's own QPs with their send CQ
+// as the shard's completion queue. Caller holds e.mu, on the control
+// goroutine.
 func (e *Engine) placeLocked(inst *instance, eps []QueueEndpoints) {
 	for i, q := range inst.queues {
 		sl := &slot{inst: inst, q: q, conn: inst.shared}

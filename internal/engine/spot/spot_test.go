@@ -30,6 +30,12 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	e.Stop() // idempotent
 }
 
+// onePool is the Registration of an instance backed by a single pool node
+// that hosts every region.
+func onePool(in *core.Instance, computeQP, memQP *rdma.QP) Registration {
+	return Registration{Instance: in, ComputeQP: computeQP, Pools: []PoolReplica{{QP: memQP, Regions: in.Regions}}}
+}
+
 // wireInstance builds one compute/pool pair served by eng.
 func wireInstance(t *testing.T, f *rdma.Fabric, eng *Engine, i int) (*core.Client, *memnode.Node) {
 	t.Helper()
@@ -62,7 +68,9 @@ func wireInstance(t *testing.T, f *rdma.Fabric, eng *Engine, i int) (*core.Clien
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(3000+i*100))
 
-	eng.AddInstance(client.Describe(i), eComp, eMem)
+	if err := eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
+		t.Fatal(err)
+	}
 	return client, pool
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"cowbird/internal/cluster"
 	"cowbird/internal/core"
-	"cowbird/internal/rdma"
 )
 
 // TenantQoS bounds one instance's (tenant's) share of the engine.
@@ -95,9 +94,9 @@ func (e *Engine) SetTenantQoS(instanceID int, q TenantQoS) bool {
 	return false
 }
 
-// validateHomes checks a composed-address-space layout against the
-// instance's regions and replicas: every region must have at least one home
-// and every home must actually host the region.
+// validateHomes checks a composed-address-space layout (Registration.Homes)
+// against the instance's regions and replicas: every region must have at
+// least one home and every home must actually host the region.
 func validateHomes(in *core.Instance, reps []PoolReplica, homes [][]int) error {
 	for _, reg := range in.Regions {
 		if int(reg.ID) >= len(homes) {
@@ -126,39 +125,11 @@ func validateHomes(in *core.Instance, reps []PoolReplica, homes [][]int) error {
 	return nil
 }
 
-// AddInstancePlaced registers an instance whose client-facing address space
-// is composed from several memnodes instead of mirrored across them: reps
-// lists the engine-side QP and region descriptors of each memnode, and
-// homes[regionID] names the replica indices hosting that region (the fleet
-// directory's placement). READs and WRITEs of a region go only to its
-// homes; there is no cross-node mirroring, heartbeat failover still marks
-// dead nodes. Unlisted combinations — a region absent from its home's
-// descriptor set — are rejected up front.
-func (e *Engine) AddInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, homes [][]int) error {
-	if err := validateHomes(in, reps, homes); err != nil {
-		return err
-	}
-	return e.register(registration{in: in, computeQP: computeQP, reps: reps, homes: homes})
-}
-
-// AdoptInstancePlaced is AdoptInstanceReplicated for a composed
-// (fleet-placed) instance: the queue-set migration primitive. The new
-// engine reconstructs queue state from the durable red blocks exactly as a
-// takeover does — the red block's single-write update discipline makes the
-// replay exactly-once across the migration boundary — and serves the
-// tenant's regions at the same memnode homes the directory assigned.
-func (e *Engine) AdoptInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, homes [][]int) error {
-	if err := validateHomes(in, reps, homes); err != nil {
-		return err
-	}
-	return e.register(registration{in: in, computeQP: computeQP, reps: reps, homes: homes, adopt: true})
-}
-
 // RemoveInstance unregisters the instance with the given ID, quiescing the
 // datapath so no serve round is mid-flight on it and retiring its slots.
 // It is the release half of a live queue-set migration: once it returns, no
 // further RDMA of this engine touches the tenant's rings or regions, so the
-// target engine's AdoptInstancePlaced reads a stable red block and replays
+// target engine's adopting Register reads a stable red block and replays
 // exactly-once from there. Returns whether the instance was found.
 func (e *Engine) RemoveInstance(instanceID int) bool {
 	found := false

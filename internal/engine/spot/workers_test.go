@@ -64,7 +64,9 @@ func wireSharedPool(t *testing.T, cfg Config, instances int) *sharedPoolHarness 
 		h.clients = append(h.clients, client)
 		h.eComp = append(h.eComp, eComp)
 		h.eMem = append(h.eMem, eMem)
-		h.eng.AddInstance(client.Describe(i), eComp, eMem)
+		if err := h.eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return h
 }
@@ -258,7 +260,9 @@ func TestDeadComputeQPRetiresSlot(t *testing.T) {
 	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 50_100)
 	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 50_100)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 50_000)
-	if err := h.eng.AdoptInstance(h.clients[0].Describe(0), eComp, h.eMem[0]); err != nil {
+	adopt := onePool(h.clients[0].Describe(0), eComp, h.eMem[0])
+	adopt.Adopt = true
+	if err := h.eng.Register(adopt); err != nil {
 		t.Fatal(err)
 	}
 	if !sick.WaitAll([]core.ReqID{queued}, 10*time.Second) {
@@ -290,11 +294,13 @@ func TestShardReuseAcrossMigrations(t *testing.T) {
 	shards := len(h.eng.shardList())
 	key0 := nic.RegisterMR(0x6000_0000, make([]byte, 8)).RKey
 	const cycles = 200
+	adopt := onePool(h.clients[1].Describe(1), h.eComp[1], h.eMem[1])
+	adopt.Adopt = true
 	for c := 0; c < cycles; c++ {
 		if !h.eng.RemoveInstance(1) {
 			t.Fatalf("cycle %d: instance 1 not registered", c)
 		}
-		if err := h.eng.AdoptInstance(h.clients[1].Describe(1), h.eComp[1], h.eMem[1]); err != nil {
+		if err := h.eng.Register(adopt); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
 		if c%20 == 0 { // the reused shard serves

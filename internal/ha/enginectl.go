@@ -87,12 +87,17 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 		eMem.Connect(rdma.RemoteEndpoint{
 			QPN: req.Pool.QPN, MAC: req.Pool.MAC, IP: req.Pool.IP,
 		}, req.Pool.FirstPSN)
+		reg := spot.Registration{
+			Instance:  req.Instance,
+			ComputeQP: eComp,
+			Pools:     []spot.PoolReplica{{QP: eMem, Regions: req.Instance.Regions}},
+		}
+		register := ec.eng.Register
 		if ec.standby != nil {
-			if err := ec.standby.Register(req.Instance, eComp, eMem); err != nil {
-				return ctl.Response{Err: err.Error()}
-			}
-		} else {
-			ec.eng.AddInstance(req.Instance, eComp, eMem)
+			register = ec.standby.Register
+		}
+		if err := register(reg); err != nil {
+			return ctl.Response{Err: err.Error()}
 		}
 		return ctl.Response{
 			EngineToCompute: &ctl.QPEndpoint{QPN: eComp.QPN(), MAC: ec.mac, IP: ec.ip, FirstPSN: compPSN},

@@ -113,12 +113,12 @@ func buildFencedRig(t *testing.T) *fencedRig {
 
 	pComp := connect(primary, computeNIC, 1000, 1100)
 	pComp.SetRetryPolicy(time.Millisecond, 30_000)
-	if err := primary.AddInstanceWired(client.Describe(1), pComp, pReps, nil); err != nil {
+	if err := primary.Register(spot.Registration{Instance: client.Describe(1), ComputeQP: pComp, Pools: pReps}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(primary.Stop)
 
-	if err := st.RegisterReplicated(client.Describe(1), connect(standbyEng, computeNIC, 2000, 2100), sReps); err != nil {
+	if err := st.Register(spot.Registration{Instance: client.Describe(1), ComputeQP: connect(standbyEng, computeNIC, 2000, 2100), Pools: sReps}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(standbyEng.Stop)

@@ -20,8 +20,8 @@
 //     lease timeout the engine is declared dead.
 //   - Standby (standby.go): the takeover protocol. A standby engine holds
 //     pre-wired QPs; on promotion it reads the durable red state over RDMA
-//     (spot.Engine.AdoptInstance) and resumes serving. Exactly-once replay
-//     follows from red-block atomicity — see AdoptInstance's comment.
+//     (spot.Registration.Adopt) and resumes serving. Exactly-once replay
+//     follows from red-block atomicity — see the spot engine's readRedBlocks.
 //   - EngineControl (enginectl.go): the control-plane handler that lets
 //     cmd/cowbird-engine run as either the active engine or a promotable
 //     standby in multi-process deployments.

@@ -84,13 +84,19 @@ func buildRig(t *testing.T, ecfg spot.Config, mcfg MonitorConfig, autoPromote bo
 
 	primary := spot.New(primaryNIC, ecfg)
 	pComp, pMem := wirePair(primary, computeNIC, pool, 1000)
-	primary.AddInstance(client.Describe(1), pComp, pMem)
+	onePool := func(computeQP, memQP *rdma.QP) spot.Registration {
+		in := client.Describe(1)
+		return spot.Registration{Instance: in, ComputeQP: computeQP, Pools: []spot.PoolReplica{{QP: memQP, Regions: in.Regions}}}
+	}
+	if err := primary.Register(onePool(pComp, pMem)); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(primary.Stop)
 
 	standbyEng := spot.New(standbyNIC, ecfg)
 	sComp, sMem := wirePair(standbyEng, computeNIC, pool, 2000)
 	st := NewStandby(standbyEng)
-	if err := st.Register(client.Describe(1), sComp, sMem); err != nil {
+	if err := st.Register(onePool(sComp, sMem)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(standbyEng.Stop)
@@ -213,7 +219,7 @@ func TestPromoteIdempotent(t *testing.T) {
 	if !r.standby.Promoted() {
 		t.Fatal("Promoted() false after Promote")
 	}
-	if err := r.standby.Register(nil, nil, nil); err == nil {
+	if err := r.standby.Register(spot.Registration{}); err == nil {
 		t.Fatal("Register after promotion succeeded")
 	}
 }

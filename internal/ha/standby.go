@@ -7,7 +7,6 @@ import (
 
 	"cowbird/internal/core"
 	"cowbird/internal/engine/spot"
-	"cowbird/internal/rdma"
 )
 
 // Fencer is one party whose fencing epoch a promoted standby must bump
@@ -30,18 +29,11 @@ type Standby struct {
 	eng *spot.Engine
 
 	mu        sync.Mutex
-	pending   []pendingInstance
+	pending   []spot.Registration
 	fencers   []Fencer
 	epoch     uint16
 	promoted  bool
 	promotErr error
-}
-
-type pendingInstance struct {
-	inst      *core.Instance
-	computeQP *rdma.QP
-	memQP     *rdma.QP           // single-pool registration (Register)
-	reps      []spot.PoolReplica // replicated registration (RegisterReplicated)
 }
 
 // NewStandby wraps eng, which must be created (spot.New) but not yet
@@ -53,31 +45,20 @@ func NewStandby(eng *spot.Engine) *Standby {
 // Engine returns the wrapped engine (for stats and Stop).
 func (s *Standby) Engine() *spot.Engine { return s.eng }
 
-// Register records an instance the standby will adopt on promotion. The
-// QPs must be connected QPs on the standby engine's NIC using its CQ —
-// wired at registration time, before any failure, so promotion needs no
-// control-plane round trips.
-func (s *Standby) Register(inst *core.Instance, computeQP, memQP *rdma.QP) error {
+// Register records an instance the standby will adopt on promotion: the
+// same value the active engine was given, over the standby's own QPs —
+// connected QPs on its NIC using its CQ, one to every pool replica in the
+// active engine's priority order so mirroring survives the takeover. They
+// are wired now, before any failure, so promotion needs no control-plane
+// round trips. r.Adopt is implied.
+func (s *Standby) Register(r spot.Registration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted {
 		return fmt.Errorf("ha: standby already promoted")
 	}
-	s.pending = append(s.pending, pendingInstance{inst: inst, computeQP: computeQP, memQP: memQP})
-	return nil
-}
-
-// RegisterReplicated is Register for an instance whose regions are backed
-// by multiple pool replicas: the standby holds its own warm QP to every
-// replica, in the same priority order the active engine uses, so mirroring
-// survives the takeover.
-func (s *Standby) RegisterReplicated(inst *core.Instance, computeQP *rdma.QP, reps []spot.PoolReplica) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.promoted {
-		return fmt.Errorf("ha: standby already promoted")
-	}
-	s.pending = append(s.pending, pendingInstance{inst: inst, computeQP: computeQP, reps: reps})
+	r.Adopt = true
+	s.pending = append(s.pending, r)
 	return nil
 }
 
@@ -107,12 +88,13 @@ func (s *Standby) Epoch() uint16 {
 
 // Promote performs the takeover: it first fences the old primary out (see
 // below), then for every registered instance reconstructs the engine-side
-// state from the durable red bookkeeping block (spot.Engine.AdoptInstance —
-// one RDMA read per queue, executed on the engine's control shard behind
-// its adoption barrier, so it is also safe on an engine that is already
-// serving other instances) and then starts the engine, which spawns a
-// worker per adopted queue set, resumes execution at the recovered
-// MetaHead, and immediately re-announces liveness via heartbeat writes.
+// state from the durable red bookkeeping block (an adopting
+// spot.Engine.Register — one RDMA read per queue, executed on the engine's
+// control shard behind its adoption barrier, so it is also safe on an engine
+// that is already serving other instances) and then starts the engine,
+// which spawns a worker per adopted queue set, resumes execution at the
+// recovered MetaHead, and immediately re-announces liveness via heartbeat
+// writes.
 //
 // Fencing (when fencers are registered): the new epoch is one past the
 // highest epoch any reachable fencer reports, and every fencer's floor is
@@ -142,14 +124,8 @@ func (s *Standby) Promote() error {
 			return s.promotErr
 		}
 	}
-	for _, p := range s.pending {
-		var err error
-		if p.reps != nil {
-			err = s.eng.AdoptInstanceReplicated(p.inst, p.computeQP, p.reps)
-		} else {
-			err = s.eng.AdoptInstance(p.inst, p.computeQP, p.memQP)
-		}
-		if err != nil {
+	for _, r := range s.pending {
+		if err := s.eng.Register(r); err != nil {
 			s.promotErr = fmt.Errorf("ha: promote: %w", err)
 			return s.promotErr
 		}
@@ -158,8 +134,9 @@ func (s *Standby) Promote() error {
 	return nil
 }
 
-// fenceLocked bumps the fencing epoch at every fencer and stamps it on the
-// standby's own QPs. Caller holds s.mu.
+// fenceLocked bumps the fencing epoch at every fencer and sets it on the
+// engine, whose Register then stamps it on every pending QP. Caller holds
+// s.mu.
 func (s *Standby) fenceLocked() error {
 	epoch := uint16(0)
 	for _, f := range s.fencers {
@@ -174,21 +151,6 @@ func (s *Standby) fenceLocked() error {
 				return fmt.Errorf("ha: promote: superseded by a newer epoch: %w", err)
 			}
 			continue // unreachable fencer: accepts writes from no one; dead on first contact
-		}
-	}
-	// Stamp the epoch on the pending QPs directly — they are not registered
-	// with the engine until adoption, so SetFenceEpoch alone would miss them.
-	for _, p := range s.pending {
-		if p.computeQP != nil {
-			p.computeQP.SetFenceEpoch(epoch)
-		}
-		if p.memQP != nil {
-			p.memQP.SetFenceEpoch(epoch)
-		}
-		for _, r := range p.reps {
-			if r.QP != nil {
-				r.QP.SetFenceEpoch(epoch)
-			}
 		}
 	}
 	s.eng.SetFenceEpoch(epoch)

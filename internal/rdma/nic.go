@@ -225,6 +225,20 @@ func (n *NIC) CreateQP(sendCQ, recvCQ *CQ, firstPSN uint32) *QP {
 	return q
 }
 
+// ConnectPair is the in-process form of the Setup PSN exchange: it creates
+// a QP on a whose sends complete into aSendCQ and a passive QP on b, tells
+// each the other's endpoint and first PSN, and returns both connected.
+// Neither side posts receives, so the remaining CQs are private throwaways.
+// Deployments whose peers learn each other's endpoint over a control
+// channel connect each side on its own (CreateQP, then QP.Connect).
+func ConnectPair(a *NIC, aSendCQ *CQ, aPSN uint32, b *NIC, bPSN uint32) (aQP, bQP *QP) {
+	aQP = a.CreateQP(aSendCQ, NewCQ(), aPSN)
+	bQP = b.CreateQP(NewCQ(), NewCQ(), bPSN)
+	aQP.Connect(RemoteEndpoint{QPN: bQP.QPN(), MAC: b.mac, IP: b.ip}, bPSN)
+	bQP.Connect(RemoteEndpoint{QPN: aQP.QPN(), MAC: a.mac, IP: a.ip}, aPSN)
+	return aQP, bQP
+}
+
 // Input implements Device: parse and dispatch one frame. The inbox calls it
 // from a single goroutine, so the decode target is reused across frames; the
 // destination QP is resolved in the published snapshot and handled under

@@ -13,99 +13,46 @@ import (
 	"cowbird/internal/wire"
 )
 
-// Fleet assembles a multi-tenant deployment: a fleet of one-worker Spot
-// engines, a pool of memnodes composing one remote address space, and many
-// tenant compute nodes sharing them. Placement is policy from
-// internal/cluster — a consistent-hash ring assigns each tenant's queue
-// sets to an engine, and the region directory stripes each tenant's
-// address space across memnodes — and this file is the mechanism: it turns
-// ring and directory decisions into QP wiring, region allocation, and
-// engine registration calls.
-//
-// The fleet deliberately reuses the single-tenant machinery one level
-// down. Engines are ordinary spot.Engines with Workers = 1 (one goroutine
-// serving all resident tenants round-robin, with per-tenant token buckets
-// and deficit-round-robin interleaving — spot.TenantQoS). Tenants are
-// ordinary core.Clients; each one's Instance is registered with
-// AddInstancePlaced, whose homes vector carries the directory's
-// stripe→memnode placement. Migration between engines is the HA adoption
-// primitive: RemoveInstance quiesces and releases the queue sets on the
-// source, AdoptInstancePlaced replays the red blocks exactly-once on the
-// target (DESIGN.md §15).
+// Fleet is the multi-tenant deployment: one-worker Spot engines, memnodes
+// composing one remote address space, and many tenant compute nodes sharing
+// them. internal/cluster is the policy — a consistent-hash ring assigns each
+// tenant's queue sets to an engine, the region directory stripes its address
+// space across memnodes — and the deployment builder the mechanism. Engines
+// are ordinary spot.Engines with Workers = 1 (per-tenant token buckets and
+// deficit round-robin, spot.TenantQoS), tenants ordinary core.Clients, and
+// migration the HA adoption primitive (DESIGN.md §15). Not safe for
+// concurrent use: ring, directory and builder are driven from one control
+// goroutine, as every caller does.
 type Fleet struct {
 	Fabric *rdma.Fabric
 
-	cfg      FleetConfig
-	engines  []*fleetEngine
-	memnodes []*memnode.Node
-	ring     *cluster.Ring
-	dir      *cluster.Directory
-	tenants  map[int]*Tenant
-	psn      uint32
+	cfg  FleetConfig
+	d    *deployment
+	ring *cluster.Ring
+	dir  *cluster.Directory
 }
-
-// fleetEngine is one engine slot: the engine, its NIC, and liveness.
-type fleetEngine struct {
-	id   int
-	nic  *rdma.NIC
-	eng  *spot.Engine
-	dead bool
-}
-
-// Tenant is one compute node of the fleet: its client library, the engine
-// currently serving its queue sets, and the placement needed to rebuild
-// the engine-side wiring on migration.
-type Tenant struct {
-	ID     int
-	Client *core.Client
-
-	nic      *rdma.NIC
-	engine   int // index into Fleet.engines
-	inst     *core.Instance
-	extents  []cluster.Extent
-	repNodes []int              // memnode index per replica slot
-	reps     []spot.PoolReplica // region descriptors per replica slot (QPs rewired per engine)
-	homes    [][]int            // stripe -> replica slots, AddInstancePlaced shape
-	qos      spot.TenantQoS
-}
-
-// Engine returns the index of the engine currently serving the tenant.
-func (t *Tenant) Engine() int { return t.engine }
-
-// Extents returns the tenant's directory placement — which memnode and
-// node-local region backs each stripe — for isolation checks and tooling.
-func (t *Tenant) Extents() []cluster.Extent { return t.extents }
 
 // FleetConfig sizes a fleet.
 type FleetConfig struct {
 	Engines  int
 	Memnodes int
-	// VNodes is the consistent-hash ring's virtual-node count per engine
-	// (0: cluster.DefaultVNodes).
-	VNodes int
-	// StripesPerTenant and StripeSize shape each tenant's address space:
-	// the directory places this many stripes, each a region of this size,
-	// across distinct memnodes. The client sees them as regions
-	// 0..StripesPerTenant-1.
+	// StripesPerTenant and StripeSize shape each tenant's address space: the
+	// directory places this many stripes, each a region of this size, across
+	// distinct memnodes. The client sees regions 0..StripesPerTenant-1.
 	StripesPerTenant int
 	StripeSize       int
 	// Threads is the number of queue sets per tenant.
 	Threads int
 	Layout  rings.Layout
 	NIC     rdma.Config
-	// Spot tunes the engines. Workers is forced to 1 — the fleet's engines
-	// multiplex thousands of tenants on one goroutine each, relying on the
-	// worker's DRR scheduling and idle-probe pacing; a worker goroutine per
-	// tenant queue set would defeat the bounded-state claim.
+	// Spot tunes the engines. Workers is forced to 1: each engine multiplexes
+	// thousands of tenants on one goroutine by DRR scheduling and idle-probe
+	// pacing; a worker per tenant queue set would defeat the bounded state.
 	Spot spot.Config
-	// DefaultQoS is installed for every tenant at AddTenant;
-	// Fleet.SetTenantQoS retunes individual tenants afterwards.
-	DefaultQoS spot.TenantQoS
 }
 
-// DefaultFleetConfig returns a small fleet: 2 engines, 3 memnodes,
-// 2-stripe tenants, compact rings sized so thousands of tenants fit in a
-// test process.
+// DefaultFleetConfig returns a small fleet: 2 engines, 3 memnodes, 2-stripe
+// tenants, compact rings sized so thousands of tenants fit in a test process.
 func DefaultFleetConfig() FleetConfig {
 	cfg := FleetConfig{
 		Engines:          2,
@@ -120,27 +67,26 @@ func DefaultFleetConfig() FleetConfig {
 	cfg.Spot.Workers = 1
 	cfg.Spot.StagingBytes = 256 << 10
 	// Lease heartbeats are a red write per tenant queue per interval; at
-	// fleet tenant counts the engine-scale default would drown the
-	// datapath. The fleet has no HA failure detector watching the counter,
-	// so a slow trickle is plenty.
+	// fleet tenant counts the default would drown the datapath, and no
+	// failure detector watches the counter here, so a slow trickle is plenty.
+	// Pool liveness READs fan out per tenant per memnode: same math.
 	cfg.Spot.HeartbeatInterval = time.Second
-	// Pool liveness READs fan out per tenant per memnode; same math.
 	cfg.Spot.PoolHeartbeatInterval = 0
 	return cfg
 }
 
-// Fleet addressing: distinct prefixes per role, tenant/engine/memnode
-// index in the low bytes, so chaos tools can target any single link.
-func tenantMAC(t int) wire.MAC  { return wire.MAC{0x02, 0xFA, 0, byte(t >> 16), byte(t >> 8), byte(t)} }
-func engineMAC2(e int) wire.MAC { return wire.MAC{0x02, 0xFB, 0, 0, byte(e >> 8), byte(e)} }
-func memMAC(m int) wire.MAC     { return wire.MAC{0x02, 0xFC, 0, 0, byte(m >> 8), byte(m)} }
-
-func tenantIP(t int) wire.IPv4Addr  { return wire.IPv4Addr{10, 4, byte(t >> 8), byte(t)} }
-func engineIP2(e int) wire.IPv4Addr { return wire.IPv4Addr{10, 5, byte(e >> 8), byte(e)} }
-func memIP(m int) wire.IPv4Addr     { return wire.IPv4Addr{10, 6, byte(m >> 8), byte(m)} }
+// fleetAddr is the fleet's address plan: a distinct prefix per role, the
+// node's index in the low bytes, so chaos tools can target any single link.
+func fleetAddr(role, i int) nodeAddr {
+	return nodeAddr{
+		mac: wire.MAC{0x02, 0xFA + byte(role), 0, byte(i >> 16), byte(i >> 8), byte(i)},
+		ip:  wire.IPv4Addr{10, 4 + byte(role), byte(i >> 8), byte(i)},
+	}
+}
 
 // NewFleet builds and starts a fleet: every engine running, every memnode
-// attached, no tenants yet.
+// attached, no tenants yet. Its shape is unfenced and uncached, with the zero
+// spot.TenantQoS installed for every tenant (SetTenantQoS retunes one).
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Engines <= 0 || cfg.Memnodes <= 0 {
 		return nil, fmt.Errorf("system: fleet needs at least one engine and one memnode")
@@ -155,240 +101,135 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.StripeSize = 256 << 10
 	}
 	cfg.Spot.Workers = 1
-	f := &Fleet{
-		Fabric:  rdma.NewFabric(),
-		cfg:     cfg,
-		ring:    cluster.NewRing(cfg.VNodes),
-		tenants: make(map[int]*Tenant),
-		psn:     100_000,
-	}
-	for m := 0; m < cfg.Memnodes; m++ {
-		f.memnodes = append(f.memnodes, memnode.New(f.Fabric, memMAC(m), memIP(m), cfg.NIC))
+	d, err := newDeployment(shape{
+		addr:      fleetAddr,
+		nicCfg:    cfg.NIC,
+		memnodes:  cfg.Memnodes,
+		spotCfg:   cfg.Spot,
+		clientCfg: core.ClientConfig{Threads: cfg.Threads, Layout: cfg.Layout, BaseVA: 0x10_0000},
+		qos:       new(spot.TenantQoS),
+	})
+	if err != nil {
+		return nil, err
 	}
 	nodes := make([]int, cfg.Memnodes)
 	for m := range nodes {
 		nodes[m] = m
 	}
-	f.dir = cluster.NewDirectory(nodes)
+	f := &Fleet{Fabric: d.fabric, cfg: cfg, d: d, ring: cluster.NewRing(cluster.DefaultVNodes), dir: cluster.NewDirectory(nodes)}
 	for e := 0; e < cfg.Engines; e++ {
-		f.addEngineSlot()
+		f.ring.Add(d.addEngine())
 	}
 	return f, nil
 }
 
-// addEngineSlot builds, starts, and ring-registers one engine.
-func (f *Fleet) addEngineSlot() int {
-	id := len(f.engines)
-	nic := rdma.NewNIC(f.Fabric, engineMAC2(id), engineIP2(id), f.cfg.NIC)
-	eng := spot.New(nic, f.cfg.Spot)
-	eng.Run()
-	f.engines = append(f.engines, &fleetEngine{id: id, nic: nic, eng: eng})
-	f.ring.Add(id)
-	return id
-}
-
 // Engines returns the number of engine slots (live and dead).
-func (f *Fleet) Engines() int { return len(f.engines) }
+func (f *Fleet) Engines() int { return len(f.d.engines) }
 
-// Memnode returns memnode m, for test inspection (Peek) and fault
-// injection (Crash).
-func (f *Fleet) Memnode(m int) *memnode.Node { return f.memnodes[m] }
+// Memnode returns memnode m, for inspection (Peek) and fault injection (Crash).
+func (f *Fleet) Memnode(m int) *memnode.Node { return f.d.memnodes[m] }
 
-// EngineOf returns the engine currently serving the tenant's queue sets.
+// EngineOf returns the engine serving the tenant; false if unknown or unowned.
 func (f *Fleet) EngineOf(tenant int) (*spot.Engine, bool) {
-	t, ok := f.tenants[tenant]
-	if !ok {
+	t, ok := f.d.tenants[tenant]
+	if !ok || t.engine < 0 {
 		return nil, false
 	}
-	return f.engines[t.engine].eng, true
+	return f.d.engines[t.engine], true
 }
 
 // Tenant returns a registered tenant's handle.
 func (f *Fleet) Tenant(id int) (*Tenant, bool) {
-	t, ok := f.tenants[id]
+	t, ok := f.d.tenants[id]
 	return t, ok
 }
 
-// nextPSNPair hands out a fresh PSN pair for one QP connection.
-func (f *Fleet) nextPSNPair() (uint32, uint32) {
-	a := f.psn
-	f.psn += 2
-	return a, a + 1
-}
-
-// connect wires one engine-side QP (on the engine's shared CQ) to a fresh
-// passive QP on peer.
-func (f *Fleet) connect(fe *fleetEngine, peer *rdma.NIC) *rdma.QP {
-	ePSN, pPSN := f.nextPSNPair()
-	eQP := fe.nic.CreateQP(fe.eng.CQ(), rdma.NewCQ(), ePSN)
-	pQP := peer.CreateQP(rdma.NewCQ(), rdma.NewCQ(), pPSN)
-	eQP.Connect(rdma.RemoteEndpoint{QPN: pQP.QPN(), MAC: peer.MAC(), IP: peer.IP()}, pPSN)
-	pQP.Connect(rdma.RemoteEndpoint{QPN: eQP.QPN(), MAC: fe.nic.MAC(), IP: fe.nic.IP()}, ePSN)
-	return eQP
-}
-
-// AddTenant provisions tenant id end to end: directory placement, region
-// allocation on the home memnodes, a compute node with its client library,
-// QP wiring to the ring-assigned engine, and engine registration with the
-// fleet's default QoS. Tenant ids double as instance ids, so they must be
-// unique.
+// AddTenant provisions tenant id end to end: directory placement, regions on
+// the home memnodes, a compute node with its client library, QP wiring to
+// the ring-assigned engine, registration there. Tenant ids double as
+// instance ids, so they must be unique. The ring is asked first: with no live
+// engine nothing is built, and the call can be repeated once one is back.
 func (f *Fleet) AddTenant(id int) (*Tenant, error) {
-	if _, dup := f.tenants[id]; dup {
-		return nil, fmt.Errorf("system: tenant %d already exists", id)
+	owner, ok := f.ring.Owner(uint64(id))
+	if !ok {
+		return nil, fmt.Errorf("system: no live engine to place tenant %d", id)
 	}
 	ext, err := f.dir.Place(id, f.cfg.StripesPerTenant, uint64(f.cfg.StripeSize))
 	if err != nil {
 		return nil, err
 	}
-
-	t := &Tenant{ID: id, extents: ext, qos: f.cfg.DefaultQoS}
-	t.nic = rdma.NewNIC(f.Fabric, tenantMAC(id), tenantIP(id), f.cfg.NIC)
-	t.Client, err = core.NewClient(t.nic, core.ClientConfig{
-		Threads: f.cfg.Threads,
-		Layout:  f.cfg.Layout,
-		BaseVA:  0x10_0000,
-	})
+	t, err := f.d.newNode(id, ext)
 	if err != nil {
-		t.nic.Close()
 		return nil, err
 	}
-
-	// Allocate each stripe on its home memnode and relabel the node-local
-	// region as the client-facing stripe id: the engine's per-replica
-	// translation tables key on the client-facing id, so each replica
-	// descriptor carries {ID: stripe, node's Base/RKey} and translation is
-	// the identity mapping. repNodes assigns one replica slot per distinct
-	// memnode the tenant touches, in first-use order.
-	slotOf := make(map[int]int)
-	t.homes = make([][]int, len(ext))
-	for _, e := range ext {
-		node := f.memnodes[e.Memnode]
-		info, aerr := node.AllocRegion(e.NodeRegionID, int(e.Size))
-		if aerr != nil {
-			t.nic.Close()
-			return nil, aerr
-		}
-		stripe := core.RegionInfo{ID: e.Stripe, Base: info.Base, Size: info.Size, RKey: info.RKey}
-		t.Client.RegisterRegion(stripe)
-		slot, ok := slotOf[e.Memnode]
-		if !ok {
-			slot = len(t.repNodes)
-			slotOf[e.Memnode] = slot
-			t.repNodes = append(t.repNodes, e.Memnode)
-			t.reps = append(t.reps, spot.PoolReplica{})
-		}
-		t.reps[slot].Regions = append(t.reps[slot].Regions, stripe)
-		t.homes[e.Stripe] = []int{slot}
-	}
-	t.inst = t.Client.Describe(id)
-
-	owner, ok := f.ring.Owner(uint64(id))
-	if !ok {
-		t.nic.Close()
-		return nil, fmt.Errorf("system: no live engine to place tenant %d", id)
-	}
-	t.engine = owner
-	if err := f.registerTenant(t, false); err != nil {
-		t.nic.Close()
+	if err := f.d.attach(t, owner, false); err != nil {
 		return nil, err
 	}
-	f.tenants[id] = t
 	return t, nil
 }
 
-// registerTenant wires fresh QPs from the tenant's current engine and
-// registers the instance there — AddInstancePlaced on first placement,
-// AdoptInstancePlaced (red-block replay) on migration.
-func (f *Fleet) registerTenant(t *Tenant, adopt bool) error {
-	fe := f.engines[t.engine]
-	computeQP := f.connect(fe, t.nic)
-	reps := make([]spot.PoolReplica, len(t.reps))
-	for slot, node := range t.repNodes {
-		reps[slot] = spot.PoolReplica{
-			QP:      f.connect(fe, f.memnodes[node].NIC()),
-			Regions: t.reps[slot].Regions,
-		}
-	}
-	var err error
-	if adopt {
-		err = fe.eng.AdoptInstancePlaced(t.inst, computeQP, reps, t.homes)
-	} else {
-		err = fe.eng.AddInstancePlaced(t.inst, computeQP, reps, t.homes)
-	}
-	if err != nil {
-		return err
-	}
-	fe.eng.SetTenantQoS(t.ID, t.qos)
-	return nil
-}
-
-// SetTenantQoS retunes one tenant's rate limit and DRR quantum on its
-// current engine, effective from the next serve round.
+// SetTenantQoS retunes one tenant's rate limit and DRR quantum, effective
+// from the next serve round and carried along when the tenant migrates.
 func (f *Fleet) SetTenantQoS(tenant int, q spot.TenantQoS) error {
-	t, ok := f.tenants[tenant]
+	t, ok := f.d.tenants[tenant]
 	if !ok {
 		return fmt.Errorf("system: unknown tenant %d", tenant)
 	}
-	t.qos = q
-	if !f.engines[t.engine].eng.SetTenantQoS(tenant, q) {
+	t.qos = &q
+	if t.engine < 0 || !f.d.engines[t.engine].SetTenantQoS(tenant, q) {
 		return fmt.Errorf("system: tenant %d not registered on engine %d", tenant, t.engine)
 	}
 	return nil
 }
 
-// MigrateTenant moves one tenant's queue sets to the target engine using
-// the live-migration protocol: RemoveInstance quiesces the source mid-round
-// boundary and stops all its RDMA toward the tenant, then the target adopts
-// from the durable red blocks. In-flight client requests complete on the
-// target; nothing is re-executed (the red block's single-write publish is
-// the exactly-once anchor, exactly as in an HA takeover).
+// MigrateTenant moves one tenant's queue sets to the target engine by the
+// builder's detach and adopting attach: in-flight requests complete on the
+// target, nothing is re-executed. The target owns the tenant only once its
+// adoption succeeded; if it fails the tenant is unowned — EngineOf reports
+// false, its requests wait — until the next MigrateTenant or rebalance
+// re-homes it the same way. The source is not asked to take it back.
 func (f *Fleet) MigrateTenant(tenant, target int) error {
-	t, ok := f.tenants[tenant]
+	t, ok := f.d.tenants[tenant]
 	if !ok {
 		return fmt.Errorf("system: unknown tenant %d", tenant)
 	}
-	if target < 0 || target >= len(f.engines) || f.engines[target].dead {
+	if target < 0 || target >= len(f.d.engines) || f.d.dead[target] {
 		return fmt.Errorf("system: migration target engine %d not live", target)
 	}
 	if target == t.engine {
 		return nil
 	}
-	src := f.engines[t.engine]
-	if !src.dead {
-		src.eng.RemoveInstance(tenant)
-	}
-	t.engine = target
-	return f.registerTenant(t, true)
+	f.d.detach(t)
+	return f.d.attach(t, target, true)
 }
 
-// AddEngine grows the fleet by one engine and rebalances: every tenant
-// whose ring owner moved onto the new engine migrates to it. Returns the
-// new engine's id and how many tenants moved.
+// AddEngine grows the fleet by one engine and migrates every tenant whose
+// ring owner it became. Returns the new engine's id and how many moved.
 func (f *Fleet) AddEngine() (int, int, error) {
-	id := f.addEngineSlot()
+	id := f.d.addEngine()
+	f.ring.Add(id)
 	moved, err := f.rebalance()
 	return id, moved, err
 }
 
-// FailEngine kills engine id abruptly — the spot-preemption event at fleet
-// scale — and re-homes every tenant it was serving to that tenant's new
-// ring owner via red-block adoption. Returns how many tenants moved.
+// FailEngine kills engine id abruptly — spot preemption at fleet scale — and
+// re-homes every tenant it served to the tenant's new ring owner by
+// red-block adoption. Returns how many tenants moved.
 func (f *Fleet) FailEngine(id int) (int, error) {
-	if id < 0 || id >= len(f.engines) || f.engines[id].dead {
+	if id < 0 || id >= len(f.d.engines) || f.d.dead[id] {
 		return 0, fmt.Errorf("system: engine %d not live", id)
 	}
-	fe := f.engines[id]
-	fe.dead = true
+	f.d.dead[id] = true
 	f.ring.Remove(id)
-	fe.eng.Stop()
+	f.d.engines[id].Stop()
 	return f.rebalance()
 }
 
 // rebalance migrates every tenant whose current engine differs from its
-// ring owner.
+// ring owner, the unowned ones included.
 func (f *Fleet) rebalance() (int, error) {
 	moved := 0
-	for id, t := range f.tenants {
+	for id, t := range f.d.tenants {
 		owner, ok := f.ring.Owner(uint64(id))
 		if !ok {
 			return moved, fmt.Errorf("system: no live engine for tenant %d", id)
@@ -405,20 +246,4 @@ func (f *Fleet) rebalance() (int, error) {
 }
 
 // Close stops every engine and closes every NIC and the fabric.
-func (f *Fleet) Close() {
-	for _, fe := range f.engines {
-		if !fe.dead {
-			fe.eng.Stop()
-		}
-	}
-	for _, fe := range f.engines {
-		fe.nic.Close()
-	}
-	for _, t := range f.tenants {
-		t.nic.Close()
-	}
-	for _, m := range f.memnodes {
-		m.Close()
-	}
-	f.Fabric.Close()
-}
+func (f *Fleet) Close() { f.d.close() }

@@ -10,11 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"cowbird/internal/cluster"
 	"cowbird/internal/core"
-	"cowbird/internal/engine/spot"
-	"cowbird/internal/rdma"
 	"cowbird/internal/telemetry"
-	"cowbird/internal/wire"
 )
 
 // TestMulticoreStressUnderLoss drives 8 queue sets at GOMAXPROCS=4 through
@@ -98,54 +96,35 @@ func runMulticoreStress(t *testing.T, workers, churn int) {
 			if churn == 0 {
 				return nil
 			}
-			compute := rdma.NewNIC(s.Fabric, wire.MAC{0x02, 0xC0, 0, 9, 0, 1}, wire.IPv4Addr{10, 0, 9, 1}, rdma.DefaultConfig())
-			t.Cleanup(compute.Close)
-			client, err := core.NewClient(compute, core.ClientConfig{Threads: 1, Layout: DefaultConfig().Layout, BaseVA: 0x10_0000})
+			// A single-thread side tenant; its region 0 is node-local region 1
+			// of the pool.
+			s.d.clientCfg = core.ClientConfig{Threads: 1, Layout: DefaultConfig().Layout, BaseVA: 0x10_0000}
+			side, err := s.d.newNode(100, []cluster.Extent{{Memnode: 0, NodeRegionID: 1, Size: 1 << 20}})
 			if err != nil {
 				return err
 			}
-			region, err := s.Pool.AllocRegion(1, 1<<20)
-			if err != nil {
-				return err
-			}
-			client.RegisterRegion(region)
-			inst := client.Describe(100)
-			unused := rdma.NewCQ()
-			connect := func(peer *rdma.NIC, ePSN, pPSN uint32) *rdma.QP {
-				eQP := s.Spot.NIC().CreateQP(s.Spot.CQ(), unused, ePSN)
-				pQP := peer.CreateQP(rdma.NewCQ(), rdma.NewCQ(), pPSN)
-				eQP.Connect(rdma.RemoteEndpoint{QPN: pQP.QPN(), MAC: peer.MAC(), IP: peer.IP()}, pPSN)
-				pQP.Connect(rdma.RemoteEndpoint{QPN: eQP.QPN(), MAC: s.Spot.NIC().MAC(), IP: s.Spot.NIC().IP()}, ePSN)
-				return eQP
-			}
-			eComp, eMem := connect(compute, 7000, 7100), connect(s.Pool.NIC(), 7200, 7300)
-			th, err := client.Thread(0)
+			th, err := side.Client.Thread(0)
 			if err != nil {
 				return err
 			}
 			data, dest := bytes.Repeat([]byte{0xC4}, 128), make([]byte, 128)
 			for c := 0; c < churn; c++ {
-				if c%2 == 0 {
-					err = s.Spot.AdoptInstance(inst, eComp, eMem)
-				} else {
-					err = s.Spot.AdoptInstanceReplicated(inst, eComp, []spot.PoolReplica{{QP: eMem, Regions: inst.Regions}})
-				}
-				if err != nil {
+				if err := s.d.attach(side, 0, true); err != nil {
 					return fmt.Errorf("churn %d adopt: %w", c, err)
 				}
 				for k := 0; k < churnPairs; k++ {
 					off := uint64(c*churnPairs+k) * 256
-					if err := th.WriteSync(1, data, off, 30*time.Second); err != nil {
+					if err := th.WriteSync(0, data, off, 30*time.Second); err != nil {
 						return fmt.Errorf("churn %d write %d: %w", c, k, err)
 					}
-					if err := th.ReadSync(1, off, dest, 30*time.Second); err != nil {
+					if err := th.ReadSync(0, off, dest, 30*time.Second); err != nil {
 						return fmt.Errorf("churn %d read %d: %w", c, k, err)
 					}
 					if !bytes.Equal(dest, data) {
 						return fmt.Errorf("churn %d op %d data mismatch", c, k)
 					}
 				}
-				if !s.Spot.RemoveInstance(100) {
+				if !s.d.detach(side) {
 					return fmt.Errorf("churn %d: side instance not resident", c)
 				}
 			}

@@ -71,7 +71,7 @@ rec:
 // runCtl is its inline fallback after Stop). None of these sit on the serve
 // path.
 var spotColdPath = []string{
-	".quiesceWorkers", ".register", ".placeLocked", ".RemoveInstance",
+	".quiesceWorkers", ".Register", ".placeLocked", ".RemoveInstance",
 	".markReplicaDead", ".PoolDegraded", ".startWorkers", ".Stop",
 	".ctlLoop", ".runCtl",
 }

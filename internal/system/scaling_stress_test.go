@@ -9,12 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"cowbird/internal/cluster"
 	"cowbird/internal/core"
-	"cowbird/internal/memnode"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
-	"cowbird/internal/wire"
 )
 
 // TestScalingStressManyQueueSets is the -race workout for the bounded-state
@@ -149,25 +148,18 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 		return nil
 	}
 
-	// sideInstance builds a fresh compute NIC + single-thread client and a
-	// new pool region, returning everything needed to register or adopt it
-	// on the running engine.
-	sideInstance := func(i int, regionID uint16) (*core.Client, *core.Instance, *rdma.NIC) {
-		compute := rdma.NewNIC(s.Fabric,
-			wire.MAC{0x02, 0xC0, 0, 9, 0, byte(i)}, wire.IPv4Addr{10, 0, 9, byte(i)}, nicCfg)
-		t.Cleanup(compute.Close)
-		client, err := core.NewClient(compute, core.ClientConfig{
-			Threads: 1, Layout: compact, BaseVA: 0x10_0000,
-		})
+	// sideTenant builds a fresh compute node with a single-thread client whose
+	// region 0 is a new region of the pool, ready to be registered with or
+	// adopted by the running engine. Only the control goroutine below drives
+	// the builder.
+	sideTenant := func(i int) (*Tenant, *core.Thread, error) {
+		s.d.clientCfg = core.ClientConfig{Threads: 1, Layout: compact, BaseVA: 0x10_0000}
+		side, err := s.d.newNode(100+i, []cluster.Extent{{Memnode: 0, NodeRegionID: uint16(i), Size: 1 << 20}})
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
-		region, err := s.Pool.AllocRegion(regionID, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client.RegisterRegion(region)
-		return client, client.Describe(100 + i), compute
+		th, err := side.Client.Thread(0)
+		return side, th, err
 	}
 
 	// Control-plane churn, concurrent with the main traffic below: register
@@ -179,37 +171,17 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 		ctlErr <- func() error {
 			time.Sleep(20 * time.Millisecond) // let the main workload get going
 
-			regClient, regInst, regNIC := sideInstance(1, 1)
-			if err := WireSpotInstanceReplicated(s.Spot, regInst, regNIC, []*memnode.Node{s.Pool}, 0, 0); err != nil {
-				return fmt.Errorf("register: %w", err)
-			}
-			th, err := regClient.Thread(0)
-			if err != nil {
-				return err
-			}
-			if err := batchPairs(th, 1, sideOps, 0xD1, 0); err != nil {
-				return fmt.Errorf("registered instance: %w", err)
-			}
-
-			adClient, adInst, adNIC := sideInstance(2, 2)
-			unused := rdma.NewCQ()
-			eComp := s.Spot.NIC().CreateQP(s.Spot.CQ(), unused, 7000)
-			cQP := adNIC.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 7100)
-			eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: adNIC.MAC(), IP: adNIC.IP()}, 7100)
-			cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: s.Spot.NIC().MAC(), IP: s.Spot.NIC().IP()}, 7000)
-			eMem := s.Spot.NIC().CreateQP(s.Spot.CQ(), unused, 7200)
-			mQP := s.Pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 7300)
-			eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: s.Pool.NIC().MAC(), IP: s.Pool.NIC().IP()}, 7300)
-			mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: s.Spot.NIC().MAC(), IP: s.Spot.NIC().IP()}, 7200)
-			if err := s.Spot.AdoptInstance(adInst, eComp, eMem); err != nil {
-				return fmt.Errorf("adopt: %w", err)
-			}
-			ath, err := adClient.Thread(0)
-			if err != nil {
-				return err
-			}
-			if err := batchPairs(ath, 2, sideOps, 0xD2, 0); err != nil {
-				return fmt.Errorf("adopted instance: %w", err)
+			for i, adopt := range []bool{false, true} {
+				side, th, err := sideTenant(i + 1)
+				if err != nil {
+					return err
+				}
+				if err := s.d.attach(side, 0, adopt); err != nil {
+					return fmt.Errorf("side tenant %d (adopt=%v): %w", i+1, adopt, err)
+				}
+				if err := batchPairs(th, 0, sideOps, byte(0xD1+i), 0); err != nil {
+					return fmt.Errorf("side tenant %d (adopt=%v): %w", i+1, adopt, err)
+				}
 			}
 			return nil
 		}()

@@ -1,9 +1,9 @@
-// Package system assembles complete Cowbird deployments: a compute node
-// (client library + RNIC), a memory pool, an offload engine (Cowbird-Spot
-// or Cowbird-P4), and the fabric connecting them. It performs the §5.2
-// Phase I (Setup) wiring — QP creation, PSN exchange, region registration,
-// and control-plane hand-off to the engine — that a real deployment would
-// do through RDMA CM and the switch's control-plane RPC endpoint.
+// Package system assembles complete Cowbird deployments: compute nodes
+// (client library + RNIC), memory pool nodes, offload engines (Cowbird-Spot
+// or Cowbird-P4) and the fabric connecting them. One builder (deploy.go)
+// performs the §5.2 Phase I (Setup) wiring — QP creation, PSN exchange,
+// region registration, hand-off to the engine — that a real deployment does
+// through RDMA CM and a control-plane RPC; System and Fleet are its shapes.
 package system
 
 import (
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cowbird/internal/cache"
+	"cowbird/internal/cluster"
 	"cowbird/internal/core"
 	"cowbird/internal/engine/p4"
 	"cowbird/internal/engine/spot"
@@ -40,21 +41,18 @@ type Config struct {
 	Spot       spot.Config  // engine tuning (EngineSpot)
 	P4         p4.Config    // engine tuning (EngineP4)
 
-	// PoolReplicas is the number of memory pool nodes backing region 0.
-	// 0 or 1 means a single pool (the original deployment). With more, the
-	// Spot engine mirrors every write to all replicas and transparently
-	// fails reads over when the primary dies; the client's WaitErr then
-	// surfaces core.ErrPoolDegraded as an advisory. Replication is a Spot
-	// capability: the P4 switch pipeline has no staging memory to fan out
-	// writes (§7), so EngineP4 with PoolReplicas > 1 is a config error.
+	// PoolReplicas is the number of memory pool nodes backing region 0
+	// (0 or 1: a single pool). With more, the Spot engine mirrors every write
+	// to all replicas and fails reads over when the primary dies; the
+	// client's WaitErr then surfaces core.ErrPoolDegraded as an advisory. The
+	// P4 pipeline has no staging memory to fan out writes (§7): config error.
 	PoolReplicas int
 
 	// PoolRetransmitTimeout and PoolMaxRetries tighten Go-Back-N on the
 	// engine→pool QPs alone (rdma.QP.SetRetryPolicy), bounding replica-death
 	// detection at roughly their product without touching the engine↔compute
-	// path — whose responder shares DMA mutexes with the polling client and
-	// must tolerate scheduling stalls that would exhaust an aggressive retry
-	// budget. Zero values keep the NIC-wide Config.NIC knobs everywhere.
+	// path, whose responder shares DMA mutexes with the polling client and
+	// must tolerate scheduling stalls. Zero keeps the NIC-wide Config.NIC.
 	PoolRetransmitTimeout time.Duration
 	PoolMaxRetries        int
 
@@ -63,24 +61,21 @@ type Config struct {
 	// replica and the client's queue-set memory refuse RDMA WRITEs carrying
 	// an older epoch, and a promoted standby bumps the epoch everywhere
 	// before serving, so a partitioned-but-alive old engine demotes itself
-	// on its first post-partition write instead of corrupting state. The
-	// epoch rides the otherwise-unused BTH.PKey field, so the wire format
-	// and P4 deployments (which recycle packets with PKey 0 and are
-	// therefore always unfenced) are unchanged.
+	// on its first write instead of corrupting state. The epoch rides the
+	// otherwise-unused BTH.PKey; P4 deployments recycle packets with PKey 0
+	// and are always unfenced.
 	DisableFencing bool
 
 	// Cache configures the client-side hot-data tier (internal/cache): a
-	// write-through read cache with an optional stride prefetcher, layered
-	// over the per-thread rings. Zero value (Enabled == false) keeps the
-	// client untouched; enabling it changes performance only — every write
-	// still goes to the fabric, and reads return the same bytes they would
-	// without it (DESIGN.md §11).
+	// write-through read cache with an optional stride prefetcher over the
+	// per-thread rings. The zero value leaves the client untouched; enabling
+	// it changes performance only (DESIGN.md §11).
 	Cache cache.Config
 
 	// Telemetry, when non-nil, is installed in the client and the engine:
-	// exact issue/harvest counters, 1-in-N stage timings, and end-to-end
-	// request latency histograms all land in this one hub. Nil (the
-	// default) keeps every datapath identical to the uninstrumented build.
+	// exact issue/harvest counters, 1-in-N stage timings and end-to-end
+	// latency histograms land in this one hub. Nil keeps every datapath
+	// identical to the uninstrumented build.
 	Telemetry *telemetry.Telemetry
 }
 
@@ -109,30 +104,28 @@ type System struct {
 	Spot *spot.Engine // non-nil iff Engine == EngineSpot
 	P4   *p4.Engine   // non-nil iff Engine == EngineP4
 
-	engineNIC *rdma.NIC
+	d *deployment
 }
 
-// Addresses used by the standard three-node deployment.
-var (
-	computeMAC = wire.MAC{0x02, 0xC0, 0, 0, 0, 0x01}
-	engineMAC  = wire.MAC{0x02, 0xC0, 0, 0, 0, 0x03}
-	computeIP  = wire.IPv4Addr{10, 0, 0, 1}
-	engineIP   = wire.IPv4Addr{10, 0, 0, 3}
-)
+// systemAddr is the address plan of the standard deployment: the role in
+// the last byte, the node's index before it.
+func systemAddr(role, i int) nodeAddr {
+	last := [...]byte{roleTenant: 0x01, roleMemnode: 0x02, roleEngine: 0x03}[role]
+	return nodeAddr{wire.MAC{0x02, 0xC0, 0, 0, byte(i), last}, wire.IPv4Addr{10, 0, byte(i), last}}
+}
 
-// PoolMAC and PoolIP address pool replica r; replica 0 keeps the addresses
-// of the original single-pool deployment. Exported so fault-injection tools
-// (internal/chaos, examples) can target a specific replica's links.
-func PoolMAC(r int) wire.MAC     { return wire.MAC{0x02, 0xC0, 0, 0, byte(r), 0x02} }
-func PoolIP(r int) wire.IPv4Addr { return wire.IPv4Addr{10, 0, byte(r), 2} }
+// PoolMAC and PoolIP address pool replica r. Exported so fault-injection
+// tools (internal/chaos, examples) can target a specific replica's links.
+func PoolMAC(r int) wire.MAC     { return systemAddr(roleMemnode, r).mac }
+func PoolIP(r int) wire.IPv4Addr { return systemAddr(roleMemnode, r).ip }
 
-// ComputeMAC and EngineMAC are the compute node's and engine's fabric
-// addresses, exported for the same fault-injection use (asymmetric
-// partitions and zombie-primary schedules target the engine↔compute pair).
-func ComputeMAC() wire.MAC { return computeMAC }
-func EngineMAC() wire.MAC  { return engineMAC }
+// ComputeMAC and EngineMAC are exported for the same use: asymmetric
+// partitions and zombie-primary schedules target the engine↔compute pair.
+func ComputeMAC() wire.MAC { return systemAddr(roleTenant, 0).mac }
+func EngineMAC() wire.MAC  { return systemAddr(roleEngine, 0).mac }
 
-// New builds and starts a deployment.
+// New builds and starts a deployment: the shape of one engine, PoolReplicas
+// memnodes and one tenant whose single region every memnode hosts.
 func New(cfg Config) (*System, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -143,176 +136,94 @@ func New(cfg Config) (*System, error) {
 	if cfg.Engine == EngineP4 && cfg.PoolReplicas > 1 {
 		return nil, fmt.Errorf("system: EngineP4 does not support PoolReplicas > 1 (the switch pipeline cannot mirror writes); use EngineSpot")
 	}
-	s := &System{Fabric: rdma.NewFabric()}
-	s.Compute = rdma.NewNIC(s.Fabric, computeMAC, computeIP, cfg.NIC)
-	for r := 0; r < cfg.PoolReplicas; r++ {
-		s.Pools = append(s.Pools, memnode.New(s.Fabric, PoolMAC(r), PoolIP(r), cfg.NIC))
+	if cfg.Telemetry != nil {
+		cfg.Spot.Telemetry = cfg.Telemetry
+		cfg.P4.Telemetry = cfg.Telemetry
 	}
-	s.Pool = s.Pools[0]
-
-	var err error
-	s.Client, err = core.NewClient(s.Compute, core.ClientConfig{
-		Threads:   cfg.Threads,
-		Layout:    cfg.Layout,
-		BaseVA:    0x10_0000,
-		Telemetry: cfg.Telemetry,
-		Cache:     cfg.Cache,
-	})
+	sh := shape{
+		addr:     systemAddr,
+		nicCfg:   cfg.NIC,
+		memnodes: cfg.PoolReplicas,
+		spotCfg:  cfg.Spot,
+		clientCfg: core.ClientConfig{
+			Threads:   cfg.Threads,
+			Layout:    cfg.Layout,
+			BaseVA:    0x10_0000,
+			Telemetry: cfg.Telemetry,
+			Cache:     cfg.Cache,
+		},
+		poolRTO:        cfg.PoolRetransmitTimeout,
+		poolMaxRetries: cfg.PoolMaxRetries,
+	}
+	if cfg.Engine == EngineSpot && !cfg.DisableFencing {
+		sh.bindEpoch = 1 // pool and client floors rise with the engine's stamp
+	}
+	d, err := newDeployment(sh)
+	if err != nil {
+		return nil, err
+	}
+	placement := make([]cluster.Extent, cfg.PoolReplicas)
+	for r := range placement {
+		placement[r] = cluster.Extent{Memnode: r, Size: uint64(cfg.RegionSize)}
+	}
+	t, err := d.newNode(0, placement)
+	if err != nil {
+		d.close()
+		return nil, err
+	}
+	s := &System{
+		Fabric: d.fabric, Compute: t.nic, Client: t.Client,
+		Pool: d.memnodes[0], Pools: d.memnodes, Region: t.slots[0].regions[0], d: d,
+	}
+	switch cfg.Engine {
+	case EngineSpot:
+		s.Spot = d.engines[d.addEngine()]
+		if err = d.attach(t, 0, false); err != nil {
+			break
+		}
+		// Engine-wide client hooks, which only a one-tenant deployment can
+		// bind: lost replicas and the engine's demotion surface through the
+		// client's WaitErr (core.ErrPoolDegraded, core.ErrFenced).
+		t.Client.SetPoolHealth(s.Spot.PoolDegraded)
+		if !cfg.DisableFencing {
+			t.Client.SetFenceSignal(s.Spot.Fenced)
+		}
+	case EngineP4:
+		// The switch is no fleet member — one interposer per fabric, no
+		// adoption, no replicas — so it takes the node from the builder and
+		// runs its own handshake.
+		a := systemAddr(roleEngine, 0)
+		s.P4 = p4.New(d.fabric, a.mac, a.ip, cfg.P4)
+		d.fabric.SetInterposer(s.P4)
+		if err = setupP4(s.P4, t.inst, t.nic, s.Pool.NIC()); err != nil {
+			break
+		}
+		d.tenants[0] = t
+		s.P4.Run()
+		if cfg.Telemetry != nil {
+			s.P4.RegisterMetrics(cfg.Telemetry.Reg)
+		}
+	default:
+		err = fmt.Errorf("system: unknown engine kind %d", cfg.Engine)
+	}
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	if cfg.Telemetry != nil && s.Client.Cache() != nil {
-		s.Client.Cache().RegisterMetrics(cfg.Telemetry.Reg)
-	}
-	for _, pool := range s.Pools {
-		region, aerr := pool.AllocRegion(0, cfg.RegionSize)
-		if aerr != nil {
-			s.Close()
-			return nil, aerr
-		}
-		if pool == s.Pool {
-			s.Region = region
-		}
-	}
-	s.Client.RegisterRegion(s.Region)
-	inst := s.Client.Describe(0)
-
-	switch cfg.Engine {
-	case EngineSpot:
-		s.engineNIC = rdma.NewNIC(s.Fabric, engineMAC, engineIP, cfg.NIC)
-		if cfg.Telemetry != nil {
-			cfg.Spot.Telemetry = cfg.Telemetry
-		}
-		eng := spot.New(s.engineNIC, cfg.Spot)
-		if err := WireSpotInstanceReplicated(eng, inst, s.Compute, s.Pools, cfg.PoolRetransmitTimeout, cfg.PoolMaxRetries); err != nil {
-			s.Close()
-			return nil, err
-		}
-		if !cfg.DisableFencing {
-			// Bind at epoch 1: pools and client floors rise together with the
-			// engine's stamp, and a fencing NAK anywhere surfaces through the
-			// client's WaitErr as core.ErrFenced.
-			for _, pool := range s.Pools {
-				if ferr := pool.Fence(1); ferr != nil {
-					s.Close()
-					return nil, ferr
-				}
-			}
-			if ferr := s.Client.Fence(1); ferr != nil {
-				s.Close()
-				return nil, ferr
-			}
-			eng.SetFenceEpoch(1)
-			s.Client.SetFenceSignal(eng.Fenced)
-		}
-		eng.Run()
-		s.Spot = eng
-		if cfg.Telemetry != nil {
-			eng.RegisterMetrics(cfg.Telemetry.Reg)
-		}
-		// Surface lost-replica advisories through the client's WaitErr.
-		s.Client.SetPoolHealth(eng.PoolDegraded)
-	case EngineP4:
-		if cfg.Telemetry != nil {
-			cfg.P4.Telemetry = cfg.Telemetry
-		}
-		eng := p4.New(s.Fabric, engineMAC, engineIP, cfg.P4)
-		s.Fabric.SetInterposer(eng)
-		if err := WireP4Instance(eng, inst, s.Compute, s.Pool.NIC()); err != nil {
-			s.Close()
-			return nil, err
-		}
-		eng.Run()
-		s.P4 = eng
-		if cfg.Telemetry != nil {
-			eng.RegisterMetrics(cfg.Telemetry.Reg)
-		}
-	default:
-		s.Close()
-		return nil, fmt.Errorf("system: unknown engine kind %d", cfg.Engine)
-	}
 	return s, nil
 }
 
-// WireSpotInstanceReplicated performs the Setup handshake between a Spot
-// engine and a compute node backed by one or more pool replicas (priority
-// order; pools[0] is the primary): it creates the engine-side QPs and the
-// passive QPs on the compute and pool NICs, exchanges PSNs, and registers
-// the instance. Each replica gets its own engine-side QP, and its own region
-// descriptors are handed to the engine for per-replica address translation. poolRTO and
-// poolMaxRetries, when nonzero, install a per-QP Go-Back-N override on the
-// engine→pool QPs (see Config.PoolRetransmitTimeout).
-//
-// Beyond the instance-wide QPs, every queue set also gets its own dedicated
-// datapath QPs — one to the compute node and one per pool replica, all
-// completing into a private send CQ — so an engine with a worker per queue
-// set (spot.Config.Workers = 0) runs each worker to completion on its own
-// goroutine (spot.AddInstanceWired): no shared hardware CQ, no
-// demultiplexer hop, no per-QP lock shared between shards. An engine with
-// pinned workers accepts the same wiring and simply serves through the
-// instance-wide QPs.
-func WireSpotInstanceReplicated(eng *spot.Engine, inst *core.Instance, compute *rdma.NIC, pools []*memnode.Node, poolRTO time.Duration, poolMaxRetries int) error {
-	if len(pools) == 0 {
-		return fmt.Errorf("system: no pool replicas to wire")
+// setupP4 performs Phase I for a Cowbird-P4 instance: a host-side QP on the
+// compute and on the pool NIC, the instance registered with the switch
+// control plane, the host QPs connected to the switch's emulated endpoints.
+func setupP4(eng *p4.Engine, inst *core.Instance, compute, pool *rdma.NIC) error {
+	host := func(nic *rdma.NIC, psn uint32) (*rdma.QP, p4.Endpoint) {
+		qp := nic.CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn)
+		return qp, p4.Endpoint{MAC: nic.MAC(), IP: nic.IP(), QPN: qp.QPN(), FirstPSN: psn, ResetEPSN: qp.ResetExpectedPSN}
 	}
-	unusedCQ := rdma.NewCQ()
-
-	// connect performs one PSN exchange between an engine-side QP (created
-	// on sendCQ) and a fresh passive QP on the peer NIC.
-	connect := func(sendCQ *rdma.CQ, peer *rdma.NIC, ePSN, pPSN uint32) *rdma.QP {
-		eQP := eng.NIC().CreateQP(sendCQ, unusedCQ, ePSN)
-		pQP := peer.CreateQP(rdma.NewCQ(), rdma.NewCQ(), pPSN)
-		eQP.Connect(rdma.RemoteEndpoint{QPN: pQP.QPN(), MAC: peer.MAC(), IP: peer.IP()}, pPSN)
-		pQP.Connect(rdma.RemoteEndpoint{QPN: eQP.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, ePSN)
-		return eQP
-	}
-
-	// Instance-wide QPs: adoption reads, pinned workers, scrub.
-	eCompQP := connect(eng.CQ(), compute, 1000, 2000)
-	var reps []spot.PoolReplica
-	for r, pool := range pools {
-		eMemQP := connect(eng.CQ(), pool.NIC(), uint32(3000+r*200), uint32(4000+r*200))
-		eMemQP.SetRetryPolicy(poolRTO, poolMaxRetries)
-		reps = append(reps, spot.PoolReplica{QP: eMemQP, Regions: pool.Regions()})
-	}
-
-	// Per-queue dedicated datapath QPs (run-to-completion wiring).
-	var queues []spot.QueueEndpoints
-	for q := range inst.Queues {
-		base := uint32(1_000_000 + q*10_000)
-		sendCQ := rdma.NewCQ()
-		ep := spot.QueueEndpoints{
-			SendCQ:    sendCQ,
-			ComputeQP: connect(sendCQ, compute, base, base+1),
-		}
-		for r, pool := range pools {
-			pQP := connect(sendCQ, pool.NIC(), base+uint32(100+2*r), base+uint32(101+2*r))
-			pQP.SetRetryPolicy(poolRTO, poolMaxRetries)
-			ep.Pools = append(ep.Pools, pQP)
-		}
-		queues = append(queues, ep)
-	}
-	return eng.AddInstanceWired(inst, eCompQP, reps, queues)
-}
-
-// WireP4Instance performs Phase I for a Cowbird-P4 instance: it creates
-// host-side QPs on the compute and pool NICs, registers the instance with
-// the switch control plane, and connects the host QPs to the switch's
-// emulated endpoints.
-func WireP4Instance(eng *p4.Engine, inst *core.Instance, compute, pool *rdma.NIC) error {
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	mQP := pool.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
-	sw, err := eng.Setup(inst, p4.Endpoints{
-		Compute: p4.Endpoint{
-			MAC: compute.MAC(), IP: compute.IP(), QPN: cQP.QPN(), FirstPSN: 2000,
-			ResetEPSN: cQP.ResetExpectedPSN,
-		},
-		Pool: p4.Endpoint{
-			MAC: pool.MAC(), IP: pool.IP(), QPN: mQP.QPN(), FirstPSN: 4000,
-			ResetEPSN: mQP.ResetExpectedPSN,
-		},
-	})
+	cQP, computeEP := host(compute, 2000)
+	mQP, poolEP := host(pool, 4000)
+	sw, err := eng.Setup(inst, p4.Endpoints{Compute: computeEP, Pool: poolEP})
 	if err != nil {
 		return err
 	}
@@ -323,22 +234,8 @@ func WireP4Instance(eng *p4.Engine, inst *core.Instance, compute, pool *rdma.NIC
 
 // Close shuts everything down.
 func (s *System) Close() {
-	if s.Spot != nil {
-		s.Spot.Stop()
-	}
 	if s.P4 != nil {
 		s.P4.Stop()
 	}
-	if s.engineNIC != nil {
-		s.engineNIC.Close()
-	}
-	if s.Compute != nil {
-		s.Compute.Close()
-	}
-	for _, p := range s.Pools {
-		p.Close()
-	}
-	if s.Fabric != nil {
-		s.Fabric.Close()
-	}
+	s.d.close()
 }
