@@ -71,12 +71,11 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	// active thread's op rate). Heartbeats are a full pass over every
 	// queue's red block, so they stay an order of magnitude rarer still —
 	// a 2 s interval at the 1024 rung lands a 1024-write burst inside the
-	// ~100 ms measurement window every third trial. The spin+yield ladder
-	// in turn is what keeps the *active* workers hot: the closed loop's
-	// µs-scale issue gaps are bridged by immediate re-probes, so the slow
-	// park interval never appears in op latency.
-	cfg.Spot.IdleSpinRounds = 64
-	cfg.Spot.IdleYieldRounds = 192
+	// ~100 ms measurement window every third trial. The hot phase in turn is
+	// what keeps the *active* workers awake: the closed loop's µs-scale issue
+	// gaps are bridged by yield-paced re-probes, so the slow park interval
+	// never appears in op latency.
+	cfg.Spot.IdleYieldRounds = 256
 	cfg.Spot.ProbeInterval = time.Second
 	cfg.Spot.HeartbeatInterval = 30 * time.Second
 	sys, err := system.New(cfg)
@@ -87,12 +86,11 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	sys.Fabric.SetLatency(engineScaleLatency)
 	setup := time.Since(setupStart)
 
-	// Let the idle fleet run its spin/yield ladder once and park before
-	// anything is measured: a worker's first park lazily allocates its
-	// probe timer, and a ladder still burning during the measured phase
-	// would charge both that allocation and its probe traffic to the
-	// active set. Parked, the fleet probes at 1/s/worker, so once the
-	// aggregate probe rate falls to that order the ladder is done.
+	// Let the idle fleet park before anything is measured: a new slot starts
+	// cold, so each worker probes once and parks, and probe traffic still in
+	// flight during the measured phase would be charged to the active set.
+	// Parked, the fleet probes at 1/s/worker, so once the aggregate probe
+	// rate falls to that order it is done.
 	for end := time.Now().Add(10 * time.Second); time.Now().Before(end); {
 		p0 := sys.Spot.Stats().Probes
 		time.Sleep(100 * time.Millisecond)
@@ -129,10 +127,13 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	// prefix. The forced GC drains the garbage of setup and settle first:
 	// with a near-zero allocation rate inside the window, a cycle triggering
 	// mid-measurement (and charging its own bookkeeping to allocs/op) would
-	// otherwise be the column's noise floor.
+	// otherwise be the column's noise floor. The GC also empties the
+	// runtime's sudog cache, which restockSudogs refills before the count
+	// starts.
 	var m0, m1 runtime.MemStats
 	err = driveThreads(loops, func() {
 		runtime.GC()
+		restockSudogs()
 		runtime.ReadMemStats(&m0)
 	})
 	runtime.ReadMemStats(&m1)
@@ -234,7 +235,7 @@ func runEngineScalingReport(opsPerThread, maxRegistered int) (EngineScalingRepor
 		ActiveThreads:   engineScaleActive,
 		Window:          engineScaleWindow,
 		Workload:        "closed loop, 3:1 read:write, 64 B ops, disjoint per-thread strips",
-		IdlePolicy:      "idle workers park on a 1 s probe timer after a 64-spin/192-yield ladder; 30 s heartbeats",
+		IdlePolicy:      "new slots start cold; a slot that served stays hot for 256 yield-paced misses, then parks on a 1 s probe timer; 30 s heartbeats",
 		Trials:          engineScaleTrials,
 	}
 	if r.NumCPU == 1 {

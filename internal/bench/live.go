@@ -279,6 +279,34 @@ func keepTimersFine() (stop func()) {
 	return func() { close(quit); <-exited }
 }
 
+// restockSudogs refills the runtime's sudog caches. A sweep that gates on
+// allocations forces a GC as its window opens, and a GC drops the runtime's
+// central sudog cache; every goroutine that then blocks on a P whose own
+// cache has run dry allocates a sudog until some other P's overflows — a
+// handful of mallocs that are the harness's doing, not the datapath's, and
+// that a window of a few thousand ops reads as allocs/op > 0. They show once
+// blocked goroutines migrate between Ps (engine workers yield after every
+// pass, so they do). Parking n goroutines at once and releasing them leaves
+// every P's cache full and the central one stocked.
+func restockSudogs() {
+	const n = 512
+	gate := make(chan struct{})
+	var parked, exited sync.WaitGroup
+	parked.Add(n)
+	exited.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer exited.Done()
+			parked.Done()
+			<-gate
+		}()
+	}
+	parked.Wait()
+	runtime.Gosched() // the last few are between Done and the receive
+	close(gate)
+	exited.Wait()
+}
+
 // hostEnv is the environment block every live report embeds: the numbers
 // are wall clock, so the host's parallelism is part of the result.
 type hostEnv struct {

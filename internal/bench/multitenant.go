@@ -373,7 +373,7 @@ func runMultiTenantReport(opsPerTenant, maxTenants int) (MultiTenantReport, erro
 		Window:        multiTenantWindow,
 		Trials:        multiTenantTrials,
 		Workload:      "closed loop, 3:1 write:read, 64 B tag ops, 2 stripes per tenant composed across 4 memnodes",
-		IdlePolicy:    "serial engines, 1 per 64 tenants; idle-queue probe backoff 2x per miss capped at 1 s; 30 s heartbeats",
+		IdlePolicy:    "one shared worker per engine, 1 engine per 64 tenants; slots start cold, stay hot for 128 yield-paced misses after serving; cold probe backoff 2x per miss capped at 1 s; 30 s heartbeats",
 	}
 	if r.NumCPU == 1 {
 		r.HostNote = "host exposes 1 CPU; every engine, memnode, and tenant shares it, so absolute ops/s is the single-core figure and the exhibit is the shape of the curve across rungs"

@@ -51,6 +51,7 @@ type cowbirdSession struct {
 	group *core.PollGroup
 	next  kv.Token
 	byReq map[core.ReqID]kv.Token
+	toks  []kv.Token // Poll's reused return slice
 }
 
 func (s *cowbirdSession) ReadAsync(off uint64, dst []byte) (kv.Token, error) {
@@ -81,12 +82,12 @@ func (s *cowbirdSession) WriteAsync(off uint64, src []byte) (kv.Token, error) {
 
 func (s *cowbirdSession) Poll(max int, timeout time.Duration) []kv.Token {
 	ids := s.group.Wait(max, timeout)
-	out := make([]kv.Token, 0, len(ids))
+	s.toks = s.toks[:0]
 	for _, id := range ids {
 		if tok, ok := s.byReq[id]; ok {
-			out = append(out, tok)
+			s.toks = append(s.toks, tok)
 			delete(s.byReq, id)
 		}
 	}
-	return out
+	return s.toks
 }

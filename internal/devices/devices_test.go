@@ -159,6 +159,50 @@ func TestFasterOverCowbirdSpot(t *testing.T) {
 	driveStore(t, st)
 }
 
+// TestColdReadOverCowbirdAllocFree is the kv read path's allocation gate on
+// the device the benchmark runs it over: a cold read — issue, the Spot
+// engine's round, CompletePending — allocates nothing once the session's
+// recycled buffers and the device session's token slice are sized.
+func TestColdReadOverCowbirdAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI lane")
+	}
+	sys := cowbirdSystem(t, system.EngineSpot)
+	st, err := kv.Open(NewCowbirdDevice(sys.Client, sys.Region), kvConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := st.NewSession(0)
+	val := make([]byte, 100)
+	for i := 0; i < 1500; i++ {
+		if err := s.Upsert([]byte(fmt.Sprintf("key-%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []byte("key-0000")
+	coldRead := func() {
+		if _, status, err := s.Read(key, nil); err != nil || status != kv.StatusPending {
+			t.Fatalf("read: %v %v", status, err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			res, err := s.CompletePending(true)
+			if err != nil || time.Now().After(deadline) {
+				t.Fatalf("cold read never completed: %v", err)
+			}
+			if len(res) == 1 && res[0].Status == kv.StatusOK {
+				return
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		coldRead()
+	}
+	if allocs := testing.AllocsPerRun(200, coldRead); allocs != 0 {
+		t.Fatalf("cold read over the Cowbird device allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestFasterOverCowbirdP4 runs the same case study through the switch
 // data-plane engine.
 func TestFasterOverCowbirdP4(t *testing.T) {

@@ -38,8 +38,8 @@ func TestStartStopCyclesLeakNothing(t *testing.T) {
 }
 
 // runCycle stands up a fabric, engine, client, and pool, pushes one op
-// through (so workers actually serve, then idle through the spin → yield →
-// park ladder), and tears everything down in order.
+// through (so workers actually serve, then idle through the yield → park
+// ladder), and tears everything down in order.
 func runCycle(t *testing.T, cycle int) {
 	t.Helper()
 	f := rdma.NewFabric()
@@ -53,10 +53,9 @@ func runCycle(t *testing.T, cycle int) {
 
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
-	// Tiny spin/yield budgets so workers reach the parked-on-timer state —
-	// the teardown path the original lifecycle leaked in — within the test.
-	cfg.IdleSpinRounds = 2
-	cfg.IdleYieldRounds = 2
+	// A tiny hot budget so workers reach the parked-on-timer state — the
+	// teardown path the original lifecycle leaked in — within the test.
+	cfg.IdleYieldRounds = 4
 	eng := New(engNIC, cfg)
 	defer eng.Stop()
 

@@ -58,13 +58,9 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	lay := q.qi.Layout
 
 	// Stage-timing sample decision for this round: 1-in-N per shard, so the
-	// unsampled (common) round pays no time.Now at all.
+	// unsampled (common) round times nothing but its probe.
 	sampled := e.tel.Sampled(s.rounds)
 	s.rounds++
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
 
 	// Per-tenant QoS: reserve a round's worth of tokens before spending any
 	// RDMA on the probe, so a tenant over its rate costs the engine nothing
@@ -80,18 +76,23 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 		}
 	}
 	// Phase II (Probe): read the green bookkeeping half in one RDMA read.
+	// Every probe is timed: its smoothed duration is what the worker's idle
+	// budget is counted in (idleCap).
 	greenVA, greenBuf, _ := ar.alloc(rings.GreenSize)
+	t0 := time.Now()
 	err := e.postAndWait(s, c.computeQP, rdma.WorkRequest{
 		Verb: rdma.VerbRead, LocalVA: greenVA, Length: rings.GreenSize,
 		RemoteVA: q.qi.BaseVA + uint64(lay.GreenOffset()), RKey: q.qi.RKey,
 	})
 	s.stats.probes.Add(1)
+	probe := time.Since(t0)
 	if sampled {
-		e.tel.StageProbe.Observe(time.Since(t0))
+		e.tel.StageProbe.Observe(probe)
 	}
 	if err != nil {
 		return 0, err
 	}
+	s.probeTime += (probe - s.probeTime) / 8
 	green := rings.DecodeGreen(greenBuf)
 	if green.MetaTail == q.red.MetaHead {
 		if qos != nil {

@@ -17,7 +17,7 @@
 // owning one shard — a private completion queue, staging arena, WR-id space
 // and scratch — and serving a copy-on-write list of queue slots (instance,
 // queue set, QPs) in deficit-round-robin order, with per-slot probe pacing
-// and one spin → yield → park idle ladder. Config.Workers picks M: 0 gives
+// and one yield → park idle ladder. Config.Workers picks M: 0 gives
 // every queue set a dedicated one-slot worker, n > 0 pins n workers that
 // share the queue sets between them. A demultiplexer goroutine drains the
 // one hardware send CQ and routes each completion to the shard that posted
@@ -44,19 +44,21 @@ import (
 
 // Config tunes the agent.
 type Config struct {
-	// ProbeInterval paces green-block probes when a queue is idle.
+	// ProbeInterval paces green-block probes of a cold queue (see
+	// IdleYieldRounds): the first pacing step, and the floor of every later
+	// one.
 	ProbeInterval time.Duration
-	// IdleQueueProbeInterval, when > ProbeInterval, caps an exponential
-	// per-queue probe backoff: a queue whose probe found nothing (and, on
-	// a dedicated worker, has used up its spin and yield re-probes) is
-	// paced at ProbeInterval (so a briefly-idle active tenant pays
-	// microseconds, not the cap), and each further miss doubles the pacing
-	// up to this bound. A worker parks until its earliest queue
-	// is due, so its park backs off with them. The split matters at fleet
-	// scale — an op on any active queue must be picked up promptly, while
-	// thousands of registered-but-idle tenants must not each cost a probe
-	// RDMA round per ProbeInterval. 0 disables the backoff (every idle
-	// queue re-probes at ProbeInterval).
+	// IdleQueueProbeInterval caps the exponential probe backoff of a cold
+	// queue: its first paced miss waits ProbeInterval (so a tenant that just
+	// went quiet pays microseconds, not the cap) and each further miss
+	// doubles the wait up to the cap. A worker with no hot queue parks until
+	// its earliest queue is due, so its park backs off with them. > 0 is an
+	// explicit cap. 0 derives it from an idle budget: cold-queue probing may
+	// take about an eighth of a worker, so the cap is the worker's queue
+	// count × its smoothed probe time × 8 (never below ProbeInterval) — a
+	// dedicated worker re-probes its one idle queue every ProbeInterval or
+	// so, a worker carrying thousands of registered-but-idle tenants probes
+	// each a few times a second, and neither needs tuning.
 	IdleQueueProbeInterval time.Duration
 	// BatchSize is the maximum read responses coalesced into one RDMA
 	// write to the compute node. 1 disables batching (the "Cowbird
@@ -87,16 +89,17 @@ type Config struct {
 	// engine's goroutine count stays bounded however many tenants register
 	// (the fleet runs Workers = 1).
 	Workers int
-	// IdleSpinRounds and IdleYieldRounds shape the idle ladder of a worker
-	// that serves a single queue. A probe that finds no work is repeated at
-	// once for IdleSpinRounds passes (lowest wake-up latency, highest probe
-	// rate), then with a scheduler yield between passes for IdleYieldRounds
-	// more, and only then paced at ProbeInterval, the worker parking on a
-	// timer — so a busy or briefly-idle queue never pays a timer wakeup,
-	// and a long-idle one costs one timer per ProbeInterval. A worker that
-	// serves several queues parks after every pass that found no work.
-	// Zero selects the defaults; negative disables that phase.
-	IdleSpinRounds  int
+	// IdleYieldRounds is how long a queue stays hot. A queue that has served
+	// work is probed on every pass of its worker, however many queues the
+	// worker carries, until it has missed IdleYieldRounds times in a row; a
+	// pass that found work, or missed on a hot queue, ends in a scheduler
+	// yield instead of a park — new work can only appear once somebody else
+	// has run, and on a core with nothing else runnable the yield returns at
+	// once, so a busy or briefly-idle queue never pays a timer wakeup. Past
+	// the budget the queue is cold: paced by ProbeInterval doubling up to the
+	// IdleQueueProbeInterval cap, the worker parking when all its queues are.
+	// A newly registered queue starts cold. Zero selects the default;
+	// negative means no hot phase (every miss is paced, straight to park).
 	IdleYieldRounds int
 	// PoolHeartbeatInterval paces the liveness READs the engine issues to
 	// every pool replica of a mirrored instance (Registration.Pools):
@@ -136,19 +139,13 @@ func DefaultConfig() Config {
 		OpTimeout:             10 * time.Second,
 		HeartbeatInterval:     500 * time.Microsecond,
 		PoolHeartbeatInterval: time.Millisecond,
-		IdleSpinRounds:        defaultIdleSpinRounds,
 		IdleYieldRounds:       defaultIdleYieldRounds,
 	}
 }
 
-// Idle-policy defaults: a handful of immediate re-probes catches work that
-// arrives within a round trip or two of the queue draining; a longer yield
-// phase keeps latency low through scheduler-length gaps; after that the
-// worker parks and idle CPU drops to one timer per ProbeInterval.
-const (
-	defaultIdleSpinRounds  = 32
-	defaultIdleYieldRounds = 128
-)
+// defaultIdleYieldRounds keeps a queue hot through scheduler-length gaps
+// between requests; after that many fruitless probes its worker may park.
+const defaultIdleYieldRounds = 128
 
 // Stats counts engine activity, for tests and overhead accounting.
 type Stats struct {
@@ -204,7 +201,14 @@ type shard struct {
 	ops     []op        // decoded entries of the current round
 	run     []op        // response-batch run under construction
 	cqeBuf  [64]rdma.CQE
-	timer   *time.Timer // waitAll's completion-wait timeout
+	// timer is waitAll's completion-wait timeout. It is created with the
+	// shard, not on first use: a worker may first block inside a window
+	// somebody is measuring allocations over.
+	timer *time.Timer
+	// probeTime is the smoothed duration of a green-block probe on this
+	// shard, the unit of the idle budget (Config.IdleQueueProbeInterval).
+	// Plain field: only the owner touches it.
+	probeTime time.Duration
 
 	// rounds drives 1-in-N stage-timing sampling. Plain counter: only the
 	// owner touches it.
@@ -246,11 +250,12 @@ type slot struct {
 	// pass and a round consumes what it serves, so a backlogged tenant
 	// drains at most its quantum per pass while its peers get theirs.
 	deficit int
-	// idle counts consecutive probes that found no work. A worker's only
-	// slot is due again on the very next pass up to the spin and yield
-	// budgets; past them, and from the first miss on a worker with several
-	// slots, nextProbe paces it, so a pass over thousands of registered
-	// queues only pays RDMA rounds for the active ones.
+	// idle counts consecutive probes that found no work. Below
+	// Config.IdleYieldRounds the slot is hot — due again on the very next
+	// pass; from there on it is cold and nextProbe paces it, so a pass over
+	// thousands of registered queues only pays RDMA rounds for the active
+	// ones. A slot is born cold (idle = IdleYieldRounds): registering a
+	// tenant costs one probe, not a hot phase.
 	idle      int
 	nextProbe time.Time // zero: due now
 	// dead is set once the slot's compute QP has failed a work request. An
@@ -322,19 +327,15 @@ type Engine struct {
 	// number of further RDMA posts allowed before the engine "loses its
 	// VM" (-1 = never). Once tripped, the engine stops posting mid-round —
 	// no farewell bookkeeping write — exactly like a revoked spot instance.
-	killAfter   atomic.Int64
-	preempted   atomic.Bool
-	preemptCh   chan struct{}
-	preemptOnce sync.Once
+	killAfter atomic.Int64
+	preempted atomic.Bool
 
 	// Fenced demotion (DESIGN.md §14): set when any WRITE of this engine is
 	// NAKed with a stale fencing epoch — a standby was promoted over it.
 	// Terminal like preemption, but semantically distinct: the engine was
 	// deposed, not lost, and replicas it can still reach are NOT marked
 	// dead (their state is authoritative under the new epoch holder).
-	fenced     atomic.Bool
-	fencedCh   chan struct{}
-	fencedOnce sync.Once
+	fenced atomic.Bool
 	// The engine's current fencing epoch (SetFenceEpoch), kept so QPs wired
 	// into the engine after the stamp — every later Register — inherit it
 	// instead of presenting epoch 0 to already-fenced targets.
@@ -365,6 +366,11 @@ type Engine struct {
 	started  atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
+	// halt is closed by the first of Stop, preemption and fencing: the one
+	// channel a serving goroutine waits on besides its own work, so a
+	// blocking wait costs the datapath one shared channel, not three.
+	halt     chan struct{}
+	haltOnce sync.Once
 	wg       sync.WaitGroup
 }
 
@@ -548,12 +554,10 @@ func New(nic *rdma.NIC, cfg Config) *Engine {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 500 * time.Microsecond
 	}
-	// Idle policy: zero means default, negative disables the phase.
-	if cfg.IdleSpinRounds == 0 {
-		cfg.IdleSpinRounds = defaultIdleSpinRounds
-	} else if cfg.IdleSpinRounds < 0 {
-		cfg.IdleSpinRounds = 0
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 20 * time.Microsecond
 	}
+	// Zero means default, negative disables the hot phase.
 	if cfg.IdleYieldRounds == 0 {
 		cfg.IdleYieldRounds = defaultIdleYieldRounds
 	} else if cfg.IdleYieldRounds < 0 {
@@ -568,15 +572,14 @@ func New(nic *rdma.NIC, cfg Config) *Engine {
 		cfg.ScrubChunk = cfg.StagingBytes / 2
 	}
 	e := &Engine{
-		nic:       nic,
-		cfg:       cfg,
-		tel:       cfg.Telemetry,
-		cq:        rdma.NewCQ(),
-		nextVA:    0x7000_0000,
-		ctlOps:    make(chan func()),
-		preemptCh: make(chan struct{}),
-		fencedCh:  make(chan struct{}),
-		stop:      make(chan struct{}),
+		nic:    nic,
+		cfg:    cfg,
+		tel:    cfg.Telemetry,
+		cq:     rdma.NewCQ(),
+		nextVA: 0x7000_0000,
+		ctlOps: make(chan func()),
+		stop:   make(chan struct{}),
+		halt:   make(chan struct{}),
 	}
 	e.killAfter.Store(-1)
 	e.insts.Store(&instSnap{})
@@ -648,7 +651,8 @@ func (e *Engine) takeShardLocked(cq *rdma.CQ) *shard {
 		s, e.free = e.free[n-1], e.free[:n-1]
 	} else {
 		old := e.shardList()
-		s = &shard{id: len(old), demuxCQ: rdma.NewCQ()}
+		s = &shard{id: len(old), demuxCQ: rdma.NewCQ(), timer: time.NewTimer(time.Hour)}
+		s.stopTimer()
 		s.arena = make([]byte, e.cfg.StagingBytes)
 		s.arenaVA = e.nextVA
 		e.nextVA += uint64(e.cfg.StagingBytes)
@@ -837,7 +841,7 @@ func (e *Engine) Register(r Registration) error {
 // goroutine.
 func (e *Engine) placeLocked(inst *instance, eps []QueueEndpoints) {
 	for i, q := range inst.queues {
-		sl := &slot{inst: inst, q: q, conn: inst.shared}
+		sl := &slot{inst: inst, q: q, conn: inst.shared, idle: e.cfg.IdleYieldRounds}
 		var w *worker
 		if e.cfg.Workers > 0 {
 			w = slices.MinFunc(e.workers, func(a, b *worker) int {
@@ -1083,18 +1087,17 @@ func (e *Engine) Run() {
 
 // Stop halts the agent — workers, control goroutine, and demultiplexer —
 // waits for them to exit, and releases the shards' reusable wait timers
-// (lazily allocated in waitAll; without the explicit Stop a timer armed
-// mid-wait would keep its runtime entry live until it fired). Safe to call
-// on a never-Run engine and to call repeatedly.
+// (without the explicit Stop a timer armed mid-wait would keep its runtime
+// entry live until it fired). Safe to call on a never-Run engine and to call
+// repeatedly.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() { close(e.stop) })
+	e.tripHalt()
 	e.wg.Wait()
 	// The owning goroutines have exited (wg.Wait is the happens-before
-	// edge), so the lazily-created timers are safe to stop from here.
+	// edge), so their timers are safe to stop from here.
 	for _, s := range e.shardList() {
-		if s.timer != nil {
-			s.timer.Stop()
-		}
+		s.timer.Stop()
 	}
 }
 
@@ -1116,8 +1119,12 @@ func (e *Engine) Preempted() bool { return e.preempted.Load() }
 
 func (e *Engine) tripPreempt() {
 	e.preempted.Store(true)
-	e.preemptOnce.Do(func() { close(e.preemptCh) })
+	e.tripHalt()
 }
+
+// tripHalt wakes every serving goroutine blocked in park or waitAll. Callers
+// record why (stop, preempted, fenced) first.
+func (e *Engine) tripHalt() { e.haltOnce.Do(func() { close(e.halt) }) }
 
 // halted reports whether the engine is stopped, preempted or fenced — the
 // three states in which no serving goroutine may start another round.
@@ -1136,7 +1143,7 @@ func (e *Engine) Fenced() bool { return e.fenced.Load() }
 
 func (e *Engine) tripFenced() {
 	e.fenced.Store(true)
-	e.fencedOnce.Do(func() { close(e.fencedCh) })
+	e.tripHalt()
 }
 
 // isFencedFailure reports whether err carries a StatusFenced completion.
@@ -1192,23 +1199,21 @@ func (e *Engine) stampConn(c conn) {
 // HeartbeatInterval — busy queues renew for free with their Phase IV
 // writes — and its instance's pool heartbeat.
 //
-// The idle ladder is spin → yield → park. While any slot finds work the
-// loop turns flat out. A worker with a single slot has nothing else to
-// serve, so it climbs all three rungs: for the slot's first IdleSpinRounds
-// misses the pass repeats at once — the probe's own fabric round trip is
-// the pacing — so a request arriving just after a drain is picked up with
-// no scheduler or timer latency; for the next IdleYieldRounds misses the
-// loop inserts a runtime.Gosched, surrendering the P to co-located workers
-// while still probing far faster than ProbeInterval. A worker that shares
-// itself between slots goes straight to the last rung: a fruitless pass
-// already cost a probe per due slot, and the park is what hands the CPU to
-// the co-located engines and clients whose requests the next pass will
-// find. Parked, the worker sleeps until its earliest slot is due, backing
-// off toward IdleQueueProbeInterval as its slots do.
+// The idle ladder is yield → park, the same for a dedicated worker and one
+// that shares itself between slots. A slot that has served work is hot: due
+// on every pass until it has missed IdleYieldRounds times in a row. A pass
+// that found work or missed on a hot slot ends in runtime.Gosched: the
+// request the next pass will find can only be written once its client has
+// run, and a worker that re-probed at once would keep this P's local run
+// queue busy with its own fabric round trip while that client waits on the
+// global one. On a P with nothing else runnable the yield returns in about a
+// hundred nanoseconds, so on an idle core the same rung is a spin. A slot
+// past its budget — or never served — is cold: paced by ProbeInterval
+// doubling up to the idle cap, skipped with no RDMA until due. A pass that
+// touched no hot slot parks until the earliest cold one is due.
 func (e *Engine) workerLoop(w *worker) {
 	defer e.wg.Done()
 	s := w.shard
-	spin, rungs := e.cfg.IdleSpinRounds, e.cfg.IdleSpinRounds+e.cfg.IdleYieldRounds
 	// The park timer belongs to this goroutine, not to the shard: a retired
 	// worker may still be parked here when its shard is already serving
 	// another worker, and nothing but the owner may Reset or drain a timer
@@ -1228,14 +1233,10 @@ func (e *Engine) workerLoop(w *worker) {
 		// not resurrect the pre-removal list and serve a queue set that now
 		// belongs to another engine.
 		slots := *w.slots.Load()
-		budget := 0 // misses a slot may run up before it is paced
-		if len(slots) == 1 {
-			budget = rungs
-		}
+		idleCap := e.idleCap(s, len(slots))
 		now := time.Now()
-		worked := false
-		climbing := 0 // misses of the slot still inside its budget, if any
-		wake := now.Add(max(e.cfg.ProbeInterval, e.cfg.IdleQueueProbeInterval))
+		busy := false // a slot served work, or missed while still hot
+		wake := now.Add(idleCap)
 		for _, sl := range slots {
 			if sl.dead {
 				continue
@@ -1265,16 +1266,16 @@ func (e *Engine) workerLoop(w *worker) {
 					if e.computePathDead(sl, err) {
 						continue
 					}
-					sl.idle, sl.nextProbe = 0, now.Add(e.cfg.ProbeInterval)
+					sl.nextProbe = now.Add(e.cfg.ProbeInterval)
 				case n > 0:
-					worked = true
+					busy = true
 					sl.idle, sl.nextProbe = 0, time.Time{}
+				case sl.idle < e.cfg.IdleYieldRounds:
+					busy = true
+					sl.idle++
 				default:
-					if sl.idle++; sl.idle <= budget {
-						climbing = sl.idle
-					} else {
-						sl.nextProbe = now.Add(e.probePacing(sl.idle - budget))
-					}
+					sl.idle++
+					sl.nextProbe = now.Add(e.probePacing(sl.idle-e.cfg.IdleYieldRounds, idleCap))
 				}
 			}
 			if wake.After(sl.nextProbe) {
@@ -1291,16 +1292,23 @@ func (e *Engine) workerLoop(w *worker) {
 			}
 		}
 		w.roundMu.Unlock()
-		switch {
-		case worked || 0 < climbing && climbing <= spin:
-		case climbing > 0:
+		if busy {
 			runtime.Gosched()
-		default:
-			if !e.park(park, max(wake.Sub(now), e.cfg.ProbeInterval)) {
-				return
-			}
+		} else if !e.park(park, max(wake.Sub(now), e.cfg.ProbeInterval)) {
+			return
 		}
 	}
+}
+
+// idleCap is the bound of a cold slot's probe backoff on a worker serving
+// nslots through s: IdleQueueProbeInterval when set, else the idle budget —
+// with every cold slot probed once per nslots × probe time × 8, cold probing
+// takes at most an eighth of the worker. Never below ProbeInterval.
+func (e *Engine) idleCap(s *shard, nslots int) time.Duration {
+	if e.cfg.IdleQueueProbeInterval > 0 {
+		return max(e.cfg.IdleQueueProbeInterval, e.cfg.ProbeInterval)
+	}
+	return max(time.Duration(nslots)*s.probeTime*8, e.cfg.ProbeInterval)
 }
 
 // computePathDead retires sl if err says its compute QP is in the error
@@ -1318,18 +1326,15 @@ func (e *Engine) computePathDead(sl *slot, err error) bool {
 	return sl.dead
 }
 
-// probePacing returns how long a slot waits for its next probe after its
-// nth miss beyond the spin and yield budgets: ProbeInterval, doubling with
-// every further miss up to IdleQueueProbeInterval when that is the larger.
-func (e *Engine) probePacing(n int) time.Duration {
-	iv, bound := e.cfg.ProbeInterval, e.cfg.IdleQueueProbeInterval
+// probePacing returns how long a cold slot waits for its next probe after
+// its nth paced miss: ProbeInterval, doubling with every further miss up to
+// bound (idleCap, so never below ProbeInterval).
+func (e *Engine) probePacing(n int, bound time.Duration) time.Duration {
+	iv := e.cfg.ProbeInterval
 	for ; n > 1 && iv < bound; n-- {
 		iv *= 2
 	}
-	if bound > e.cfg.ProbeInterval {
-		iv = min(iv, bound)
-	}
-	return iv
+	return min(iv, bound)
 }
 
 // park sleeps for d on t, the calling goroutine's own timer, waking early
@@ -1344,11 +1349,7 @@ func (e *Engine) park(t *time.Timer, d time.Duration) bool {
 	}
 	t.Reset(d)
 	select {
-	case <-e.stop:
-		return false
-	case <-e.preemptCh:
-		return false
-	case <-e.fencedCh:
+	case <-e.halt:
 		return false
 	case <-t.C:
 		return true
@@ -1499,22 +1500,19 @@ func (e *Engine) waitAll(s *shard) error {
 			s.abandonPending()
 			return errTimeout
 		}
-		if s.timer == nil {
-			s.timer = time.NewTimer(remaining)
-		} else {
-			s.timer.Reset(remaining)
-		}
+		s.timer.Reset(remaining)
 		err := errTimeout // the wait timed out, or the engine is stopping
 		select {
 		case <-s.cq.Notify():
 			s.stopTimer()
 			continue
 		case <-s.timer.C:
-		case <-e.stop:
-		case <-e.preemptCh:
-			err = ErrPreempted
-		case <-e.fencedCh:
-			err = core.ErrFenced
+		case <-e.halt:
+			if e.preempted.Load() {
+				err = ErrPreempted
+			} else if e.fenced.Load() {
+				err = core.ErrFenced
+			}
 		}
 		s.stopTimer()
 		s.abandonPending()

@@ -133,11 +133,10 @@ func (l *hybridLog) flushAll() error {
 	}
 	target := l.tail.Load()
 	deadline := time.Now().Add(30 * time.Second)
+	var t *time.Timer
 	for l.flushed.Load() < target {
-		select {
-		case <-l.stop:
+		if !l.sleep(&t, 50*time.Microsecond) {
 			return fmt.Errorf("kv: store closed during checkpoint")
-		case <-time.After(50 * time.Microsecond):
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("kv: flush stalled during checkpoint (flushed %d < tail %d)",

@@ -41,7 +41,8 @@ type DeviceSession interface {
 	// WriteAsync stores src at off. src must stay valid until completion.
 	WriteAsync(off uint64, src []byte) (Token, error)
 	// Poll returns up to max completed tokens, waiting at most timeout
-	// (0 polls exactly once).
+	// (0 polls exactly once). The slice is the session's to reuse: it is
+	// valid until the next Poll.
 	Poll(max int, timeout time.Duration) []Token
 }
 
@@ -69,9 +70,10 @@ func (d *LocalDevice) Session(threadID int) DeviceSession {
 }
 
 type localSession struct {
-	d    *LocalDevice
-	next Token
-	done []Token
+	d      *LocalDevice
+	next   Token
+	done   []Token
+	polled []Token // Poll's reused return slice
 }
 
 func (s *localSession) op(off uint64, n int, read bool, buf []byte) (Token, error) {
@@ -100,12 +102,10 @@ func (s *localSession) WriteAsync(off uint64, src []byte) (Token, error) {
 }
 
 func (s *localSession) Poll(max int, _ time.Duration) []Token {
-	n := len(s.done)
-	if n > max {
-		n = max
-	}
-	out := make([]Token, n)
-	copy(out, s.done)
-	s.done = s.done[n:]
-	return out
+	n := min(len(s.done), max)
+	s.polled = append(s.polled[:0], s.done[:n]...)
+	// Shift the remainder down instead of re-slicing past it, so done keeps
+	// its backing array and appending to it stops allocating.
+	s.done = s.done[:copy(s.done, s.done[n:])]
+	return s.polled
 }

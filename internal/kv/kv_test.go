@@ -113,10 +113,14 @@ func TestHashCollisionChains(t *testing.T) {
 	}
 }
 
-func TestSpillToDeviceAndColdRead(t *testing.T) {
+// coldStore opens a store with far more written than MemSize, so its first
+// keys have spilled to the device while its last ones are still in memory,
+// and returns a session on it with one key of each kind ("record-0000" and
+// "record-1999" are what their values start with).
+func coldStore(t *testing.T) (s *Session, hot, cold []byte) {
+	t.Helper()
 	st := openTest(t, smallConfig())
-	s := st.NewSession(0)
-	// Write far more than MemSize so early records spill.
+	s = st.NewSession(0)
 	const n = 2000
 	val := bytes.Repeat([]byte{0xEE}, 100)
 	for i := 0; i < n; i++ {
@@ -128,21 +132,25 @@ func TestSpillToDeviceAndColdRead(t *testing.T) {
 	if st.HeadAddress() == st.log.begin() {
 		t.Fatal("log never spilled; test is vacuous")
 	}
-	// Key 0 is surely cold now.
-	_, status, err := s.Read([]byte("key-0000"), nil)
+	return s, []byte(fmt.Sprintf("key-%04d", n-1)), []byte("key-0000")
+}
+
+func TestSpillToDeviceAndColdRead(t *testing.T) {
+	s, hot, cold := coldStore(t)
+	_, status, err := s.Read(cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status != StatusPending {
 		t.Fatalf("expected PENDING for cold key, got %v", status)
 	}
-	got, st2 := readSync(t, s, []byte("key-0000"))
+	got, st2 := readSync(t, s, cold)
 	if st2 != StatusOK || string(got[:11]) != "record-0000" {
 		t.Fatalf("cold read: %q/%v", got[:16], st2)
 	}
 	// A recent key is still hot.
-	got, st3 := readSync(t, s, []byte(fmt.Sprintf("key-%04d", n-1)))
-	if st3 != StatusOK || string(got[:11]) != fmt.Sprintf("record-%04d", n-1) {
+	got, st3 := readSync(t, s, hot)
+	if st3 != StatusOK || string(got[:11]) != "record-1999" {
 		t.Fatalf("hot read: %q/%v", got[:16], st3)
 	}
 }
@@ -598,5 +606,58 @@ func TestRMWConcurrentCounters(t *testing.T) {
 	got := uint32(val[0]) | uint32(val[1])<<8 | uint32(val[2])<<16
 	if got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, workers*perWorker)
+	}
+}
+
+// TestReadPathAllocFree gates the read path at zero allocations: a hit
+// answers from the session's scratch, and a cold read runs issue →
+// CompletePending on a recycled pendingRead, its buffers and the reused
+// result and token slices. The first rounds size them.
+func TestReadPathAllocFree(t *testing.T) {
+	s, hot, cold := coldStore(t)
+	hit := func() {
+		if val, status, err := s.Read(hot, nil); err != nil || status != StatusOK || string(val[:11]) != "record-1999" {
+			t.Fatalf("hot read: %q %v %v", val, status, err)
+		}
+	}
+	miss := func() {
+		if _, status, err := s.Read(cold, nil); err != nil || status != StatusPending {
+			t.Fatalf("cold read: %v %v", status, err)
+		}
+		res, err := s.CompletePending(true)
+		if err != nil || len(res) != 1 || res[0].Status != StatusOK || string(res[0].Value[:11]) != "record-0000" {
+			t.Fatalf("cold read completed as %+v, %v", res, err)
+		}
+	}
+	for name, op := range map[string]func(){"hot": hit, "cold": miss} {
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		if allocs := testing.AllocsPerRun(500, op); allocs != 0 {
+			t.Errorf("%s read allocates %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestReadValueValidUntilNextRead pins the FASTER-style contract the
+// allocation-free read path rests on: the slice Read returns is the session's
+// scratch, and the next Read overwrites it.
+func TestReadValueValidUntilNextRead(t *testing.T) {
+	st := openTest(t, smallConfig())
+	s := st.NewSession(0)
+	for _, kv := range [][2]string{{"a", "first"}, {"b", "other"}} {
+		if err := s.Upsert([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _, _ := s.Read([]byte("a"), nil)
+	if string(first) != "first" {
+		t.Fatalf("read %q", first)
+	}
+	if second, _, _ := s.Read([]byte("b"), nil); string(second) != "other" {
+		t.Fatalf("read %q", second)
+	}
+	if string(first) == "first" {
+		t.Fatal("a second Read left the first one's slice alone: Read copies again, or the contract comment is stale")
 	}
 }

@@ -159,11 +159,10 @@ func (l *hybridLog) release(addr uint64) {
 func (l *hybridLog) makeRoom(end uint64) error {
 	needHead := end - l.memSize
 	needHead = (needHead + l.pageSize - 1) / l.pageSize * l.pageSize
+	var t *time.Timer // created by the first wait, reused by the rest
 	for l.flushed.Load() < needHead {
-		select {
-		case <-l.stop:
+		if !l.sleep(&t, 20*time.Microsecond) {
 			return fmt.Errorf("kv: store closed during allocation")
-		case <-time.After(20 * time.Microsecond):
 		}
 	}
 	for {
@@ -177,13 +176,30 @@ func (l *hybridLog) makeRoom(end uint64) error {
 	}
 	// Epoch drain: wait for readers still protected below the new head.
 	for !l.hazardsClearBelow(needHead) {
-		select {
-		case <-l.stop:
+		if !l.sleep(&t, 5*time.Microsecond) {
 			return fmt.Errorf("kv: store closed during allocation")
-		case <-time.After(5 * time.Microsecond):
 		}
 	}
 	return nil
+}
+
+// sleep waits d, or until the log closes, which it reports by returning
+// false. *t is the calling loop's own timer: sleep creates it on first use
+// and re-arms it afterwards (it has always fired and been drained by then),
+// so a polling loop costs one timer however long it polls.
+func (l *hybridLog) sleep(t **time.Timer, d time.Duration) bool {
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	select {
+	case <-l.stop:
+		(*t).Stop()
+		return false
+	case <-(*t).C:
+		return true
+	}
 }
 
 // readInMem copies [addr, addr+len(dst)) from the in-memory region into
@@ -246,6 +262,7 @@ func parseRecord(buf []byte) (prev uint64, key, value []byte, tombstone, ok bool
 // flushed frontier.
 func (l *hybridLog) flushLoop() {
 	defer close(l.done)
+	var idle *time.Timer
 	for {
 		fp := l.flushed.Load()
 		slot := (fp / l.pageSize) % l.numPages
@@ -274,10 +291,8 @@ func (l *hybridLog) flushLoop() {
 			l.flushed.Store(fp + l.pageSize)
 			continue
 		}
-		select {
-		case <-l.stop:
+		if !l.sleep(&idle, 20*time.Microsecond) {
 			return
-		case <-time.After(20 * time.Microsecond):
 		}
 	}
 }

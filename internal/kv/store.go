@@ -110,7 +110,8 @@ func (st *Store) slot(key []byte) *atomic.Uint64 {
 	return &st.index[hash(key)&st.mask]
 }
 
-// ReadResult is a completed cold read.
+// ReadResult is a completed cold read. Key and Value point into buffers the
+// session owns: they are valid until the session's next CompletePending.
 type ReadResult struct {
 	Key    []byte
 	Value  []byte
@@ -118,9 +119,9 @@ type ReadResult struct {
 	Ctx    any // caller context passed to Read
 }
 
-// pendingRead tracks one in-flight cold read.
+// pendingRead tracks one cold read, in flight or delivered. It owns the
+// buffers the read lands in, and is recycled with them.
 type pendingRead struct {
-	token Token
 	addr  uint64
 	key   []byte
 	buf   []byte
@@ -130,6 +131,11 @@ type pendingRead struct {
 
 // Session is a per-thread handle. Sessions are not goroutine-safe; use one
 // per thread, like FASTER sessions.
+//
+// The read path allocates nothing in steady state, FASTER-style: the value
+// Read returns and the results CompletePending returns live in buffers the
+// session reuses — the value is valid until the session's next Read or RMW,
+// the results until its next CompletePending. Copy what must outlive that.
 type Session struct {
 	st       *Store
 	threadID int
@@ -137,6 +143,14 @@ type Session struct {
 	hazard   *atomic.Uint64
 	pending  map[Token]*pendingRead
 	scratch  []byte
+
+	// Recycling. free holds idle pendingReads with their buffers; delivered
+	// holds the ones the last CompletePending's results point into, which
+	// return to free when the next one starts. In-flight reads are bounded by
+	// MaxInflight and so, within a factor of two, is everything here.
+	free      []*pendingRead
+	delivered []*pendingRead
+	results   []ReadResult
 }
 
 // NewSession opens a session for one application thread.
@@ -186,7 +200,8 @@ func (s *Session) append(key, value []byte, tombstone bool) error {
 // Read looks up key. If the record chain stays in memory the value is
 // returned immediately; if the chain descends into the cold region a device
 // read is issued and Read returns StatusPending — the result arrives
-// through CompletePending with the given ctx.
+// through CompletePending with the given ctx. The returned value is the
+// session's scratch: valid until the session's next Read or RMW.
 func (s *Session) Read(key []byte, ctx any) ([]byte, Status, error) {
 	addr := s.st.slot(key).Load()
 	return s.walk(key, addr, ctx)
@@ -196,7 +211,7 @@ func (s *Session) Read(key []byte, ctx any) ([]byte, Status, error) {
 func (s *Session) walk(key []byte, addr uint64, ctx any) ([]byte, Status, error) {
 	for addr != 0 {
 		if addr < s.st.log.head.Load() {
-			return nil, StatusPending, s.issueColdRead(key, addr, ctx, 0)
+			return nil, StatusPending, s.issueColdRead(key, addr, ctx)
 		}
 		// In-memory lookup is two-step: a published record's header is
 		// complete, so read it first, then read exactly the record — never
@@ -228,9 +243,7 @@ func (s *Session) walk(key []byte, addr uint64, ctx any) ([]byte, Status, error)
 			if tomb {
 				return nil, StatusNotFound, nil
 			}
-			out := make([]byte, len(rval))
-			copy(out, rval)
-			return out, StatusOK, nil
+			return rval, StatusOK, nil
 		}
 		addr = prev
 	}
@@ -249,12 +262,27 @@ func peekLens(buf []byte) (keyLen, valLen uint32, ok bool) {
 }
 
 // issueColdRead starts the asynchronous device read for a chain entry in
-// the cold region. size 0 means the speculative DiskReadSize.
-func (s *Session) issueColdRead(key []byte, addr uint64, ctx any, size int) error {
+// the cold region, on a recycled pendingRead that keeps its own copy of key.
+func (s *Session) issueColdRead(key []byte, addr uint64, ctx any) error {
+	var pr *pendingRead
+	if n := len(s.free); n > 0 {
+		pr, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		pr = new(pendingRead)
+	}
+	pr.key = append(pr.key[:0], key...)
+	pr.ctx = ctx
+	return s.submit(pr, addr, 0)
+}
+
+// submit issues pr's device read of the record at addr. size 0 means the
+// speculative DiskReadSize. On error pr is recycled.
+func (s *Session) submit(pr *pendingRead, addr uint64, size int) error {
 	if len(s.pending) >= s.st.cfg.MaxInflight {
+		s.recycle(pr)
 		return fmt.Errorf("kv: too many pending reads (max %d)", s.st.cfg.MaxInflight)
 	}
-	exact := size > 0
+	pr.addr, pr.exact = addr, size > 0
 	if size == 0 {
 		size = s.st.cfg.DiskReadSize
 	}
@@ -263,15 +291,23 @@ func (s *Session) issueColdRead(key []byte, addr uint64, ctx any, size int) erro
 	if rem := ps - addr%ps; uint64(size) > rem {
 		size = int(rem)
 	}
-	buf := make([]byte, size)
-	tok, err := s.dev.ReadAsync(addr, buf)
+	if cap(pr.buf) < size {
+		pr.buf = make([]byte, size)
+	}
+	pr.buf = pr.buf[:size]
+	tok, err := s.dev.ReadAsync(addr, pr.buf)
 	if err != nil {
+		s.recycle(pr)
 		return err
 	}
-	kcopy := make([]byte, len(key))
-	copy(kcopy, key)
-	s.pending[tok] = &pendingRead{token: tok, addr: addr, key: kcopy, buf: buf, ctx: ctx, exact: exact}
+	s.pending[tok] = pr
 	return nil
+}
+
+// recycle returns a pendingRead nothing references any more to the free list.
+func (s *Session) recycle(pr *pendingRead) {
+	pr.ctx = nil
+	s.free = append(s.free, pr)
 }
 
 // RMW atomically transforms the value of key: update receives the current
@@ -336,37 +372,39 @@ func (s *Session) tryPublishRMW(key, newVal []byte, expectedHead uint64) error {
 
 // finishRMW completes the cold half of an RMW: apply the update to the
 // value the device returned and publish. A lost race re-runs the whole RMW
-// (which may go pending again); nil is returned in that case.
-func (s *Session) finishRMW(res *ReadResult, rc *rmwCtx) (*ReadResult, error) {
+// (which may go pending again); done is false in that case.
+func (s *Session) finishRMW(res ReadResult, rc *rmwCtx) (out ReadResult, done bool, err error) {
 	var old []byte
 	if res.Status == StatusOK {
 		old = res.Value
 	}
 	if err := s.tryPublishRMW(res.Key, rc.update(old), rc.head); err == nil {
-		return &ReadResult{Key: res.Key, Value: rc.update(old), Status: StatusOK, Ctx: rc.user}, nil
+		return ReadResult{Key: res.Key, Value: rc.update(old), Status: StatusOK, Ctx: rc.user}, true, nil
 	}
 	status, err := s.RMW(res.Key, rc.user, rc.update)
-	if err != nil {
-		return nil, err
+	if err != nil || status == StatusPending {
+		return ReadResult{}, false, err // pending: a fresh cold read carries the RMW now
 	}
-	if status == StatusPending {
-		return nil, nil // a fresh cold read carries the RMW now
-	}
-	return &ReadResult{Key: res.Key, Status: StatusOK, Ctx: rc.user}, nil
+	return ReadResult{Key: res.Key, Status: StatusOK, Ctx: rc.user}, true, nil
 }
 
 // CompletePending drives outstanding cold reads, following chains across
 // further cold hops as needed, and returns finished results. With wait
 // true it blocks until at least one result is ready (or nothing is
-// pending).
+// pending). The returned slice and the keys and values in it are the
+// session's: valid until its next CompletePending.
 func (s *Session) CompletePending(wait bool) ([]ReadResult, error) {
-	var out []ReadResult
+	for _, pr := range s.delivered {
+		s.recycle(pr)
+	}
+	s.delivered = s.delivered[:0]
+	s.results = s.results[:0]
 	for {
 		if len(s.pending) == 0 {
-			return out, nil
+			return s.results, nil
 		}
 		timeout := time.Duration(0)
-		if wait && len(out) == 0 {
+		if wait {
 			timeout = time.Millisecond
 		}
 		toks := s.dev.Poll(64, timeout)
@@ -376,56 +414,47 @@ func (s *Session) CompletePending(wait bool) ([]ReadResult, error) {
 				continue // a log-flusher token can never appear here
 			}
 			delete(s.pending, tok)
-			res, err := s.resolve(pr)
+			res, done, err := s.resolve(pr)
+			if rc, isRMW := res.Ctx.(*rmwCtx); isRMW && done && err == nil {
+				res, done, err = s.finishRMW(res, rc)
+			}
 			if err != nil {
-				return out, err
+				return s.results, err
 			}
-			if res == nil {
-				continue
+			if done {
+				s.results = append(s.results, res)
 			}
-			if rc, isRMW := res.Ctx.(*rmwCtx); isRMW {
-				res, err = s.finishRMW(res, rc)
-				if err != nil {
-					return out, err
-				}
-				if res == nil {
-					continue
-				}
-			}
-			out = append(out, *res)
 		}
-		if !wait || len(out) > 0 {
-			return out, nil
+		if !wait || len(s.results) > 0 {
+			return s.results, nil
 		}
 	}
 }
 
-// resolve processes one completed cold read: deliver the value, follow the
-// chain, or re-issue a bigger read.
-func (s *Session) resolve(pr *pendingRead) (*ReadResult, error) {
+// resolve processes one completed cold read: deliver the value (done, with
+// pr parked on the delivered list because the result points into it), or
+// follow the chain or re-issue a bigger read on the same pendingRead.
+func (s *Session) resolve(pr *pendingRead) (res ReadResult, done bool, err error) {
 	prev, rkey, rval, tomb, ok := parseRecord(pr.buf)
 	if !ok {
-		if pr.exact {
-			return nil, fmt.Errorf("kv: corrupt cold record at %#x", pr.addr)
-		}
 		kl, vl, ok2 := peekLens(pr.buf)
-		if !ok2 {
-			return nil, fmt.Errorf("kv: corrupt cold record at %#x", pr.addr)
+		if pr.exact || !ok2 {
+			err = fmt.Errorf("kv: corrupt cold record at %#x", pr.addr)
+			s.recycle(pr)
+			return res, false, err
 		}
-		return nil, s.issueColdRead(pr.key, pr.addr, pr.ctx, int(recordSize(int(kl), int(vl))))
+		return res, false, s.submit(pr, pr.addr, int(recordSize(int(kl), int(vl))))
 	}
+	res = ReadResult{Key: pr.key, Status: StatusNotFound, Ctx: pr.ctx}
 	if bytes.Equal(rkey, pr.key) {
-		if tomb {
-			return &ReadResult{Key: pr.key, Status: StatusNotFound, Ctx: pr.ctx}, nil
+		if !tomb {
+			res.Value, res.Status = rval, StatusOK
 		}
-		val := make([]byte, len(rval))
-		copy(val, rval)
-		return &ReadResult{Key: pr.key, Value: val, Status: StatusOK, Ctx: pr.ctx}, nil
+	} else if prev != 0 {
+		// Continue the chain: it may climb back into memory (older in-memory
+		// addresses are impossible — chains only descend — so prev is cold).
+		return ReadResult{}, false, s.submit(pr, prev, 0)
 	}
-	if prev == 0 {
-		return &ReadResult{Key: pr.key, Status: StatusNotFound, Ctx: pr.ctx}, nil
-	}
-	// Continue the chain: it may climb back into memory (older in-memory
-	// addresses are impossible — chains only descend — so prev is cold).
-	return nil, s.issueColdRead(pr.key, prev, pr.ctx, 0)
+	s.delivered = append(s.delivered, pr)
+	return res, true, nil
 }
