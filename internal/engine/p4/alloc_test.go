@@ -1,25 +1,34 @@
 package p4
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/wire"
 )
 
 // hostSim emulates both hosts of one instance — the compute node's rings and
-// the memory pool — at the wire level, without NICs or a fabric. It answers
-// every switch-emitted frame with the response a host RNIC would send,
-// serializing the reply into the very buffer the request arrived in, so the
-// closed loop test ↔ engine circulates a fixed set of buffers: after warmup
-// neither side allocates, which is what lets the gate demand a hard zero
-// from testing.AllocsPerRun.
+// the memory pool — at the wire level, without NICs: it is the one device
+// attached to a fabric whose interposer is the engine, standing behind a
+// single MAC for both hosts (their QPNs tell them apart). It answers every
+// switch-emitted frame with the response a host RNIC would send, serializing
+// the reply into the very buffer the request arrived in (a foreign device
+// owns the frames delivered to it), and sends it back into the fabric, which
+// returns it to the frame pool once the engine has consumed it — the pool
+// the engine's next output is drawn from. The closed loop circulates a fixed
+// set of buffers: after warmup nobody allocates, which is what lets the gate
+// demand a hard zero from testing.AllocsPerRun.
 type hostSim struct {
-	t   *testing.T
-	eng *Engine
-	sw  SwitchInfo
+	t      *testing.T
+	fabric *rdma.Fabric
+	eng    *Engine
+	sw     SwitchInfo
+	mac    wire.MAC
+	rx     chan []byte // switch-emitted frames, handed over by Input
 
 	compQPN, poolQPN uint32
 	greenVA          uint64
@@ -32,8 +41,13 @@ type hostSim struct {
 	greenBuf [rings.GreenSize]byte
 	entryBuf [rings.MetaEntrySize]byte
 	dataBuf  [64]byte
-	queue    [][]byte
 }
+
+// MAC and Input implement rdma.Device. Input only hands the frame to the
+// test goroutine, so the whole protocol still executes there.
+func (h *hostSim) MAC() wire.MAC { return h.mac }
+
+func (h *hostSim) Input(frame []byte) { h.rx <- frame }
 
 // respond parses one switch-emitted frame and builds the host's answer in
 // place, or returns nil for frames a host would not acknowledge.
@@ -99,38 +113,52 @@ func (h *hostSim) respond(frame []byte) []byte {
 	return out
 }
 
-// drive feeds frames through respond/Process until the exchange quiesces.
-// The slice headers are copied out immediately because Process reuses its
-// return slice across calls.
-func (h *hostSim) drive(frames [][]byte) {
-	h.queue = append(h.queue[:0], frames...)
-	for len(h.queue) > 0 {
-		f := h.queue[len(h.queue)-1]
-		h.queue = h.queue[:len(h.queue)-1]
-		if resp := h.respond(f); resp != nil {
-			h.queue = append(h.queue, h.eng.Process(resp)...)
+// framesPerOp is how many frames the switch emits for one 64-byte request:
+// probe, metadata fetch, data read, data write, red-block write. The host's
+// answer to the last one (an ACK) is consumed without a reply.
+const framesPerOp = 5
+
+// recv waits for the next switch-emitted frame without allocating.
+func (h *hostSim) recv() []byte {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		select {
+		case f := <-h.rx:
+			return f
+		default:
 		}
+		if time.Now().After(deadline) {
+			h.t.Fatal("hostSim: the switch went quiet mid-operation")
+		}
+		runtime.Gosched()
 	}
 }
 
-// runOp publishes one metadata entry and ticks the generator: the probe
-// chain (green read → metadata fetch → data movement → ACKs → red write)
-// then runs to completion synchronously inside drive.
+// runOp publishes one metadata entry and ticks the generator, then answers
+// the chain it sets off (green read → metadata fetch → data movement → ACKs
+// → red write) frame by frame. Send runs Process on this goroutine, so when
+// the last answer's Send returns the engine is quiescent again.
 func (h *hostSim) runOp(typ rings.OpType) {
 	h.entry = rings.Entry{
 		Type: typ, ReqAddr: 0x30_0000, RespAddr: 0x31_0000,
 		Length: uint32(len(h.dataBuf)), RegionID: 0,
 	}
 	h.tail++
-	h.drive(h.eng.Process(h.eng.tick))
+	h.fabric.Send(h.eng.tick)
+	for i := 0; i < framesPerOp; i++ {
+		h.fabric.Send(h.respond(h.recv()))
+	}
 }
 
-// newHostSim builds an engine with one registered instance and the simulator
-// wired to its two emulated QPs. The engine is never Run: ticks are injected
-// by the test, so the whole protocol executes on the test goroutine.
+// newHostSim builds a fabric whose interposer is an engine with one
+// registered instance, and attaches the simulator behind its two emulated
+// QPs. The engine is never Run: ticks are injected by the test, so the whole
+// protocol executes on the test goroutine.
 func newHostSim(t *testing.T) *hostSim {
 	lay := rings.Layout{MetaEntries: 64, ReqDataBytes: 8 << 10, RespDataBytes: 8 << 10}
-	eng := New(nil, wire.MAC{2, 0xEE, 7, 0, 0, 1}, wire.IPv4Addr{10, 8, 7, 1}, Config{
+	fabric := rdma.NewFabric()
+	t.Cleanup(fabric.Close)
+	eng := New(fabric, wire.MAC{2, 0xEE, 7, 0, 0, 1}, wire.IPv4Addr{10, 8, 7, 1}, Config{
 		ProbeInterval: time.Hour, // unused: the test injects ticks itself
 		Timeout:       time.Hour, // recovery must never trigger mid-gate
 		MTU:           1024,
@@ -143,16 +171,19 @@ func newHostSim(t *testing.T) *hostSim {
 		Regions: []core.RegionInfo{{ID: 0, Base: 0x30_0000, Size: 1 << 20, RKey: 9}},
 	}
 	h := &hostSim{
-		t: t, eng: eng,
+		t: t, fabric: fabric, eng: eng,
+		mac:     wire.MAC{2, 0xEE, 7, 1, 0, 1},
+		rx:      make(chan []byte, 2*framesPerOp), // more than one operation ever has in flight
 		compQPN: 2000, poolQPN: 4000,
 		greenVA: baseVA + uint64(lay.GreenOffset()),
 		metaLo:  baseVA + uint64(lay.MetaOffset(0)),
 		metaHi:  baseVA + uint64(lay.MetaOffset(lay.MetaEntries)),
-		queue:   make([][]byte, 0, 32),
 	}
+	fabric.SetInterposer(eng)
+	fabric.Attach(h)
 	sw, err := eng.Setup(info, Endpoints{
-		Compute: Endpoint{MAC: wire.MAC{2, 0xEE, 7, 1, 0, 1}, IP: wire.IPv4Addr{10, 8, 7, 2}, QPN: h.compQPN},
-		Pool:    Endpoint{MAC: wire.MAC{2, 0xEE, 7, 2, 0, 1}, IP: wire.IPv4Addr{10, 8, 7, 3}, QPN: h.poolQPN},
+		Compute: Endpoint{MAC: h.mac, IP: wire.IPv4Addr{10, 8, 7, 2}, QPN: h.compQPN},
+		Pool:    Endpoint{MAC: h.mac, IP: wire.IPv4Addr{10, 8, 7, 3}, QPN: h.poolQPN},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +194,12 @@ func newHostSim(t *testing.T) *hostSim {
 
 // TestProcessAllocFree is the tentpole's hard zero-allocation gate for the
 // p4 datapath: after warmup, a full request lifecycle — probe, metadata
-// fetch, data movement, completion ACK, red-block write — driven entirely
-// through Process must not allocate. The warmup populates the engine's frame
-// free lists and object pools from the circulating buffers; steady state
-// then conserves them, so any allocation is a regression on the per-request
-// path (an escaping packet, a growing map, a dropped recycle).
+// fetch, data movement, completion ACK, red-block write — driven through the
+// fabric's forwarding lock and Process must not allocate. The warmup
+// populates the fabric's frame pool and the engine's object pools from the
+// circulating buffers; steady state then conserves them, so any allocation
+// is a regression on the per-request path (an escaping packet, a growing
+// map, a frame that missed the pool).
 func TestProcessAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI lane")

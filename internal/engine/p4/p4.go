@@ -5,10 +5,10 @@
 // responses become RDMA writes, acknowledgments become bookkeeping updates.
 //
 // The engine attaches to the fabric as its Interposer, so every frame
-// passes through Process exactly once on a single goroutine: the pipeline
-// is a serialization point for all requests, which is what makes the §5.3
-// linearizability argument go through. The RMT restrictions the paper works
-// around are preserved:
+// passes through Process exactly once, under the fabric's forwarding lock:
+// the pipeline is a serialization point for all requests, which is what
+// makes the §5.3 linearizability argument go through. The RMT restrictions
+// the paper works around are preserved:
 //
 //   - no range queries: a write in Phase III Step 1b pauses ALL newly
 //     probed reads (Cowbird-Spot, with a real CPU, pauses only overlapping
@@ -19,13 +19,14 @@
 //   - no recirculation: each transformation is single-pass.
 //
 // Control/data split (DESIGN.md §13): the data plane — everything reachable
-// from Process — runs lock-free and allocation-free at steady state. The
-// control plane (Setup, and the host ePSN resets during recovery) never
-// touches live per-request state; it publishes an immutable instance-table
-// snapshot through an atomic.Pointer, exactly like a switch control plane
-// writing match-action table entries while the pipeline keeps forwarding.
+// from Process — takes no lock of its own and is allocation-free at steady
+// state. The control plane (Setup, and the host ePSN resets during recovery)
+// never touches live per-request state; it publishes an immutable
+// instance-table snapshot through an atomic.Pointer, exactly like a switch
+// control plane writing match-action table entries while the pipeline keeps
+// forwarding.
 // Per-instance soft state (pending ops, request queues, PSN registers) is
-// owned exclusively by the forwarding goroutine and needs no lock at all.
+// touched only inside Process, which the forwarding lock serializes.
 package p4
 
 import (
@@ -170,7 +171,7 @@ const (
 // expects npkts response packets (or one ACK) with PSNs starting at
 // firstPSN. This is the "hash table" of §5.2 Phase III.
 type pendingOp struct {
-	created  time.Time // age drives the per-op data-plane timeout
+	created  time.Time // engine clock at issue; age drives the per-op data-plane timeout
 	kind     opKind
 	q        *queueState
 	req      *request
@@ -198,8 +199,6 @@ type queueState struct {
 
 	readSeq  uint64 // issued read count
 	writeSeq uint64
-
-	redDirty bool // red block needs a Phase IV write
 }
 
 // psnState is a requester PSN register.
@@ -208,8 +207,8 @@ type psnState struct {
 }
 
 // inst is one Cowbird instance (compute/pool pair) — §5.4. All fields below
-// the Setup-time constants are soft state owned by the forwarding goroutine;
-// the control plane never touches them after publication.
+// the Setup-time constants are soft state owned by Process; the control plane
+// never touches them after publication.
 type inst struct {
 	id      int
 	info    *core.Instance
@@ -233,8 +232,6 @@ type inst struct {
 
 	inflight int // issued-but-unfinished requests (resync window bookkeeping)
 	backlog  int // un-issued, un-held requests awaiting a kick
-
-	lastProgress time.Time
 
 	// Recovery state machine (§5.3): running → draining (ignore all
 	// traffic for one timeout so stale in-flight packets die) → resyncing
@@ -267,15 +264,8 @@ type instTable struct {
 	route     []instRole // indexed by emulated QPN − switchQPNBase
 }
 
-// frame free-list sizing. Small covers requests, ACK-sized frames, and red
-// writes; large covers MTU-sized data and metadata frames. The classes
-// mirror the NIC frame pools, so consumed host frames recycle cleanly into
-// the engine's lists.
-const (
-	smallFrameClass = 128
-	maxFreeFrames   = 1024
-	maxFreeObjs     = 4096
-)
+// maxFreeObjs bounds the pendingOp and request free lists.
+const maxFreeObjs = 4096
 
 // Engine is the switch data plane plus its control plane.
 type Engine struct {
@@ -299,14 +289,13 @@ type Engine struct {
 	// finished; the data plane drains it at tick time and resumes them.
 	ctlDone chan *inst
 
-	// Everything below is data-plane state, owned by the single fabric
-	// forwarding goroutine that calls Process. No locks, no sharing.
+	// Everything below is data-plane state, touched only inside Process,
+	// which the fabric calls under its forwarding lock. No locks of its own.
+	now             time.Time   // the engine clock: wall time of the latest generator tick
+	nextScan        time.Time   // engine clock at which checkTimeouts next walks the pending maps
 	rrInst, rrQueue int         // TDM round-robin cursor (§5.4)
 	rx, tx          wire.Packet // reusable decoder/encoder
 	out             [][]byte    // reusable Process return slice
-	freeSmall       [][]byte    // recycled frame buffers, two MTU classes
-	freeLarge       [][]byte
-	largeCap        int
 	freeOp          []*pendingOp
 	freeReq         []*request
 	heldScratch     []*request
@@ -334,14 +323,15 @@ func New(f *rdma.Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *Engine {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	e.largeCap = 2048
-	if need := wire.WireLen(wire.OpWriteOnly, cfg.MTU); need > e.largeCap {
-		e.largeCap = need
-	}
 	e.tbl.Store(&instTable{})
 	e.tick = e.buildTickFrame()
 	return e
 }
+
+// ReleasesFrames implements rdma.FrameReleaser: Process copies what it needs
+// out of its input and builds every output in a Fabric.FrameBuf buffer, so no
+// frame is referenced once it returns and the fabric may pool them all.
+func (e *Engine) ReleasesFrames() {}
 
 // MAC returns the switch's control MAC.
 func (e *Engine) MAC() wire.MAC { return e.mac }
@@ -398,18 +388,17 @@ func (e *Engine) Setup(info *core.Instance, eps Endpoints) (SwitchInfo, error) {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
 	in := &inst{
-		id:           info.ID,
-		info:         info,
-		regions:      core.NewRegionTable(info.Regions),
-		compute:      eps.Compute,
-		pool:         eps.Pool,
-		swCompQPN:    e.nextQPN,
-		swPoolQPN:    e.nextQPN + 1,
-		compPSN:      psnState{next: SwitchFirstPSN},
-		poolPSN:      psnState{next: SwitchFirstPSN},
-		pendingComp:  make(map[uint32]*pendingOp),
-		pendingPool:  make(map[uint32]*pendingOp),
-		lastProgress: time.Now(),
+		id:          info.ID,
+		info:        info,
+		regions:     core.NewRegionTable(info.Regions),
+		compute:     eps.Compute,
+		pool:        eps.Pool,
+		swCompQPN:   e.nextQPN,
+		swPoolQPN:   e.nextQPN + 1,
+		compPSN:     psnState{next: SwitchFirstPSN},
+		poolPSN:     psnState{next: SwitchFirstPSN},
+		pendingComp: make(map[uint32]*pendingOp),
+		pendingPool: make(map[uint32]*pendingOp),
 	}
 	e.nextQPN += 2
 	for _, qi := range info.Queues {
@@ -445,7 +434,7 @@ func (e *Engine) Stop() {
 
 // probeLoop injects one generator-tick frame per ProbeInterval. The tick
 // itself carries no protocol state: all PSN allocation and frame
-// construction happen inside Process, on the fabric's forwarding goroutine,
+// construction happen inside Process, under the fabric's forwarding lock,
 // so switch-assigned PSNs reach each host in exactly allocation order —
 // just as a real Tofino's packet-generation engine feeds blank packets into
 // the match-action pipeline, which fills them from stateful registers.
@@ -459,9 +448,9 @@ func (e *Engine) probeLoop() {
 			return
 		case <-ticker.C:
 		}
-		// The tick frame is immutable and consumed (never recycled) by
-		// Process, so one shared buffer serves every tick without an
-		// allocation per interval.
+		// The tick frame is immutable and consumed by Process, and too
+		// small for either class of the fabric's frame pool, so it is never
+		// recycled: one shared buffer serves every tick.
 		e.fabric.Send(e.tick)
 	}
 }
@@ -506,7 +495,7 @@ func (e *Engine) nextProbe(t *instTable) {
 		q.probeOutstanding = true
 		psn := e.allocPSNs(&in.compPSN, 1)
 		op := e.getOp()
-		*op = pendingOp{created: time.Now(), kind: opProbeResp, q: q, firstPSN: psn, npkts: 1}
+		*op = pendingOp{created: e.now, kind: opProbeResp, q: q, firstPSN: psn, npkts: 1}
 		in.pendingComp[key(psn)] = op
 		e.stats.probesSent.Add(1)
 		e.emit(e.buildRead(in, true, psn, q.qi.BaseVA+uint64(q.qi.Layout.GreenOffset()), q.qi.RKey, rings.GreenSize, e.cfg.ProbeTOS))
@@ -530,40 +519,40 @@ func (e *Engine) npktsFor(length uint32) int {
 	return n
 }
 
-// checkTimeouts drives §5.3 fault recovery. If an instance has had
-// in-flight operations make no progress for the timeout, it begins a
-// drain; once a drain window ends, the resync is launched.
+// checkTimeouts drives §5.3 fault recovery, on the engine clock. If an
+// instance has an in-flight operation older than the timeout, it begins a
+// drain; once a drain window ends, the resync is launched. The pending maps
+// are walked once per Timeout/4, not per tick: a stuck operation is found at
+// most a quarter-timeout late, and a drain lasts a whole one either way.
 func (e *Engine) checkTimeouts(t *instTable) {
-	now := time.Now()
+	scan := !e.now.Before(e.nextScan)
+	if scan {
+		e.nextScan = e.now.Add(e.cfg.Timeout / 4)
+	}
 	for _, in := range t.instances {
 		switch in.state {
 		case stateRunning:
 			// The timeout is per-operation, not per-instance: a steady flow
 			// of successful probes must not mask one stuck data transfer.
-			stuck := false
-			for _, op := range in.pendingComp {
-				if now.Sub(op.created) >= e.cfg.Timeout {
-					stuck = true
-					break
-				}
-			}
-			if !stuck {
-				for _, op := range in.pendingPool {
-					if now.Sub(op.created) >= e.cfg.Timeout {
-						stuck = true
-						break
-					}
-				}
-			}
-			if stuck {
+			if scan && (e.stuck(in.pendingComp) || e.stuck(in.pendingPool)) {
 				e.beginRecovery(in)
 			}
 		case stateDraining:
-			if now.After(in.drainUntil) {
+			if e.now.After(in.drainUntil) {
 				e.startResync(in)
 			}
 		}
 	}
+}
+
+// stuck reports whether any operation in pend has outlived the timeout.
+func (e *Engine) stuck(pend map[uint32]*pendingOp) bool {
+	for _, op := range pend {
+		if e.now.Sub(op.created) >= e.cfg.Timeout {
+			return true
+		}
+	}
+	return false
 }
 
 // beginRecovery enters the drain phase. Crucially, in-flight operations
@@ -574,7 +563,7 @@ func (e *Engine) checkTimeouts(t *instTable) {
 func (e *Engine) beginRecovery(in *inst) {
 	e.stats.recoveries.Add(1)
 	in.state = stateDraining
-	in.drainUntil = time.Now().Add(e.cfg.Timeout)
+	in.drainUntil = e.now.Add(e.cfg.Timeout)
 }
 
 // resyncWindow bounds how many recovered requests are re-issued at once;
@@ -588,9 +577,8 @@ const resyncWindow = 8
 // instance to a control-plane goroutine for the host ePSN resets. The
 // goroutine touches no engine state — it signals completion over ctlDone
 // and the data plane resumes the instance at the next tick (finishResync).
-// Splitting it this way keeps every mutation of instance soft state on the
-// forwarding goroutine, so the data plane stays lock-free even across
-// recovery.
+// Splitting it this way keeps every mutation of instance soft state inside
+// Process, so the data plane needs no lock of its own even across recovery.
 func (e *Engine) startResync(in *inst) {
 	in.state = stateResyncing
 	clear(in.pendingComp)
@@ -623,9 +611,9 @@ func (e *Engine) startResync(in *inst) {
 	compNext, poolNext := in.compPSN.next, in.poolPSN.next
 	compReset, poolReset := in.compute.ResetEPSN, in.pool.ResetEPSN
 	go func() {
-		// Control-plane calls run off the forwarding goroutine: they take
-		// host NIC locks, and making them inline could deadlock against
-		// the forwarding path.
+		// Control-plane calls run outside Process: they take host QP locks,
+		// which senders hold while they wait for the forwarding lock, so
+		// making them inline would invert the lock order.
 		if compReset != nil {
 			compReset(compNext)
 		}
@@ -654,7 +642,6 @@ func (e *Engine) startResync(in *inst) {
 // next red write on — without the republish the compute node would never
 // learn the final progress and its poll would hang forever.
 func (e *Engine) finishResync(in *inst) {
-	in.lastProgress = time.Now()
 	in.state = stateRunning
 	e.kick(in)
 	for _, q := range in.queues {
@@ -698,10 +685,11 @@ func (e *Engine) kick(in *inst) {
 
 // --- data-plane object pools -----------------------------------------------
 //
-// All pools are owned by the forwarding goroutine; no synchronization. They
-// are fed by consumed frames and retired requests/ops, so at steady state
-// the per-request path performs zero heap allocations no matter how many
-// instances are registered.
+// The pools are touched only inside Process; no synchronization. They are fed
+// by retired requests/ops, and frame buffers come from the fabric's pool
+// (Fabric.FrameBuf), which delivered and consumed frames refill, so at steady
+// state the per-request path performs zero heap allocations no matter how
+// many instances are registered.
 
 func (e *Engine) getOp() *pendingOp {
 	if n := len(e.freeOp); n > 0 {
@@ -732,44 +720,5 @@ func (e *Engine) putReq(r *request) {
 	if len(e.freeReq) < maxFreeObjs {
 		*r = request{}
 		e.freeReq = append(e.freeReq, r)
-	}
-}
-
-// getBuf returns a frame buffer with capacity for at least n bytes, reusing
-// a recycled consumed frame when one fits.
-func (e *Engine) getBuf(n int) []byte {
-	if n <= smallFrameClass {
-		if l := len(e.freeSmall); l > 0 {
-			b := e.freeSmall[l-1]
-			e.freeSmall = e.freeSmall[:l-1]
-			return b
-		}
-		return make([]byte, smallFrameClass)
-	}
-	if n <= e.largeCap {
-		if l := len(e.freeLarge); l > 0 {
-			b := e.freeLarge[l-1]
-			e.freeLarge = e.freeLarge[:l-1]
-			return b
-		}
-		return make([]byte, e.largeCap)
-	}
-	return make([]byte, n)
-}
-
-// recycleFrame retains a consumed incoming frame for reuse as a future
-// outgoing frame. The fabric never recycles frames that passed through an
-// interposer, so the engine owns them outright.
-func (e *Engine) recycleFrame(f []byte) {
-	c := cap(f)
-	switch {
-	case c >= e.largeCap:
-		if len(e.freeLarge) < maxFreeFrames {
-			e.freeLarge = append(e.freeLarge, f[:c])
-		}
-	case c >= smallFrameClass:
-		if len(e.freeSmall) < maxFreeFrames {
-			e.freeSmall = append(e.freeSmall, f[:c])
-		}
 	}
 }

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"cowbird/internal/memnode"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
-	"cowbird/internal/telemetry"
 	"cowbird/internal/wire"
 )
 
@@ -72,23 +72,27 @@ type instanceEnv struct {
 	region core.RegionInfo
 }
 
-// newMultiInstance wires n instances onto one switch engine (§5.4).
-func newMultiInstance(t *testing.T, n int) (*Engine, []*instanceEnv) {
-	return newMultiInstanceTel(t, n, nil)
-}
-
-// newMultiInstanceTel is newMultiInstance with an optional telemetry hub.
-func newMultiInstanceTel(t *testing.T, n int, tel *telemetry.Telemetry) (*Engine, []*instanceEnv) {
-	t.Helper()
-	fabric := rdma.NewFabric()
-	t.Cleanup(fabric.Close)
-	eng := New(fabric, wire.MAC{2, 0xEE, 0, 0, 0, 1}, wire.IPv4Addr{10, 8, 0, 1}, Config{
+// testConfig is the engine configuration the wired-up tests start from.
+func testConfig() Config {
+	return Config{
 		ProbeInterval: 2 * time.Microsecond,
 		Timeout:       50 * time.Millisecond,
 		MTU:           1024,
 		DataTOS:       8,
-		Telemetry:     tel,
-	})
+	}
+}
+
+// newMultiInstance wires n instances onto one switch engine (§5.4).
+func newMultiInstance(t *testing.T, n int) (*Engine, []*instanceEnv) {
+	return newMultiInstanceCfg(t, n, testConfig())
+}
+
+// newMultiInstanceCfg is newMultiInstance with the engine configuration given.
+func newMultiInstanceCfg(t *testing.T, n int, cfg Config) (*Engine, []*instanceEnv) {
+	t.Helper()
+	fabric := rdma.NewFabric()
+	t.Cleanup(fabric.Close)
+	eng := New(fabric, wire.MAC{2, 0xEE, 0, 0, 0, 1}, wire.IPv4Addr{10, 8, 0, 1}, cfg)
 	fabric.SetInterposer(eng)
 
 	var envs []*instanceEnv
@@ -219,11 +223,77 @@ func TestNonRoCEFramesForwarded(t *testing.T) {
 	}
 }
 
-func TestExtend24P4(t *testing.T) {
-	if extend24(0x100000, 0x100005&psnMask) != 0x100005 {
-		t.Fatal("same-epoch extension")
+// TestStuckOpRecoversWithinBound: the pending maps are scanned once per
+// Timeout/4 of engine clock, so an operation whose packet was lost must
+// still start a recovery within 1.25 × Timeout (1.5 × asserted, for
+// scheduling slack), and the request must then complete with the right data.
+func TestStuckOpRecoversWithinBound(t *testing.T) {
+	cfg := testConfig()
+	cfg.Timeout = 200 * time.Millisecond
+	eng, envs := newMultiInstanceCfg(t, 1, cfg)
+	th, _ := envs[0].client.Thread(0)
+	data := bytes.Repeat([]byte{0x3C}, 256)
+	if err := th.WriteSync(0, data, 4096, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if extend24(0x01fffffe, 0x000002) != 0x02000002 {
-		t.Fatal("forward wrap")
+
+	// Lose the switch's next data read toward the pool. Nothing follows it on
+	// that QP, so no host ever NAKs: only the timeout scan can find it.
+	poolMAC := envs[0].pool.NIC().MAC()
+	var lostAt atomic.Int64
+	eng.fabric.SetLossFn(func(frame []byte) bool {
+		var p wire.Packet
+		if lostAt.Load() != 0 || p.DecodeFromBytes(frame) != nil ||
+			p.Eth.Dst != poolMAC || p.BTH.OpCode != wire.OpReadRequest {
+			return false
+		}
+		lostAt.Store(time.Now().UnixNano())
+		return true
+	})
+	dest := make([]byte, 256)
+	read := make(chan error, 1)
+	go func() { read <- th.ReadSync(0, 4096, dest, 10*time.Second) }()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Stats().Recoveries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stuck read never triggered a recovery")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(time.Unix(0, lostAt.Load())); took > cfg.Timeout*3/2 {
+		t.Fatalf("recovery began %v after the loss, want within 1.5 x %v", took, cfg.Timeout)
+	}
+	if st := eng.Stats(); st.NAKs != 0 {
+		t.Fatalf("recovery came from a NAK, not the timeout scan: %+v", st)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("read after recovery: %v", err)
+	}
+	if !bytes.Equal(dest, data) {
+		t.Fatal("read returned wrong data after recovery")
+	}
+}
+
+// TestTickFrameNeverPooled: the generator tick is one shared immutable
+// buffer that Process consumes ten thousand times a second, and the fabric
+// returns consumed frames to its pool. The tick must stay out: a pooled tick
+// would be handed out as somebody's output buffer and scribbled over.
+func TestTickFrameNeverPooled(t *testing.T) {
+	fabric := rdma.NewFabric()
+	defer fabric.Close()
+	eng := New(fabric, wire.MAC{2, 0xEE, 9, 0, 0, 4}, wire.IPv4Addr{10, 9, 9, 4}, DefaultConfig())
+	fabric.SetInterposer(eng)
+	for i := 0; i < 10_000; i++ {
+		fabric.Send(eng.tick)
+	}
+	if !bytes.Equal(eng.tick, eng.buildTickFrame()) {
+		t.Fatalf("tick frame modified: % x", eng.tick)
+	}
+	// Had the tick been pooled, it would be the first buffer a class hands out.
+	for _, n := range []int{64, 1024} {
+		if b := fabric.FrameBuf(n); cap(b) < n || &b[:1][0] == &eng.tick[0] {
+			t.Fatalf("the pool handed out the tick frame (cap %d) for a %d-byte request", cap(b), n)
+		}
 	}
 }

@@ -19,10 +19,10 @@ func key(psn uint32) uint32 { return psn & psnMask }
 //
 // Process takes no locks and, at steady state, performs no allocations:
 // sender resolution is one atomic snapshot load plus an indexed lookup in
-// the dense routing array, output frames come from the engine's free lists
-// (fed by the consumed input frames), and the returned slice is reused
-// across calls — safe because the fabric's forwarding goroutine consumes it
-// before the next Process call.
+// the dense routing array, output frames come from the fabric's frame pool
+// (which the consumed input frames go back to — see ReleasesFrames), and the
+// returned slice is reused across calls — safe because the fabric consumes
+// it under the forwarding lock, before the next Process call.
 func (e *Engine) Process(frame []byte) [][]byte {
 	if len(frame) < wire.EthernetLen {
 		return nil
@@ -38,10 +38,12 @@ func (e *Engine) Process(frame []byte) [][]byte {
 	}
 	e.out = e.out[:0]
 	if uint16(frame[12])<<8|uint16(frame[13]) == etherTypeTick {
-		// Generator tick: resume finished resyncs, drive the timeout check,
-		// and emit the next probe, all within the pipeline's serialization
-		// point. The tick frame is the shared immutable buffer — never
-		// recycled.
+		// Generator tick: advance the engine clock — the one wall-clock read
+		// of the data plane, ProbeInterval granularity against a timeout a
+		// thousand times that — resume finished resyncs, drive the timeout
+		// check, and emit the next probe, all within the pipeline's
+		// serialization point.
+		e.now = time.Now()
 		t := e.tbl.Load()
 		for {
 			select {
@@ -56,10 +58,9 @@ func (e *Engine) Process(frame []byte) [][]byte {
 		e.nextProbe(t)
 		return e.result()
 	}
+	// The input frame's payload is copied into any output frames; the fabric
+	// returns the consumed buffer to its pool.
 	e.consume(frame)
-	// The input frame's payload has been copied into any output frames by
-	// now; keep the buffer for future output frames.
-	e.recycleFrame(frame)
 	return e.result()
 }
 
@@ -121,7 +122,6 @@ func (e *Engine) handleReadResponse(in *inst, fromCompute bool, p *wire.Packet) 
 	}
 	delete(pend, key(p.BTH.PSN))
 	op.received++
-	in.lastProgress = time.Now()
 	switch op.kind {
 	case opProbeResp:
 		e.onProbeResponse(in, op, p)
@@ -165,7 +165,7 @@ func (e *Engine) onProbeResponse(in *inst, op *pendingOp, p *wire.Packet) {
 	q.fetchOutstanding = true
 	psn := e.allocPSNs(&in.compPSN, 1)
 	fop := e.getOp()
-	*fop = pendingOp{created: time.Now(), kind: opMetaResp, q: q, firstPSN: psn, npkts: 1}
+	*fop = pendingOp{created: e.now, kind: opMetaResp, q: q, firstPSN: psn, npkts: 1}
 	in.pendingComp[key(psn)] = fop
 	e.stats.packetsRecycled.Add(1)
 	e.emit(e.buildRead(in, true, psn,
@@ -237,7 +237,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 		npkts := e.npktsFor(r.entry.Length)
 		psn := e.allocPSNs(&in.poolPSN, npkts)
 		op := e.getOp()
-		*op = pendingOp{created: time.Now(), kind: opReadData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
+		*op = pendingOp{created: e.now, kind: opReadData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
 		for i := 0; i < npkts; i++ {
 			in.pendingPool[key(psn+uint32(i))] = op
 		}
@@ -251,7 +251,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 	npkts := e.npktsFor(r.entry.Length)
 	psn := e.allocPSNs(&in.compPSN, npkts)
 	op := e.getOp()
-	*op = pendingOp{created: time.Now(), kind: opWriteData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
+	*op = pendingOp{created: e.now, kind: opWriteData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
 	for i := 0; i < npkts; i++ {
 		in.pendingComp[key(psn+uint32(i))] = op
 	}
@@ -285,7 +285,7 @@ func (e *Engine) onReadData(in *inst, op *pendingOp, p *wire.Packet) {
 	last := idx == op.npkts-1
 	if last {
 		aop := e.getOp()
-		*aop = pendingOp{created: time.Now(), kind: opRespAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
+		*aop = pendingOp{created: e.now, kind: opRespAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
 		in.pendingComp[key(outPSN)] = aop
 	}
 	var reth wire.RETH
@@ -327,7 +327,7 @@ func (e *Engine) onWriteData(in *inst, op *pendingOp, p *wire.Packet) {
 	}
 	if last {
 		aop := e.getOp()
-		*aop = pendingOp{created: time.Now(), kind: opWriteAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
+		*aop = pendingOp{created: e.now, kind: opWriteAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
 		in.pendingPool[key(outPSN)] = aop
 	}
 	e.stats.packetsRecycled.Add(1)
@@ -381,7 +381,6 @@ func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 	}
 	delete(pend, key(p.BTH.PSN))
 	op.received++
-	in.lastProgress = time.Now()
 	switch op.kind {
 	case opRespAck:
 		// Phase IV for a read: the response data is in compute memory;
@@ -443,7 +442,7 @@ func (e *Engine) retireWrites(q *queueState) {
 func (e *Engine) redWrite(in *inst, q *queueState) {
 	psn := e.allocPSNs(&in.compPSN, 1)
 	op := e.getOp()
-	*op = pendingOp{created: time.Now(), kind: opRedAck, q: q, firstPSN: psn, npkts: 1}
+	*op = pendingOp{created: e.now, kind: opRedAck, q: q, firstPSN: psn, npkts: 1}
 	in.pendingComp[key(psn)] = op
 	q.red.Heartbeat++
 	rings.EncodeRed(q.red, e.redBuf[:])
@@ -464,7 +463,7 @@ func (e *Engine) host(in *inst, toCompute bool) (Endpoint, uint32) {
 }
 
 // buildRead constructs an RDMA read request frame from the switch, using
-// the engine's reusable encoder and a free-list buffer.
+// the engine's reusable encoder and a fabric-pool buffer.
 func (e *Engine) buildRead(in *inst, toCompute bool, psn uint32, va uint64, rkey uint32, length uint32, tos uint8) []byte {
 	host, swQPN := e.host(in, toCompute)
 	p := &e.tx
@@ -480,7 +479,7 @@ func (e *Engine) buildRead(in *inst, toCompute bool, psn uint32, va uint64, rkey
 	p.BTH.PSN = psn & psnMask
 	p.BTH.AckReq = true
 	p.RETH = wire.RETH{VA: va, RKey: rkey, DMALen: length}
-	frame, err := p.SerializeInto(e.getBuf(wire.WireLen(wire.OpReadRequest, 0)))
+	frame, err := p.SerializeInto(e.fabric.FrameBuf(wire.WireLen(wire.OpReadRequest, 0)))
 	if err != nil {
 		return nil
 	}
@@ -506,32 +505,9 @@ func (e *Engine) buildWrite(in *inst, toCompute bool, op wire.OpCode, psn uint32
 		p.RETH = reth
 	}
 	p.Payload = payload
-	frame, err := p.SerializeInto(e.getBuf(wire.WireLen(op, len(payload))))
+	frame, err := p.SerializeInto(e.fabric.FrameBuf(wire.WireLen(op, len(payload))))
 	if err != nil {
 		return nil
 	}
 	return frame
-}
-
-// extend24 reconstructs a full-width PSN from its 24-bit wire form near ref.
-func extend24(ref uint32, w uint32) uint32 {
-	base := ref &^ psnMask
-	best := base | w
-	bestDiff := absDiff(int64(best), int64(ref))
-	for _, cand := range []int64{int64(base|w) - 0x1000000, int64(base|w) + 0x1000000} {
-		if cand < 0 {
-			continue
-		}
-		if d := absDiff(cand, int64(ref)); d < bestDiff {
-			best, bestDiff = uint32(cand), d
-		}
-	}
-	return best
-}
-
-func absDiff(a, b int64) int64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

@@ -92,7 +92,9 @@ func TestStatsConcurrentWithForwarding(t *testing.T) {
 // landed in the StageService histogram.
 func TestServiceTimeSampled(t *testing.T) {
 	hub := telemetry.New(telemetry.Config{SampleEvery: 1})
-	_, envs := newMultiInstanceTel(t, 1, hub)
+	cfg := testConfig()
+	cfg.Telemetry = hub
+	_, envs := newMultiInstanceCfg(t, 1, cfg)
 	th, _ := envs[0].client.Thread(0)
 	data := bytes.Repeat([]byte{0xC3}, 64)
 	const rounds = 5

@@ -146,6 +146,73 @@ func TestInterposerDisablesRecycling(t *testing.T) {
 	}
 }
 
+// releasingSwitch is a minimal FrameReleaser: it forwards every frame
+// untouched through a reused return slice, except frames addressed to its
+// own MAC, which it consumes — the two things the P4 engine does to frames.
+type releasingSwitch struct {
+	mac wire.MAC
+	out [1][]byte
+}
+
+func (r *releasingSwitch) ReleasesFrames() {}
+
+func (r *releasingSwitch) Process(frame []byte) [][]byte {
+	if [6]byte(frame[:6]) == r.mac {
+		return nil
+	}
+	r.out[0] = frame
+	return r.out[:]
+}
+
+// TestReleasingInterposerRecycles: an interposer that makes the
+// FrameReleaser promise gets the direct path's frame lifecycle — forwarded
+// frames return to the pool after delivery, with the data intact — and a
+// frame it consumes returns at once, unless it is too small for any class
+// (the P4 generator tick). The same identity interposer without the marker
+// recycles nothing, as TestInterposerDisablesRecycling demands.
+func TestReleasingInterposerRecycles(t *testing.T) {
+	traffic := func(t *testing.T, ip Interposer) *allocPairExt {
+		p := newAllocPair(t, DefaultConfig())
+		p.fabric.SetInterposer(ip)
+		copy(p.cliBuf, bytes.Repeat([]byte{0xA7}, 64))
+		scratch := make([]CQE, 1)
+		for i := 0; i < 50; i++ {
+			writeAndWait(t, p.pair, scratch)
+		}
+		quiesce(p.pair)
+		if !bytes.Equal(p.srvBuf[:64], p.cliBuf[:64]) {
+			t.Fatal("data corrupted through the interposer")
+		}
+		return p
+	}
+
+	sw := &releasingSwitch{mac: wire.MAC{2, 0xEE, 0xEE, 0, 0, 9}}
+	p := traffic(t, sw)
+	if len(p.fabric.pool.large) == 0 || len(p.fabric.pool.small) == 0 {
+		t.Fatalf("released frames bypassed the pool: %d small, %d large",
+			len(p.fabric.pool.small), len(p.fabric.pool.large))
+	}
+	small := len(p.fabric.pool.small)
+	consumed := p.fabric.FrameBuf(64)[:64]
+	small-- // FrameBuf drew it from the pool
+	copy(consumed, sw.mac[:])
+	p.fabric.Send(consumed)
+	if got := len(p.fabric.pool.small); got != small+1 {
+		t.Fatalf("consumed frame not returned to the pool: %d small buffers, want %d", got, small+1)
+	}
+	tick := make([]byte, wire.EthernetLen)
+	copy(tick, sw.mac[:])
+	p.fabric.Send(tick)
+	if got := len(p.fabric.pool.small); got != small+1 {
+		t.Fatalf("a %d-byte consumed frame entered the pool", len(tick))
+	}
+
+	p = traffic(t, InterposerFunc(sw.Process))
+	if n := len(p.fabric.pool.small) + len(p.fabric.pool.large); n != 0 {
+		t.Fatalf("%d frames recycled through an interposer that made no promise", n)
+	}
+}
+
 // TestLatencyAppliesOnFastPath: SetLatency must delay delivery even when
 // frames take the direct path (latency is an inbox property, not a
 // forwarding-goroutine property).
@@ -162,9 +229,9 @@ func TestLatencyAppliesOnFastPath(t *testing.T) {
 	}
 }
 
-// TestSlowPathNeverRecycles: a knob that needs the forwarding goroutine (a
-// loss predicate, here one that drops nothing) must route every frame
-// through it, deliver correctly, and recycle none of them.
+// TestSlowPathNeverRecycles: a fault-injection knob (a loss predicate, here
+// one that drops nothing) must route every frame through the forwarding
+// goroutine, deliver correctly, and recycle none of them.
 func TestSlowPathNeverRecycles(t *testing.T) {
 	p := newAllocPair(t, DefaultConfig())
 	p.fabric.SetLossFn(func([]byte) bool { return false })

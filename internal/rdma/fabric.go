@@ -41,18 +41,35 @@ type nonRetaining interface {
 }
 
 // Interposer sits on the fabric's forwarding path — the role of the
-// programmable switch. Every frame passes through it exactly once, in a
-// single goroutine, making it a serialization point (§5.3: "the
+// programmable switch. Every frame passes through it exactly once, under the
+// fabric's forwarding lock, making it a serialization point (§5.3: "the
 // programmable switch's data plane pipeline serves as a serialization point
 // for all requests"). It returns the frames to forward (possibly rewritten,
 // possibly more or fewer than one).
 //
-// Installing an interposer disables the fabric's direct fast path: every
-// frame detours through the forwarding goroutine, and no frame that passed
-// through an interposer is ever recycled (the interposer may have retained
-// or aliased it).
+// Process usually runs on the sender's goroutine, inside Fabric.Send, so it
+// must not call anything that takes a QP's lock (senders hold theirs across
+// Send) and must not call Send itself. The fabric consumes the returned slice
+// before the next Process call, so an interposer may reuse it.
+//
+// No frame that passed through an interposer is recycled — it may have
+// retained or aliased them — unless it also implements FrameReleaser.
 type Interposer interface {
 	Process(frame []byte) [][]byte
+}
+
+// FrameReleaser is the interposer's twin of nonRetaining: an Interposer that
+// also implements it promises to keep no reference to any frame — the one
+// Process was handed, or one it returned (each once, the input whole or not
+// at all) — after Process returns. The fabric
+// then treats interposed frames like direct ones: every returned frame is
+// recycled into the frame pool once its destination device has consumed it,
+// and an input frame that is not among the returned ones (consumed by the
+// interposer) goes back to the pool at once. Such an interposer draws its
+// output buffers from Fabric.FrameBuf, which closes the loop.
+type FrameReleaser interface {
+	Interposer
+	ReleasesFrames()
 }
 
 // InterposerFunc adapts a function to the Interposer interface.
@@ -75,17 +92,19 @@ type Stats struct {
 type fabricSnap struct {
 	devices    map[wire.MAC]*inbox
 	interposer Interposer
+	releases   bool // interposer is a FrameReleaser
 	lossFn     func(frame []byte) bool
 	delay      time.Duration
 	latency    time.Duration
 	tap        *PcapTap
 
-	// direct is true when nothing forces frames through the forwarding
-	// goroutine: no interposer, no loss injection, no serialized delay.
-	// Latency and the pcap tap do not disqualify the fast path — latency is
-	// applied at the destination inbox and the tap copies frames under its
-	// own lock.
-	direct bool
+	// queued is true when a fault-injection knob (loss, serialized delay)
+	// sends frames through the forwarding goroutine. Without one, Send stays
+	// on the caller's goroutine: straight to the destination inbox, or under
+	// the forwarding lock if there is an interposer. Latency and the pcap tap
+	// do not disqualify the fast path — latency is applied at the destination
+	// inbox and the tap copies frames under its own lock.
+	queued bool
 }
 
 // Fabric is an in-process Ethernet segment: devices attach with a MAC, and
@@ -95,10 +114,18 @@ type fabricSnap struct {
 // In the steady state (no interposer, loss injection, or forwarding delay)
 // Send runs entirely on the caller's goroutine: it resolves the destination
 // in the published snapshot and appends to that device's inbox, so senders
-// to different destinations share nothing but atomic counters. Installing
-// any of those knobs transparently falls back to the original single
-// forwarding goroutine, which the knobs' semantics (a serialization point,
-// a serialized per-frame delay) require.
+// to different destinations share nothing but atomic counters. An interposer
+// keeps Send on the caller's goroutine but puts every frame under the one
+// forwarding lock — the serialization point its semantics require — and
+// either way Send returns only once the frame is deposited, so one sender's
+// frames never reorder. The two fault-injection knobs (loss, serialized
+// delay) hand frames to a forwarding goroutine that takes the same lock:
+// under them a sender must not be slowed by the fault it is being tested
+// against (a retransmit burst forwarded inline, under the sender's QP lock,
+// starves the ACKs that would end it).
+//
+// Lock order: a sender's qp.mu → fwdMu → the destination's inbox.mu. Nothing
+// called under fwdMu (interposer, loss predicate) may take the first.
 type Fabric struct {
 	mu      sync.Mutex // control plane: guards the master copies below
 	devices map[wire.MAC]*inbox
@@ -115,10 +142,12 @@ type Fabric struct {
 	bytes   atomic.Int64
 	dropped atomic.Int64
 
-	// slowPending counts frames accepted onto the slow path but not yet
-	// deposited into their inbox. The fast path defers to the slow path
-	// while any are in flight, so a sender's frames cannot overtake frames
-	// it queued before a knob was cleared.
+	fwdMu sync.Mutex // the forwarding lock: held across forward
+
+	// slowPending counts frames queued for the forwarding goroutine but not
+	// yet deposited into their inbox. Send queues behind them while any are
+	// in flight, so a sender's frames cannot overtake frames it queued before
+	// a knob was cleared.
 	slowPending atomic.Int64
 
 	pool *framePool
@@ -149,14 +178,16 @@ func (f *Fabric) publishLocked() {
 	for mac, ib := range f.devices {
 		devices[mac] = ib
 	}
+	_, releases := f.interp.(FrameReleaser)
 	f.snap.Store(&fabricSnap{
 		devices:    devices,
 		interposer: f.interp,
+		releases:   releases,
 		lossFn:     f.lossFn,
 		delay:      f.delay,
 		latency:    f.latency,
 		tap:        f.tap,
-		direct:     f.interp == nil && f.lossFn == nil && f.delay == 0,
+		queued:     f.lossFn != nil || f.delay != 0,
 	})
 }
 
@@ -234,14 +265,25 @@ func (f *Fabric) Attach(d Device) {
 	}()
 }
 
-// Send queues a frame for forwarding. Ownership of the frame transfers to
-// the fabric: the caller must not read or modify it after Send returns (the
-// fabric may recycle it into the frame pool once delivered). Safe for
-// concurrent use.
+// FrameBuf returns an empty buffer with capacity for an n-byte frame, drawn
+// from the fabric's frame pool. It is how a FrameReleaser interposer builds
+// the frames it returns: they go back to the pool once delivered.
+func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
+
+// Send forwards a frame, or queues it for forwarding. Ownership of the frame
+// transfers to the fabric: the caller must not read or modify it after Send
+// returns (the fabric may recycle it into the frame pool once delivered).
+// Safe for concurrent use.
 func (f *Fabric) Send(frame []byte) {
 	s := f.snap.Load()
-	if s.direct && f.slowPending.Load() == 0 {
-		f.deliver(s, frame, true)
+	if !s.queued && f.slowPending.Load() == 0 {
+		if s.interposer == nil {
+			f.deliver(s, frame, true)
+			return
+		}
+		f.fwdMu.Lock()
+		f.forward(frame)
+		f.fwdMu.Unlock()
 		return
 	}
 	f.slowPending.Add(1)
@@ -277,26 +319,40 @@ func (f *Fabric) forwardLoop() {
 		case <-f.done:
 			return
 		case frame := <-f.ingress:
+			f.fwdMu.Lock()
 			f.forward(frame)
+			f.fwdMu.Unlock()
 			f.slowPending.Add(-1)
 		}
 	}
 }
 
-// forward runs one frame through the slow path: interposer, then delivery.
-// Frames that touched the slow path are never recycled — an interposer may
-// retain them, and the conservatism costs nothing on the paths that matter.
-// The snapshot is loaded per frame, so a Set* call takes effect on the very
-// next frame forwarded.
+// forward runs one frame through the slow path — interposer, then delivery —
+// under fwdMu, on a sender's goroutine or the forwarding one. The snapshot is
+// loaded here, not in Send, so a Set* call takes effect on the very next
+// frame forwarded. Frames are recycled only when a FrameReleaser interposer
+// vouches for them: any other interposer may retain them, and the loss/delay
+// knobs are fault injection, where the conservatism costs nothing that
+// matters.
 func (f *Fabric) forward(frame []byte) {
 	s := f.snap.Load()
-	if s.interposer != nil {
-		for _, fr := range s.interposer.Process(frame) {
-			f.deliver(f.snap.Load(), fr, false)
-		}
+	if s.interposer == nil {
+		f.deliver(s, frame, false)
 		return
 	}
-	f.deliver(s, frame, false)
+	consumed := s.releases
+	for _, fr := range s.interposer.Process(frame) {
+		if consumed && len(fr) > 0 && len(frame) > 0 && &fr[0] == &frame[0] {
+			consumed = false
+		}
+		f.deliver(s, fr, s.releases)
+	}
+	if consumed {
+		// put keeps buffers below the small class out of the pool, which is
+		// what keeps an interposer's own static frames (the P4 generator
+		// tick) from ever being handed out as somebody's output buffer.
+		f.pool.put(frame)
+	}
 }
 
 // deliver applies the loss/delay/tap knobs and deposits fr into the

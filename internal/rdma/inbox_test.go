@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -177,5 +178,55 @@ func (d *seqCheckDevice) Input(frame []byte) {
 	d.got++
 	if d.got == d.want {
 		close(d.done)
+	}
+}
+
+// TestInterposedOrderPreserved: with forwarding on the senders' goroutines,
+// under the forwarding lock, each sender's frames still arrive in order and
+// exactly once — on one P and on two, and across flips of the loss knob,
+// which move frames between the lock and the forwarding goroutine's queue
+// (the slowPending guard is what keeps a sender's inline frame from
+// overtaking the ones it queued).
+func TestInterposedOrderPreserved(t *testing.T) {
+	const senders, perSender = 2, 10_000
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f := NewFabric()
+			defer f.Close()
+			dev := &seqCheckDevice{
+				t:    t,
+				seq:  make([]uint32, senders),
+				done: make(chan struct{}),
+				want: senders * perSender,
+			}
+			f.Attach(dev)
+			f.SetInterposer(&releasingSwitch{})
+			mac := dev.MAC()
+			keepAll := func([]byte) bool { return false }
+			for q := 0; q < senders; q++ {
+				go func(q int) {
+					bth := wire.EthernetLen + wire.IPv4Len + wire.UDPLen
+					for i := 0; i < perSender; i++ {
+						fr := roceFrame(uint32(1000 + q))
+						copy(fr, mac[:])
+						binary.BigEndian.PutUint32(fr[bth+8:bth+12], uint32(i))
+						f.Send(fr)
+						if q == 0 && i%250 == 0 { // flip the loss knob mid-stream
+							if i%500 == 0 {
+								f.SetLossFn(keepAll)
+							} else {
+								f.SetLossFn(nil)
+							}
+						}
+					}
+				}(q)
+			}
+			select {
+			case <-dev.done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("GOMAXPROCS=%d: timeout waiting for %d interposed frames", procs, dev.want)
+			}
+		}()
 	}
 }

@@ -16,14 +16,17 @@ package rdma
 // asymmetric traffic (one side sends data, the other only ACKs) still
 // recirculates buffers globally.
 //
-// Lifecycle: NIC.emit* gets a buffer and serializes into it
+// Lifecycle: NIC.emit* — or a FrameReleaser interposer, through
+// Fabric.FrameBuf — gets a buffer and serializes into it
 // (wire.Packet.SerializeInto); Fabric.Send transfers ownership to the
 // fabric; after the destination device's Input returns, the inbox returns
 // the buffer to the pool — but only when the frame travelled the direct
-// fast path (no interposer that might retain it) and the device is one of
-// ours (NIC, UDP proxy), which never keep a frame past Input. Frames
-// delivered to foreign devices, or forwarded through an interposer, are
-// left to the garbage collector exactly as before.
+// fast path or a FrameReleaser interposer (any other might retain it) and
+// the device is one of ours (NIC, UDP proxy), which never keep a frame past
+// Input. A frame a FrameReleaser consumed goes back as soon as Process
+// returns. Frames delivered to foreign devices, forwarded through any other
+// interposer, or forwarded under a loss/delay knob are left to the garbage
+// collector.
 type framePool struct {
 	small chan []byte // every buffer has cap >= frameClassSmall
 	large chan []byte // every buffer has cap >= frameClassLarge
@@ -73,8 +76,9 @@ func (p *framePool) get(n int) []byte {
 }
 
 // put recycles b into the class its capacity supports. Buffers too small
-// for any class (foreign frames injected by tests or the UDP bridge) and
-// overflow beyond the pool depth are dropped to the GC.
+// for any class (foreign frames injected by tests or the UDP bridge, the P4
+// engine's shared generator-tick frame) never enter the pool, and overflow
+// beyond the pool depth is dropped to the GC.
 func (p *framePool) put(b []byte) {
 	switch {
 	case cap(b) >= frameClassLarge:

@@ -79,8 +79,9 @@ var spotColdPath = []string{
 // p4ColdPath lists the p4 engine frames allowed to contend: Setup is the
 // control path (ctlMu serializes snapshot publication), Stop tears down the
 // probe goroutine. Process and everything under it must never appear — the
-// datapath reads one atomic snapshot pointer and owns all soft state on the
-// fabric's forwarding goroutine.
+// datapath reads one atomic snapshot pointer and owns all soft state under
+// the fabric's forwarding lock, which is the rdma layer's (its holder is
+// Fabric.Send, so it is not counted here) and the only lock on the path.
 var p4ColdPath = []string{".Setup", ".Stop"}
 
 // driveMutexGateTraffic runs the measured window: four client threads doing
@@ -190,9 +191,10 @@ func TestHotPathMutexProfileCleanSpotShared(t *testing.T) {
 	}
 }
 
-// TestHotPathMutexProfileCleanP4 gates the p4 engine: Process runs on the
-// fabric's forwarding goroutine against an atomically-loaded COW snapshot
-// of the instance table, so no p4 frame outside Setup/Stop may contend.
+// TestHotPathMutexProfileCleanP4 gates the p4 engine: Process runs under the
+// fabric's forwarding lock against an atomically-loaded COW snapshot of the
+// instance table and takes no lock of its own, so no p4 frame outside
+// Setup/Stop may contend.
 func TestHotPathMutexProfileCleanP4(t *testing.T) {
 	runMutexGate(t, func(c *Config) { c.Threads = 4; c.Engine = EngineP4 },
 		"cowbird/internal/engine/p4.", p4ColdPath)

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -411,6 +412,52 @@ func TestP4LossRecovery(t *testing.T) {
 	}
 	if s.P4.Stats().Recoveries == 0 && s.P4.Stats().NAKs == 0 {
 		t.Fatal("no recovery was exercised despite drops")
+	}
+}
+
+// TestP4ReadPathAllocFree is the allocation gate on the path p4_read_64
+// measures: a window of sixteen 64-byte reads through the switch — issue,
+// probe, metadata fetch, pool read, response write, red-block write, poll —
+// allocates nothing once the fabric's frame pool holds the frames in
+// circulation. Every frame the engine consumes goes back to that pool and
+// every frame it emits is drawn from it (rdma.FrameReleaser).
+func TestP4ReadPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI lane")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := startSystem(t, func(c *Config) { c.Engine = EngineP4 })
+	th, _ := s.Client.Thread(0)
+	g := th.PollCreate()
+	const window = 16
+	var bufs [window][64]byte
+	round := func() {
+		for i := range bufs {
+			id, err := th.AsyncRead(0, uint64(i)*64, bufs[i][:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Add(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for left := window; left > 0; runtime.Gosched() {
+			done, err := g.WaitErr(window, 0)
+			if err != nil || time.Now().After(deadline) {
+				t.Fatalf("window stalled with %d reads left: %v", left, err)
+			}
+			left -= len(done)
+		}
+	}
+	for i := 0; i < 200; i++ { // warm-up: fill the frame pool, grow the rings
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("P4 read path allocates %v allocs per %d-read window, want 0", allocs, window)
+	}
+	if st := s.P4.Stats(); st.ReadsCompleted < 401*window || st.Recoveries != 0 {
+		t.Fatalf("the gate did not run on a healthy datapath: %+v", st)
 	}
 }
 
