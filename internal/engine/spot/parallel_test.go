@@ -19,6 +19,14 @@ import (
 // thread count, for tests that need a tiny metadata ring or several queues.
 func wireInstanceLayout(t *testing.T, f *rdma.Fabric, eng *Engine, i, threads int, lay rings.Layout) (*core.Client, *memnode.Node) {
 	t.Helper()
+	client, pool, _ := wireInstanceNIC(t, f, eng, i, threads, lay)
+	return client, pool
+}
+
+// wireInstanceNIC is wireInstanceLayout that also hands back the compute
+// node's NIC, for tests that drop its frames or wire it a second QP.
+func wireInstanceNIC(t *testing.T, f *rdma.Fabric, eng *Engine, i, threads int, lay rings.Layout) (*core.Client, *memnode.Node, *rdma.NIC) {
+	t.Helper()
 	compute := rdma.NewNIC(f, wire.MAC{2, 0xAA, 1, 0, 0, byte(i)}, wire.IPv4Addr{10, 7, 1, byte(i)}, rdma.DefaultConfig())
 	t.Cleanup(compute.Close)
 	pool := memnode.New(f, wire.MAC{2, 0xAA, 2, 0, 0, byte(i)}, wire.IPv4Addr{10, 7, 2, byte(i)}, rdma.DefaultConfig())
@@ -47,7 +55,7 @@ func wireInstanceLayout(t *testing.T, f *rdma.Fabric, eng *Engine, i, threads in
 	if err := eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
 		t.Fatal(err)
 	}
-	return client, pool
+	return client, pool, compute
 }
 
 // TestMetaRingWrapFetch drives the metadata ring across its wrap boundary

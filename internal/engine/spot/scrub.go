@@ -30,7 +30,7 @@ import (
 //	        has not), so it is re-checked after a settle delay before the
 //	        chunk is marked divergent. Marked chunks are visible to the
 //	        serve path immediately: a READ straddling one is served with
-//	        read-repair (executeBatch pushes the primary's just-staged
+//	        read-repair (serveBatch pushes the primary's just-staged
 //	        bytes to the lagging replicas in the same round).
 //	repair: confirmed-divergent chunks are re-verified and rewritten from
 //	        the primary under the engine's stop-the-world barrier

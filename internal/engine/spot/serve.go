@@ -7,6 +7,7 @@ import (
 	"cowbird/internal/core"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
+	"cowbird/internal/telemetry"
 )
 
 // op is one metadata entry scheduled for execution, with its staging slot.
@@ -17,20 +18,34 @@ type op struct {
 	stageBuf []byte
 }
 
-// arenaAlloc is a per-round bump allocator over a shard's staging arena.
+// arenaAlloc is a per-round allocator over a shard's staging arena with two
+// cursors: alloc bumps up from the front, allocBack down from the far end,
+// and the arena is full when they meet. A round stages what it sends to the
+// compute node (bookkeeping, read responses) at the front and write payloads
+// at the back, so the responses of reads that had writes between them still
+// sit back to back and leave in one RDMA write.
 type arenaAlloc struct {
-	s   *shard
-	off int
+	s     *shard
+	front int // bytes handed out from the start of the arena
+	back  int // bytes handed out from its end
 }
 
 func (a *arenaAlloc) alloc(n int) (uint64, []byte, bool) {
-	if a.off+n > len(a.s.arena) {
+	if a.front+n+a.back > len(a.s.arena) {
 		return 0, nil, false
 	}
-	va := a.s.arenaVA + uint64(a.off)
-	buf := a.s.arena[a.off : a.off+n]
-	a.off += n
-	return va, buf, true
+	off := a.front
+	a.front += n
+	return a.s.arenaVA + uint64(off), a.s.arena[off : off+n], true
+}
+
+func (a *arenaAlloc) allocBack(n int) (uint64, []byte, bool) {
+	if a.front+n+a.back > len(a.s.arena) {
+		return 0, nil, false
+	}
+	a.back += n
+	off := len(a.s.arena) - a.back
+	return a.s.arenaVA + uint64(off), a.s.arena[off : off+n], true
 }
 
 // serveQueue runs one Probe/Execute/Complete round for a queue set on shard
@@ -53,6 +68,10 @@ func (e *Engine) serveQueue(s *shard, c conn, inst *instance, q *queueState, lim
 	return served, err
 }
 
+// serveRound is the round proper. A round that finds a conflict-free,
+// read-only backlog on a queue whose previous probe found work blocks three
+// times — probe with the metadata fetch behind it, pool reads, responses
+// with the red write behind them — and one with writes four (serveBatch).
 func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, limit int) (int, error) {
 	ar := arenaAlloc{s: s}
 	lay := q.qi.Layout
@@ -62,29 +81,48 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	sampled := e.tel.Sampled(s.rounds)
 	s.rounds++
 
+	limit = min(limit, lay.MetaEntries)
+	greenVA, greenBuf, _ := ar.alloc(rings.GreenSize)
+	metaVA, metaBuf, ok := ar.alloc(limit * rings.MetaEntrySize)
+	if !ok {
+		return 0, fmt.Errorf("spot: staging arena too small for %d entries", limit)
+	}
+
 	// Per-tenant QoS: reserve a round's worth of tokens before spending any
 	// RDMA on the probe, so a tenant over its rate costs the engine nothing
 	// this round. The unused part of the reservation is refunded once the
 	// backlog is known; tokens spent on a round that later fails are not
 	// refunded (the fabric work happened, the tenant pays for it).
-	var quota int
 	qos := inst.qos.Load()
 	if qos != nil {
-		quota = qos.reserve(limit)
-		if quota == 0 {
+		if limit = qos.reserve(limit); limit == 0 {
 			return 0, nil
 		}
 	}
-	// Phase II (Probe): read the green bookkeeping half in one RDMA read.
-	// Every probe is timed: its smoothed duration is what the worker's idle
-	// budget is counted in (idleCap).
-	greenVA, greenBuf, _ := ar.alloc(rings.GreenSize)
+
+	// Phase II (Probe): read the green bookkeeping half in one RDMA read. If
+	// this queue's last probe found work, the metadata READ rides behind it
+	// on the same QP and both complete in one wait: the responder executes
+	// them in order and the requester accepts their responses in order, so
+	// the entries are never older than the tail that bounds them. The fetch
+	// is a guess — what the last probe found, capped by this round's limit
+	// and the ring's wrap — and a queue whose last probe was empty sends the
+	// lone 32-byte probe, so idle tenants cost what they always did. Every
+	// probe is timed: its smoothed duration is what the worker's idle budget
+	// is counted in (idleCap).
+	have := min(q.lastFound, limit, lay.MetaEntries-int(q.red.MetaHead%uint64(lay.MetaEntries)))
 	t0 := time.Now()
-	err := e.postAndWait(s, c.computeQP, rdma.WorkRequest{
+	_, err := e.post(s, c.computeQP, rdma.WorkRequest{
 		Verb: rdma.VerbRead, LocalVA: greenVA, Length: rings.GreenSize,
 		RemoteVA: q.qi.BaseVA + uint64(lay.GreenOffset()), RKey: q.qi.RKey,
 	})
 	s.stats.probes.Add(1)
+	if err == nil {
+		err = e.fetchMeta(s, c, q, metaVA, 0, have)
+	}
+	if err == nil {
+		err = e.waitAll(s)
+	}
 	probe := time.Since(t0)
 	if sampled {
 		e.tel.StageProbe.Observe(probe)
@@ -94,58 +132,37 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	}
 	s.probeTime += (probe - s.probeTime) / 8
 	green := rings.DecodeGreen(greenBuf)
-	if green.MetaTail == q.red.MetaHead {
+	count := min(int(green.MetaTail-q.red.MetaHead), limit)
+	q.lastFound = count
+	if count == 0 {
 		if qos != nil {
-			qos.refund(quota)
+			qos.refund(limit)
 		}
 		return 0, nil
 	}
 
-	// Fetch the new metadata entries (head→tail), at most two RDMA reads
-	// when the ring wraps.
-	count := min(int(green.MetaTail-q.red.MetaHead), limit)
-	if qos != nil {
-		count = min(count, quota)
-	}
-	metaVA, metaBuf, ok := ar.alloc(count * rings.MetaEntrySize)
-	if !ok {
-		return 0, fmt.Errorf("spot: staging arena too small for %d entries", count)
-	}
-	h0 := int(q.red.MetaHead % uint64(lay.MetaEntries))
-	run1 := count
-	if h0+run1 > lay.MetaEntries {
-		run1 = lay.MetaEntries - h0
-	}
-	if sampled {
-		t0 = time.Now()
-	}
-	_, err = e.post(s, c.computeQP, rdma.WorkRequest{
-		Verb: rdma.VerbRead, LocalVA: metaVA, Length: uint32(run1 * rings.MetaEntrySize),
-		RemoteVA: q.qi.BaseVA + uint64(lay.MetaOffset(h0)), RKey: q.qi.RKey,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if run1 < count {
-		_, err = e.post(s, c.computeQP, rdma.WorkRequest{
-			Verb: rdma.VerbRead, LocalVA: metaVA + uint64(run1*rings.MetaEntrySize),
-			Length:   uint32((count - run1) * rings.MetaEntrySize),
-			RemoteVA: q.qi.BaseVA + uint64(lay.MetaOffset(0)), RKey: q.qi.RKey,
-		})
-		if err != nil {
+	// Fetch what the tail shows beyond the guess (head→tail, at most two RDMA
+	// reads when the ring wraps). Entries the guess fetched beyond the tail
+	// are never looked at: metadata slots are not zeroed, so a previous lap's
+	// entry there would decode as valid.
+	if have < count {
+		if err := e.fetchMeta(s, c, q, metaVA, have, count); err != nil {
+			return 0, err
+		}
+		if err := e.waitAll(s); err != nil {
 			return 0, err
 		}
 	}
-	if err := e.waitAll(s); err != nil {
-		return 0, err
-	}
+	var tStage time.Time // sampled rounds: when the stage now running began
 	if sampled {
-		e.tel.StageFetch.Observe(time.Since(t0))
+		tStage = time.Now()
+		e.tel.StageFetch.Observe(tStage.Sub(t0))
 	}
 
-	// Decode and stage the entries. A torn entry (rw_type still zero) ends
-	// the round early; the publish order guarantees every entry before it
-	// is complete.
+	// Decode and stage the entries: read responses from the front of the
+	// arena, write payloads from its end. A torn entry (rw_type still zero)
+	// ends the round early; the publish order guarantees every entry before
+	// it is complete.
 	s.ops = s.ops[:0]
 	for i := 0; i < count; i++ {
 		ent := rings.DecodeEntry(metaBuf[i*rings.MetaEntrySize:])
@@ -156,20 +173,21 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 		if !ok {
 			return 0, fmt.Errorf("spot: entry references unknown region %d", ent.RegionID)
 		}
-		va, buf, ok := ar.alloc(int(ent.Length))
+		stage := ar.alloc
+		if ent.Type == rings.OpWrite {
+			stage = ar.allocBack
+		}
+		va, buf, ok := stage(int(ent.Length))
 		if !ok {
 			break // arena full; serve the remainder next round
 		}
 		s.ops = append(s.ops, op{entry: ent, region: region, stageVA: va, stageBuf: buf})
 	}
-	if len(s.ops) == 0 {
-		if qos != nil {
-			qos.refund(quota)
-		}
-		return 0, nil
-	}
 	if qos != nil {
-		qos.refund(quota - len(s.ops))
+		qos.refund(limit - len(s.ops))
+	}
+	if len(s.ops) == 0 {
+		return 0, nil
 	}
 	if e.tel != nil {
 		e.tel.EngineRounds.Inc(s.id)
@@ -191,60 +209,40 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	// abandoned mid-way never re-executes a batch whose effects were
 	// published, and the batch in progress re-executes idempotently.
 	start := 0
-	flush := func(end int) error {
-		if end == start {
-			return nil
-		}
-		if sampled {
-			t0 = time.Now()
-		}
-		if err := e.executeBatch(s, c, inst, q, s.ops[start:end]); err != nil {
-			return err
-		}
-		if sampled {
-			e.tel.StageExecute.Observe(time.Since(t0))
-		}
-		// Reclaim the batch's request-data ring space only now that the batch
-		// can never re-execute: an abandoned attempt (pool failover mid-batch)
-		// replays Stage A, and advancing the cursor there would free the same
-		// bytes twice — overshooting the client's reservation cursor and
-		// wedging its ring-full arithmetic permanently. Client and engine run
-		// the same reservation function, so the cursor advances identically on
-		// both sides.
-		for _, o := range s.ops[start:end] {
-			if o.entry.Type == rings.OpWrite {
-				_, q.red.ReqDataHead = rings.ReserveRing(q.red.ReqDataHead, o.entry.Length, lay.ReqDataBytes)
-			}
-		}
-		// The entries count as served once the local head advances: even if
-		// the red write below fails, they have executed and are never
-		// re-fetched (a later red write publishes the progress).
-		q.red.MetaHead += uint64(end - start)
-		s.stats.entries.Add(int64(end - start))
-		start = end
-		if sampled {
-			t0 = time.Now()
-		}
-		if err := e.writeRed(s, c, q); err != nil {
-			return err
-		}
-		if sampled {
-			e.tel.StagePublish.Observe(time.Since(t0))
-		}
-		return nil
-	}
 	for i := range s.ops {
 		if conflicts(s.ops[start:i], s.ops[i]) {
 			s.stats.stalls.Add(1)
-			if err := flush(i); err != nil {
+			if err := e.serveBatch(s, c, inst, q, s.ops[start:i], &tStage); err != nil {
 				return 0, err
 			}
+			start = i
 		}
 	}
-	if err := flush(len(s.ops)); err != nil {
+	if err := e.serveBatch(s, c, inst, q, s.ops[start:], &tStage); err != nil {
 		return 0, err
 	}
 	return len(s.ops), nil
+}
+
+// fetchMeta posts the READs that bring metadata entries [from, to) — counted
+// from the queue's head — into the round's metadata staging at metaVA: one
+// READ, or two when the range crosses the ring's wrap.
+func (e *Engine) fetchMeta(s *shard, c conn, q *queueState, metaVA uint64, from, to int) error {
+	lay := q.qi.Layout
+	for from < to {
+		slot := int((q.red.MetaHead + uint64(from)) % uint64(lay.MetaEntries))
+		run := min(to-from, lay.MetaEntries-slot)
+		_, err := e.post(s, c.computeQP, rdma.WorkRequest{
+			Verb: rdma.VerbRead, LocalVA: metaVA + uint64(from*rings.MetaEntrySize),
+			Length:   uint32(run * rings.MetaEntrySize),
+			RemoteVA: q.qi.BaseVA + uint64(lay.MetaOffset(slot)), RKey: q.qi.RKey,
+		})
+		if err != nil {
+			return err
+		}
+		from += run
+	}
+	return nil
 }
 
 // conflicts reports whether o's pool range overlaps an opposite-type
@@ -256,27 +254,28 @@ func conflicts(batch []op, o op) bool {
 	return overlapsRead(batch, o)
 }
 
-// writeRed performs one red-block bookkeeping write: the packed engine half
-// — head pointers, progress counters, heartbeat — in a single RDMA message.
-// Every call bumps the heartbeat, so any red write renews the engine's
-// lease; the heartbeat paths call this directly on idle queues. The staging
-// arena is free by the time a round reaches Phase IV, so a fresh bump
-// allocator is safe here.
-func (e *Engine) writeRed(s *shard, c conn, q *queueState) error {
-	q.red.Heartbeat++
-	ar := arenaAlloc{s: s}
-	redVA, redBuf, _ := ar.alloc(rings.RedSize)
-	rings.EncodeRed(q.red, redBuf)
+// writeRed publishes next as q's red block — the packed engine half: head
+// pointers, progress counters, heartbeat — in a single RDMA message, and
+// commits it: next becomes the engine's own copy only when the write's
+// completion says it landed. Until then q.red is untouched, so whatever
+// fails — this write, or anything still pending on the shard that it is
+// waited with — leaves the queue exactly where the durable block has it and
+// the next round replays from there. Every call bumps the heartbeat, so any
+// red write renews the engine's lease; the heartbeat path calls this on idle
+// queues with next = q.red. The block is staged in the shard's own red slot,
+// outside the arena: its retransmissions read the slot while the round's
+// other staging is still in flight.
+func (e *Engine) writeRed(s *shard, c conn, q *queueState, next rings.Red) error {
+	next.Heartbeat++
+	rings.EncodeRed(next, s.redBuf)
 	err := e.postAndWait(s, c.computeQP, rdma.WorkRequest{
-		Verb: rdma.VerbWrite, LocalVA: redVA, Length: rings.RedSize,
+		Verb: rdma.VerbWrite, LocalVA: s.redVA, Length: rings.RedSize,
 		RemoteVA: q.qi.BaseVA + uint64(q.qi.Layout.RedOffset()), RKey: q.qi.RKey,
 	})
 	if err != nil {
-		// The write may not have landed; do not treat the lease as renewed,
-		// and roll the local counter back so a retry reuses the same value.
-		q.red.Heartbeat--
 		return err
 	}
+	q.red = next
 	q.lastRed = time.Now()
 	s.stats.reds.Add(1)
 	return nil
@@ -314,7 +313,7 @@ func overlapsRead(batch []op, o op) bool {
 	return false
 }
 
-// executeBatch performs Phase III for one conflict-free batch:
+// serveBatch performs Phases III and IV for one conflict-free batch:
 //
 //	stage A: memnode reads (for read requests) and compute-side payload
 //	         fetches (for write requests), all in flight together;
@@ -323,12 +322,20 @@ func overlapsRead(batch []op, o op) bool {
 //	stage C: read responses pushed to the compute node, coalescing
 //	         contiguous response-ring reservations up to BatchSize entries
 //	         per RDMA write (§6 batching);
-//	then the progress counters advance.
-func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, batch []op) error {
-	if len(batch) == 0 {
-		return nil
-	}
-
+//	publish: the red write that makes the batch visible to the client.
+//
+// B and C are independent — the batch is conflict-free and both only read
+// the staging A filled — so they fly together under one wait. A batch with
+// no pool writes needs no wait between C and the red write either: both go
+// out on the compute QP, whose responder NAKs any PSN gap, so the red block
+// cannot land before the response bytes it announces. With pool writes the
+// red write follows the one B∥C wait, because progress may only be published
+// once every replica has acknowledged them.
+//
+// The batch commits when the red write completes (writeRed): every counter it
+// advances is advanced on a copy of q.red. tStage, on a sampled round, is when
+// the stage now running began; it is advanced as the stages are recorded.
+func (e *Engine) serveBatch(s *shard, c conn, inst *instance, q *queueState, batch []op, tStage *time.Time) error {
 	// Stage A. Pool READs go to the region's read replica — the primary for
 	// a mirrored instance, the region's first live home for a composed
 	// (fleet-placed) one — translated into its copy of the region
@@ -411,13 +418,20 @@ func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, b
 	// the region's homes from the fleet directory, so writes fan out only
 	// to the memnodes actually hosting the stripe. On an RC QP the per-node
 	// stream stays in entry order, preserving write-write ordering on each
-	// copy independently.
+	// copy independently. next is the red block this batch will publish:
+	// request-data ring space is reclaimed there, not in q.red, because an
+	// abandoned attempt replays Stage A and freeing the same bytes twice
+	// would overshoot the client's reservation cursor and wedge its
+	// ring-full arithmetic for good. Client and engine run the same
+	// reservation function, so the cursor advances identically on both sides.
+	next := q.red
 	nwrites := 0
 	for _, o := range batch {
 		if o.entry.Type != rings.OpWrite {
 			continue
 		}
 		nwrites++
+		_, next.ReqDataHead = rings.ReserveRing(next.ReqDataHead, o.entry.Length, q.qi.Layout.ReqDataBytes)
 		mirrored := 0
 		for _, ri := range inst.writeTargets(o.entry.RegionID) {
 			r := inst.replicas[ri]
@@ -444,11 +458,13 @@ func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, b
 			return fmt.Errorf("spot: no live pool replica for instance %d", inst.info.ID)
 		}
 	}
-	if err := e.waitAll(s); err != nil {
-		return err
-	}
+	// Anything on a pool QP by now — Stage B, or a read-repair — must be
+	// acknowledged before progress is published.
+	poolWrites := len(s.pending) > 0
 
-	// Stage C: batch read responses over contiguous reservations.
+	// Stage C: batch read responses over contiguous reservations. Reads are
+	// staged back to back whatever sat between them in the ring, so a run
+	// breaks only where the response ring itself wraps.
 	nreads := 0
 	s.run = s.run[:0]
 	flushRun := func() error {
@@ -490,13 +506,36 @@ func (e *Engine) executeBatch(s *shard, c conn, inst *instance, q *queueState, b
 	if err := flushRun(); err != nil {
 		return err
 	}
-	if err := e.waitAll(s); err != nil {
-		return err
+	if poolWrites {
+		if err := e.waitAll(s); err != nil {
+			return err
+		}
 	}
 
-	q.red.ReadProgress += uint64(nreads)
-	q.red.WriteProgress += uint64(nwrites)
+	// Phase IV. The activity counters move before the red write is posted: a
+	// client sees its operations complete the instant the block lands, and
+	// whoever it tells may read the counters next.
+	next.MetaHead += uint64(len(batch))
+	next.ReadProgress += uint64(nreads)
+	next.WriteProgress += uint64(nwrites)
+	s.stats.entries.Add(int64(len(batch)))
 	s.stats.reads.Add(int64(nreads))
 	s.stats.writes.Add(int64(nwrites))
+	if !tStage.IsZero() {
+		lap(tStage, e.tel.StageExecute)
+	}
+	if err := e.writeRed(s, c, q, next); err != nil {
+		return err
+	}
+	if !tStage.IsZero() {
+		lap(tStage, e.tel.StagePublish)
+	}
 	return nil
+}
+
+// lap records the stage that began at *t as ending now, and starts the next.
+func lap(t *time.Time, stage *telemetry.Histogram) {
+	now := time.Now()
+	stage.Observe(now.Sub(*t))
+	*t = now
 }

@@ -170,6 +170,9 @@ type Stats struct {
 	ReadRepairs      int64 // serve-path reads that repaired a divergent chunk
 }
 
+// redSlot is the room a shard keeps ahead of its arena for the red block.
+const redSlot = 64
+
 // WR ids carry the owning shard in the high bits so the demultiplexer can
 // route completions without any shared lookup state.
 const (
@@ -195,6 +198,10 @@ type shard struct {
 	wrSeq   atomic.Uint64
 	arena   []byte
 	arenaVA uint64
+	// redBuf (at redVA) stages red-block writes, apart from the arena that
+	// rounds hand out and reuse (writeRed).
+	redBuf []byte
+	redVA  uint64
 
 	// Round-scoped scratch, reused across rounds.
 	pending []pendingWR // in-flight WRs of the current wait
@@ -203,8 +210,16 @@ type shard struct {
 	cqeBuf  [64]rdma.CQE
 	// timer is waitAll's completion-wait timeout. It is created with the
 	// shard, not on first use: a worker may first block inside a window
-	// somebody is measuring allocations over.
-	timer *time.Timer
+	// somebody is measuring allocations over. It is armed by the first wait
+	// that blocks and then left alone: timerArmed says a tick is still owed —
+	// pending in the runtime or already sitting in timer.C — and the wait that
+	// receives it re-arms for whatever its own deadline has left, so a wait
+	// that ends in time touches no runtime timer at all.
+	timer      *time.Timer
+	timerArmed bool
+	// waits counts completion waits (waitAll calls with work pending). Plain
+	// field, read by tests only: only the owner touches it.
+	waits int
 	// probeTime is the smoothed duration of a green-block probe on this
 	// shard, the unit of the idle budget (Config.IdleQueueProbeInterval).
 	// Plain field: only the owner touches it.
@@ -530,9 +545,14 @@ func (r *replica) translate(reg core.RegionInfo, va uint64) (uint64, uint32, err
 }
 
 type queueState struct {
-	qi      core.QueueInfo
-	red     rings.Red // engine-local authoritative copy of the red block
+	qi core.QueueInfo
+	// red is the engine's copy of the red block: what the last completed red
+	// write published (or adoption read back), never ahead of it.
+	red     rings.Red
 	lastRed time.Time // when the red block (and thus the lease) last renewed
+	// lastFound is how many entries the queue's last probe found to serve: the
+	// next round fetches that many speculatively, behind its probe.
+	lastFound int
 }
 
 // New creates an idle engine on nic. Call Register, then Run. The
@@ -652,11 +672,13 @@ func (e *Engine) takeShardLocked(cq *rdma.CQ) *shard {
 	} else {
 		old := e.shardList()
 		s = &shard{id: len(old), demuxCQ: rdma.NewCQ(), timer: time.NewTimer(time.Hour)}
-		s.stopTimer()
-		s.arena = make([]byte, e.cfg.StagingBytes)
-		s.arenaVA = e.nextVA
-		e.nextVA += uint64(e.cfg.StagingBytes)
-		e.nic.RegisterMR(s.arenaVA, s.arena)
+		s.timer.Stop() // cannot have fired: nothing to drain
+		// One registration: the red slot, then the arena.
+		buf := make([]byte, redSlot+e.cfg.StagingBytes)
+		e.nic.RegisterMR(e.nextVA, buf)
+		s.redVA, s.redBuf = e.nextVA, buf[:rings.RedSize]
+		s.arenaVA, s.arena = e.nextVA+redSlot, buf[redSlot:]
+		e.nextVA += uint64(len(buf))
 		e.shards.Store(append(slices.Clip(old), s))
 	}
 	s.cq = cq
@@ -1087,9 +1109,9 @@ func (e *Engine) Run() {
 
 // Stop halts the agent — workers, control goroutine, and demultiplexer —
 // waits for them to exit, and releases the shards' reusable wait timers
-// (without the explicit Stop a timer armed mid-wait would keep its runtime
-// entry live until it fired). Safe to call on a never-Run engine and to call
-// repeatedly.
+// (without the explicit Stop a timer left armed by a wait would keep its
+// runtime entry live until it fired). Safe to call on a never-Run engine and
+// to call repeatedly.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.tripHalt()
@@ -1098,6 +1120,7 @@ func (e *Engine) Stop() {
 	// edge), so their timers are safe to stop from here.
 	for _, s := range e.shardList() {
 		s.timer.Stop()
+		s.timerArmed = false
 	}
 }
 
@@ -1283,7 +1306,7 @@ func (e *Engine) workerLoop(w *worker) {
 			}
 			e.maybePoolHeartbeat(s, sl.conn, sl.inst, now)
 			if err == nil && now.Sub(sl.q.lastRed) >= e.cfg.HeartbeatInterval {
-				if rerr := e.writeRed(s, sl.conn, sl.q); rerr == nil {
+				if rerr := e.writeRed(s, sl.conn, sl.q, sl.q.red); rerr == nil {
 					s.stats.hbWrites.Add(1)
 				} else {
 					e.notePoolFailure(sl.inst, sl.conn, rerr)
@@ -1353,17 +1376,6 @@ func (e *Engine) park(t *time.Timer, d time.Duration) bool {
 		return false
 	case <-t.C:
 		return true
-	}
-}
-
-// stopTimer halts the shard's wait timer and drains a concurrently-fired
-// tick so the next Reset starts clean.
-func (s *shard) stopTimer() {
-	if !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
 	}
 }
 
@@ -1463,8 +1475,12 @@ func (s *shard) abandonPending() {
 // round is abandoned: every still-pending WR is canceled (see
 // abandonPending) and the pending set cleared.
 func (e *Engine) waitAll(s *shard) error {
-	deadline := time.Now().Add(e.cfg.OpTimeout)
-	for len(s.pending) > 0 {
+	if len(s.pending) == 0 {
+		return nil
+	}
+	s.waits++
+	var deadline time.Time // set when the wait first blocks
+	for {
 		n := s.cq.PollInto(s.cqeBuf[:])
 		for _, c := range s.cqeBuf[:n] {
 			if c.Status == rdma.StatusFenced {
@@ -1495,30 +1511,35 @@ func (e *Engine) waitAll(s *shard) error {
 		if n > 0 {
 			continue // drained some; poll again before blocking
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			s.abandonPending()
-			return errTimeout
+		if deadline.IsZero() {
+			deadline = time.Now().Add(e.cfg.OpTimeout)
 		}
-		s.timer.Reset(remaining)
-		err := errTimeout // the wait timed out, or the engine is stopping
+		if !s.timerArmed {
+			remaining := time.Until(deadline)
+			if remaining <= 0 {
+				s.abandonPending()
+				return errTimeout
+			}
+			s.timer.Reset(remaining)
+			s.timerArmed = true
+		}
 		select {
 		case <-s.cq.Notify():
-			s.stopTimer()
-			continue
 		case <-s.timer.C:
+			// A tick: this wait's own, or a stale one an earlier wait armed.
+			// The deadline decides, on the way back here.
+			s.timerArmed = false
 		case <-e.halt:
-			if e.preempted.Load() {
-				err = ErrPreempted
-			} else if e.fenced.Load() {
-				err = core.ErrFenced
+			s.abandonPending()
+			switch {
+			case e.preempted.Load():
+				return ErrPreempted
+			case e.fenced.Load():
+				return core.ErrFenced
 			}
+			return errTimeout // the engine is stopping
 		}
-		s.stopTimer()
-		s.abandonPending()
-		return err
 	}
-	return nil
 }
 
 // postAndWait runs one WR synchronously on s. s.pending is empty between

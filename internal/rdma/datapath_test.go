@@ -106,10 +106,10 @@ func TestFastPathRecyclesFrames(t *testing.T) {
 		writeAndWait(t, p.pair, scratch)
 	}
 	quiesce(p.pair)
-	if len(p.fabric.pool.large) == 0 {
+	if p.fabric.pool.large.len() == 0 {
 		t.Error("no large frames recycled: data packets bypassed the pool")
 	}
-	if len(p.fabric.pool.small) == 0 {
+	if p.fabric.pool.small.len() == 0 {
 		t.Error("no small frames recycled: ACKs bypassed the pool")
 	}
 }
@@ -131,7 +131,7 @@ func TestInterposerDisablesRecycling(t *testing.T) {
 		writeAndWait(t, p.pair, scratch)
 	}
 	quiesce(p.pair)
-	if n := len(p.fabric.pool.small) + len(p.fabric.pool.large); n != 0 {
+	if n := p.fabric.pool.small.len() + p.fabric.pool.large.len(); n != 0 {
 		t.Fatalf("%d frames recycled despite the interposer retaining them", n)
 	}
 	// The retained frames must still be intact RoCEv2 packets (nobody
@@ -188,27 +188,27 @@ func TestReleasingInterposerRecycles(t *testing.T) {
 
 	sw := &releasingSwitch{mac: wire.MAC{2, 0xEE, 0xEE, 0, 0, 9}}
 	p := traffic(t, sw)
-	if len(p.fabric.pool.large) == 0 || len(p.fabric.pool.small) == 0 {
+	if p.fabric.pool.large.len() == 0 || p.fabric.pool.small.len() == 0 {
 		t.Fatalf("released frames bypassed the pool: %d small, %d large",
-			len(p.fabric.pool.small), len(p.fabric.pool.large))
+			p.fabric.pool.small.len(), p.fabric.pool.large.len())
 	}
-	small := len(p.fabric.pool.small)
+	small := p.fabric.pool.small.len()
 	consumed := p.fabric.FrameBuf(64)[:64]
 	small-- // FrameBuf drew it from the pool
 	copy(consumed, sw.mac[:])
 	p.fabric.Send(consumed)
-	if got := len(p.fabric.pool.small); got != small+1 {
+	if got := p.fabric.pool.small.len(); got != small+1 {
 		t.Fatalf("consumed frame not returned to the pool: %d small buffers, want %d", got, small+1)
 	}
 	tick := make([]byte, wire.EthernetLen)
 	copy(tick, sw.mac[:])
 	p.fabric.Send(tick)
-	if got := len(p.fabric.pool.small); got != small+1 {
+	if got := p.fabric.pool.small.len(); got != small+1 {
 		t.Fatalf("a %d-byte consumed frame entered the pool", len(tick))
 	}
 
 	p = traffic(t, InterposerFunc(sw.Process))
-	if n := len(p.fabric.pool.small) + len(p.fabric.pool.large); n != 0 {
+	if n := p.fabric.pool.small.len() + p.fabric.pool.large.len(); n != 0 {
 		t.Fatalf("%d frames recycled through an interposer that made no promise", n)
 	}
 }
@@ -244,7 +244,7 @@ func TestSlowPathNeverRecycles(t *testing.T) {
 	if !bytes.Equal(p.srvBuf[:64], p.cliBuf[:64]) {
 		t.Fatal("data corrupted on the slow path")
 	}
-	if n := len(p.fabric.pool.small) + len(p.fabric.pool.large); n != 0 {
+	if n := p.fabric.pool.small.len() + p.fabric.pool.large.len(); n != 0 {
 		t.Fatalf("%d frames recycled on the slow path, want 0", n)
 	}
 }

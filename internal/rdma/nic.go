@@ -130,14 +130,7 @@ func (n *NIC) Close() {
 	n.closed.Store(true)
 	for _, q := range n.qps {
 		q.mu.Lock()
-		if q.timer != nil {
-			q.timer.Stop()
-		}
-		if q.sq.Len() > 0 {
-			q.failAllLocked(StatusFlushed)
-		} else {
-			q.errored = true
-		}
+		q.failAllLocked(StatusFlushed)
 		q.mu.Unlock()
 	}
 }
@@ -164,14 +157,7 @@ func (n *NIC) Reset() {
 	defer n.mu.Unlock()
 	for _, q := range n.qps {
 		q.mu.Lock()
-		if q.timer != nil {
-			q.timer.Stop()
-		}
-		if q.sq.Len() > 0 {
-			q.failAllLocked(StatusFlushed)
-		} else {
-			q.errored = true
-		}
+		q.failAllLocked(StatusFlushed)
 		q.mu.Unlock()
 	}
 	n.qps = make(map[uint32]*QP)

@@ -1,5 +1,7 @@
 package rdma
 
+import "sync"
+
 // framePool recycles wire-frame buffers so the steady-state datapath
 // performs no allocation per packet. Buffers live in two MTU-derived
 // capacity classes: small (ACKs, NAKs, atomic responses, bookkeeping
@@ -7,14 +9,15 @@ package rdma
 // MTU, plus all headers). Oversized frames — exotic MTU configurations —
 // bypass the pool entirely.
 //
-// The freelists are buffered channels rather than sync.Pool: channel
-// send/receive of a []byte moves only the slice header (no boxing
-// allocation on Put, unlike storing slices in an interface), and the pool
-// is not emptied by GC cycles, which would show up as allocation spikes on
-// the frame path. Channels also make the pool naturally MPMC: any NIC on
-// the fabric gets frames, and any inbox goroutine returns them, so
-// asymmetric traffic (one side sends data, the other only ACKs) still
-// recirculates buffers globally.
+// Each class is a mutex-guarded stack rather than sync.Pool or a buffered
+// channel: a []byte pushed on a slice moves only its header (no boxing
+// allocation on put, unlike storing slices in an interface), the pool is
+// not emptied by GC cycles, which would show up as allocation spikes on the
+// frame path, and an uncontended mutex around an append costs a fraction of
+// the two channel operations (runtime lock plus non-blocking select) a frame
+// used to pay. It is MPMC like the channel was — any NIC on the fabric gets
+// frames, any inbox goroutine returns them, so asymmetric traffic still
+// recirculates buffers globally — and hands back the buffer used last.
 //
 // Lifecycle: NIC.emit* — or a FrameReleaser interposer, through
 // Fabric.FrameBuf — gets a buffer and serializes into it
@@ -28,8 +31,14 @@ package rdma
 // interposer, or forwarded under a loss/delay knob are left to the garbage
 // collector.
 type framePool struct {
-	small chan []byte // every buffer has cap >= frameClassSmall
-	large chan []byte // every buffer has cap >= frameClassLarge
+	small frameClass // every buffer has cap >= frameClassSmall
+	large frameClass // every buffer has cap >= frameClassLarge
+}
+
+// frameClass is one capacity class's free list.
+type frameClass struct {
+	mu   sync.Mutex
+	free [][]byte
 }
 
 const (
@@ -45,11 +54,34 @@ const (
 	framePoolDepth = 2048
 )
 
+// newFramePool sizes both free lists for their full depth up front, so a
+// push never grows one inside somebody's allocation-counting window.
 func newFramePool() *framePool {
 	return &framePool{
-		small: make(chan []byte, framePoolDepth),
-		large: make(chan []byte, framePoolDepth),
+		small: frameClass{free: make([][]byte, 0, framePoolDepth)},
+		large: frameClass{free: make([][]byte, 0, framePoolDepth)},
 	}
+}
+
+// pop returns the most recently pushed buffer, or nil.
+func (c *frameClass) pop() []byte {
+	c.mu.Lock()
+	var b []byte
+	if n := len(c.free); n > 0 {
+		b, c.free[n-1] = c.free[n-1], nil
+		c.free = c.free[:n-1]
+	}
+	c.mu.Unlock()
+	return b
+}
+
+// push keeps b for reuse unless the class is at its depth bound.
+func (c *frameClass) push(b []byte) {
+	c.mu.Lock()
+	if len(c.free) < framePoolDepth {
+		c.free = append(c.free, b[:0])
+	}
+	c.mu.Unlock()
 }
 
 // get returns a buffer with capacity >= n, recycled when possible. The
@@ -57,17 +89,13 @@ func newFramePool() *framePool {
 func (p *framePool) get(n int) []byte {
 	switch {
 	case n <= frameClassSmall:
-		select {
-		case b := <-p.small:
+		if b := p.small.pop(); b != nil {
 			return b
-		default:
 		}
 		return make([]byte, 0, frameClassSmall)
 	case n <= frameClassLarge:
-		select {
-		case b := <-p.large:
+		if b := p.large.pop(); b != nil {
 			return b
-		default:
 		}
 		return make([]byte, 0, frameClassLarge)
 	default:
@@ -82,14 +110,8 @@ func (p *framePool) get(n int) []byte {
 func (p *framePool) put(b []byte) {
 	switch {
 	case cap(b) >= frameClassLarge:
-		select {
-		case p.large <- b[:0]:
-		default:
-		}
+		p.large.push(b)
 	case cap(b) >= frameClassSmall:
-		select {
-		case p.small <- b[:0]:
-		default:
-		}
+		p.small.push(b)
 	}
 }

@@ -103,7 +103,16 @@ type QP struct {
 	ackPSN  uint32 // all request PSNs below this are acknowledged
 	sq      container.Ring[sendWR]
 	retries int
-	timer   *time.Timer
+	// The retransmission timer ticks; nothing re-aims it. Armed on the
+	// idle→busy edge (a post that finds ticking false), it re-arms itself once
+	// per RTO while work is outstanding. progress records whether anything was
+	// posted or acknowledged since the previous tick: a tick that finds it
+	// clear charges a retry and replays the send queue, so n consecutive
+	// retries take [n·RTO, (n+1)·RTO). A Go-Back-N replay is not progress.
+	timer     *time.Timer
+	ticking   bool
+	progress  bool
+	timerArms int // how often the timer was armed from idle, for tests
 
 	// Per-QP Go-Back-N overrides; zero values fall back to the NIC-wide
 	// Config knobs (SetRetryPolicy).
@@ -154,6 +163,9 @@ func (q *QP) SetRetryPolicy(rto time.Duration, maxRetries int) {
 	defer q.mu.Unlock()
 	q.rtoOverride = rto
 	q.maxRetriesOverride = maxRetries
+	if q.ticking {
+		q.timer.Reset(q.rto()) // the tick in flight was aimed with the old RTO
+	}
 }
 
 // SetFenceEpoch sets the fencing epoch this QP presents in BTH.PKey. The
@@ -311,7 +323,13 @@ func (q *QP) PostSend(wr WorkRequest) error {
 	})
 	q.nextPSN += uint32(npkts)
 	q.transmitWR(q.sq.At(q.sq.Len() - 1))
-	q.armTimer()
+	// A post is progress — except the one that starts the clock (the
+	// idle→busy edge): the first tick is that post's own RTO.
+	q.progress = q.ticking
+	if !q.ticking {
+		q.timerArms++
+		q.armTimer()
+	}
 	return nil
 }
 
@@ -377,32 +395,43 @@ func (q *QP) transmitWR(s *sendWR) {
 	}
 }
 
-// armTimer starts the retransmission timer if work is outstanding.
-// Caller holds q.mu.
+// armTimer schedules the next tick one RTO from now. Caller holds q.mu.
 func (q *QP) armTimer() {
-	if q.sq.Len() == 0 || q.errored {
-		if q.timer != nil {
-			q.timer.Stop()
-		}
-		return
-	}
-	rto := q.rto()
+	q.ticking = true
 	if q.timer == nil {
-		q.timer = time.AfterFunc(rto, q.onTimeout)
+		q.timer = time.AfterFunc(q.rto(), q.onTick)
 	} else {
-		q.timer.Reset(rto)
+		q.timer.Reset(q.rto())
 	}
 }
 
-// onTimeout implements Go-Back-N recovery: rewind to the oldest unacked
-// request and replay every outstanding work request (§5.3: "Cowbird-P4 can
-// detect a timeout and utilize a Go-Back-N approach by resetting the local
-// head pointer and PSN and re-executing ... from that point" — the same
-// strategy the software requester uses).
-func (q *QP) onTimeout() {
+// stopTimer halts the tick when the QP's requester life ends (error state,
+// NIC close or reset); a tick already waiting for q.mu lapses on its own.
+// Caller holds q.mu.
+func (q *QP) stopTimer() {
+	if q.timer != nil {
+		q.timer.Stop()
+	}
+	q.ticking = false
+}
+
+// onTick is the retransmission timer. With nothing outstanding it lapses
+// until the next post; with progress since the previous tick it only clears
+// the flag. Otherwise it implements Go-Back-N recovery: rewind to the oldest
+// unacked request and replay every outstanding work request (§5.3:
+// "Cowbird-P4 can detect a timeout and utilize a Go-Back-N approach by
+// resetting the local head pointer and PSN and re-executing ... from that
+// point" — the same strategy the software requester uses).
+func (q *QP) onTick() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.ticking = false
 	if q.sq.Len() == 0 || q.errored {
+		return
+	}
+	if q.progress {
+		q.progress = false
+		q.armTimer()
 		return
 	}
 	q.retries++
@@ -416,17 +445,15 @@ func (q *QP) onTimeout() {
 	q.armTimer()
 }
 
-// failAllLocked flushes the send queue with the given status and moves the
-// QP to the error state. Caller holds q.mu.
+// failAllLocked flushes the send queue (which may be empty) with the given
+// status and moves the QP to the error state. Caller holds q.mu.
 func (q *QP) failAllLocked(st Status) {
 	for q.sq.Len() > 0 {
 		s := q.sq.Pop()
 		q.sendCQ.push(CQE{WRID: s.id, QPN: q.qpn, Status: st, Verb: s.verb, Bytes: uint32(len(s.local))})
 	}
 	q.errored = true
-	if q.timer != nil {
-		q.timer.Stop()
-	}
+	q.stopTimer()
 }
 
 // extend24 reconstructs a full-width PSN from its 24-bit wire form, choosing
@@ -644,14 +671,15 @@ func (q *QP) handleResponse(p *wire.Packet) {
 			psn := extend24(q.ackPSN, p.BTH.PSN)
 			if psn >= q.ackPSN {
 				q.ackPSN = psn + 1
+				q.progress = true
 				q.completeAcked()
 			}
 		case p.AETH.Syndrome == wire.SyndromeNAKPSN:
 			// Responder expects an earlier PSN: replay everything outstanding.
+			// The replay is not progress; the tick keeps its schedule.
 			for i := 0; i < q.sq.Len(); i++ {
 				q.transmitWR(q.sq.At(i))
 			}
-			q.armTimer()
 		case p.AETH.Syndrome == wire.SyndromeRNRNAK:
 			// Receiver not ready; the retransmission timer will replay.
 		case p.AETH.Syndrome == wire.SyndromeNAKFenced:
@@ -665,11 +693,7 @@ func (q *QP) handleResponse(p *wire.Packet) {
 
 	case op == wire.OpAtomicAcknowledge:
 		psn := extend24(q.ackPSN, p.BTH.PSN)
-		for i := 0; i < q.sq.Len(); i++ {
-			s := q.sq.At(i)
-			if (s.verb != VerbCmpSwap && s.verb != VerbFetchAdd) || s.firstPSN != psn {
-				continue
-			}
+		if s := q.responseTarget(psn); s != nil && s.verb != VerbRead {
 			if !s.done {
 				if !s.canceled {
 					s.mr.lockDMA()
@@ -677,25 +701,18 @@ func (q *QP) handleResponse(p *wire.Packet) {
 					s.mr.unlockDMA()
 				}
 				s.done = true
+				q.progress = true
 			}
 			if psn+1 > q.ackPSN {
 				q.ackPSN = psn + 1
 			}
-			break
 		}
 		q.completeAcked()
 
 	case op.IsReadResponse():
 		psn := extend24(q.ackPSN, p.BTH.PSN)
-		// Find the read this response belongs to.
-		for i := 0; i < q.sq.Len(); i++ {
-			s := q.sq.At(i)
-			if s.verb != VerbRead || psn < s.firstPSN || psn > s.lastPSN {
-				continue
-			}
-			if psn != s.respNext {
-				break // duplicate (ignore) or gap (timer recovers)
-			}
+		// A duplicate is ignored and a gap left to the timer.
+		if s := q.responseTarget(psn); s != nil && s.verb == VerbRead && psn == s.respNext {
 			if !s.canceled {
 				off := int(psn-s.firstPSN) * q.nic.cfg.MTU
 				s.mr.lockDMA()
@@ -706,6 +723,7 @@ func (q *QP) handleResponse(p *wire.Packet) {
 			if psn == s.lastPSN {
 				s.done = true
 			}
+			q.progress = true
 			// A read response acknowledges every earlier request PSN.
 			if s.firstPSN > q.ackPSN {
 				q.ackPSN = s.firstPSN
@@ -713,10 +731,34 @@ func (q *QP) handleResponse(p *wire.Packet) {
 			if s.done && psn+1 > q.ackPSN {
 				q.ackPSN = psn + 1
 			}
-			break
 		}
 		q.completeAcked()
 	}
+}
+
+// responseTarget returns the outstanding READ or atomic that response PSN psn
+// belongs to — or nil if there is none, or if an earlier READ or atomic of
+// this QP is still incomplete. An RC responder executes and answers requests
+// in PSN order, so a response that overtakes an earlier one means the earlier
+// one was lost: hardware discards the later response and Go-Back-N replays
+// both, in order. Accepting it instead would let the replayed earlier request
+// observe remote memory *after* the later one did — a requester that reads a
+// tail pointer and then the entries below it (the spot engine's fused probe)
+// would apply a newer tail to an older snapshot. Caller holds q.mu.
+func (q *QP) responseTarget(psn uint32) *sendWR {
+	for i := 0; i < q.sq.Len(); i++ {
+		s := q.sq.At(i)
+		if s.verb != VerbRead && s.verb != VerbCmpSwap && s.verb != VerbFetchAdd {
+			continue
+		}
+		if psn >= s.firstPSN && psn <= s.lastPSN {
+			return s
+		}
+		if !s.done {
+			return nil
+		}
+	}
+	return nil
 }
 
 // completeAcked retires in-order completed work requests from the head of
@@ -746,5 +788,4 @@ func (q *QP) completeAcked() {
 	if progressed {
 		q.retries = 0
 	}
-	q.armTimer()
 }
