@@ -31,15 +31,15 @@ type hostSim struct {
 	rx     chan []byte // switch-emitted frames, handed over by Input
 
 	compQPN, poolQPN uint32
-	greenVA          uint64
+	greenVA, redVA   uint64
 	metaLo, metaHi   uint64
 
 	tail  uint64      // green MetaTail published to the engine
-	entry rings.Entry // the metadata entry the next fetch returns
+	entry rings.Entry // every entry a metadata fetch returns
 
 	dec, enc wire.Packet
 	greenBuf [rings.GreenSize]byte
-	entryBuf [rings.MetaEntrySize]byte
+	metaBuf  [1024]byte // one MTU of entries
 	dataBuf  [64]byte
 }
 
@@ -86,8 +86,10 @@ func (h *hostSim) respond(frame []byte) []byte {
 			rings.EncodeGreen(rings.Green{MetaTail: h.tail}, h.greenBuf[:])
 			payload = h.greenBuf[:]
 		case toCompute && va >= h.metaLo && va < h.metaHi:
-			rings.EncodeEntry(h.entry, h.entryBuf[:])
-			payload = h.entryBuf[:]
+			payload = h.metaBuf[:dmaLen]
+			for i := 0; i < len(payload); i += rings.MetaEntrySize {
+				rings.EncodeEntry(h.entry, payload[i:])
+			}
 		default:
 			// Data fetch: a write payload from compute memory or read data
 			// from the pool. Content is irrelevant to the engine's datapath.
@@ -176,6 +178,7 @@ func newHostSim(t *testing.T) *hostSim {
 		rx:      make(chan []byte, 2*framesPerOp), // more than one operation ever has in flight
 		compQPN: 2000, poolQPN: 4000,
 		greenVA: baseVA + uint64(lay.GreenOffset()),
+		redVA:   baseVA + uint64(lay.RedOffset()),
 		metaLo:  baseVA + uint64(lay.MetaOffset(0)),
 		metaHi:  baseVA + uint64(lay.MetaOffset(lay.MetaEntries)),
 	}

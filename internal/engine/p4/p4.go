@@ -30,6 +30,7 @@
 package p4
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,6 +192,10 @@ type queueState struct {
 	probeOutstanding bool
 	fetchOutstanding bool
 
+	// Phase IV coalescing register: requests issued and not yet completed,
+	// and completions since the last red write (see complete).
+	open, sinceRed int
+
 	// Requests fetched but not yet retired, in arrival order per type.
 	// Ring FIFOs retire from the front without the allocator churn of
 	// slice-shift queues.
@@ -230,8 +235,7 @@ type inst struct {
 	writesInFlight int        // writes between discovery and Step 2b issue
 	heldReads      []*request // reads paused by the linearizability rule
 
-	inflight int // issued-but-unfinished requests (resync window bookkeeping)
-	backlog  int // un-issued, un-held requests awaiting a kick
+	backlog int // un-issued, un-held requests awaiting a kick
 
 	// Recovery state machine (§5.3): running → draining (ignore all
 	// traffic for one timeout so stale in-flight packets die) → resyncing
@@ -282,6 +286,11 @@ type Engine struct {
 
 	stats engineStats // atomic: incremented and read without any lock
 
+	// misses counts consecutive ticks that found no new metadata — an empty
+	// probe, or nothing to probe — capped at hotMisses. Process writes it,
+	// probeLoop reads it to choose between yielding and the ticker.
+	misses atomic.Int32
+
 	tel       *telemetry.Telemetry
 	sampleSeq atomic.Uint64 // drives 1-in-N request sampling
 
@@ -301,9 +310,11 @@ type Engine struct {
 	heldScratch     []*request
 	redBuf          [rings.RedSize]byte
 
-	tick []byte // immutable generator-tick frame, built once
-	stop chan struct{}
-	done chan struct{}
+	tick     []byte // immutable generator-tick frame, built once
+	started  atomic.Bool
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{} // closed by probeLoop
 }
 
 // New creates an engine. Install it with fabric.SetInterposer, then call
@@ -324,6 +335,7 @@ func New(f *rdma.Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *Engine {
 		done:    make(chan struct{}),
 	}
 	e.tbl.Store(&instTable{})
+	e.misses.Store(hotMisses) // the generator starts cold
 	e.tick = e.buildTickFrame()
 	return e
 }
@@ -417,23 +429,33 @@ func (e *Engine) Setup(info *core.Instance, eps Endpoints) (SwitchInfo, error) {
 	return SwitchInfo{ComputeQPN: in.swCompQPN, PoolQPN: in.swPoolQPN, FirstPSN: SwitchFirstPSN}, nil
 }
 
-// Run starts the probe generator and the data-plane timeout checker.
+// Run starts the probe generator, which also drives the data-plane timeout
+// checker. Calls after the first do nothing.
 func (e *Engine) Run() {
-	go e.probeLoop()
-}
-
-// Stop halts the probe generator.
-func (e *Engine) Stop() {
-	select {
-	case <-e.stop:
-	default:
-		close(e.stop)
+	if e.started.CompareAndSwap(false, true) {
+		go e.probeLoop()
 	}
-	<-e.done
 }
 
-// probeLoop injects one generator-tick frame per ProbeInterval. The tick
-// itself carries no protocol state: all PSN allocation and frame
+// Stop halts the probe generator. It is safe before Run and more than once.
+func (e *Engine) Stop() {
+	e.stopOnce.Do(func() { close(e.stop) })
+	if e.started.Load() {
+		<-e.done
+	}
+}
+
+// hotMisses is the generator's hot budget: until this many ticks in a row
+// have found no new metadata, the generator follows each tick with a
+// scheduler yield instead of waiting for the ticker.
+const hotMisses = 8
+
+// probeLoop injects generator-tick frames at the pace of the work: while
+// hot — a probe found new metadata within the last hotMisses ticks — each
+// tick is followed by runtime.Gosched, which lets the client that will refill
+// the ring run before the next probe; once cold it ticks every ProbeInterval
+// (the spot engine's yield → park ladder, DESIGN.md §7, on the other engine).
+// The tick itself carries no protocol state: all PSN allocation and frame
 // construction happen inside Process, under the fabric's forwarding lock,
 // so switch-assigned PSNs reach each host in exactly allocation order —
 // just as a real Tofino's packet-generation engine feeds blank packets into
@@ -443,10 +465,19 @@ func (e *Engine) probeLoop() {
 	ticker := time.NewTicker(e.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
-		select {
-		case <-e.stop:
-			return
-		case <-ticker.C:
+		if e.misses.Load() < hotMisses {
+			runtime.Gosched()
+			select {
+			case <-e.stop:
+				return
+			default:
+			}
+		} else {
+			select {
+			case <-e.stop:
+				return
+			case <-ticker.C:
+			}
 		}
 		// The tick frame is immutable and consumed by Process, and too
 		// small for either class of the fabric's frame pool, so it is never
@@ -471,11 +502,8 @@ func (e *Engine) buildTickFrame() []byte {
 }
 
 // nextProbe emits the next probe frame under TDM round-robin, if any queue
-// needs probing.
+// needs probing; a tick with nothing to probe counts as a miss.
 func (e *Engine) nextProbe(t *instTable) {
-	if len(t.instances) == 0 {
-		return
-	}
 	// Walk at most every (instance, queue) pair once.
 	total := 0
 	for _, in := range t.instances {
@@ -500,6 +528,15 @@ func (e *Engine) nextProbe(t *instTable) {
 		e.stats.probesSent.Add(1)
 		e.emit(e.buildRead(in, true, psn, q.qi.BaseVA+uint64(q.qi.Layout.GreenOffset()), q.qi.RKey, rings.GreenSize, e.cfg.ProbeTOS))
 		return
+	}
+	e.miss()
+}
+
+// miss records a tick that found no new metadata. Only Process writes
+// misses, so a load and a store suffice.
+func (e *Engine) miss() {
+	if n := e.misses.Load(); n < hotMisses {
+		e.misses.Store(n + 1)
 	}
 }
 
@@ -584,7 +621,6 @@ func (e *Engine) startResync(in *inst) {
 	clear(in.pendingComp)
 	clear(in.pendingPool)
 	in.writesInFlight = 0
-	in.inflight = 0
 	for _, r := range in.heldReads {
 		r.held = false
 	}
@@ -593,6 +629,7 @@ func (e *Engine) startResync(in *inst) {
 	for _, q := range in.queues {
 		q.probeOutstanding = false
 		q.fetchOutstanding = false
+		q.open = 0
 		// Anything not done goes back to the un-issued backlog.
 		for i := 0; i < q.writes.Len(); i++ {
 			if r := *q.writes.At(i); !r.done {
@@ -636,8 +673,9 @@ func (e *Engine) startResync(in *inst) {
 // values, so re-execution is safe.
 //
 // It also republishes every queue's red bookkeeping block. This is what
-// delivers completions whose Phase IV write was the lost packet: the engine
-// has already retired the request (progress counters advanced locally), so
+// delivers completions whose Phase IV write was the lost packet, or was
+// coalesced into a red write that the drain swallowed: the engine has
+// already retired the request (progress counters advanced locally), so
 // there is no backlog to re-execute and no completion left to piggyback the
 // next red write on — without the republish the compute node would never
 // learn the final progress and its poll would hang forever.
@@ -657,7 +695,10 @@ func (e *Engine) kick(in *inst) {
 	if in.state != stateRunning || in.backlog == 0 {
 		return
 	}
-	budget := resyncWindow - in.inflight
+	budget := resyncWindow
+	for _, q := range in.queues {
+		budget -= q.open // the instance's issued, unfinished requests
+	}
 	if budget <= 0 {
 		return
 	}

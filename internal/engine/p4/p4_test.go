@@ -13,6 +13,11 @@ import (
 	"cowbird/internal/wire"
 )
 
+// TestComputeResourcesMatchesTable5 pins the derived row to the paper's
+// Table 5 plus the deviations EXPERIMENTS.md's Table 5 section states: the
+// Phase IV coalescing register (+1 sALU, +1 VLIW, +2 KB) and the recovery
+// state Process keeps since PR 22 (3 sALUs more than the one last_progress
+// register declared before, +320 KB of per-exchange issue times).
 func TestComputeResourcesMatchesTable5(t *testing.T) {
 	r := ComputeResources()
 	if r.PHVBits != 1085 {
@@ -21,14 +26,14 @@ func TestComputeResourcesMatchesTable5(t *testing.T) {
 	if r.Stages != 12 {
 		t.Errorf("stages = %d, want 12", r.Stages)
 	}
-	if r.VLIWInstr != 38 {
-		t.Errorf("VLIW = %d, want 38", r.VLIWInstr)
+	if r.VLIWInstr != 38+1 {
+		t.Errorf("VLIW = %d, want 39 (paper 38 + Phase IV coalescing)", r.VLIWInstr)
 	}
-	if r.SALUs != 11 {
-		t.Errorf("sALU = %d, want 11", r.SALUs)
+	if r.SALUs != 11+1+3 {
+		t.Errorf("sALU = %d, want 15 (paper 11 + phase4_open + recovery state)", r.SALUs)
 	}
-	if r.SRAMKB < 1300 || r.SRAMKB > 1500 {
-		t.Errorf("SRAM = %.0f KB, want ~1424", r.SRAMKB)
+	if r.SRAMKB < 1700 || r.SRAMKB > 1780 {
+		t.Errorf("SRAM = %.0f KB, want ~1736 (paper 1424 + the deviations)", r.SRAMKB)
 	}
 	if r.TCAMKB < 1.0 || r.TCAMKB > 1.5 {
 		t.Errorf("TCAM = %.2f KB, want ~1.28", r.TCAMKB)

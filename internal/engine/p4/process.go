@@ -149,7 +149,12 @@ func (e *Engine) onProbeResponse(in *inst, op *pendingOp, p *wire.Packet) {
 		return
 	}
 	green := rings.DecodeGreen(p.Payload)
-	if green.MetaTail <= q.red.MetaHead || q.fetchOutstanding {
+	if green.MetaTail <= q.red.MetaHead {
+		e.miss()
+		return
+	}
+	e.misses.Store(0) // work: the generator is hot
+	if q.fetchOutstanding {
 		return
 	}
 	count := int(green.MetaTail - q.red.MetaHead)
@@ -242,7 +247,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 			in.pendingPool[key(psn+uint32(i))] = op
 		}
 		r.issued = true
-		in.inflight++
+		r.q.open++
 		e.emit(e.buildRead(in, false, psn, r.entry.ReqAddr, r.region.RKey, r.entry.Length, e.cfg.DataTOS))
 		return
 	}
@@ -256,7 +261,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 		in.pendingComp[key(psn+uint32(i))] = op
 	}
 	r.issued = true
-	in.inflight++
+	r.q.open++
 	e.emit(e.buildRead(in, true, psn, r.entry.ReqAddr, r.q.qi.RKey, r.entry.Length, e.cfg.DataTOS))
 }
 
@@ -381,29 +386,38 @@ func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 	}
 	delete(pend, key(p.BTH.PSN))
 	op.received++
-	switch op.kind {
-	case opRespAck:
-		// Phase IV for a read: the response data is in compute memory;
-		// retire in order and recycle the ACK into a bookkeeping write.
+	if op.kind == opRespAck || op.kind == opWriteAck {
+		// Phase IV: a read's response data is in compute memory, or a
+		// write's payload is in the pool. Retire in order and publish.
 		op.req.done = true
-		in.inflight--
-		e.stats.readsCompleted.Add(1)
 		e.observeService(op.req)
-		e.retireReads(op.q)
-		e.redWrite(in, op.q)
+		if op.kind == opRespAck {
+			e.stats.readsCompleted.Add(1)
+			e.retireReads(op.q)
+		} else {
+			e.stats.writesCompleted.Add(1)
+			e.retireWrites(op.q)
+		}
+		e.complete(in, op.q)
 		e.kick(in)
-	case opWriteAck:
-		// Phase IV for a write.
-		op.req.done = true
-		in.inflight--
-		e.stats.writesCompleted.Add(1)
-		e.observeService(op.req)
-		e.retireWrites(op.q)
-		e.redWrite(in, op.q)
-		e.kick(in)
-	case opRedAck:
 	}
 	e.putOp(op)
+}
+
+// complete counts one completion in the queue's Phase IV register and
+// recycles its ACK into the red write only if it leaves no request of the
+// queue in flight, or is the MTU/MetaEntrySize-th completion since the last
+// red write (so a queue that never drains still publishes). Any other
+// completion's ACK is consumed: the red block carries absolute heads and
+// counters, so the next red write subsumes it — one red write per drained
+// batch, as spot publishes one per round. A deviation from the paper, which
+// recycles every ACK (DESIGN.md §16).
+func (e *Engine) complete(in *inst, q *queueState) {
+	q.open--
+	q.sinceRed++
+	if q.open == 0 || q.sinceRed >= e.cfg.MTU/rings.MetaEntrySize {
+		e.redWrite(in, q)
+	}
 }
 
 // observeService records a sampled request's switch service time — metadata
@@ -444,6 +458,7 @@ func (e *Engine) redWrite(in *inst, q *queueState) {
 	op := e.getOp()
 	*op = pendingOp{created: e.now, kind: opRedAck, q: q, firstPSN: psn, npkts: 1}
 	in.pendingComp[key(psn)] = op
+	q.sinceRed = 0
 	q.red.Heartbeat++
 	rings.EncodeRed(q.red, e.redBuf[:])
 	e.stats.redWrites.Add(1)

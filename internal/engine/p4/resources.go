@@ -143,13 +143,28 @@ func Pipeline() []StageSpec {
 			Registers: []RegisterSpec{
 				{Name: "progress_counters", Entries: maxInstances * 16, WidthBits: 64},
 				{Name: "req_data_head", Entries: maxInstances * 16, WidthBits: 64},
+				// Phase IV coalescing (queueState.open, sinceRed): requests
+				// in flight and completions since the last red write, two
+				// 16-bit halves updated by one read-modify-write.
+				{Name: "phase4_open", Entries: maxInstances * 16, WidthBits: 32},
 			},
-			VLIW: 3,
+			VLIW: 4, // + recycle-or-consume on the register's output
 		},
 		{
+			// §5.3 recovery, as Process keeps it: every in-flight exchange's
+			// issue time on the engine clock (pendingOp.created, 32-bit ns —
+			// ages are compared modulo 4.3 s, far above any Timeout), each
+			// instance's state and drain deadline (inst.state, drainUntil),
+			// its backlog of requests to re-issue (inst.backlog; the resync
+			// window's in-flight count is the sum of its queues'
+			// phase4_open), and the generator's next scan of the pending
+			// table (Engine.nextScan).
 			Name: "timeout_gbn",
 			Registers: []RegisterSpec{
-				{Name: "last_progress", Entries: maxInstances, WidthBits: 48},
+				{Name: "ctx_issued_at", Entries: 81920, WidthBits: 32},
+				{Name: "recovery_state", Entries: maxInstances, WidthBits: 64},
+				{Name: "resync_backlog", Entries: maxInstances, WidthBits: 16},
+				{Name: "next_scan", Entries: 1, WidthBits: 48},
 			},
 			VLIW: 3,
 		},

@@ -90,7 +90,7 @@ type Stats struct {
 // the Set* knobs) rebuilds and republishes it under Fabric.mu. This is the
 // copy-on-write device table the sharded fast path reads lock-free.
 type fabricSnap struct {
-	devices    map[wire.MAC]*inbox
+	devices    map[uint64]*inbox // keyed by macKey
 	interposer Interposer
 	releases   bool // interposer is a FrameReleaser
 	lossFn     func(frame []byte) bool
@@ -174,9 +174,9 @@ func NewFabric() *Fabric {
 // publishLocked rebuilds the datapath snapshot from the master state.
 // Caller holds f.mu (or, in NewFabric, exclusive access).
 func (f *Fabric) publishLocked() {
-	devices := make(map[wire.MAC]*inbox, len(f.devices))
+	devices := make(map[uint64]*inbox, len(f.devices))
 	for mac, ib := range f.devices {
-		devices[mac] = ib
+		devices[macKey(mac[:])] = ib
 	}
 	_, releases := f.interp.(FrameReleaser)
 	f.snap.Store(&fabricSnap{
@@ -372,14 +372,19 @@ func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) {
 	if s.tap != nil {
 		s.tap.Capture(fr)
 	}
-	var dst wire.MAC
-	copy(dst[:], fr[0:6])
-	ib := s.devices[dst]
+	ib := s.devices[macKey(fr)]
 	f.frames.Add(1)
 	f.bytes.Add(int64(len(fr)))
 	if ib != nil {
 		ib.put(fr, s.latency, recycle && ib.recyclable)
 	}
+}
+
+// macKey packs the MAC in b's first six bytes into a word: the snapshot's
+// device map hashes a uint64 instead of a 6-byte array (memhash_varlen was
+// 8 % of a P4 read's CPU).
+func macKey(b []byte) uint64 {
+	return uint64(binary.BigEndian.Uint16(b[0:2]))<<32 | uint64(binary.BigEndian.Uint32(b[2:6]))
 }
 
 // inbox delivers frames to one device on a dedicated goroutine, so device

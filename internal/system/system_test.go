@@ -427,29 +427,8 @@ func TestP4ReadPathAllocFree(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := startSystem(t, func(c *Config) { c.Engine = EngineP4 })
-	th, _ := s.Client.Thread(0)
-	g := th.PollCreate()
 	const window = 16
-	var bufs [window][64]byte
-	round := func() {
-		for i := range bufs {
-			id, err := th.AsyncRead(0, uint64(i)*64, bufs[i][:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Add(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for left := window; left > 0; runtime.Gosched() {
-			done, err := g.WaitErr(window, 0)
-			if err != nil || time.Now().After(deadline) {
-				t.Fatalf("window stalled with %d reads left: %v", left, err)
-			}
-			left -= len(done)
-		}
-	}
+	round := p4ReadWindow(t, s)
 	for i := 0; i < 200; i++ { // warm-up: fill the frame pool, grow the rings
 		round()
 	}
