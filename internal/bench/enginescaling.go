@@ -140,6 +140,9 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	if err != nil {
 		return EngineScalePoint{}, err
 	}
+	if dead := sys.Spot.Stats().ComputePathsDead; dead != 0 {
+		return EngineScalePoint{}, fmt.Errorf("%d compute paths died on a healthy deployment", dead)
+	}
 	sum := summarize(loops...)
 	return EngineScalePoint{
 		Registered:  registered,

@@ -3,7 +3,7 @@
 // of fault events (loss bursts, delay spikes, network partitions, pool
 // crashes and restarts, engine preemption) — and an Injector replays the
 // schedule against a running system through the substrate's existing knobs:
-// the fabric loss predicate and delay, rdma.Partition, memnode.Crash/Restart,
+// the fabric loss predicate and latency, rdma.Partition, memnode.Crash/Restart,
 // and the Spot engine's preemption injection.
 //
 // Determinism is the design constraint: schedule generation consumes only
@@ -28,8 +28,9 @@ type Kind int
 const (
 	// KindLossBurst drops each frame with probability Pct for Dur.
 	KindLossBurst Kind = iota
-	// KindDelaySpike forwards every frame Delay late for Dur (serialized —
-	// the fabric's SetDelay knob — so it also throttles bandwidth).
+	// KindDelaySpike delivers every frame Delay late for Dur: propagation
+	// latency (the fabric's SetLatency knob), not a serialized link, so
+	// frames in flight overlap and bandwidth is untouched.
 	KindDelaySpike
 	// KindPartition severs the Src<->Dst MAC pair for Dur.
 	KindPartition
@@ -84,7 +85,7 @@ type Event struct {
 	Dur  time.Duration // fault duration; 0 = permanent
 
 	Pct      float64       // KindLossBurst: per-frame drop probability
-	Delay    time.Duration // KindDelaySpike: added forwarding delay
+	Delay    time.Duration // KindDelaySpike: added one-way latency
 	Src, Dst wire.MAC      // KindPartition/KindAsymPartition: severed pair; KindZombiePrimary: Src is the engine
 	Pool     int           // KindPoolCrash: replica index
 	Peers    []wire.MAC    // KindZombiePrimary: everyone Src is severed from

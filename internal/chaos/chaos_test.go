@@ -251,6 +251,7 @@ func TestPoolFailoverProperty(t *testing.T) {
 				t.Fatalf("killAt=%d: %v", killAt, err)
 			}
 			<-done
+			t.Logf("retry path: engine %+v, compute %+v", s.Spot.NIC().Stats(), s.Compute.Stats())
 		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // may be nil/empty; events without a matching handle are skipped.
 type Target struct {
 	// Fabric receives the loss predicate (partitions + probabilistic loss)
-	// and delay spikes. Required.
+	// and delay spikes (as latency). Required.
 	Fabric *rdma.Fabric
 	// Pools are the memory pool replicas KindPoolCrash targets, indexed by
 	// Event.Pool.
@@ -84,7 +84,7 @@ type action struct {
 
 // Run replays the schedule in real time and returns when the last apply or
 // revert has fired. Faults overlap freely; reverts restore each knob to its
-// quiescent value (loss 0, delay 0, pair healed), so schedules should avoid
+// quiescent value (loss 0, latency 0, pair healed), so schedules should avoid
 // overlapping two events of the same kind if the tail of one must outlive
 // the head of the next.
 func (inj *Injector) Run(s Schedule) {
@@ -96,8 +96,8 @@ func (inj *Injector) Run(s Schedule) {
 			acts = append(acts, action{e.At, func() { inj.setPct(e.Pct) }})
 			acts = append(acts, action{e.At + e.Dur, func() { inj.setPct(0) }})
 		case KindDelaySpike:
-			acts = append(acts, action{e.At, func() { inj.tgt.Fabric.SetDelay(e.Delay) }})
-			acts = append(acts, action{e.At + e.Dur, func() { inj.tgt.Fabric.SetDelay(0) }})
+			acts = append(acts, action{e.At, func() { inj.tgt.Fabric.SetLatency(e.Delay) }})
+			acts = append(acts, action{e.At + e.Dur, func() { inj.tgt.Fabric.SetLatency(0) }})
 		case KindPartition:
 			acts = append(acts, action{e.At, func() { inj.part.Block(e.Src, e.Dst) }})
 			acts = append(acts, action{e.At + e.Dur, func() { inj.part.Heal(e.Src, e.Dst) }})
@@ -151,11 +151,11 @@ func (inj *Injector) setPct(p float64) {
 }
 
 // Close quiesces every knob the injector owns: loss predicate removed,
-// partitions healed, delay cleared. Crashed pools stay crashed — a fault
+// partitions healed, latency cleared. Crashed pools stay crashed — a fault
 // with durable consequences is not un-happened by the injector going away.
 func (inj *Injector) Close() {
 	inj.tgt.Fabric.SetLossFn(nil)
-	inj.tgt.Fabric.SetDelay(0)
+	inj.tgt.Fabric.SetLatency(0)
 	inj.part.HealAll()
 	inj.setPct(0)
 }

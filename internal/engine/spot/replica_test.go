@@ -20,22 +20,12 @@ type repHarness struct {
 	eMem   []*rdma.QP // engine→pool QPs, one per replica
 }
 
-// detectFast scopes a sub-millisecond retry budget to the engine's
-// pool-facing QPs (SetRetryPolicy), so a crashed replica is declared dead
-// promptly. Only the tests that kill a replica call it: under the race
-// detector the scheduler alone can outlast 300 µs × 3 with zero drops, and a
-// test that never kills anything then loses a healthy replica.
-func (h *repHarness) detectFast() {
-	for _, qp := range h.eMem {
-		qp.SetRetryPolicy(300*time.Microsecond, 3)
-	}
-}
-
 // wireReplicated builds an engine serving one instance backed by nreps pool
-// replicas, its pool-facing QPs on a retry budget (2 s of unanswered
-// retransmissions) that no scheduler stall expires. Replicas beyond the
-// first host region 0 at a shifted base so the test exercises per-replica
-// address translation, not just QP fan-out.
+// replicas, every QP on the NIC's default retry budget: each QP's RTO follows
+// its own measured round trips, so a scheduler stall does not read as a dead
+// replica, and a crashed one is declared dead within MaxRetries+2 RTOs.
+// Replicas beyond the first host region 0 at a shifted base so the test
+// exercises per-replica address translation, not just QP fan-out.
 func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	t.Helper()
 	f := rdma.NewFabric()
@@ -80,7 +70,6 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn+100)
 		eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, psn+100)
 		mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, psn)
-		eMem.SetRetryPolicy(2*time.Millisecond, 1000)
 		reps = append(reps, PoolReplica{QP: eMem, Regions: []core.RegionInfo{region}})
 		h.pools = append(h.pools, pool)
 		h.eMem = append(h.eMem, eMem)
@@ -146,7 +135,6 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
 	h := wireReplicated(t, 2, cfg)
-	h.detectFast()
 	th, _ := h.client.Thread(0)
 
 	data := bytes.Repeat([]byte{0xA7}, 512)
@@ -196,7 +184,6 @@ func TestIdlePrimaryDeathDetectedByHeartbeat(t *testing.T) {
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
 	h := wireReplicated(t, 2, cfg)
-	h.detectFast()
 	th, _ := h.client.Thread(0)
 
 	data := bytes.Repeat([]byte{0xD4}, 64)
@@ -238,7 +225,6 @@ func TestReplicatedOneWorker(t *testing.T) {
 	cfg.PoolHeartbeatInterval = 200 * time.Microsecond
 	cfg.Workers = 1
 	h := wireReplicated(t, 2, cfg)
-	h.detectFast()
 	th, _ := h.client.Thread(0)
 
 	data := bytes.Repeat([]byte{0x66}, 256)

@@ -147,8 +147,7 @@ func TestFailingSlotDoesNotStarveWorker(t *testing.T) {
 	cfg.Workers = 1
 	cfg.OpTimeout = 5 * time.Millisecond // well inside the QP's Go-Back-N budget: waits time out, QPs stay healthy
 	h := wireSharedPool(t, cfg, 2)
-	// The outage must not exhaust the QP's retry budget, or the slot is lost
-	// for good and there is no recovery to observe.
+	// A real outage, not a stall: no retry budget may expire in it, or there is no recovery to observe.
 	h.eComp[0].SetRetryPolicy(2*time.Millisecond, 1_000_000)
 	h.eng.Run()
 	sick, _ := h.clients[0].Thread(0)

@@ -93,7 +93,7 @@ func buildFencedRig(t *testing.T) *fencedRig {
 			client.RegisterRegion(region)
 		}
 		pQP := connect(primary, pool.NIC(), uint32(3000+i*200), uint32(3100+i*200))
-		pQP.SetRetryPolicy(time.Millisecond, 30_000)
+		pQP.SetRetryPolicy(time.Millisecond, 30_000) // a partition is a real outage; the zombie's writes must outlive it
 		pReps = append(pReps, spot.PoolReplica{QP: pQP, Regions: []core.RegionInfo{region}})
 		sReps = append(sReps, spot.PoolReplica{QP: connect(standbyEng, pool.NIC(), uint32(4000+i*200), uint32(4100+i*200)), Regions: []core.RegionInfo{region}})
 		r.pools[i] = pool
@@ -112,7 +112,7 @@ func buildFencedRig(t *testing.T) *fencedRig {
 	}
 
 	pComp := connect(primary, computeNIC, 1000, 1100)
-	pComp.SetRetryPolicy(time.Millisecond, 30_000)
+	pComp.SetRetryPolicy(time.Millisecond, 30_000) // likewise: the zombie must still be serving when the partition heals
 	if err := primary.Register(spot.Registration{Instance: client.Describe(1), ComputeQP: pComp, Pools: pReps}); err != nil {
 		t.Fatal(err)
 	}

@@ -135,6 +135,9 @@ func (l *hybridLog) flushAll() error {
 	deadline := time.Now().Add(30 * time.Second)
 	var t *time.Timer
 	for l.flushed.Load() < target {
+		if err := l.err(); err != nil {
+			return err
+		}
 		if !l.sleep(&t, 50*time.Microsecond) {
 			return fmt.Errorf("kv: store closed during checkpoint")
 		}

@@ -42,6 +42,12 @@ type hybridLog struct {
 	head    atomic.Uint64 // lowest logical address resident in memory
 	flushed atomic.Uint64 // all addresses below are durable on the device
 
+	// failed is the log's sticky failure: the page flush the device
+	// refused. The flusher stops there, so flushed (and with it head) never
+	// passes a page that was not written, and whatever waits for that
+	// frontier returns the error instead (err).
+	failed atomic.Pointer[error]
+
 	// pages[i] counts in-flight writers into logical page slot i; the
 	// flusher only flushes a page whose writer count is zero and whose end
 	// the tail has passed.
@@ -116,6 +122,14 @@ func (l *hybridLog) close() {
 	<-l.done
 }
 
+// err returns the log's sticky flush failure, or nil.
+func (l *hybridLog) err() error {
+	if e := l.failed.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
 // physical maps a logical address to its offset in the memory buffer.
 func (l *hybridLog) physical(addr uint64) uint64 { return addr % l.memSize }
 
@@ -155,12 +169,16 @@ func (l *hybridLog) release(addr uint64) {
 }
 
 // makeRoom advances head so an allocation ending at end fits, waiting for
-// the flusher as needed.
+// the flusher as needed — or returning its sticky failure, since a frontier
+// stuck below needHead will never move.
 func (l *hybridLog) makeRoom(end uint64) error {
 	needHead := end - l.memSize
 	needHead = (needHead + l.pageSize - 1) / l.pageSize * l.pageSize
 	var t *time.Timer // created by the first wait, reused by the rest
 	for l.flushed.Load() < needHead {
+		if err := l.err(); err != nil {
+			return err
+		}
 		if !l.sleep(&t, 20*time.Microsecond) {
 			return fmt.Errorf("kv: store closed during allocation")
 		}
@@ -259,7 +277,9 @@ func parseRecord(buf []byte) (prev uint64, key, value []byte, tombstone, ok bool
 }
 
 // flushLoop writes closed pages to the device in order and advances the
-// flushed frontier.
+// flushed frontier. A write the device refuses becomes the log's sticky
+// failure and ends the loop: the page was never written, so it is never
+// counted as flushed.
 func (l *hybridLog) flushLoop() {
 	defer close(l.done)
 	var idle *time.Timer
@@ -269,23 +289,28 @@ func (l *hybridLog) flushLoop() {
 		if l.tail.Load() >= fp+l.pageSize && l.pages[slot].Load() == 0 {
 			p := l.physical(fp)
 			tok, err := l.devSess.WriteAsync(fp, l.mem[p:p+l.pageSize])
-			if err == nil {
-				for {
-					done := l.devSess.Poll(16, time.Millisecond)
-					found := false
-					for _, d := range done {
-						if d == tok {
-							found = true
-						}
+			if err != nil {
+				// A fresh variable: storing &err would move err to the heap on
+				// every flush, not only on this one.
+				failure := fmt.Errorf("kv: flushing the log page at %#x: %w", fp, err)
+				l.failed.Store(&failure)
+				return
+			}
+			for {
+				done := l.devSess.Poll(16, time.Millisecond)
+				found := false
+				for _, d := range done {
+					if d == tok {
+						found = true
 					}
-					if found {
-						break
-					}
-					select {
-					case <-l.stop:
-						return
-					default:
-					}
+				}
+				if found {
+					break
+				}
+				select {
+				case <-l.stop:
+					return
+				default:
 				}
 			}
 			l.flushed.Store(fp + l.pageSize)

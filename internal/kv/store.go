@@ -333,11 +333,14 @@ func (s *Session) RMW(key []byte, ctx any, update func(old []byte) []byte) (Stat
 		if status == StatusNotFound {
 			val = nil
 		}
-		if s.tryPublishRMW(key, update(val), headAddr) == nil {
+		switch err := s.tryPublishRMW(key, update(val), headAddr); err {
+		case nil:
 			return StatusOK, nil
+		case errRMWConflict:
+			// Lost the race; retry with the new chain head.
+		default:
+			return StatusNotFound, err // the log cannot allocate
 		}
-		// Lost the race (or allocation back-pressure); retry with the new
-		// chain head.
 	}
 }
 

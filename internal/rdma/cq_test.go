@@ -40,7 +40,7 @@ func TestCQPushDemuxRouting(t *testing.T) {
 // TestFabricLatencyIsPipelined checks SetLatency's two properties: each
 // frame chain pays the propagation latency (a sync op takes at least one
 // RTT = 2x latency), and concurrent chains overlap their latencies instead
-// of serializing behind one another (unlike SetDelay).
+// of serializing behind one another.
 func TestFabricLatencyIsPipelined(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	const lat = 5 * time.Millisecond

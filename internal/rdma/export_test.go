@@ -15,6 +15,14 @@ func (q *QP) timerArmCount() int {
 	return q.timerArms
 }
 
+// isTicking reports whether q's retransmission timer is running (a busy
+// period is open).
+func (q *QP) isTicking() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.ticking
+}
+
 // retryCount reports q's consecutive-retry counter.
 func (q *QP) retryCount() int {
 	q.mu.Lock()

@@ -47,7 +47,7 @@ type nonRetaining interface {
 // for all requests"). It returns the frames to forward (possibly rewritten,
 // possibly more or fewer than one).
 //
-// Process usually runs on the sender's goroutine, inside Fabric.Send, so it
+// Process runs on the sender's goroutine, inside Fabric.Send, so it
 // must not call anything that takes a QP's lock (senders hold theirs across
 // Send) and must not call Send itself. The fabric consumes the returned slice
 // before the next Process call, so an interposer may reuse it.
@@ -94,35 +94,21 @@ type fabricSnap struct {
 	interposer Interposer
 	releases   bool // interposer is a FrameReleaser
 	lossFn     func(frame []byte) bool
-	delay      time.Duration
 	latency    time.Duration
 	tap        *PcapTap
-
-	// queued is true when a fault-injection knob (loss, serialized delay)
-	// sends frames through the forwarding goroutine. Without one, Send stays
-	// on the caller's goroutine: straight to the destination inbox, or under
-	// the forwarding lock if there is an interposer. Latency and the pcap tap
-	// do not disqualify the fast path — latency is applied at the destination
-	// inbox and the tap copies frames under its own lock.
-	queued bool
 }
 
 // Fabric is an in-process Ethernet segment: devices attach with a MAC, and
 // frames sent to the fabric are forwarded — through the interposer, if any —
 // to the device owning the destination MAC. Per-destination delivery is FIFO.
 //
-// In the steady state (no interposer, loss injection, or forwarding delay)
-// Send runs entirely on the caller's goroutine: it resolves the destination
-// in the published snapshot and appends to that device's inbox, so senders
-// to different destinations share nothing but atomic counters. An interposer
-// keeps Send on the caller's goroutine but puts every frame under the one
-// forwarding lock — the serialization point its semantics require — and
-// either way Send returns only once the frame is deposited, so one sender's
-// frames never reorder. The two fault-injection knobs (loss, serialized
-// delay) hand frames to a forwarding goroutine that takes the same lock:
-// under them a sender must not be slowed by the fault it is being tested
-// against (a retransmit burst forwarded inline, under the sender's QP lock,
-// starves the ACKs that would end it).
+// Send runs on the caller's goroutine and returns only once the frame is
+// deposited in its destination inbox, so one sender's frames never reorder.
+// With neither an interposer nor a loss predicate installed it appends to
+// the inbox the published snapshot names, so senders to different
+// destinations share nothing but atomic counters. Either knob puts every
+// frame under the one forwarding lock: the interposer's serialization point,
+// and what calls a loss predicate one frame at a time.
 //
 // Lock order: a sender's qp.mu → fwdMu → the destination's inbox.mu. Nothing
 // called under fwdMu (interposer, loss predicate) may take the first.
@@ -131,7 +117,6 @@ type Fabric struct {
 	devices map[wire.MAC]*inbox
 	interp  Interposer
 	lossFn  func(frame []byte) bool
-	delay   time.Duration
 	latency time.Duration
 	tap     *PcapTap
 	closed  bool
@@ -144,17 +129,8 @@ type Fabric struct {
 
 	fwdMu sync.Mutex // the forwarding lock: held across forward
 
-	// slowPending counts frames queued for the forwarding goroutine but not
-	// yet deposited into their inbox. Send queues behind them while any are
-	// in flight, so a sender's frames cannot overtake frames it queued before
-	// a knob was cleared.
-	slowPending atomic.Int64
-
 	pool *framePool
-
-	ingress chan []byte
-	done    chan struct{}
-	wg      sync.WaitGroup
+	wg   sync.WaitGroup // inbox goroutines
 }
 
 // NewFabric returns a running fabric with no devices attached.
@@ -162,12 +138,8 @@ func NewFabric() *Fabric {
 	f := &Fabric{
 		devices: make(map[wire.MAC]*inbox),
 		pool:    newFramePool(),
-		ingress: make(chan []byte, 1024),
-		done:    make(chan struct{}),
 	}
 	f.publishLocked()
-	f.wg.Add(1)
-	go f.forwardLoop()
 	return f
 }
 
@@ -184,10 +156,8 @@ func (f *Fabric) publishLocked() {
 		interposer: f.interp,
 		releases:   releases,
 		lossFn:     f.lossFn,
-		delay:      f.delay,
 		latency:    f.latency,
 		tap:        f.tap,
-		queued:     f.lossFn != nil || f.delay != 0,
 	})
 }
 
@@ -200,25 +170,15 @@ func (f *Fabric) SetInterposer(i Interposer) {
 	f.publishLocked()
 }
 
-// SetLossFn installs a frame-drop predicate for fault-injection tests. The
-// predicate runs on the forwarding goroutine, after the interposer.
+// SetLossFn installs a frame-drop predicate for fault-injection tests. It
+// runs on the sender's goroutine under the forwarding lock, after the
+// interposer, so calls never overlap. It must be leaf code: the sender holds
+// its QP's lock and maybe a region's DMA lock, so no lock the predicate takes
+// may be held across a verb or a DMA-locked access.
 func (f *Fabric) SetLossFn(fn func(frame []byte) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lossFn = fn
-	f.publishLocked()
-}
-
-// SetDelay introduces a fixed per-frame forwarding delay (ordering is
-// preserved). Useful to widen race windows in tests.
-//
-// The delay is paid on the single forwarding goroutine, so it also caps the
-// fabric at one frame per d — a serialized link. To model propagation
-// latency without serializing, use SetLatency.
-func (f *Fabric) SetDelay(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.delay = d
 	f.publishLocked()
 }
 
@@ -270,28 +230,18 @@ func (f *Fabric) Attach(d Device) {
 // the frames it returns: they go back to the pool once delivered.
 func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
 
-// Send forwards a frame, or queues it for forwarding. Ownership of the frame
+// Send forwards a frame on the caller's goroutine. Ownership of the frame
 // transfers to the fabric: the caller must not read or modify it after Send
 // returns (the fabric may recycle it into the frame pool once delivered).
 // Safe for concurrent use.
 func (f *Fabric) Send(frame []byte) {
-	s := f.snap.Load()
-	if !s.queued && f.slowPending.Load() == 0 {
-		if s.interposer == nil {
-			f.deliver(s, frame, true)
-			return
-		}
-		f.fwdMu.Lock()
-		f.forward(frame)
-		f.fwdMu.Unlock()
+	if s := f.snap.Load(); s.interposer == nil && s.lossFn == nil {
+		f.deliver(s, frame, true)
 		return
 	}
-	f.slowPending.Add(1)
-	select {
-	case <-f.done:
-		f.slowPending.Add(-1)
-	case f.ingress <- frame:
-	}
+	f.fwdMu.Lock()
+	f.forward(frame)
+	f.fwdMu.Unlock()
 }
 
 // Close stops the fabric and waits for delivery goroutines to drain.
@@ -302,9 +252,6 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closed = true
-	f.mu.Unlock()
-	close(f.done)
-	f.mu.Lock()
 	for _, ib := range f.devices {
 		ib.close()
 	}
@@ -312,32 +259,14 @@ func (f *Fabric) Close() {
 	f.wg.Wait()
 }
 
-func (f *Fabric) forwardLoop() {
-	defer f.wg.Done()
-	for {
-		select {
-		case <-f.done:
-			return
-		case frame := <-f.ingress:
-			f.fwdMu.Lock()
-			f.forward(frame)
-			f.fwdMu.Unlock()
-			f.slowPending.Add(-1)
-		}
-	}
-}
-
-// forward runs one frame through the slow path — interposer, then delivery —
-// under fwdMu, on a sender's goroutine or the forwarding one. The snapshot is
-// loaded here, not in Send, so a Set* call takes effect on the very next
-// frame forwarded. Frames are recycled only when a FrameReleaser interposer
-// vouches for them: any other interposer may retain them, and the loss/delay
-// knobs are fault injection, where the conservatism costs nothing that
-// matters.
+// forward runs one frame through the interposer, if any, then delivery,
+// under fwdMu; loading the snapshot here makes a Set* call take effect on the
+// very next frame. Interposed frames are recycled only when a FrameReleaser
+// vouches for them: any other interposer may retain them.
 func (f *Fabric) forward(frame []byte) {
 	s := f.snap.Load()
 	if s.interposer == nil {
-		f.deliver(s, frame, false)
+		f.deliver(s, frame, true)
 		return
 	}
 	consumed := s.releases
@@ -355,19 +284,19 @@ func (f *Fabric) forward(frame []byte) {
 	}
 }
 
-// deliver applies the loss/delay/tap knobs and deposits fr into the
-// destination inbox. recycle marks the frame as pool-returnable after the
-// destination device consumes it (only honored for non-retaining devices).
+// deliver applies the loss predicate and the tap and deposits fr into the
+// destination inbox. recycle marks the frame pool-returnable: at once if it
+// is dropped, else once a non-retaining destination device has consumed it.
 func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) {
 	if len(fr) < wire.EthernetLen {
 		return
 	}
 	if s.lossFn != nil && s.lossFn(fr) {
 		f.dropped.Add(1)
+		if recycle {
+			f.pool.put(fr)
+		}
 		return
-	}
-	if s.delay > 0 {
-		time.Sleep(s.delay)
 	}
 	if s.tap != nil {
 		s.tap.Capture(fr)

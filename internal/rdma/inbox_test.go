@@ -183,10 +183,9 @@ func (d *seqCheckDevice) Input(frame []byte) {
 
 // TestInterposedOrderPreserved: with forwarding on the senders' goroutines,
 // under the forwarding lock, each sender's frames still arrive in order and
-// exactly once — on one P and on two, and across flips of the loss knob,
-// which move frames between the lock and the forwarding goroutine's queue
-// (the slowPending guard is what keeps a sender's inline frame from
-// overtaking the ones it queued).
+// exactly once — on one P and on two, and across flips of the loss knob
+// mid-stream: Send deposits every frame before it returns, whichever knobs
+// are installed, so a knob change cannot let a frame overtake an earlier one.
 func TestInterposedOrderPreserved(t *testing.T) {
 	const senders, perSender = 2, 10_000
 	for _, procs := range []int{1, 2} {

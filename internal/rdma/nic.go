@@ -60,6 +60,19 @@ type NIC struct {
 	mrSnap atomic.Pointer[mrTable]
 
 	rx wire.Packet // reusable decode target; Input is single-goroutine
+
+	rtoExpiries, replays atomic.Int64 // NICStats, bumped on the retry path only
+}
+
+// NICStats counts the Go-Back-N retry path of every QP on a NIC.
+type NICStats struct {
+	RTOExpiries int64 // retransmission ticks that found no progress and charged a retry
+	Replays     int64 // send-queue replays, from an RTO expiry or a PSN-sequence NAK
+}
+
+// Stats returns a snapshot of the retry-path counters.
+func (n *NIC) Stats() NICStats {
+	return NICStats{RTOExpiries: n.rtoExpiries.Load(), Replays: n.replays.Load()}
 }
 
 // NewNIC creates a NIC, attaches it to the fabric, and returns it.

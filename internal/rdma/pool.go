@@ -23,13 +23,10 @@ import "sync"
 // Fabric.FrameBuf — gets a buffer and serializes into it
 // (wire.Packet.SerializeInto); Fabric.Send transfers ownership to the
 // fabric; after the destination device's Input returns, the inbox returns
-// the buffer to the pool — but only when the frame travelled the direct
-// fast path or a FrameReleaser interposer (any other might retain it) and
-// the device is one of ours (NIC, UDP proxy), which never keep a frame past
-// Input. A frame a FrameReleaser consumed goes back as soon as Process
-// returns. Frames delivered to foreign devices, forwarded through any other
-// interposer, or forwarded under a loss/delay knob are left to the garbage
-// collector.
+// the buffer to the pool — unless the frame passed through an interposer
+// that is not a FrameReleaser (it might retain it) or the device is not one
+// of ours (NIC, UDP proxy), which never keep a frame past Input. A frame a
+// FrameReleaser consumed, or the loss predicate dropped, goes back at once.
 type framePool struct {
 	small frameClass // every buffer has cap >= frameClassSmall
 	large frameClass // every buffer has cap >= frameClassLarge

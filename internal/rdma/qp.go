@@ -112,7 +112,9 @@ type QP struct {
 	timer     *time.Timer
 	ticking   bool
 	progress  bool
-	timerArms int // how often the timer was armed from idle, for tests
+	timing    bool // an RTT sample is in flight (the fields at the end)
+	sampleDue bool // a tick passed since the last sample began
+	timerArms int  // how often the timer was armed from idle, for tests
 
 	// Per-QP Go-Back-N overrides; zero values fall back to the NIC-wide
 	// Config knobs (SetRetryPolicy).
@@ -144,6 +146,13 @@ type QP struct {
 	// tx is the reusable serialization scratch for every packet this QP
 	// emits; q.mu makes it single-writer.
 	tx wire.Packet
+
+	// RTT sampling: one PSN at a time, posted on the idle→busy edge or after
+	// a tick, so the clock is read about once per RTO. Off the hot cache
+	// lines: read only when a sample starts or ends. srtt is 0 until one ends.
+	timedPSN     uint32 // the sample ends when ackPSN passes it
+	timedAt      time.Time
+	srtt, rttvar time.Duration
 }
 
 // QPN returns the queue pair number.
@@ -153,11 +162,11 @@ func (q *QP) QPN() uint32 { return q.qpn }
 func (q *QP) Remote() RemoteEndpoint { return q.remote }
 
 // SetRetryPolicy overrides the NIC-wide Go-Back-N knobs for this QP
-// alone. Zero values keep the NIC defaults. The intended use is asymmetric
-// failure budgets: a requester that must detect a dead peer quickly (an
-// offload engine probing memory-pool replicas) tightens its pool-facing
-// QPs while paths to healthy-but-occasionally-slow peers keep the
-// forgiving defaults, so a scheduling stall cannot brick them.
+// alone. Zero values keep the NIC defaults; rto is the floor of the
+// measured RTO (RTO). The intended use is asymmetric failure budgets: a
+// requester that must detect a dead peer quickly (an offload engine probing
+// memory-pool replicas) tightens its pool-facing QPs while paths to
+// healthy-but-occasionally-slow peers keep the forgiving defaults.
 func (q *QP) SetRetryPolicy(rto time.Duration, maxRetries int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -209,12 +218,43 @@ func (q *QP) CancelSend(id uint64) bool {
 	return false
 }
 
+// initialRTO is RFC 6298's conservative RTO for a path not yet measured,
+// scaled to an in-process fabric. maxRTO caps the measured RTO, so a dead
+// peer fails within (MaxRetries+2)·maxRTO however slow its path had been.
+const initialRTO, maxRTO = 20 * time.Millisecond, 100 * time.Millisecond
+
+// RTO returns the QP's current retransmission timeout: SRTT + 4·RTTVAR of its
+// own round trips (initialRTO before the first), capped at maxRTO, floored
+// at the configured timeout (Config.RetransmitTimeout or SetRetryPolicy).
+func (q *QP) RTO() time.Duration {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rto()
+}
+
 // rto returns the effective retransmission timeout. Caller holds q.mu.
 func (q *QP) rto() time.Duration {
-	if q.rtoOverride > 0 {
-		return q.rtoOverride
+	floor := q.rtoOverride
+	if floor <= 0 {
+		floor = q.nic.cfg.RetransmitTimeout
 	}
-	return q.nic.cfg.RetransmitTimeout
+	measured := initialRTO
+	if q.srtt > 0 {
+		measured = min(q.srtt+4*q.rttvar, maxRTO)
+	}
+	return max(floor, measured)
+}
+
+// observeRTT folds one round-trip sample into SRTT and RTTVAR with RFC 6298's
+// gains (1/8, 1/4). Caller holds q.mu.
+func (q *QP) observeRTT(r time.Duration) {
+	r = max(r, 1) // a zero SRTT reads as unmeasured
+	if q.srtt == 0 {
+		q.srtt, q.rttvar = r, r/2
+		return
+	}
+	q.rttvar += (time.Duration(absDiff(int64(q.srtt), int64(r))) - q.rttvar) / 4
+	q.srtt += (r - q.srtt) / 8
 }
 
 // maxRetries returns the effective retry bound. Caller holds q.mu.
@@ -322,7 +362,12 @@ func (q *QP) PostSend(wr WorkRequest) error {
 		swapAdd:  wr.SwapAdd,
 	})
 	q.nextPSN += uint32(npkts)
-	q.transmitWR(q.sq.At(q.sq.Len() - 1))
+	s := q.sq.At(q.sq.Len() - 1)
+	if !q.timing && (!q.ticking || q.sampleDue) {
+		q.timing, q.sampleDue = true, false
+		q.timedPSN, q.timedAt = s.lastPSN, time.Now()
+	}
+	q.transmitWR(s)
 	// A post is progress — except the one that starts the clock (the
 	// idle→busy edge): the first tick is that post's own RTO.
 	q.progress = q.ticking
@@ -429,20 +474,30 @@ func (q *QP) onTick() {
 	if q.sq.Len() == 0 || q.errored {
 		return
 	}
+	q.sampleDue = true // the next post may time a fresh PSN
 	if q.progress {
 		q.progress = false
 		q.armTimer()
 		return
 	}
 	q.retries++
+	q.nic.rtoExpiries.Add(1)
 	if q.retries > q.maxRetries() {
 		q.failAllLocked(StatusRetryExceeded)
 		return
 	}
+	q.replay()
+	q.armTimer()
+}
+
+// replay retransmits every outstanding work request. Karn's rule: the RTT
+// sample in flight is abandoned. Caller holds q.mu.
+func (q *QP) replay() {
+	q.timing = false
+	q.nic.replays.Add(1)
 	for i := 0; i < q.sq.Len(); i++ {
 		q.transmitWR(q.sq.At(i))
 	}
-	q.armTimer()
 }
 
 // failAllLocked flushes the send queue (which may be empty) with the given
@@ -677,9 +732,7 @@ func (q *QP) handleResponse(p *wire.Packet) {
 		case p.AETH.Syndrome == wire.SyndromeNAKPSN:
 			// Responder expects an earlier PSN: replay everything outstanding.
 			// The replay is not progress; the tick keeps its schedule.
-			for i := 0; i < q.sq.Len(); i++ {
-				q.transmitWR(q.sq.At(i))
-			}
+			q.replay()
 		case p.AETH.Syndrome == wire.SyndromeRNRNAK:
 			// Receiver not ready; the retransmission timer will replay.
 		case p.AETH.Syndrome == wire.SyndromeNAKFenced:
@@ -761,9 +814,14 @@ func (q *QP) responseTarget(psn uint32) *sendWR {
 	return nil
 }
 
-// completeAcked retires in-order completed work requests from the head of
-// the send queue. Caller holds q.mu.
+// completeAcked ends the RTT sample once ackPSN passes the timed PSN, and
+// retires in-order completed work requests from the head of the send queue.
+// Caller holds q.mu.
 func (q *QP) completeAcked() {
+	if q.timing && q.ackPSN > q.timedPSN {
+		q.timing = false
+		q.observeRTT(time.Since(q.timedAt))
+	}
 	progressed := false
 	for q.sq.Len() > 0 {
 		s := q.sq.Front()

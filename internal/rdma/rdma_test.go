@@ -391,6 +391,7 @@ func TestGoBackNUnderLoss(t *testing.T) {
 	if drop == 0 {
 		t.Fatal("loss injector never fired; test is vacuous")
 	}
+	t.Logf("%d frames dropped; retry path %+v, RTO %v", drop, p.cli.Stats(), p.cliQP.RTO())
 }
 
 func TestRetryExhaustion(t *testing.T) {

@@ -116,16 +116,33 @@ func TestRTOArmsOncePerBusyPeriod(t *testing.T) {
 // TestSilentPeerFailsWithinBudget: against a peer that has fallen silent, a
 // post fails with RETRY_EXCEEDED no earlier than MaxRetries+1 timeouts and
 // within (MaxRetries+2)·RTO — ticking instead of re-aiming the timer must not
-// stretch failure detection.
+// stretch failure detection. RTO is the QP's current value once one
+// acknowledged post has measured the path (an unmeasured path runs on
+// maxRTO) and the busy period that post opened has lapsed.
 func TestSilentPeerFailsWithinBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = 50 * time.Millisecond
 	cfg.MaxRetries = 3
 	p := newPair(t, cfg)
 	p.cli.RegisterMR(0x1000, make([]byte, 64))
+	srvMR := p.srv.RegisterMR(0x9000, make([]byte, 64))
+	wr := WorkRequest{ID: 1, Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey}
+	if err := p.cliQP.PostSend(wr); err != nil {
+		t.Fatal(err)
+	}
+	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+		t.Fatalf("warm-up write: %v", e.Status)
+	}
+	for deadline := time.Now().Add(5 * time.Second); p.cliQP.isTicking(); {
+		if time.Now().After(deadline) {
+			t.Fatal("retransmission timer never lapsed on an idle QP")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rto := p.cliQP.RTO()
 	p.srv.SetDead(true)
 	start := time.Now()
-	if err := p.cliQP.PostSend(WorkRequest{ID: 1, Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: 1}); err != nil {
+	if err := p.cliQP.PostSend(wr); err != nil {
 		t.Fatal(err)
 	}
 	e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]
@@ -133,9 +150,49 @@ func TestSilentPeerFailsWithinBudget(t *testing.T) {
 	if e.Status != StatusRetryExceeded {
 		t.Fatalf("status = %v, want RETRY_EXCEEDED", e.Status)
 	}
-	rto := cfg.RetransmitTimeout
 	if lo, hi := time.Duration(cfg.MaxRetries+1)*rto, time.Duration(cfg.MaxRetries+2)*rto; elapsed < lo || elapsed > hi {
-		t.Fatalf("dead peer detected after %v, want within [%v, %v]", elapsed, lo, hi)
+		t.Fatalf("dead peer detected after %v, want within [%v, %v] (RTO %v)", elapsed, lo, hi, rto)
+	}
+}
+
+// TestMeasuredRTOAbsorbsLatency: a path whose round trip (10 ms of fabric
+// latency) is thirty times the configured 300 µs × 3 budget still carries a
+// stream of posts without a single retry charged, because the QP's RTO comes
+// from the round trips it measures. A fixed 300 µs RTO fails the first post
+// with RETRY_EXCEEDED.
+func TestMeasuredRTOAbsorbsLatency(t *testing.T) {
+	const lat = 5 * time.Millisecond
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = 300 * time.Microsecond
+	cfg.MaxRetries = 3
+	p := newPair(t, cfg)
+	p.fabric.SetLatency(lat)
+	p.cli.RegisterMR(0x1000, make([]byte, 64))
+	srvMR := p.srv.RegisterMR(0x9000, make([]byte, 64))
+	const depth, posts = 4, 40
+	for i := 0; i < posts; i++ {
+		if i >= depth {
+			if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+				t.Fatalf("write %d: %v", e.WRID, e.Status)
+			}
+		}
+		err := p.cliQP.PostSend(WorkRequest{
+			ID: uint64(i), Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range waitCQE(t, p.cliCQ, depth, 5*time.Second) {
+		if e.Status != StatusOK {
+			t.Fatalf("write %d: %v", e.WRID, e.Status)
+		}
+	}
+	if st := p.cli.Stats(); st.RTOExpiries != 0 || st.Replays != 0 {
+		t.Fatalf("retry path taken on a slow but healthy path: %+v", st)
+	}
+	if rto := p.cliQP.RTO(); rto < 2*lat {
+		t.Fatalf("RTO %v below the path's %v round trip", rto, 2*lat)
 	}
 }
 

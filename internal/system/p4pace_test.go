@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -141,13 +140,13 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	s.Fabric.SetLossFn(func([]byte) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Intn(100) < 15
-	})
+	// The predicate runs on the senders' goroutines, one frame at a time
+	// under the forwarding lock, so its generator needs no lock of its own —
+	// and must not share one with this goroutine, which issues reads while
+	// an inbox goroutine may be mid-Send holding the ring's DMA lock.
+	loss := rand.New(rand.NewSource(seed))
+	s.Fabric.SetLossFn(func([]byte) bool { return loss.Intn(100) < 15 })
+	rng := rand.New(rand.NewSource(^seed))
 
 	th, _ := s.Client.Thread(0)
 	g := th.PollCreate()
@@ -171,11 +170,9 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 		bySlot[id] = i
 		issued++
 	}
-	mu.Lock() // rng is shared with the loss predicate
 	for i := range slots {
 		issue(i)
 	}
-	mu.Unlock()
 
 	var seen rings.Red
 	deadline := time.Now().Add(120 * time.Second)
@@ -189,18 +186,15 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: the client's red block went backwards: %+v after %+v", seed, red, seen)
 		}
 		seen = red
-		mu.Lock()
 		for _, id := range ids {
 			i := bySlot[id]
 			delete(bySlot, id)
 			if want := block(slots[i].blk); !bytes.Equal(slots[i].buf[:], want) {
-				mu.Unlock()
 				t.Fatalf("seed %d: read of block %d returned % x", seed, slots[i].blk, slots[i].buf[:4])
 			}
 			if done++; issued < reads {
 				issue(i)
 			}
 		}
-		mu.Unlock()
 	}
 }

@@ -48,11 +48,12 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 
 	compact := rings.Layout{MetaEntries: 64, ReqDataBytes: 16 << 10, RespDataBytes: 16 << 10}
 	tel := telemetry.New(telemetry.Config{SampleEvery: 64})
-	// Race instrumentation can stall any goroutine — including a responder —
-	// past the default 2 ms × 25 Go-Back-N budget, and exhausting it on the
-	// sole pool replica wedges the instance by design (no failover target).
-	// A wide retransmission budget keeps loss recovery live so the test
-	// exercises interleavings, not spurious replica deaths.
+	// A real backlog, not a stall the measured RTO follows: under -race the
+	// compute NIC's one inbox can leave an idle queue set's probe unanswered
+	// for more than 26 of its RTOs (2–5 of the 512 compute paths die on the
+	// default 2 ms × 25 budget), and a dead path wedges its instance by
+	// design. A wide budget keeps loss recovery live so the test exercises
+	// interleavings, not spurious path deaths.
 	nicCfg := rdma.DefaultConfig()
 	nicCfg.RetransmitTimeout = 50 * time.Millisecond
 	nicCfg.MaxRetries = 200
