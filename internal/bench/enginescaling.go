@@ -75,7 +75,6 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	// what keeps the *active* workers awake: the closed loop's µs-scale issue
 	// gaps are bridged by yield-paced re-probes, so the slow park interval
 	// never appears in op latency.
-	cfg.Spot.IdleYieldRounds = 256
 	cfg.Spot.ProbeInterval = time.Second
 	cfg.Spot.HeartbeatInterval = 30 * time.Second
 	sys, err := system.New(cfg)

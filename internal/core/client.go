@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
 	"cowbird/internal/cache"
+	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
@@ -126,7 +126,9 @@ func NewClient(nic *rdma.NIC, cfg ClientConfig) (*Client, error) {
 			return nil, err
 		}
 		mr := nic.RegisterMRLocked(va, qs.Bytes(), qs.Mutex())
-		t := &Thread{c: c, idx: i, qs: qs, mr: mr}
+		// A wait yields 64 times (completions land within microseconds), then
+		// blocks 20 µs at a time so a co-located engine gets the CPU.
+		t := &Thread{c: c, idx: i, qs: qs, mr: mr, wait: pace.New(nil, 64, 20*time.Microsecond)}
 		if c.cache != nil {
 			t.initPrefetch(c.cache.Config())
 		}
@@ -281,6 +283,7 @@ type Thread struct {
 	// harvested completions not yet delivered through a poll group
 	doneReads  uint64 // all read seqs <= this are harvested
 	doneWrites uint64
+	wait       *pace.Waiter // paces WaitErr, Select and WaitAll between empty harvests
 
 	// Lifecycle sampling state: at most one in-flight sampled request per
 	// thread, so the instrumented path stays allocation-free and time.Now is
@@ -487,59 +490,6 @@ func (t *Thread) completed(id ReqID) bool {
 	return id.Seq() <= t.doneReads
 }
 
-// pollSpinIters is how many iterations a poll loop spends yielding the
-// scheduler before it falls back to sleeping. The two phases have different
-// deadline disciplines — see deadlineDue.
-const pollSpinIters = 64
-
-// pollSleep is the pause length once a poll loop has given up spinning, so
-// co-located processes — the offload engine, on single-core hosts — get CPU
-// time promptly.
-const pollSleep = 20 * time.Microsecond
-
-// pollSleepSlack is the budget a sleep may actually consume: the kernel
-// rounds short sleeps up to a timer tick (observed ~1 ms), so requesting
-// pollSleep can cost fifty times that. A poll loop therefore only sleeps
-// while at least this much deadline remains; closer than that it finishes
-// on scheduler yields, whose cost is microseconds.
-const pollSleepSlack = 2 * time.Millisecond
-
-// pollPause yields between poll iterations: a scheduler yield while the
-// spin is young (the completion usually lands within microseconds), then a
-// short sleep. With a deadline inside pollSleepSlack the loop stays on
-// yields — one rounded-up sleep would overshoot a sub-millisecond PollWait
-// timeout by more than the whole budget. A zero deadline means "no
-// deadline".
-func pollPause(i int, deadline time.Time) {
-	if i < pollSpinIters {
-		runtime.Gosched()
-		return
-	}
-	if !deadline.IsZero() && time.Until(deadline) < pollSleepSlack {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(pollSleep)
-}
-
-// deadlineCheckSpins is how many spin-phase iterations pass between deadline
-// reads. time.Now on every spin was a measurable fraction of a busy wait;
-// checking every N yields overruns a deadline by at most N scheduler yields
-// — sub-microsecond when runnable alone. The every-N economy is only valid
-// while the pause is that cheap: once the loop sleeps, 16 unchecked
-// iterations are 16 sleeps (~320 µs), which dwarfs a sub-millisecond
-// PollWait deadline. So the sleep phase checks the clock every iteration —
-// one time.Now per 20 µs sleep is noise, and the overshoot bound collapses
-// to a single (capped) sleep plus scheduler slop.
-const deadlineCheckSpins = 16
-
-func deadlineDue(spin int, deadline time.Time) bool {
-	if spin < pollSpinIters {
-		return spin%deadlineCheckSpins == deadlineCheckSpins-1 && time.Now().After(deadline)
-	}
-	return time.Now().After(deadline)
-}
-
 // PollGroup is an epoll-like notification group for request IDs (§4.1,
 // §4.4: poll_create allocates a list of (region_id, req_id) tuples and an
 // integer tracking the maximum registered req_id per type).
@@ -614,11 +564,8 @@ func (g *PollGroup) WaitErr(maxRet int, timeout time.Duration) ([]ReqID, error) 
 	if maxRet <= 0 {
 		return nil, nil
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for spin := 0; ; spin++ {
+	g.t.wait.Start(timeout)
+	for {
 		g.t.harvest()
 		// Scan before compacting: the common iteration of a busy wait finds
 		// nothing, and rewriting the id list on every spin was most of its
@@ -655,13 +602,9 @@ func (g *PollGroup) WaitErr(maxRet int, timeout time.Duration) ([]ReqID, error) 
 		if !g.t.c.engineAlive() {
 			return nil, ErrEngineDead
 		}
-		if timeout <= 0 {
+		if timeout <= 0 || !g.t.wait.Idle() {
 			return nil, g.emptyErr()
 		}
-		if deadlineDue(spin, deadline) {
-			return nil, g.emptyErr()
-		}
-		pollPause(spin, deadline)
 	}
 }
 
@@ -701,11 +644,8 @@ func (t *Thread) Completed(id ReqID) bool {
 // returning the completed subset (select(2) semantics). A zero timeout
 // polls exactly once.
 func (t *Thread) Select(ids []ReqID, timeout time.Duration) []ReqID {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for spin := 0; ; spin++ {
+	t.wait.Start(timeout)
+	for {
 		t.harvest()
 		var done []ReqID
 		for _, id := range ids {
@@ -713,24 +653,17 @@ func (t *Thread) Select(ids []ReqID, timeout time.Duration) []ReqID {
 				done = append(done, id)
 			}
 		}
-		if len(done) > 0 || timeout <= 0 {
+		if len(done) > 0 || timeout <= 0 || !t.wait.Idle() {
 			return done
 		}
-		if deadlineDue(spin, deadline) {
-			return done
-		}
-		pollPause(spin, deadline)
 	}
 }
 
 // WaitAll blocks until every id completes or the timeout passes, reporting
 // whether all finished.
 func (t *Thread) WaitAll(ids []ReqID, timeout time.Duration) bool {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for spin := 0; ; spin++ {
+	t.wait.Start(timeout)
+	for {
 		t.harvest()
 		all := true
 		for _, id := range ids {
@@ -742,13 +675,9 @@ func (t *Thread) WaitAll(ids []ReqID, timeout time.Duration) bool {
 		if all {
 			return true
 		}
-		if timeout <= 0 {
+		if timeout <= 0 || !t.wait.Idle() {
 			return false
 		}
-		if deadlineDue(spin, deadline) {
-			return false
-		}
-		pollPause(spin, deadline)
 	}
 }
 

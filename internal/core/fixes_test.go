@@ -12,12 +12,12 @@ import (
 )
 
 // TestPollWaitDeadlineOvershoot is the regression test for the sleep-phase
-// deadline bug: deadlineDue only consulted the clock every 16 iterations,
-// which is fine while an iteration is a Gosched but is up to ~16 sleep
-// quanta (≥320 µs nominal, far more with timer slack) once pollPause starts
-// sleeping. With the fix the sleep phase checks every iteration and caps the
-// sleep at the remaining time, so a 100 µs PollWait overshoots by at most
-// one short sleep plus scheduler slop.
+// deadline bug: the poll loop once consulted the clock only every 16
+// iterations, which is fine while an iteration is a yield but is up to ~16
+// sleep quanta (≥320 µs nominal, far more with timer slack) once the loop
+// sleeps. The thread's waiter reads the clock on every cold round and never
+// blocks within pace.Slack of the deadline, so a 100 µs PollWait overshoots
+// by scheduler slop alone (internal/pace tests the ladder itself).
 func TestPollWaitDeadlineOvershoot(t *testing.T) {
 	c, _ := newTestClient(t, 1, smallLayout())
 	th, _ := c.Thread(0)

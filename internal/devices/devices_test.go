@@ -260,6 +260,41 @@ func TestRDMADeviceBounds(t *testing.T) {
 	}
 }
 
+// TestRDMADeviceReadAllocFree is the async one-sided baseline's allocation
+// gate, so a baseline lane measures the verbs and not the garbage
+// collector: once the session's slices are sized, a read — post, poll
+// until its token comes back — allocates nothing.
+func TestRDMADeviceReadAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI lane")
+	}
+	local, pool, region := rdmaPair(t)
+	s := NewRDMADevice(local, pool.NIC(), region, ModeAsync, 4096).Session(0)
+	dst := make([]byte, 64)
+	read := func() {
+		tok, err := s.ReadAsync(4096, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			for _, d := range s.Poll(8, time.Millisecond) {
+				if d == tok {
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("read never completed")
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("async RDMA device read allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestRDMADeviceSlotReuse(t *testing.T) {
 	local, pool, region := rdmaPair(t)
 	dev := NewRDMADevice(local, pool.NIC(), region, ModeAsync, 4096)

@@ -7,6 +7,7 @@ import (
 
 	"cowbird/internal/core"
 	"cowbird/internal/kv"
+	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 )
 
@@ -15,7 +16,7 @@ type RDMAMode int
 
 // Baseline flavors from §8's methodology.
 const (
-	// ModeSync issues one verb at a time and busy-waits for its
+	// ModeSync issues one verb at a time and busy-polls for its
 	// completion ("synchronous one-sided RDMA": the thread blocks).
 	ModeSync RDMAMode = iota
 	// ModeAsync posts verbs and harvests completions later through Poll,
@@ -79,7 +80,9 @@ func (d *RDMADevice) Session(threadID int) kv.DeviceSession {
 	d.local.RegisterMR(va, arena)
 	s := &rdmaSession{
 		d: d, qp: lQP, cq: cq, arena: arena, arenaVA: va,
-		ops: make(map[uint64]*rdmaOp),
+		ops: make([]rdmaOp, d.numSlots),
+		// The compute thread polls its own CQ: 64 yields, then 2 µs blocks.
+		wait: pace.New(nil, 64, 2*time.Microsecond),
 	}
 	for i := 0; i < d.numSlots; i++ {
 		s.free = append(s.free, i)
@@ -88,8 +91,8 @@ func (d *RDMADevice) Session(threadID int) kv.DeviceSession {
 }
 
 type rdmaOp struct {
+	wrID  uint64 // 0: the slot is idle
 	token kv.Token
-	slot  int
 	dst   []byte // read destination (nil for writes)
 	n     int
 }
@@ -103,8 +106,10 @@ type rdmaSession struct {
 	free    []int
 	next    kv.Token
 	nextWR  uint64
-	ops     map[uint64]*rdmaOp
+	ops     []rdmaOp // by staging slot; a WR id names its slot (wrID % numSlots)
 	done    []kv.Token
+	polled  []kv.Token // Poll's reused return slice
+	wait    *pace.Waiter
 }
 
 // drain harvests CQEs into the done list, freeing slots.
@@ -112,26 +117,28 @@ func (s *rdmaSession) drain() {
 	var buf [32]rdma.CQE
 	n := s.cq.PollInto(buf[:])
 	for _, c := range buf[:n] {
-		op, ok := s.ops[c.WRID]
-		if !ok {
+		slot := int(c.WRID % uint64(s.d.numSlots))
+		op := &s.ops[slot]
+		if op.wrID != c.WRID {
 			continue
 		}
-		delete(s.ops, c.WRID)
 		if op.dst != nil {
-			start := op.slot * s.d.slotSize
+			start := slot * s.d.slotSize
 			copy(op.dst, s.arena[start:start+op.n])
 		}
-		s.free = append(s.free, op.slot)
+		s.free = append(s.free, slot)
 		s.done = append(s.done, op.token)
+		*op = rdmaOp{}
 	}
 }
 
 // slotWait acquires a staging slot, draining completions while full.
 func (s *rdmaSession) slotWait() int {
+	s.wait.Start(0)
 	for len(s.free) == 0 {
 		s.drain()
 		if len(s.free) == 0 {
-			time.Sleep(2 * time.Microsecond)
+			s.wait.Idle()
 		}
 	}
 	slot := s.free[len(s.free)-1]
@@ -154,8 +161,8 @@ func (s *rdmaSession) post(verb rdma.Verb, off uint64, buf []byte, dst []byte) (
 	s.next++
 	s.nextWR++
 	tok := s.next
-	wrID := s.nextWR
-	s.ops[wrID] = &rdmaOp{token: tok, slot: slot, dst: dst, n: len(buf)}
+	wrID := s.nextWR*uint64(s.d.numSlots) + uint64(slot)
+	s.ops[slot] = rdmaOp{wrID: wrID, token: tok, dst: dst, n: len(buf)}
 	err := s.qp.PostSend(rdma.WorkRequest{
 		ID: wrID, Verb: verb,
 		LocalVA: s.arenaVA + uint64(start), Length: uint32(len(buf)),
@@ -167,12 +174,9 @@ func (s *rdmaSession) post(verb rdma.Verb, off uint64, buf []byte, dst []byte) (
 	if s.d.mode == ModeSync {
 		// Busy-poll until THIS operation completes: the synchronous
 		// baseline issues one request at a time and blocks (§8.1).
-		for {
-			s.drain()
-			if _, still := s.ops[wrID]; !still {
-				break
-			}
-			time.Sleep(time.Microsecond)
+		s.wait.Start(0)
+		for s.drain(); s.ops[slot].wrID == wrID; s.drain() {
+			s.wait.Idle()
 		}
 	}
 	return tok, nil
@@ -187,22 +191,15 @@ func (s *rdmaSession) WriteAsync(off uint64, src []byte) (kv.Token, error) {
 }
 
 func (s *rdmaSession) Poll(max int, timeout time.Duration) []kv.Token {
-	deadline := time.Now().Add(timeout)
+	s.wait.Start(timeout)
 	for {
 		s.drain()
-		if len(s.done) > 0 {
-			n := len(s.done)
-			if n > max {
-				n = max
-			}
-			out := make([]kv.Token, n)
-			copy(out, s.done)
-			s.done = s.done[n:]
-			return out
+		n := min(len(s.done), max)
+		s.polled = append(s.polled[:0], s.done[:n]...)
+		// Shift the remainder down, so done keeps its backing array.
+		s.done = s.done[:copy(s.done, s.done[n:])]
+		if n > 0 || timeout <= 0 || !s.wait.Idle() {
+			return s.polled
 		}
-		if timeout == 0 || time.Now().After(deadline) {
-			return nil
-		}
-		time.Sleep(2 * time.Microsecond)
 	}
 }

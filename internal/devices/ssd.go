@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cowbird/internal/kv"
+	"cowbird/internal/pace"
 )
 
 // SSDDevice simulates a SATA SSD: a fixed per-I/O latency plus
@@ -47,7 +48,8 @@ func (d *SSDDevice) Size() uint64 { return uint64(len(d.buf)) }
 
 // Session implements kv.Device.
 func (d *SSDDevice) Session(threadID int) kv.DeviceSession {
-	s := &ssdSession{d: d}
+	// A completion is a device latency away, not a spin: straight to blocks.
+	s := &ssdSession{d: d, wait: pace.New(nil, 0, 5*time.Microsecond)}
 	d.sessMu.Lock()
 	d.sessions = append(d.sessions, s)
 	d.sessMu.Unlock()
@@ -55,8 +57,10 @@ func (d *SSDDevice) Session(threadID int) kv.DeviceSession {
 }
 
 type ssdSession struct {
-	d    *SSDDevice
-	next kv.Token
+	d      *SSDDevice
+	next   kv.Token
+	polled []kv.Token // Poll's reused return slice
+	wait   *pace.Waiter
 
 	mu   sync.Mutex
 	done []kv.Token
@@ -106,20 +110,15 @@ func (s *ssdSession) WriteAsync(off uint64, src []byte) (kv.Token, error) {
 }
 
 func (s *ssdSession) Poll(max int, timeout time.Duration) []kv.Token {
-	deadline := time.Now().Add(timeout)
+	s.wait.Start(timeout)
 	for {
 		s.mu.Lock()
-		n := len(s.done)
-		if n > max {
-			n = max
-		}
-		out := make([]kv.Token, n)
-		copy(out, s.done)
-		s.done = s.done[n:]
+		n := min(len(s.done), max)
+		s.polled = append(s.polled[:0], s.done[:n]...)
+		s.done = s.done[:copy(s.done, s.done[n:])]
 		s.mu.Unlock()
-		if len(out) > 0 || timeout == 0 || time.Now().After(deadline) {
-			return out
+		if n > 0 || timeout <= 0 || !s.wait.Idle() {
+			return s.polled
 		}
-		time.Sleep(5 * time.Microsecond)
 	}
 }

@@ -30,13 +30,13 @@
 package p4
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cowbird/internal/container"
 	"cowbird/internal/core"
+	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
@@ -97,6 +97,8 @@ type Stats struct {
 	Recoveries       int64 // Go-Back-N recoveries
 	NAKs             int64
 	RedWrites        int64
+	GeneratorYields  int64 // generator ticks after a yield (hot)
+	GeneratorWaits   int64 // generator ticks after a ProbeInterval timer wait (cold)
 }
 
 // engineStats is the live, atomic mirror of Stats, matching what spot's
@@ -288,8 +290,9 @@ type Engine struct {
 
 	// misses counts consecutive ticks that found no new metadata — an empty
 	// probe, or nothing to probe — capped at hotMisses. Process writes it,
-	// probeLoop reads it to choose between yielding and the ticker.
+	// probeLoop reads it to choose its generator's rung.
 	misses atomic.Int32
+	gen    *pace.Waiter // the generator's idle ladder; only probeLoop waits on it
 
 	tel       *telemetry.Telemetry
 	sampleSeq atomic.Uint64 // drives 1-in-N request sampling
@@ -334,6 +337,7 @@ func New(f *rdma.Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *Engine {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	e.gen = pace.New(e.stop, 0, 0)
 	e.tbl.Store(&instTable{})
 	e.misses.Store(hotMisses) // the generator starts cold
 	e.tick = e.buildTickFrame()
@@ -367,6 +371,8 @@ func (e *Engine) Stats() Stats {
 		Recoveries:       e.stats.recoveries.Load(),
 		NAKs:             e.stats.naks.Load(),
 		RedWrites:        e.stats.redWrites.Load(),
+		GeneratorYields:  e.gen.Yields(),
+		GeneratorWaits:   e.gen.Blocks(),
 	}
 }
 
@@ -447,14 +453,14 @@ func (e *Engine) Stop() {
 
 // hotMisses is the generator's hot budget: until this many ticks in a row
 // have found no new metadata, the generator follows each tick with a
-// scheduler yield instead of waiting for the ticker.
+// scheduler yield instead of a timer wait.
 const hotMisses = 8
 
 // probeLoop injects generator-tick frames at the pace of the work: while
 // hot — a probe found new metadata within the last hotMisses ticks — each
-// tick is followed by runtime.Gosched, which lets the client that will refill
-// the ring run before the next probe; once cold it ticks every ProbeInterval
-// (the spot engine's yield → park ladder, DESIGN.md §7, on the other engine).
+// tick is followed by a yield, which lets the client that will refill the
+// ring run before the next probe; once cold it blocks ProbeInterval on its
+// waiter (the spot engine's yield → park ladder, DESIGN.md §7, on the other engine).
 // The tick itself carries no protocol state: all PSN allocation and frame
 // construction happen inside Process, under the fabric's forwarding lock,
 // so switch-assigned PSNs reach each host in exactly allocation order —
@@ -462,22 +468,15 @@ const hotMisses = 8
 // the match-action pipeline, which fills them from stateful registers.
 func (e *Engine) probeLoop() {
 	defer close(e.done)
-	ticker := time.NewTicker(e.cfg.ProbeInterval)
-	defer ticker.Stop()
 	for {
+		var live bool
 		if e.misses.Load() < hotMisses {
-			runtime.Gosched()
-			select {
-			case <-e.stop:
-				return
-			default:
-			}
+			live = e.gen.Yield()
 		} else {
-			select {
-			case <-e.stop:
-				return
-			case <-ticker.C:
-			}
+			live = e.gen.Block(e.cfg.ProbeInterval)
+		}
+		if !live {
+			return
 		}
 		// The tick frame is immutable and consumed by Process, and too
 		// small for either class of the fabric's frame pool, so it is never

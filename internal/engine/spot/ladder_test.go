@@ -82,12 +82,21 @@ func TestProbeEconomyDedicated(t *testing.T) {
 			// and the client refills the window before the next probe.
 			probes := float64(s1.Probes-s0.Probes) / total
 			batches := float64(s1.ResponseBatches-s0.ResponseBatches) / total
-			t.Logf("%.4f probes/op, %.4f response batches/op", probes, batches)
+			parks := float64(s1.WorkerParks-s0.WorkerParks) / total
+			yields := float64(s1.WorkerYields-s0.WorkerYields) / total
+			t.Logf("%.4f probes/op, %.4f response batches/op, %.4f worker parks/op, %.4f yields/op", probes, batches, parks, yields)
 			if probes > 0.125 {
 				t.Errorf("%.4f probes/op, want <= 0.125 (one per %d-op round is %.4f)", probes, window, 1.0/window)
 			}
 			if batches > 1.1/window {
 				t.Errorf("%.4f response batches/op, want %.4f", batches, 1.0/window)
+			}
+			// The client refills the window within one yield, so the slot never
+			// spends its hot budget: the worker yields once a round and never
+			// parks on its timer (0 measured; one park per thousand ops is the
+			// margin).
+			if parks > 0.001 {
+				t.Errorf("%.4f worker parks/op under a closed loop, want ~0", parks)
 			}
 		})
 	}
@@ -114,7 +123,7 @@ func TestProbeEconomyShared(t *testing.T) {
 		t.Errorf("%.4f probes/op with 1 of %d slots active, want <= 1", probes, slots)
 	}
 
-	// Idle stretch: the active slot cools after IdleYieldRounds misses, and
+	// Idle stretch: the active slot cools after idleYieldRounds misses, and
 	// from then on all the probing there is must fit the derived budget — an
 	// eighth of the worker, gated at a quarter. Without a cap the 31 idle
 	// slots re-probe every ProbeInterval, which is all of it. The budget is
@@ -128,7 +137,7 @@ func TestProbeEconomyShared(t *testing.T) {
 		probeTimes = append(probeTimes, h.eng.workers[0].shard.probeTime)
 		resume()
 	}
-	idleProbes := h.eng.Stats().Probes - s1.Probes - int64(cfg.IdleYieldRounds)
+	idleProbes := h.eng.Stats().Probes - s1.Probes - idleYieldRounds
 	elapsed := time.Since(start)
 	slices.Sort(probeTimes)
 	probeTime := probeTimes[len(probeTimes)/2]

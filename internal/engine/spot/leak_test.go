@@ -53,9 +53,6 @@ func runCycle(t *testing.T, cycle int) {
 
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
-	// A tiny hot budget so workers reach the parked-on-timer state — the
-	// teardown path the original lifecycle leaked in — within the test.
-	cfg.IdleYieldRounds = 4
 	eng := New(engNIC, cfg)
 	defer eng.Stop()
 
@@ -92,6 +89,7 @@ func runCycle(t *testing.T, cycle int) {
 	if err := th.WriteSync(0, data, 512, 10*time.Second); err != nil {
 		t.Fatalf("cycle %d write: %v", cycle, err)
 	}
-	// Let both workers drain their idle budgets and park before teardown.
-	time.Sleep(2 * time.Millisecond)
+	// Let both workers drain their idle budgets and park before teardown:
+	// idleYieldRounds probes take a few milliseconds at most.
+	time.Sleep(20 * time.Millisecond)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 	"cowbird/internal/wire"
 )
@@ -64,12 +65,7 @@ func (e *Engine) scrubShardLazy() *shard {
 // ScrubPass per interval until the engine stops, is preempted, or fenced.
 func (e *Engine) scrubLoop() {
 	defer e.wg.Done()
-	tick := time.NewTimer(time.Hour)
-	defer tick.Stop()
-	for {
-		if !e.park(tick, e.cfg.ScrubInterval) {
-			return
-		}
+	for tick := pace.New(e.halt, 0, 0); tick.Block(e.cfg.ScrubInterval); {
 		// Pass errors are terminal signals (fenced, preempted, stop) or
 		// replica deaths already recorded by notePoolFailure; either way the
 		// next interval re-evaluates from scratch.

@@ -30,13 +30,13 @@ package spot
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
@@ -45,7 +45,7 @@ import (
 // Config tunes the agent.
 type Config struct {
 	// ProbeInterval paces green-block probes of a cold queue (see
-	// IdleYieldRounds): the first pacing step, and the floor of every later
+	// idleYieldRounds): the first pacing step, and the floor of every later
 	// one.
 	ProbeInterval time.Duration
 	// IdleQueueProbeInterval caps the exponential probe backoff of a cold
@@ -89,18 +89,6 @@ type Config struct {
 	// engine's goroutine count stays bounded however many tenants register
 	// (the fleet runs Workers = 1).
 	Workers int
-	// IdleYieldRounds is how long a queue stays hot. A queue that has served
-	// work is probed on every pass of its worker, however many queues the
-	// worker carries, until it has missed IdleYieldRounds times in a row; a
-	// pass that found work, or missed on a hot queue, ends in a scheduler
-	// yield instead of a park — new work can only appear once somebody else
-	// has run, and on a core with nothing else runnable the yield returns at
-	// once, so a busy or briefly-idle queue never pays a timer wakeup. Past
-	// the budget the queue is cold: paced by ProbeInterval doubling up to the
-	// IdleQueueProbeInterval cap, the worker parking when all its queues are.
-	// A newly registered queue starts cold. Zero selects the default;
-	// negative means no hot phase (every miss is paced, straight to park).
-	IdleYieldRounds int
 	// PoolHeartbeatInterval paces the liveness READs the engine issues to
 	// every pool replica of a mirrored instance (Registration.Pools):
 	// an 8-byte READ of the first region, piggybacked on the serving loop.
@@ -139,13 +127,14 @@ func DefaultConfig() Config {
 		OpTimeout:             10 * time.Second,
 		HeartbeatInterval:     500 * time.Microsecond,
 		PoolHeartbeatInterval: time.Millisecond,
-		IdleYieldRounds:       defaultIdleYieldRounds,
 	}
 }
 
-// defaultIdleYieldRounds keeps a queue hot through scheduler-length gaps
-// between requests; after that many fruitless probes its worker may park.
-const defaultIdleYieldRounds = 128
+// idleYieldRounds is how many fruitless probes in a row a queue that served
+// work stays hot for: probed on every pass, its worker yielding instead of
+// parking (workerLoop), so a busy or briefly-idle queue never pays a timer
+// wakeup. A newly registered queue starts cold.
+const idleYieldRounds = 128
 
 // Stats counts engine activity, for tests and overhead accounting.
 type Stats struct {
@@ -168,6 +157,8 @@ type Stats struct {
 	ScrubDivergent   int64 // chunks found (and confirmed) divergent
 	ScrubRepairs     int64 // divergent chunks rewritten from the primary
 	ReadRepairs      int64 // serve-path reads that repaired a divergent chunk
+	WorkerYields     int64 // worker passes ended in a yield (a slot served or is hot)
+	WorkerParks      int64 // worker passes ended parked on the worker's timer
 }
 
 // redSlot is the room a shard keeps ahead of its arena for the red block.
@@ -266,10 +257,10 @@ type slot struct {
 	// drains at most its quantum per pass while its peers get theirs.
 	deficit int
 	// idle counts consecutive probes that found no work. Below
-	// Config.IdleYieldRounds the slot is hot — due again on the very next
-	// pass; from there on it is cold and nextProbe paces it, so a pass over
+	// idleYieldRounds the slot is hot — due again on the very next pass;
+	// from there on it is cold and nextProbe paces it, so a pass over
 	// thousands of registered queues only pays RDMA rounds for the active
-	// ones. A slot is born cold (idle = IdleYieldRounds): registering a
+	// ones. A slot is born cold (idle = idleYieldRounds): registering a
 	// tenant costs one probe, not a hot phase.
 	idle      int
 	nextProbe time.Time // zero: due now
@@ -289,6 +280,9 @@ type worker struct {
 	// worker loads it once per pass under its round lock.
 	slots   atomic.Pointer[[]*slot]
 	running bool // guarded by Engine.mu
+	// wait is the worker's idle ladder, not the shard's: a retired worker may
+	// still be parked on it while its shard serves another worker.
+	wait *pace.Waiter
 
 	// retired tells a dedicated worker its queue set was removed (live
 	// migration). Set under the quiesce barrier while the worker's roundMu
@@ -377,6 +371,8 @@ type Engine struct {
 	replicaWrites  atomic.Int64
 	// computePathsDead counts slots retired for a dead compute QP.
 	computePathsDead atomic.Int64
+	// retired workers' idle waits, so Stats stays monotonic (guarded by mu)
+	retiredYields, retiredParks int64
 
 	started  atomic.Bool
 	stop     chan struct{}
@@ -577,12 +573,6 @@ func New(nic *rdma.NIC, cfg Config) *Engine {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 20 * time.Microsecond
 	}
-	// Zero means default, negative disables the hot phase.
-	if cfg.IdleYieldRounds == 0 {
-		cfg.IdleYieldRounds = defaultIdleYieldRounds
-	} else if cfg.IdleYieldRounds < 0 {
-		cfg.IdleYieldRounds = 0
-	}
 	if cfg.ScrubChunk <= 0 {
 		cfg.ScrubChunk = 64 << 10
 	}
@@ -691,7 +681,7 @@ func (e *Engine) takeShardLocked(cq *rdma.CQ) *shard {
 // newWorkerLocked creates a worker with no slots on a shard of its own.
 // Caller holds e.mu (or is New).
 func (e *Engine) newWorkerLocked(cq *rdma.CQ) *worker {
-	w := &worker{shard: e.takeShardLocked(cq)}
+	w := &worker{shard: e.takeShardLocked(cq), wait: pace.New(e.halt, 0, 0)}
 	w.slots.Store(new([]*slot))
 	return w
 }
@@ -863,7 +853,7 @@ func (e *Engine) Register(r Registration) error {
 // goroutine.
 func (e *Engine) placeLocked(inst *instance, eps []QueueEndpoints) {
 	for i, q := range inst.queues {
-		sl := &slot{inst: inst, q: q, conn: inst.shared, idle: e.cfg.IdleYieldRounds}
+		sl := &slot{inst: inst, q: q, conn: inst.shared, idle: idleYieldRounds}
 		var w *worker
 		if e.cfg.Workers > 0 {
 			w = slices.MinFunc(e.workers, func(a, b *worker) int {
@@ -1051,6 +1041,13 @@ func (e *Engine) Stats() Stats {
 	st.ScrubDivergent = e.scrubDivergent.Load()
 	st.ScrubRepairs = e.scrubRepairs.Load()
 	st.ReadRepairs = e.readRepairs.Load()
+	e.mu.Lock()
+	st.WorkerYields, st.WorkerParks = e.retiredYields, e.retiredParks
+	for _, w := range e.workers {
+		st.WorkerYields += w.wait.Yields()
+		st.WorkerParks += w.wait.Blocks()
+	}
+	e.mu.Unlock()
 	return st
 }
 
@@ -1145,8 +1142,8 @@ func (e *Engine) tripPreempt() {
 	e.tripHalt()
 }
 
-// tripHalt wakes every serving goroutine blocked in park or waitAll. Callers
-// record why (stop, preempted, fenced) first.
+// tripHalt wakes every serving goroutine parked on its waiter or blocked in
+// waitAll. Callers record why (stop, preempted, fenced) first.
 func (e *Engine) tripHalt() { e.haltOnce.Do(func() { close(e.halt) }) }
 
 // halted reports whether the engine is stopped, preempted or fenced — the
@@ -1222,10 +1219,10 @@ func (e *Engine) stampConn(c conn) {
 // HeartbeatInterval — busy queues renew for free with their Phase IV
 // writes — and its instance's pool heartbeat.
 //
-// The idle ladder is yield → park, the same for a dedicated worker and one
-// that shares itself between slots. A slot that has served work is hot: due
-// on every pass until it has missed IdleYieldRounds times in a row. A pass
-// that found work or missed on a hot slot ends in runtime.Gosched: the
+// The idle ladder is the worker's waiter, yield → park, the same for a
+// dedicated worker and one that shares itself between slots. A slot that has
+// served work is hot: due on every pass until it has missed idleYieldRounds
+// times in a row. A pass that found work or missed on a hot slot yields: the
 // request the next pass will find can only be written once its client has
 // run, and a worker that re-probed at once would keep this P's local run
 // queue busy with its own fabric round trip while that client waits on the
@@ -1237,12 +1234,6 @@ func (e *Engine) stampConn(c conn) {
 func (e *Engine) workerLoop(w *worker) {
 	defer e.wg.Done()
 	s := w.shard
-	// The park timer belongs to this goroutine, not to the shard: a retired
-	// worker may still be parked here when its shard is already serving
-	// another worker, and nothing but the owner may Reset or drain a timer
-	// it is waiting on (a swallowed wakeup wedges the loop forever).
-	park := time.NewTimer(time.Hour)
-	defer park.Stop()
 	for !e.halted() {
 		w.roundMu.Lock()
 		if w.retired.Load() {
@@ -1293,12 +1284,12 @@ func (e *Engine) workerLoop(w *worker) {
 				case n > 0:
 					busy = true
 					sl.idle, sl.nextProbe = 0, time.Time{}
-				case sl.idle < e.cfg.IdleYieldRounds:
+				case sl.idle < idleYieldRounds:
 					busy = true
 					sl.idle++
 				default:
 					sl.idle++
-					sl.nextProbe = now.Add(e.probePacing(sl.idle-e.cfg.IdleYieldRounds, idleCap))
+					sl.nextProbe = now.Add(e.probePacing(sl.idle-idleYieldRounds, idleCap))
 				}
 			}
 			if wake.After(sl.nextProbe) {
@@ -1316,8 +1307,8 @@ func (e *Engine) workerLoop(w *worker) {
 		}
 		w.roundMu.Unlock()
 		if busy {
-			runtime.Gosched()
-		} else if !e.park(park, max(wake.Sub(now), e.cfg.ProbeInterval)) {
+			w.wait.Yield()
+		} else if !w.wait.Block(max(wake.Sub(now), e.cfg.ProbeInterval)) {
 			return
 		}
 	}
@@ -1358,25 +1349,6 @@ func (e *Engine) probePacing(n int, bound time.Duration) time.Duration {
 		iv *= 2
 	}
 	return min(iv, bound)
-}
-
-// park sleeps for d on t, the calling goroutine's own timer, waking early
-// on stop, preemption or fencing. It reports whether the caller should keep
-// serving.
-func (e *Engine) park(t *time.Timer, d time.Duration) bool {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
-	select {
-	case <-e.halt:
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 var errTimeout = errors.New("spot: RDMA completion timeout")

@@ -159,6 +159,8 @@ func (e *Engine) RemoveInstance(instanceID int) bool {
 					// it will never touch again is reusable at once.
 					w.retired.Store(true)
 					e.free = append(e.free, w.shard)
+					e.retiredYields += w.wait.Yields()
+					e.retiredParks += w.wait.Blocks()
 					continue
 				}
 			}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"cowbird/internal/pace"
 )
 
 // This file implements a simplified form of FASTER's checkpoint/recover:
@@ -113,6 +115,7 @@ func Recover(dev Device, cfg Config, r io.Reader) (*Store, error) {
 // flushAll pads the tail to the next page boundary and waits until the
 // flusher has made everything durable.
 func (l *hybridLog) flushAll() error {
+	w := pace.New(l.stop, 0, 0)
 	// Seal the current page by skipping the tail to its end (the pad bytes
 	// are holes no chain references).
 	for {
@@ -122,7 +125,7 @@ func (l *hybridLog) flushAll() error {
 		}
 		next := (a/l.pageSize + 1) * l.pageSize
 		if next-l.head.Load() > l.memSize {
-			if err := l.makeRoom(next); err != nil {
+			if err := l.makeRoom(next, w); err != nil {
 				return err
 			}
 			continue
@@ -133,12 +136,11 @@ func (l *hybridLog) flushAll() error {
 	}
 	target := l.tail.Load()
 	deadline := time.Now().Add(30 * time.Second)
-	var t *time.Timer
 	for l.flushed.Load() < target {
 		if err := l.err(); err != nil {
 			return err
 		}
-		if !l.sleep(&t, 50*time.Microsecond) {
+		if !w.Block(50 * time.Microsecond) {
 			return fmt.Errorf("kv: store closed during checkpoint")
 		}
 		if time.Now().After(deadline) {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cowbird/internal/pace"
 )
 
 // Record layout in the log:
@@ -135,9 +137,9 @@ func (l *hybridLog) physical(addr uint64) uint64 { return addr % l.memSize }
 
 // alloc reserves n bytes (n <= pageSize) and returns the record's logical
 // address. The caller must call release(addr) after the record bytes are
-// fully written. alloc blocks when the log is full until the flusher frees
-// space (back-pressure from a slow device).
-func (l *hybridLog) alloc(n uint64) (uint64, error) {
+// fully written. alloc waits on w while the log is full, until the flusher
+// frees space (back-pressure from a slow device).
+func (l *hybridLog) alloc(n uint64, w *pace.Waiter) (uint64, error) {
 	if n > l.pageSize {
 		return 0, fmt.Errorf("kv: record of %d bytes exceeds page size %d", n, l.pageSize)
 	}
@@ -149,7 +151,7 @@ func (l *hybridLog) alloc(n uint64) (uint64, error) {
 		}
 		end := start + n
 		if end > l.head.Load()+l.memSize {
-			if err := l.makeRoom(end); err != nil {
+			if err := l.makeRoom(end, w); err != nil {
 				return 0, err
 			}
 			continue
@@ -168,18 +170,17 @@ func (l *hybridLog) release(addr uint64) {
 	l.pages[(addr/l.pageSize)%l.numPages].Add(-1)
 }
 
-// makeRoom advances head so an allocation ending at end fits, waiting for
-// the flusher as needed — or returning its sticky failure, since a frontier
-// stuck below needHead will never move.
-func (l *hybridLog) makeRoom(end uint64) error {
+// makeRoom advances head so an allocation ending at end fits, waiting on w
+// for the flusher as needed — or returning its sticky failure, since a
+// frontier stuck below needHead will never move.
+func (l *hybridLog) makeRoom(end uint64, w *pace.Waiter) error {
 	needHead := end - l.memSize
 	needHead = (needHead + l.pageSize - 1) / l.pageSize * l.pageSize
-	var t *time.Timer // created by the first wait, reused by the rest
 	for l.flushed.Load() < needHead {
 		if err := l.err(); err != nil {
 			return err
 		}
-		if !l.sleep(&t, 20*time.Microsecond) {
+		if !w.Block(20 * time.Microsecond) {
 			return fmt.Errorf("kv: store closed during allocation")
 		}
 	}
@@ -194,30 +195,11 @@ func (l *hybridLog) makeRoom(end uint64) error {
 	}
 	// Epoch drain: wait for readers still protected below the new head.
 	for !l.hazardsClearBelow(needHead) {
-		if !l.sleep(&t, 5*time.Microsecond) {
+		if !w.Block(5 * time.Microsecond) {
 			return fmt.Errorf("kv: store closed during allocation")
 		}
 	}
 	return nil
-}
-
-// sleep waits d, or until the log closes, which it reports by returning
-// false. *t is the calling loop's own timer: sleep creates it on first use
-// and re-arms it afterwards (it has always fired and been drained by then),
-// so a polling loop costs one timer however long it polls.
-func (l *hybridLog) sleep(t **time.Timer, d time.Duration) bool {
-	if *t == nil {
-		*t = time.NewTimer(d)
-	} else {
-		(*t).Reset(d)
-	}
-	select {
-	case <-l.stop:
-		(*t).Stop()
-		return false
-	case <-(*t).C:
-		return true
-	}
 }
 
 // readInMem copies [addr, addr+len(dst)) from the in-memory region into
@@ -282,7 +264,7 @@ func parseRecord(buf []byte) (prev uint64, key, value []byte, tombstone, ok bool
 // counted as flushed.
 func (l *hybridLog) flushLoop() {
 	defer close(l.done)
-	var idle *time.Timer
+	idle := pace.New(l.stop, 0, 0)
 	for {
 		fp := l.flushed.Load()
 		slot := (fp / l.pageSize) % l.numPages
@@ -316,7 +298,7 @@ func (l *hybridLog) flushLoop() {
 			l.flushed.Store(fp + l.pageSize)
 			continue
 		}
-		if !l.sleep(&idle, 20*time.Microsecond) {
+		if !idle.Block(20 * time.Microsecond) {
 			return
 		}
 	}

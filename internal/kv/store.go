@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"cowbird/internal/pace"
 )
 
 // Status is the result of a Read.
@@ -141,6 +143,7 @@ type Session struct {
 	threadID int
 	dev      DeviceSession
 	hazard   *atomic.Uint64
+	wait     *pace.Waiter // the session's waits for log space
 	pending  map[Token]*pendingRead
 	scratch  []byte
 
@@ -160,6 +163,7 @@ func (st *Store) NewSession(threadID int) *Session {
 		threadID: threadID,
 		dev:      st.dev.Session(threadID),
 		hazard:   st.log.newHazard(),
+		wait:     pace.New(st.log.stop, 0, 0),
 		pending:  make(map[Token]*pendingRead),
 		scratch:  make([]byte, st.cfg.DiskReadSize),
 	}
@@ -182,7 +186,7 @@ func (s *Session) Delete(key []byte) error {
 
 func (s *Session) append(key, value []byte, tombstone bool) error {
 	n := recordSize(len(key), len(value))
-	addr, err := s.st.log.alloc(n)
+	addr, err := s.st.log.alloc(n, s.wait)
 	if err != nil {
 		return err
 	}
@@ -358,7 +362,7 @@ var errRMWConflict = fmt.Errorf("kv: rmw conflict")
 // chain head is still the one the value was derived from.
 func (s *Session) tryPublishRMW(key, newVal []byte, expectedHead uint64) error {
 	n := recordSize(len(key), len(newVal))
-	addr, err := s.st.log.alloc(n)
+	addr, err := s.st.log.alloc(n, s.wait)
 	if err != nil {
 		return err
 	}

@@ -69,6 +69,8 @@ func p4Rounds(t *testing.T, n int) p4.Stats {
 		EntriesFetched:  b.EntriesFetched - a.EntriesFetched,
 		ReadsCompleted:  b.ReadsCompleted - a.ReadsCompleted,
 		RedWrites:       b.RedWrites - a.RedWrites,
+		GeneratorYields: b.GeneratorYields - a.GeneratorYields,
+		GeneratorWaits:  b.GeneratorWaits - a.GeneratorWaits,
 	}
 }
 
@@ -96,7 +98,8 @@ func TestOneRedWritePerDrainedBatch(t *testing.T) {
 // TestHotGeneratorOneProbePerBatch: in a closed loop the generator yields
 // between ticks, so the client refills the ring before the next probe and
 // nearly every probe finds a whole window — not two ticks per window, the
-// first one landing while the batch is still in flight.
+// first one landing while the batch is still in flight — and the generator
+// never falls to its timer.
 func TestHotGeneratorOneProbePerBatch(t *testing.T) {
 	if raceEnabled {
 		// Instrumented, the goroutines' turns on the one P come out in a
@@ -107,8 +110,16 @@ func TestHotGeneratorOneProbePerBatch(t *testing.T) {
 	const rounds = 200
 	d := p4Rounds(t, rounds)
 	fetches := d.PacketsRecycled - d.ReadsCompleted - d.RedWrites
+	t.Logf("per window: %.3f probes, %.3f generator yields, %.3f generator timer waits",
+		float64(d.ProbesSent)/rounds, float64(d.GeneratorYields)/rounds, float64(d.GeneratorWaits)/rounds)
 	if fetches == 0 || float64(d.ProbesSent) > 1.1*float64(fetches) {
 		t.Fatalf("%d probes for %d fetched batches, want at most 1.1 per batch", d.ProbesSent, fetches)
+	}
+	// A hot generator never spends its miss budget between windows, so it
+	// never waits on its timer (0 measured; one window in twenty is the
+	// margin).
+	if float64(d.GeneratorWaits) > 0.05*rounds {
+		t.Fatalf("%d generator timer waits over %d windows, want ~0", d.GeneratorWaits, rounds)
 	}
 }
 

@@ -62,10 +62,6 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 		c.Layout = compact
 		c.Telemetry = tel
 		c.NIC = nicCfg
-		// Idle workers must park, not spin: 504 of the 512 queue sets never
-		// see traffic, and the test asserts the engine carries them without
-		// burning cores on their behalf.
-		c.Spot.IdleYieldRounds = -1
 		// 4 s probes: under race each parked worker's wakeup is a fully
 		// instrumented fabric round trip, and when this test runs late in
 		// the suite (big heap, instrumented GC) 512 wakeups/s of those is
