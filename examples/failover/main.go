@@ -54,17 +54,19 @@ func main() {
 	ecfg.ProbeInterval = 5 * time.Microsecond
 	ecfg.HeartbeatInterval = *heartbeat
 
-	// attach hands the instance to an engine (or to its standby wrapper) over
-	// fresh QPs to the compute node and the pool — done for the standby at
-	// startup, so promotion is a local call.
+	// attach hands the instance's one queue set to an engine (or to its
+	// standby wrapper) over fresh QPs to the compute node and the pool, on a
+	// CQ of their own — done for the standby at startup, so promotion is a
+	// local call.
 	inst := client.Describe(1)
 	attach := func(eng *spot.Engine, basePSN uint32, register func(spot.Registration) error) {
-		eComp, _ := rdma.ConnectPair(eng.NIC(), eng.CQ(), basePSN, computeNIC, basePSN+1)
-		eMem, _ := rdma.ConnectPair(eng.NIC(), eng.CQ(), basePSN+2, pool.NIC(), basePSN+3)
+		cq := rdma.NewCQ()
+		eComp, _ := rdma.ConnectPair(eng.NIC(), cq, basePSN, computeNIC, basePSN+1)
+		eMem, _ := rdma.ConnectPair(eng.NIC(), cq, basePSN+2, pool.NIC(), basePSN+3)
 		err := register(spot.Registration{
-			Instance:  inst,
-			ComputeQP: eComp,
-			Pools:     []spot.PoolReplica{{QP: eMem, Regions: inst.Regions}},
+			Instance: inst,
+			Pools:    []spot.PoolReplica{{Regions: inst.Regions}},
+			Queues:   []spot.QueueEndpoints{{SendCQ: cq, ComputeQP: eComp, Pools: []*rdma.QP{eMem}}},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -9,6 +9,10 @@
 // creates the engine-side QPs), and then tells each side which remote QP to
 // connect to. Data-plane frames never touch this channel — they flow as
 // RoCEv2 over the rdma.UDPBridge.
+//
+// The setup op carries one compute and one pool endpoint, which are one
+// queue set's: an instance set up over it has exactly one queue (one client
+// thread), and the engine refuses a setup for more.
 package ctl
 
 import (

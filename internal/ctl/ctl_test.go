@@ -310,15 +310,19 @@ func TestUDPDeployment(t *testing.T) {
 	client.RegisterRegion(region)
 	mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
 	cQP := compNIC.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	unused := rdma.NewCQ()
-	eComp := engNIC.CreateQP(eng.CQ(), unused, 5000)
-	eMem := engNIC.CreateQP(eng.CQ(), unused, 6000)
+	sendCQ, unused := rdma.NewCQ(), rdma.NewCQ()
+	eComp := engNIC.CreateQP(sendCQ, unused, 5000)
+	eMem := engNIC.CreateQP(sendCQ, unused, 6000)
 	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: ComputeMAC, IP: ComputeIP}, 2000)
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: PoolMAC, IP: PoolIP}, 4000)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: EngineMAC, IP: EngineIP}, 5000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: EngineMAC, IP: EngineIP}, 6000)
 	in := client.Describe(0)
-	must(eng.Register(spot.Registration{Instance: in, ComputeQP: eComp, Pools: []spot.PoolReplica{{QP: eMem, Regions: in.Regions}}}))
+	must(eng.Register(spot.Registration{
+		Instance: in,
+		Pools:    []spot.PoolReplica{{Regions: in.Regions}},
+		Queues:   []spot.QueueEndpoints{{SendCQ: sendCQ, ComputeQP: eComp, Pools: []*rdma.QP{eMem}}},
+	}))
 	eng.Run()
 	t.Cleanup(eng.Stop)
 

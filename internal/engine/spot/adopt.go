@@ -37,15 +37,14 @@ import (
 //
 // lastRed stays zero: the first heartbeat check writes immediately,
 // announcing the takeover to the compute node's lease monitor. Runs on the
-// control goroutine, on the control shard, inside the quiesce barrier (every
-// worker's round lock held). A dedicated worker spawned by a concurrent
-// registration after the barrier's snapshot serves an unrelated queue, so it
-// cannot observe the instance being reconstructed here.
+// control goroutine, on the control shard, over each queue set's own compute
+// QP, before the queue sets are placed: no worker can see them yet, so the
+// reads need no barrier.
 func (e *Engine) readRedBlocks(inst *instance) error {
 	for _, q := range inst.queues {
 		ar := arenaAlloc{s: e.ctl}
 		redVA, redBuf, _ := ar.alloc(rings.RedSize)
-		err := e.postAndWait(e.ctl, inst.shared.computeQP, rdma.WorkRequest{
+		err := e.postAndWait(e.ctl, q.conn.cq, q.conn.computeQP, rdma.WorkRequest{
 			Verb: rdma.VerbRead, LocalVA: redVA, Length: rings.RedSize,
 			RemoteVA: q.qi.BaseVA + uint64(q.qi.Layout.RedOffset()), RKey: q.qi.RKey,
 		})

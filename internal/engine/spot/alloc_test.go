@@ -28,7 +28,7 @@ func TestServePathAllocFree(t *testing.T) {
 	engNIC := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 9}, wire.IPv4Addr{10, 7, 0, 9}, rdma.DefaultConfig())
 	t.Cleanup(engNIC.Close)
 	eng := New(engNIC, DefaultConfig())
-	t.Cleanup(eng.Stop) // the demux runs from New even without Run
+	t.Cleanup(eng.Stop) // the control goroutine runs from New even without Run
 
 	lay := rings.Layout{MetaEntries: 64, ReqDataBytes: 32 << 10, RespDataBytes: 32 << 10}
 	client, _ := wireInstanceLayout(t, f, eng, 0, 1, lay)
@@ -48,7 +48,7 @@ func TestServePathAllocFree(t *testing.T) {
 		if ids[1], err = th.AsyncRead(0, 4096, dest); err != nil {
 			t.Fatal(err)
 		}
-		n, err := eng.serveQueue(eng.ctl, inst.shared, inst, q, eng.cfg.MaxEntriesPerRound)
+		n, err := eng.serveQueue(eng.ctl, inst, q, maxEntriesPerRound)
 		if err != nil || n != 2 {
 			t.Fatalf("round: served=%d err=%v", n, err)
 		}

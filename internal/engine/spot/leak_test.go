@@ -17,9 +17,9 @@ import (
 // serves traffic, and tears it all down — several times — asserting the
 // goroutine count returns to its starting point. This is the regression
 // test for the shard-timer/worker lifecycle: a worker that misses the stop
-// signal (parked in pause or waitAll), a demux that outlives its CQ, or a
-// shard timer left pending after Stop all hold goroutines or runtime timer
-// entries past teardown and show up here.
+// signal (parked in pause or waitAll), a control goroutine that outlives
+// Stop, or a shard timer left pending after Stop all hold goroutines or
+// runtime timer entries past teardown and show up here.
 func TestStartStopCyclesLeakNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 4; cycle++ {
@@ -53,6 +53,7 @@ func runCycle(t *testing.T, cycle int) {
 
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
+	cfg.Workers = 2
 	eng := New(engNIC, cfg)
 	defer eng.Stop()
 
@@ -70,16 +71,8 @@ func runCycle(t *testing.T, cycle int) {
 	}
 	client.RegisterRegion(region)
 
-	unused := rdma.NewCQ()
-	eComp := engNIC.CreateQP(eng.CQ(), unused, 1000)
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 2000)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 1000)
-	eMem := engNIC.CreateQP(eng.CQ(), unused, 3000)
-	mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
-	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
-	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 3000)
-	if err := eng.Register(onePool(client.Describe(0), eComp, eMem)); err != nil {
+	eps := []QueueEndpoints{queueEndpoints(eng, compute, pool.NIC()), queueEndpoints(eng, compute, pool.NIC())}
+	if err := eng.Register(onePool(client.Describe(0), eps...)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

@@ -41,18 +41,11 @@ func wireInstanceNIC(t *testing.T, f *rdma.Fabric, eng *Engine, i, threads int, 
 	}
 	client.RegisterRegion(region)
 
-	unused := rdma.NewCQ()
-	eComp := eng.NIC().CreateQP(eng.CQ(), unused, uint32(1000+i*100))
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 2000)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(1000+i*100))
-
-	eMem := eng.NIC().CreateQP(eng.CQ(), unused, uint32(3000+i*100))
-	mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
-	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
-	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(3000+i*100))
-
-	if err := eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
+	eps := make([]QueueEndpoints, threads)
+	for qi := range eps {
+		eps[qi] = queueEndpoints(eng, compute, pool.NIC())
+	}
+	if err := eng.Register(onePool(client.Describe(i), eps...)); err != nil {
 		t.Fatal(err)
 	}
 	return client, pool, compute
@@ -68,7 +61,7 @@ func TestMetaRingWrapFetch(t *testing.T) {
 	engNIC := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 6}, wire.IPv4Addr{10, 7, 0, 6}, rdma.DefaultConfig())
 	t.Cleanup(engNIC.Close)
 	eng := New(engNIC, DefaultConfig())
-	t.Cleanup(eng.Stop) // the demux runs from New even without Run
+	t.Cleanup(eng.Stop) // the control goroutine runs from New even without Run
 
 	const metaEntries = 8
 	lay := rings.Layout{MetaEntries: metaEntries, ReqDataBytes: 8 << 10, RespDataBytes: 8 << 10}
@@ -88,7 +81,7 @@ func TestMetaRingWrapFetch(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	n, err := eng.serveQueue(eng.ctl, inst.shared, inst, q, eng.cfg.MaxEntriesPerRound)
+	n, err := eng.serveQueue(eng.ctl, inst, q, maxEntriesPerRound)
 	if err != nil || n != 5 {
 		t.Fatalf("first round: served=%d err=%v", n, err)
 	}
@@ -111,7 +104,7 @@ func TestMetaRingWrapFetch(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	n, err = eng.serveQueue(eng.ctl, inst.shared, inst, q, eng.cfg.MaxEntriesPerRound)
+	n, err = eng.serveQueue(eng.ctl, inst, q, maxEntriesPerRound)
 	if err != nil || n != 6 {
 		t.Fatalf("wrap round: served=%d err=%v", n, err)
 	}
@@ -141,22 +134,23 @@ func TestMetaRingWrapFetch(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueuesUnderLoss exercises dedicated workers end to end:
-// four queue sets served by four workers concurrently, with frame loss
+// TestConcurrentQueuesUnderLoss exercises one worker per queue set end to
+// end: four queue sets served by four workers concurrently, with frame loss
 // injected into the fabric so Go-Back-N recovery interleaves with normal
 // rounds. Run under -race this is the main memory-safety check for the
-// worker/demux split. The exact stats assertions double as an
-// exactly-once check across shards.
+// worker pool. The exact stats assertions double as an exactly-once check
+// across shards.
 func TestConcurrentQueuesUnderLoss(t *testing.T) {
 	f := rdma.NewFabric()
 	t.Cleanup(f.Close)
 	engNIC := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 5}, wire.IPv4Addr{10, 7, 0, 5}, rdma.DefaultConfig())
 	t.Cleanup(engNIC.Close)
 	cfg := DefaultConfig()
+	const threads = 4
 	cfg.ProbeInterval = 2 * time.Microsecond
+	cfg.Workers = threads
 	eng := New(engNIC, cfg)
 
-	const threads = 4
 	lay := rings.Layout{MetaEntries: 64, ReqDataBytes: 32 << 10, RespDataBytes: 32 << 10}
 	client, _ := wireInstanceLayout(t, f, eng, 0, threads, lay)
 
@@ -220,9 +214,9 @@ func TestConcurrentQueuesUnderLoss(t *testing.T) {
 	}
 }
 
-// TestRegisterWhileRunning checks that a queue registered after Run gets
-// a live worker: a Workers: 0 engine spawns dedicated workers dynamically
-// rather than snapshotting its instance list at startup.
+// TestRegisterWhileRunning checks that a queue registered after Run is
+// served: the running workers pick the new slots up from their
+// copy-on-write lists rather than snapshotting them at startup.
 func TestRegisterWhileRunning(t *testing.T) {
 	f := rdma.NewFabric()
 	t.Cleanup(f.Close)
@@ -230,6 +224,7 @@ func TestRegisterWhileRunning(t *testing.T) {
 	t.Cleanup(engNIC.Close)
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
+	cfg.Workers = 2
 	eng := New(engNIC, cfg)
 
 	c0, _ := wireInstance(t, f, eng, 0)
@@ -261,7 +256,7 @@ func TestRegisterWhileRunning(t *testing.T) {
 }
 
 // TestOneWorkerServesAll runs a Workers: 1 engine end to end: both
-// instances share the single pinned worker, and the second is added after
+// instances share the single worker, and the second is added after
 // Run, so the running worker must pick the new slot up from its
 // copy-on-write list on a later pass.
 func TestOneWorkerServesAll(t *testing.T) {
@@ -280,7 +275,7 @@ func TestOneWorkerServesAll(t *testing.T) {
 
 	c1, _ := wireInstance(t, f, eng, 1) // added after Run
 	if len(eng.workers) != 1 || len(*eng.workers[0].slots.Load()) != 2 {
-		t.Fatalf("%d workers, want the one pinned worker holding both slots", len(eng.workers))
+		t.Fatalf("%d workers, want the one worker holding both slots", len(eng.workers))
 	}
 	for i, c := range []*core.Client{c0, c1} {
 		th, _ := c.Thread(0)

@@ -26,9 +26,9 @@ func TestRegisterRejections(t *testing.T) {
 		Queues:  []core.QueueInfo{{Index: 0}, {Index: 1}},
 		Regions: []core.RegionInfo{{ID: 0, Size: 4096}, {ID: 1, Size: 4096}},
 	}
-	qp := func() *rdma.QP { return nic.CreateQP(eng.CQ(), rdma.NewCQ(), 100) }
+	qp := func() *rdma.QP { return nic.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 100) }
 	// Two pool nodes: node 0 hosts both regions, node 1 only region 1.
-	pools := []PoolReplica{{QP: qp(), Regions: in.Regions}, {QP: qp(), Regions: in.Regions[1:]}}
+	pools := []PoolReplica{{Regions: in.Regions}, {Regions: in.Regions[1:]}}
 	endpoint := func() QueueEndpoints {
 		return QueueEndpoints{SendCQ: rdma.NewCQ(), ComputeQP: qp(), Pools: []*rdma.QP{qp(), qp()}}
 	}
@@ -36,7 +36,7 @@ func TestRegisterRejections(t *testing.T) {
 	noSendCQ.SendCQ = nil
 	onePoolQP.Pools = onePoolQP.Pools[:1]
 
-	base := Registration{Instance: in, ComputeQP: qp(), Pools: pools, Homes: [][]int{{0}, {0, 1}}}
+	base := Registration{Instance: in, Pools: pools, Queues: []QueueEndpoints{endpoint(), endpoint()}, Homes: [][]int{{0}, {0, 1}}}
 	with := func(mutate func(*Registration)) Registration {
 		r := base
 		mutate(&r)
@@ -47,6 +47,9 @@ func TestRegisterRejections(t *testing.T) {
 		reg  Registration
 		want string
 	}{
+		{"no queue endpoints",
+			with(func(r *Registration) { r.Queues = nil }),
+			"0 queue endpoints for 2 queues"},
 		{"endpoint count differs from queue count",
 			with(func(r *Registration) { r.Queues = []QueueEndpoints{endpoint()} }),
 			"1 queue endpoints for 2 queues"},
@@ -103,9 +106,10 @@ func TestZeroTenantQoSInstallsState(t *testing.T) {
 	t.Cleanup(nic.Close)
 	eng := New(nic, DefaultConfig()) // never Run: no traffic on the peerless QPs
 	t.Cleanup(eng.Stop)
-	qp := func() *rdma.QP { return nic.CreateQP(eng.CQ(), rdma.NewCQ(), 100) }
+	cq := rdma.NewCQ()
+	qp := func() *rdma.QP { return nic.CreateQP(cq, rdma.NewCQ(), 100) }
 	in := &core.Instance{ID: 3, Queues: []core.QueueInfo{{}}, Regions: []core.RegionInfo{{ID: 0, Size: 4096}}}
-	if err := eng.Register(onePool(in, qp(), qp())); err != nil {
+	if err := eng.Register(onePool(in, QueueEndpoints{SendCQ: cq, ComputeQP: qp(), Pools: []*rdma.QP{qp()}})); err != nil {
 		t.Fatal(err)
 	}
 	inst := eng.insts.Load().instances[0]
@@ -116,7 +120,7 @@ func TestZeroTenantQoSInstallsState(t *testing.T) {
 		t.Fatal("SetTenantQoS must find instance 3 and only that")
 	}
 	qos := inst.qos.Load()
-	if qos == nil || !qos.bucket.Unlimited() || qos.quantum != eng.cfg.MaxEntriesPerRound {
-		t.Fatalf("zero TenantQoS installed %+v, want an unlimited bucket and a quantum of %d", qos, eng.cfg.MaxEntriesPerRound)
+	if qos == nil || !qos.bucket.Unlimited() || qos.quantum != maxEntriesPerRound {
+		t.Fatalf("zero TenantQoS installed %+v, want an unlimited bucket and a quantum of %d", qos, maxEntriesPerRound)
 	}
 }

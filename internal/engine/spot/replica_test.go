@@ -17,7 +17,6 @@ type repHarness struct {
 	eng    *Engine
 	client *core.Client
 	pools  []*memnode.Node
-	eMem   []*rdma.QP // engine→pool QPs, one per replica
 }
 
 // wireReplicated builds an engine serving one instance backed by nreps pool
@@ -46,8 +45,8 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	}
 
 	h := &repHarness{eng: eng, client: client}
-	unused := rdma.NewCQ()
 	var reps []PoolReplica
+	var poolNICs []*rdma.NIC
 	for r := 0; r < nreps; r++ {
 		pool := memnode.New(f, wire.MAC{2, 0xAA, 4, 2, 0, byte(r)}, wire.IPv4Addr{10, 7, 4, 2 + byte(r)}, rdma.DefaultConfig())
 		t.Cleanup(pool.Close)
@@ -65,22 +64,12 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 		if r == 0 {
 			client.RegisterRegion(region)
 		}
-		psn := uint32(5000 + r*200)
-		eMem := engNIC.CreateQP(eng.CQ(), unused, psn)
-		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn+100)
-		eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, psn+100)
-		mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, psn)
-		reps = append(reps, PoolReplica{QP: eMem, Regions: []core.RegionInfo{region}})
+		reps = append(reps, PoolReplica{Regions: []core.RegionInfo{region}})
 		h.pools = append(h.pools, pool)
-		h.eMem = append(h.eMem, eMem)
+		poolNICs = append(poolNICs, pool.NIC())
 	}
-
-	eComp := engNIC.CreateQP(eng.CQ(), unused, 9000)
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 9100)
-	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 9100)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 9000)
-
-	if err := eng.Register(Registration{Instance: client.Describe(0), ComputeQP: eComp, Pools: reps}); err != nil {
+	ep := queueEndpoints(eng, compute, poolNICs...)
+	if err := eng.Register(Registration{Instance: client.Describe(0), Pools: reps, Queues: []QueueEndpoints{ep}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -217,8 +206,8 @@ func TestIdlePrimaryDeathDetectedByHeartbeat(t *testing.T) {
 	}
 }
 
-// TestReplicatedOneWorker: a pinned shared worker drives the same
-// mirroring, heartbeat, and failover machinery as a dedicated one.
+// TestReplicatedOneWorker: the one worker of a Workers: 1 engine drives the
+// mirroring, heartbeat, and failover machinery.
 func TestReplicatedOneWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond

@@ -40,7 +40,7 @@ func newHandRound(t *testing.T, lay rings.Layout) *handRound {
 	engNIC := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 0x41}, wire.IPv4Addr{10, 7, 0, 0x41}, rdma.DefaultConfig())
 	t.Cleanup(engNIC.Close)
 	eng := New(engNIC, DefaultConfig())
-	t.Cleanup(eng.Stop) // the demux runs from New even without Run
+	t.Cleanup(eng.Stop) // the control goroutine runs from New even without Run
 	client, pool, compute := wireInstanceNIC(t, f, eng, 0, 1, lay)
 	inst := eng.insts.Load().instances[0]
 	th, _ := client.Thread(0)
@@ -100,18 +100,18 @@ func (h *handRound) write(off uint64, fill byte) func() {
 	}
 }
 
-// round serves the queue once over c and returns the entries served and the
-// completion waits the round blocked in.
-func (h *handRound) round(c conn) (served, waits int, err error) {
+// round serves the queue once over its own QPs and returns the entries
+// served and the completion waits the round blocked in.
+func (h *handRound) round() (served, waits int, err error) {
 	w0 := h.eng.ctl.waitCount()
-	served, err = h.eng.serveQueue(h.eng.ctl, c, h.inst, h.q, h.eng.cfg.MaxEntriesPerRound)
+	served, err = h.eng.serveQueue(h.eng.ctl, h.inst, h.q, maxEntriesPerRound)
 	return served, h.eng.ctl.waitCount() - w0, err
 }
 
-// mustRound is round over the instance's own QPs, with the outcome checked.
+// mustRound is round with the outcome checked.
 func (h *handRound) mustRound(what string, wantServed, wantWaits int, checks ...func()) {
 	h.t.Helper()
-	served, waits, err := h.round(h.inst.shared)
+	served, waits, err := h.round()
 	if err != nil || served != wantServed {
 		h.t.Fatalf("%s: served %d (err %v), want %d", what, served, err, wantServed)
 	}
@@ -192,7 +192,7 @@ func TestRedCommitOnlyAfterCQE(t *testing.T) {
 	// One served round first, so the counters under test are not all zero.
 	h.mustRound("warm-up", 2, 5, h.read(0), h.write(1<<19, 0xE0))
 
-	compute := h.inst.shared.computeQP
+	compute := h.q.conn.computeQP
 	compute.SetRetryPolicy(200*time.Microsecond, 3)
 	redVA := h.q.qi.BaseVA + uint64(h.q.qi.Layout.RedOffset())
 	var dec wire.Packet
@@ -205,7 +205,7 @@ func TestRedCommitOnlyAfterCQE(t *testing.T) {
 		t.Fatalf("engine red %+v differs from durable red %+v before the test", engineRed, durableRed)
 	}
 
-	served, _, err := h.round(h.inst.shared)
+	served, _, err := h.round()
 	var wf *wrFailure
 	if !errors.As(err, &wf) || wf.st != rdma.StatusRetryExceeded || served != 0 {
 		t.Fatalf("round with a lost red write: served %d, err %v; want RETRY_EXCEEDED", served, err)
@@ -223,8 +223,8 @@ func TestRedCommitOnlyAfterCQE(t *testing.T) {
 	// Replay over a fresh compute QP (the old one is in the error state for
 	// good), as a re-registered slot or an adopting standby would.
 	h.fabric.SetLossFn(nil)
-	eComp, _ := rdma.ConnectPair(h.eng.NIC(), h.eng.CQ(), 50_000, h.compute, 60_000)
-	served, _, err = h.round(conn{computeQP: eComp, pools: h.inst.shared.pools})
+	h.q.conn.computeQP, _ = rdma.ConnectPair(h.eng.NIC(), h.q.conn.cq, 50_000, h.compute, 60_000)
+	served, _, err = h.round()
 	if err != nil || served != 3 {
 		t.Fatalf("replay: served %d, err %v", served, err)
 	}
@@ -280,7 +280,7 @@ func speculativeFetchUnderLoss(t *testing.T, seed int64) {
 	lay := rings.Layout{MetaEntries: metaEntries, ReqDataBytes: 8 << 10, RespDataBytes: 8 << 10}
 	client, pool, compute := wireInstanceNIC(t, f, eng, 0, 1, lay)
 	inst := eng.insts.Load().instances[0]
-	inst.shared.computeQP.SetRetryPolicy(300*time.Microsecond, 1000)
+	inst.queues[0].conn.computeQP.SetRetryPolicy(300*time.Microsecond, 1000)
 	th, _ := client.Thread(0)
 	preload := make([]byte, 4<<10)
 	for i := range preload {

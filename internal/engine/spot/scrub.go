@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cowbird/internal/core"
-	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 	"cowbird/internal/wire"
 )
@@ -23,21 +22,25 @@ import (
 // (the same Castagnoli machinery as the wire ICRC), and repairs divergent
 // chunks from the fencing-current primary.
 //
-// Two-phase pass, per instance:
+// A pass runs on the control goroutine and the control shard, over the QPs
+// of the instance's first queue set, whose worker it holds off with the
+// stop-the-world barrier (quiesceWorkers) whenever it drives them. Two
+// phases, per instance:
 //
-//	detect: chunk checksums are read and compared OUTSIDE the adoption
-//	        barrier — cheap, concurrent with serving. A mismatch can be a
-//	        transient (one mirror of an in-flight write landed, the other
-//	        has not), so it is re-checked after a settle delay before the
-//	        chunk is marked divergent. Marked chunks are visible to the
-//	        serve path immediately: a READ straddling one is served with
-//	        read-repair (serveBatch pushes the primary's just-staged
-//	        bytes to the lagging replicas in the same round).
+//	detect: chunk checksums are read and compared one chunk at a time,
+//	        each chunk's reads under a barrier of their own, so serving
+//	        goes on between chunks. A mismatch can be a transient (a
+//	        mirrored write of another engine, one copy landed and the other
+//	        not), so it is re-checked after a settle delay — slept outside
+//	        the barrier — before the chunk is marked divergent. Marked
+//	        chunks are visible to the serve path immediately: a READ
+//	        straddling one is served with read-repair (serveBatch pushes
+//	        the primary's just-staged bytes to the lagging replicas in the
+//	        same round).
 //	repair: confirmed-divergent chunks are re-verified and rewritten from
-//	        the primary under the engine's stop-the-world barrier
-//	        (quiesceWorkers), so a repair can never interleave with a
-//	        mirrored write and clobber a newer acked byte with an older
-//	        primary snapshot.
+//	        the primary under one barrier for the whole finding set, so a
+//	        repair can never interleave with a mirrored write and clobber a
+//	        newer acked byte with an older primary snapshot.
 type scrubFinding struct {
 	key divKey
 	reg core.RegionInfo
@@ -49,60 +52,36 @@ type scrubFinding struct {
 // phase, long enough for an in-flight mirrored write's slower copy to land.
 const scrubSettle = 200 * time.Microsecond
 
-// scrubShardLazy returns the scrubber's dedicated shard, creating it on
-// first use. Scrub I/O must not share an arena or pending set with the
-// control shard — adoption reads run there.
-func (e *Engine) scrubShardLazy() *shard {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.scrubShard == nil {
-		e.scrubShard = e.takeShardLocked(nil)
-	}
-	return e.scrubShard
-}
-
-// scrubLoop is the background scrubber (Config.ScrubInterval > 0): one full
-// ScrubPass per interval until the engine stops, is preempted, or fenced.
-func (e *Engine) scrubLoop() {
-	defer e.wg.Done()
-	for tick := pace.New(e.halt, 0, 0); tick.Block(e.cfg.ScrubInterval); {
-		// Pass errors are terminal signals (fenced, preempted, stop) or
-		// replica deaths already recorded by notePoolFailure; either way the
-		// next interval re-evaluates from scratch.
-		if err := e.ScrubPass(); err != nil {
-			return
-		}
-	}
-}
-
 // ScrubPass runs one synchronous scrub pass over every replicated instance
 // and returns the first terminal error (engine fenced, preempted, stopped).
 // Replica failures discovered mid-scrub are routed through the normal
 // failure detector (replica marked dead, primary rotated) and end the pass
-// without error. Passes are serialized; tests call this directly for a
-// deterministic "scrub now".
+// without error. Passes run on the control goroutine, so they are
+// serialized with each other and with registration; tests and the
+// split-brain sweep call this directly for a deterministic "scrub now".
 func (e *Engine) ScrubPass() error {
-	e.scrubMu.Lock()
-	defer e.scrubMu.Unlock()
-	s := e.scrubShardLazy()
-	for _, inst := range e.insts.Load().instances {
-		if err := e.scrubInstance(s, inst); err != nil {
-			return err
+	var err error
+	e.runCtl(func() {
+		for _, inst := range e.insts.Load().instances {
+			if err = e.scrubInstance(inst); err != nil {
+				return
+			}
 		}
-	}
-	e.scrubPasses.Add(1)
-	return nil
+		e.scrubPasses.Add(1)
+	})
+	return err
 }
 
 // scrubInstance runs the detect and repair phases for one instance.
 // Composed (fleet-placed) instances are skipped: their regions live on
 // distinct memnodes rather than as fleet-wide mirrors, so cross-replica
 // checksum comparison would compare unrelated stripes.
-func (e *Engine) scrubInstance(s *shard, inst *instance) error {
+func (e *Engine) scrubInstance(inst *instance) error {
 	if inst.homes != nil || e.liveReplicas(inst) < 2 || len(inst.info.Regions) == 0 {
 		return nil
 	}
-	chunk := uint64(e.cfg.ScrubChunk)
+	c := inst.queues[0].conn
+	chunk := uint64(e.scrubChunk)
 
 	// Detect.
 	var found []scrubFinding
@@ -113,9 +92,9 @@ func (e *Engine) scrubInstance(s *shard, inst *instance) error {
 				n = reg.Size - off
 			}
 			k := divKey{region: reg.ID, chunk: uint32(off / chunk)}
-			diverged, err := e.detectChunk(s, inst, reg, off, uint32(n))
+			diverged, err := e.detectChunk(c, inst, reg, off, uint32(n))
 			if err != nil {
-				return e.scrubFailure(inst, err)
+				return e.scrubFailure(inst, c, err)
 			}
 			e.scrubChunks.Add(1)
 			if diverged {
@@ -135,9 +114,9 @@ func (e *Engine) scrubInstance(s *shard, inst *instance) error {
 	release := e.quiesceWorkers()
 	defer release()
 	for _, f := range found {
-		repaired, err := e.repairChunk(s, inst, f.reg, f.off, f.n)
+		repaired, err := e.repairChunk(c, inst, f.reg, f.off, f.n)
 		if err != nil {
-			return e.scrubFailure(inst, err)
+			return e.scrubFailure(inst, c, err)
 		}
 		e.scrubRepairs.Add(int64(repaired))
 		inst.clearDivergent(f.key)
@@ -159,7 +138,7 @@ func (e *Engine) liveReplicas(inst *instance) int {
 // scrubFailure classifies a scrub I/O error: terminal demotion signals
 // propagate, a replica failure is recorded (dead + primary rotation) and
 // swallowed — the pass ends, the next one scrubs the survivors.
-func (e *Engine) scrubFailure(inst *instance, err error) error {
+func (e *Engine) scrubFailure(inst *instance, c conn, err error) error {
 	if isFencedFailure(err) {
 		e.tripFenced()
 		return core.ErrFenced
@@ -167,17 +146,20 @@ func (e *Engine) scrubFailure(inst *instance, err error) error {
 	if errors.Is(err, ErrPreempted) || errors.Is(err, core.ErrFenced) || errors.Is(err, errTimeout) {
 		return err
 	}
-	e.notePoolFailure(inst, inst.shared, err)
+	e.notePoolFailure(inst, c, err)
 	return nil
 }
 
-// detectChunk compares the chunk's checksum across live replicas, outside
-// the barrier, with a settle re-check to filter in-flight mirror skew. It
-// reports whether the chunk is persistently divergent.
-func (e *Engine) detectChunk(s *shard, inst *instance, reg core.RegionInfo, off uint64, n uint32) (bool, error) {
+// detectChunk compares the chunk's checksum across live replicas, each
+// comparison under its own barrier, with a settle re-check outside it to
+// filter in-flight mirror skew. It reports whether the chunk is persistently
+// divergent.
+func (e *Engine) detectChunk(c conn, inst *instance, reg core.RegionInfo, off uint64, n uint32) (bool, error) {
 	const tries = 3
 	for try := 0; ; try++ {
-		equal, err := e.chunkSumsEqual(s, inst, reg, off, n)
+		release := e.quiesceWorkers()
+		equal, err := e.chunkSumsEqual(c, inst, reg, off, n)
+		release()
 		if err != nil || equal {
 			return false, err
 		}
@@ -191,8 +173,8 @@ func (e *Engine) detectChunk(s *shard, inst *instance, reg core.RegionInfo, off 
 // chunkSumsEqual reads the chunk from every live replica (sequentially,
 // into one reused arena buffer) and reports whether all CRC-32C checksums
 // match.
-func (e *Engine) chunkSumsEqual(s *shard, inst *instance, reg core.RegionInfo, off uint64, n uint32) (bool, error) {
-	ar := arenaAlloc{s: s}
+func (e *Engine) chunkSumsEqual(c conn, inst *instance, reg core.RegionInfo, off uint64, n uint32) (bool, error) {
+	ar := arenaAlloc{s: e.ctl}
 	va, buf, ok := ar.alloc(int(n))
 	if !ok {
 		return false, fmt.Errorf("spot: scrub chunk %d exceeds staging arena", n)
@@ -203,7 +185,7 @@ func (e *Engine) chunkSumsEqual(s *shard, inst *instance, reg core.RegionInfo, o
 		if r.dead.Load() {
 			continue
 		}
-		if err := e.readReplicaChunk(s, inst, ri, reg, off, va, n); err != nil {
+		if err := e.readReplicaChunk(c, inst, ri, reg, off, va, n); err != nil {
 			return false, err
 		}
 		cs := wire.Checksum(buf)
@@ -219,12 +201,12 @@ func (e *Engine) chunkSumsEqual(s *shard, inst *instance, reg core.RegionInfo, o
 // repairChunk re-verifies the chunk byte-for-byte under the caller's
 // barrier and rewrites any still-divergent replica from the fencing-current
 // primary. Returns how many replicas were repaired.
-func (e *Engine) repairChunk(s *shard, inst *instance, reg core.RegionInfo, off uint64, n uint32) (int, error) {
+func (e *Engine) repairChunk(c conn, inst *instance, reg core.RegionInfo, off uint64, n uint32) (int, error) {
 	pi := int(inst.primary.Load())
 	if inst.replicas[pi].dead.Load() {
 		return 0, nil // no authoritative copy; nothing safe to repair from
 	}
-	ar := arenaAlloc{s: s}
+	ar := arenaAlloc{s: e.ctl}
 	primVA, primBuf, ok := ar.alloc(int(n))
 	if !ok {
 		return 0, fmt.Errorf("spot: scrub chunk %d exceeds staging arena", n)
@@ -233,7 +215,7 @@ func (e *Engine) repairChunk(s *shard, inst *instance, reg core.RegionInfo, off 
 	if !ok {
 		return 0, fmt.Errorf("spot: scrub chunk %d exceeds staging arena", n)
 	}
-	if err := e.readReplicaChunk(s, inst, pi, reg, off, primVA, n); err != nil {
+	if err := e.readReplicaChunk(c, inst, pi, reg, off, primVA, n); err != nil {
 		return 0, err
 	}
 	repaired := 0
@@ -241,7 +223,7 @@ func (e *Engine) repairChunk(s *shard, inst *instance, reg core.RegionInfo, off 
 		if ri == pi || r.dead.Load() {
 			continue
 		}
-		if err := e.readReplicaChunk(s, inst, ri, reg, off, susVA, n); err != nil {
+		if err := e.readReplicaChunk(c, inst, ri, reg, off, susVA, n); err != nil {
 			return repaired, err
 		}
 		if bytes.Equal(primBuf, susBuf) {
@@ -251,26 +233,26 @@ func (e *Engine) repairChunk(s *shard, inst *instance, reg core.RegionInfo, off 
 		if terr != nil {
 			return repaired, terr
 		}
-		err := e.postAndWait(s, inst.shared.pools[ri], rdma.WorkRequest{
+		err := e.postAndWait(e.ctl, c.cq, c.pools[ri], rdma.WorkRequest{
 			Verb: rdma.VerbWrite, LocalVA: primVA, Length: n, RemoteVA: va, RKey: rkey,
 		})
 		if err != nil {
-			return repaired, failedPost(inst.shared.pools[ri], err)
+			return repaired, failedPost(c.pools[ri], err)
 		}
 		repaired++
 	}
 	return repaired, nil
 }
 
-// readReplicaChunk READs [off, off+n) of reg from replica ri into the
-// scrub shard's arena at localVA.
-func (e *Engine) readReplicaChunk(s *shard, inst *instance, ri int, reg core.RegionInfo, off uint64, localVA uint64, n uint32) error {
+// readReplicaChunk READs [off, off+n) of reg from replica ri, through c,
+// into the control shard's arena at localVA.
+func (e *Engine) readReplicaChunk(c conn, inst *instance, ri int, reg core.RegionInfo, off uint64, localVA uint64, n uint32) error {
 	va, rkey, err := inst.replicas[ri].translate(reg, reg.Base+off)
 	if err != nil {
 		return err
 	}
-	werr := e.postAndWait(s, inst.shared.pools[ri], rdma.WorkRequest{
+	werr := e.postAndWait(e.ctl, c.cq, c.pools[ri], rdma.WorkRequest{
 		Verb: rdma.VerbRead, LocalVA: localVA, Length: n, RemoteVA: va, RKey: rkey,
 	})
-	return failedPost(inst.shared.pools[ri], werr)
+	return failedPost(c.pools[ri], werr)
 }

@@ -28,7 +28,7 @@ func TestReadRepairOnDivergentChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := h.eng.insts.Load().instances[0]
-	k := divKey{region: 0, chunk: uint32(4096 / h.eng.cfg.ScrubChunk)}
+	k := divKey{region: 0, chunk: uint32(4096 / h.eng.scrubChunk)}
 	inst.markDivergent(k)
 
 	dest := make([]byte, 256)

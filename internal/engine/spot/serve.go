@@ -49,8 +49,8 @@ func (a *arenaAlloc) allocBack(n int) (uint64, []byte, bool) {
 }
 
 // serveQueue runs one Probe/Execute/Complete round for a queue set on shard
-// s, driving every RDMA message through the QPs of c and serving at most
-// limit entries (the scheduler's cap: MaxEntriesPerRound, or less under
+// s, driving every RDMA message through the queue set's own QPs and serving
+// at most limit entries (the scheduler's cap: maxEntriesPerRound, or less under
 // deficit round-robin). It returns how many entries were served. All scratch
 // state lives in the shard, so rounds on different shards run concurrently
 // and the steady-state round allocates nothing.
@@ -60,8 +60,8 @@ func (a *arenaAlloc) allocBack(n int) (uint64, []byte, bool) {
 // retransmission finally landing after a loss burst, a sibling WR of a
 // failed batch — would DMA into arena bytes the next round has already
 // handed out.
-func (e *Engine) serveQueue(s *shard, c conn, inst *instance, q *queueState, limit int) (int, error) {
-	served, err := e.serveRound(s, c, inst, q, limit)
+func (e *Engine) serveQueue(s *shard, inst *instance, q *queueState, limit int) (int, error) {
+	served, err := e.serveRound(s, inst, q, limit)
 	if err != nil {
 		s.abandonPending()
 	}
@@ -72,7 +72,8 @@ func (e *Engine) serveQueue(s *shard, c conn, inst *instance, q *queueState, lim
 // read-only backlog on a queue whose previous probe found work blocks three
 // times — probe with the metadata fetch behind it, pool reads, responses
 // with the red write behind them — and one with writes four (serveBatch).
-func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, limit int) (int, error) {
+func (e *Engine) serveRound(s *shard, inst *instance, q *queueState, limit int) (int, error) {
+	c := &q.conn
 	ar := arenaAlloc{s: s}
 	lay := q.qi.Layout
 
@@ -118,10 +119,10 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	})
 	s.stats.probes.Add(1)
 	if err == nil {
-		err = e.fetchMeta(s, c, q, metaVA, 0, have)
+		err = e.fetchMeta(s, q, metaVA, 0, have)
 	}
 	if err == nil {
-		err = e.waitAll(s)
+		err = e.waitAll(s, c.cq)
 	}
 	probe := time.Since(t0)
 	if sampled {
@@ -146,10 +147,10 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	// are never looked at: metadata slots are not zeroed, so a previous lap's
 	// entry there would decode as valid.
 	if have < count {
-		if err := e.fetchMeta(s, c, q, metaVA, have, count); err != nil {
+		if err := e.fetchMeta(s, q, metaVA, have, count); err != nil {
 			return 0, err
 		}
-		if err := e.waitAll(s); err != nil {
+		if err := e.waitAll(s, c.cq); err != nil {
 			return 0, err
 		}
 	}
@@ -212,13 +213,13 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 	for i := range s.ops {
 		if conflicts(s.ops[start:i], s.ops[i]) {
 			s.stats.stalls.Add(1)
-			if err := e.serveBatch(s, c, inst, q, s.ops[start:i], &tStage); err != nil {
+			if err := e.serveBatch(s, inst, q, s.ops[start:i], &tStage); err != nil {
 				return 0, err
 			}
 			start = i
 		}
 	}
-	if err := e.serveBatch(s, c, inst, q, s.ops[start:], &tStage); err != nil {
+	if err := e.serveBatch(s, inst, q, s.ops[start:], &tStage); err != nil {
 		return 0, err
 	}
 	return len(s.ops), nil
@@ -227,12 +228,12 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState, lim
 // fetchMeta posts the READs that bring metadata entries [from, to) — counted
 // from the queue's head — into the round's metadata staging at metaVA: one
 // READ, or two when the range crosses the ring's wrap.
-func (e *Engine) fetchMeta(s *shard, c conn, q *queueState, metaVA uint64, from, to int) error {
+func (e *Engine) fetchMeta(s *shard, q *queueState, metaVA uint64, from, to int) error {
 	lay := q.qi.Layout
 	for from < to {
 		slot := int((q.red.MetaHead + uint64(from)) % uint64(lay.MetaEntries))
 		run := min(to-from, lay.MetaEntries-slot)
-		_, err := e.post(s, c.computeQP, rdma.WorkRequest{
+		_, err := e.post(s, q.conn.computeQP, rdma.WorkRequest{
 			Verb: rdma.VerbRead, LocalVA: metaVA + uint64(from*rings.MetaEntrySize),
 			Length:   uint32(run * rings.MetaEntrySize),
 			RemoteVA: q.qi.BaseVA + uint64(lay.MetaOffset(slot)), RKey: q.qi.RKey,
@@ -265,10 +266,10 @@ func conflicts(batch []op, o op) bool {
 // queues with next = q.red. The block is staged in the shard's own red slot,
 // outside the arena: its retransmissions read the slot while the round's
 // other staging is still in flight.
-func (e *Engine) writeRed(s *shard, c conn, q *queueState, next rings.Red) error {
+func (e *Engine) writeRed(s *shard, q *queueState, next rings.Red) error {
 	next.Heartbeat++
 	rings.EncodeRed(next, s.redBuf)
-	err := e.postAndWait(s, c.computeQP, rdma.WorkRequest{
+	err := e.postAndWait(s, q.conn.cq, q.conn.computeQP, rdma.WorkRequest{
 		Verb: rdma.VerbWrite, LocalVA: s.redVA, Length: rings.RedSize,
 		RemoteVA: q.qi.BaseVA + uint64(q.qi.Layout.RedOffset()), RKey: q.qi.RKey,
 	})
@@ -335,7 +336,8 @@ func overlapsRead(batch []op, o op) bool {
 // The batch commits when the red write completes (writeRed): every counter it
 // advances is advanced on a copy of q.red. tStage, on a sampled round, is when
 // the stage now running began; it is advanced as the stages are recorded.
-func (e *Engine) serveBatch(s *shard, c conn, inst *instance, q *queueState, batch []op, tStage *time.Time) error {
+func (e *Engine) serveBatch(s *shard, inst *instance, q *queueState, batch []op, tStage *time.Time) error {
+	c := &q.conn
 	// Stage A. Pool READs go to the region's read replica — the primary for
 	// a mirrored instance, the region's first live home for a composed
 	// (fleet-placed) one — translated into its copy of the region
@@ -367,7 +369,7 @@ func (e *Engine) serveBatch(s *shard, c conn, inst *instance, q *queueState, bat
 			}
 		}
 	}
-	if err := e.waitAll(s); err != nil {
+	if err := e.waitAll(s, c.cq); err != nil {
 		return err
 	}
 
@@ -383,7 +385,7 @@ func (e *Engine) serveBatch(s *shard, c conn, inst *instance, q *queueState, bat
 	// fleet-wide, so there is no cross-replica divergence to repair.
 	if inst.homes == nil && inst.divCount.Load() > 0 {
 		pi := int(inst.primary.Load())
-		chunk := uint32(e.cfg.ScrubChunk)
+		chunk := uint32(e.scrubChunk)
 		for _, o := range batch {
 			if o.entry.Type != rings.OpRead {
 				continue
@@ -507,7 +509,7 @@ func (e *Engine) serveBatch(s *shard, c conn, inst *instance, q *queueState, bat
 		return err
 	}
 	if poolWrites {
-		if err := e.waitAll(s); err != nil {
+		if err := e.waitAll(s, c.cq); err != nil {
 			return err
 		}
 	}
@@ -524,7 +526,7 @@ func (e *Engine) serveBatch(s *shard, c conn, inst *instance, q *queueState, bat
 	if !tStage.IsZero() {
 		lap(tStage, e.tel.StageExecute)
 	}
-	if err := e.writeRed(s, c, q, next); err != nil {
+	if err := e.writeRed(s, q, next); err != nil {
 		return err
 	}
 	if !tStage.IsZero() {

@@ -13,18 +13,18 @@
 //     when they actually conflict with an in-flight write, instead of
 //     pausing all reads as the switch must.
 //
-// The datapath is M workers × their queue slots. A worker is a goroutine
-// owning one shard — a private completion queue, staging arena, WR-id space
-// and scratch — and serving a copy-on-write list of queue slots (instance,
-// queue set, QPs) in deficit-round-robin order, with per-slot probe pacing
-// and one yield → park idle ladder. Config.Workers picks M: 0 gives
-// every queue set a dedicated one-slot worker, n > 0 pins n workers that
-// share the queue sets between them. A demultiplexer goroutine drains the
-// one hardware send CQ and routes each completion to the shard that posted
-// it (the shard index lives in the WR id's high bits). Registration,
-// adoption and removal run on a control goroutine; adoption and removal
-// stop the world through every worker's round lock, preserving the
-// internal/ha takeover semantics.
+// The datapath is a fixed pool of Config.Workers goroutines, made in New and
+// started by Run. A worker owns one shard — a staging arena, WR-id space and
+// scratch — and serves a copy-on-write list of queue slots in
+// deficit-round-robin order, with per-slot probe pacing and one yield → park
+// idle ladder; each registered queue set goes to the least-loaded worker. A
+// queue set brings its own QPs (one to the compute node, one per pool
+// replica) completing into its own CQ, and exactly one goroutine drives them
+// at a time: the slot's worker, or the control goroutine while the worker
+// cannot see the slot (adoption runs before the slot is placed) or is held
+// off by the stop-the-world barrier (scrub, removal). A request's lifecycle —
+// post, completion, harvest — therefore runs on one goroutine with no
+// completion hand-off.
 package spot
 
 import (
@@ -56,22 +56,17 @@ type Config struct {
 	// explicit cap. 0 derives it from an idle budget: cold-queue probing may
 	// take about an eighth of a worker, so the cap is the worker's queue
 	// count × its smoothed probe time × 8 (never below ProbeInterval) — a
-	// dedicated worker re-probes its one idle queue every ProbeInterval or
-	// so, a worker carrying thousands of registered-but-idle tenants probes
+	// worker with one queue set re-probes it every ProbeInterval or so, a
+	// worker carrying thousands of registered-but-idle tenants probes
 	// each a few times a second, and neither needs tuning.
 	IdleQueueProbeInterval time.Duration
 	// BatchSize is the maximum read responses coalesced into one RDMA
 	// write to the compute node. 1 disables batching (the "Cowbird
 	// (batching disabled)" configuration of Figures 1 and 8).
 	BatchSize int
-	// MaxEntriesPerRound caps metadata entries fetched per queue visit.
-	MaxEntriesPerRound int
-	// StagingBytes sizes each shard's staging arena. Every worker, the
-	// control shard (adoption reads) and the scrubber get their own arena
-	// of this size.
+	// StagingBytes sizes each shard's staging arena. Every worker and the
+	// control shard (adoption reads, scrub) get their own arena of this size.
 	StagingBytes int
-	// OpTimeout bounds any single RDMA completion wait.
-	OpTimeout time.Duration
 	// HeartbeatInterval bounds the engine's lease-renewal silence: a queue
 	// whose red block has not been written for this long gets a
 	// heartbeat-only bookkeeping write (busy queues renew for free with
@@ -80,14 +75,12 @@ type Config struct {
 	// stalls past its lease timeout, so the lease timeout must be a
 	// multiple of this interval.
 	HeartbeatInterval time.Duration
-	// Workers is the number of datapath workers. 0 (the default) gives
-	// every registered queue set a dedicated worker — run-to-completion on
-	// the queue's own QPs when the instance was wired with QueueEndpoints.
-	// n > 0 pins exactly n workers and assigns each new queue set to the
-	// least-loaded one; a pinned worker serves its queue sets in
-	// deficit-round-robin order through the instance-wide QPs, so the
-	// engine's goroutine count stays bounded however many tenants register
-	// (the fleet runs Workers = 1).
+	// Workers sizes the datapath's worker pool, made in New; a value <= 0
+	// means 1. Each registered queue set goes to the least-loaded worker,
+	// which serves its queue sets in deficit-round-robin order, each through
+	// the queue set's own QPs, so the engine runs 1 + Workers goroutines
+	// however many tenants register. system.New gives every queue set a
+	// worker of its own (Workers = Threads); the fleet runs Workers = 1.
 	Workers int
 	// PoolHeartbeatInterval paces the liveness READs the engine issues to
 	// every pool replica of a mirrored instance (Registration.Pools):
@@ -98,18 +91,6 @@ type Config struct {
 	// are only sent for instances with more than one replica, so
 	// single-pool deployments see byte-identical traffic.
 	PoolHeartbeatInterval time.Duration
-	// ScrubInterval paces the background replica scrubber: every interval
-	// the engine walks the replicated regions of every instance, compares
-	// per-chunk CRC-32C checksums across live replicas, and repairs
-	// divergent chunks from the fencing-current primary (DESIGN.md §14).
-	// Zero (the default) disables the background loop; ScrubPass can still
-	// be invoked synchronously. Single-replica instances are skipped, so
-	// unreplicated deployments see byte-identical traffic either way.
-	ScrubInterval time.Duration
-	// ScrubChunk is the scrubber's checksum granularity in bytes. Zero
-	// selects 64 KiB; the value is clamped so two chunks always fit the
-	// staging arena (the repair path stages a primary and a suspect copy).
-	ScrubChunk int
 	// Telemetry, when non-nil, samples serve-round stage timings (probe,
 	// fetch, execute, publish) 1-in-N rounds per shard and counts rounds
 	// that served entries. Nil keeps the datapath exactly as before: one
@@ -122,13 +103,22 @@ func DefaultConfig() Config {
 	return Config{
 		ProbeInterval:         20 * time.Microsecond,
 		BatchSize:             32,
-		MaxEntriesPerRound:    64,
 		StagingBytes:          4 << 20,
-		OpTimeout:             10 * time.Second,
 		HeartbeatInterval:     500 * time.Microsecond,
 		PoolHeartbeatInterval: time.Millisecond,
 	}
 }
+
+const (
+	// maxEntriesPerRound caps the metadata entries one queue visit fetches.
+	maxEntriesPerRound = 64
+	// opTimeout bounds any single RDMA completion wait.
+	opTimeout = 10 * time.Second
+	// scrubChunk is the scrubber's checksum granularity in bytes, clamped in
+	// New so two chunks always fit the staging arena (the repair path stages
+	// a primary and a suspect copy).
+	scrubChunk = 64 << 10
+)
 
 // idleYieldRounds is how many fruitless probes in a row a queue that served
 // work stays hot for: probed on every pass, its worker yielding instead of
@@ -164,28 +154,23 @@ type Stats struct {
 // redSlot is the room a shard keeps ahead of its arena for the red block.
 const redSlot = 64
 
-// WR ids carry the owning shard in the high bits so the demultiplexer can
-// route completions without any shared lookup state.
+// WR ids carry the posting shard in the high bits. A queue set's CQ is
+// shared by its worker's shard and the control shard, and a wait skips the
+// stray completions of WRs an earlier wait abandoned by id, so ids must be
+// unique across shards, not just within one.
 const (
 	wrShardShift = 48
 	wrSeqMask    = uint64(1)<<wrShardShift - 1
 )
 
-// shard is one slice of the engine's datapath: a completion queue, a
-// private staging arena with its own MR, a private WR-id sequence, and
-// private activity counters. Every worker owns one; the control shard
-// (index 0) serves adoption reads and the scrubber has its own. Within a
-// shard nothing is shared between goroutines, so the serve path runs
-// lock-free and — after the first few rounds warm the reusable slices —
-// allocation-free.
+// shard is one slice of the engine's datapath: a private staging arena with
+// its own MR, a private WR-id sequence, and private activity counters. Every
+// worker owns one; the control shard (index 0) serves adoption reads and
+// scrub. Within a shard nothing is shared between goroutines, so the serve
+// path runs lock-free and — after the first few rounds warm the reusable
+// slices — allocation-free.
 type shard struct {
-	id int
-	// cq is where the owner harvests completions: demuxCQ, unless the
-	// shard serves one queue set over dedicated QPs, whose private send CQ
-	// it then is. demuxCQ is the software CQ the demultiplexer feeds;
-	// immutable, because the demultiplexer reads it with no lock.
-	cq      *rdma.CQ
-	demuxCQ *rdma.CQ
+	id      int
 	wrSeq   atomic.Uint64
 	arena   []byte
 	arenaVA uint64
@@ -230,26 +215,23 @@ type shardCounters struct {
 	batches, stalls, reds, hbWrites atomic.Int64
 }
 
-// conn names the QPs a serve round drives its queue through: the
-// compute-node QP and one pool QP per replica of the instance (same order
-// as instance.replicas). A slot normally carries the one instance-wide
-// conn, whose completions arrive via the demultiplexer; a dedicated worker
-// of an instance registered with QueueEndpoints gets the queue's private
-// QPs, whose send CQ is the worker shard's own CQ, so the full request
-// lifecycle — post, completion, harvest — runs on the worker goroutine with
-// no cross-goroutine handoff and no per-QP lock sharing between shards.
+// conn is one queue set's endpoints: the compute-node QP and one pool QP
+// per replica of the instance (same order as instance.replicas), all
+// completing into cq. Whoever drives the queue set — its worker, or the
+// control goroutine while the worker is held off — posts on these QPs and
+// harvests cq itself, so no completion changes goroutines.
 type conn struct {
+	cq        *rdma.CQ
 	computeQP *rdma.QP
 	pools     []*rdma.QP
 }
 
-// slot is one queue set as a worker serves it: the queue, the QPs it is
-// served through, and its scheduling state. A slot belongs to one worker
-// for life, and only that worker's goroutine touches the scheduling fields.
+// slot is one queue set as a worker serves it: the queue and its scheduling
+// state. A slot belongs to one worker for life, and only that worker's
+// goroutine touches the scheduling fields.
 type slot struct {
 	inst *instance
 	q    *queueState
-	conn conn
 
 	// deficit is the slot's deficit-round-robin balance (entries): a worker
 	// sharing itself between slots tops it up by the tenant's quantum each
@@ -278,18 +260,8 @@ type worker struct {
 	// slots is the copy-on-write slot list. The control goroutine swaps it
 	// (appends freely; removals only inside the quiesce barrier), the
 	// worker loads it once per pass under its round lock.
-	slots   atomic.Pointer[[]*slot]
-	running bool // guarded by Engine.mu
-	// wait is the worker's idle ladder, not the shard's: a retired worker may
-	// still be parked on it while its shard serves another worker.
-	wait *pace.Waiter
-
-	// retired tells a dedicated worker its queue set was removed (live
-	// migration). Set under the quiesce barrier while the worker's roundMu
-	// is held, and checked by the worker after acquiring roundMu — so a
-	// retired worker never touches its shard again, and the shard can go
-	// back on the free list at once.
-	retired atomic.Bool
+	slots atomic.Pointer[[]*slot]
+	wait  *pace.Waiter // the idle ladder
 
 	// roundMu serializes this worker's passes against the stop-the-world
 	// barrier (quiesceWorkers). In steady state it is uncontended — only
@@ -303,12 +275,19 @@ type Engine struct {
 	nic *rdma.NIC
 	cfg Config
 	tel *telemetry.Telemetry
-	cq  *rdma.CQ // shared hardware send CQ; the demux drains it
+	// opTimeout bounds any single completion wait (the constant, which tests
+	// may shorten before the engine runs); scrubChunk is the scrubber's
+	// checksum granularity, clamped to half the staging arena.
+	opTimeout  time.Duration
+	scrubChunk int
 
-	mu      sync.Mutex // guards workers, free and shard creation
+	// shards and workers are fixed in New. shards[0] is the control shard
+	// (ctl), which only the control goroutine (and tests driving rounds by
+	// hand on an engine that is not running) may use; shards[i+1] is
+	// workers[i]'s.
+	shards  []*shard
+	ctl     *shard
 	workers []*worker
-	free    []*shard // shards of retired dedicated workers, for reuse
-	nextVA  uint64
 
 	// insts is the COW snapshot of the instance table (DESIGN.md §13). Only
 	// the control goroutine publishes new snapshots (register/adopt/
@@ -319,18 +298,11 @@ type Engine struct {
 
 	// ctlOps feeds the control goroutine, which serializes every metadata
 	// mutation (register/adopt/remove, with the adoption reads on the
-	// control shard) off the datapath.
+	// control shard) and every scrub pass off the datapath.
 	// Unbuffered: a submit either rendezvouses with the live control loop
 	// or — after Stop — falls back to inline execution under ctlGate.
 	ctlOps  chan func()
 	ctlGate sync.Mutex
-
-	// shards is the []*shard routing table, copy-on-write under e.mu and
-	// read lock-free by the demultiplexer. shards[0] is the control shard,
-	// which only the control goroutine (and tests driving rounds by hand on
-	// an engine that is not running) may use.
-	shards atomic.Value
-	ctl    *shard
 
 	// Spot-preemption injection (internal/ha tests): killAfter is the
 	// number of further RDMA posts allowed before the engine "loses its
@@ -350,12 +322,6 @@ type Engine struct {
 	// instead of presenting epoch 0 to already-fenced targets.
 	fenceEpoch atomic.Uint32
 
-	// Replica scrubber state: a dedicated shard (lazily created — scrub
-	// I/O must not share an arena or pending set with adoption reads on
-	// the control shard) and one-pass-at-a-time serialization.
-	scrubShard *shard
-	scrubMu    sync.Mutex
-
 	// Scrub/read-repair counters (engine-level; scrub is paced and repairs
 	// are rare, so none of these sit on the per-round hot path).
 	scrubPasses    atomic.Int64
@@ -371,8 +337,6 @@ type Engine struct {
 	replicaWrites  atomic.Int64
 	// computePathsDead counts slots retired for a dead compute QP.
 	computePathsDead atomic.Int64
-	// retired workers' idle waits, so Stats stays monotonic (guarded by mu)
-	retiredYields, retiredParks int64
 
 	started  atomic.Bool
 	stop     chan struct{}
@@ -394,7 +358,6 @@ type instSnap struct {
 type instance struct {
 	info    *core.Instance
 	regions *core.RegionTable // dense region-ID lookup for the serve path
-	shared  conn              // instance-wide QPs: adoption reads, shared workers, scrub
 	queues  []*queueState
 
 	// Pool replication (§5.3 extension): the instance's regions are backed
@@ -465,7 +428,7 @@ func (inst *instance) readReplica(region uint16) int {
 // divKey names one scrub chunk of one region of an instance.
 type divKey struct {
 	region uint16
-	chunk  uint32 // chunk index: region-relative offset / ScrubChunk
+	chunk  uint32 // chunk index: region-relative offset / scrubChunk
 }
 
 // markDivergent records a chunk as divergent across replicas.
@@ -512,19 +475,17 @@ func (inst *instance) rangeDivergent(region uint16, off, n uint64, chunk uint32)
 // replica is one pool node backing an instance. Region descriptors are
 // per-replica: each pool node registered its own copy of every region, so
 // bases and rkeys may differ node to node. The QPs reaching the node live
-// in conns (instance.shared plus any per-queue dedicated conns), not here:
-// liveness and priority are properties of the node, which every conn to it
-// shares.
+// in the queue sets' conns, not here: liveness and priority are properties of
+// the node, which every conn to it shares.
 type replica struct {
 	regions *core.RegionTable // dense region-ID-indexed, immutable
 	dead    atomic.Bool
 }
 
-// PoolReplica describes one pool node backing an instance: the engine-side
-// QP connected to that node and the node's own descriptors for the regions
-// of the instance it hosts.
+// PoolReplica describes one pool node backing an instance: the node's own
+// descriptors for the regions of the instance it hosts. The QPs reaching it
+// come with each queue set (QueueEndpoints.Pools).
 type PoolReplica struct {
-	QP      *rdma.QP
 	Regions []core.RegionInfo
 }
 
@@ -541,7 +502,8 @@ func (r *replica) translate(reg core.RegionInfo, va uint64) (uint64, uint32, err
 }
 
 type queueState struct {
-	qi core.QueueInfo
+	qi   core.QueueInfo
+	conn conn // the queue set's own QPs and CQ
 	// red is the engine's copy of the red block: what the last completed red
 	// write published (or adoption read back), never ahead of it.
 	red     rings.Red
@@ -551,21 +513,16 @@ type queueState struct {
 	lastFound int
 }
 
-// New creates an idle engine on nic. Call Register, then Run. The
-// completion demultiplexer starts immediately so that adoption reads on a
-// not-yet-Run standby engine complete; Stop shuts it down.
+// New creates an idle engine on nic with its worker pool and control
+// goroutine. Call Register, then Run, which starts the workers; the control
+// goroutine runs from here on, so adoption reads on a not-yet-Run standby
+// engine complete. Stop shuts everything down.
 func New(nic *rdma.NIC, cfg Config) *Engine {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
-	if cfg.MaxEntriesPerRound <= 0 {
-		cfg.MaxEntriesPerRound = 64
-	}
 	if cfg.StagingBytes <= 0 {
 		cfg.StagingBytes = 4 << 20
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 10 * time.Second
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 500 * time.Microsecond
@@ -573,32 +530,40 @@ func New(nic *rdma.NIC, cfg Config) *Engine {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 20 * time.Microsecond
 	}
-	if cfg.ScrubChunk <= 0 {
-		cfg.ScrubChunk = 64 << 10
-	}
-	// The repair path stages a primary and a suspect copy of one chunk at
-	// the same time, so two chunks must fit the scrub shard's arena.
-	if cfg.ScrubChunk > cfg.StagingBytes/2 {
-		cfg.ScrubChunk = cfg.StagingBytes / 2
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
 	}
 	e := &Engine{
-		nic:    nic,
-		cfg:    cfg,
-		tel:    cfg.Telemetry,
-		cq:     rdma.NewCQ(),
-		nextVA: 0x7000_0000,
-		ctlOps: make(chan func()),
-		stop:   make(chan struct{}),
-		halt:   make(chan struct{}),
+		nic:        nic,
+		cfg:        cfg,
+		tel:        cfg.Telemetry,
+		opTimeout:  opTimeout,
+		scrubChunk: min(scrubChunk, cfg.StagingBytes/2),
+		ctlOps:     make(chan func()),
+		stop:       make(chan struct{}),
+		halt:       make(chan struct{}),
 	}
 	e.killAfter.Store(-1)
 	e.insts.Store(&instSnap{})
-	e.ctl = e.takeShardLocked(nil)
-	for i := 0; i < cfg.Workers; i++ {
-		e.workers = append(e.workers, e.newWorkerLocked(nil))
+	va := uint64(0x7000_0000)
+	for i := 0; i <= cfg.Workers; i++ {
+		s := &shard{id: i, timer: time.NewTimer(time.Hour)}
+		s.timer.Stop() // cannot have fired: nothing to drain
+		// One registration: the red slot, then the arena.
+		buf := make([]byte, redSlot+cfg.StagingBytes)
+		nic.RegisterMR(va, buf)
+		s.redVA, s.redBuf = va, buf[:rings.RedSize]
+		s.arenaVA, s.arena = va+redSlot, buf[redSlot:]
+		va += uint64(len(buf))
+		e.shards = append(e.shards, s)
+		if i > 0 {
+			w := &worker{shard: s, wait: pace.New(e.halt, 0, 0)}
+			w.slots.Store(new([]*slot))
+			e.workers = append(e.workers, w)
+		}
 	}
-	e.wg.Add(2)
-	go e.demux()
+	e.ctl = e.shards[0]
+	e.wg.Add(1)
 	go e.ctlLoop()
 	return e
 }
@@ -647,96 +612,13 @@ func (e *Engine) runCtl(fn func()) {
 	}
 }
 
-// takeShardLocked hands out a shard: one parked on the free list by a
-// retired worker if there is any, else a new one, whose staging arena it
-// allocates and registers and which it publishes in the routing table. The
-// NIC cannot deregister an MR, so reuse is what keeps migrate-in/migrate-out
-// cycles from growing the arena set without bound. A non-nil cq makes that
-// CQ the shard's completion queue — the dedicated-wiring case, where the
-// queue's own QPs complete straight into it and the demultiplexer never
-// touches the shard's traffic. Caller holds e.mu (or is New).
-func (e *Engine) takeShardLocked(cq *rdma.CQ) *shard {
-	var s *shard
-	if n := len(e.free); n > 0 {
-		s, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		old := e.shardList()
-		s = &shard{id: len(old), demuxCQ: rdma.NewCQ(), timer: time.NewTimer(time.Hour)}
-		s.timer.Stop() // cannot have fired: nothing to drain
-		// One registration: the red slot, then the arena.
-		buf := make([]byte, redSlot+e.cfg.StagingBytes)
-		e.nic.RegisterMR(e.nextVA, buf)
-		s.redVA, s.redBuf = e.nextVA, buf[:rings.RedSize]
-		s.arenaVA, s.arena = e.nextVA+redSlot, buf[redSlot:]
-		e.nextVA += uint64(len(buf))
-		e.shards.Store(append(slices.Clip(old), s))
-	}
-	s.cq = cq
-	if cq == nil {
-		s.cq = s.demuxCQ
-	}
-	return s
-}
-
-// newWorkerLocked creates a worker with no slots on a shard of its own.
-// Caller holds e.mu (or is New).
-func (e *Engine) newWorkerLocked(cq *rdma.CQ) *worker {
-	w := &worker{shard: e.takeShardLocked(cq), wait: pace.New(e.halt, 0, 0)}
-	w.slots.Store(new([]*slot))
-	return w
-}
-
-func (e *Engine) shardList() []*shard {
-	l, _ := e.shards.Load().([]*shard)
-	return l
-}
-
-// demux drains the shared hardware send CQ and routes every completion to
-// the software CQ of the shard that posted it, keyed by the WR id's high
-// bits. Workers then wait only on their own completions, so serving rounds
-// need no global lock.
-func (e *Engine) demux() {
-	defer e.wg.Done()
-	var buf [64]rdma.CQE
-	for {
-		n := e.cq.PollInto(buf[:])
-		if n > 0 {
-			shards := e.shardList()
-			for _, c := range buf[:n] {
-				if c.Status == rdma.StatusFenced {
-					// Demotion happens here, at the one point every
-					// completion passes through: a fenced NAK may arrive on
-					// a QP whose shard already abandoned the WR and errored
-					// (the zombie-primary case — the retransmission outlived
-					// the partition), so no waitAll may ever harvest it.
-					e.tripFenced()
-				}
-				if idx := int(c.WRID >> wrShardShift); idx < len(shards) {
-					shards[idx].demuxCQ.Push(c)
-				}
-			}
-			continue
-		}
-		select {
-		case <-e.stop:
-			return
-		case <-e.cq.Notify():
-		}
-	}
-}
-
-// CQ returns the engine's send completion queue, for QP creation.
-func (e *Engine) CQ() *rdma.CQ { return e.cq }
-
 // NIC returns the engine's NIC.
 func (e *Engine) NIC() *rdma.NIC { return e.nic }
 
-// QueueEndpoints carries one queue set's dedicated datapath QPs. SendCQ must
-// be the send completion queue of ComputeQP and of every pool QP — it
-// becomes the queue worker's private CQ, so the worker harvests its own
-// completions directly instead of receiving them from the shared-CQ
-// demultiplexer. Pools holds one connected QP per entry of
-// Registration.Pools, in the same order.
+// QueueEndpoints carries one queue set's QPs: one to the compute node and
+// one per entry of Registration.Pools, in the same order. SendCQ must be the
+// send completion queue of all of them and of nothing else: whoever drives
+// the queue set harvests it directly.
 type QueueEndpoints struct {
 	SendCQ    *rdma.CQ
 	ComputeQP *rdma.QP
@@ -748,9 +630,6 @@ type QueueEndpoints struct {
 // pool nodes, and how its address space is laid out over those nodes.
 type Registration struct {
 	Instance *core.Instance
-	// ComputeQP and Pools[i].QP are the instance-wide QPs (adoption reads,
-	// shared workers, scrub); their send CQ must be e.CQ().
-	ComputeQP *rdma.QP
 	// Pools lists the pool nodes backing the instance. With Homes nil they
 	// are mirrors in priority order, Pools[0] the first primary: every one
 	// must host a copy of every region of the instance (same id and size;
@@ -760,14 +639,10 @@ type Registration struct {
 	// by Go-Back-N retry exhaustion on a data op or on a paced heartbeat READ
 	// (Config.PoolHeartbeatInterval).
 	Pools []PoolReplica
-	// Queues, when non-nil, brings every queue set its own QPs (one to the
-	// compute node, one per entry of Pools), making a dedicated worker's
-	// request lifecycle run to completion on its own goroutine: post on
-	// private QPs, complete into the private CQ, harvest locally — no
-	// demultiplexer hop and no per-QP lock shared with another shard. One
-	// entry per queue of Instance. A pinned worker (Config.Workers > 0) is
-	// not dedicated to any one queue: the engine accepts the endpoints but
-	// serves through the instance-wide QPs.
+	// Queues brings every queue set its own QPs, one entry per queue of
+	// Instance: required. The queue set's worker posts on them and harvests
+	// their CQ on its own goroutine, so no completion changes hands and no
+	// QP is shared with another queue set.
 	Queues []QueueEndpoints
 	// Homes, when non-nil, composes the address space from the pool nodes
 	// instead of mirroring it across them: Homes[regionID] names the indices
@@ -780,27 +655,25 @@ type Registration struct {
 	// starting from zeroed pointers: the HA takeover and the fleet's
 	// queue-set migration (see readRedBlocks for why the replay is
 	// exactly-once). The adoption reads run on the control goroutine, on the
-	// control shard, under the stop-the-world barrier, so adoption never
-	// interleaves with a serve round even on a running engine.
+	// control shard, over each queue set's own QPs before any worker is given
+	// the queue set, so adoption never interleaves with a serve round even on
+	// a running engine.
 	Adopt bool
 }
 
 // Register validates r, builds the instance and hands it to the control
-// goroutine, which — for an adoption, inside the stop-the-world barrier —
-// reads the red blocks back, publishes the new instance-table snapshot and
-// gives every queue set a slot on a worker. The queue sets are served from
-// their worker's next pass on (workers start at once if the engine is
-// already running, so instances can be registered live). Nothing is
-// registered when an error is returned.
+// goroutine, which — for an adoption — reads the red blocks back, publishes
+// the new instance-table snapshot and gives every queue set a slot on a
+// worker. The queue sets are served from their worker's next pass on, so
+// instances can be registered live. Nothing is registered when an error is
+// returned.
 func (e *Engine) Register(r Registration) error {
-	if r.Queues != nil {
-		if len(r.Queues) != len(r.Instance.Queues) {
-			return fmt.Errorf("spot: register: %d queue endpoints for %d queues", len(r.Queues), len(r.Instance.Queues))
-		}
-		for i, qe := range r.Queues {
-			if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(r.Pools) {
-				return fmt.Errorf("spot: register: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(r.Pools))
-			}
+	if len(r.Queues) == 0 || len(r.Queues) != len(r.Instance.Queues) {
+		return fmt.Errorf("spot: register: %d queue endpoints for %d queues", len(r.Queues), len(r.Instance.Queues))
+	}
+	for i, qe := range r.Queues {
+		if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(r.Pools) {
+			return fmt.Errorf("spot: register: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(r.Pools))
 		}
 	}
 	if r.Homes != nil {
@@ -811,68 +684,44 @@ func (e *Engine) Register(r Registration) error {
 	if r.Adopt && e.preempted.Load() {
 		return ErrPreempted
 	}
-	inst := &instance{info: r.Instance, regions: core.NewRegionTable(r.Instance.Regions), shared: conn{computeQP: r.ComputeQP}, homes: r.Homes}
+	inst := &instance{info: r.Instance, regions: core.NewRegionTable(r.Instance.Regions), homes: r.Homes}
 	for i, pr := range r.Pools {
 		inst.replicas = append(inst.replicas, &replica{regions: core.NewRegionTable(pr.Regions)})
-		inst.shared.pools = append(inst.shared.pools, pr.QP)
 		inst.allTargets = append(inst.allTargets, i)
 	}
-	for _, qi := range r.Instance.Queues {
-		inst.queues = append(inst.queues, &queueState{qi: qi})
-	}
-	// QPs wired after a SetFenceEpoch inherit the engine's epoch, or their
-	// first write would NAK against the already-raised floors.
-	e.stampConn(inst.shared)
-	for _, qe := range r.Queues {
-		e.stampConn(conn{computeQP: qe.ComputeQP, pools: qe.Pools})
+	for i, qi := range r.Instance.Queues {
+		qe := r.Queues[i]
+		q := &queueState{qi: qi, conn: conn{cq: qe.SendCQ, computeQP: qe.ComputeQP, pools: qe.Pools}}
+		// QPs wired after a SetFenceEpoch inherit the engine's epoch, or their
+		// first write would NAK against the already-raised floors.
+		e.stampConn(q.conn)
+		inst.queues = append(inst.queues, q)
 	}
 	var err error
 	e.runCtl(func() {
+		// No worker can see the queue sets before place, so the adoption
+		// reads need no barrier.
 		if r.Adopt {
-			// No serve round may interleave with the reconstruction, and the
-			// slots must not be served before every red block is read back.
-			defer e.quiesceWorkers()()
 			if err = e.readRedBlocks(inst); err != nil {
 				return
 			}
 		}
 		old := e.insts.Load().instances
 		e.insts.Store(&instSnap{instances: append(slices.Clip(old), inst)})
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		e.placeLocked(inst, r.Queues)
+		e.place(inst)
 	})
 	return err
 }
 
-// placeLocked gives every queue set of inst a slot on a worker. With pinned
-// workers it is the least-loaded one, served through the instance-wide
-// conn. Otherwise the slot gets a dedicated new worker, which — given
-// QueueEndpoints — serves it through the queue's own QPs with their send CQ
-// as the shard's completion queue. Caller holds e.mu, on the control
-// goroutine.
-func (e *Engine) placeLocked(inst *instance, eps []QueueEndpoints) {
-	for i, q := range inst.queues {
-		sl := &slot{inst: inst, q: q, conn: inst.shared, idle: idleYieldRounds}
-		var w *worker
-		if e.cfg.Workers > 0 {
-			w = slices.MinFunc(e.workers, func(a, b *worker) int {
-				return len(*a.slots.Load()) - len(*b.slots.Load())
-			})
-		} else {
-			var cq *rdma.CQ
-			if eps != nil {
-				sl.conn = conn{computeQP: eps[i].ComputeQP, pools: eps[i].Pools}
-				cq = eps[i].SendCQ
-			}
-			w = e.newWorkerLocked(cq)
-			e.workers = append(e.workers, w)
-		}
-		slots := append(slices.Clip(*w.slots.Load()), sl)
+// place gives every queue set of inst a slot on the least-loaded worker.
+// Runs on the control goroutine, the only writer of slot lists.
+func (e *Engine) place(inst *instance) {
+	for _, q := range inst.queues {
+		w := slices.MinFunc(e.workers, func(a, b *worker) int {
+			return len(*a.slots.Load()) - len(*b.slots.Load())
+		})
+		slots := append(slices.Clip(*w.slots.Load()), &slot{inst: inst, q: q, idle: idleYieldRounds})
 		w.slots.Store(&slots)
-	}
-	if e.started.Load() {
-		e.startWorkersLocked()
 	}
 }
 
@@ -915,10 +764,9 @@ func (e *Engine) markReplicaDead(inst *instance, idx int) {
 	// pre-replication single-pool behavior.
 }
 
-// notePoolFailure classifies a serve-round error: if it is a WR failure on
-// one of the pool QPs of c (or of the instance's shared conn — heartbeats
-// post there), the corresponding replica is declared dead and the primary
-// rotated. A compute-QP failure is the caller's to classify
+// notePoolFailure classifies an error of a round driven through c: if it is a
+// WR failure on one of c's pool QPs, the corresponding replica is declared
+// dead and the primary rotated. A compute-QP failure is the caller's to classify
 // (computePathDead); timeouts retry at probe pace.
 func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 	var wf *wrFailure
@@ -932,12 +780,10 @@ func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 		e.tripFenced()
 		return
 	}
-	for _, pools := range [][]*rdma.QP{c.pools, inst.shared.pools} {
-		for i, qp := range pools {
-			if qp.QPN() == wf.qpn {
-				e.markReplicaDead(inst, i)
-				return
-			}
+	for i, qp := range c.pools {
+		if qp.QPN() == wf.qpn {
+			e.markReplicaDead(inst, i)
+			return
 		}
 	}
 }
@@ -945,8 +791,8 @@ func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 // maybePoolHeartbeat issues one 8-byte liveness READ to every live replica
 // of a replicated instance when the heartbeat interval has elapsed at now.
 // The CAS on nextPoolHB elects exactly one heartbeater per interval across
-// the instance's slots; the elected worker posts on its own conn's pool
-// QPs, so even heartbeats stay off shared QPs under dedicated wiring. A
+// the instance's slots; the elected worker posts on its own slot's pool QPs,
+// so even heartbeats stay off other queue sets' QPs. A
 // heartbeat that fails through retry exhaustion declares the replica dead —
 // the idle-primary detection path. Caller holds its round lock, like any
 // other RDMA round.
@@ -971,7 +817,7 @@ func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance, now time.T
 		ar := arenaAlloc{s: s}
 		hbVA, _, _ := ar.alloc(8)
 		e.poolHeartbeats.Add(1)
-		err = e.postAndWait(s, c.pools[idx], rdma.WorkRequest{
+		err = e.postAndWait(s, c.cq, c.pools[idx], rdma.WorkRequest{
 			Verb: rdma.VerbRead, LocalVA: hbVA, Length: 8, RemoteVA: va, RKey: rkey,
 		})
 		if err != nil && !errors.Is(err, ErrPreempted) && !errors.Is(err, errTimeout) {
@@ -985,36 +831,17 @@ func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance, now time.T
 }
 
 // quiesceWorkers stops the world between passes: it acquires every
-// worker's round lock, in worker-creation order, and returns the matching
-// release. Workers never take another round lock, so the ordering here
-// cannot deadlock against the datapath.
+// worker's round lock, in worker order, and returns the matching release.
+// Workers never take another round lock, so the ordering here cannot
+// deadlock against the datapath.
 func (e *Engine) quiesceWorkers() func() {
-	e.mu.Lock()
-	ws := slices.Clone(e.workers)
-	e.mu.Unlock()
-	for _, w := range ws {
+	for _, w := range e.workers {
 		w.roundMu.Lock()
 	}
 	return func() {
-		for _, w := range ws {
+		for _, w := range e.workers {
 			w.roundMu.Unlock()
 		}
-	}
-}
-
-// startWorkersLocked launches every not-yet-running worker. Caller holds
-// e.mu.
-func (e *Engine) startWorkersLocked() {
-	if e.halted() {
-		return
-	}
-	for _, w := range e.workers {
-		if w.running {
-			continue
-		}
-		w.running = true
-		e.wg.Add(1)
-		go e.workerLoop(w)
 	}
 }
 
@@ -1022,7 +849,7 @@ func (e *Engine) startWorkersLocked() {
 // every shard.
 func (e *Engine) Stats() Stats {
 	var st Stats
-	for _, s := range e.shardList() {
+	for _, s := range e.shards {
 		st.Probes += s.stats.probes.Load()
 		st.EntriesServed += s.stats.entries.Load()
 		st.ReadsExecuted += s.stats.reads.Load()
@@ -1041,13 +868,10 @@ func (e *Engine) Stats() Stats {
 	st.ScrubDivergent = e.scrubDivergent.Load()
 	st.ScrubRepairs = e.scrubRepairs.Load()
 	st.ReadRepairs = e.readRepairs.Load()
-	e.mu.Lock()
-	st.WorkerYields, st.WorkerParks = e.retiredYields, e.retiredParks
 	for _, w := range e.workers {
 		st.WorkerYields += w.wait.Yields()
 		st.WorkerParks += w.wait.Blocks()
 	}
-	e.mu.Unlock()
 	return st
 }
 
@@ -1058,7 +882,7 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 	field := func(pick func(*shardCounters) int64) func() int64 {
 		return func() int64 {
 			var total int64
-			for _, s := range e.shardList() {
+			for _, s := range e.shards {
 				total += pick(&s.stats)
 			}
 			return total
@@ -1089,23 +913,19 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 	})
 }
 
-// Run starts the agent. Stop it with Stop. A standby engine is created but
-// not Run until promotion, so Run is idempotent.
+// Run starts the worker pool. Stop it with Stop. A standby engine is created
+// but not Run until promotion, so Run is idempotent.
 func (e *Engine) Run() {
-	if e.started.Swap(true) {
+	if e.started.Swap(true) || e.halted() {
 		return
 	}
-	if e.cfg.ScrubInterval > 0 {
-		e.wg.Add(1)
-		go e.scrubLoop()
+	e.wg.Add(len(e.workers))
+	for _, w := range e.workers {
+		go e.workerLoop(w)
 	}
-	e.mu.Lock()
-	e.startWorkersLocked()
-	e.mu.Unlock()
 }
 
-// Stop halts the agent — workers, control goroutine, and demultiplexer —
-// waits for them to exit, and releases the shards' reusable wait timers
+// Stop halts the agent — workers and control goroutine — waits for them to exit, and releases the shards' reusable wait timers
 // (without the explicit Stop a timer left armed by a wait would keep its
 // runtime entry live until it fired). Safe to call on a never-Run engine and
 // to call repeatedly.
@@ -1115,7 +935,7 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 	// The owning goroutines have exited (wg.Wait is the happens-before
 	// edge), so their timers are safe to stop from here.
-	for _, s := range e.shardList() {
+	for _, s := range e.shards {
 		s.timer.Stop()
 		s.timerArmed = false
 	}
@@ -1173,20 +993,14 @@ func isFencedFailure(err error) bool {
 }
 
 // SetFenceEpoch stamps the fencing epoch on every QP the engine serves
-// through: the shared conn of every instance plus every slot's conn (a
-// dedicated worker's differs). The wiring layer calls it at bind time; a
-// promoted standby's epoch is stamped by ha.Standby before adoption (its
-// QPs are not registered here yet at that point).
+// through: every queue set's conn of every instance. The wiring layer calls
+// it at bind time; a promoted standby's epoch is stamped by ha.Standby before
+// adoption (its QPs are not registered here yet at that point).
 func (e *Engine) SetFenceEpoch(epoch uint16) {
 	e.fenceEpoch.Store(uint32(epoch))
 	for _, inst := range e.insts.Load().instances {
-		e.stampConn(inst.shared)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, w := range e.workers {
-		for _, sl := range *w.slots.Load() {
-			e.stampConn(sl.conn)
+		for _, q := range inst.queues {
+			e.stampConn(q.conn)
 		}
 	}
 }
@@ -1198,9 +1012,7 @@ func (e *Engine) stampConn(c conn) {
 	if epoch == 0 {
 		return
 	}
-	if c.computeQP != nil {
-		c.computeQP.SetFenceEpoch(epoch)
-	}
+	c.computeQP.SetFenceEpoch(epoch)
 	for _, qp := range c.pools {
 		qp.SetFenceEpoch(epoch)
 	}
@@ -1220,7 +1032,7 @@ func (e *Engine) stampConn(c conn) {
 // writes — and its instance's pool heartbeat.
 //
 // The idle ladder is the worker's waiter, yield → park, the same for a
-// dedicated worker and one that shares itself between slots. A slot that has
+// worker with one slot and one that shares itself between many. A slot that has
 // served work is hot: due on every pass until it has missed idleYieldRounds
 // times in a row. A pass that found work or missed on a hot slot yields: the
 // request the next pass will find can only be written once its client has
@@ -1236,12 +1048,6 @@ func (e *Engine) workerLoop(w *worker) {
 	s := w.shard
 	for !e.halted() {
 		w.roundMu.Lock()
-		if w.retired.Load() {
-			// The queue set migrated away while the removal barrier held
-			// this round lock; its rings now belong to another engine.
-			w.roundMu.Unlock()
-			return
-		}
 		// The slot list is loaded inside the round lock: RemoveInstance
 		// swaps it under the barrier, so a pass that was blocked there must
 		// not resurrect the pre-removal list and serve a queue set that now
@@ -1255,7 +1061,7 @@ func (e *Engine) workerLoop(w *worker) {
 			if sl.dead {
 				continue
 			}
-			limit := e.cfg.MaxEntriesPerRound
+			limit := maxEntriesPerRound
 			if qos := sl.inst.qos.Load(); qos != nil && len(slots) > 1 {
 				sl.deficit = min(sl.deficit+qos.quantum, 8*qos.quantum)
 				limit = min(limit, sl.deficit)
@@ -1263,7 +1069,7 @@ func (e *Engine) workerLoop(w *worker) {
 			var err error
 			if !now.Before(sl.nextProbe) {
 				var n int
-				n, err = e.serveQueue(s, sl.conn, sl.inst, sl.q, limit)
+				n, err = e.serveQueue(s, sl.inst, sl.q, limit)
 				sl.deficit = max(sl.deficit-n, 0)
 				switch {
 				case err != nil:
@@ -1276,7 +1082,7 @@ func (e *Engine) workerLoop(w *worker) {
 					// retires the slot. Anything else (timeout) retries at
 					// probe pace; the fabric-level Go-Back-N already absorbed
 					// transient loss.
-					e.notePoolFailure(sl.inst, sl.conn, err)
+					e.notePoolFailure(sl.inst, sl.q.conn, err)
 					if e.computePathDead(sl, err) {
 						continue
 					}
@@ -1295,12 +1101,12 @@ func (e *Engine) workerLoop(w *worker) {
 			if wake.After(sl.nextProbe) {
 				wake = sl.nextProbe
 			}
-			e.maybePoolHeartbeat(s, sl.conn, sl.inst, now)
+			e.maybePoolHeartbeat(s, sl.q.conn, sl.inst, now)
 			if err == nil && now.Sub(sl.q.lastRed) >= e.cfg.HeartbeatInterval {
-				if rerr := e.writeRed(s, sl.conn, sl.q, sl.q.red); rerr == nil {
+				if rerr := e.writeRed(s, sl.q, sl.q.red); rerr == nil {
 					s.stats.hbWrites.Add(1)
 				} else {
-					e.notePoolFailure(sl.inst, sl.conn, rerr)
+					e.notePoolFailure(sl.inst, sl.q.conn, rerr)
 					e.computePathDead(sl, rerr)
 				}
 			}
@@ -1333,7 +1139,7 @@ func (e *Engine) idleCap(s *shard, nslots int) time.Duration {
 func (e *Engine) computePathDead(sl *slot, err error) bool {
 	var wf *wrFailure
 	if errors.Is(err, rdma.ErrQPError) || errors.Is(err, rdma.ErrNotConnected) ||
-		errors.As(err, &wf) && wf.qpn == sl.conn.computeQP.QPN() && wf.st != rdma.StatusFenced {
+		errors.As(err, &wf) && wf.qpn == sl.q.conn.computeQP.QPN() && wf.st != rdma.StatusFenced {
 		sl.dead = true
 		e.computePathsDead.Add(1)
 	}
@@ -1395,8 +1201,8 @@ type pendingWR struct {
 }
 
 // post issues a work request on qp, appends it to the shard's pending set,
-// and returns its WR id, which carries the shard index in its high bits for
-// completion routing. If preemption injection is armed and exhausted, the
+// and returns its WR id, which carries the shard index in its high bits (see
+// wrShardShift). If preemption injection is armed and exhausted, the
 // post fails instead — the revocation point, which can therefore land
 // between any two messages of the protocol.
 func (e *Engine) post(s *shard, qp *rdma.QP, wr rdma.WorkRequest) (uint64, error) {
@@ -1434,7 +1240,8 @@ func (e *Engine) post(s *shard, qp *rdma.QP, wr rdma.WorkRequest) (uint64, error
 // landing after an engine-level timeout, a sibling WR still flying when
 // another completion failed — can never DMA into the staging arena the next
 // round is about to reuse. The stray CQEs the canceled WRs eventually
-// produce are skipped by later waits (shard WR ids are never reused).
+// produce are skipped by later waits on the same CQ, whichever shard drives
+// them (WR ids are never reused).
 func (s *shard) abandonPending() {
 	for _, p := range s.pending {
 		p.qp.CancelSend(p.id)
@@ -1442,25 +1249,28 @@ func (s *shard) abandonPending() {
 	s.pending = s.pending[:0]
 }
 
-// waitAll blocks until every WR in s.pending completes, returning an
-// error if any completion failed or the timeout passed. On any error the
-// round is abandoned: every still-pending WR is canceled (see
-// abandonPending) and the pending set cleared.
-func (e *Engine) waitAll(s *shard) error {
+// waitAll blocks until every WR in s.pending completes on cq — the CQ of
+// the queue set they were posted through — returning an error if any
+// completion failed or the timeout passed. On any error the round is
+// abandoned: every still-pending WR is canceled (see abandonPending) and the
+// pending set cleared.
+func (e *Engine) waitAll(s *shard, cq *rdma.CQ) error {
 	if len(s.pending) == 0 {
 		return nil
 	}
 	s.waits++
 	var deadline time.Time // set when the wait first blocks
 	for {
-		n := s.cq.PollInto(s.cqeBuf[:])
+		n := cq.PollInto(s.cqeBuf[:])
 		for _, c := range s.cqeBuf[:n] {
 			if c.Status == rdma.StatusFenced {
 				// A fencing NAK demotes the engine even when the CQE belongs
 				// to a WR an earlier round abandoned (a retransmission that
 				// survived a partition): stray CQEs skip the pending match
 				// below, and the errored QP would otherwise surface only as
-				// flush failures that never carry the fencing verdict.
+				// flush failures that never carry the fencing verdict. This
+				// is where demotion is observed: every completion of a queue
+				// set passes through a wait on its CQ.
 				e.tripFenced()
 			}
 			for i, p := range s.pending {
@@ -1484,7 +1294,7 @@ func (e *Engine) waitAll(s *shard) error {
 			continue // drained some; poll again before blocking
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(e.cfg.OpTimeout)
+			deadline = time.Now().Add(e.opTimeout)
 		}
 		if !s.timerArmed {
 			remaining := time.Until(deadline)
@@ -1496,7 +1306,7 @@ func (e *Engine) waitAll(s *shard) error {
 			s.timerArmed = true
 		}
 		select {
-		case <-s.cq.Notify():
+		case <-cq.Notify():
 		case <-s.timer.C:
 			// A tick: this wait's own, or a stale one an earlier wait armed.
 			// The deadline decides, on the way back here.
@@ -1514,12 +1324,12 @@ func (e *Engine) waitAll(s *shard) error {
 	}
 }
 
-// postAndWait runs one WR synchronously on s. s.pending is empty between
-// operations (every abandon path cancels and clears), so the wait covers
-// exactly this WR.
-func (e *Engine) postAndWait(s *shard, qp *rdma.QP, wr rdma.WorkRequest) error {
+// postAndWait runs one WR synchronously on s, through qp, which completes
+// into cq. s.pending is empty between operations (every abandon path cancels
+// and clears), so the wait covers exactly this WR.
+func (e *Engine) postAndWait(s *shard, cq *rdma.CQ, qp *rdma.QP, wr rdma.WorkRequest) error {
 	if _, err := e.post(s, qp, wr); err != nil {
 		return err
 	}
-	return e.waitAll(s)
+	return e.waitAll(s, cq)
 }

@@ -18,11 +18,10 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	nic := rdma.NewNIC(f, wire.MAC{2, 0xAA, 0, 0, 0, 1}, wire.IPv4Addr{10, 7, 0, 1}, rdma.DefaultConfig())
 	defer nic.Close()
 	e := New(nic, Config{}) // all zero: every field must be defaulted
-	if e.cfg.BatchSize < 1 || e.cfg.MaxEntriesPerRound <= 0 ||
-		e.cfg.StagingBytes <= 0 || e.cfg.OpTimeout <= 0 {
+	if e.cfg.BatchSize < 1 || e.cfg.StagingBytes <= 0 || e.cfg.Workers != 1 || e.opTimeout <= 0 {
 		t.Fatalf("defaults not applied: %+v", e.cfg)
 	}
-	if e.CQ() == nil || e.NIC() != nic {
+	if len(e.workers) != 1 || len(e.shards) != 2 || e.NIC() != nic {
 		t.Fatal("accessors")
 	}
 	e.Run()
@@ -31,9 +30,21 @@ func TestConfigDefaultsApplied(t *testing.T) {
 }
 
 // onePool is the Registration of an instance backed by a single pool node
-// that hosts every region.
-func onePool(in *core.Instance, computeQP, memQP *rdma.QP) Registration {
-	return Registration{Instance: in, ComputeQP: computeQP, Pools: []PoolReplica{{QP: memQP, Regions: in.Regions}}}
+// that hosts every region, over eps (one per queue).
+func onePool(in *core.Instance, eps ...QueueEndpoints) Registration {
+	return Registration{Instance: in, Pools: []PoolReplica{{Regions: in.Regions}}, Queues: eps}
+}
+
+// queueEndpoints connects one queue set's QPs on eng — to compute, then to
+// every pool node in order — all completing into a fresh send CQ.
+func queueEndpoints(eng *Engine, compute *rdma.NIC, pools ...*rdma.NIC) QueueEndpoints {
+	ep := QueueEndpoints{SendCQ: rdma.NewCQ()}
+	ep.ComputeQP, _ = rdma.ConnectPair(eng.NIC(), ep.SendCQ, 1000, compute, 2000)
+	for _, p := range pools {
+		qp, _ := rdma.ConnectPair(eng.NIC(), ep.SendCQ, 3000, p, 4000)
+		ep.Pools = append(ep.Pools, qp)
+	}
+	return ep
 }
 
 // wireInstance builds one compute/pool pair served by eng.
@@ -57,18 +68,7 @@ func wireInstance(t *testing.T, f *rdma.Fabric, eng *Engine, i int) (*core.Clien
 	}
 	client.RegisterRegion(region)
 
-	unused := rdma.NewCQ()
-	eComp := eng.NIC().CreateQP(eng.CQ(), unused, uint32(1000+i*100))
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 2000)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(1000+i*100))
-
-	eMem := eng.NIC().CreateQP(eng.CQ(), unused, uint32(3000+i*100))
-	mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
-	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
-	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(3000+i*100))
-
-	if err := eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
+	if err := eng.Register(onePool(client.Describe(i), queueEndpoints(eng, compute, pool.NIC()))); err != nil {
 		t.Fatal(err)
 	}
 	return client, pool

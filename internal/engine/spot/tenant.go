@@ -22,9 +22,9 @@ type TenantQoS struct {
 	// to each of its queue sets' balances per pass of a worker that serves
 	// two or more queue sets, so a backlogged tenant drains at most its
 	// quantum per pass while the worker's other queue sets get theirs.
-	// <= 0 takes the engine's MaxEntriesPerRound. A worker dedicated to one
-	// queue set (Config.Workers = 0) has nothing to share and ignores it:
-	// its rounds are capped by MaxEntriesPerRound and the rate alone.
+	// <= 0 takes the engine's per-round cap (64 entries). A worker serving
+	// one queue set has nothing to share and ignores it: its rounds are
+	// capped by the per-round cap and the rate alone.
 	Quantum int
 }
 
@@ -83,7 +83,7 @@ func (e *Engine) SetTenantQoS(instanceID int, q TenantQoS) bool {
 		}
 		quantum := q.Quantum
 		if quantum <= 0 {
-			quantum = e.cfg.MaxEntriesPerRound
+			quantum = maxEntriesPerRound
 		}
 		inst.qos.Store(&tenantQoSState{
 			bucket:  cluster.NewTokenBucket(q.RatePerSec, burst),
@@ -126,7 +126,7 @@ func validateHomes(in *core.Instance, reps []PoolReplica, homes [][]int) error {
 }
 
 // RemoveInstance unregisters the instance with the given ID, quiescing the
-// datapath so no serve round is mid-flight on it and retiring its slots.
+// datapath so no serve round is mid-flight on it and dropping its slots.
 // It is the release half of a live queue-set migration: once it returns, no
 // further RDMA of this engine touches the tenant's rings or regions, so the
 // target engine's adopting Register reads a stable red block and replays
@@ -146,28 +146,12 @@ func (e *Engine) RemoveInstance(instanceID int) bool {
 		// another round on a slot dropped here.
 		defer e.quiesceWorkers()()
 		e.insts.Store(&instSnap{instances: slices.Delete(slices.Clone(old), i, i+1)})
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		kept := e.workers[:0]
 		for _, w := range e.workers {
 			slots := *w.slots.Load()
-			live := slices.DeleteFunc(slices.Clone(slots), func(sl *slot) bool { return sl.inst == target })
-			if len(live) < len(slots) {
+			if live := slices.DeleteFunc(slices.Clone(slots), func(sl *slot) bool { return sl.inst == target }); len(live) < len(slots) {
 				w.slots.Store(&live)
-				if len(live) == 0 && e.cfg.Workers == 0 {
-					// A dedicated worker goes with its queue set; the shard
-					// it will never touch again is reusable at once.
-					w.retired.Store(true)
-					e.free = append(e.free, w.shard)
-					e.retiredYields += w.wait.Yields()
-					e.retiredParks += w.wait.Blocks()
-					continue
-				}
 			}
-			kept = append(kept, w)
 		}
-		clear(e.workers[len(kept):])
-		e.workers = kept
 	})
 	return found
 }

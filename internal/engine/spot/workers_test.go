@@ -3,6 +3,8 @@ package spot
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +22,7 @@ type sharedPoolHarness struct {
 	eng      *Engine
 	computes []*rdma.NIC
 	clients  []*core.Client
-	eComp    []*rdma.QP
-	eMem     []*rdma.QP
+	eps      []QueueEndpoints // each instance's one queue set
 }
 
 func wireSharedPool(t *testing.T, cfg Config, instances int) *sharedPoolHarness {
@@ -38,7 +39,6 @@ func wireSharedPool(t *testing.T, cfg Config, instances int) *sharedPoolHarness 
 	}
 	h := &sharedPoolHarness{eng: New(engNIC, cfg)}
 	t.Cleanup(h.eng.Stop)
-	unused := rdma.NewCQ()
 	for i := 0; i < instances; i++ {
 		compute := rdma.NewNIC(f, wire.MAC{2, 0xAC, 1, 0, 0, byte(i)}, wire.IPv4Addr{10, 9, 1, byte(i)}, rdma.DefaultConfig())
 		t.Cleanup(compute.Close)
@@ -51,20 +51,11 @@ func wireSharedPool(t *testing.T, cfg Config, instances int) *sharedPoolHarness 
 			t.Fatal(err)
 		}
 		client.RegisterRegion(region)
-		psn := uint32(1000 + i*1000)
-		eComp := engNIC.CreateQP(h.eng.CQ(), unused, psn)
-		cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn+100)
-		eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, psn+100)
-		cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, psn)
-		eMem := engNIC.CreateQP(h.eng.CQ(), unused, psn+200)
-		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn+300)
-		eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, psn+300)
-		mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, psn+200)
+		ep := queueEndpoints(h.eng, compute, pool.NIC())
 		h.computes = append(h.computes, compute)
 		h.clients = append(h.clients, client)
-		h.eComp = append(h.eComp, eComp)
-		h.eMem = append(h.eMem, eMem)
-		if err := h.eng.Register(onePool(client.Describe(i), eComp, eMem)); err != nil {
+		h.eps = append(h.eps, ep)
+		if err := h.eng.Register(onePool(client.Describe(i), ep)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,18 +128,19 @@ func TestQuantumSharesWorker(t *testing.T) {
 }
 
 // TestFailingSlotDoesNotStarveWorker: one of a worker's two slots loses its
-// compute node, so every round on it blocks for OpTimeout and fails with
-// errTimeout. The worker must keep serving its other slot in the same pass —
-// a failure costs the peers one OpTimeout per pass, not their service — and
-// must pick the failed slot up again once the node is back.
+// compute node, so every round on it blocks for the completion-wait bound
+// and fails with errTimeout. The worker must keep serving its other slot in
+// the same pass — a failure costs the peers one timeout per pass, not their
+// service — and must pick the failed slot up again once the node is back.
 func TestFailingSlotDoesNotStarveWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.Workers = 1
-	cfg.OpTimeout = 5 * time.Millisecond // well inside the QP's Go-Back-N budget: waits time out, QPs stay healthy
+	const timeout = 5 * time.Millisecond // well inside the QP's Go-Back-N budget: waits time out, QPs stay healthy
 	h := wireSharedPool(t, cfg, 2)
+	h.eng.setOpTimeout(timeout)
 	// A real outage, not a stall: no retry budget may expire in it, or there is no recovery to observe.
-	h.eComp[0].SetRetryPolicy(2*time.Millisecond, 1_000_000)
+	h.eps[0].ComputeQP.SetRetryPolicy(2*time.Millisecond, 1_000_000)
 	h.eng.Run()
 	sick, _ := h.clients[0].Thread(0)
 	well, _ := h.clients[1].Thread(0)
@@ -173,8 +165,8 @@ func TestFailingSlotDoesNotStarveWorker(t *testing.T) {
 		}
 		// Two ops, each picked up within a pass that carries at most the
 		// sick slot's one timeout; the bound is loose for loaded CI hosts.
-		if el := time.Since(start); el > 100*cfg.OpTimeout {
-			t.Fatalf("healthy slot op pair %d took %v next to a failing slot (OpTimeout %v)", k, el, cfg.OpTimeout)
+		if el := time.Since(start); el > 100*timeout {
+			t.Fatalf("healthy slot op pair %d took %v next to a failing slot (timeout %v)", k, el, timeout)
 		}
 	}
 	if !bytes.Equal(dest, data) {
@@ -205,7 +197,7 @@ func TestDeadComputeQPRetiresSlot(t *testing.T) {
 	cfg.IdleQueueProbeInterval = 20 * time.Millisecond // an idle live slot backs off to ~50 probes/s
 	cfg.Workers = 1
 	h := wireSharedPool(t, cfg, 2)
-	h.eComp[0].SetRetryPolicy(200*time.Microsecond, 2)
+	h.eps[0].ComputeQP.SetRetryPolicy(200*time.Microsecond, 2)
 	h.eng.Run()
 	sick, _ := h.clients[0].Thread(0)
 	well, _ := h.clients[1].Thread(0)
@@ -254,12 +246,9 @@ func TestDeadComputeQPRetiresSlot(t *testing.T) {
 	if !h.eng.RemoveInstance(0) {
 		t.Fatal("instance 0 not registered")
 	}
-	engNIC, compute := h.eng.NIC(), h.computes[0]
-	eComp := engNIC.CreateQP(h.eng.CQ(), rdma.NewCQ(), 50_000)
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 50_100)
-	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 50_100)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 50_000)
-	adopt := onePool(h.clients[0].Describe(0), eComp, h.eMem[0])
+	ep := h.eps[0]
+	ep.ComputeQP, _ = rdma.ConnectPair(h.eng.NIC(), ep.SendCQ, 50_000, h.computes[0], 50_100)
+	adopt := onePool(h.clients[0].Describe(0), ep)
 	adopt.Adopt = true
 	if err := h.eng.Register(adopt); err != nil {
 		t.Fatal(err)
@@ -276,24 +265,28 @@ func TestDeadComputeQPRetiresSlot(t *testing.T) {
 	}
 }
 
-// TestShardReuseAcrossMigrations is the regression test for the shard leak:
-// on a Workers: 0 engine every adopted queue set gets a dedicated worker and
-// every removal retires one, and the NIC cannot deregister an MR — so the
-// retired worker's shard must be reused, or migrate-in/migrate-out cycles
-// grow the routing table, the arenas and the MR table without bound.
+// TestShardReuseAcrossMigrations: the worker pool, its shards and their MRs are
+// made once, in New, so remove → adopt cycles — a fleet's migrations — must
+// leave the engine's workers, shards, registered MRs and goroutines exactly
+// where they were. The NIC cannot deregister an MR, so anything made per
+// registration would grow without bound here.
 func TestShardReuseAcrossMigrations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 2 * time.Microsecond
 	cfg.StagingBytes = 64 << 10
+	cfg.Workers = 2
 	h := wireSharedPool(t, cfg, 2)
 	h.eng.Run()
 	nic := h.eng.NIC()
 	th, _ := h.clients[1].Thread(0)
+	if err := th.WriteSync(0, []byte{1}, 128, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
-	shards := len(h.eng.shardList())
+	goroutines := runtime.NumGoroutine()
 	key0 := nic.RegisterMR(0x6000_0000, make([]byte, 8)).RKey
 	const cycles = 200
-	adopt := onePool(h.clients[1].Describe(1), h.eComp[1], h.eMem[1])
+	adopt := onePool(h.clients[1].Describe(1), h.eps[1])
 	adopt.Adopt = true
 	for c := 0; c < cycles; c++ {
 		if !h.eng.RemoveInstance(1) {
@@ -302,22 +295,65 @@ func TestShardReuseAcrossMigrations(t *testing.T) {
 		if err := h.eng.Register(adopt); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
-		if c%20 == 0 { // the reused shard serves
+		if c%20 == 0 { // the re-adopted queue set serves
 			if err := th.WriteSync(0, []byte{byte(c)}, 128, 10*time.Second); err != nil {
 				t.Fatalf("cycle %d: %v", c, err)
 			}
 		}
 	}
 	key1 := nic.RegisterMR(0x6000_1000, make([]byte, 8)).RKey
-	if got := len(h.eng.shardList()); got != shards {
-		t.Fatalf("%d shards after %d remove/adopt cycles, started with %d", got, cycles, shards)
-	}
 	// The NIC hands out two keys per registration; nothing but the test's
 	// own second MR may have been registered in between.
 	if mrs := (key1 - key0) / 2; mrs != 1 {
 		t.Fatalf("%d MRs registered during %d remove/adopt cycles, want only the test's own", mrs, cycles)
 	}
-	if len(h.eng.workers) != 2 || len(h.eng.free) != 0 {
-		t.Fatalf("%d workers, %d free shards; want 2 and 0", len(h.eng.workers), len(h.eng.free))
+	if len(h.eng.workers) != 2 || len(h.eng.shards) != 3 {
+		t.Fatalf("%d workers, %d shards after %d cycles; want 2 and 3", len(h.eng.workers), len(h.eng.shards), cycles)
+	}
+	slots := 0
+	for _, w := range h.eng.workers {
+		slots += len(*w.slots.Load())
+	}
+	if slots != 2 {
+		t.Fatalf("%d slots across the workers, want 2", slots)
+	}
+	// Goroutines that a cycle started and that are still on their way out
+	// (timer callbacks, say) get a moment; none may stay.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after %d cycles, %d before", runtime.NumGoroutine(), cycles, goroutines)
+		}
+	}
+}
+
+// engineGoroutines waits up to a few seconds for the number of live
+// goroutines the spot package started to reach want — an engine an earlier
+// test stopped may still be unwinding — and returns the last count.
+func engineGoroutines(want int) int {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "\ncreated by cowbird/internal/engine/spot.")
+		if n == want || time.Now().After(deadline) {
+			return n
+		}
+	}
+}
+
+// TestGoroutinesFixedByWorkers: an engine runs its control goroutine and its
+// worker pool, and nothing else — however many queue sets it serves.
+func TestGoroutinesFixedByWorkers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	h := wireSharedPool(t, cfg, 8)
+	if n := engineGoroutines(1); n != 1 {
+		t.Fatalf("%d engine goroutines before Run, want 1 (control)", n)
+	}
+	h.eng.Run()
+	th, _ := h.clients[5].Thread(0)
+	if err := th.WriteSync(0, []byte("x"), 64, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := engineGoroutines(3); n != 3 {
+		t.Fatalf("%d engine goroutines serving 8 queue sets on 2 workers, want 3", n)
 	}
 }

@@ -2,6 +2,7 @@ package ha
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"cowbird/internal/core"
@@ -76,11 +77,15 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 		if req.Instance == nil || req.Compute == nil || req.Pool == nil {
 			return ctl.Response{Err: "setup needs instance, compute, and pool endpoints"}
 		}
+		// The op carries one compute and one pool endpoint: one queue set's.
+		if n := len(req.Instance.Queues); n != 1 {
+			return ctl.Response{Err: fmt.Sprintf("setup: instance has %d queues; the setup op wires exactly 1 (one compute and one pool endpoint)", n)}
+		}
 		compPSN, poolPSN := ec.nextPSN, ec.nextPSN+0x1000
 		ec.nextPSN += 0x2000
-		unused := rdma.NewCQ()
-		eComp := ec.nic.CreateQP(ec.eng.CQ(), unused, compPSN)
-		eMem := ec.nic.CreateQP(ec.eng.CQ(), unused, poolPSN)
+		sendCQ, unused := rdma.NewCQ(), rdma.NewCQ()
+		eComp := ec.nic.CreateQP(sendCQ, unused, compPSN)
+		eMem := ec.nic.CreateQP(sendCQ, unused, poolPSN)
 		eComp.Connect(rdma.RemoteEndpoint{
 			QPN: req.Compute.QPN, MAC: req.Compute.MAC, IP: req.Compute.IP,
 		}, req.Compute.FirstPSN)
@@ -88,9 +93,9 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 			QPN: req.Pool.QPN, MAC: req.Pool.MAC, IP: req.Pool.IP,
 		}, req.Pool.FirstPSN)
 		reg := spot.Registration{
-			Instance:  req.Instance,
-			ComputeQP: eComp,
-			Pools:     []spot.PoolReplica{{QP: eMem, Regions: req.Instance.Regions}},
+			Instance: req.Instance,
+			Pools:    []spot.PoolReplica{{Regions: req.Instance.Regions}},
+			Queues:   []spot.QueueEndpoints{{SendCQ: sendCQ, ComputeQP: eComp, Pools: []*rdma.QP{eMem}}},
 		}
 		register := ec.eng.Register
 		if ec.standby != nil {

@@ -66,15 +66,18 @@ func buildFencedRig(t *testing.T) *fencedRig {
 	standbyEng := spot.New(standbyNIC, ecfg)
 	st := NewStandby(standbyEng)
 
-	connect := func(eng *spot.Engine, peer *rdma.NIC, engPSN, peerPSN uint32) *rdma.QP {
-		eQP := eng.NIC().CreateQP(eng.CQ(), rdma.NewCQ(), engPSN)
+	// Each engine's one queue set completes into a CQ of its own.
+	pCQ, sCQ := rdma.NewCQ(), rdma.NewCQ()
+	connect := func(eng *spot.Engine, cq *rdma.CQ, peer *rdma.NIC, engPSN, peerPSN uint32) *rdma.QP {
+		eQP := eng.NIC().CreateQP(cq, rdma.NewCQ(), engPSN)
 		pQP := peer.CreateQP(rdma.NewCQ(), rdma.NewCQ(), peerPSN)
 		eQP.Connect(rdma.RemoteEndpoint{QPN: pQP.QPN(), MAC: peer.MAC(), IP: peer.IP()}, peerPSN)
 		pQP.Connect(rdma.RemoteEndpoint{QPN: eQP.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, engPSN)
 		return eQP
 	}
 
-	var pReps, sReps []spot.PoolReplica
+	var reps []spot.PoolReplica
+	var pPools, sPools []*rdma.QP
 	for i := 0; i < 2; i++ {
 		pool := memnode.New(f, wire.MAC{2, 0xFB, 0, 0, 0, byte(2 + i)}, wire.IPv4Addr{10, 9, 0, byte(2 + i)}, rdma.DefaultConfig())
 		t.Cleanup(pool.Close)
@@ -92,10 +95,11 @@ func buildFencedRig(t *testing.T) *fencedRig {
 		if i == 0 {
 			client.RegisterRegion(region)
 		}
-		pQP := connect(primary, pool.NIC(), uint32(3000+i*200), uint32(3100+i*200))
+		pQP := connect(primary, pCQ, pool.NIC(), uint32(3000+i*200), uint32(3100+i*200))
 		pQP.SetRetryPolicy(time.Millisecond, 30_000) // a partition is a real outage; the zombie's writes must outlive it
-		pReps = append(pReps, spot.PoolReplica{QP: pQP, Regions: []core.RegionInfo{region}})
-		sReps = append(sReps, spot.PoolReplica{QP: connect(standbyEng, pool.NIC(), uint32(4000+i*200), uint32(4100+i*200)), Regions: []core.RegionInfo{region}})
+		reps = append(reps, spot.PoolReplica{Regions: []core.RegionInfo{region}})
+		pPools = append(pPools, pQP)
+		sPools = append(sPools, connect(standbyEng, sCQ, pool.NIC(), uint32(4000+i*200), uint32(4100+i*200)))
 		r.pools[i] = pool
 		st.RegisterFencer(pool)
 	}
@@ -111,14 +115,16 @@ func buildFencedRig(t *testing.T) *fencedRig {
 		t.Fatal(err)
 	}
 
-	pComp := connect(primary, computeNIC, 1000, 1100)
+	pComp := connect(primary, pCQ, computeNIC, 1000, 1100)
 	pComp.SetRetryPolicy(time.Millisecond, 30_000) // likewise: the zombie must still be serving when the partition heals
-	if err := primary.Register(spot.Registration{Instance: client.Describe(1), ComputeQP: pComp, Pools: pReps}); err != nil {
+	pEP := spot.QueueEndpoints{SendCQ: pCQ, ComputeQP: pComp, Pools: pPools}
+	if err := primary.Register(spot.Registration{Instance: client.Describe(1), Pools: reps, Queues: []spot.QueueEndpoints{pEP}}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(primary.Stop)
 
-	if err := st.Register(spot.Registration{Instance: client.Describe(1), ComputeQP: connect(standbyEng, computeNIC, 2000, 2100), Pools: sReps}); err != nil {
+	sEP := spot.QueueEndpoints{SendCQ: sCQ, ComputeQP: connect(standbyEng, sCQ, computeNIC, 2000, 2100), Pools: sPools}
+	if err := st.Register(spot.Registration{Instance: client.Describe(1), Pools: reps, Queues: []spot.QueueEndpoints{sEP}}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(standbyEng.Stop)

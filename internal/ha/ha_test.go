@@ -37,19 +37,19 @@ func testTimings() (spot.Config, MonitorConfig) {
 }
 
 // wirePair connects an engine to the compute node and pool with a fresh QP
-// pair, returning the engine-side QPs.
-func wirePair(eng *spot.Engine, computeNIC *rdma.NIC, pool *memnode.Node, basePSN uint32) (*rdma.QP, *rdma.QP) {
-	unused := rdma.NewCQ()
-	eComp := eng.NIC().CreateQP(eng.CQ(), unused, basePSN)
+// pair on a CQ of its own, returning them as one queue set's endpoints.
+func wirePair(eng *spot.Engine, computeNIC *rdma.NIC, pool *memnode.Node, basePSN uint32) spot.QueueEndpoints {
+	sendCQ, unused := rdma.NewCQ(), rdma.NewCQ()
+	eComp := eng.NIC().CreateQP(sendCQ, unused, basePSN)
 	cQP := computeNIC.CreateQP(rdma.NewCQ(), rdma.NewCQ(), basePSN+1)
 	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: computeNIC.MAC(), IP: computeNIC.IP()}, basePSN+1)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, basePSN)
 
-	eMem := eng.NIC().CreateQP(eng.CQ(), unused, basePSN+2)
+	eMem := eng.NIC().CreateQP(sendCQ, unused, basePSN+2)
 	mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), basePSN+3)
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, basePSN+3)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, basePSN+2)
-	return eComp, eMem
+	return spot.QueueEndpoints{SendCQ: sendCQ, ComputeQP: eComp, Pools: []*rdma.QP{eMem}}
 }
 
 // buildRig assembles the deployment. autoPromote hangs standby promotion on
@@ -83,20 +83,18 @@ func buildRig(t *testing.T, ecfg spot.Config, mcfg MonitorConfig, autoPromote bo
 	client.RegisterRegion(region)
 
 	primary := spot.New(primaryNIC, ecfg)
-	pComp, pMem := wirePair(primary, computeNIC, pool, 1000)
-	onePool := func(computeQP, memQP *rdma.QP) spot.Registration {
+	onePool := func(ep spot.QueueEndpoints) spot.Registration {
 		in := client.Describe(1)
-		return spot.Registration{Instance: in, ComputeQP: computeQP, Pools: []spot.PoolReplica{{QP: memQP, Regions: in.Regions}}}
+		return spot.Registration{Instance: in, Pools: []spot.PoolReplica{{Regions: in.Regions}}, Queues: []spot.QueueEndpoints{ep}}
 	}
-	if err := primary.Register(onePool(pComp, pMem)); err != nil {
+	if err := primary.Register(onePool(wirePair(primary, computeNIC, pool, 1000))); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(primary.Stop)
 
 	standbyEng := spot.New(standbyNIC, ecfg)
-	sComp, sMem := wirePair(standbyEng, computeNIC, pool, 2000)
 	st := NewStandby(standbyEng)
-	if err := st.Register(onePool(sComp, sMem)); err != nil {
+	if err := st.Register(onePool(wirePair(standbyEng, computeNIC, pool, 2000))); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(standbyEng.Stop)

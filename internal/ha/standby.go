@@ -90,11 +90,11 @@ func (s *Standby) Epoch() uint16 {
 // below), then for every registered instance reconstructs the engine-side
 // state from the durable red bookkeeping block (an adopting
 // spot.Engine.Register — one RDMA read per queue, executed on the engine's
-// control shard behind its adoption barrier, so it is also safe on an engine
-// that is already serving other instances) and then starts the engine,
-// which spawns a worker per adopted queue set, resumes execution at the
-// recovered MetaHead, and immediately re-announces liveness via heartbeat
-// writes.
+// control shard before any worker is given the queue set, so it is also safe
+// on an engine that is already serving other instances) and then starts the
+// engine's worker pool, which takes up every adopted queue set, resumes
+// execution at the recovered MetaHead, and immediately re-announces liveness
+// via heartbeat writes.
 //
 // Fencing (when fencers are registered): the new epoch is one past the
 // highest epoch any reachable fencer reports, and every fencer's floor is

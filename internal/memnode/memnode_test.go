@@ -119,7 +119,9 @@ func await(t *testing.T, cq *rdma.CQ) rdma.CQE {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	return cq.Poll(1)[0]
+	var e [1]rdma.CQE
+	cq.PollInto(e[:])
+	return e[0]
 }
 
 // TestServesRemoteRDMA: the node is a plain RDMA responder — a remote peer
@@ -155,9 +157,9 @@ func TestServesRemoteRDMA(t *testing.T) {
 	for cq.Len() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	es := cq.Poll(1)
-	if len(es) != 1 || es[0].Status != rdma.StatusOK {
-		t.Fatalf("write completion: %+v", es)
+	var es [1]rdma.CQE
+	if n := cq.PollInto(es[:]); n != 1 || es[0].Status != rdma.StatusOK {
+		t.Fatalf("write completion: %d %+v", n, es[0])
 	}
 	got, err := n.Peek(0, 512, 256)
 	if err != nil {

@@ -79,10 +79,10 @@ type CQE struct {
 	Bytes  uint32
 }
 
-// CQ is a completion queue. Poll is non-blocking, matching ibv_poll_cq; the
-// Notify channel supports event-driven consumers (the Cowbird-Spot agent).
-// Entries live in a ring, so the steady-state push/PollInto cycle neither
-// allocates nor pins completed entries in a resliced backing array.
+// CQ is a completion queue. PollInto is non-blocking, matching ibv_poll_cq;
+// the Notify channel supports event-driven consumers (the Cowbird-Spot
+// agent). Entries live in a ring, so the steady-state push/PollInto cycle
+// neither allocates nor pins completed entries in a resliced backing array.
 type CQ struct {
 	mu      sync.Mutex
 	entries container.Ring[CQE]
@@ -104,31 +104,6 @@ func (cq *CQ) push(e CQE) {
 	default:
 	}
 }
-
-// Poll removes and returns up to max completions without blocking.
-func (cq *CQ) Poll(max int) []CQE {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	n := cq.entries.Len()
-	if n == 0 {
-		return nil
-	}
-	if n > max {
-		n = max
-	}
-	out := make([]CQE, n)
-	for i := range out {
-		out[i] = cq.entries.Pop()
-	}
-	return out
-}
-
-// Push appends a completion from outside the NIC. It is the reinjection
-// half of a completion demultiplexer: a consumer draining a shared hardware
-// CQ can route each CQE into per-worker software CQs (keyed by WR id), so
-// workers wait only on their own completions. The Cowbird-Spot engine shards
-// its datapath this way.
-func (cq *CQ) Push(e CQE) { cq.push(e) }
 
 // PollInto fills dst with completions and returns how many were written.
 // It performs no allocation.
@@ -153,6 +128,6 @@ func (cq *CQ) Len() int {
 }
 
 // Notify returns a channel that receives a token whenever a completion is
-// pushed into an empty-or-nonempty queue. Consumers should drain with Poll
-// after each token; tokens are coalesced.
+// pushed into an empty-or-nonempty queue. Consumers should drain with
+// PollInto after each token; tokens are coalesced.
 func (cq *CQ) Notify() <-chan struct{} { return cq.notify }

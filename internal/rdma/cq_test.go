@@ -5,34 +5,25 @@ import (
 	"time"
 )
 
-// TestCQPushDemuxRouting drives the intended Push use: one consumer drains
-// a shared CQ and routes each completion, by WR-id high bits, into per-
-// worker software CQs whose notify channels wake independent waiters.
-func TestCQPushDemuxRouting(t *testing.T) {
-	shared := NewCQ()
-	workers := []*CQ{NewCQ(), NewCQ()}
+// TestCQPollIntoDrainsInBatches: PollInto hands out at most len(dst)
+// completions per call, oldest first, and leaves the rest queued.
+func TestCQPollIntoDrainsInBatches(t *testing.T) {
+	cq := NewCQ()
 	for i := 0; i < 10; i++ {
-		shared.push(CQE{WRID: uint64(i%2)<<48 | uint64(i), Status: StatusOK})
+		cq.push(CQE{WRID: uint64(i), Status: StatusOK})
 	}
-	var buf [16]CQE
-	n := shared.PollInto(buf[:])
-	for _, c := range buf[:n] {
-		workers[c.WRID>>48].Push(c)
-	}
-	for w, cq := range workers {
-		select {
-		case <-cq.Notify():
-		default:
-			t.Fatalf("worker %d CQ not notified", w)
+	var buf [4]CQE
+	next := uint64(0)
+	for _, want := range []int{4, 4, 2, 0} {
+		n := cq.PollInto(buf[:])
+		if n != want {
+			t.Fatalf("PollInto = %d, want %d", n, want)
 		}
-		es := cq.Poll(16)
-		if len(es) != 5 {
-			t.Fatalf("worker %d got %d completions, want 5", w, len(es))
-		}
-		for _, c := range es {
-			if int(c.WRID>>48) != w {
-				t.Fatalf("worker %d received foreign WR %#x", w, c.WRID)
+		for _, c := range buf[:n] {
+			if c.WRID != next {
+				t.Fatalf("WR %d out of order, want %d", c.WRID, next)
 			}
+			next++
 		}
 	}
 }

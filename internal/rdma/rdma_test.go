@@ -67,14 +67,14 @@ func quiesce(p *pair) {
 func waitCQE(t *testing.T, cq *CQ, n int, timeout time.Duration) []CQE {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	var out []CQE
-	for len(out) < n {
-		if es := cq.Poll(n - len(out)); len(es) > 0 {
-			out = append(out, es...)
+	out := make([]CQE, n)
+	for got := 0; got < n; {
+		if k := cq.PollInto(out[got:]); k > 0 {
+			got += k
 			continue
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d completions, have %d", n, len(out))
+			t.Fatalf("timed out waiting for %d completions, have %d", n, got)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}

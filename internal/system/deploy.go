@@ -32,9 +32,7 @@ type shape struct {
 	addr     func(role, i int) nodeAddr // chaos schedules target links by these
 	nicCfg   rdma.Config                // link-level parameters of every NIC
 	memnodes int
-	// spotCfg tunes every engine. Workers also decides the wiring: a tenant
-	// gets dedicated per-queue endpoints iff Workers == 0, exactly when the
-	// engine serves through them (a pinned worker would ignore them).
+	// spotCfg tunes every engine.
 	spotCfg spot.Config
 	// clientCfg sizes every tenant's client library. Its telemetry hub, when
 	// set, also receives the engines' and the cache's gauges.
@@ -201,39 +199,31 @@ func (d *deployment) connect(eng *spot.Engine, sendCQ *rdma.CQ, peer *rdma.NIC) 
 	return qp
 }
 
-// attach is the Setup handshake between tenant t and engine e: fresh QPs from
-// the engine to the compute node and to every replica slot — instance-wide
-// ones on the engine's shared CQ, dedicated per-queue ones (shape.spotCfg) on
-// a private CQ each — then the registration; adopt rebuilds the queue state
-// from the durable red blocks. Only once the engine has accepted is t
-// recorded, as a tenant and as served by e. The control plane has no call
-// that frees a QP: those of a refused registration stay on their NICs, unused.
+// attach is the Setup handshake between tenant t and engine e: for every
+// queue set, fresh QPs from the engine to the compute node and to every
+// replica slot on a CQ of their own, then the registration; adopt rebuilds
+// the queue state from the durable red blocks. Only once the engine has
+// accepted is t recorded, as a tenant and as served by e. The control plane
+// has no call that frees a QP: those of a refused registration stay on their
+// NICs, unused.
 func (d *deployment) attach(t *Tenant, e int, adopt bool) error {
 	eng := d.engines[e]
-	wire := func(cq *rdma.CQ) (*rdma.QP, []*rdma.QP) {
-		computeQP := d.connect(eng, cq, t.nic)
-		poolQPs := make([]*rdma.QP, len(t.slots))
-		for i, sl := range t.slots {
-			poolQPs[i] = d.connect(eng, cq, d.memnodes[sl.memnode].NIC())
-			poolQPs[i].SetRetryPolicy(d.poolRTO, d.poolMaxRetries)
-		}
-		return computeQP, poolQPs
-	}
-	computeQP, poolQPs := wire(eng.CQ())
 	pools := make([]spot.PoolReplica, len(t.slots))
 	for i, sl := range t.slots {
-		pools[i] = spot.PoolReplica{QP: poolQPs[i], Regions: sl.regions}
+		pools[i] = spot.PoolReplica{Regions: sl.regions}
 	}
-	var queues []spot.QueueEndpoints
-	if d.spotCfg.Workers == 0 {
-		for range t.inst.Queues {
-			ep := spot.QueueEndpoints{SendCQ: rdma.NewCQ()}
-			ep.ComputeQP, ep.Pools = wire(ep.SendCQ)
-			queues = append(queues, ep)
+	queues := make([]spot.QueueEndpoints, len(t.inst.Queues))
+	for q := range queues {
+		ep := spot.QueueEndpoints{SendCQ: rdma.NewCQ(), Pools: make([]*rdma.QP, len(t.slots))}
+		ep.ComputeQP = d.connect(eng, ep.SendCQ, t.nic)
+		for i, sl := range t.slots {
+			ep.Pools[i] = d.connect(eng, ep.SendCQ, d.memnodes[sl.memnode].NIC())
+			ep.Pools[i].SetRetryPolicy(d.poolRTO, d.poolMaxRetries)
 		}
+		queues[q] = ep
 	}
 	err := eng.Register(spot.Registration{
-		Instance: t.inst, ComputeQP: computeQP, Pools: pools, Queues: queues, Homes: t.homes, Adopt: adopt,
+		Instance: t.inst, Pools: pools, Queues: queues, Homes: t.homes, Adopt: adopt,
 	})
 	if err != nil {
 		return err

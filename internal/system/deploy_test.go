@@ -36,11 +36,11 @@ func TestWiringShape(t *testing.T) {
 		engine, compute, pool int
 		epoch                 uint16
 	}{
-		// 3 instance-wide QPs (compute + 2 pools) and, for dedicated
-		// workers, 3 more per queue set.
-		{"dedicated workers", 0, false, 9, 3, 3, 1},
-		{"dedicated workers unfenced", 0, true, 9, 3, 3, 0},
-		{"one pinned worker", 1, false, 3, 1, 1, 1},
+		// 3 QPs (compute + 2 pools) per queue set, whether every queue set
+		// has a worker of its own (Workers derived) or one worker serves both.
+		{"dedicated workers", 0, false, 6, 2, 2, 1},
+		{"dedicated workers unfenced", 0, true, 6, 2, 2, 0},
+		{"one pinned worker", 1, false, 6, 2, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := startSystem(t, func(c *Config) {

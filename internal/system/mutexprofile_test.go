@@ -65,14 +65,14 @@ rec:
 }
 
 // spotColdPath lists the spot engine frames allowed to contend: the
-// stop-the-world barrier, registration and worker lifecycle, replica
-// failover bookkeeping, and the control goroutine that publishes instance
-// snapshots and slot lists (ctlLoop serializes control ops under ctlGate;
+// stop-the-world barrier, registration and placement, replica failover
+// bookkeeping, and the control goroutine that publishes instance snapshots
+// and slot lists (ctlLoop serializes control ops under ctlGate;
 // runCtl is its inline fallback after Stop). None of these sit on the serve
 // path.
 var spotColdPath = []string{
-	".quiesceWorkers", ".Register", ".placeLocked", ".RemoveInstance",
-	".markReplicaDead", ".PoolDegraded", ".startWorkers", ".Stop",
+	".quiesceWorkers", ".Register", ".place", ".RemoveInstance",
+	".markReplicaDead", ".PoolDegraded", ".Stop",
 	".ctlLoop", ".runCtl",
 }
 
@@ -166,7 +166,7 @@ func runMutexGate(t *testing.T, mutate func(*Config), pkgPrefix string, coldPath
 }
 
 // TestHotPathMutexProfileClean is the contention smoke gate for the spot
-// engine with a dedicated worker per queue set: the worker round lock
+// engine with a worker per queue set (system.New's default): the worker round lock
 // (worker.roundMu) is taken once per pass but only ever by its own worker
 // outside the stop-the-world barrier, so it must record zero contention,
 // and no other engine lock may appear at all. A regression that
@@ -177,8 +177,8 @@ func TestHotPathMutexProfileClean(t *testing.T) {
 		"cowbird/internal/engine/spot.", spotColdPath)
 }
 
-// TestHotPathMutexProfileCleanSpotShared gates pinned workers that share
-// queue sets — Workers: 1 (the fleet's setting: one goroutine serves every
+// TestHotPathMutexProfileCleanSpotShared gates workers that share queue
+// sets — Workers: 1 (the fleet's setting: one goroutine serves every
 // slot) and Workers: 2 (two workers, two slots each). Each takes only its
 // own round lock, once per pass, and reads its slot list from an atomic
 // snapshot. No per-queue or per-instance lock may appear.

@@ -140,6 +140,9 @@ func New(cfg Config) (*System, error) {
 		cfg.Spot.Telemetry = cfg.Telemetry
 		cfg.P4.Telemetry = cfg.Telemetry
 	}
+	if cfg.Spot.Workers <= 0 {
+		cfg.Spot.Workers = cfg.Threads // a worker per queue set
+	}
 	sh := shape{
 		addr:     systemAddr,
 		nicCfg:   cfg.NIC,
