@@ -169,12 +169,6 @@ func BenchmarkAblationPauseRule(b *testing.B) {
 	runExperiment(b, "ablation-pause")
 }
 
-// BenchmarkAblationBookkeeping — R3: packed contiguous bookkeeping (one
-// RDMA message) vs a split layout (two).
-func BenchmarkAblationBookkeeping(b *testing.B) {
-	runExperiment(b, "ablation-bookkeeping")
-}
-
 // BenchmarkAblationGoBackN — §5.3: functional drain/resync recovery cost
 // under increasing frame loss (wall-clock, real Cowbird-P4 engine).
 func BenchmarkAblationGoBackN(b *testing.B) {

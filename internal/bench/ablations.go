@@ -110,50 +110,6 @@ func AblationPauseRule() Experiment {
 	return e
 }
 
-// AblationBookkeeping compares the packed contiguous bookkeeping block
-// (requirement R3: one RDMA message reads/writes all of it) against a
-// split layout needing two messages per probe and per completion update.
-func AblationBookkeeping() Experiment {
-	e := Experiment{
-		ID:     "ablation-bookkeeping",
-		Title:  "Packed vs split bookkeeping (R3): one RDMA message vs two",
-		XLabel: "application threads",
-		YLabel: "throughput (MOPS) / latency (us)",
-	}
-	packedT := Series{Label: "packed throughput (MOPS)"}
-	splitT := Series{Label: "split throughput (MOPS)"}
-	for _, t := range []int{1, 4, 16} {
-		base := perfsim.Config{
-			System: perfsim.CowbirdSpot, Workload: perfsim.HashProbe,
-			Threads: t, RecordSize: 64, RemoteFraction: 0.95,
-			OpsPerThread: OpsPerThread,
-		}
-		r1 := perfsim.Run(base)
-		base.SplitBookkeeping = true
-		r2 := perfsim.Run(base)
-		packedT.X = append(packedT.X, float64(t))
-		packedT.Y = append(packedT.Y, r1.ThroughputMOPS)
-		splitT.X = append(splitT.X, float64(t))
-		splitT.Y = append(splitT.Y, r2.ThroughputMOPS)
-	}
-	// Latency at one thread, closed loop.
-	lp := perfsim.Run(perfsim.Config{
-		System: perfsim.CowbirdSpot, Workload: perfsim.RawReads,
-		Threads: 1, RecordSize: 64, RemoteFraction: 1, Window: 1,
-		OpsPerThread: OpsPerThread,
-	})
-	ls := perfsim.Run(perfsim.Config{
-		System: perfsim.CowbirdSpot, Workload: perfsim.RawReads,
-		Threads: 1, RecordSize: 64, RemoteFraction: 1, Window: 1,
-		OpsPerThread: OpsPerThread, SplitBookkeeping: true,
-	})
-	e.Series = []Series{packedT, splitT}
-	e.Notes = append(e.Notes, fmt.Sprintf(
-		"closed-loop read p50: packed %.1f us vs split %.1f us",
-		lp.LatencyP50/1000, ls.LatencyP50/1000))
-	return e
-}
-
 // AblationGoBackN measures the functional cost of loss recovery: the real
 // Cowbird-P4 engine (not the model) runs a fixed workload under increasing
 // frame-loss rates, reporting completion time and recovery counts. This is
@@ -268,7 +224,6 @@ func init() {
 	registry["ablation-probe"] = AblationProbeRate
 	registry["ablation-batch"] = AblationBatchSize
 	registry["ablation-pause"] = AblationPauseRule
-	registry["ablation-bookkeeping"] = AblationBookkeeping
 	registry["ablation-gbn"] = AblationGoBackN
 	registry["ablation-failover"] = AblationFailover
 }

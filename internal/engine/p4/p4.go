@@ -124,10 +124,9 @@ type engineStats struct {
 // the QP-modify that resynchronizes the host's expected PSN during
 // drain-based loss recovery. It must not be nil if recovery can occur.
 type Endpoint struct {
-	MAC      wire.MAC
-	IP       wire.IPv4Addr
-	QPN      uint32
-	FirstPSN uint32 // the host's initial request PSN (unused: hosts never request)
+	MAC wire.MAC
+	IP  wire.IPv4Addr
+	QPN uint32
 
 	ResetEPSN func(psn uint32)
 }
@@ -167,14 +166,12 @@ const (
 	opWriteData               // compute read response carrying write payload
 	opRespAck                 // compute ACK of a response-data write
 	opWriteAck                // pool ACK of a converted write
-	opRedAck                  // compute ACK of a red-block update
 )
 
 // pendingOp tracks an in-flight exchange: the switch sent a request and
 // expects npkts response packets (or one ACK) with PSNs starting at
 // firstPSN. This is the "hash table" of §5.2 Phase III.
 type pendingOp struct {
-	created  time.Time // engine clock at issue; age drives the per-op data-plane timeout
 	kind     opKind
 	q        *queueState
 	req      *request
@@ -197,6 +194,12 @@ type queueState struct {
 	// Phase IV coalescing register: requests issued and not yet completed,
 	// and completions since the last red write (see complete).
 	open, sinceRed int
+
+	// since is the queue's progress stamp on the engine clock (§5.3,
+	// checkTimeouts). It is per queue because an instance's queues have
+	// independent clients: one queue's completions must not hide another's
+	// stuck exchange.
+	since time.Time
 
 	// Requests fetched but not yet retired, in arrival order per type.
 	// Ring FIFOs retire from the front without the allocator churn of
@@ -263,7 +266,7 @@ type instRole struct {
 
 // instTable is the COW snapshot the control plane publishes and the data
 // plane loads once per frame: the instance list (for the probe generator and
-// timeout scan) plus a dense QPN-indexed routing array replacing the old
+// timeout check) plus a dense QPN-indexed routing array replacing the old
 // byQPN map — sender resolution is a bounds check and an indexed load.
 type instTable struct {
 	instances []*inst
@@ -304,7 +307,6 @@ type Engine struct {
 	// Everything below is data-plane state, touched only inside Process,
 	// which the fabric calls under its forwarding lock. No locks of its own.
 	now             time.Time   // the engine clock: wall time of the latest generator tick
-	nextScan        time.Time   // engine clock at which checkTimeouts next walks the pending maps
 	rrInst, rrQueue int         // TDM round-robin cursor (§5.4)
 	rx, tx          wire.Packet // reusable decoder/encoder
 	out             [][]byte    // reusable Process return slice
@@ -435,8 +437,8 @@ func (e *Engine) Setup(info *core.Instance, eps Endpoints) (SwitchInfo, error) {
 	return SwitchInfo{ComputeQPN: in.swCompQPN, PoolQPN: in.swPoolQPN, FirstPSN: SwitchFirstPSN}, nil
 }
 
-// Run starts the probe generator, which also drives the data-plane timeout
-// checker. Calls after the first do nothing.
+// Run starts the probe generator, whose ticks also drive the data-plane
+// timeout check. Calls after the first do nothing.
 func (e *Engine) Run() {
 	if e.started.CompareAndSwap(false, true) {
 		go e.probeLoop()
@@ -519,10 +521,13 @@ func (e *Engine) nextProbe(t *instTable) {
 		if q.probeOutstanding || in.state != stateRunning {
 			continue
 		}
+		if q.open == 0 && !q.fetchOutstanding {
+			q.since = e.now // the probe is the queue's only exchange
+		}
 		q.probeOutstanding = true
 		psn := e.allocPSNs(&in.compPSN, 1)
 		op := e.getOp()
-		*op = pendingOp{created: e.now, kind: opProbeResp, q: q, firstPSN: psn, npkts: 1}
+		*op = pendingOp{kind: opProbeResp, q: q, firstPSN: psn, npkts: 1}
 		in.pendingComp[key(psn)] = op
 		e.stats.probesSent.Add(1)
 		e.emit(e.buildRead(in, true, psn, q.qi.BaseVA+uint64(q.qi.Layout.GreenOffset()), q.qi.RKey, rings.GreenSize, e.cfg.ProbeTOS))
@@ -555,23 +560,21 @@ func (e *Engine) npktsFor(length uint32) int {
 	return n
 }
 
-// checkTimeouts drives §5.3 fault recovery, on the engine clock. If an
-// instance has an in-flight operation older than the timeout, it begins a
-// drain; once a drain window ends, the resync is launched. The pending maps
-// are walked once per Timeout/4, not per tick: a stuck operation is found at
-// most a quarter-timeout late, and a drain lasts a whole one either way.
+// checkTimeouts drives §5.3 fault recovery, on the engine clock, at every
+// tick. A running instance begins a drain once one of its queues has
+// something outstanding — requests in flight, a probe or a metadata fetch —
+// and a progress stamp Timeout old; once a drain window ends, the resync is
+// launched. The stamp moves when a probe goes out with nothing else
+// outstanding, when a request completes, and at every resync.
 func (e *Engine) checkTimeouts(t *instTable) {
-	scan := !e.now.Before(e.nextScan)
-	if scan {
-		e.nextScan = e.now.Add(e.cfg.Timeout / 4)
-	}
 	for _, in := range t.instances {
 		switch in.state {
 		case stateRunning:
-			// The timeout is per-operation, not per-instance: a steady flow
-			// of successful probes must not mask one stuck data transfer.
-			if scan && (e.stuck(in.pendingComp) || e.stuck(in.pendingPool)) {
-				e.beginRecovery(in)
+			for _, q := range in.queues {
+				if (q.open > 0 || q.probeOutstanding || q.fetchOutstanding) && e.now.Sub(q.since) >= e.cfg.Timeout {
+					e.beginRecovery(in)
+					break
+				}
 			}
 		case stateDraining:
 			if e.now.After(in.drainUntil) {
@@ -579,16 +582,6 @@ func (e *Engine) checkTimeouts(t *instTable) {
 			}
 		}
 	}
-}
-
-// stuck reports whether any operation in pend has outlived the timeout.
-func (e *Engine) stuck(pend map[uint32]*pendingOp) bool {
-	for _, op := range pend {
-		if e.now.Sub(op.created) >= e.cfg.Timeout {
-			return true
-		}
-	}
-	return false
 }
 
 // beginRecovery enters the drain phase. Crucially, in-flight operations
@@ -677,11 +670,13 @@ func (e *Engine) startResync(in *inst) {
 // already retired the request (progress counters advanced locally), so
 // there is no backlog to re-execute and no completion left to piggyback the
 // next red write on — without the republish the compute node would never
-// learn the final progress and its poll would hang forever.
+// learn the final progress and its poll would hang forever. Every queue's
+// progress stamp restarts here: the drain and the resets are not a stall.
 func (e *Engine) finishResync(in *inst) {
 	in.state = stateRunning
 	e.kick(in)
 	for _, q := range in.queues {
+		q.since = e.now
 		e.redWrite(in, q)
 	}
 }

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,9 @@ import (
 // TestComputeResourcesMatchesTable5 pins the derived row to the paper's
 // Table 5 plus the deviations EXPERIMENTS.md's Table 5 section states: the
 // Phase IV coalescing register (+1 sALU, +1 VLIW, +2 KB) and the recovery
-// state Process keeps since PR 22 (3 sALUs more than the one last_progress
-// register declared before, +320 KB of per-exchange issue times).
+// state Process keeps (2 sALUs more than the paper's one timeout register:
+// a progress stamp per queue, each instance's state and drain deadline, and
+// its resync backlog).
 func TestComputeResourcesMatchesTable5(t *testing.T) {
 	r := ComputeResources()
 	if r.PHVBits != 1085 {
@@ -29,11 +31,11 @@ func TestComputeResourcesMatchesTable5(t *testing.T) {
 	if r.VLIWInstr != 38+1 {
 		t.Errorf("VLIW = %d, want 39 (paper 38 + Phase IV coalescing)", r.VLIWInstr)
 	}
-	if r.SALUs != 11+1+3 {
-		t.Errorf("sALU = %d, want 15 (paper 11 + phase4_open + recovery state)", r.SALUs)
+	if r.SALUs != 11+1+2 {
+		t.Errorf("sALU = %d, want 14 (paper 11 + phase4_open + recovery state)", r.SALUs)
 	}
-	if r.SRAMKB < 1700 || r.SRAMKB > 1780 {
-		t.Errorf("SRAM = %.0f KB, want ~1736 (paper 1424 + the deviations)", r.SRAMKB)
+	if r.SRAMKB < 1424*0.98 || r.SRAMKB > 1424*1.02 {
+		t.Errorf("SRAM = %.0f KB, want within 2%% of the paper's 1424", r.SRAMKB)
 	}
 	if r.TCAMKB < 1.0 || r.TCAMKB > 1.5 {
 		t.Errorf("TCAM = %.2f KB, want ~1.28", r.TCAMKB)
@@ -72,9 +74,10 @@ func TestPipelineDeclarationSane(t *testing.T) {
 
 // instanceEnv is one compute/pool pair wired to a shared switch.
 type instanceEnv struct {
-	client *core.Client
-	pool   *memnode.Node
-	region core.RegionInfo
+	client  *core.Client
+	compute *rdma.NIC
+	pool    *memnode.Node
+	region  core.RegionInfo
 }
 
 // testConfig is the engine configuration the wired-up tests start from.
@@ -87,13 +90,14 @@ func testConfig() Config {
 	}
 }
 
-// newMultiInstance wires n instances onto one switch engine (§5.4).
+// newMultiInstance wires n one-queue instances onto one switch engine (§5.4).
 func newMultiInstance(t *testing.T, n int) (*Engine, []*instanceEnv) {
-	return newMultiInstanceCfg(t, n, testConfig())
+	return newMultiInstanceCfg(t, n, 1, testConfig())
 }
 
-// newMultiInstanceCfg is newMultiInstance with the engine configuration given.
-func newMultiInstanceCfg(t *testing.T, n int, cfg Config) (*Engine, []*instanceEnv) {
+// newMultiInstanceCfg is newMultiInstance with the queues per instance
+// (client threads) and the engine configuration given.
+func newMultiInstanceCfg(t *testing.T, n, threads int, cfg Config) (*Engine, []*instanceEnv) {
 	t.Helper()
 	fabric := rdma.NewFabric()
 	t.Cleanup(fabric.Close)
@@ -111,7 +115,7 @@ func newMultiInstanceCfg(t *testing.T, n int, cfg Config) (*Engine, []*instanceE
 			rdma.DefaultConfig())
 		t.Cleanup(pool.Close)
 		client, err := core.NewClient(compute, core.ClientConfig{
-			Threads: 1,
+			Threads: threads,
 			Layout:  rings.Layout{MetaEntries: 64, ReqDataBytes: 32 << 10, RespDataBytes: 32 << 10},
 			BaseVA:  0x10_0000,
 		})
@@ -127,15 +131,15 @@ func newMultiInstanceCfg(t *testing.T, n int, cfg Config) (*Engine, []*instanceE
 		cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
 		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
 		sw, err := eng.Setup(client.Describe(i), Endpoints{
-			Compute: Endpoint{MAC: compute.MAC(), IP: compute.IP(), QPN: cQP.QPN(), FirstPSN: 2000, ResetEPSN: cQP.ResetExpectedPSN},
-			Pool:    Endpoint{MAC: pool.NIC().MAC(), IP: pool.NIC().IP(), QPN: mQP.QPN(), FirstPSN: 4000, ResetEPSN: mQP.ResetExpectedPSN},
+			Compute: Endpoint{MAC: compute.MAC(), IP: compute.IP(), QPN: cQP.QPN(), ResetEPSN: cQP.ResetExpectedPSN},
+			Pool:    Endpoint{MAC: pool.NIC().MAC(), IP: pool.NIC().IP(), QPN: mQP.QPN(), ResetEPSN: mQP.ResetExpectedPSN},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cQP.Connect(rdma.RemoteEndpoint{QPN: sw.ComputeQPN, MAC: eng.MAC(), IP: eng.IP()}, sw.FirstPSN)
 		mQP.Connect(rdma.RemoteEndpoint{QPN: sw.PoolQPN, MAC: eng.MAC(), IP: eng.IP()}, sw.FirstPSN)
-		envs = append(envs, &instanceEnv{client: client, pool: pool, region: region})
+		envs = append(envs, &instanceEnv{client: client, compute: compute, pool: pool, region: region})
 	}
 	eng.Run()
 	t.Cleanup(eng.Stop)
@@ -228,55 +232,263 @@ func TestNonRoCEFramesForwarded(t *testing.T) {
 	}
 }
 
-// TestStuckOpRecoversWithinBound: the pending maps are scanned once per
-// Timeout/4 of engine clock, so an operation whose packet was lost must
-// still start a recovery within 1.25 × Timeout (1.5 × asserted, for
-// scheduling slack), and the request must then complete with the right data.
-func TestStuckOpRecoversWithinBound(t *testing.T) {
-	cfg := testConfig()
-	cfg.Timeout = 200 * time.Millisecond
-	eng, envs := newMultiInstanceCfg(t, 1, cfg)
-	th, _ := envs[0].client.Thread(0)
-	data := bytes.Repeat([]byte{0x3C}, 256)
-	if err := th.WriteSync(0, data, 4096, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+// lossyEngine puts a drop predicate in front of the engine. The fabric's loss
+// predicate sees only what the switch emits, since a host's frame to the
+// switch is consumed by the interposer, so a test that loses frames on their
+// way in installs this as the interposer.
+type lossyEngine struct {
+	*Engine
+	drop func(frame []byte) bool
+}
 
-	// Lose the switch's next data read toward the pool. Nothing follows it on
-	// that QP, so no host ever NAKs: only the timeout scan can find it.
-	poolMAC := envs[0].pool.NIC().MAC()
-	var lostAt atomic.Int64
-	eng.fabric.SetLossFn(func(frame []byte) bool {
-		var p wire.Packet
-		if lostAt.Load() != 0 || p.DecodeFromBytes(frame) != nil ||
-			p.Eth.Dst != poolMAC || p.BTH.OpCode != wire.OpReadRequest {
+func (l lossyEngine) Process(frame []byte) [][]byte {
+	if l.drop(frame) {
+		return nil
+	}
+	return l.Engine.Process(frame)
+}
+
+// loseOnce drops the first frame, into or out of eng, that lose matches, and
+// returns where the wall time of that loss will be stored. The predicate runs
+// under the fabric's forwarding lock in both directions, so it may keep state
+// without a lock of its own.
+func loseOnce(eng *Engine, lose func(p *wire.Packet) bool) *atomic.Int64 {
+	lostAt := new(atomic.Int64)
+	var p wire.Packet
+	drop := func(frame []byte) bool {
+		if lostAt.Load() != 0 || p.DecodeFromBytes(frame) != nil || !lose(&p) {
 			return false
 		}
 		lostAt.Store(time.Now().UnixNano())
 		return true
-	})
-	dest := make([]byte, 256)
-	read := make(chan error, 1)
-	go func() { read <- th.ReadSync(0, 4096, dest, 10*time.Second) }()
+	}
+	eng.fabric.SetInterposer(lossyEngine{eng, drop})
+	eng.fabric.SetLossFn(drop)
+	return lostAt
+}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for eng.Stats().Recoveries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the stuck read never triggered a recovery")
+// ackOf matches the host's ACK of the first switch write to it that write
+// matches.
+func ackOf(host wire.MAC, write func(p *wire.Packet) bool) func(p *wire.Packet) bool {
+	var psn uint32
+	seen := false
+	return func(p *wire.Packet) bool {
+		switch {
+		case !seen && p.Eth.Dst == host && p.BTH.OpCode.IsWrite() && write(p):
+			psn, seen = p.BTH.PSN, true
+		case seen && p.Eth.Src == host && p.BTH.OpCode == wire.OpAcknowledge && p.BTH.PSN == psn:
+			return true
 		}
+		return false
+	}
+}
+
+// TestStuckOpRecoversWithinBound loses, in each row, one frame that only the
+// data-plane timeout can see: the switch NAKs nothing, and nothing follows a
+// lost frame toward a host on its QP, so no host NAKs either.
+// Every queue's progress stamp moves at least once per probe while it has
+// nothing outstanding, so the stuck queue's stamp is at most one probe older
+// than the loss, and recovery must start within 1.5 × Timeout of it
+// (scheduling slack included). Then the operation must complete with the
+// right data, and the resync must restamp every queue: one more Timeout
+// passes without a second recovery.
+func TestStuckOpRecoversWithinBound(t *testing.T) {
+	const length = 256
+	old, data := bytes.Repeat([]byte{0x3C}, length), bytes.Repeat([]byte{0xC3}, length)
+	rows := []struct {
+		name  string
+		lose  func(env *instanceEnv) func(p *wire.Packet) bool
+		write bool // the stuck operation is a write, else a read
+		idle  bool // the operation is issued only after the recovery
+		peer  bool // queue 1 of the same instance runs a closed loop throughout
+	}{
+		{name: "switch→pool read request", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return func(p *wire.Packet) bool {
+				return p.Eth.Dst == env.pool.NIC().MAC() && p.BTH.OpCode == wire.OpReadRequest
+			}
+		}},
+		{name: "pool→switch read response", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return func(p *wire.Packet) bool {
+				return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode.IsReadResponse()
+			}
+		}},
+		{name: "compute→switch probe response on an idle queue", idle: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return func(p *wire.Packet) bool {
+				return p.Eth.Src == env.compute.MAC() && p.BTH.OpCode.IsReadResponse() && len(p.Payload) == rings.GreenSize
+			}
+		}},
+		{name: "compute→switch metadata response", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return func(p *wire.Packet) bool {
+				return p.Eth.Src == env.compute.MAC() && p.BTH.OpCode.IsReadResponse() && len(p.Payload) == rings.MetaEntrySize
+			}
+		}},
+		{name: "pool→switch write ACK", write: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return func(p *wire.Packet) bool {
+				return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode == wire.OpAcknowledge
+			}
+		}},
+		{name: "compute→switch ACK of a response write", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return ackOf(env.compute.MAC(), func(p *wire.Packet) bool { return len(p.Payload) == length })
+		}},
+		// Queue 1's completions must not hide queue 0's stuck read, as one
+		// stamp per instance would.
+		{name: "two queues, queue 0's pool read response", peer: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+			return func(p *wire.Packet) bool {
+				return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode.IsReadResponse() &&
+					len(p.Payload) > 0 && p.Payload[0] == old[0]
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Timeout = 200 * time.Millisecond
+			threads := 1
+			if row.peer {
+				threads = 2
+			}
+			eng, envs := newMultiInstanceCfg(t, 1, threads, cfg)
+			env := envs[0]
+			th, _ := env.client.Thread(0)
+			if err := th.WriteSync(0, old, 4096, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			peerReads := new(atomic.Int64)
+			if row.peer {
+				peerReads = startPeerLoop(t, env)
+			}
+
+			lostAt := loseOnce(eng, row.lose(env))
+			op := func() error {
+				want := old
+				if row.write {
+					if err := th.WriteSync(0, data, 4096, 10*time.Second); err != nil {
+						return err
+					}
+					want = data
+				}
+				dest := make([]byte, length)
+				if err := th.ReadSync(0, 4096, dest, 10*time.Second); err != nil {
+					return err
+				}
+				if !bytes.Equal(dest, want) {
+					return errors.New("wrong data after recovery")
+				}
+				return nil
+			}
+			done := make(chan error, 1)
+			if !row.idle {
+				go func() { done <- op() }()
+			}
+			armed := peerReads.Load()
+
+			deadline := time.Now().Add(10 * time.Second)
+			for eng.Stats().Recoveries == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the stuck exchange never triggered a recovery")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if lostAt.Load() == 0 {
+				t.Fatal("a recovery began before anything was lost")
+			}
+			if took := time.Since(time.Unix(0, lostAt.Load())); took > cfg.Timeout*3/2 {
+				t.Fatalf("recovery began %v after the loss, want within 1.5 x %v", took, cfg.Timeout)
+			}
+			if st := eng.Stats(); st.NAKs != 0 {
+				t.Fatalf("recovery came from a NAK, not the timeout: %+v", st)
+			}
+			if row.peer && peerReads.Load() == armed {
+				t.Fatal("queue 1 made no progress while queue 0 was stuck: the row tests nothing")
+			}
+			if row.idle {
+				go func() { done <- op() }()
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(cfg.Timeout)
+			if n := eng.Stats().Recoveries; n != 1 {
+				t.Fatalf("%d recoveries, want 1: the resync did not restamp every queue", n)
+			}
+		})
+	}
+}
+
+// startPeerLoop runs queue 1 of env's instance as a closed loop of reads of a
+// block of its own, checking every read, until the test ends; it returns the
+// loop's read count once the loop is under way.
+func startPeerLoop(t *testing.T, env *instanceEnv) *atomic.Int64 {
+	peer, _ := env.client.Thread(1)
+	block := bytes.Repeat([]byte{0x5A}, 256)
+	if err := peer.WriteSync(0, block, 8192, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reads := new(atomic.Int64)
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		dest := make([]byte, len(block))
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := peer.ReadSync(0, 8192, dest, 10*time.Second); err != nil {
+				done <- err
+				return
+			}
+			if !bytes.Equal(dest, block) {
+				done <- errors.New("queue 1 read wrong data")
+				return
+			}
+			reads.Add(1)
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
+	for reads.Load() < 16 {
 		time.Sleep(time.Millisecond)
 	}
-	if took := time.Since(time.Unix(0, lostAt.Load())); took > cfg.Timeout*3/2 {
-		t.Fatalf("recovery began %v after the loss, want within 1.5 x %v", took, cfg.Timeout)
+	return reads
+}
+
+// TestLostRedAckNeedsNoRecovery: nothing waits on a red write's ACK, so
+// losing one must start no recovery, and later operations complete.
+func TestLostRedAckNeedsNoRecovery(t *testing.T) {
+	cfg := testConfig()
+	eng, envs := newMultiInstanceCfg(t, 1, 1, cfg)
+	env := envs[0]
+	th, _ := env.client.Thread(0)
+	lostAt := loseOnce(eng, ackOf(env.compute.MAC(), func(p *wire.Packet) bool { return len(p.Payload) == rings.RedSize }))
+	data := bytes.Repeat([]byte{0x77}, 256)
+	if err := th.WriteSync(0, data, 0, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if st := eng.Stats(); st.NAKs != 0 {
-		t.Fatalf("recovery came from a NAK, not the timeout scan: %+v", st)
+	time.Sleep(3 * cfg.Timeout)
+	if lostAt.Load() == 0 {
+		t.Fatal("no red write's ACK was lost")
 	}
-	if err := <-read; err != nil {
-		t.Fatalf("read after recovery: %v", err)
+	if st := eng.Stats(); st.Recoveries != 0 {
+		t.Fatalf("a lost red-write ACK started %d recoveries: %+v", st.Recoveries, st)
 	}
-	if !bytes.Equal(dest, data) {
-		t.Fatal("read returned wrong data after recovery")
+	dest := make([]byte, len(data))
+	for i := 1; i <= 8; i++ {
+		data[0] = byte(i)
+		if err := th.WriteSync(0, data, uint64(i)*256, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := th.ReadSync(0, uint64(i)*256, dest, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dest, data) {
+			t.Fatalf("operation %d read wrong data", i)
+		}
 	}
 }
 

@@ -39,11 +39,12 @@ func TestStopWithoutRun(t *testing.T) {
 // while its probes find work. Once traffic stops it may spend its miss
 // budget and must then fall back to one tick per ProbeInterval — an idle
 // switch that kept yielding would probe tens of thousands of times in the
-// window below.
+// window below. Nothing is lost, so nothing may time out: an idle queue's
+// probes are its only exchanges, and each one moves its progress stamp.
 func TestGeneratorCoolsWhenIdle(t *testing.T) {
 	cfg := testConfig()
 	cfg.ProbeInterval = time.Millisecond
-	eng, envs := newMultiInstanceCfg(t, 1, cfg)
+	eng, envs := newMultiInstanceCfg(t, 1, 1, cfg)
 	th, _ := envs[0].client.Thread(0)
 	data := bytes.Repeat([]byte{0x6B}, 64)
 	dest := make([]byte, 64)
@@ -61,6 +62,9 @@ func TestGeneratorCoolsWhenIdle(t *testing.T) {
 	if bound := int64(hotMisses) + int64(elapsed/cfg.ProbeInterval) + 1; probes > bound {
 		t.Fatalf("%d probes in %v of idleness, want at most %d (miss budget %d + one per %v)",
 			probes, elapsed, bound, hotMisses, cfg.ProbeInterval)
+	}
+	if n := eng.Stats().Recoveries; n != 0 {
+		t.Fatalf("%d recoveries without a loss", n)
 	}
 }
 

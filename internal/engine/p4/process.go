@@ -170,7 +170,7 @@ func (e *Engine) onProbeResponse(in *inst, op *pendingOp, p *wire.Packet) {
 	q.fetchOutstanding = true
 	psn := e.allocPSNs(&in.compPSN, 1)
 	fop := e.getOp()
-	*fop = pendingOp{created: e.now, kind: opMetaResp, q: q, firstPSN: psn, npkts: 1}
+	*fop = pendingOp{kind: opMetaResp, q: q, firstPSN: psn, npkts: 1}
 	in.pendingComp[key(psn)] = fop
 	e.stats.packetsRecycled.Add(1)
 	e.emit(e.buildRead(in, true, psn,
@@ -242,7 +242,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 		npkts := e.npktsFor(r.entry.Length)
 		psn := e.allocPSNs(&in.poolPSN, npkts)
 		op := e.getOp()
-		*op = pendingOp{created: e.now, kind: opReadData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
+		*op = pendingOp{kind: opReadData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
 		for i := 0; i < npkts; i++ {
 			in.pendingPool[key(psn+uint32(i))] = op
 		}
@@ -256,7 +256,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 	npkts := e.npktsFor(r.entry.Length)
 	psn := e.allocPSNs(&in.compPSN, npkts)
 	op := e.getOp()
-	*op = pendingOp{created: e.now, kind: opWriteData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
+	*op = pendingOp{kind: opWriteData, q: r.q, req: r, firstPSN: psn, npkts: npkts, totalLen: r.entry.Length}
 	for i := 0; i < npkts; i++ {
 		in.pendingComp[key(psn+uint32(i))] = op
 	}
@@ -290,7 +290,7 @@ func (e *Engine) onReadData(in *inst, op *pendingOp, p *wire.Packet) {
 	last := idx == op.npkts-1
 	if last {
 		aop := e.getOp()
-		*aop = pendingOp{created: e.now, kind: opRespAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
+		*aop = pendingOp{kind: opRespAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
 		in.pendingComp[key(outPSN)] = aop
 	}
 	var reth wire.RETH
@@ -332,7 +332,7 @@ func (e *Engine) onWriteData(in *inst, op *pendingOp, p *wire.Packet) {
 	}
 	if last {
 		aop := e.getOp()
-		*aop = pendingOp{created: e.now, kind: opWriteAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
+		*aop = pendingOp{kind: opWriteAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
 		in.pendingPool[key(outPSN)] = aop
 	}
 	e.stats.packetsRecycled.Add(1)
@@ -404,15 +404,16 @@ func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 	e.putOp(op)
 }
 
-// complete counts one completion in the queue's Phase IV register and
-// recycles its ACK into the red write only if it leaves no request of the
-// queue in flight, or is the MTU/MetaEntrySize-th completion since the last
-// red write (so a queue that never drains still publishes). Any other
-// completion's ACK is consumed: the red block carries absolute heads and
-// counters, so the next red write subsumes it — one red write per drained
-// batch, as spot publishes one per round. A deviation from the paper, which
-// recycles every ACK (DESIGN.md §16).
+// complete moves the queue's progress stamp, counts one completion in its
+// Phase IV register, and recycles its ACK into the red write only if it
+// leaves no request of the queue in flight, or is the MTU/MetaEntrySize-th
+// completion since the last red write (so a queue that never drains still
+// publishes). Any other completion's ACK is consumed: the red block carries
+// absolute heads and counters, so the next red write subsumes it — one red
+// write per drained batch, as spot publishes one per round. A deviation from
+// the paper, which recycles every ACK (DESIGN.md §16).
 func (e *Engine) complete(in *inst, q *queueState) {
+	q.since = e.now
 	q.open--
 	q.sinceRed++
 	if q.open == 0 || q.sinceRed >= e.cfg.MTU/rings.MetaEntrySize {
@@ -452,12 +453,12 @@ func (e *Engine) retireWrites(q *queueState) {
 
 // redWrite emits the Phase IV bookkeeping update: one RDMA write covering
 // the whole packed red block (head pointers, both progress counters, and
-// the lease heartbeat), §5.2 Phase IV.
+// the lease heartbeat), §5.2 Phase IV. Nothing waits on its ACK, which
+// handleAck finds in no pending table and drops: a lost red write is NAKed
+// by the compute node at the next probe on the same QP, and finishResync
+// republishes the block.
 func (e *Engine) redWrite(in *inst, q *queueState) {
 	psn := e.allocPSNs(&in.compPSN, 1)
-	op := e.getOp()
-	*op = pendingOp{created: e.now, kind: opRedAck, q: q, firstPSN: psn, npkts: 1}
-	in.pendingComp[key(psn)] = op
 	q.sinceRed = 0
 	q.red.Heartbeat++
 	rings.EncodeRed(q.red, e.redBuf[:])

@@ -151,20 +151,18 @@ func Pipeline() []StageSpec {
 			VLIW: 4, // + recycle-or-consume on the register's output
 		},
 		{
-			// §5.3 recovery, as Process keeps it: every in-flight exchange's
-			// issue time on the engine clock (pendingOp.created, 32-bit ns —
-			// ages are compared modulo 4.3 s, far above any Timeout), each
+			// §5.3 recovery, as Process keeps it: every queue's progress
+			// stamp on the engine clock (queueState.since, 32-bit ns —
+			// compared modulo 4.3 s, far above any Timeout), each
 			// instance's state and drain deadline (inst.state, drainUntil),
-			// its backlog of requests to re-issue (inst.backlog; the resync
-			// window's in-flight count is the sum of its queues'
-			// phase4_open), and the generator's next scan of the pending
-			// table (Engine.nextScan).
+			// and its backlog of requests to re-issue (inst.backlog; the
+			// resync window's in-flight count is the sum of its queues'
+			// phase4_open).
 			Name: "timeout_gbn",
 			Registers: []RegisterSpec{
-				{Name: "ctx_issued_at", Entries: 81920, WidthBits: 32},
+				{Name: "queue_progress", Entries: maxInstances * 16, WidthBits: 32},
 				{Name: "recovery_state", Entries: maxInstances, WidthBits: 64},
 				{Name: "resync_backlog", Entries: maxInstances, WidthBits: 16},
-				{Name: "next_scan", Entries: 1, WidthBits: 48},
 			},
 			VLIW: 3,
 		},

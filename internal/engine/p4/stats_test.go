@@ -94,7 +94,7 @@ func TestServiceTimeSampled(t *testing.T) {
 	hub := telemetry.New(telemetry.Config{SampleEvery: 1})
 	cfg := testConfig()
 	cfg.Telemetry = hub
-	_, envs := newMultiInstanceCfg(t, 1, cfg)
+	_, envs := newMultiInstanceCfg(t, 1, 1, cfg)
 	th, _ := envs[0].client.Thread(0)
 	data := bytes.Repeat([]byte{0xC3}, 64)
 	const rounds = 5

@@ -99,15 +99,6 @@ func (b *cowbirdBackend) engineLoop(p *sim.Proc, q *sim.Queue[cbReq]) {
 			[]hop{{&c.compNICrx, c.msgGap}},
 			c.hopsC2E(32),
 		)
-		if c.cfg.SplitBookkeeping {
-			// R3 ablation: the tail pointers live in separate blocks, so
-			// the probe needs a second read round trip.
-			probe = concat(probe,
-				c.hopsE2C(0, b.p4),
-				[]hop{{&c.compNICrx, c.msgGap}},
-				c.hopsC2E(32),
-			)
-		}
 		c.probeMode = false
 		c.await(p, probe)
 		if q.Len() == 0 {

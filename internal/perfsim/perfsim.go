@@ -106,10 +106,6 @@ type Config struct {
 	// (rare under uniform workloads), modeled as no stall. Used by the
 	// pause-rule ablation.
 	PauseAllReads bool
-	// SplitBookkeeping models the R3 ablation: bookkeeping is NOT packed
-	// into one contiguous block, so probes and completion updates take two
-	// RDMA messages instead of one.
-	SplitBookkeeping bool
 	// ExtraThreads are framework threads sharing the cores (Redy I/O).
 	ExtraThreads int
 	Model        cpumodel.Model
