@@ -164,7 +164,6 @@ func newHostSim(t *testing.T) *hostSim {
 		ProbeInterval: time.Hour, // unused: the test injects ticks itself
 		Timeout:       time.Hour, // recovery must never trigger mid-gate
 		MTU:           1024,
-		DataTOS:       8,
 	})
 	const baseVA = 0x10_0000
 	info := &core.Instance{

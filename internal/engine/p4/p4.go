@@ -51,6 +51,10 @@ const (
 	// switchQPNBase is the first emulated QPN; instances take consecutive
 	// pairs (compute, pool).
 	switchQPNBase uint32 = 0x8000
+	// probeTOS and dataTOS are the DSCP priority markings: probes travel at
+	// the lowest priority so they ride idle network cycles (§5.2).
+	probeTOS uint8 = 0x00
+	dataTOS  uint8 = 0x08
 )
 
 // Config tunes the engine.
@@ -61,12 +65,10 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Timeout is the data-plane timeout driving Go-Back-N recovery (§5.3).
 	Timeout time.Duration
-	// MTU must match the host NICs' RDMA MTU.
+	// MTU must match the host NICs' RDMA MTU: the engine counts PSNs at
+	// this MTU while the hosts segment at theirs. system.New sets it from
+	// the deployment's NIC config.
 	MTU int
-	// ProbeTOS and DataTOS are the DSCP priority markings: probes travel
-	// at the lowest priority so they ride idle network cycles (§5.2).
-	ProbeTOS uint8
-	DataTOS  uint8
 	// Telemetry, when non-nil, samples request service time (metadata fetch
 	// to Phase IV completion) into the stage histograms. Nil costs one
 	// pointer check per request.
@@ -79,8 +81,6 @@ func DefaultConfig() Config {
 		ProbeInterval: 20 * time.Microsecond,
 		Timeout:       20 * time.Millisecond,
 		MTU:           1024,
-		ProbeTOS:      0x00,
-		DataTOS:       0x08,
 	}
 }
 
@@ -530,7 +530,7 @@ func (e *Engine) nextProbe(t *instTable) {
 		*op = pendingOp{kind: opProbeResp, q: q, firstPSN: psn, npkts: 1}
 		in.pendingComp[key(psn)] = op
 		e.stats.probesSent.Add(1)
-		e.emit(e.buildRead(in, true, psn, q.qi.BaseVA+uint64(q.qi.Layout.GreenOffset()), q.qi.RKey, rings.GreenSize, e.cfg.ProbeTOS))
+		e.emit(e.buildRead(in, true, psn, q.qi.BaseVA+uint64(q.qi.Layout.GreenOffset()), q.qi.RKey, rings.GreenSize, probeTOS))
 		return
 	}
 	e.miss()

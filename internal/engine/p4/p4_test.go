@@ -86,7 +86,6 @@ func testConfig() Config {
 		ProbeInterval: 2 * time.Microsecond,
 		Timeout:       50 * time.Millisecond,
 		MTU:           1024,
-		DataTOS:       8,
 	}
 }
 

@@ -175,7 +175,7 @@ func (e *Engine) onProbeResponse(in *inst, op *pendingOp, p *wire.Packet) {
 	e.stats.packetsRecycled.Add(1)
 	e.emit(e.buildRead(in, true, psn,
 		q.qi.BaseVA+uint64(q.qi.Layout.MetaOffset(h0)), q.qi.RKey,
-		uint32(count*rings.MetaEntrySize), e.cfg.DataTOS))
+		uint32(count*rings.MetaEntrySize), dataTOS))
 }
 
 // onMetadata parses fetched request metadata and enters Phase III for each
@@ -248,7 +248,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 		}
 		r.issued = true
 		r.q.open++
-		e.emit(e.buildRead(in, false, psn, r.entry.ReqAddr, r.region.RKey, r.entry.Length, e.cfg.DataTOS))
+		e.emit(e.buildRead(in, false, psn, r.entry.ReqAddr, r.region.RKey, r.entry.Length, dataTOS))
 		return
 	}
 	// Write: Step 1b — fetch the to-be-written data from the compute node.
@@ -262,7 +262,7 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 	}
 	r.issued = true
 	r.q.open++
-	e.emit(e.buildRead(in, true, psn, r.entry.ReqAddr, r.q.qi.RKey, r.entry.Length, e.cfg.DataTOS))
+	e.emit(e.buildRead(in, true, psn, r.entry.ReqAddr, r.q.qi.RKey, r.entry.Length, dataTOS))
 }
 
 // onReadData is Phase III Step 2a: a read response from the memory pool is
@@ -299,7 +299,7 @@ func (e *Engine) onReadData(in *inst, op *pendingOp, p *wire.Packet) {
 		reth = wire.RETH{VA: r.entry.RespAddr, RKey: op.q.qi.RKey, DMALen: op.totalLen}
 	}
 	e.stats.packetsRecycled.Add(1)
-	e.emit(e.buildWrite(in, true, outOp, outPSN, reth, hasRETH, p.Payload, last, e.cfg.DataTOS))
+	e.emit(e.buildWrite(in, true, outOp, outPSN, reth, hasRETH, p.Payload, last, dataTOS))
 }
 
 // onWriteData is Phase III Step 2b: the fetched to-be-written payload from
@@ -336,7 +336,7 @@ func (e *Engine) onWriteData(in *inst, op *pendingOp, p *wire.Packet) {
 		in.pendingPool[key(outPSN)] = aop
 	}
 	e.stats.packetsRecycled.Add(1)
-	e.emit(e.buildWrite(in, false, outOp, outPSN, reth, hasRETH, p.Payload, last, e.cfg.DataTOS))
+	e.emit(e.buildWrite(in, false, outOp, outPSN, reth, hasRETH, p.Payload, last, dataTOS))
 	if last {
 		// The payload is fully fetched: the client's request-data ring
 		// space is reclaimable (client and switch run the same reservation
@@ -466,7 +466,7 @@ func (e *Engine) redWrite(in *inst, q *queueState) {
 	e.stats.packetsRecycled.Add(1)
 	e.emit(e.buildWrite(in, true, wire.OpWriteOnly, psn,
 		wire.RETH{VA: q.qi.BaseVA + uint64(q.qi.Layout.RedOffset()), RKey: q.qi.RKey, DMALen: rings.RedSize},
-		true, e.redBuf[:], true, e.cfg.DataTOS))
+		true, e.redBuf[:], true, dataTOS))
 }
 
 // --- frame construction ----------------------------------------------------

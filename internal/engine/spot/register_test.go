@@ -36,7 +36,7 @@ func TestRegisterRejections(t *testing.T) {
 	noSendCQ.SendCQ = nil
 	onePoolQP.Pools = onePoolQP.Pools[:1]
 
-	base := Registration{Instance: in, Pools: pools, Queues: []QueueEndpoints{endpoint(), endpoint()}, Homes: [][]int{{0}, {0, 1}}}
+	base := Registration{Instance: in, Pools: pools, Queues: []QueueEndpoints{endpoint(), endpoint()}}
 	with := func(mutate func(*Registration)) Registration {
 		r := base
 		mutate(&r)
@@ -59,18 +59,14 @@ func TestRegisterRejections(t *testing.T) {
 		{"queue with a nil send CQ",
 			with(func(r *Registration) { r.Queues = []QueueEndpoints{noSendCQ, endpoint()} }),
 			"queue 0 endpoints incomplete"},
-		{"region with no home entry",
-			with(func(r *Registration) { r.Homes = [][]int{{0}} }),
-			"region 1 has no home entry"},
-		{"empty home list",
-			with(func(r *Registration) { r.Homes = [][]int{{0}, {}} }),
-			"region 1 has no home replica"},
-		{"home index out of range",
-			with(func(r *Registration) { r.Homes = [][]int{{0}, {2}} }),
-			"region 1 home 2 out of range"},
-		{"home that lacks the region",
-			with(func(r *Registration) { r.Homes = [][]int{{1}, {1}} }),
-			"replica 1 does not host region 0"},
+		{"no pool hosts region 0",
+			with(func(r *Registration) { r.Pools = []PoolReplica{{Regions: in.Regions[1:]}, {Regions: in.Regions[1:]}} }),
+			"no pool hosts region 0"},
+		{"pool hosts no region of the instance",
+			with(func(r *Registration) {
+				r.Pools = []PoolReplica{{Regions: in.Regions}, {Regions: []core.RegionInfo{{ID: 5, Size: 4096}}}}
+			}),
+			"pool 1 hosts no region of the instance"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := eng.Register(tc.reg)

@@ -19,13 +19,25 @@ type repHarness struct {
 	pools  []*memnode.Node
 }
 
-// wireReplicated builds an engine serving one instance backed by nreps pool
-// replicas, every QP on the NIC's default retry budget: each QP's RTO follows
-// its own measured round trips, so a scheduler stall does not read as a dead
-// replica, and a crashed one is declared dead within MaxRetries+2 RTOs.
-// Replicas beyond the first host region 0 at a shifted base so the test
-// exercises per-replica address translation, not just QP fan-out.
+// wireReplicated builds an engine serving one instance whose region 0 is
+// mirrored on nreps pool replicas (wirePools).
 func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
+	hosts := make([][]uint16, nreps)
+	for r := range hosts {
+		hosts[r] = []uint16{0}
+	}
+	return wirePools(t, cfg, hosts...)
+}
+
+// wirePools builds an engine serving one instance over len(hosts) pool
+// nodes, node r hosting the 1 MiB regions hosts[r] lists, every QP on the
+// NIC's default retry budget: each QP's RTO follows its own measured round
+// trips, so a scheduler stall does not read as a dead replica, and a crashed
+// one is declared dead within MaxRetries+2 RTOs. Nodes beyond the first
+// place their regions at a shifted base so the test exercises per-replica
+// address translation, not just QP fan-out. The client addresses each
+// region's first copy.
+func wirePools(t *testing.T, cfg Config, hosts ...[]uint16) *repHarness {
 	t.Helper()
 	f := rdma.NewFabric()
 	t.Cleanup(f.Close)
@@ -47,24 +59,30 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	h := &repHarness{eng: eng, client: client}
 	var reps []PoolReplica
 	var poolNICs []*rdma.NIC
-	for r := 0; r < nreps; r++ {
+	registered := make(map[uint16]bool)
+	for r, ids := range hosts {
 		pool := memnode.New(f, wire.MAC{2, 0xAA, 4, 2, 0, byte(r)}, wire.IPv4Addr{10, 7, 4, 2 + byte(r)}, rdma.DefaultConfig())
 		t.Cleanup(pool.Close)
 		if r > 0 {
-			// Skew this replica's VA space so region 0 sits at a different
-			// base than the primary's copy.
+			// Skew this node's VA space so its regions sit at a different
+			// base than the first node's copies.
 			if _, err := pool.AllocRegion(99, 4096*(r+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		region, err := pool.AllocRegion(0, 1<<20)
-		if err != nil {
-			t.Fatal(err)
+		var regions []core.RegionInfo
+		for _, id := range ids {
+			region, err := pool.AllocRegion(id, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !registered[id] {
+				client.RegisterRegion(region)
+				registered[id] = true
+			}
+			regions = append(regions, region)
 		}
-		if r == 0 {
-			client.RegisterRegion(region)
-		}
-		reps = append(reps, PoolReplica{Regions: []core.RegionInfo{region}})
+		reps = append(reps, PoolReplica{Regions: regions})
 		h.pools = append(h.pools, pool)
 		poolNICs = append(poolNICs, pool.NIC())
 	}
@@ -166,7 +184,7 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 }
 
 // TestIdlePrimaryDeathDetectedByHeartbeat: with no client traffic at all,
-// the paced liveness READs notice a dead primary and rotate, so the first
+// the paced liveness READs notice a dead primary and fail over, so the first
 // read after a long idle period doesn't eat the detection latency.
 func TestIdlePrimaryDeathDetectedByHeartbeat(t *testing.T) {
 	cfg := DefaultConfig()
@@ -230,5 +248,28 @@ func TestReplicatedOneWorker(t *testing.T) {
 	}
 	if !h.eng.PoolDegraded() {
 		t.Fatal("PoolDegraded should be true")
+	}
+}
+
+// TestPlacedHeartbeatCoversEveryPool: with each region placed on a pool of
+// its own and no traffic at all, the paced liveness READs reach every pool —
+// each reads a region that pool hosts — so the idle death of a pool that
+// does not host region 0 is detected. It moves no READs: pool 1 was region
+// 1's only home.
+func TestPlacedHeartbeatCoversEveryPool(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PoolHeartbeatInterval = time.Millisecond
+	h := wirePools(t, cfg, []uint16{0}, []uint16{1})
+
+	h.pools[1].Crash()
+	deadline := time.Now().Add(3 * time.Second)
+	for !h.eng.PoolDegraded() {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool 1's death went undetected after %d heartbeats", h.eng.Stats().PoolHeartbeats)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := h.eng.Stats().PoolFailovers; n != 0 {
+		t.Fatalf("PoolFailovers = %d, want 0 (no region's READs moved)", n)
 	}
 }

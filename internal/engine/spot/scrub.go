@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"cowbird/internal/core"
@@ -13,14 +14,14 @@ import (
 
 // Replica scrub & read-repair (DESIGN.md §14).
 //
-// Mirrored Stage B writes keep replicas identical while the engine is
-// healthy, but a zombie writer racing its own fencing, a replica that missed
+// Stage B writes keep a region's homes identical while the engine is
+// healthy, but a zombie writer racing its own fencing, a home that missed
 // writes while partitioned, or plain bit rot can leave copies divergent —
 // and nothing on the serve path would ever notice, because READs only touch
-// the primary. The scrubber closes that gap: it walks every replicated
-// region chunk by chunk, compares CRC-32C checksums across live replicas
-// (the same Castagnoli machinery as the wire ICRC), and repairs divergent
-// chunks from the fencing-current primary.
+// the region's first live home. The scrubber closes that gap: it walks
+// every region with at least two live homes chunk by chunk, compares
+// CRC-32C checksums across those homes (the same Castagnoli machinery as
+// the wire ICRC), and repairs divergent chunks from the first live home.
 //
 // A pass runs on the control goroutine and the control shard, over the QPs
 // of the instance's first queue set, whose worker it holds off with the
@@ -35,12 +36,12 @@ import (
 //	        the barrier — before the chunk is marked divergent. Marked
 //	        chunks are visible to the serve path immediately: a READ
 //	        straddling one is served with read-repair (serveBatch pushes
-//	        the primary's just-staged bytes to the lagging replicas in the
-//	        same round).
+//	        the first live home's just-staged bytes to the region's other
+//	        live homes in the same round).
 //	repair: confirmed-divergent chunks are re-verified and rewritten from
-//	        the primary under one barrier for the whole finding set, so a
-//	        repair can never interleave with a mirrored write and clobber a
-//	        newer acked byte with an older primary snapshot.
+//	        the first live home under one barrier for the whole finding
+//	        set, so a repair can never interleave with a mirrored write and
+//	        clobber a newer acked byte with an older snapshot.
 type scrubFinding struct {
 	key divKey
 	reg core.RegionInfo
@@ -52,10 +53,10 @@ type scrubFinding struct {
 // phase, long enough for an in-flight mirrored write's slower copy to land.
 const scrubSettle = 200 * time.Microsecond
 
-// ScrubPass runs one synchronous scrub pass over every replicated instance
-// and returns the first terminal error (engine fenced, preempted, stopped).
-// Replica failures discovered mid-scrub are routed through the normal
-// failure detector (replica marked dead, primary rotated) and end the pass
+// ScrubPass runs one synchronous scrub pass over every instance and returns
+// the first terminal error (engine fenced, preempted, stopped). Replica
+// failures discovered mid-scrub are routed through the normal failure
+// detector (markReplicaDead) and end the pass
 // without error. Passes run on the control goroutine, so they are
 // serialized with each other and with registration; tests and the
 // split-brain sweep call this directly for a deterministic "scrub now".
@@ -72,20 +73,19 @@ func (e *Engine) ScrubPass() error {
 	return err
 }
 
-// scrubInstance runs the detect and repair phases for one instance.
-// Composed (fleet-placed) instances are skipped: their regions live on
-// distinct memnodes rather than as fleet-wide mirrors, so cross-replica
-// checksum comparison would compare unrelated stripes.
+// scrubInstance runs the detect and repair phases for one instance, over
+// the regions that have a copy to compare: two or more live homes.
 func (e *Engine) scrubInstance(inst *instance) error {
-	if inst.homes != nil || e.liveReplicas(inst) < 2 || len(inst.info.Regions) == 0 {
-		return nil
-	}
 	c := inst.queues[0].conn
 	chunk := uint64(e.scrubChunk)
 
 	// Detect.
 	var found []scrubFinding
 	for _, reg := range inst.info.Regions {
+		h := inst.homes[reg.ID]
+		if i := slices.IndexFunc(h, inst.live); i < 0 || !slices.ContainsFunc(h[i+1:], inst.live) {
+			continue
+		}
 		for off := uint64(0); off < reg.Size; off += chunk {
 			n := chunk
 			if off+n > reg.Size {
@@ -124,19 +124,8 @@ func (e *Engine) scrubInstance(inst *instance) error {
 	return nil
 }
 
-// liveReplicas counts the instance's not-dead replicas.
-func (e *Engine) liveReplicas(inst *instance) int {
-	live := 0
-	for _, r := range inst.replicas {
-		if !r.dead.Load() {
-			live++
-		}
-	}
-	return live
-}
-
 // scrubFailure classifies a scrub I/O error: terminal demotion signals
-// propagate, a replica failure is recorded (dead + primary rotation) and
+// propagate, a replica failure is recorded (markReplicaDead) and
 // swallowed — the pass ends, the next one scrubs the survivors.
 func (e *Engine) scrubFailure(inst *instance, c conn, err error) error {
 	if isFencedFailure(err) {
@@ -150,7 +139,7 @@ func (e *Engine) scrubFailure(inst *instance, c conn, err error) error {
 	return nil
 }
 
-// detectChunk compares the chunk's checksum across live replicas, each
+// detectChunk compares the chunk's checksum across reg's live homes, each
 // comparison under its own barrier, with a settle re-check outside it to
 // filter in-flight mirror skew. It reports whether the chunk is persistently
 // divergent.
@@ -170,7 +159,7 @@ func (e *Engine) detectChunk(c conn, inst *instance, reg core.RegionInfo, off ui
 	}
 }
 
-// chunkSumsEqual reads the chunk from every live replica (sequentially,
+// chunkSumsEqual reads the chunk from every live home of reg (sequentially,
 // into one reused arena buffer) and reports whether all CRC-32C checksums
 // match.
 func (e *Engine) chunkSumsEqual(c conn, inst *instance, reg core.RegionInfo, off uint64, n uint32) (bool, error) {
@@ -181,8 +170,8 @@ func (e *Engine) chunkSumsEqual(c conn, inst *instance, reg core.RegionInfo, off
 	}
 	var sum uint32
 	first := true
-	for ri, r := range inst.replicas {
-		if r.dead.Load() {
+	for _, ri := range inst.homes[reg.ID] {
+		if !inst.live(ri) {
 			continue
 		}
 		if err := e.readReplicaChunk(c, inst, ri, reg, off, va, n); err != nil {
@@ -199,11 +188,11 @@ func (e *Engine) chunkSumsEqual(c conn, inst *instance, reg core.RegionInfo, off
 }
 
 // repairChunk re-verifies the chunk byte-for-byte under the caller's
-// barrier and rewrites any still-divergent replica from the fencing-current
-// primary. Returns how many replicas were repaired.
+// barrier and rewrites any still-divergent live home of reg from its first
+// live home. Returns how many homes were repaired.
 func (e *Engine) repairChunk(c conn, inst *instance, reg core.RegionInfo, off uint64, n uint32) (int, error) {
-	pi := int(inst.primary.Load())
-	if inst.replicas[pi].dead.Load() {
+	pi := inst.readReplica(reg.ID)
+	if !inst.live(pi) {
 		return 0, nil // no authoritative copy; nothing safe to repair from
 	}
 	ar := arenaAlloc{s: e.ctl}
@@ -219,8 +208,8 @@ func (e *Engine) repairChunk(c conn, inst *instance, reg core.RegionInfo, off ui
 		return 0, err
 	}
 	repaired := 0
-	for ri, r := range inst.replicas {
-		if ri == pi || r.dead.Load() {
+	for _, ri := range inst.homes[reg.ID] {
+		if ri == pi || !inst.live(ri) {
 			continue
 		}
 		if err := e.readReplicaChunk(c, inst, ri, reg, off, susVA, n); err != nil {

@@ -338,11 +338,9 @@ func overlapsRead(batch []op, o op) bool {
 // the stage now running began; it is advanced as the stages are recorded.
 func (e *Engine) serveBatch(s *shard, inst *instance, q *queueState, batch []op, tStage *time.Time) error {
 	c := &q.conn
-	// Stage A. Pool READs go to the region's read replica — the primary for
-	// a mirrored instance, the region's first live home for a composed
-	// (fleet-placed) one — translated into its copy of the region
-	// (per-replica bases and rkeys may differ); the QP reaching it is the
-	// conn's pool QP of the same index.
+	// Stage A. Pool READs go to the region's first live home, translated
+	// into its copy of the region (per-replica bases and rkeys may differ);
+	// the QP reaching it is the conn's pool QP of the same index.
 	for _, o := range batch {
 		switch o.entry.Type {
 		case rings.OpRead:
@@ -374,17 +372,15 @@ func (e *Engine) serveBatch(s *shard, inst *instance, q *queueState, batch []op,
 	}
 
 	// Stage A′ (read-repair): a READ that straddles a chunk the scrubber has
-	// marked divergent just staged the primary's bytes — push them to every
-	// other live replica in the same round, so the read's answer becomes the
-	// agreed answer without waiting for the scrubber's repair phase. The
-	// writes ride the Stage B completion wait. Only the read's own range is
-	// repaired (it may be a sliver of the chunk), so the divergence mark
-	// stays until the scrubber repairs and clears the full chunk. Steady
-	// state pays one atomic load for this stage. Composed instances skip it:
-	// their regions are single-homed (or home-replicated), never mirrored
-	// fleet-wide, so there is no cross-replica divergence to repair.
-	if inst.homes == nil && inst.divCount.Load() > 0 {
-		pi := int(inst.primary.Load())
+	// marked divergent just staged its region's first live home's bytes —
+	// push them to the region's other live homes in the same round, so the
+	// read's answer becomes the agreed answer without waiting for the
+	// scrubber's repair phase. The writes ride the Stage B completion wait.
+	// Only the read's own range is repaired (it may be a sliver of the
+	// chunk), so the divergence mark stays until the scrubber repairs and
+	// clears the full chunk. Steady state pays one atomic load for this
+	// stage.
+	if inst.divCount.Load() > 0 {
 		chunk := uint32(e.scrubChunk)
 		for _, o := range batch {
 			if o.entry.Type != rings.OpRead {
@@ -393,7 +389,9 @@ func (e *Engine) serveBatch(s *shard, inst *instance, q *queueState, batch []op,
 			if !inst.rangeDivergent(o.entry.RegionID, o.entry.ReqAddr-o.region.Base, uint64(o.entry.Length), chunk) {
 				continue
 			}
-			for ri, r := range inst.replicas {
+			pi := inst.readReplica(o.entry.RegionID)
+			for _, ri := range inst.homes[o.entry.RegionID] {
+				r := inst.replicas[ri]
 				if ri == pi || r.dead.Load() {
 					continue
 				}
@@ -413,19 +411,16 @@ func (e *Engine) serveBatch(s *shard, inst *instance, q *queueState, batch []op,
 		}
 	}
 
-	// Stage B: pool WRITEs go to every live write target of the entry's
-	// region before the red write can publish progress. For a mirrored
-	// instance that is every replica — any survivor holds every acked write
-	// and a post-failover READ observes it. For a composed instance it is
-	// the region's homes from the fleet directory, so writes fan out only
-	// to the memnodes actually hosting the stripe. On an RC QP the per-node
-	// stream stays in entry order, preserving write-write ordering on each
-	// copy independently. next is the red block this batch will publish:
-	// request-data ring space is reclaimed there, not in q.red, because an
-	// abandoned attempt replays Stage A and freeing the same bytes twice
-	// would overshoot the client's reservation cursor and wedge its
-	// ring-full arithmetic for good. Client and engine run the same
-	// reservation function, so the cursor advances identically on both sides.
+	// Stage B: pool WRITEs go to every live home of the entry's region before
+	// the red write can publish progress, so any surviving home holds every
+	// acked write and a post-failover READ observes it. On an RC QP the per-node
+	// stream stays in entry order, preserving write-write ordering on each copy
+	// independently. next is the red block this batch will publish: request-data
+	// ring space is reclaimed there, not in q.red, because an abandoned attempt
+	// replays Stage A and freeing the same bytes twice would overshoot the
+	// client's reservation cursor and wedge its ring-full arithmetic for good.
+	// Client and engine run the same reservation function, so the cursor
+	// advances identically on both sides.
 	next := q.red
 	nwrites := 0
 	for _, o := range batch {
@@ -435,7 +430,7 @@ func (e *Engine) serveBatch(s *shard, inst *instance, q *queueState, batch []op,
 		nwrites++
 		_, next.ReqDataHead = rings.ReserveRing(next.ReqDataHead, o.entry.Length, q.qi.Layout.ReqDataBytes)
 		mirrored := 0
-		for _, ri := range inst.writeTargets(o.entry.RegionID) {
+		for _, ri := range inst.homes[o.entry.RegionID] {
 			r := inst.replicas[ri]
 			if r.dead.Load() {
 				continue

@@ -83,13 +83,14 @@ type Config struct {
 	// worker of its own (Workers = Threads); the fleet runs Workers = 1.
 	Workers int
 	// PoolHeartbeatInterval paces the liveness READs the engine issues to
-	// every pool replica of a mirrored instance (Registration.Pools):
-	// an 8-byte READ of the first region, piggybacked on the serving loop.
-	// A heartbeat that exhausts its Go-Back-N retries marks the replica
-	// dead — the detection path for an idle primary, whose death would
-	// otherwise only surface on the next data-carrying round. Heartbeats
-	// are only sent for instances with more than one replica, so
-	// single-pool deployments see byte-identical traffic.
+	// every pool replica of an instance (Registration.Pools): an 8-byte READ
+	// of the first of the instance's regions that the pool hosts,
+	// piggybacked on the serving loop. A heartbeat that exhausts its
+	// Go-Back-N retries marks the replica dead — the detection path for an
+	// idle pool, whose death would otherwise only surface on the next
+	// data-carrying round. Heartbeats are only sent for instances with more
+	// than one replica, so single-pool deployments see byte-identical
+	// traffic.
 	PoolHeartbeatInterval time.Duration
 	// Telemetry, when non-nil, samples serve-round stage timings (probe,
 	// fetch, execute, publish) 1-in-N rounds per shard and counts rounds
@@ -116,7 +117,7 @@ const (
 	opTimeout = 10 * time.Second
 	// scrubChunk is the scrubber's checksum granularity in bytes, clamped in
 	// New so two chunks always fit the staging arena (the repair path stages
-	// a primary and a suspect copy).
+	// a first live home's copy and a suspect one).
 	scrubChunk = 64 << 10
 )
 
@@ -137,7 +138,7 @@ type Stats struct {
 	RedUpdates      int64 // Phase IV bookkeeping writes (incl. heartbeats)
 	HeartbeatWrites int64 // heartbeat-only red writes (idle lease renewals)
 	PoolHeartbeats  int64 // liveness READs issued to pool replicas
-	PoolFailovers   int64 // primary-replica rotations after a pool death
+	PoolFailovers   int64 // pool deaths that moved some region's READs to another home
 	// ComputePathsDead counts queue sets this engine stopped serving because
 	// the QP it reaches their compute node through went to the error state.
 	ComputePathsDead int64
@@ -145,7 +146,7 @@ type Stats struct {
 	ScrubPasses      int64 // completed full scrub passes
 	ScrubChunks      int64 // chunks checksum-compared across replicas
 	ScrubDivergent   int64 // chunks found (and confirmed) divergent
-	ScrubRepairs     int64 // divergent chunks rewritten from the primary
+	ScrubRepairs     int64 // divergent copies rewritten from their region's first live home
 	ReadRepairs      int64 // serve-path reads that repaired a divergent chunk
 	WorkerYields     int64 // worker passes ended in a yield (a slot served or is hot)
 	WorkerParks      int64 // worker passes ended parked on the worker's timer
@@ -361,15 +362,15 @@ type instance struct {
 	queues  []*queueState
 
 	// Pool replication (§5.3 extension): the instance's regions are backed
-	// by one or more pool nodes. Every WRITE is mirrored to all live
-	// replicas before the red block publishes progress, so any surviving
-	// replica holds every acked write; READs are served from the primary
-	// and fail over when it dies. replicas is immutable after construction;
-	// only the dead flags and the primary index move, so the serve path
-	// reads them without locks. repMu serializes failover rotation.
+	// by one or more pool nodes, and homes[regionID] lists the replica
+	// indices hosting that region, in Registration.Pools order. Every WRITE
+	// goes to all of the region's live homes before the red block publishes
+	// progress, so any surviving home holds every acked write; READs are
+	// served from the region's first live home and move to the next when it
+	// dies. replicas and homes are immutable after construction; only the
+	// dead flags move, so the serve path reads them without locks.
 	replicas []*replica
-	primary  atomic.Int32
-	repMu    sync.Mutex
+	homes    [][]int
 	// nextPoolHB is the unix-nano deadline of the next pool heartbeat;
 	// workers CAS it forward so exactly one of them heartbeats per interval.
 	nextPoolHB atomic.Int64
@@ -382,48 +383,24 @@ type instance struct {
 	divMu     sync.Mutex
 	divergent map[divKey]struct{}
 
-	// homes, when non-nil, composes the instance's address space from
-	// several memnodes instead of mirroring it: homes[regionID] lists the
-	// replica indices hosting that region (Registration.Homes). READs go to
-	// the region's first live home, WRITEs to all of its homes; the
-	// mirror-everything invariants (scrub, read-repair, cross-replica
-	// failover) do not apply. Immutable after construction.
-	homes [][]int
-	// allTargets is the precomputed 0..len(replicas)-1 index list, so the
-	// mirrored (homes == nil) write path iterates the same shape as the
-	// placed path without allocating.
-	allTargets []int
-
 	// qos, when non-nil, is the tenant's rate-limit/fair-share state
 	// (SetTenantQoS). Swapped atomically so a running tenant can be retuned.
 	qos atomic.Pointer[tenantQoSState]
 }
 
-// writeTargets returns the replica indices a WRITE to region must reach:
-// the region's homes for a placed instance, every replica otherwise.
-func (inst *instance) writeTargets(region uint16) []int {
-	if inst.homes != nil {
-		return inst.homes[region]
-	}
-	return inst.allTargets
-}
-
-// readReplica returns the replica index serving READs of region: the
-// fencing-current primary for mirrored instances, the region's first live
-// home for placed ones (falling back to the first home so the round's
-// failure surfaces on the right QP).
+// readReplica returns the replica index serving READs of region: its first
+// live home, or its first home when none is live, so the round's failure
+// surfaces on that home's QP.
 func (inst *instance) readReplica(region uint16) int {
-	if inst.homes == nil {
-		return int(inst.primary.Load())
-	}
 	h := inst.homes[region]
-	for _, ri := range h {
-		if !inst.replicas[ri].dead.Load() {
-			return ri
-		}
+	if i := slices.IndexFunc(h, inst.live); i >= 0 {
+		return h[i]
 	}
 	return h[0]
 }
+
+// live reports whether replica ri has not been declared dead.
+func (inst *instance) live(ri int) bool { return !inst.replicas[ri].dead.Load() }
 
 // divKey names one scrub chunk of one region of an instance.
 type divKey struct {
@@ -479,7 +456,10 @@ func (inst *instance) rangeDivergent(region uint16, off, n uint64, chunk uint32)
 // the node, which every conn to it shares.
 type replica struct {
 	regions *core.RegionTable // dense region-ID-indexed, immutable
-	dead    atomic.Bool
+	// hb is the node's own descriptor of the first instance region it hosts:
+	// what a pool heartbeat reads.
+	hb   core.RegionInfo
+	dead atomic.Bool
 }
 
 // PoolReplica describes one pool node backing an instance: the node's own
@@ -630,27 +610,21 @@ type QueueEndpoints struct {
 // pool nodes, and how its address space is laid out over those nodes.
 type Registration struct {
 	Instance *core.Instance
-	// Pools lists the pool nodes backing the instance. With Homes nil they
-	// are mirrors in priority order, Pools[0] the first primary: every one
-	// must host a copy of every region of the instance (same id and size;
-	// base and rkey may differ per node), every WRITE goes to all live
-	// replicas before progress is published, and READs are served from the
-	// primary, failing over to the next live replica when it dies — detected
-	// by Go-Back-N retry exhaustion on a data op or on a paced heartbeat READ
-	// (Config.PoolHeartbeatInterval).
+	// Pools lists the pool nodes backing the instance, in priority order.
+	// A region's homes are the pools whose Regions list it (same id and size;
+	// base and rkey may differ per node): a region on every pool is mirrored
+	// across all of them, one on a single pool is placed there. Every WRITE
+	// goes to all live homes of its region before progress is published, and
+	// READs are served from the region's first live home, failing over to the
+	// next when it dies — detected by Go-Back-N retry exhaustion on a data op
+	// or on a paced heartbeat READ (Config.PoolHeartbeatInterval). Every
+	// region of the instance needs a home, and every pool must host one.
 	Pools []PoolReplica
 	// Queues brings every queue set its own QPs, one entry per queue of
 	// Instance: required. The queue set's worker posts on them and harvests
 	// their CQ on its own goroutine, so no completion changes hands and no
 	// QP is shared with another queue set.
 	Queues []QueueEndpoints
-	// Homes, when non-nil, composes the address space from the pool nodes
-	// instead of mirroring it across them: Homes[regionID] names the indices
-	// into Pools hosting that region (the fleet directory's placement). READs
-	// and WRITEs of a region go only to its homes; there is no cross-node
-	// mirroring, scrub or read-repair, heartbeat failover still marks dead
-	// nodes.
-	Homes [][]int
 	// Adopt rebuilds the queue state from the durable red blocks instead of
 	// starting from zeroed pointers: the HA takeover and the fleet's
 	// queue-set migration (see readRedBlocks for why the replay is
@@ -676,18 +650,34 @@ func (e *Engine) Register(r Registration) error {
 			return fmt.Errorf("spot: register: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(r.Pools))
 		}
 	}
-	if r.Homes != nil {
-		if err := validateHomes(r.Instance, r.Pools, r.Homes); err != nil {
-			return err
+	inst := &instance{info: r.Instance, regions: core.NewRegionTable(r.Instance.Regions)}
+	for i, pr := range r.Pools {
+		rep := &replica{regions: core.NewRegionTable(pr.Regions)}
+		j := slices.IndexFunc(r.Instance.Regions, func(reg core.RegionInfo) bool {
+			_, ok := rep.regions.Lookup(reg.ID)
+			return ok
+		})
+		if j < 0 {
+			return fmt.Errorf("spot: register: pool %d hosts no region of the instance", i)
+		}
+		rep.hb, _ = rep.regions.Lookup(r.Instance.Regions[j].ID)
+		inst.replicas = append(inst.replicas, rep)
+	}
+	for _, reg := range r.Instance.Regions {
+		for int(reg.ID) >= len(inst.homes) {
+			inst.homes = append(inst.homes, nil)
+		}
+		for i, rep := range inst.replicas {
+			if _, ok := rep.regions.Lookup(reg.ID); ok {
+				inst.homes[reg.ID] = append(inst.homes[reg.ID], i)
+			}
+		}
+		if len(inst.homes[reg.ID]) == 0 {
+			return fmt.Errorf("spot: register: no pool hosts region %d", reg.ID)
 		}
 	}
 	if r.Adopt && e.preempted.Load() {
 		return ErrPreempted
-	}
-	inst := &instance{info: r.Instance, regions: core.NewRegionTable(r.Instance.Regions), homes: r.Homes}
-	for i, pr := range r.Pools {
-		inst.replicas = append(inst.replicas, &replica{regions: core.NewRegionTable(pr.Regions)})
-		inst.allTargets = append(inst.allTargets, i)
 	}
 	for i, qi := range r.Instance.Queues {
 		qe := r.Queues[i]
@@ -742,31 +732,26 @@ func (e *Engine) PoolDegraded() bool {
 	return false
 }
 
-// markReplicaDead records a pool replica death and, if the dead replica was
-// the primary, rotates the primary to the next live replica (the failover).
-// Idempotent and safe from any worker.
+// markReplicaDead records a pool replica death. It counts a failover when the
+// death moves some region's READs to another live home: the dead replica was
+// that region's first live home and a later one survives. Idempotent and safe
+// from any worker; dead flags never clear, so exactly one caller counts.
 func (e *Engine) markReplicaDead(inst *instance, idx int) {
-	inst.replicas[idx].dead.Store(true)
-	inst.repMu.Lock()
-	defer inst.repMu.Unlock()
-	if int(inst.primary.Load()) != idx {
+	if inst.replicas[idx].dead.Swap(true) {
 		return
 	}
-	for j, r := range inst.replicas {
-		if !r.dead.Load() {
-			inst.primary.Store(int32(j))
+	for _, h := range inst.homes {
+		k := slices.Index(h, idx)
+		if k >= 0 && !slices.ContainsFunc(h[:k], inst.live) && slices.ContainsFunc(h[k+1:], inst.live) {
 			e.poolFailovers.Add(1)
 			return
 		}
 	}
-	// No replica left alive: leave the primary in place; every round will
-	// keep failing until a pool is re-provisioned, exactly like the
-	// pre-replication single-pool behavior.
 }
 
 // notePoolFailure classifies an error of a round driven through c: if it is a
 // WR failure on one of c's pool QPs, the corresponding replica is declared
-// dead and the primary rotated. A compute-QP failure is the caller's to classify
+// dead (markReplicaDead). A compute-QP failure is the caller's to classify
 // (computePathDead); timeouts retry at probe pace.
 func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 	var wf *wrFailure
@@ -776,7 +761,7 @@ func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 	if wf.st == rdma.StatusFenced {
 		// A fenced NAK is not a replica death: the replica is alive and its
 		// state is authoritative under the NEW epoch holder. It is this
-		// engine that is finished — demote it instead of rotating replicas.
+		// engine that is finished — demote it instead of marking replicas.
 		e.tripFenced()
 		return
 	}
@@ -789,36 +774,31 @@ func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
 }
 
 // maybePoolHeartbeat issues one 8-byte liveness READ to every live replica
-// of a replicated instance when the heartbeat interval has elapsed at now.
-// The CAS on nextPoolHB elects exactly one heartbeater per interval across
-// the instance's slots; the elected worker posts on its own slot's pool QPs,
-// so even heartbeats stay off other queue sets' QPs. A
-// heartbeat that fails through retry exhaustion declares the replica dead —
-// the idle-primary detection path. Caller holds its round lock, like any
-// other RDMA round.
+// of a replicated instance when the heartbeat interval has elapsed at now,
+// each of a region that replica hosts (replica.hb). The CAS on nextPoolHB
+// elects exactly one heartbeater per interval across the instance's slots;
+// the elected worker posts on its own slot's pool QPs, so even heartbeats
+// stay off other queue sets' QPs. A heartbeat that fails through retry
+// exhaustion declares the replica dead — the detection path for an idle
+// home. Caller holds its round lock, like any other RDMA round.
 func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance, now time.Time) {
 	iv := e.cfg.PoolHeartbeatInterval
-	if iv <= 0 || len(inst.replicas) < 2 || len(inst.info.Regions) == 0 {
+	if iv <= 0 || len(inst.replicas) < 2 {
 		return
 	}
 	next := inst.nextPoolHB.Load()
 	if now.UnixNano() < next || !inst.nextPoolHB.CompareAndSwap(next, now.Add(iv).UnixNano()) {
 		return
 	}
-	reg := inst.info.Regions[0]
 	for idx, r := range inst.replicas {
 		if r.dead.Load() {
-			continue
-		}
-		va, rkey, err := r.translate(reg, reg.Base)
-		if err != nil {
 			continue
 		}
 		ar := arenaAlloc{s: s}
 		hbVA, _, _ := ar.alloc(8)
 		e.poolHeartbeats.Add(1)
-		err = e.postAndWait(s, c.cq, c.pools[idx], rdma.WorkRequest{
-			Verb: rdma.VerbRead, LocalVA: hbVA, Length: 8, RemoteVA: va, RKey: rkey,
+		err := e.postAndWait(s, c.cq, c.pools[idx], rdma.WorkRequest{
+			Verb: rdma.VerbRead, LocalVA: hbVA, Length: 8, RemoteVA: r.hb.Base, RKey: r.hb.RKey,
 		})
 		if err != nil && !errors.Is(err, ErrPreempted) && !errors.Is(err, errTimeout) {
 			if isFencedFailure(err) {
@@ -1074,8 +1054,8 @@ func (e *Engine) workerLoop(w *worker) {
 				switch {
 				case err != nil:
 					// A WR failure on a pool replica QP declares that replica
-					// dead and rotates the primary; the retry then re-executes
-					// the abandoned round against the survivor (idempotently —
+					// dead; the retry then re-executes the abandoned round
+					// against the surviving homes (idempotently —
 					// progress was never published for it). A fenced NAK
 					// instead demotes this engine terminally (notePoolFailure
 					// classifies both). A failure of the slot's own compute QP

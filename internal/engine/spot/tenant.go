@@ -1,13 +1,11 @@
 package spot
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"time"
 
 	"cowbird/internal/cluster"
-	"cowbird/internal/core"
 )
 
 // TenantQoS bounds one instance's (tenant's) share of the engine.
@@ -92,37 +90,6 @@ func (e *Engine) SetTenantQoS(instanceID int, q TenantQoS) bool {
 		return true
 	}
 	return false
-}
-
-// validateHomes checks a composed-address-space layout (Registration.Homes)
-// against the instance's regions and replicas: every region must have at
-// least one home and every home must actually host the region.
-func validateHomes(in *core.Instance, reps []PoolReplica, homes [][]int) error {
-	for _, reg := range in.Regions {
-		if int(reg.ID) >= len(homes) {
-			return fmt.Errorf("spot: region %d has no home entry (%d entries)", reg.ID, len(homes))
-		}
-		h := homes[reg.ID]
-		if len(h) == 0 {
-			return fmt.Errorf("spot: region %d has no home replica", reg.ID)
-		}
-		for _, ri := range h {
-			if ri < 0 || ri >= len(reps) {
-				return fmt.Errorf("spot: region %d home %d out of range (%d replicas)", reg.ID, ri, len(reps))
-			}
-			found := false
-			for _, rr := range reps[ri].Regions {
-				if rr.ID == reg.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("spot: replica %d does not host region %d", ri, reg.ID)
-			}
-		}
-	}
-	return nil
 }
 
 // RemoveInstance unregisters the instance with the given ID, quiescing the

@@ -79,11 +79,7 @@ type Tenant struct {
 	engine  int // index of the engine serving the queue sets; negative while unowned
 	extents []cluster.Extent
 	slots   []replicaSlot // one per memnode the tenant touches, first-use order
-	// homes maps stripe → slots hosting it (spot.Registration.Homes). Nil when
-	// every stripe is hosted on every slot: the mirrored model, with primary
-	// rotation, scrub and read-repair, which the engine's placed path skips.
-	homes [][]int
-	qos   *spot.TenantQoS
+	qos     *spot.TenantQoS
 }
 
 // Engine returns the serving engine's index; negative while none serves
@@ -144,10 +140,10 @@ func (d *deployment) addEngine() int {
 // (stripe, memnode, node-local region, size); extents sharing a stripe are
 // mirrors of it. Each region is relabelled to its client-facing stripe id,
 // and every memnode touched gets one replica slot in first-use order: the
-// first host of a stripe is the copy the client addresses and, mirrored, the
-// primary. The node is neither registered nor recorded yet. The duplicate
-// check precedes the first side effect; what follows fails only on a
-// configuration error, which no retry would cure.
+// first host of a stripe is the copy the client addresses and the one the
+// engine reads first. The node is neither registered nor recorded yet. The
+// duplicate check precedes the first side effect; what follows fails only on
+// a configuration error, which no retry would cure.
 func (d *deployment) newNode(id int, placement []cluster.Extent) (*Tenant, error) {
 	if _, dup := d.tenants[id]; dup {
 		return nil, fmt.Errorf("system: tenant %d already exists", id)
@@ -163,7 +159,7 @@ func (d *deployment) newNode(id int, placement []cluster.Extent) (*Tenant, error
 	if err := t.Client.Fence(d.bindEpoch); err != nil {
 		return nil, err
 	}
-	for _, e := range placement {
+	for i, e := range placement {
 		info, err := d.memnodes[e.Memnode].AllocRegion(e.NodeRegionID, int(e.Size))
 		if err != nil {
 			return nil, err
@@ -175,16 +171,9 @@ func (d *deployment) newNode(id int, placement []cluster.Extent) (*Tenant, error
 			t.slots = append(t.slots, replicaSlot{memnode: e.Memnode})
 		}
 		t.slots[slot].regions = append(t.slots[slot].regions, region)
-		for int(e.Stripe) >= len(t.homes) {
-			t.homes = append(t.homes, nil)
-		}
-		if t.homes[e.Stripe] == nil {
+		if !slices.ContainsFunc(placement[:i], func(p cluster.Extent) bool { return p.Stripe == e.Stripe }) {
 			t.Client.RegisterRegion(region)
 		}
-		t.homes[e.Stripe] = append(t.homes[e.Stripe], slot)
-	}
-	if !slices.ContainsFunc(t.homes, func(h []int) bool { return len(h) != len(t.slots) }) {
-		t.homes = nil
 	}
 	t.inst = t.Client.Describe(id)
 	return t, nil
@@ -223,7 +212,7 @@ func (d *deployment) attach(t *Tenant, e int, adopt bool) error {
 		queues[q] = ep
 	}
 	err := eng.Register(spot.Registration{
-		Instance: t.inst, Pools: pools, Queues: queues, Homes: t.homes, Adopt: adopt,
+		Instance: t.inst, Pools: pools, Queues: queues, Adopt: adopt,
 	})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,6 +24,20 @@ func qpsOn(t *testing.T, nic *rdma.NIC) int {
 	defer fresh.Close()
 	first := fresh.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 0).QPN()
 	return int(nic.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 0).QPN() - first)
+}
+
+// slotStripes renders the stripes each of t's replica slots hosts, in slot
+// order: what the engine derives every region's homes from.
+func slotStripes(t *Tenant) string {
+	var out [][]uint16
+	for _, sl := range t.slots {
+		var ids []uint16
+		for _, r := range sl.regions {
+			ids = append(ids, r.ID)
+		}
+		out = append(out, ids)
+	}
+	return fmt.Sprint(out)
 }
 
 // TestWiringShape pins what the one builder wires for each shape: how many
@@ -67,8 +82,8 @@ func TestWiringShape(t *testing.T) {
 				t.Errorf("client at fence epoch %d, want %d", got, tc.epoch)
 			}
 			ten := s.d.tenants[0]
-			if ten.homes != nil || ten.qos != nil || ten.Engine() != 0 {
-				t.Errorf("system tenant: homes %v, qos %v, engine %d; want mirrored, none, 0", ten.homes, ten.qos, ten.Engine())
+			if got := slotStripes(ten); got != "[[0] [0]]" || ten.qos != nil || ten.Engine() != 0 {
+				t.Errorf("system tenant: stripes per slot %s, qos %v, engine %d; want [[0] [0]] (mirrored), none, 0", got, ten.qos, ten.Engine())
 			}
 			// The wiring serves, at the bound epoch, on every replica.
 			th, _ := s.Client.Thread(1)
@@ -120,8 +135,8 @@ func TestWiringShape(t *testing.T) {
 		if got := ten.Client.FenceEpoch(); got != 0 {
 			t.Errorf("tenant client at fence epoch %d, want 0", got)
 		}
-		if len(ten.homes) != 2 || len(ten.slots) != 2 {
-			t.Errorf("fleet tenant: homes %v over %d slots, want 2 single-homed stripes", ten.homes, len(ten.slots))
+		if got := slotStripes(ten); got != "[[0] [1]]" {
+			t.Errorf("fleet tenant: stripes per slot %s, want [[0] [1]] (2 single-homed stripes)", got)
 		}
 		if ten.qos == nil || *ten.qos != (spot.TenantQoS{}) {
 			t.Errorf("fleet tenant carries QoS %v, want the zero value installed", ten.qos)
@@ -162,8 +177,8 @@ func TestFleetOfOneEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ten.homes != nil {
-		t.Fatalf("one stripe on one memnode registered with homes %v, want the mirrored model", ten.homes)
+	if got := slotStripes(ten); got != "[[0]]" {
+		t.Fatalf("one stripe on one memnode registered as stripes per slot %s, want [[0]]", got)
 	}
 	fth, _ := ten.Client.Thread(0)
 	if err := chaos.RunWorkload(fth, seed, wl); err != nil {

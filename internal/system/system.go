@@ -39,7 +39,7 @@ type Config struct {
 	RegionSize int          // bytes of remote memory in region 0
 	NIC        rdma.Config  // link-level parameters for every NIC
 	Spot       spot.Config  // engine tuning (EngineSpot)
-	P4         p4.Config    // engine tuning (EngineP4)
+	P4         p4.Config    // engine tuning (EngineP4); New sets its MTU from NIC
 
 	// PoolReplicas is the number of memory pool nodes backing region 0
 	// (0 or 1: a single pool). With more, the Spot engine mirrors every write
@@ -194,8 +194,10 @@ func New(cfg Config) (*System, error) {
 	case EngineP4:
 		// The switch is no fleet member — one interposer per fabric, no
 		// adoption, no replicas — so it takes the node from the builder and
-		// runs its own handshake.
+		// runs its own handshake. It counts PSNs at the MTU the hosts
+		// segment at.
 		a := systemAddr(roleEngine, 0)
+		cfg.P4.MTU = t.nic.Config().MTU
 		s.P4 = p4.New(d.fabric, a.mac, a.ip, cfg.P4)
 		d.fabric.SetInterposer(s.P4)
 		if err = setupP4(s.P4, t.inst, t.nic, s.Pool.NIC()); err != nil {

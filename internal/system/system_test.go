@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -263,6 +264,36 @@ func TestP4WriteRoundTrip(t *testing.T) { testWriteRoundTrip(t, EngineP4) }
 func TestP4ReadAfterWrite(t *testing.T) { testReadAfterWrite(t, EngineP4) }
 func TestP4MixedWorkload(t *testing.T)  { testMixedWorkload(t, EngineP4) }
 func TestP4RingWrap(t *testing.T)       { testRingWrapWithRetry(t, EngineP4) }
+
+// TestP4FollowsNICMTU: the switch counts PSNs at its own MTU while the hosts
+// segment at theirs, so a NIC MTU other than the P4 default must reach the
+// engine. A 4 KiB write then read spans several segments either way; with
+// the two MTUs apart it read back wrong bytes (512) or timed out (4096).
+func TestP4FollowsNICMTU(t *testing.T) {
+	for _, mtu := range []int{512, 4096} {
+		t.Run(fmt.Sprint(mtu), func(t *testing.T) {
+			s := startSystem(t, func(c *Config) {
+				c.Engine = EngineP4
+				c.NIC.MTU = mtu
+			})
+			th, _ := s.Client.Thread(0)
+			data := make([]byte, 4096)
+			for i := range data {
+				data[i] = byte(i*7 + i/251)
+			}
+			if err := th.WriteSync(0, data, 8192, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			dest := make([]byte, len(data))
+			if err := th.ReadSync(0, 8192, dest, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dest, data) {
+				t.Fatal("4 KiB read-back differs from the write")
+			}
+		})
+	}
+}
 
 // TestSpotBatchingReducesResponseWrites compares batching on vs off: with
 // batching, contiguous read responses coalesce into fewer RDMA writes.
