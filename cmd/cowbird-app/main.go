@@ -76,7 +76,7 @@ func main() {
 	const memPSN, compPSN = 4000, 2000
 	mResp, err := ctl.Call(*memCtl, ctl.Request{Op: "create_qp", FirstPSN: memPSN})
 	must(err)
-	cQP := nic.CreateQP(rdma.NewCQ(), rdma.NewCQ(), compPSN)
+	cQP := nic.CreateQP(rdma.NewCQ(), nil, compPSN)
 
 	sResp, err := ctl.Call(*engCtl, ctl.Request{
 		Op:       "setup",

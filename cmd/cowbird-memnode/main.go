@@ -92,7 +92,7 @@ func main() {
 			fmt.Printf("allocated region %d: %d bytes, rkey 0x%x\n", info.ID, info.Size, info.RKey)
 			return ctl.Response{Region: &info}
 		case "create_qp":
-			qp := node.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), req.FirstPSN)
+			qp := node.NIC().CreateQP(rdma.NewCQ(), nil, req.FirstPSN)
 			qps[qp.QPN()] = qp
 			return ctl.Response{QPN: qp.QPN()}
 		case "connect_qp":

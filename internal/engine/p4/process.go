@@ -338,10 +338,7 @@ func (e *Engine) onWriteData(in *inst, op *pendingOp, p *wire.Packet) {
 	e.stats.packetsRecycled.Add(1)
 	e.emit(e.buildWrite(in, false, outOp, outPSN, reth, hasRETH, p.Payload, last, dataTOS))
 	if last {
-		// The payload is fully fetched: the client's request-data ring
-		// space is reclaimable (client and switch run the same reservation
-		// arithmetic), and held reads may proceed.
-		_, op.q.red.ReqDataHead = rings.ReserveRing(op.q.red.ReqDataHead, r.entry.Length, op.q.qi.Layout.ReqDataBytes)
+		// The payload is fully fetched: held reads may proceed.
 		in.writesInFlight--
 		e.releaseHeld(in)
 	}
@@ -443,10 +440,14 @@ func (e *Engine) retireReads(q *queueState) {
 	}
 }
 
+// retireWrites is retireReads for writes; it also frees each retired
+// write's request data. Retiring pops a write once, in ring order, so a
+// recovery replay that re-emits its payload cannot free the bytes twice.
 func (e *Engine) retireWrites(q *queueState) {
 	for q.writes.Len() > 0 && (*q.writes.Front()).done {
 		r := q.writes.Pop()
 		q.red.WriteProgress = r.seq
+		_, q.red.ReqDataHead = rings.ReserveRing(q.red.ReqDataHead, r.entry.Length, q.qi.Layout.ReqDataBytes)
 		e.putReq(r)
 	}
 }

@@ -19,10 +19,8 @@ import (
 //
 // Exactly-once replay. The red block (heads, per-type progress counters,
 // heartbeat) is only ever updated in a single RDMA write, so the durable
-// copy is always internally consistent — it is the same "cache the outcome,
-// replay on duplicate" idiom internal/rdma uses for atomics, applied at the
-// protocol level. Entries below the durable MetaHead have had their effects
-// published and are never re-executed. Entries at or above it may have been
+// copy is always internally consistent. Entries below the durable MetaHead
+// have had their effects published and are never re-executed. Entries at or above it may have been
 // partially executed by the previous engine, but their completions never
 // landed; re-executing them is safe because
 //

@@ -83,9 +83,9 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 		}
 		compPSN, poolPSN := ec.nextPSN, ec.nextPSN+0x1000
 		ec.nextPSN += 0x2000
-		sendCQ, unused := rdma.NewCQ(), rdma.NewCQ()
-		eComp := ec.nic.CreateQP(sendCQ, unused, compPSN)
-		eMem := ec.nic.CreateQP(sendCQ, unused, poolPSN)
+		sendCQ := rdma.NewCQ()
+		eComp := ec.nic.CreateQP(sendCQ, nil, compPSN)
+		eMem := ec.nic.CreateQP(sendCQ, nil, poolPSN)
 		eComp.Connect(rdma.RemoteEndpoint{
 			QPN: req.Compute.QPN, MAC: req.Compute.MAC, IP: req.Compute.IP,
 		}, req.Compute.FirstPSN)

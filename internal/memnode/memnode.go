@@ -108,7 +108,7 @@ func (n *Node) AllocRegion(id uint16, size int) (core.RegionInfo, error) {
 }
 
 // Fence raises the node's fencing floor to epoch: every inbound RDMA WRITE
-// or atomic must from now on carry a BTH fencing epoch >= epoch, or it is
+// must from now on carry a BTH fencing epoch >= epoch, or it is
 // NAKed with wire.SyndromeNAKFenced and never lands. This is the pool half
 // of split-brain protection — the control plane bumps the floor at every
 // replica before a promoted standby serves, so a partitioned-but-alive old

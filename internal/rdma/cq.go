@@ -45,10 +45,6 @@ type Verb uint8
 const (
 	VerbWrite Verb = iota
 	VerbRead
-	VerbSend
-	VerbRecv
-	VerbCmpSwap
-	VerbFetchAdd
 )
 
 // String names the verb.
@@ -58,14 +54,6 @@ func (v Verb) String() string {
 		return "WRITE"
 	case VerbRead:
 		return "READ"
-	case VerbSend:
-		return "SEND"
-	case VerbRecv:
-		return "RECV"
-	case VerbCmpSwap:
-		return "CMP_SWAP"
-	case VerbFetchAdd:
-		return "FETCH_ADD"
 	}
 	return "UNKNOWN"
 }

@@ -1,7 +1,7 @@
 // Package rdma implements a software RDMA stack speaking RoCEv2: memory
-// regions, reliably-connected queue pairs, one-sided READ/WRITE and
-// two-sided SEND/RECV verbs, completion queues, MTU segmentation, PSN
-// tracking, and Go-Back-N loss recovery.
+// regions, reliably-connected queue pairs, the one-sided READ and WRITE
+// verbs (the only ones Cowbird posts), completion queues, MTU segmentation,
+// PSN tracking, and Go-Back-N loss recovery.
 //
 // It is the functional substrate standing in for the ConnectX-5 RNICs of the
 // paper's testbed: the verbs surface, packet formats, and failure modes

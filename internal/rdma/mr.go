@@ -11,9 +11,8 @@ import (
 // address, addressable remotely via its RKey and locally via its LKey.
 //
 // If Lock is non-nil, the NIC holds it while DMA touches Buf — responder-
-// side reads and writes, and requester-side copies (payload emission, read-
-// response landing, atomic results), which per-QP locking no longer
-// serializes against each other. Regions shared between application threads
+// side reads and writes, and requester-side copies (payload emission and
+// read-response landing), which per-QP locking no longer serializes against each other. Regions shared between application threads
 // and the offload engine — the Cowbird queue sets — set it; see package
 // rings for why this memory-safety shim exists in the Go port.
 type MR struct {
@@ -24,7 +23,7 @@ type MR struct {
 	Lock sync.Locker
 
 	// fenceMin is the region's fencing floor: the minimum epoch (carried
-	// in BTH.PKey) an inbound WRITE or atomic must present. Writes below
+	// in BTH.PKey) an inbound WRITE must present. Writes below
 	// the floor are NAKed with SyndromeNAKFenced instead of landing, so a
 	// deposed ("zombie") writer cannot corrupt state after a failover
 	// bumps the epoch. Zero — the default — admits everything, keeping

@@ -192,7 +192,7 @@ func (n *NIC) RegisterMR(base uint64, buf []byte) *MR {
 // queue sets).
 //
 // Lock-ordering invariant: DMA locks nest inside QP datapath locks, so
-// verbs (PostSend, PostRecv) must never be called while holding a DMA lock.
+// verbs (PostSend) must never be called while holding a DMA lock.
 func (n *NIC) RegisterMRLocked(base uint64, buf []byte, lock sync.Locker) *MR {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -204,19 +204,19 @@ func (n *NIC) RegisterMRLocked(base uint64, buf []byte, lock sync.Locker) *MR {
 	return m
 }
 
-// CreateQP allocates a queue pair with the given completion queues and an
-// initial request PSN.
+// CreateQP allocates a queue pair whose work requests complete into sendCQ,
+// with the given initial request PSN. recvCQ is unused: no verb this stack
+// posts completes on a receive queue. The parameter stays only because the
+// benchmark probes call the three-argument form; it goes with them.
 func (n *NIC) CreateQP(sendCQ, recvCQ *CQ, firstPSN uint32) *QP {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	q := &QP{
-		nic:         n,
-		qpn:         n.nextQPN,
-		sendCQ:      sendCQ,
-		recvCQ:      recvCQ,
-		nextPSN:     firstPSN,
-		ackPSN:      firstPSN,
-		atomicCache: make(map[uint32]uint64),
+		nic:     n,
+		qpn:     n.nextQPN,
+		sendCQ:  sendCQ,
+		nextPSN: firstPSN,
+		ackPSN:  firstPSN,
 	}
 	n.nextQPN++
 	n.qps[q.qpn] = q
@@ -227,12 +227,12 @@ func (n *NIC) CreateQP(sendCQ, recvCQ *CQ, firstPSN uint32) *QP {
 // ConnectPair is the in-process form of the Setup PSN exchange: it creates
 // a QP on a whose sends complete into aSendCQ and a passive QP on b, tells
 // each the other's endpoint and first PSN, and returns both connected.
-// Neither side posts receives, so the remaining CQs are private throwaways.
+// b's QP only responds, so its send CQ is a private throwaway.
 // Deployments whose peers learn each other's endpoint over a control
 // channel connect each side on its own (CreateQP, then QP.Connect).
 func ConnectPair(a *NIC, aSendCQ *CQ, aPSN uint32, b *NIC, bPSN uint32) (aQP, bQP *QP) {
-	aQP = a.CreateQP(aSendCQ, NewCQ(), aPSN)
-	bQP = b.CreateQP(NewCQ(), NewCQ(), bPSN)
+	aQP = a.CreateQP(aSendCQ, nil, aPSN)
+	bQP = b.CreateQP(NewCQ(), nil, bPSN)
 	aQP.Connect(RemoteEndpoint{QPN: bQP.QPN(), MAC: b.mac, IP: b.ip}, bPSN)
 	bQP.Connect(RemoteEndpoint{QPN: aQP.QPN(), MAC: a.mac, IP: a.ip}, aPSN)
 	return aQP, bQP
@@ -298,33 +298,6 @@ func (n *NIC) emit(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wir
 		p.AETH = *aeth
 	}
 	p.Payload = payload
-	n.sendPacket(p)
-}
-
-// emitAtomic transmits an atomic request.
-// Caller holds q.mu.
-func (n *NIC) emitAtomic(q *QP, op wire.OpCode, psn uint32, ath *wire.AtomicETH) {
-	p := &q.tx
-	n.fillEnvelope(p, q)
-	p.BTH.OpCode = op
-	p.BTH.PSN = psn & 0x00ffffff
-	p.BTH.AckReq = true
-	p.AtomicETH = *ath
-	p.Payload = nil
-	n.sendPacket(p)
-}
-
-// emitAtomicAck transmits the atomic response carrying the original value.
-// Caller holds q.mu.
-func (n *NIC) emitAtomicAck(q *QP, psn uint32, orig uint64) {
-	p := &q.tx
-	n.fillEnvelope(p, q)
-	p.BTH.OpCode = wire.OpAtomicAcknowledge
-	p.BTH.PSN = psn & 0x00ffffff
-	p.BTH.AckReq = false
-	p.AETH = wire.AETH{Syndrome: wire.SyndromeACK, MSN: q.msn & 0x00ffffff}
-	p.AtomicAck = orig
-	p.Payload = nil
 	n.sendPacket(p)
 }
 

@@ -4,7 +4,7 @@ import "sync"
 
 // framePool recycles wire-frame buffers so the steady-state datapath
 // performs no allocation per packet. Buffers live in two MTU-derived
-// capacity classes: small (ACKs, NAKs, atomic responses, bookkeeping
+// capacity classes: small (ACKs, NAKs, READ requests, bookkeeping
 // packets) and large (full-MTU data segments under the default 1024-byte
 // MTU, plus all headers). Oversized frames — exotic MTU configurations —
 // bypass the pool entirely.
@@ -39,8 +39,8 @@ type frameClass struct {
 }
 
 const (
-	// frameClassSmall covers every payload-free packet: the largest is an
-	// atomic acknowledge at Eth+IPv4+UDP+BTH+AETH+AtomicAck+ICRC = 66 bytes.
+	// frameClassSmall covers every payload-free packet: the largest is a
+	// READ request at Eth+IPv4+UDP+BTH+RETH+ICRC = 74 bytes.
 	frameClassSmall = 128
 	// frameClassLarge covers a full data segment at the default 1024-byte
 	// MTU: headers + RETH + payload + pad + ICRC < 1200 bytes, rounded up so

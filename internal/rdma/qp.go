@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,17 +20,11 @@ type RemoteEndpoint struct {
 // WorkRequest describes an operation posted to a QP's send queue.
 type WorkRequest struct {
 	ID       uint64
-	Verb     Verb   // write, read, send, or an atomic
-	LocalVA  uint64 // source (write/send), destination (read/atomics: original value)
-	Length   uint32 // ignored for atomics (always 8)
-	RemoteVA uint64 // ignored for VerbSend
-	RKey     uint32 // ignored for VerbSend
-
-	// Atomic operands: VerbCmpSwap stores SwapAdd iff the target equals
-	// Compare; VerbFetchAdd adds SwapAdd. Both return the original value
-	// into LocalVA.
-	Compare uint64
-	SwapAdd uint64
+	Verb     Verb   // VerbWrite or VerbRead
+	LocalVA  uint64 // source (write) or destination (read)
+	Length   uint32
+	RemoteVA uint64
+	RKey     uint32
 }
 
 // Post/connect errors.
@@ -51,16 +44,8 @@ type sendWR struct {
 	firstPSN uint32
 	lastPSN  uint32
 	respNext uint32 // reads: next response PSN expected
-	done     bool   // reads/atomics: response received
+	done     bool   // reads: response received
 	canceled bool   // local buffer abandoned: suppress response DMA
-	compare  uint64 // atomics
-	swapAdd  uint64
-}
-
-type recvWR struct {
-	id  uint64
-	buf []byte
-	mr  *MR
 }
 
 // writeCtx tracks responder-side reassembly of a segmented RDMA write. The
@@ -72,14 +57,6 @@ type writeCtx struct {
 	mr      *MR
 	buf     []byte
 	basePSN uint32
-}
-
-// recvCtx tracks responder-side reassembly of a segmented SEND, with the
-// same PSN-derived offsets as writeCtx.
-type recvCtx struct {
-	wr      recvWR
-	basePSN uint32
-	bytes   int // total payload length, recorded at the Last packet
 }
 
 // QP is a reliably-connected queue pair. All methods are safe for
@@ -96,7 +73,6 @@ type QP struct {
 	errored   bool
 
 	sendCQ *CQ
-	recvCQ *CQ
 
 	// Requester state.
 	nextPSN uint32 // next unassigned request PSN
@@ -124,24 +100,15 @@ type QP struct {
 	// fenceEpoch is stamped into BTH.PKey on every packet this QP emits
 	// (including Go-Back-N retransmissions, which re-serialize through
 	// fillEnvelope). Responders compare it against the target MR's fence
-	// floor on WRITEs and atomics. Zero — the default — is the unfenced
-	// epoch every floor admits.
+	// floor on WRITEs. Zero — the default — is the unfenced epoch every
+	// floor admits.
 	fenceEpoch uint16
 
 	// Responder state.
 	ePSN      uint32 // next expected request PSN
 	wctx      writeCtx
 	wctxValid bool
-	rctx      recvCtx
-	rctxValid bool
-	recvQ     container.Ring[recvWR]
 	msn       uint32
-
-	// atomicCache replays atomic responses for Go-Back-N duplicates
-	// without re-executing them (atomics are not idempotent). Keyed by
-	// PSN; bounded FIFO.
-	atomicCache map[uint32]uint64
-	atomicOrder container.Ring[uint32]
 
 	// tx is the reusable serialization scratch for every packet this QP
 	// emits; q.mu makes it single-writer.
@@ -290,8 +257,6 @@ func (q *QP) ResetExpectedPSN(psn uint32) {
 	q.ePSN = psn
 	q.wctx = writeCtx{}
 	q.wctxValid = false
-	q.rctx = recvCtx{}
-	q.rctxValid = false
 }
 
 // Connect binds the QP to its peer. remoteFirstPSN must equal the peer's
@@ -302,18 +267,6 @@ func (q *QP) Connect(remote RemoteEndpoint, remoteFirstPSN uint32) {
 	q.remote = remote
 	q.ePSN = remoteFirstPSN
 	q.connected = true
-}
-
-// PostRecv posts a receive buffer for incoming SENDs.
-func (q *QP) PostRecv(id uint64, localVA uint64, length uint32) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	mr, buf, err := q.nic.translateLocal(localVA, length)
-	if err != nil {
-		return err
-	}
-	q.recvQ.Push(recvWR{id: id, buf: buf, mr: mr})
-	return nil
 }
 
 // PostSend queues wr and transmits its packets. Completion is reported on
@@ -336,16 +289,7 @@ func (q *QP) PostSend(wr WorkRequest) error {
 	if npkts == 0 {
 		npkts = 1
 	}
-	switch wr.Verb {
-	case VerbWrite, VerbRead, VerbSend:
-	case VerbCmpSwap, VerbFetchAdd:
-		// Atomics operate on exactly 8 bytes and consume one PSN.
-		mr, local, err = q.nic.translateLocal(wr.LocalVA, 8)
-		if err != nil {
-			return err
-		}
-		npkts = 1
-	default:
+	if wr.Verb != VerbWrite && wr.Verb != VerbRead {
 		return fmt.Errorf("%w: %v", ErrBadVerb, wr.Verb)
 	}
 	q.sq.Push(sendWR{
@@ -358,8 +302,6 @@ func (q *QP) PostSend(wr WorkRequest) error {
 		firstPSN: q.nextPSN,
 		lastPSN:  q.nextPSN + uint32(npkts) - 1,
 		respNext: q.nextPSN,
-		compare:  wr.Compare,
-		swapAdd:  wr.SwapAdd,
 	})
 	q.nextPSN += uint32(npkts)
 	s := q.sq.At(q.sq.Len() - 1)
@@ -382,18 +324,10 @@ func (q *QP) PostSend(wr WorkRequest) error {
 func (q *QP) transmitWR(s *sendWR) {
 	mtu := q.nic.cfg.MTU
 	switch s.verb {
-	case VerbCmpSwap, VerbFetchAdd:
-		op := wire.OpFetchAdd
-		if s.verb == VerbCmpSwap {
-			op = wire.OpCompareSwap
-		}
-		q.nic.emitAtomic(q, op, s.firstPSN, &wire.AtomicETH{
-			VA: s.remoteVA, RKey: s.rkey, SwapAdd: s.swapAdd, Compare: s.compare,
-		})
 	case VerbRead:
 		reth := wire.RETH{VA: s.remoteVA, RKey: s.rkey, DMALen: uint32(len(s.local))}
 		q.nic.emit(q, wire.OpReadRequest, s.firstPSN, &reth, nil, nil, true)
-	case VerbWrite, VerbSend:
+	case VerbWrite:
 		n := len(s.local)
 		npkts := int(s.lastPSN-s.firstPSN) + 1
 		// Serialization copies the payload out of the local region; hold its
@@ -417,18 +351,6 @@ func (q *QP) transmitWR(s *sendWR) {
 				op = wire.OpWriteLast
 			default:
 				op = wire.OpWriteMiddle
-			}
-			if s.verb == VerbSend {
-				switch op {
-				case wire.OpWriteOnly:
-					op = wire.OpSendOnly
-				case wire.OpWriteFirst:
-					op = wire.OpSendFirst
-				case wire.OpWriteLast:
-					op = wire.OpSendLast
-				default:
-					op = wire.OpSendMiddle
-				}
 			}
 			var reth *wire.RETH
 			if op == wire.OpWriteFirst || op == wire.OpWriteOnly {
@@ -630,87 +552,6 @@ func (q *QP) handleRequest(p *wire.Packet) {
 			}
 			q.nic.emit(q, rop, psn+uint32(i), nil, aeth, buf[lo:hi], false)
 		}
-
-	case op.IsAtomic():
-		if !isNew {
-			// Duplicate: replay the cached response; never re-execute.
-			if orig, ok := q.atomicCache[psn]; ok {
-				q.nic.emitAtomicAck(q, psn, orig)
-			}
-			return
-		}
-		mr, buf, err := q.nic.translateRemoteKey(p.AtomicETH.RKey, p.AtomicETH.VA, 8)
-		if err != nil {
-			q.nic.emitAETH(q, wire.SyndromeNAKAcc, psn)
-			return
-		}
-		if !mr.admitsEpoch(p.BTH.PKey) {
-			// Atomics mutate state, so they are fenced like writes.
-			q.nic.emitAETH(q, wire.SyndromeNAKFenced, psn)
-			return
-		}
-		mr.lockDMA()
-		orig := binary.LittleEndian.Uint64(buf)
-		switch {
-		case op == wire.OpFetchAdd:
-			binary.LittleEndian.PutUint64(buf, orig+p.AtomicETH.SwapAdd)
-		case orig == p.AtomicETH.Compare:
-			binary.LittleEndian.PutUint64(buf, p.AtomicETH.SwapAdd)
-		}
-		mr.unlockDMA()
-		q.ePSN++
-		q.msn++
-		q.atomicCache[psn] = orig
-		q.atomicOrder.Push(psn)
-		if q.atomicOrder.Len() > 64 {
-			delete(q.atomicCache, q.atomicOrder.Pop())
-		}
-		q.nic.emitAtomicAck(q, psn, orig)
-
-	case op == wire.OpSendFirst, op == wire.OpSendOnly, op == wire.OpSendMiddle, op == wire.OpSendLast:
-		if (op == wire.OpSendFirst || op == wire.OpSendOnly) && isNew {
-			if q.recvQ.Len() == 0 {
-				// Receiver not ready: NAK without consuming the PSN.
-				q.nic.emitAETH(q, wire.SyndromeRNRNAK, q.ePSN)
-				return
-			}
-			q.rctx = recvCtx{wr: q.recvQ.Pop(), basePSN: psn}
-			q.rctxValid = true
-		}
-		if !q.rctxValid {
-			// Duplicate of an already-delivered message: re-ACK so the
-			// requester can retire it if the original ACK was lost.
-			if p.BTH.AckReq {
-				q.nic.emitAETH(q, wire.SyndromeACK, psn)
-			}
-			return
-		}
-		if off := int64(psn) - int64(q.rctx.basePSN); off >= 0 {
-			byteOff := off * int64(q.nic.cfg.MTU)
-			if byteOff <= int64(len(q.rctx.wr.buf)) {
-				q.rctx.wr.mr.lockDMA()
-				copy(q.rctx.wr.buf[byteOff:], p.Payload)
-				q.rctx.wr.mr.unlockDMA()
-				if end := int(byteOff) + len(p.Payload); end > q.rctx.bytes {
-					q.rctx.bytes = end
-				}
-			}
-		}
-		if isNew {
-			q.ePSN++
-		}
-		if isNew && (op == wire.OpSendLast || op == wire.OpSendOnly) {
-			q.recvCQ.push(CQE{
-				WRID: q.rctx.wr.id, QPN: q.qpn, Status: StatusOK,
-				Verb: VerbRecv, Bytes: uint32(q.rctx.bytes),
-			})
-			q.rctx = recvCtx{}
-			q.rctxValid = false
-			q.msn++
-		}
-		if p.BTH.AckReq {
-			q.nic.emitAETH(q, wire.SyndromeACK, psn)
-		}
 	}
 }
 
@@ -734,7 +575,9 @@ func (q *QP) handleResponse(p *wire.Packet) {
 			// The replay is not progress; the tick keeps its schedule.
 			q.replay()
 		case p.AETH.Syndrome == wire.SyndromeRNRNAK:
-			// Receiver not ready; the retransmission timer will replay.
+			// Receiver not ready. This stack posts no SEND, so none of its
+			// responders sends one; a frame from outside, over the UDP
+			// bridge, is left to the retransmission timer.
 		case p.AETH.Syndrome == wire.SyndromeNAKFenced:
 			// This QP's epoch has been superseded: the owner was deposed.
 			// Terminal for everything outstanding — replaying would bounce
@@ -743,24 +586,6 @@ func (q *QP) handleResponse(p *wire.Packet) {
 		case p.AETH.IsNAK():
 			q.failAllLocked(StatusRemoteAccessError)
 		}
-
-	case op == wire.OpAtomicAcknowledge:
-		psn := extend24(q.ackPSN, p.BTH.PSN)
-		if s := q.responseTarget(psn); s != nil && s.verb != VerbRead {
-			if !s.done {
-				if !s.canceled {
-					s.mr.lockDMA()
-					binary.LittleEndian.PutUint64(s.local, p.AtomicAck)
-					s.mr.unlockDMA()
-				}
-				s.done = true
-				q.progress = true
-			}
-			if psn+1 > q.ackPSN {
-				q.ackPSN = psn + 1
-			}
-		}
-		q.completeAcked()
 
 	case op.IsReadResponse():
 		psn := extend24(q.ackPSN, p.BTH.PSN)
@@ -789,11 +614,10 @@ func (q *QP) handleResponse(p *wire.Packet) {
 	}
 }
 
-// responseTarget returns the outstanding READ or atomic that response PSN psn
-// belongs to — or nil if there is none, or if an earlier READ or atomic of
-// this QP is still incomplete. An RC responder executes and answers requests
-// in PSN order, so a response that overtakes an earlier one means the earlier
-// one was lost: hardware discards the later response and Go-Back-N replays
+// responseTarget returns the outstanding READ that response PSN psn belongs
+// to — or nil if there is none, or if an earlier READ of this QP is still
+// incomplete. An RC responder executes and answers requests in PSN order, so
+// a response that overtakes an earlier one means the earlier one was lost: hardware discards the later response and Go-Back-N replays
 // both, in order. Accepting it instead would let the replayed earlier request
 // observe remote memory *after* the later one did — a requester that reads a
 // tail pointer and then the entries below it (the spot engine's fused probe)
@@ -801,7 +625,7 @@ func (q *QP) handleResponse(p *wire.Packet) {
 func (q *QP) responseTarget(psn uint32) *sendWR {
 	for i := 0; i < q.sq.Len(); i++ {
 		s := q.sq.At(i)
-		if s.verb != VerbRead && s.verb != VerbCmpSwap && s.verb != VerbFetchAdd {
+		if s.verb != VerbRead {
 			continue
 		}
 		if psn >= s.firstPSN && psn <= s.lastPSN {
@@ -825,12 +649,9 @@ func (q *QP) completeAcked() {
 	progressed := false
 	for q.sq.Len() > 0 {
 		s := q.sq.Front()
-		ready := false
-		switch s.verb {
-		case VerbWrite, VerbSend:
+		ready := s.done
+		if s.verb == VerbWrite {
 			ready = s.lastPSN < q.ackPSN
-		case VerbRead, VerbCmpSwap, VerbFetchAdd:
-			ready = s.done
 		}
 		if !ready {
 			break

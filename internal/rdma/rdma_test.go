@@ -164,56 +164,6 @@ func TestRDMAReadSegmented(t *testing.T) {
 	}
 }
 
-func TestSendRecv(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	msg := []byte("two-sided hello")
-	src := make([]byte, len(msg))
-	copy(src, msg)
-	rbuf := make([]byte, 256)
-	p.cli.RegisterMR(0x1000, src)
-	p.srv.RegisterMR(0x9000, rbuf)
-
-	if err := p.srvQP.PostRecv(77, 0x9000, 256); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.cliQP.PostSend(WorkRequest{ID: 5, Verb: VerbSend, LocalVA: 0x1000, Length: uint32(len(msg))}); err != nil {
-		t.Fatal(err)
-	}
-	es := waitCQE(t, p.srvRCQ, 1, time.Second)
-	if es[0].WRID != 77 || es[0].Bytes != uint32(len(msg)) || es[0].Verb != VerbRecv {
-		t.Fatalf("bad recv CQE: %+v", es[0])
-	}
-	if !bytes.Equal(rbuf[:len(msg)], msg) {
-		t.Fatalf("received %q", rbuf[:len(msg)])
-	}
-	waitCQE(t, p.cliCQ, 1, time.Second) // sender completion
-}
-
-func TestSendWithoutRecvEventuallyDelivers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 500 * time.Microsecond
-	p := newPair(t, cfg)
-	src := []byte("patience")
-	rbuf := make([]byte, 64)
-	p.cli.RegisterMR(0x1000, src)
-	p.srv.RegisterMR(0x9000, rbuf)
-
-	if err := p.cliQP.PostSend(WorkRequest{ID: 6, Verb: VerbSend, LocalVA: 0x1000, Length: uint32(len(src))}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(2 * time.Millisecond) // let the RNR NAK happen
-	if err := p.srvQP.PostRecv(88, 0x9000, 64); err != nil {
-		t.Fatal(err)
-	}
-	es := waitCQE(t, p.srvRCQ, 1, 2*time.Second)
-	if es[0].WRID != 88 {
-		t.Fatalf("bad recv CQE: %+v", es[0])
-	}
-	if !bytes.Equal(rbuf[:len(src)], src) {
-		t.Fatalf("received %q", rbuf[:len(src)])
-	}
-}
-
 func TestPipelinedWritesCompleteInOrder(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	const k = 32
@@ -600,167 +550,6 @@ func TestPcapTapCapturesTraffic(t *testing.T) {
 			t.Fatalf("captured frame does not decode: %v", err)
 		}
 		off += 16 + caplen
-	}
-}
-
-func TestAtomicFetchAdd(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	result := make([]byte, 8)
-	p.cli.RegisterMR(0x1000, result)
-	counter := make([]byte, 8)
-	binary.LittleEndian.PutUint64(counter, 100)
-	remote := p.srv.RegisterMR(0x9000, counter)
-
-	for i := 0; i < 5; i++ {
-		if err := p.cliQP.PostSend(WorkRequest{
-			ID: uint64(i), Verb: VerbFetchAdd, LocalVA: 0x1000,
-			RemoteVA: 0x9000, RKey: remote.RKey, SwapAdd: 7,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		es := waitCQE(t, p.cliCQ, 1, time.Second)
-		if es[0].Status != StatusOK || es[0].Verb != VerbFetchAdd {
-			t.Fatalf("CQE: %+v", es[0])
-		}
-		if got := binary.LittleEndian.Uint64(result); got != 100+uint64(i)*7 {
-			t.Fatalf("iteration %d returned %d, want %d", i, got, 100+uint64(i)*7)
-		}
-	}
-	quiesce(p)
-	if got := binary.LittleEndian.Uint64(counter); got != 135 {
-		t.Fatalf("final counter = %d, want 135", got)
-	}
-}
-
-func TestAtomicCompareSwap(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	result := make([]byte, 8)
-	p.cli.RegisterMR(0x1000, result)
-	target := make([]byte, 8)
-	binary.LittleEndian.PutUint64(target, 42)
-	remote := p.srv.RegisterMR(0x9000, target)
-
-	// Successful CAS: 42 -> 99.
-	if err := p.cliQP.PostSend(WorkRequest{
-		ID: 1, Verb: VerbCmpSwap, LocalVA: 0x1000,
-		RemoteVA: 0x9000, RKey: remote.RKey, Compare: 42, SwapAdd: 99,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitCQE(t, p.cliCQ, 1, time.Second)
-	if got := binary.LittleEndian.Uint64(result); got != 42 {
-		t.Fatalf("original = %d, want 42", got)
-	}
-	// Failed CAS: compare 42 no longer matches; target unchanged, original
-	// (99) returned.
-	if err := p.cliQP.PostSend(WorkRequest{
-		ID: 2, Verb: VerbCmpSwap, LocalVA: 0x1000,
-		RemoteVA: 0x9000, RKey: remote.RKey, Compare: 42, SwapAdd: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitCQE(t, p.cliCQ, 1, time.Second)
-	if got := binary.LittleEndian.Uint64(result); got != 99 {
-		t.Fatalf("original after failed CAS = %d, want 99", got)
-	}
-	quiesce(p)
-	if got := binary.LittleEndian.Uint64(target); got != 99 {
-		t.Fatalf("target after failed CAS = %d, want 99", got)
-	}
-}
-
-func TestAtomicBadRKey(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	p.cli.RegisterMR(0x1000, make([]byte, 8))
-	if err := p.cliQP.PostSend(WorkRequest{
-		ID: 1, Verb: VerbFetchAdd, LocalVA: 0x1000, RemoteVA: 0x9000, RKey: 0xbad, SwapAdd: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	es := waitCQE(t, p.cliCQ, 1, time.Second)
-	if es[0].Status != StatusRemoteAccessError {
-		t.Fatalf("status = %v", es[0].Status)
-	}
-}
-
-// TestAtomicExactlyOnceUnderLoss: Go-Back-N replays must not re-execute
-// atomics — the responder's atomic response cache replays the original
-// value instead. With 30% loss, 20 fetch-adds must sum exactly once each.
-func TestAtomicExactlyOnceUnderLoss(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 300 * time.Microsecond
-	cfg.MaxRetries = 400
-	p := newPair(t, cfg)
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(21))
-	p.fabric.SetLossFn(func([]byte) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Intn(100) < 30
-	})
-	result := make([]byte, 8)
-	p.cli.RegisterMR(0x1000, result)
-	counter := make([]byte, 8)
-	remote := p.srv.RegisterMR(0x9000, counter)
-
-	const k = 20
-	for i := 0; i < k; i++ {
-		if err := p.cliQP.PostSend(WorkRequest{
-			ID: uint64(i), Verb: VerbFetchAdd, LocalVA: 0x1000,
-			RemoteVA: 0x9000, RKey: remote.RKey, SwapAdd: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	es := waitCQE(t, p.cliCQ, k, 30*time.Second)
-	for _, e := range es {
-		if e.Status != StatusOK {
-			t.Fatalf("atomic failed: %+v", e)
-		}
-	}
-	p.fabric.SetLossFn(nil)
-	quiesce(p)
-	if got := binary.LittleEndian.Uint64(counter); got != k {
-		t.Fatalf("counter = %d after %d fetch-adds; atomics re-executed or lost", got, k)
-	}
-}
-
-// TestAtomicConcurrentCounters: concurrent fetch-adds from many goroutines
-// increment one remote counter exactly once each.
-func TestAtomicConcurrentCounters(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	const workers = 4
-	const perWorker = 25
-	arena := make([]byte, workers*8)
-	p.cli.RegisterMR(0x1000, arena)
-	counter := make([]byte, 8)
-	remote := p.srv.RegisterMR(0x9000, counter)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				for {
-					err := p.cliQP.PostSend(WorkRequest{
-						ID: uint64(w*perWorker + i), Verb: VerbFetchAdd,
-						LocalVA:  0x1000 + uint64(w)*8,
-						RemoteVA: 0x9000, RKey: remote.RKey, SwapAdd: 1,
-					})
-					if err == nil {
-						break
-					}
-					time.Sleep(10 * time.Microsecond)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	waitCQE(t, p.cliCQ, workers*perWorker, 20*time.Second)
-	quiesce(p)
-	if got := binary.LittleEndian.Uint64(counter); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
 }
 

@@ -157,7 +157,7 @@ type Green struct {
 // heartbeat rides in the same single RDMA write as the pointers (R3).
 type Red struct {
 	MetaHead      uint64 // metadata entries consumed by the engine
-	ReqDataHead   uint64 // request-data bytes fetched by the engine
+	ReqDataHead   uint64 // request-data bytes of the writes the engine retired
 	WriteProgress uint64 // sequence number of the last completed write
 	ReadProgress  uint64 // sequence number of the last completed read
 	Heartbeat     uint64 // engine lease counter (internal/ha failure detector)

@@ -15,6 +15,10 @@ var (
 	ErrReqDataFull  = errors.New("rings: request data ring full")
 	ErrRespDataFull = errors.New("rings: response data ring full")
 	ErrTooLarge     = errors.New("rings: request larger than ring capacity")
+	// ErrRedCorrupt is not "retry later": the engine's red block claims to
+	// have consumed entries or request data the client never published,
+	// which no correct engine writes.
+	ErrRedCorrupt = errors.New("rings: red block heads are past the green tails")
 )
 
 // QueueSet is one per-hardware-thread set of Cowbird buffers, backed by a
@@ -68,6 +72,16 @@ func (q *QueueSet) green() Green     { return DecodeGreen(q.buf[q.layout.GreenOf
 func (q *QueueSet) red() Red         { return DecodeRed(q.buf[q.layout.RedOffset():]) }
 func (q *QueueSet) setGreen(g Green) { EncodeGreen(g, q.buf[q.layout.GreenOffset():]) }
 
+// pointers returns both halves, or ErrRedCorrupt if a red head is past its
+// green tail.
+func (q *QueueSet) pointers() (Green, Red, error) {
+	g, r := q.green(), q.red()
+	if r.MetaHead > g.MetaTail || r.ReqDataHead > g.ReqDataTail {
+		return g, r, ErrRedCorrupt
+	}
+	return g, r, nil
+}
+
 // Green returns a snapshot of the client-side pointers.
 func (q *QueueSet) Green() Green {
 	q.mu.Lock()
@@ -119,7 +133,10 @@ func (q *QueueSet) PushRead(reqAddr uint64, length uint32, regionID uint16) (res
 	if int(length) > q.layout.RespDataBytes {
 		return 0, fmt.Errorf("%w: read of %d bytes into %d-byte response ring", ErrTooLarge, length, q.layout.RespDataBytes)
 	}
-	g, r := q.green(), q.red()
+	g, r, err := q.pointers()
+	if err != nil {
+		return 0, err
+	}
 	if g.MetaTail-r.MetaHead >= uint64(q.layout.MetaEntries) {
 		return 0, ErrMetaFull
 	}
@@ -152,7 +169,10 @@ func (q *QueueSet) PushWrite(data []byte, respAddr uint64, regionID uint16) erro
 	if len(data) > q.layout.ReqDataBytes {
 		return fmt.Errorf("%w: write of %d bytes into %d-byte request ring", ErrTooLarge, len(data), q.layout.ReqDataBytes)
 	}
-	g, r := q.green(), q.red()
+	g, r, err := q.pointers()
+	if err != nil {
+		return err
+	}
 	if g.MetaTail-r.MetaHead >= uint64(q.layout.MetaEntries) {
 		return ErrMetaFull
 	}

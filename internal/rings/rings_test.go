@@ -2,6 +2,7 @@ package rings
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -231,6 +232,25 @@ func TestReqDataFull(t *testing.T) {
 	EncodeRed(Red{MetaHead: 1, ReqDataHead: head}, q.Bytes()[l.RedOffset():])
 	if err := q.PushWrite(big, 0, 0); err != nil {
 		t.Fatalf("space not freed: %v", err)
+	}
+}
+
+// A red head past its green tail is an error, not a full ring: PushWrite's
+// free-space arithmetic would underflow and read "full" forever.
+func TestRedAheadOfGreenIsCorrupt(t *testing.T) {
+	l := Layout{MetaEntries: 64, ReqDataBytes: 1024, RespDataBytes: 1024}
+	for _, red := range []Red{{MetaHead: 2, ReqDataHead: 64}, {MetaHead: 1, ReqDataHead: 128}} {
+		q := mustQS(t, 0, l)
+		if err := q.PushWrite(make([]byte, 64), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		EncodeRed(red, q.Bytes()[l.RedOffset():])
+		if _, err := q.PushRead(0, 8, 0); !errors.Is(err, ErrRedCorrupt) {
+			t.Errorf("red %+v: PushRead err = %v, want ErrRedCorrupt", red, err)
+		}
+		if err := q.PushWrite(make([]byte, 8), 0, 0); !errors.Is(err, ErrRedCorrupt) {
+			t.Errorf("red %+v: PushWrite err = %v, want ErrRedCorrupt", red, err)
+		}
 	}
 }
 

@@ -223,7 +223,7 @@ func New(cfg Config) (*System, error) {
 // control plane, the host QPs connected to the switch's emulated endpoints.
 func setupP4(eng *p4.Engine, inst *core.Instance, compute, pool *rdma.NIC) error {
 	host := func(nic *rdma.NIC, psn uint32) (*rdma.QP, p4.Endpoint) {
-		qp := nic.CreateQP(rdma.NewCQ(), rdma.NewCQ(), psn)
+		qp := nic.CreateQP(rdma.NewCQ(), nil, psn)
 		return qp, p4.Endpoint{MAC: nic.MAC(), IP: nic.IP(), QPN: qp.QPN(), ResetEPSN: qp.ResetExpectedPSN}
 	}
 	cQP, computeEP := host(compute, 2000)

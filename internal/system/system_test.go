@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -443,6 +444,71 @@ func TestP4LossRecovery(t *testing.T) {
 	}
 	if s.P4.Stats().Recoveries == 0 && s.P4.Stats().NAKs == 0 {
 		t.Fatal("no recovery was exercised despite drops")
+	}
+}
+
+// TestP4ReqDataFreedOncePerWrite: under 2 % frame loss a recovery replays
+// writes whose payload the switch had already fetched. Their request data
+// must be freed once per write, or the red block's ReqDataHead passes the
+// client's ReqDataTail and the request-data ring reads full forever. A
+// closed loop of window 1 alternates a 64 B write and a read of the same
+// block for 400 operations; every read must return the write before it.
+func TestP4ReqDataFreedOncePerWrite(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			p4ReqDataUnderLoss(t, seed)
+		})
+	}
+}
+
+func p4ReqDataUnderLoss(t *testing.T, seed int64) {
+	const ops, blocks = 400, 16
+	s := startSystem(t, func(c *Config) { c.Engine = EngineP4 })
+	// The predicate runs one frame at a time under the fabric's forwarding
+	// lock, so its generator needs no lock of its own.
+	loss := rand.New(rand.NewSource(seed))
+	s.Fabric.SetLossFn(func([]byte) bool { return loss.Intn(100) < 2 })
+	th, _ := s.Client.Thread(0)
+	g := th.PollCreate()
+	wait := func(i int, id core.ReqID) {
+		if err := g.Add(id); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for len(g.Wait(1, 10*time.Millisecond)) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: op %d did not complete (%+v)", seed, i, s.P4.Stats())
+			}
+		}
+	}
+	got := make([]byte, 64)
+	for i := 0; i < ops; i += 2 {
+		off := uint64(i/2%blocks) * 64
+		want := bytes.Repeat([]byte{byte(seed), byte(i), byte(i >> 8), 0xa5}, 16)
+		var wid core.ReqID
+		for retry := time.Now().Add(2 * time.Second); ; {
+			var err error
+			if wid, err = th.AsyncWrite(0, want, off); err == nil {
+				break
+			}
+			if !errors.Is(err, rings.ErrReqDataFull) || time.Now().After(retry) {
+				t.Fatalf("seed %d: write at op %d: %v (red %+v, green %+v)", seed, i, err, th.QueueSet().Red(), th.QueueSet().Green())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		wait(i, wid)
+		rid, err := th.AsyncRead(0, off, got)
+		if err != nil {
+			t.Fatalf("seed %d: read at op %d: %v", seed, i+1, err)
+		}
+		wait(i+1, rid)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: read at op %d returned %x, want %x", seed, i+1, got, want)
+		}
+	}
+	if s.P4.Stats().Recoveries == 0 {
+		t.Fatalf("seed %d: no recovery ran; the test is vacuous", seed)
 	}
 }
 

@@ -7,15 +7,13 @@ import (
 
 // Header lengths in bytes.
 const (
-	EthernetLen  = 14
-	IPv4Len      = 20
-	UDPLen       = 8
-	BTHLen       = 12
-	RETHLen      = 16
-	AETHLen      = 4
-	AtomicETHLen = 28
-	AtomicAckLen = 8
-	ICRCLen      = 4
+	EthernetLen = 14
+	IPv4Len     = 20
+	UDPLen      = 8
+	BTHLen      = 12
+	RETHLen     = 16
+	AETHLen     = 4
+	ICRCLen     = 4
 
 	// RoCEv2Port is the IANA-assigned UDP destination port for RoCEv2.
 	RoCEv2Port = 4791
@@ -225,28 +223,3 @@ func (h *AETH) encode(b []byte) {
 
 // IsNAK reports whether the syndrome encodes a negative acknowledgment.
 func (h *AETH) IsNAK() bool { return h.Syndrome&0x60 == 0x60 }
-
-// AtomicETH is the 28-byte Atomic Extended Transport Header carried by
-// CompareSwap and FetchAdd requests: target address, rkey, and the two
-// operands (SwapAdd is the swap value or the addend; Compare is only used
-// by CompareSwap).
-type AtomicETH struct {
-	VA      uint64
-	RKey    uint32
-	SwapAdd uint64
-	Compare uint64
-}
-
-func (h *AtomicETH) decode(b []byte) {
-	h.VA = binary.BigEndian.Uint64(b[0:8])
-	h.RKey = binary.BigEndian.Uint32(b[8:12])
-	h.SwapAdd = binary.BigEndian.Uint64(b[12:20])
-	h.Compare = binary.BigEndian.Uint64(b[20:28])
-}
-
-func (h *AtomicETH) encode(b []byte) {
-	binary.BigEndian.PutUint64(b[0:8], h.VA)
-	binary.BigEndian.PutUint32(b[8:12], h.RKey)
-	binary.BigEndian.PutUint64(b[12:20], h.SwapAdd)
-	binary.BigEndian.PutUint64(b[20:28], h.Compare)
-}

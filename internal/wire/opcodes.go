@@ -15,12 +15,10 @@ package wire
 // role. Cowbird uses the RC opcodes only.
 type OpCode uint8
 
-// Reliable Connection opcodes used by Cowbird and its substrate.
+// Reliable Connection opcodes of RDMA READ and WRITE, the only verbs Cowbird
+// posts, and of their acknowledgment. SEND and atomic opcodes are not
+// implemented and decode as ErrBadOpcode.
 const (
-	OpSendFirst          OpCode = 0x00
-	OpSendMiddle         OpCode = 0x01
-	OpSendLast           OpCode = 0x02
-	OpSendOnly           OpCode = 0x04
 	OpWriteFirst         OpCode = 0x06
 	OpWriteMiddle        OpCode = 0x07
 	OpWriteLast          OpCode = 0x08
@@ -31,20 +29,15 @@ const (
 	OpReadResponseLast   OpCode = 0x0F
 	OpReadResponseOnly   OpCode = 0x10
 	OpAcknowledge        OpCode = 0x11
-	OpAtomicAcknowledge  OpCode = 0x12
-	OpCompareSwap        OpCode = 0x13
-	OpFetchAdd           OpCode = 0x14
 )
 
 // opAttr describes which extension headers and fields accompany an opcode.
 type opAttr struct {
-	name         string
-	hasRETH      bool // RDMA extended transport header (VA, rkey, length)
-	hasAETH      bool // ACK extended transport header (syndrome, MSN)
-	hasAtomicETH bool // Atomic extended transport header (VA, rkey, swap, compare)
-	hasAtomicAck bool // AtomicAckETH (original value)
-	hasPayload   bool
-	request      bool // initiated by a requester (consumes a request PSN)
+	name       string
+	hasRETH    bool // RDMA extended transport header (VA, rkey, length)
+	hasAETH    bool // ACK extended transport header (syndrome, MSN)
+	hasPayload bool
+	request    bool // initiated by a requester (consumes a request PSN)
 }
 
 // opTable is the dense lookup used on the datapath: opcode attribute checks
@@ -64,10 +57,6 @@ func init() {
 }
 
 var opAttrs = map[OpCode]opAttr{
-	OpSendFirst:          {name: "SEND_FIRST", hasPayload: true, request: true},
-	OpSendMiddle:         {name: "SEND_MIDDLE", hasPayload: true, request: true},
-	OpSendLast:           {name: "SEND_LAST", hasPayload: true, request: true},
-	OpSendOnly:           {name: "SEND_ONLY", hasPayload: true, request: true},
 	OpWriteFirst:         {name: "RDMA_WRITE_FIRST", hasRETH: true, hasPayload: true, request: true},
 	OpWriteMiddle:        {name: "RDMA_WRITE_MIDDLE", hasPayload: true, request: true},
 	OpWriteLast:          {name: "RDMA_WRITE_LAST", hasPayload: true, request: true},
@@ -78,9 +67,6 @@ var opAttrs = map[OpCode]opAttr{
 	OpReadResponseLast:   {name: "RDMA_READ_RESPONSE_LAST", hasAETH: true, hasPayload: true},
 	OpReadResponseOnly:   {name: "RDMA_READ_RESPONSE_ONLY", hasAETH: true, hasPayload: true},
 	OpAcknowledge:        {name: "ACKNOWLEDGE", hasAETH: true},
-	OpCompareSwap:        {name: "COMPARE_SWAP", hasAtomicETH: true, request: true},
-	OpFetchAdd:           {name: "FETCH_ADD", hasAtomicETH: true, request: true},
-	OpAtomicAcknowledge:  {name: "ATOMIC_ACKNOWLEDGE", hasAETH: true, hasAtomicAck: true},
 }
 
 // String returns the InfiniBand-spec name of the opcode.
@@ -105,15 +91,6 @@ func (op OpCode) HasPayload() bool { return opTable[op].hasPayload }
 
 // IsRequest reports whether the opcode is requester-initiated.
 func (op OpCode) IsRequest() bool { return opTable[op].request }
-
-// HasAtomicETH reports whether packets with this opcode carry an AtomicETH.
-func (op OpCode) HasAtomicETH() bool { return opTable[op].hasAtomicETH }
-
-// HasAtomicAck reports whether packets carry an AtomicAckETH.
-func (op OpCode) HasAtomicAck() bool { return opTable[op].hasAtomicAck }
-
-// IsAtomic reports whether the opcode is an atomic request.
-func (op OpCode) IsAtomic() bool { return op == OpCompareSwap || op == OpFetchAdd }
 
 // IsReadResponse reports whether the opcode is one of the four read
 // response opcodes. Cowbird-P4 recycles these into RDMA writes.
@@ -159,7 +136,7 @@ const (
 	SyndromeNAKPSN uint8 = 0x60 // PSN sequence error (NAK code 0)
 	SyndromeNAKInv uint8 = 0x61 // invalid request (NAK code 1)
 	SyndromeNAKAcc uint8 = 0x62 // remote access error (NAK code 2)
-	// SyndromeNAKFenced rejects a WRITE or atomic whose fencing epoch
+	// SyndromeNAKFenced rejects a WRITE whose fencing epoch
 	// (carried in BTH.PKey) is below the target region's fence floor: the
 	// requester has been deposed by a newer epoch holder and must stop
 	// serving. NAK code 3 keeps it inside the 0x60 NAK class, so

@@ -10,14 +10,12 @@ import (
 // DecodeFromBytes; reusing one Packet across decodes performs no allocation
 // (the DecodingLayerParser idiom from gopacket).
 type Packet struct {
-	Eth       Ethernet
-	IP        IPv4
-	UDP       UDP
-	BTH       BTH
-	RETH      RETH      // valid iff BTH.OpCode.HasRETH()
-	AETH      AETH      // valid iff BTH.OpCode.HasAETH()
-	AtomicETH AtomicETH // valid iff BTH.OpCode.HasAtomicETH()
-	AtomicAck uint64    // valid iff BTH.OpCode.HasAtomicAck(): the original value
+	Eth  Ethernet
+	IP   IPv4
+	UDP  UDP
+	BTH  BTH
+	RETH RETH // valid iff BTH.OpCode.HasRETH()
+	AETH AETH // valid iff BTH.OpCode.HasAETH()
 
 	// Payload aliases the decode buffer (or, when building a packet, the
 	// caller's data); it excludes pad bytes and the ICRC.
@@ -76,12 +74,6 @@ func headerLen(op OpCode) int {
 	if op.HasAETH() {
 		n += AETHLen
 	}
-	if op.HasAtomicETH() {
-		n += AtomicETHLen
-	}
-	if op.HasAtomicAck() {
-		n += AtomicAckLen
-	}
 	return n
 }
 
@@ -135,21 +127,6 @@ func (p *Packet) DecodeFromBytes(buf []byte) error {
 		}
 		p.AETH.decode(buf[off:])
 		off += AETHLen
-	}
-	if op.HasAtomicETH() {
-		if len(buf) < off+AtomicETHLen {
-			return ErrTruncated
-		}
-		p.AtomicETH.decode(buf[off:])
-		off += AtomicETHLen
-	}
-	if op.HasAtomicAck() {
-		if len(buf) < off+AtomicAckLen {
-			return ErrTruncated
-		}
-		p.AtomicAck = uint64(buf[off])<<56 | uint64(buf[off+1])<<48 | uint64(buf[off+2])<<40 | uint64(buf[off+3])<<32 |
-			uint64(buf[off+4])<<24 | uint64(buf[off+5])<<16 | uint64(buf[off+6])<<8 | uint64(buf[off+7])
-		off += AtomicAckLen
 	}
 	end := len(buf) - ICRCLen
 	if end < off {
@@ -229,16 +206,6 @@ func (p *Packet) SerializeTo(buf []byte) (int, error) {
 	if op.HasAETH() {
 		p.AETH.encode(buf[off:])
 		off += AETHLen
-	}
-	if op.HasAtomicETH() {
-		p.AtomicETH.encode(buf[off:])
-		off += AtomicETHLen
-	}
-	if op.HasAtomicAck() {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(p.AtomicAck >> (56 - 8*i))
-		}
-		off += AtomicAckLen
 	}
 	copy(buf[off:], payload)
 	off += len(payload)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,28 @@ func TestDecodeRejectsBadOpcode(t *testing.T) {
 	}
 }
 
+// unimplementedOpcodes are the RC SEND (First, Middle, Last, Only) and atomic
+// (Acknowledge, CompareSwap, FetchAdd) opcodes. This stack posts neither
+// kind, so a frame carrying one is outside input.
+var unimplementedOpcodes = []byte{0x00, 0x01, 0x02, 0x04, 0x12, 0x13, 0x14}
+
+// withOpcode returns a valid frame whose BTH opcode byte is overwritten.
+func withOpcode(op byte) []byte {
+	frame, _ := samplePacket(OpAcknowledge, nil).Serialize()
+	frame[EthernetLen+IPv4Len+UDPLen] = op
+	return frame
+}
+
+func TestRemovedOpcodesRejected(t *testing.T) {
+	for _, op := range unimplementedOpcodes {
+		frame := withOpcode(op)
+		var out Packet
+		if err := out.DecodeFromBytes(frame); !errors.Is(err, ErrBadOpcode) {
+			t.Errorf("opcode 0x%02x: err = %v, want ErrBadOpcode", op, err)
+		}
+	}
+}
+
 func TestTruncationNeverPanics(t *testing.T) {
 	in := samplePacket(OpWriteFirst, bytes.Repeat([]byte{1}, 100))
 	frame, _ := in.Serialize()
@@ -270,7 +293,7 @@ func TestAETHNAK(t *testing.T) {
 // Property: serialize→decode is the identity on (opcode, QP, PSN, payload)
 // for arbitrary payloads.
 func TestQuickRoundTrip(t *testing.T) {
-	ops := []OpCode{OpWriteOnly, OpReadResponseOnly, OpSendOnly, OpWriteMiddle}
+	ops := []OpCode{OpWriteOnly, OpReadResponseOnly, OpWriteLast, OpWriteMiddle}
 	f := func(opIdx uint8, qp, psn uint32, payload []byte) bool {
 		if len(payload) > 4096 {
 			payload = payload[:4096]
@@ -347,58 +370,5 @@ func BenchmarkDecode(b *testing.B) {
 		if err := out.DecodeFromBytes(frame); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestAtomicRoundTrip(t *testing.T) {
-	in := samplePacket(OpCompareSwap, nil)
-	in.AtomicETH = AtomicETH{VA: 0x1234_5678_9ABC, RKey: 0x99, SwapAdd: 7777, Compare: 8888}
-	frame, err := in.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Packet
-	if err := out.DecodeFromBytes(frame); err != nil {
-		t.Fatal(err)
-	}
-	if out.AtomicETH != in.AtomicETH {
-		t.Fatalf("AtomicETH: %+v != %+v", out.AtomicETH, in.AtomicETH)
-	}
-	if !OpCompareSwap.HasAtomicETH() || !OpCompareSwap.IsAtomic() || OpCompareSwap.HasPayload() {
-		t.Fatal("CompareSwap attrs")
-	}
-	if WireLen(OpCompareSwap, 0) != EthernetLen+IPv4Len+UDPLen+BTHLen+AtomicETHLen+ICRCLen {
-		t.Fatal("CompareSwap wire length")
-	}
-}
-
-func TestAtomicAckRoundTrip(t *testing.T) {
-	in := samplePacket(OpAtomicAcknowledge, nil)
-	in.AtomicAck = 0xDEAD_BEEF_0123_4567
-	frame, err := in.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Packet
-	if err := out.DecodeFromBytes(frame); err != nil {
-		t.Fatal(err)
-	}
-	if out.AtomicAck != in.AtomicAck {
-		t.Fatalf("AtomicAck = %#x, want %#x", out.AtomicAck, in.AtomicAck)
-	}
-	if out.AETH.Syndrome != SyndromeACK {
-		t.Fatal("AETH lost on atomic ack")
-	}
-	if !OpAtomicAcknowledge.HasAtomicAck() || OpAtomicAcknowledge.IsRequest() {
-		t.Fatal("AtomicAcknowledge attrs")
-	}
-}
-
-func TestFetchAddDistinctFromCompareSwap(t *testing.T) {
-	if OpFetchAdd == OpCompareSwap || !OpFetchAdd.IsAtomic() {
-		t.Fatal("opcode identity")
-	}
-	if OpFetchAdd.String() != "FETCH_ADD" || OpCompareSwap.String() != "COMPARE_SWAP" {
-		t.Fatal("opcode names")
 	}
 }
