@@ -133,6 +133,9 @@ func main() {
 	dur := time.Since(start)
 	fmt.Printf("ran %d YCSB-B ops (%s) in %v: %d hot reads, %d cold reads via Cowbird, %d updates\n",
 		*ops, d, dur.Round(time.Millisecond), hot, cold, updates)
+	ks := store.Stats()
+	fmt.Printf("store: %d updates in place, %d records appended, %d log pages flushed\n",
+		ks.InPlaceUpdates, ks.Appends, ks.PagesFlushed)
 	st := sys.Spot.Stats()
 	fmt.Printf("engine: %d entries served (%d reads, %d writes), %d response batches, %d conflict stalls\n",
 		st.EntriesServed, st.ReadsExecuted, st.WritesExecuted, st.ResponseBatches, st.ConflictStalls)

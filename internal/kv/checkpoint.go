@@ -44,7 +44,6 @@ func (st *Store) Checkpoint(w io.Writer) error {
 	}
 	// Sparse index dump: (slot, addr) pairs for non-empty slots.
 	var rec [12]byte
-	count := 0
 	for i := range st.index {
 		addr := st.index[i].Load()
 		if addr == 0 {
@@ -55,9 +54,7 @@ func (st *Store) Checkpoint(w io.Writer) error {
 		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
-		count++
 	}
-	_ = count
 	return bw.Flush()
 }
 
@@ -80,7 +77,9 @@ func Recover(dev Device, cfg Config, r io.Reader) (*Store, error) {
 	}
 	cfg.PageSize = pageSize
 	cfg.IndexSize = indexSize
-	st, err := Open(dev, cfg)
+	// Every checkpointed byte starts cold: the log's offsets all start at the
+	// checkpointed frontier (page-aligned by flushAll).
+	st, err := open(dev, cfg, tail)
 	if err != nil {
 		return nil, err
 	}
@@ -88,11 +87,6 @@ func Recover(dev Device, cfg Config, r io.Reader) (*Store, error) {
 		st.Close()
 		return nil, fmt.Errorf("kv: index size %d not a power of two in checkpoint", indexSize)
 	}
-	// Position the log so every checkpointed byte is cold: head == tail ==
-	// flushed == the checkpointed frontier (page-aligned by flushAll).
-	st.log.tail.Store(tail)
-	st.log.head.Store(tail)
-	st.log.flushed.Store(tail)
 	var rec [12]byte
 	for {
 		if _, err := io.ReadFull(br, rec[:]); err == io.EOF {
@@ -112,19 +106,22 @@ func Recover(dev Device, cfg Config, r io.Reader) (*Store, error) {
 	return st, nil
 }
 
-// flushAll pads the tail to the next page boundary and waits until the
-// flusher has made everything durable.
+// flushAll pads the tail to the next page boundary, makes the whole log
+// read-only and waits until the flusher has made everything durable.
 func (l *hybridLog) flushAll() error {
 	w := pace.New(l.stop, 0, 0)
 	// Seal the current page by skipping the tail to its end (the pad bytes
 	// are holes no chain references).
 	for {
 		a := l.tail.Load()
-		if a%l.pageSize == 0 {
+		next := (a + l.pageSize - 1) / l.pageSize * l.pageSize
+		// The offset goes first: it frees the flusher to write the pages
+		// makeRoom may wait for, and the sealed tail is where it ends up.
+		l.shiftReadOnlyTo(next)
+		if a == next {
 			break
 		}
-		next := (a/l.pageSize + 1) * l.pageSize
-		if next-l.head.Load() > l.memSize {
+		if next-l.drained.Load() > l.memSize {
 			if err := l.makeRoom(next, w); err != nil {
 				return err
 			}

@@ -9,13 +9,17 @@ import (
 	"time"
 )
 
+// openTest opens a store over a write-once LocalDevice: a flush over bytes
+// already written, or above the read-only offset, fails the test (and the
+// flush).
 func openTest(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	dev := NewLocalDevice(1 << 26)
+	dev := newWriteOnceDevice(t, NewLocalDevice(1<<26))
 	st, err := Open(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev.log.Store(st.log)
 	t.Cleanup(st.Close)
 	return st
 }
@@ -609,10 +613,11 @@ func TestRMWConcurrentCounters(t *testing.T) {
 	}
 }
 
-// TestReadPathAllocFree gates the read path at zero allocations: a hit
-// answers from the session's scratch, and a cold read runs issue →
-// CompletePending on a recycled pendingRead, its buffers and the reused
-// result and token slices. The first rounds size them.
+// TestReadPathAllocFree gates the read path and the in-place update at zero
+// allocations: a hit answers from the session's scratch, a cold read runs
+// issue → CompletePending on a recycled pendingRead, its buffers and the
+// reused result and token slices, and an in-place Upsert rewrites the record.
+// The first rounds size them.
 func TestReadPathAllocFree(t *testing.T) {
 	s, hot, cold := coldStore(t)
 	hit := func() {
@@ -629,12 +634,20 @@ func TestReadPathAllocFree(t *testing.T) {
 			t.Fatalf("cold read completed as %+v, %v", res, err)
 		}
 	}
-	for name, op := range map[string]func(){"hot": hit, "cold": miss} {
+	// An update of the hot record is in place: same size, so nothing appends.
+	newVal := []byte(fmt.Sprintf("record-1999-%088d", 0))
+	update := func() {
+		tail := s.st.TailAddress()
+		if err := s.Upsert(hot, newVal); err != nil || s.st.TailAddress() != tail {
+			t.Fatalf("in-place upsert: %v, tail %#x -> %#x", err, tail, s.st.TailAddress())
+		}
+	}
+	for name, op := range map[string]func(){"hot": hit, "cold": miss, "in-place upsert": update} {
 		for i := 0; i < 64; i++ {
 			op()
 		}
 		if allocs := testing.AllocsPerRun(500, op); allocs != 0 {
-			t.Errorf("%s read allocates %v allocs/op, want 0", name, allocs)
+			t.Errorf("%s allocates %v allocs/op, want 0", name, allocs)
 		}
 	}
 }

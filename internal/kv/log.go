@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -31,18 +32,39 @@ func recordSize(keyLen, valLen int) uint64 {
 	return (n + 7) &^ 7
 }
 
+// mutableFraction is the share of the in-memory log above the read-only
+// offset. FASTER defaults to 0.9; a half keeps most hot updates in place
+// (about 60 % of kv_ycsb_b's) and leaves the flusher half of memory —
+// 8 of 16 pages there — between the offset and the next allocation's need.
+const mutableFraction = 0.5
+
 // hybridLog is FASTER's hybrid log: a circular in-memory buffer holding
 // [head, tail), with everything below head flushed to the device in page
-// units by a background flusher.
+// units by a background flusher. Memory holds three regions:
+//
+//	[head, readOnly)  read-only: immutable, flushed page by page
+//	[readOnly, tail)  mutable: a key's chain-head record here is updated in place
+//	below head        on the device only
+//
+// The read-only offset trails the tail by mutableFraction of memory, rounded
+// down to a page, and only moves up.
 type hybridLog struct {
 	mem      []byte
 	memSize  uint64
 	pageSize uint64
 	numPages uint64
+	mutable  uint64 // bytes the read-only offset trails the tail by
 
-	tail    atomic.Uint64 // next logical address to allocate
-	head    atomic.Uint64 // lowest logical address resident in memory
-	flushed atomic.Uint64 // all addresses below are durable on the device
+	tail     atomic.Uint64 // next logical address to allocate
+	readOnly atomic.Uint64 // records below are immutable
+	head     atomic.Uint64 // lowest logical address resident in memory
+	flushed  atomic.Uint64 // all addresses below are durable on the device
+
+	// drained trails head: no reader is protected below it, so allocation
+	// may reuse the memory of everything below it. An allocator that saw
+	// only head move could overwrite a record a reader is still copying,
+	// while the allocator that moved head waits out that reader.
+	drained atomic.Uint64
 
 	// failed is the log's sticky failure: the page flush the device
 	// refused. The flusher stops there, so flushed (and with it head) never
@@ -50,10 +72,14 @@ type hybridLog struct {
 	// frontier returns the error instead (err).
 	failed atomic.Pointer[error]
 
-	// pages[i] counts in-flight writers into logical page slot i; the
-	// flusher only flushes a page whose writer count is zero and whose end
-	// the tail has passed.
+	// pages[i] counts in-flight writers into logical page slot i: appenders
+	// between alloc and release, and in-place writers (pinMutable). The
+	// flusher only flushes a page whose end the read-only offset and the tail
+	// have passed and whose writer count is zero.
 	pages []atomic.Int32
+
+	appends      atomic.Uint64 // records allocated
+	pagesFlushed atomic.Uint64
 
 	dev     Device
 	devSess DeviceSession
@@ -97,7 +123,10 @@ func (l *hybridLog) hazardsClearBelow(addr uint64) bool {
 // address 0 can mean "nil chain pointer".
 func (l *hybridLog) begin() uint64 { return l.pageSize }
 
-func newHybridLog(dev Device, memSize, pageSize uint64) (*hybridLog, error) {
+// newHybridLog returns a log whose offsets all start at frontier (0: the
+// log's beginning), with its flusher running. The log is empty above the
+// frontier and durable below it.
+func newHybridLog(dev Device, memSize, pageSize, frontier uint64) (*hybridLog, error) {
 	if pageSize == 0 || memSize%pageSize != 0 || memSize/pageSize < 2 {
 		return nil, fmt.Errorf("kv: memory size %d must be >= 2 pages of %d", memSize, pageSize)
 	}
@@ -106,15 +135,24 @@ func newHybridLog(dev Device, memSize, pageSize uint64) (*hybridLog, error) {
 		memSize:  memSize,
 		pageSize: pageSize,
 		numPages: memSize / pageSize,
+		mutable:  uint64(float64(memSize) * mutableFraction),
 		pages:    make([]atomic.Int32, memSize/pageSize),
 		dev:      dev,
 		devSess:  dev.Session(-1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	l.tail.Store(l.begin())
-	l.head.Store(l.begin())
-	l.flushed.Store(l.begin())
+	if frontier == 0 {
+		frontier = l.begin()
+	}
+	// Before the flusher starts: it reads the offsets one at a time, so
+	// moving them under it could pair an old flushed frontier with a new
+	// tail and flush a page of empty memory over durable data.
+	l.tail.Store(frontier)
+	l.readOnly.Store(frontier)
+	l.head.Store(frontier)
+	l.drained.Store(frontier)
+	l.flushed.Store(frontier)
 	go l.flushLoop()
 	return l, nil
 }
@@ -150,7 +188,11 @@ func (l *hybridLog) alloc(n uint64, w *pace.Waiter) (uint64, error) {
 			start = (start/l.pageSize + 1) * l.pageSize
 		}
 		end := start + n
-		if end > l.head.Load()+l.memSize {
+		// Shifting before the room check matters when start skips to a new
+		// page: the flusher must be free to write the pages makeRoom waits
+		// for. Shifting early is always safe; it only ends in-place updates.
+		l.shiftReadOnly(end)
+		if end > l.drained.Load()+l.memSize {
 			if err := l.makeRoom(end, w); err != nil {
 				return 0, err
 			}
@@ -159,10 +201,52 @@ func (l *hybridLog) alloc(n uint64, w *pace.Waiter) (uint64, error) {
 		slot := (start / l.pageSize) % l.numPages
 		l.pages[slot].Add(1)
 		if l.tail.CompareAndSwap(a, end) {
+			l.appends.Add(1)
 			return start, nil
 		}
 		l.pages[slot].Add(-1)
 	}
+}
+
+// shiftReadOnly moves the read-only offset up to where a tail at end puts
+// it: mutable bytes below end, rounded down to a page.
+func (l *hybridLog) shiftReadOnly(end uint64) {
+	if end <= l.mutable {
+		return
+	}
+	l.shiftReadOnlyTo((end - l.mutable) / l.pageSize * l.pageSize)
+}
+
+func (l *hybridLog) shiftReadOnlyTo(to uint64) {
+	for {
+		ro := l.readOnly.Load()
+		if ro >= to || l.readOnly.CompareAndSwap(ro, to) {
+			return
+		}
+	}
+}
+
+// pinMutable pins the page of the record at addr for an in-place write and
+// reports whether the record is still mutable; if it is, the caller writes
+// and then calls release(addr). This is one side of the handshake on the
+// page's writer count: the count goes up before the offset is re-read, and
+// whoever needs the page to hold still (the flusher, a lock-free reader in
+// immutable) reads the offset and then the count. So either it sees this
+// writer, or the offset had passed addr before this writer looked.
+func (l *hybridLog) pinMutable(addr uint64) bool {
+	c := &l.pages[(addr/l.pageSize)%l.numPages]
+	c.Add(1)
+	if addr >= l.readOnly.Load() {
+		return true
+	}
+	c.Add(-1)
+	return false
+}
+
+// immutable reports whether no in-place write to the in-memory record at
+// addr is under way or can start: the other side of pinMutable's handshake.
+func (l *hybridLog) immutable(addr uint64) bool {
+	return addr < l.readOnly.Load() && l.pages[(addr/l.pageSize)%l.numPages].Load() == 0
 }
 
 // release marks the record at addr fully written.
@@ -199,24 +283,67 @@ func (l *hybridLog) makeRoom(end uint64, w *pace.Waiter) error {
 			return fmt.Errorf("kv: store closed during allocation")
 		}
 	}
-	return nil
+	for {
+		d := l.drained.Load()
+		if d >= needHead || l.drained.CompareAndSwap(d, needHead) {
+			return nil
+		}
+	}
 }
 
-// readInMem copies [addr, addr+len(dst)) from the in-memory region into
-// dst under hazard protection. It reports false if the address is (or
-// becomes) below head, in which case dst is invalid and the caller must go
-// to the device.
-func (l *hybridLog) readInMem(hazard *atomic.Uint64, addr uint64, dst []byte) bool {
+// readRecord copies the whole in-memory record at addr into dst (grown if
+// short) under hazard protection and returns the copy. It reports false if
+// the address is (or becomes) below head, in which case the caller must go
+// to the device. An immutable record is copied lock-free; any other is
+// copied holding mu, the lock its chain's in-place writers hold, so the copy
+// never holds half of an update. Only the record's own bytes are read,
+// never its neighbours', which may belong to a record another session is
+// still writing.
+func (l *hybridLog) readRecord(hazard *atomic.Uint64, mu *sync.Mutex, addr uint64, dst []byte) ([]byte, bool, error) {
 	hazard.Store(addr)
 	defer hazard.Store(0)
 	// Re-check after publishing the hazard: if head already passed addr,
 	// makeRoom may not have seen our hazard, so the memory is not safe.
 	if addr < l.head.Load() {
-		return false
+		return dst, false, nil
+	}
+	if !l.immutable(addr) {
+		mu.Lock()
+		defer mu.Unlock()
 	}
 	p := l.physical(addr)
-	copy(dst, l.mem[p:p+uint64(len(dst))])
-	return true
+	kl, vl, _ := peekLens(l.mem[p : p+recordHeader])
+	need := recordSize(int(kl), int(vl))
+	if p%l.pageSize+need > l.pageSize {
+		return dst, false, fmt.Errorf("kv: corrupt record at %#x", addr)
+	}
+	if uint64(cap(dst)) < need {
+		dst = make([]byte, need)
+	}
+	dst = dst[:need]
+	copy(dst, l.mem[p:p+need])
+	return dst, true, nil
+}
+
+// updateInPlace rewrites the record at addr with value if it is key's
+// record, is still mutable and has room for value, and reports whether it
+// did. The caller holds the lock of the record's chain, so no other
+// in-place writer runs and no reader copies the record meanwhile.
+func (l *hybridLog) updateInPlace(addr uint64, key, value []byte, tombstone bool) bool {
+	if addr < l.readOnly.Load() || !l.pinMutable(addr) {
+		return false
+	}
+	// Pinned: the page can be neither flushed nor evicted, so the header
+	// and key read here are the record's.
+	p := l.physical(addr)
+	kl, vl, _ := peekLens(l.mem[p : p+recordHeader])
+	ok := int(kl) == len(key) && recordSize(len(key), len(value)) <= recordSize(int(kl), int(vl)) &&
+		bytes.Equal(l.mem[p+recordHeader:p+recordHeader+uint64(kl)], key)
+	if ok {
+		l.writeValue(addr, len(key), value, tombstone)
+	}
+	l.release(addr)
+	return ok
 }
 
 // writeRecord fills in a freshly allocated record. prev may be patched
@@ -224,14 +351,21 @@ func (l *hybridLog) readInMem(hazard *atomic.Uint64, addr uint64, dst []byte) bo
 func (l *hybridLog) writeRecord(addr uint64, prev uint64, key, value []byte, tombstone bool) {
 	p := l.physical(addr)
 	binary.LittleEndian.PutUint64(l.mem[p:], prev)
-	kl := uint32(len(key))
+	copy(l.mem[p+recordHeader:], key)
+	l.writeValue(addr, len(key), value, tombstone)
+}
+
+// writeValue writes a record's lengths and value: what an in-place update
+// changes, and a fresh record's all but its chain pointer and key.
+func (l *hybridLog) writeValue(addr uint64, keyLen int, value []byte, tombstone bool) {
+	p := l.physical(addr)
+	kl := uint32(keyLen)
 	if tombstone {
 		kl |= tombstoneBit
 	}
 	binary.LittleEndian.PutUint32(l.mem[p+8:], kl)
 	binary.LittleEndian.PutUint32(l.mem[p+12:], uint32(len(value)))
-	copy(l.mem[p+recordHeader:], key)
-	copy(l.mem[p+recordHeader+uint64(len(key)):], value)
+	copy(l.mem[p+recordHeader+uint64(keyLen):], value)
 }
 
 // patchPrev updates the chain pointer of a not-yet-published record.
@@ -258,17 +392,21 @@ func parseRecord(buf []byte) (prev uint64, key, value []byte, tombstone, ok bool
 	return prev, key, value, tombstone, true
 }
 
-// flushLoop writes closed pages to the device in order and advances the
-// flushed frontier. A write the device refuses becomes the log's sticky
-// failure and ends the loop: the page was never written, so it is never
-// counted as flushed.
+// flushLoop writes read-only pages to the device in order and advances the
+// flushed frontier. A page is flushed once the read-only offset and the tail
+// have passed its end and no writer holds it; read in that order, which
+// pinMutable's handshake needs, nothing changes the page afterwards, so each
+// device address is written exactly once. A write the device refuses becomes
+// the log's sticky failure and ends the loop: the page was never written, so
+// it is never counted as flushed.
 func (l *hybridLog) flushLoop() {
 	defer close(l.done)
 	idle := pace.New(l.stop, 0, 0)
 	for {
 		fp := l.flushed.Load()
+		end := fp + l.pageSize
 		slot := (fp / l.pageSize) % l.numPages
-		if l.tail.Load() >= fp+l.pageSize && l.pages[slot].Load() == 0 {
+		if l.readOnly.Load() >= end && l.tail.Load() >= end && l.pages[slot].Load() == 0 {
 			p := l.physical(fp)
 			tok, err := l.devSess.WriteAsync(fp, l.mem[p:p+l.pageSize])
 			if err != nil {
@@ -295,7 +433,8 @@ func (l *hybridLog) flushLoop() {
 				default:
 				}
 			}
-			l.flushed.Store(fp + l.pageSize)
+			l.pagesFlushed.Add(1)
+			l.flushed.Store(end)
 			continue
 		}
 		if !idle.Block(20 * time.Microsecond) {

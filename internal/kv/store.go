@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,15 +55,35 @@ func DefaultConfig() Config {
 
 // Store is a FASTER-style hash KV over a hybrid log.
 type Store struct {
-	cfg   Config
-	index []atomic.Uint64 // chain heads: logical record addresses (0 = empty)
-	mask  uint64
-	log   *hybridLog
-	dev   Device
+	cfg     Config
+	index   []atomic.Uint64 // chain heads: logical record addresses (0 = empty)
+	mask    uint64
+	stripes []stripe // index slot i locks stripes[i&(len(stripes)-1)]
+	log     *hybridLog
+	dev     Device
 }
 
+// stripe is the lock of the index slots that map to it. In-place writers of
+// those slots' chains hold it while they write, RMW publishers while they
+// check and publish, and readers while they copy a record that is not
+// immutable. Appends publish lock-free, by CAS on the slot.
+type stripe struct {
+	mu sync.Mutex
+	// inPlace counts the in-place writes made under mu. An RMW that finds
+	// it unchanged at publication knows no in-place write changed the value
+	// it read.
+	inPlace atomic.Uint64
+}
+
+// maxStripes bounds the stripe table; an index smaller than it gets one
+// stripe per slot.
+const maxStripes = 256
+
 // Open creates a store backed by dev.
-func Open(dev Device, cfg Config) (*Store, error) {
+func Open(dev Device, cfg Config) (*Store, error) { return open(dev, cfg, 0) }
+
+// open creates a store whose log starts at frontier (0: an empty log).
+func open(dev Device, cfg Config, frontier uint64) (*Store, error) {
 	if cfg.IndexSize <= 0 {
 		return nil, fmt.Errorf("kv: bad index size %d", cfg.IndexSize)
 	}
@@ -76,16 +97,17 @@ func Open(dev Device, cfg Config) (*Store, error) {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
 	}
-	l, err := newHybridLog(dev, cfg.MemSize, cfg.PageSize)
+	l, err := newHybridLog(dev, cfg.MemSize, cfg.PageSize, frontier)
 	if err != nil {
 		return nil, err
 	}
 	return &Store{
-		cfg:   cfg,
-		index: make([]atomic.Uint64, size),
-		mask:  uint64(size - 1),
-		log:   l,
-		dev:   dev,
+		cfg:     cfg,
+		index:   make([]atomic.Uint64, size),
+		mask:    uint64(size - 1),
+		stripes: make([]stripe, min(size, maxStripes)),
+		log:     l,
+		dev:     dev,
 	}, nil
 }
 
@@ -98,6 +120,26 @@ func (st *Store) TailAddress() uint64 { return st.log.tail.Load() }
 // HeadAddress reports the in-memory head (records below it are cold).
 func (st *Store) HeadAddress() uint64 { return st.log.head.Load() }
 
+// Stats counts what the store's writes did to its log.
+type Stats struct {
+	InPlaceUpdates uint64 // Upserts, RMWs and Deletes that rewrote a mutable record
+	Appends        uint64 // records appended at the tail, a lost RMW race's included
+	PagesFlushed   uint64 // log pages written to the device
+}
+
+// Stats reports the store's counts since Open (or Recover).
+func (st *Store) Stats() Stats {
+	var inPlace uint64
+	for i := range st.stripes {
+		inPlace += st.stripes[i].inPlace.Load()
+	}
+	return Stats{
+		InPlaceUpdates: inPlace,
+		Appends:        st.log.appends.Load(),
+		PagesFlushed:   st.log.pagesFlushed.Load(),
+	}
+}
+
 // hash is FNV-1a 64.
 func hash(key []byte) uint64 {
 	h := uint64(14695981039346656037)
@@ -108,8 +150,22 @@ func hash(key []byte) uint64 {
 	return h
 }
 
-func (st *Store) slot(key []byte) *atomic.Uint64 {
-	return &st.index[hash(key)&st.mask]
+// slotOf returns the index slot of key's chain.
+func (st *Store) slotOf(key []byte) uint64 { return hash(key) & st.mask }
+
+func (st *Store) stripe(slot uint64) *stripe {
+	return &st.stripes[slot&uint64(len(st.stripes)-1)]
+}
+
+// updateInPlace rewrites key's record at head, the chain head of key's
+// slot, in place if it can (hybridLog.updateInPlace) and counts it on sp.
+// The caller holds sp's lock.
+func (st *Store) updateInPlace(sp *stripe, head uint64, key, value []byte, tombstone bool) bool {
+	if !st.log.updateInPlace(head, key, value, tombstone) {
+		return false
+	}
+	sp.inPlace.Add(1)
+	return true
 }
 
 // ReadResult is a completed cold read. Key and Value point into buffers the
@@ -172,25 +228,38 @@ func (st *Store) NewSession(threadID int) *Session {
 // Inflight reports the number of pending cold reads.
 func (s *Session) Inflight() int { return len(s.pending) }
 
-// Upsert inserts or updates key with value (RCU append, the hybrid-log
-// write path: append to the tail, then CAS the index chain head).
+// Upsert inserts or updates key with value. If key's record heads its chain
+// in the mutable region and has room, it is rewritten in place; otherwise
+// the new version is appended (RCU: append to the tail, then CAS the index
+// chain head).
 func (s *Session) Upsert(key, value []byte) error {
-	return s.append(key, value, false)
+	return s.write(key, value, false)
 }
 
-// Delete removes key by appending a tombstone record: readers that reach
-// the tombstone report NotFound without walking the older chain.
+// Delete removes key: in place like Upsert, or by appending a tombstone
+// record. Readers that reach the tombstone report NotFound without walking
+// the older chain.
 func (s *Session) Delete(key []byte) error {
-	return s.append(key, nil, true)
+	return s.write(key, nil, true)
 }
 
-func (s *Session) append(key, value []byte, tombstone bool) error {
+func (s *Session) write(key, value []byte, tombstone bool) error {
+	i := s.st.slotOf(key)
+	slot := &s.st.index[i]
+	if slot.Load() >= s.st.log.readOnly.Load() {
+		sp := s.st.stripe(i)
+		sp.mu.Lock()
+		done := s.st.updateInPlace(sp, slot.Load(), key, value, tombstone)
+		sp.mu.Unlock()
+		if done {
+			return nil
+		}
+	}
 	n := recordSize(len(key), len(value))
 	addr, err := s.st.log.alloc(n, s.wait)
 	if err != nil {
 		return err
 	}
-	slot := s.st.slot(key)
 	prev := slot.Load()
 	s.st.log.writeRecord(addr, prev, key, value, tombstone)
 	for !slot.CompareAndSwap(prev, addr) {
@@ -207,51 +276,43 @@ func (s *Session) append(key, value []byte, tombstone bool) error {
 // through CompletePending with the given ctx. The returned value is the
 // session's scratch: valid until the session's next Read or RMW.
 func (s *Session) Read(key []byte, ctx any) ([]byte, Status, error) {
-	addr := s.st.slot(key).Load()
-	return s.walk(key, addr, ctx)
+	i := s.st.slotOf(key)
+	val, status, cold, err := s.walk(s.st.stripe(i), key, s.st.index[i].Load())
+	if status == StatusPending {
+		err = s.issueColdRead(key, cold, ctx)
+	}
+	return val, status, err
 }
 
-// walk traverses the chain starting at addr.
-func (s *Session) walk(key []byte, addr uint64, ctx any) ([]byte, Status, error) {
+// walk traverses the chain starting at addr, copying records under sp's
+// lock where they are mutable. If the chain descends into the cold region it
+// returns StatusPending and the address the device read must start at.
+func (s *Session) walk(sp *stripe, key []byte, addr uint64) (val []byte, status Status, cold uint64, err error) {
 	for addr != 0 {
 		if addr < s.st.log.head.Load() {
-			return nil, StatusPending, s.issueColdRead(key, addr, ctx)
+			return nil, StatusPending, addr, nil
 		}
-		// In-memory lookup is two-step: a published record's header is
-		// complete, so read it first, then read exactly the record — never
-		// the neighboring bytes, which may belong to a record another
-		// session is still writing.
-		var hdr [recordHeader]byte
-		if !s.st.log.readInMem(s.hazard, addr, hdr[:]) {
+		buf, ok, err := s.st.log.readRecord(s.hazard, &sp.mu, addr, s.scratch)
+		s.scratch = buf[:cap(buf)]
+		if err != nil {
+			return nil, StatusNotFound, 0, err
+		}
+		if !ok {
 			continue // fell below head mid-lookup; retry as cold read
-		}
-		kl, vl, _ := peekLens(hdr[:])
-		need := recordSize(int(kl), int(vl))
-		if need > s.st.log.pageSize {
-			return nil, StatusNotFound, fmt.Errorf("kv: corrupt record at %#x", addr)
-		}
-		buf := s.scratch
-		if uint64(cap(buf)) < need {
-			buf = make([]byte, need)
-			s.scratch = buf
-		}
-		buf = buf[:need]
-		if !s.st.log.readInMem(s.hazard, addr, buf) {
-			continue
 		}
 		prev, rkey, rval, tomb, ok := parseRecord(buf)
 		if !ok {
-			return nil, StatusNotFound, fmt.Errorf("kv: corrupt record at %#x", addr)
+			return nil, StatusNotFound, 0, fmt.Errorf("kv: corrupt record at %#x", addr)
 		}
 		if bytes.Equal(rkey, key) {
 			if tomb {
-				return nil, StatusNotFound, nil
+				return nil, StatusNotFound, 0, nil
 			}
-			return rval, StatusOK, nil
+			return rval, StatusOK, 0, nil
 		}
 		addr = prev
 	}
-	return nil, StatusNotFound, nil
+	return nil, StatusNotFound, 0, nil
 }
 
 // peekLens extracts the length fields from a partial record image (the
@@ -317,57 +378,84 @@ func (s *Session) recycle(pr *pendingRead) {
 // RMW atomically transforms the value of key: update receives the current
 // value (nil if absent) and returns the new one. Like FASTER's RMW, the
 // operation may go pending when the current value lives in the cold region;
-// the result then arrives through CompletePending (Status OK, Value holding
-// the value written, Ctx the caller's ctx).
+// the result then arrives through CompletePending (Status OK, Value the
+// slice update returned and the store holds, Ctx the caller's ctx).
 //
-// Atomicity is per-key against concurrent sessions: the new record is
-// published with CAS against the chain head observed during the read, and
-// the whole operation retries if another session won the race.
+// Atomicity is per-key against concurrent sessions: the new value is
+// published — in place or appended — only if neither the chain head nor the
+// mutable record behind it changed since the value was read, and the whole
+// operation retries if another session won the race. update runs outside
+// every lock, once per publication attempt.
 func (s *Session) RMW(key []byte, ctx any, update func(old []byte) []byte) (Status, error) {
+	_, status, err := s.rmw(key, ctx, update)
+	return status, err
+}
+
+// rmw is RMW, returning the value it published.
+func (s *Session) rmw(key []byte, ctx any, update func(old []byte) []byte) ([]byte, Status, error) {
+	i := s.st.slotOf(key)
+	sp := s.st.stripe(i)
 	for {
-		headAddr := s.st.slot(key).Load()
-		rc := &rmwCtx{user: ctx, update: update, head: headAddr}
-		val, status, err := s.walk(key, headAddr, rc)
+		seen := sp.inPlace.Load()
+		head := s.st.index[i].Load()
+		val, status, cold, err := s.walk(sp, key, head)
 		if err != nil {
-			return status, err
+			return nil, status, err
 		}
 		if status == StatusPending {
-			return StatusPending, nil
+			rc := &rmwCtx{user: ctx, update: update, head: head, inPlace: seen}
+			return nil, StatusPending, s.issueColdRead(key, cold, rc)
 		}
-		if status == StatusNotFound {
-			val = nil
-		}
-		switch err := s.tryPublishRMW(key, update(val), headAddr); err {
+		newVal := update(val)
+		switch err := s.publishRMW(i, key, newVal, head, seen); err {
 		case nil:
-			return StatusOK, nil
+			return newVal, StatusOK, nil
 		case errRMWConflict:
 			// Lost the race; retry with the new chain head.
 		default:
-			return StatusNotFound, err // the log cannot allocate
+			return nil, StatusNotFound, err // the log cannot allocate
 		}
 	}
 }
 
-// rmwCtx tags a pending cold read as the read half of an RMW.
+// rmwCtx tags a pending cold read as the read half of an RMW, with what
+// publishRMW checks: the chain head and the stripe's in-place count it saw.
 type rmwCtx struct {
-	user   any
-	update func(old []byte) []byte
-	head   uint64
+	user    any
+	update  func(old []byte) []byte
+	head    uint64
+	inPlace uint64
 }
 
-// errRMWConflict signals a lost CAS race.
+// errRMWConflict signals a lost race.
 var errRMWConflict = fmt.Errorf("kv: rmw conflict")
 
-// tryPublishRMW appends the updated record and publishes it only if the
-// chain head is still the one the value was derived from.
-func (s *Session) tryPublishRMW(key, newVal []byte, expectedHead uint64) error {
-	n := recordSize(len(key), len(newVal))
-	addr, err := s.st.log.alloc(n, s.wait)
+// publishRMW publishes key's new value, derived from the chain whose head
+// was head while slot i's stripe had made inPlace in-place writes: in place
+// if head is key's mutable record with room, else as an appended record.
+// Either way only if the chain head and the stripe's in-place count are
+// unchanged — so no write landed between the read and the publication.
+func (s *Session) publishRMW(i uint64, key, newVal []byte, head, inPlace uint64) error {
+	slot, sp := &s.st.index[i], s.st.stripe(i)
+	sp.mu.Lock()
+	if slot.Load() != head || sp.inPlace.Load() != inPlace {
+		sp.mu.Unlock()
+		return errRMWConflict
+	}
+	done := s.st.updateInPlace(sp, head, key, newVal, false)
+	sp.mu.Unlock()
+	if done {
+		return nil
+	}
+	// alloc may wait for the flusher, so it runs outside the lock.
+	addr, err := s.st.log.alloc(recordSize(len(key), len(newVal)), s.wait)
 	if err != nil {
 		return err
 	}
-	s.st.log.writeRecord(addr, expectedHead, key, newVal, false)
-	ok := s.st.slot(key).CompareAndSwap(expectedHead, addr)
+	s.st.log.writeRecord(addr, head, key, newVal, false)
+	sp.mu.Lock()
+	ok := sp.inPlace.Load() == inPlace && slot.CompareAndSwap(head, addr)
+	sp.mu.Unlock()
 	s.st.log.release(addr)
 	if !ok {
 		// The unreachable record is log garbage, like FASTER's failed-RMW
@@ -385,14 +473,19 @@ func (s *Session) finishRMW(res ReadResult, rc *rmwCtx) (out ReadResult, done bo
 	if res.Status == StatusOK {
 		old = res.Value
 	}
-	if err := s.tryPublishRMW(res.Key, rc.update(old), rc.head); err == nil {
-		return ReadResult{Key: res.Key, Value: rc.update(old), Status: StatusOK, Ctx: rc.user}, true, nil
+	newVal := rc.update(old)
+	switch err := s.publishRMW(s.st.slotOf(res.Key), res.Key, newVal, rc.head, rc.inPlace); err {
+	case nil:
+	case errRMWConflict:
+		var status Status
+		newVal, status, err = s.rmw(res.Key, rc.user, rc.update)
+		if err != nil || status == StatusPending {
+			return ReadResult{}, false, err // pending: a fresh cold read carries the RMW now
+		}
+	default:
+		return ReadResult{}, false, err
 	}
-	status, err := s.RMW(res.Key, rc.user, rc.update)
-	if err != nil || status == StatusPending {
-		return ReadResult{}, false, err // pending: a fresh cold read carries the RMW now
-	}
-	return ReadResult{Key: res.Key, Status: StatusOK, Ctx: rc.user}, true, nil
+	return ReadResult{Key: res.Key, Value: newVal, Status: StatusOK, Ctx: rc.user}, true, nil
 }
 
 // CompletePending drives outstanding cold reads, following chains across
