@@ -8,9 +8,13 @@
 //	cowbird-engine  -ctl :7102 -data :7202 &
 //	cowbird-app -mem-ctl 127.0.0.1:7101 -eng-ctl 127.0.0.1:7102 \
 //	            -data 127.0.0.1:7200 -mem-data 127.0.0.1:7201 -eng-data 127.0.0.1:7202
+//
+// The three may start in any order: every Phase I call retries
+// (ctl.CallRetry) for up to a minute while the other two come up.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -52,44 +56,19 @@ func main() {
 	})
 	must(err)
 
-	// Teach the peers where everyone's data plane lives.
-	addPeer := func(ctlAddr string, mac [6]byte, dataAddr string) {
-		_, err := ctl.Call(ctlAddr, ctl.Request{
-			Op:       "add_peer_addr",
-			Remote:   &ctl.QPEndpoint{MAC: mac},
-			PeerAddr: dataAddr,
-		})
-		must(err)
-	}
-	addPeer(*memCtl, ctl.ComputeMAC, *dataAddr)
-	addPeer(*memCtl, ctl.EngineMAC, *engData)
-	addPeer(*engCtl, ctl.ComputeMAC, *dataAddr)
-	addPeer(*engCtl, ctl.PoolMAC, *memData)
-
-	// Phase I Setup, orchestrated from the compute node.
-	regionSize := uint64((*records + 1) * *size)
-	resp, err := ctl.Call(*memCtl, ctl.Request{Op: "alloc_region", RegionID: 0, Size: regionSize})
+	// Phase I Setup, orchestrated from the compute node. Every call
+	// retries, so the memnode and the engine may start after the app.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	must(ctl.AddPeer(ctx, *memCtl, ctl.ComputeMAC, *dataAddr))
+	must(ctl.AddPeer(ctx, *memCtl, ctl.EngineMAC, *engData))
+	must(ctl.AddPeer(ctx, *engCtl, ctl.ComputeMAC, *dataAddr))
+	must(ctl.AddPeer(ctx, *engCtl, ctl.PoolMAC, *memData))
+	region, err := ctl.AllocRegion(ctx, *memCtl, 0, uint64((*records+1)**size))
 	must(err)
-	client.RegisterRegion(*resp.Region)
-	fmt.Printf("region 0: %d bytes at pool (rkey 0x%x)\n", resp.Region.Size, resp.Region.RKey)
-
-	const memPSN, compPSN = 4000, 2000
-	mResp, err := ctl.Call(*memCtl, ctl.Request{Op: "create_qp", FirstPSN: memPSN})
-	must(err)
-	cQP := nic.CreateQP(rdma.NewCQ(), nil, compPSN)
-
-	sResp, err := ctl.Call(*engCtl, ctl.Request{
-		Op:       "setup",
-		Instance: client.Describe(0),
-		Compute:  &ctl.QPEndpoint{QPN: cQP.QPN(), MAC: ctl.ComputeMAC, IP: ctl.ComputeIP, FirstPSN: compPSN},
-		Pool:     &ctl.QPEndpoint{QPN: mResp.QPN, MAC: ctl.PoolMAC, IP: ctl.PoolIP, FirstPSN: memPSN},
-	})
-	must(err)
-	cQP.Connect(rdma.RemoteEndpoint{
-		QPN: sResp.EngineToCompute.QPN, MAC: sResp.EngineToCompute.MAC, IP: sResp.EngineToCompute.IP,
-	}, sResp.EngineToCompute.FirstPSN)
-	_, err = ctl.Call(*memCtl, ctl.Request{Op: "connect_qp", QPN: mResp.QPN, Remote: sResp.EngineToPool})
-	must(err)
+	client.RegisterRegion(region)
+	fmt.Printf("region 0: %d bytes at pool (rkey 0x%x)\n", region.Size, region.RKey)
+	must(ctl.Setup(ctx, nic, client.Describe(0), *memCtl, *engCtl))
 	fmt.Println("setup complete; all transfers now execute on the engine")
 
 	// Workload: write every record, read it back, verify — purely local

@@ -1,7 +1,7 @@
 // Command cowbird-memnode runs a Cowbird memory pool as its own OS process:
 // a plain RDMA responder whose RoCEv2 frames travel over UDP (see
 // rdma.UDPBridge) and whose control plane (region allocation, QP
-// management) is served over TCP.
+// management: ctl.MemnodeHandler) is served over TCP.
 //
 // A three-process deployment on one machine:
 //
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sync"
 
 	"cowbird/internal/ctl"
 	"cowbird/internal/memnode"
@@ -62,50 +61,11 @@ func main() {
 		fmt.Printf("cowbird-memnode: observability http %s (/metrics, /vars, /debug/pprof)\n", hl.Addr())
 	}
 
-	var mu sync.Mutex
-	qps := make(map[uint32]*rdma.QP)
-
 	l, err := net.Listen("tcp", *ctlAddr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cowbird-memnode: ctl %s, data %s\n", l.Addr(), bridge.LocalAddr())
 
-	ctl.Serve(l, func(req ctl.Request) ctl.Response {
-		mu.Lock()
-		defer mu.Unlock()
-		switch req.Op {
-		case "add_peer_addr":
-			// Remote.MAC names the role; PeerAddr is its UDP data address.
-			if req.Remote == nil || req.PeerAddr == "" {
-				return ctl.Response{Err: "add_peer_addr needs remote MAC and addr"}
-			}
-			if err := bridge.AddPeer(req.Remote.MAC, req.PeerAddr); err != nil {
-				return ctl.Response{Err: err.Error()}
-			}
-			return ctl.Response{}
-		case "alloc_region":
-			info, err := node.AllocRegion(req.RegionID, int(req.Size))
-			if err != nil {
-				return ctl.Response{Err: err.Error()}
-			}
-			fmt.Printf("allocated region %d: %d bytes, rkey 0x%x\n", info.ID, info.Size, info.RKey)
-			return ctl.Response{Region: &info}
-		case "create_qp":
-			qp := node.NIC().CreateQP(rdma.NewCQ(), nil, req.FirstPSN)
-			qps[qp.QPN()] = qp
-			return ctl.Response{QPN: qp.QPN()}
-		case "connect_qp":
-			qp, ok := qps[req.QPN]
-			if !ok || req.Remote == nil {
-				return ctl.Response{Err: "unknown QPN or missing remote"}
-			}
-			qp.Connect(rdma.RemoteEndpoint{
-				QPN: req.Remote.QPN, MAC: req.Remote.MAC, IP: req.Remote.IP,
-			}, req.Remote.FirstPSN)
-			fmt.Printf("QP %d connected to remote %d\n", req.QPN, req.Remote.QPN)
-			return ctl.Response{}
-		}
-		return ctl.Response{Err: "unknown op " + req.Op}
-	})
+	ctl.Serve(l, ctl.MemnodeHandler(node, bridge))
 }

@@ -4,25 +4,27 @@
 // Phase I Setup RPC ("the compute node will then send the switch
 // configuration information through an RPC endpoint").
 //
-// The compute node orchestrates: it asks the memory pool to allocate
-// regions and create a QP, asks the engine to set up an instance (which
-// creates the engine-side QPs), and then tells each side which remote QP to
-// connect to. Data-plane frames never touch this channel — they flow as
-// RoCEv2 over the rdma.UDPBridge.
+// Phase I across processes is written here once. The compute node
+// orchestrates it (AddPeer, AllocRegion, Setup): it asks the memory pool to
+// allocate a region and create a QP, asks the engine to set up an instance
+// (which creates the engine-side QPs), and then connects its own QP and the
+// pool's to the engine endpoints that come back. The pool serves
+// MemnodeHandler; the engine serves ha.EngineControl. Every call goes
+// through CallRetry, so the three processes may start in any order.
+// Data-plane frames never touch this channel — they flow as RoCEv2 over the
+// rdma.UDPBridge.
 //
 // The setup op carries one compute and one pool endpoint, which are one
 // queue set's: an instance set up over it has exactly one queue (one client
-// thread), and the engine refuses a setup for more.
+// thread), and the engine refuses a setup for more. No caller runs more.
 package ctl
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cowbird/internal/core"
@@ -124,12 +126,20 @@ func Serve(l net.Listener, h Handler) {
 
 // Call sends one request to a control endpoint and returns the response.
 func Call(addr string, req Request) (Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	return call(context.Background(), addr, req)
+}
+
+// call is one exchange, cut short when ctx ends or after 10 s.
+func call(ctx context.Context, addr string, req Request) (Response, error) {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return Response{}, fmt.Errorf("ctl: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	defer context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })()
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return Response{}, fmt.Errorf("ctl: send to %s: %w", addr, err)
 	}
@@ -146,117 +156,47 @@ func Call(addr string, req Request) (Response, error) {
 	return resp, nil
 }
 
-// RetryPolicy bounds and seeds a CallRetry loop.
-type RetryPolicy struct {
-	// MaxAttempts caps the number of Call attempts; 0 means unbounded —
-	// only the context ends the loop.
-	MaxAttempts int
-	// BaseBackoff is the delay after the first failure; it doubles per
-	// attempt up to MaxBackoff. Zero values take the defaults (10ms, 2s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Source drives the backoff jitter. Passing a seeded source makes the
-	// retry timing replayable — chaos schedules and the deterministic
-	// takeover tests depend on that. Nil derives a per-call generator from
-	// an internal lock-free seed sequence.
-	//
-	// rand.Source is not safe for concurrent use, so CallRetryPolicy never
-	// draws jitter from it directly: it takes ONE seed value from the
-	// Source (under a package-level mutex, so one policy value may be
-	// shared across every tenant client of a fan-out) and drives the
-	// call's backoff loop from a private generator derived from that seed.
-	Source rand.Source
-}
+// The one retry policy: 10 ms after the first failure, doubling to 2 s.
+const (
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
 
-// DefaultRetryPolicy is the policy CallRetry uses: unbounded attempts,
-// 10ms→2s backoff, globally-seeded jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 2 * time.Second}
-}
-
-// jitter picks a delay in [backoff/2, backoff] — full jitter decorrelates
-// takeover stampedes where every standby re-provisions at once. rng is the
-// call-private generator built by callRNG; it is never shared, so the draw
-// is race-free and lock-free.
-func jitter(rng *rand.Rand, backoff time.Duration) time.Duration {
+// jitter picks a delay in [backoff/2, backoff], so peers that start dialing
+// together do not retry in lockstep.
+func jitter(backoff time.Duration) time.Duration {
 	half := int64(backoff / 2)
-	return time.Duration(half + rng.Int63n(half+1))
+	return time.Duration(half + rand.Int64N(half+1))
 }
 
-// seedMu serializes seed draws from caller-supplied jitter Sources: one
-// RetryPolicy value is routinely shared across every tenant client of a
-// fan-out, and rand.Source is not concurrency-safe. Only the single Int63
-// per CallRetryPolicy call runs under it — the backoff loop's draws come
-// from the derived private generator, so fan-out backoff never serializes
-// here (or on the lock inside the global math/rand generator, which the old
-// nil-Source fallback paid on every attempt).
-var seedMu sync.Mutex
-
-// seedCtr feeds the nil-Source seed sequence; splitmix64 whitens it.
-var seedCtr atomic.Uint64
-
-// callRNG builds the call-private jitter generator for one CallRetryPolicy
-// invocation: one seed draw from the shared Source (serialized), or a
-// lock-free splitmix64 step when the policy has none. Determinism for
-// seeded policies is preserved at the call level — the n-th call on a
-// policy sees the n-th seed of its Source — without ever letting two
-// goroutines step the same generator.
-func callRNG(p RetryPolicy) *rand.Rand {
-	if p.Source != nil {
-		seedMu.Lock()
-		seed := p.Source.Int63()
-		seedMu.Unlock()
-		return rand.New(rand.NewSource(seed))
-	}
-	x := seedCtr.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return rand.New(rand.NewSource(int64(x)))
-}
-
-// CallRetry is Call with retries under DefaultRetryPolicy, bounded by ctx.
-// Takeover re-provisioning (internal/ha) dials endpoints that may still be
-// starting up, where a single dropped dial or connection reset would
-// otherwise fail the whole Phase I setup. Transport errors are retried; an
-// application-level error in the response (Response.Err) is deterministic
-// and returned immediately. In particular a fencing demotion
-// (Response.Fenced — errors.Is(err, core.ErrFenced)) fails fast on the
-// first attempt: the target engine has been deposed by a newer epoch, and
-// no amount of retrying resurrects it.
+// CallRetry is Call with retries: 10 ms jittered backoff doubling to 2 s,
+// bounded by ctx, which also cuts short the exchange in flight. A compute
+// node starting Phase I dials endpoints that may still be starting up,
+// where a single refused dial or connection reset would otherwise fail the
+// whole setup. Transport errors are retried; an application-level error in
+// the response (Response.Err) is deterministic and returned immediately. In
+// particular a fencing demotion (Response.Fenced — errors.Is(err,
+// core.ErrFenced)) fails fast on the first attempt: the target engine has
+// been deposed by a newer epoch, and no amount of retrying resurrects it.
 func CallRetry(ctx context.Context, addr string, req Request) (Response, error) {
-	return CallRetryPolicy(ctx, addr, req, DefaultRetryPolicy())
-}
-
-// CallRetryPolicy is CallRetry with an explicit attempt budget, backoff
-// shape, and jitter source.
-func CallRetryPolicy(ctx context.Context, addr string, req Request, p RetryPolicy) (Response, error) {
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	rng := callRNG(p)
-	backoff := p.BaseBackoff
+	// One timer for the whole loop, stopped on return: under go 1.22 timer
+	// semantics a time.After per attempt stays live until it fires, up to
+	// maxBackoff after the caller gave up.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	backoff := baseBackoff
 	for attempt := 1; ; attempt++ {
-		resp, err := Call(addr, req)
+		resp, err := call(ctx, addr, req)
 		if err == nil || resp.Err != "" {
 			return resp, err
 		}
-		if p.MaxAttempts > 0 && attempt >= p.MaxAttempts {
-			return Response{}, fmt.Errorf("ctl: %s unreachable after %d attempts (budget exhausted): %w", addr, attempt, err)
-		}
-		d := jitter(rng, backoff)
-		if backoff < p.MaxBackoff {
-			backoff *= 2
-		}
+		timer.Reset(jitter(backoff))
+		backoff = min(2*backoff, maxBackoff)
 		select {
 		case <-ctx.Done():
 			return Response{}, fmt.Errorf("ctl: %s unreachable after %d attempts (%v): %w", addr, attempt, ctx.Err(), err)
-		case <-time.After(d):
+		case <-timer.C:
 		}
 	}
 }

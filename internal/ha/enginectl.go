@@ -15,9 +15,9 @@ import (
 
 // EngineControl is the engine-process side of the control plane
 // (cmd/cowbird-engine), factored out of the command so the standby path is
-// testable in-process. It serves the same Phase I ops as before —
-// add_peer_addr and setup — plus, in standby mode, the promote op that
-// triggers the takeover.
+// testable in-process. It serves the engine's Phase I ops — add_peer_addr
+// (ctl.ServeAddPeer, shared with the memnode) and setup — plus, in standby
+// mode, the promote op that triggers the takeover.
 //
 // Active mode:  setup wires QPs and hands the instance to the (running)
 // engine immediately.
@@ -63,13 +63,7 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 	defer ec.mu.Unlock()
 	switch req.Op {
 	case "add_peer_addr":
-		if req.Remote == nil || req.PeerAddr == "" {
-			return ctl.Response{Err: "add_peer_addr needs remote MAC and addr"}
-		}
-		if err := ec.bridge.AddPeer(req.Remote.MAC, req.PeerAddr); err != nil {
-			return ctl.Response{Err: err.Error()}
-		}
-		return ctl.Response{}
+		return ctl.ServeAddPeer(ec.bridge, req)
 	case "setup":
 		if ec.eng.Fenced() {
 			return ctl.Response{Err: "setup: engine fenced (superseded by a newer epoch)", Fenced: true}
@@ -86,12 +80,8 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 		sendCQ := rdma.NewCQ()
 		eComp := ec.nic.CreateQP(sendCQ, nil, compPSN)
 		eMem := ec.nic.CreateQP(sendCQ, nil, poolPSN)
-		eComp.Connect(rdma.RemoteEndpoint{
-			QPN: req.Compute.QPN, MAC: req.Compute.MAC, IP: req.Compute.IP,
-		}, req.Compute.FirstPSN)
-		eMem.Connect(rdma.RemoteEndpoint{
-			QPN: req.Pool.QPN, MAC: req.Pool.MAC, IP: req.Pool.IP,
-		}, req.Pool.FirstPSN)
+		eComp.Connect(req.Compute.RDMA(), req.Compute.FirstPSN)
+		eMem.Connect(req.Pool.RDMA(), req.Pool.FirstPSN)
 		reg := spot.Registration{
 			Instance: req.Instance,
 			Pools:    []spot.PoolReplica{{Regions: req.Instance.Regions}},

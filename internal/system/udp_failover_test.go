@@ -31,11 +31,13 @@ func startCtl(t *testing.T, h ctl.Handler) string {
 // TestUDPFailoverDeployment is the cmd-level failover story end to end,
 // in-process: four "processes" — memnode, primary engine, standby engine
 // (cowbird-engine -standby), and the app — each with its own fabric,
-// exchanging RoCEv2 frames over real UDP loopback sockets and orchestrating
-// Phase I over the JSON/TCP control plane with ctl.CallRetry. The primary
-// is preempted mid-workload; the compute node's lease monitor detects the
-// death and sends "promote" to the standby's control port, which adopts the
-// durable bookkeeping state and completes the run.
+// exchanging RoCEv2 frames over real UDP loopback sockets and running Phase I
+// over the JSON/TCP control plane with the commands' own code: the memnode
+// serves ctl.MemnodeHandler, each engine ha.EngineControl, and the compute
+// node calls ctl.Setup once per engine. The primary is preempted
+// mid-workload; the compute node's lease monitor detects the death and sends
+// "promote" to the standby's control port, which adopts the durable
+// bookkeeping state and completes the run.
 func TestUDPFailoverDeployment(t *testing.T) {
 	must := func(err error) {
 		t.Helper()
@@ -45,12 +47,6 @@ func TestUDPFailoverDeployment(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	call := func(addr string, req ctl.Request) ctl.Response {
-		t.Helper()
-		resp, err := ctl.CallRetry(ctx, addr, req)
-		must(err)
-		return resp
-	}
 
 	// Memory-pool process (cmd/cowbird-memnode).
 	poolFab := rdma.NewFabric()
@@ -60,36 +56,7 @@ func TestUDPFailoverDeployment(t *testing.T) {
 	t.Cleanup(poolBr.Close)
 	pool := memnode.New(poolFab, ctl.PoolMAC, ctl.PoolIP, rdma.DefaultConfig())
 	t.Cleanup(pool.Close)
-	poolQPs := make(map[uint32]*rdma.QP)
-	poolCtl := startCtl(t, func(req ctl.Request) ctl.Response {
-		switch req.Op {
-		case "add_peer_addr":
-			if err := poolBr.AddPeer(req.Remote.MAC, req.PeerAddr); err != nil {
-				return ctl.Response{Err: err.Error()}
-			}
-			return ctl.Response{}
-		case "alloc_region":
-			info, err := pool.AllocRegion(req.RegionID, int(req.Size))
-			if err != nil {
-				return ctl.Response{Err: err.Error()}
-			}
-			return ctl.Response{Region: &info}
-		case "create_qp":
-			qp := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), req.FirstPSN)
-			poolQPs[qp.QPN()] = qp
-			return ctl.Response{QPN: qp.QPN()}
-		case "connect_qp":
-			qp, ok := poolQPs[req.QPN]
-			if !ok {
-				return ctl.Response{Err: "unknown QPN"}
-			}
-			qp.Connect(rdma.RemoteEndpoint{
-				QPN: req.Remote.QPN, MAC: req.Remote.MAC, IP: req.Remote.IP,
-			}, req.Remote.FirstPSN)
-			return ctl.Response{}
-		}
-		return ctl.Response{Err: "unknown op " + req.Op}
-	})
+	poolCtl := startCtl(t, ctl.MemnodeHandler(pool, poolBr))
 
 	// Engine processes (cmd/cowbird-engine, one active and one -standby),
 	// both built around the same ha.EngineControl the command uses.
@@ -136,33 +103,19 @@ func TestUDPFailoverDeployment(t *testing.T) {
 	must(compBr.AddPeer(ctl.EngineMAC, primBr.LocalAddr()))
 	must(compBr.AddPeer(ctl.StandbyMAC, sbBr.LocalAddr()))
 	for _, ctlAddr := range []string{primaryCtl, standbyCtl} {
-		call(ctlAddr, ctl.Request{Op: "add_peer_addr", Remote: &ctl.QPEndpoint{MAC: ctl.ComputeMAC}, PeerAddr: compBr.LocalAddr()})
-		call(ctlAddr, ctl.Request{Op: "add_peer_addr", Remote: &ctl.QPEndpoint{MAC: ctl.PoolMAC}, PeerAddr: poolBr.LocalAddr()})
+		must(ctl.AddPeer(ctx, ctlAddr, ctl.ComputeMAC, compBr.LocalAddr()))
+		must(ctl.AddPeer(ctx, ctlAddr, ctl.PoolMAC, poolBr.LocalAddr()))
 	}
-	call(poolCtl, ctl.Request{Op: "add_peer_addr", Remote: &ctl.QPEndpoint{MAC: ctl.ComputeMAC}, PeerAddr: compBr.LocalAddr()})
-	call(poolCtl, ctl.Request{Op: "add_peer_addr", Remote: &ctl.QPEndpoint{MAC: ctl.EngineMAC}, PeerAddr: primBr.LocalAddr()})
-	call(poolCtl, ctl.Request{Op: "add_peer_addr", Remote: &ctl.QPEndpoint{MAC: ctl.StandbyMAC}, PeerAddr: sbBr.LocalAddr()})
+	must(ctl.AddPeer(ctx, poolCtl, ctl.ComputeMAC, compBr.LocalAddr()))
+	must(ctl.AddPeer(ctx, poolCtl, ctl.EngineMAC, primBr.LocalAddr()))
+	must(ctl.AddPeer(ctx, poolCtl, ctl.StandbyMAC, sbBr.LocalAddr()))
 
-	// Phase I Setup against both engines, orchestrated like cowbird-app.
-	resp := call(poolCtl, ctl.Request{Op: "alloc_region", RegionID: 0, Size: 1 << 20})
-	client.RegisterRegion(*resp.Region)
-
-	setupAgainst := func(ctlAddr string, compPSN, memPSN uint32) {
-		mResp := call(poolCtl, ctl.Request{Op: "create_qp", FirstPSN: memPSN})
-		cQP := compNIC.CreateQP(rdma.NewCQ(), rdma.NewCQ(), compPSN)
-		sResp := call(ctlAddr, ctl.Request{
-			Op:       "setup",
-			Instance: client.Describe(1),
-			Compute:  &ctl.QPEndpoint{QPN: cQP.QPN(), MAC: ctl.ComputeMAC, IP: ctl.ComputeIP, FirstPSN: compPSN},
-			Pool:     &ctl.QPEndpoint{QPN: mResp.QPN, MAC: ctl.PoolMAC, IP: ctl.PoolIP, FirstPSN: memPSN},
-		})
-		cQP.Connect(rdma.RemoteEndpoint{
-			QPN: sResp.EngineToCompute.QPN, MAC: sResp.EngineToCompute.MAC, IP: sResp.EngineToCompute.IP,
-		}, sResp.EngineToCompute.FirstPSN)
-		call(poolCtl, ctl.Request{Op: "connect_qp", QPN: mResp.QPN, Remote: sResp.EngineToPool})
-	}
-	setupAgainst(primaryCtl, 2000, 4000)
-	setupAgainst(standbyCtl, 2100, 4100)
+	// Phase I Setup against both engines, with cowbird-app's own set-up.
+	region, err := ctl.AllocRegion(ctx, poolCtl, 0, 1<<20)
+	must(err)
+	client.RegisterRegion(region)
+	must(ctl.Setup(ctx, compNIC, client.Describe(1), poolCtl, primaryCtl))
+	must(ctl.Setup(ctx, compNIC, client.Describe(1), poolCtl, standbyCtl))
 
 	// Lease monitor on the compute node: on death, tell the standby's
 	// control port to promote — the multi-process form of Monitor.OnDeath.
