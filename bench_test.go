@@ -174,12 +174,3 @@ func BenchmarkAblationPauseRule(b *testing.B) {
 func BenchmarkAblationGoBackN(b *testing.B) {
 	runExperiment(b, "ablation-gbn")
 }
-
-// BenchmarkAblationFailover — internal/ha: spot-preemption blackout vs
-// heartbeat interval (lease = 4× heartbeat; detection dominates).
-func BenchmarkAblationFailover(b *testing.B) {
-	e := runExperiment(b, "ablation-failover")
-	if s, ok := e.Get("blackout (ms)"); ok && len(s.Y) > 0 {
-		b.ReportMetric(s.Last(), "blackout-ms@4ms-hb")
-	}
-}

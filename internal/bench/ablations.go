@@ -178,52 +178,9 @@ func AblationGoBackN() Experiment {
 	return e
 }
 
-// AblationFailover sweeps the internal/ha heartbeat interval against the
-// failover blackout: a slower heartbeat costs less engine bandwidth but
-// stretches the lease timeout (4× the heartbeat) and with it the window in
-// which a preempted spot engine leaves the application stalled. The
-// blackout is decomposed into the protocol's phases (detect / promote /
-// reconstruct / replay) by the perfsim failover model.
-func AblationFailover() Experiment {
-	e := Experiment{
-		ID:     "ablation-failover",
-		Title:  "Heartbeat-interval sweep: spot-preemption blackout vs detection cost",
-		XLabel: "heartbeat interval (ms)",
-		YLabel: "ms / ops",
-	}
-	blackout := Series{Label: "blackout (ms)"}
-	detect := Series{Label: "detection share (ms)"}
-	backlog := Series{Label: "ring backlog (kops)"}
-	var r perfsim.FailoverResult
-	for _, hbMS := range []float64{0.5, 1, 2, 4} {
-		r = perfsim.RunFailover(perfsim.FailoverConfig{
-			Base: perfsim.Config{
-				System: perfsim.CowbirdSpot, Workload: perfsim.HashProbe,
-				Threads: 8, RecordSize: 64, RemoteFraction: 0.95,
-				OpsPerThread: OpsPerThread,
-			},
-			HeartbeatNS: hbMS * 1e6,
-		})
-		blackout.X = append(blackout.X, hbMS)
-		blackout.Y = append(blackout.Y, r.BlackoutNS/1e6)
-		detect.X = append(detect.X, hbMS)
-		detect.Y = append(detect.Y, r.DetectNS/1e6)
-		backlog.X = append(backlog.X, hbMS)
-		backlog.Y = append(backlog.Y, r.BacklogOps/1e3)
-	}
-	e.Series = []Series{blackout, detect, backlog}
-	e.Notes = append(e.Notes,
-		"blackout = detect + promote(0, warm standby) + reconstruct + replay; detection dominates",
-		fmt.Sprintf("at 4ms heartbeat: reconstruct %.0fus, replay %.0fus, drain %.1fms at 2x catch-up",
-			r.ReconstructNS/1e3, r.ReplayNS/1e3, r.DrainNS/1e6),
-		"requests issued during the blackout buffer in the compute-side rings and replay exactly once")
-	return e
-}
-
 func init() {
 	registry["ablation-probe"] = AblationProbeRate
 	registry["ablation-batch"] = AblationBatchSize
 	registry["ablation-pause"] = AblationPauseRule
 	registry["ablation-gbn"] = AblationGoBackN
-	registry["ablation-failover"] = AblationFailover
 }

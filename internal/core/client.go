@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cowbird/internal/cache"
+	"cowbird/internal/container"
 	"cowbird/internal/pace"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
@@ -266,8 +267,8 @@ type Thread struct {
 	writeSeq uint64 // last issued write sequence number
 	hitSeq   uint64 // last local cache-hit sequence number (disjoint space)
 
-	pendingReads  fifo[pendingRead]
-	pendingWrites fifo[uint64]
+	pendingReads  container.Ring[pendingRead]
+	pendingWrites container.Ring[uint64]
 
 	// Hot-data tier state (nil/empty when the client has no cache): the
 	// per-thread stride detector, the reusable line buffers speculative
@@ -339,7 +340,7 @@ func (t *Thread) AsyncRead(regionID uint16, src uint64, dest []byte) (ReqID, err
 		return 0, err
 	}
 	t.readSeq++
-	t.pendingReads.push(pendingRead{seq: t.readSeq, respVA: respVA, dest: dest})
+	t.pendingReads.Push(pendingRead{seq: t.readSeq, respVA: respVA, dest: dest})
 	if tel := t.c.tel; tel != nil {
 		tel.ReadsIssued.Inc(t.idx)
 		t.sampleIssued(rings.OpRead, t.readSeq, t0)
@@ -380,7 +381,7 @@ func (t *Thread) AsyncWrite(regionID uint16, data []byte, dst uint64) (ReqID, er
 		return 0, err
 	}
 	t.writeSeq++
-	t.pendingWrites.push(t.writeSeq)
+	t.pendingWrites.Push(t.writeSeq)
 	if cc != nil {
 		// Write-through: the write is on its way to the fabric (exactly-once
 		// and replication semantics untouched); the cached image follows it
@@ -431,8 +432,8 @@ func (t *Thread) sampleIssued(op rings.OpType, seq uint64, t0 time.Time) {
 func (t *Thread) harvest() {
 	writeProg, readProg := t.qs.Progress()
 	var nr, nw int64
-	for t.pendingReads.len() > 0 && t.pendingReads.front().seq <= readProg {
-		pr := t.pendingReads.pop()
+	for t.pendingReads.Len() > 0 && t.pendingReads.Front().seq <= readProg {
+		pr := t.pendingReads.Pop()
 		t.qs.ReadResponse(pr.respVA, pr.dest)
 		t.qs.FreeResponse(uint32(len(pr.dest)))
 		t.doneReads = pr.seq
@@ -450,8 +451,8 @@ func (t *Thread) harvest() {
 		}
 		nr++
 	}
-	for t.pendingWrites.len() > 0 && *t.pendingWrites.front() <= writeProg {
-		t.doneWrites = t.pendingWrites.pop()
+	for t.pendingWrites.Len() > 0 && *t.pendingWrites.Front() <= writeProg {
+		t.doneWrites = t.pendingWrites.Pop()
 		nw++
 	}
 	if nw > 0 && t.c.cache != nil {

@@ -84,7 +84,7 @@ func (t *Thread) asyncReadCached(regionID uint16, src uint64, dest []byte, r Reg
 		return 0, err
 	}
 	t.readSeq++
-	t.pendingReads.push(pendingRead{
+	t.pendingReads.Push(pendingRead{
 		seq: t.readSeq, respVA: respVA, dest: dest,
 		region: regionID, off: src, fillGen: gen, cacheable: cacheable,
 	})
@@ -142,7 +142,7 @@ func (t *Thread) prefetchAdvise(regionID uint16, src uint64, r RegionInfo) {
 			return // rings full: demand traffic needs the space more
 		}
 		t.readSeq++
-		t.pendingReads.push(pendingRead{
+		t.pendingReads.Push(pendingRead{
 			seq: t.readSeq, respVA: respVA, dest: t.pfBufs[slot],
 			region: regionID, off: lineBase, fillGen: gen,
 			cacheable: true, prefetch: true, pfSlot: int16(slot),

@@ -110,7 +110,7 @@ func TestSeqExhaustionFailsClosed(t *testing.T) {
 	if _, err := th.AsyncRead(0, 0, make([]byte, 8)); !errors.Is(err, ErrSeqExhausted) {
 		t.Fatalf("AsyncRead at seq limit: err = %v, want ErrSeqExhausted", err)
 	}
-	if th.pendingReads.len() != 0 {
+	if th.pendingReads.Len() != 0 {
 		t.Fatal("exhausted read still queued pending state")
 	}
 	if th.readSeq != MaxSeq {
@@ -121,7 +121,7 @@ func TestSeqExhaustionFailsClosed(t *testing.T) {
 	if _, err := th.AsyncWrite(0, []byte("x"), 0); !errors.Is(err, ErrSeqExhausted) {
 		t.Fatalf("AsyncWrite at seq limit: err = %v, want ErrSeqExhausted", err)
 	}
-	if th.pendingWrites.len() != 0 {
+	if th.pendingWrites.Len() != 0 {
 		t.Fatal("exhausted write still queued pending state")
 	}
 

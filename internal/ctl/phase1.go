@@ -35,10 +35,15 @@ func ServeAddPeer(bridge *rdma.UDPBridge, req Request) Response {
 	return Response{}
 }
 
+// MaxRegionBytes caps the region one alloc_region may ask for: 1 GiB, eight
+// times the largest region in the tree (the benchmark's 128 MiB kv region).
+const MaxRegionBytes = 1 << 30
+
 // MemnodeHandler is the memory pool's control handler (cmd/cowbird-memnode):
 // add_peer_addr over bridge, and alloc_region, create_qp and connect_qp on
-// node. Requests arrive from outside the process, so a missing endpoint or
-// an unknown QPN is an error response, never a panic.
+// node. Requests arrive from outside the process, so a missing endpoint, an
+// unknown QPN or a region size of zero or above MaxRegionBytes is an error
+// response, never a panic.
 func MemnodeHandler(node *memnode.Node, bridge *rdma.UDPBridge) Handler {
 	var mu sync.Mutex
 	qps := make(map[uint32]*rdma.QP)
@@ -47,6 +52,9 @@ func MemnodeHandler(node *memnode.Node, bridge *rdma.UDPBridge) Handler {
 		case "add_peer_addr":
 			return ServeAddPeer(bridge, req)
 		case "alloc_region":
+			if req.Size == 0 || req.Size > MaxRegionBytes {
+				return Response{Err: fmt.Sprintf("alloc_region: size %d outside 1..%d", req.Size, MaxRegionBytes)}
+			}
 			info, err := node.AllocRegion(req.RegionID, int(req.Size))
 			if err != nil {
 				return Response{Err: err.Error()}

@@ -205,8 +205,9 @@ func TestSetupRidesThroughLateListeners(t *testing.T) {
 }
 
 // TestMemnodeHandlerRejectsBadRequests: requests arrive from outside the
-// process, so a missing endpoint, an unknown QPN or an unknown op must get
-// an error response; a panic here would take the memnode process down.
+// process, so a missing endpoint, an unknown QPN, a region size of zero or
+// above the cap, or an unknown op must get an error response; a panic here
+// would take the memnode process down.
 func TestMemnodeHandlerRejectsBadRequests(t *testing.T) {
 	f, br := bridged(t)
 	node := memnode.New(f, ctl.PoolMAC, ctl.PoolIP, rdma.DefaultConfig())
@@ -222,6 +223,9 @@ func TestMemnodeHandlerRejectsBadRequests(t *testing.T) {
 		"connect_qp without remote":    {Op: "connect_qp", QPN: qpn},
 		"connect_qp to unknown QPN":    {Op: "connect_qp", QPN: qpn + 100, Remote: &ctl.QPEndpoint{QPN: 1}},
 		"unknown op":                   {Op: "frobnicate"},
+		"empty region":                 {Op: "alloc_region", RegionID: 1},
+		"region above the cap":         {Op: "alloc_region", RegionID: 2, Size: ctl.MaxRegionBytes + 1},
+		"region of 1<<63 bytes":        {Op: "alloc_region", RegionID: 3, Size: 1 << 63},
 	} {
 		if resp := h(req); resp.Err == "" {
 			t.Errorf("%s: answered %+v, want an error", name, resp)

@@ -23,6 +23,19 @@ type rig struct {
 	primary *spot.Engine
 	standby *Standby
 	monitor *Monitor
+
+	closers []func()
+}
+
+// close stops and closes what newRig started, last started first, and only
+// once. A test that builds the rig inside a synctest bubble calls it there:
+// t.Cleanup runs after the bubble has ended, when the rig's timers and
+// channels may no longer be touched.
+func (r *rig) close() {
+	for i := len(r.closers) - 1; i >= 0; i-- {
+		r.closers[i]()
+	}
+	r.closers = nil
 }
 
 // testTimings returns engine/monitor configs with a lease timeout generous
@@ -52,21 +65,34 @@ func wirePair(eng *spot.Engine, computeNIC *rdma.NIC, pool *memnode.Node, basePS
 	return spot.QueueEndpoints{SendCQ: sendCQ, ComputeQP: eComp, Pools: []*rdma.QP{eMem}}
 }
 
-// buildRig assembles the deployment. autoPromote hangs standby promotion on
-// the monitor's death callback, the production wiring.
+// buildRig assembles the deployment and closes it when the test ends.
+// autoPromote hangs standby promotion on the monitor's death callback, the
+// production wiring.
 func buildRig(t *testing.T, ecfg spot.Config, mcfg MonitorConfig, autoPromote bool) *rig {
 	t.Helper()
-	f := rdma.NewFabric()
-	t.Cleanup(f.Close)
+	r, err := newRig(ecfg, mcfg, autoPromote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.close)
+	return r
+}
 
+// newRig is buildRig for a caller that closes the rig itself; on an error it
+// closes what it had started.
+func newRig(ecfg spot.Config, mcfg MonitorConfig, autoPromote bool) (_ *rig, err error) {
+	f := rdma.NewFabric()
+	r := &rig{f: f}
+	defer func() {
+		if err != nil {
+			r.close()
+		}
+	}()
 	computeNIC := rdma.NewNIC(f, wire.MAC{2, 0xFA, 0, 0, 0, 1}, wire.IPv4Addr{10, 8, 0, 1}, rdma.DefaultConfig())
-	t.Cleanup(computeNIC.Close)
 	pool := memnode.New(f, wire.MAC{2, 0xFA, 0, 0, 0, 2}, wire.IPv4Addr{10, 8, 0, 2}, rdma.DefaultConfig())
-	t.Cleanup(pool.Close)
 	primaryNIC := rdma.NewNIC(f, wire.MAC{2, 0xFA, 0, 0, 0, 3}, wire.IPv4Addr{10, 8, 0, 3}, rdma.DefaultConfig())
-	t.Cleanup(primaryNIC.Close)
 	standbyNIC := rdma.NewNIC(f, wire.MAC{2, 0xFA, 0, 0, 0, 4}, wire.IPv4Addr{10, 8, 0, 4}, rdma.DefaultConfig())
-	t.Cleanup(standbyNIC.Close)
+	r.closers = append(r.closers, f.Close, computeNIC.Close, pool.Close, primaryNIC.Close, standbyNIC.Close)
 
 	client, err := core.NewClient(computeNIC, core.ClientConfig{
 		Threads: 1,
@@ -74,36 +100,37 @@ func buildRig(t *testing.T, ecfg spot.Config, mcfg MonitorConfig, autoPromote bo
 		BaseVA:  0x10_0000,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	region, err := pool.AllocRegion(0, 1<<20)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	client.RegisterRegion(region)
 
 	primary := spot.New(primaryNIC, ecfg)
+	r.closers = append(r.closers, primary.Stop)
 	onePool := func(ep spot.QueueEndpoints) spot.Registration {
 		in := client.Describe(1)
 		return spot.Registration{Instance: in, Pools: []spot.PoolReplica{{Regions: in.Regions}}, Queues: []spot.QueueEndpoints{ep}}
 	}
 	if err := primary.Register(onePool(wirePair(primary, computeNIC, pool, 1000))); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	t.Cleanup(primary.Stop)
 
 	standbyEng := spot.New(standbyNIC, ecfg)
+	r.closers = append(r.closers, standbyEng.Stop)
 	st := NewStandby(standbyEng)
 	if err := st.Register(onePool(wirePair(standbyEng, computeNIC, pool, 2000))); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	t.Cleanup(standbyEng.Stop)
 
 	mon := NewMonitor(client, mcfg)
 	if autoPromote {
 		mon.OnDeath(func() { _ = st.Promote() })
 	}
-	return &rig{f: f, client: client, pool: pool, primary: primary, standby: st, monitor: mon}
+	r.client, r.pool, r.primary, r.standby, r.monitor = client, pool, primary, st, mon
+	return r, nil
 }
 
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {

@@ -72,30 +72,3 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	q.items = q.items[1:]
 	return v, true
 }
-
-// Signal is a broadcast condition: processes Wait on it, and a Fire wakes
-// every process that was waiting at that instant.
-type Signal struct {
-	e       *Engine
-	waiters []*Proc
-}
-
-// NewSignal returns a Signal bound to e.
-func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
-
-// Wait blocks the calling process until the next Fire.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
-// Fire wakes all current waiters. Waiters resume at the current virtual time
-// in the order they began waiting.
-func (s *Signal) Fire() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w := w
-		s.e.After(0, func() { s.e.transfer(w) })
-	}
-}

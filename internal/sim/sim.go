@@ -6,11 +6,11 @@
 // one process executes at a time and every run of a model is deterministic
 // (events at equal timestamps fire in schedule order).
 //
-// Processes block with Proc.Sleep, or on the synchronization primitives in
-// this package (Queue, Resource, Signal). Wall-clock time never enters the
-// simulation; Go's garbage collector and scheduler therefore cannot perturb
-// measured virtual durations, which is the point: the performance results in
-// this repository must be noise-free and reproducible.
+// Processes block with Proc.Sleep, or on this package's Queue. Wall-clock
+// time never enters the simulation; Go's garbage collector and scheduler
+// therefore cannot perturb measured virtual durations, which is the point:
+// the performance results in this repository must be noise-free and
+// reproducible.
 package sim
 
 import (

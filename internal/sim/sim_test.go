@@ -188,91 +188,6 @@ func TestQueueTryGet(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	woke := 0
-	for i := 0; i < 4; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Wait(p)
-			woke++
-		})
-	}
-	e.GoAt(50, "firer", func(p *Proc) { s.Fire() })
-	e.Run()
-	if woke != 4 {
-		t.Fatalf("woke = %d, want 4", woke)
-	}
-}
-
-func TestResourceLimitsConcurrency(t *testing.T) {
-	e := NewEngine()
-	cores := NewResource(e, 2)
-	var maxInUse int64
-	var finish []int64
-	for i := 0; i < 4; i++ {
-		e.Go("worker", func(p *Proc) {
-			cores.Acquire(p, 1)
-			if cores.InUse() > maxInUse {
-				maxInUse = cores.InUse()
-			}
-			p.Sleep(100)
-			cores.Release(1)
-			finish = append(finish, p.Now())
-		})
-	}
-	e.Run()
-	if maxInUse != 2 {
-		t.Fatalf("max in use = %d, want 2", maxInUse)
-	}
-	// 4 workers x 100ns on 2 cores: two waves, finishing at 100 and 200.
-	if len(finish) != 4 || finish[0] != 100 || finish[1] != 100 || finish[2] != 200 || finish[3] != 200 {
-		t.Fatalf("finish times = %v, want [100 100 200 200]", finish)
-	}
-}
-
-func TestResourceFIFONoStarvation(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 4)
-	var order []string
-	e.Go("hog", func(p *Proc) {
-		r.Acquire(p, 4)
-		p.Sleep(100)
-		r.Release(4)
-	})
-	// big arrives before small; both must wait, and big must win first even
-	// though small would fit sooner.
-	e.GoAt(10, "big", func(p *Proc) {
-		r.Acquire(p, 3)
-		order = append(order, "big")
-		p.Sleep(10)
-		r.Release(3)
-	})
-	e.GoAt(20, "small", func(p *Proc) {
-		r.Acquire(p, 1)
-		order = append(order, "small")
-		r.Release(1)
-	})
-	e.Run()
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 2)
-	e.Go("w", func(p *Proc) {
-		r.Use(p, 1, 100) // 1 of 2 cores for the first 100ns
-	})
-	e.GoAt(100, "idle", func(p *Proc) { p.Sleep(100) }) // extend time to 200
-	e.Run()
-	u := r.Utilization()
-	if u < 0.24 || u > 0.26 { // 1 core * 100ns / (2 cores * 200ns) = 0.25
-		t.Fatalf("utilization = %v, want 0.25", u)
-	}
-}
-
 func TestRunUntilAndShutdown(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
