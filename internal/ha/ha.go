@@ -75,6 +75,8 @@ type Monitor struct {
 	alive   bool
 	deaths  int
 	onDeath []func()
+	started bool // Start ran: the sampling goroutine owns done
+	stopped bool // Stop closed stop
 
 	stop chan struct{}
 	done chan struct{}
@@ -165,19 +167,32 @@ func (m *Monitor) maxLeaseAge() int64 {
 	return oldest
 }
 
-// Start launches the sampling loop. Stop it with Stop.
+// Start launches the sampling loop, once; later calls do nothing. Stop it
+// with Stop.
 func (m *Monitor) Start() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.started {
+		return
+	}
+	m.started = true
 	go m.loop()
 }
 
-// Stop halts the sampling loop.
+// Stop halts the sampling loop and waits for it to exit. It may be called
+// more than once, and on a monitor that was never started, which it leaves
+// unstartable: a later Start's loop exits at once.
 func (m *Monitor) Stop() {
-	select {
-	case <-m.stop:
-	default:
+	m.mu.Lock()
+	if !m.stopped {
+		m.stopped = true
 		close(m.stop)
 	}
-	<-m.done
+	started := m.started
+	m.mu.Unlock()
+	if started {
+		<-m.done
+	}
 }
 
 func (m *Monitor) loop() {

@@ -260,3 +260,25 @@ func TestMonitorDetectsNeverStartedEngine(t *testing.T) {
 	t.Cleanup(r.monitor.Stop)
 	waitFor(t, "death of silent engine", 10*time.Second, func() bool { return !r.monitor.Alive() })
 }
+
+// TestMonitorStopWithoutStart: Stop on a monitor that never started returns
+// (the sampling goroutine is what closes done, and there is none), twice,
+// and a Start after it samples nothing.
+func TestMonitorStopWithoutStart(t *testing.T) {
+	ecfg, mcfg := testTimings()
+	r := buildRig(t, ecfg, mcfg, false)
+	mon := NewMonitor(r.client, mcfg)
+	stopped := make(chan struct{})
+	go func() {
+		mon.Stop()
+		mon.Stop()
+		mon.Start()
+		mon.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop on a never-started monitor did not return")
+	}
+}

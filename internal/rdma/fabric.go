@@ -7,8 +7,12 @@
 // paper's testbed: the verbs surface, packet formats, and failure modes
 // match real RoCEv2 so that the Cowbird client library and both offload
 // engines exercise the same protocol interactions the paper describes.
-// Timing fidelity is NOT a goal of this package — the performance results
-// come from internal/perfsim.
+// Timing fidelity is NOT a goal of this package: the paper's figures are
+// modelled in internal/perfsim, and this package's own costs, as a software
+// datapath, are what the repository benchmark (benchmark/) and its layer
+// probe benchmark/probes/rdma measure. What it does keep of the testbed's
+// shape is that a memory pool is a plain RDMA responder: no thread of the
+// pool's own wakes to serve a request (Fabric.Send).
 package rdma
 
 import (
@@ -22,10 +26,14 @@ import (
 )
 
 // Device is anything attached to a Fabric that can receive Ethernet frames.
-// Input is always called from a single goroutine per device, in delivery
-// order. Frames may be recycled by the fabric after Input returns, so a
-// device that needs a frame past Input must copy it — unless it avoids
-// implementing nonRetaining, in which case its frames are never recycled.
+// The fabric calls Input from the device's inbox goroutine, in delivery
+// order; a NIC of this package also takes request frames for its passive
+// QPs on the sender's goroutine (Fabric.Send), so NIC.Input runs on many
+// goroutines at once. A device defined outside this package is only ever
+// called from its inbox goroutine. Either way a frame is dead once Input
+// returns: the fabric may recycle it, so a device that needs a frame past
+// Input must copy it — unless it avoids implementing nonRetaining, in which
+// case its frames are never recycled.
 type Device interface {
 	MAC() wire.MAC
 	Input(frame []byte)
@@ -78,11 +86,14 @@ type InterposerFunc func(frame []byte) [][]byte
 // Process implements Interposer.
 func (f InterposerFunc) Process(frame []byte) [][]byte { return f(frame) }
 
-// Stats counts fabric traffic, for bandwidth-overhead accounting.
+// Stats counts fabric traffic, for bandwidth-overhead accounting, and the
+// two ways a frame reaches its device.
 type Stats struct {
 	Frames  int64
 	Bytes   int64
 	Dropped int64
+	Inline  int64 // request frames handled on the sender's goroutine
+	Wakeups int64 // inbox Signals that found the delivery goroutine parked
 }
 
 // fabricSnap is the immutable forwarding state published to the datapath.
@@ -100,18 +111,20 @@ type fabricSnap struct {
 
 // Fabric is an in-process Ethernet segment: devices attach with a MAC, and
 // frames sent to the fabric are forwarded — through the interposer, if any —
-// to the device owning the destination MAC. Per-destination delivery is FIFO.
+// to the device owning the destination MAC. Per-flow delivery is FIFO.
 //
 // Send runs on the caller's goroutine and returns only once the frame is
-// deposited in its destination inbox, so one sender's frames never reorder.
-// With neither an interposer nor a loss predicate installed it appends to
-// the inbox the published snapshot names, so senders to different
+// deposited in its destination inbox or handled, so one sender's frames
+// never reorder. With neither an interposer nor a loss predicate installed
+// it works from the published snapshot alone, so senders to different
 // destinations share nothing but atomic counters. Either knob puts every
 // frame under the one forwarding lock: the interposer's serialization point,
 // and what calls a loss predicate one frame at a time.
 //
-// Lock order: a sender's qp.mu → fwdMu → the destination's inbox.mu. Nothing
-// called under fwdMu (interposer, loss predicate) may take the first.
+// Lock order: a requester's qp.mu → fwdMu (released before the next) → a
+// passive responder's qp.mu → its region DMA lock → the requester's
+// inbox.mu. Nothing called under fwdMu (interposer, loss predicate) may take
+// a QP's lock.
 type Fabric struct {
 	mu      sync.Mutex // control plane: guards the master copies below
 	devices map[wire.MAC]*inbox
@@ -126,6 +139,7 @@ type Fabric struct {
 	frames  atomic.Int64
 	bytes   atomic.Int64
 	dropped atomic.Int64
+	inline  atomic.Int64
 
 	fwdMu sync.Mutex // the forwarding lock: held across forward
 
@@ -190,7 +204,8 @@ func (f *Fabric) SetLossFn(fn func(frame []byte) bool) {
 // under the destination inbox's lock, in arrival order). Engines that keep
 // many requests in flight hide this latency; engines that wait out each
 // round trip pay it in full, which is exactly what the engine-scaling
-// benchmarks (internal/bench) measure.
+// benchmarks (internal/bench) measure. With a latency set, every frame
+// queues, requests to passive QPs included (Send).
 func (f *Fabric) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -200,15 +215,23 @@ func (f *Fabric) SetLatency(d time.Duration) {
 
 // Stats returns a snapshot of the traffic counters.
 func (f *Fabric) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Frames:  f.frames.Load(),
 		Bytes:   f.bytes.Load(),
 		Dropped: f.dropped.Load(),
+		Inline:  f.inline.Load(),
 	}
+	for _, ib := range f.snap.Load().devices {
+		st.Wakeups += ib.wakeups.Load()
+	}
+	return st
 }
 
 // Attach connects a device. It panics if the MAC is already in use.
-func (f *Fabric) Attach(d Device) {
+func (f *Fabric) Attach(d Device) { f.attach(d) }
+
+// attach connects d and returns its inbox.
+func (f *Fabric) attach(d Device) *inbox {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	mac := d.MAC()
@@ -223,6 +246,7 @@ func (f *Fabric) Attach(d Device) {
 		defer f.wg.Done()
 		ib.run()
 	}()
+	return ib
 }
 
 // FrameBuf returns an empty buffer with capacity for an n-byte frame, drawn
@@ -234,14 +258,32 @@ func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
 // transfers to the fabric: the caller must not read or modify it after Send
 // returns (the fabric may recycle it into the frame pool once delivered).
 // Safe for concurrent use.
+//
+// A request frame (READ request, WRITE segment) to a passive QP — one that
+// has never posted — is handled right here, on the sender's goroutine, when
+// the fabric has no interposer and zero latency: a memory pool or a compute
+// node is a plain RDMA responder, and no goroutine of its own wakes per
+// request. Responses, ACKs and NAKs, frames to QPs that post, every frame
+// through an interposer and every frame under SetLatency take the
+// destination inbox. The handler runs once the fabric's locks are released,
+// holding the sender's QP lock (hence the lock order on Fabric). Two QPs
+// that both post never deliver inline into each other: PostSend marks its QP
+// active before its first transmit and senders read the mark, both
+// sequentially consistent atomics, so of two crossing first posts at least
+// one sees the other's mark.
 func (f *Fabric) Send(frame []byte) {
+	var q *QP
 	if s := f.snap.Load(); s.interposer == nil && s.lossFn == nil {
-		f.deliver(s, frame, true)
-		return
+		q = f.deliver(s, frame, true)
+	} else {
+		f.fwdMu.Lock()
+		q = f.forward(frame)
+		f.fwdMu.Unlock()
 	}
-	f.fwdMu.Lock()
-	f.forward(frame)
-	f.fwdMu.Unlock()
+	if q != nil {
+		q.nic.input(q, frame)
+		f.pool.put(frame)
+	}
 }
 
 // Close stops the fabric and waits for delivery goroutines to drain.
@@ -262,12 +304,12 @@ func (f *Fabric) Close() {
 // forward runs one frame through the interposer, if any, then delivery,
 // under fwdMu; loading the snapshot here makes a Set* call take effect on the
 // very next frame. Interposed frames are recycled only when a FrameReleaser
-// vouches for them: any other interposer may retain them.
-func (f *Fabric) forward(frame []byte) {
+// vouches for them: any other interposer may retain them. It returns the
+// passive QP to hand the frame to once fwdMu is released (see deliver).
+func (f *Fabric) forward(frame []byte) *QP {
 	s := f.snap.Load()
 	if s.interposer == nil {
-		f.deliver(s, frame, true)
-		return
+		return f.deliver(s, frame, true)
 	}
 	consumed := s.releases
 	for _, fr := range s.interposer.Process(frame) {
@@ -282,21 +324,25 @@ func (f *Fabric) forward(frame []byte) {
 		// tick) from ever being handed out as somebody's output buffer.
 		f.pool.put(frame)
 	}
+	return nil
 }
 
-// deliver applies the loss predicate and the tap and deposits fr into the
-// destination inbox. recycle marks the frame pool-returnable: at once if it
-// is dropped, else once a non-retaining destination device has consumed it.
-func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) {
+// deliver applies the loss predicate and the tap, then deposits fr into the
+// destination inbox — or, for a request frame to a passive QP with the
+// fabric's interposer and latency both off (inbox.passiveQP), returns that
+// QP, and the caller hands fr to it. recycle marks the frame pool-returnable:
+// at once if it is dropped, else once a non-retaining destination device has
+// consumed it.
+func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) *QP {
 	if len(fr) < wire.EthernetLen {
-		return
+		return nil
 	}
 	if s.lossFn != nil && s.lossFn(fr) {
 		f.dropped.Add(1)
 		if recycle {
 			f.pool.put(fr)
 		}
-		return
+		return nil
 	}
 	if s.tap != nil {
 		s.tap.Capture(fr)
@@ -304,9 +350,17 @@ func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) {
 	ib := s.devices[macKey(fr)]
 	f.frames.Add(1)
 	f.bytes.Add(int64(len(fr)))
-	if ib != nil {
-		ib.put(fr, s.latency, recycle && ib.recyclable)
+	if ib == nil {
+		return nil
 	}
+	if s.interposer == nil && s.latency == 0 {
+		if q := ib.passiveQP(fr); q != nil {
+			f.inline.Add(1)
+			return q
+		}
+	}
+	ib.put(fr, s.latency, recycle && ib.recyclable)
+	return nil
 }
 
 // macKey packs the MAC in b's first six bytes into a word: the snapshot's
@@ -317,11 +371,13 @@ func macKey(b []byte) uint64 {
 }
 
 // inbox delivers frames to one device on a dedicated goroutine, so device
-// handlers can send synchronously without deadlock. Each frame carries an
-// optional deliver-at time (SetLatency); times are stamped under the inbox
-// lock in arrival order. Queues are rings, not appended-and-resliced slices:
-// a reslice pins every delivered frame until the backing array turns over,
-// which under bursty traffic retained megabytes of dead frames.
+// handlers can send synchronously without deadlock. It carries every frame
+// Fabric.Send does not hand to a passive QP on the sender's goroutine. Each
+// frame carries an optional deliver-at time (SetLatency); times are stamped
+// under the inbox lock in arrival order. Queues are rings, not
+// appended-and-resliced slices: a reslice pins every delivered frame until
+// the backing array turns over, which under bursty traffic retained
+// megabytes of dead frames.
 //
 // Frames are queued per source flow — the RoCEv2 BTH destination QP — and
 // drained round-robin across flows, one frame per flow per turn. A single
@@ -332,14 +388,27 @@ func macKey(b []byte) uint64 {
 // within a flow (where RC ordering actually matters); cross-flow order was
 // never guaranteed by real hardware either. Non-RoCEv2 frames share one
 // overflow flow.
+//
+// busy is set by the first frame queued after the consumer parked and
+// cleared only when the consumer parks again, having found nothing queued
+// and delivered everything it popped. A frame is handed to a passive QP
+// inline only while it is clear, so a flow that switches from the queue to
+// the inline path (a latency or loss knob changed, a burst drained) never
+// lets a frame overtake one still queued: a flow's frames come from its one
+// requester, under that requester's QP lock. The producer only reads the
+// flag on the hot path, one load per queued frame; a count of the queued
+// frames would cost two atomic read-modify-writes.
 type inbox struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	flows      map[uint32]*inboxFlow
 	active     container.Ring[*inboxFlow] // flows with queued frames, RR order
 	waiting    bool                       // consumer is parked in cond.Wait; Signal only then
-	closed     bool
+	closed     atomic.Bool                // written under mu
+	busy       atomic.Bool                // frames queued or in delivery; written under mu
+	wakeups    atomic.Int64               // Signals that found the consumer parked
 	dev        Device
+	nic        *NIC // dev, when it is this package's NIC: the one inline target
 	pool       *framePool
 	recyclable bool
 }
@@ -379,9 +448,12 @@ func flowKey(frame []byte) uint32 {
 	if binary.BigEndian.Uint16(frame[udp+2:udp+4]) != wire.RoCEv2Port {
 		return nonQPFlow
 	}
-	bth := udp + wire.UDPLen
-	return binary.BigEndian.Uint32(frame[bth+4:bth+8]) & 0x00ffffff
+	return binary.BigEndian.Uint32(frame[bthOffset+4:bthOffset+8]) & 0x00ffffff
 }
+
+// bthOffset is where the BTH starts in a RoCEv2 frame; its first byte is the
+// opcode.
+const bthOffset = wire.EthernetLen + wire.IPv4Len + wire.UDPLen
 
 // inboxBatch is how many queued frames the delivery goroutine drains per
 // lock acquisition. Batching amortizes the mutex and condvar traffic under
@@ -392,8 +464,10 @@ const inboxBatch = 32
 
 func newInbox(d Device, pool *framePool) *inbox {
 	_, recyclable := d.(nonRetaining)
+	nic, _ := d.(*NIC)
 	ib := &inbox{
 		dev:        d,
+		nic:        nic,
 		pool:       pool,
 		recyclable: recyclable,
 		flows:      make(map[uint32]*inboxFlow),
@@ -402,10 +476,24 @@ func newInbox(d Device, pool *framePool) *inbox {
 	return ib
 }
 
+// passiveQP returns the passive QP a request frame may be handed to on the
+// sender's goroutine, or nil when the frame must queue: the device is not a
+// NIC, the inbox is closed or not empty, or the frame is no request to a QP
+// that has never posted.
+func (ib *inbox) passiveQP(fr []byte) *QP {
+	if ib.nic == nil || ib.busy.Load() || ib.closed.Load() {
+		return nil
+	}
+	return ib.nic.passiveQP(fr)
+}
+
 func (ib *inbox) put(frame []byte, latency time.Duration, recycle bool) {
 	key := flowKey(frame) // parse outside the lock; pure read of the frame
 	ib.mu.Lock()
-	if !ib.closed {
+	if !ib.closed.Load() {
+		if !ib.busy.Load() {
+			ib.busy.Store(true)
+		}
 		var due time.Time
 		if latency > 0 {
 			due = time.Now().Add(latency)
@@ -422,6 +510,7 @@ func (ib *inbox) put(frame []byte, latency time.Duration, recycle bool) {
 		}
 		if ib.waiting {
 			ib.cond.Signal()
+			ib.wakeups.Add(1)
 		}
 	}
 	ib.mu.Unlock()
@@ -429,7 +518,7 @@ func (ib *inbox) put(frame []byte, latency time.Duration, recycle bool) {
 
 func (ib *inbox) close() {
 	ib.mu.Lock()
-	ib.closed = true
+	ib.closed.Store(true)
 	ib.cond.Signal()
 	ib.mu.Unlock()
 }
@@ -442,7 +531,8 @@ func (ib *inbox) run() {
 	var buf [inboxBatch]inboxItem
 	for {
 		ib.mu.Lock()
-		for !ib.pending() && !ib.closed {
+		for !ib.pending() && !ib.closed.Load() {
+			ib.busy.Store(false) // nothing queued, the last batch delivered
 			ib.waiting = true
 			ib.cond.Wait()
 			ib.waiting = false

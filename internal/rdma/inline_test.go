@@ -1,0 +1,238 @@
+package rdma
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"cowbird/internal/wire"
+)
+
+// closedLoop posts n work requests on q, wr(i) the i-th, keeping at most
+// window outstanding, and fails on the first completion that is not OK.
+func closedLoop(q *QP, cq *CQ, n, window int, wr func(i int) WorkRequest) error {
+	var cqes [16]CQE
+	deadline := time.Now().Add(time.Minute)
+	for posted, done := 0, 0; done < n; {
+		for posted < n && posted-done < window {
+			if err := q.PostSend(wr(posted)); err != nil {
+				return fmt.Errorf("post %d: %w", posted, err)
+			}
+			posted++
+		}
+		k := cq.PollInto(cqes[:])
+		for _, e := range cqes[:k] {
+			if e.Status != StatusOK {
+				return fmt.Errorf("WR %d: %v", e.WRID, e.Status)
+			}
+		}
+		done += k
+		if k == 0 {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("stalled at %d of %d completions", done, n)
+			}
+			runtime.Gosched()
+		}
+	}
+	return nil
+}
+
+// runBounded runs each loop on its own goroutine and fails the test if any
+// returns an error or if they have not all returned within limit — a
+// deadlock on the inline path parks a poster inside PostSend for ever, so the
+// dump of every goroutine's stack is what shows the lock cycle.
+func runBounded(t *testing.T, limit time.Duration, loops ...func() error) {
+	t.Helper()
+	errs := make(chan error, len(loops))
+	for _, loop := range loops {
+		go func() { errs <- loop() }()
+	}
+	timeout := time.After(limit)
+	for range loops {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			// Written at once: the stuck goroutines can hang the cleanups,
+			// and with them the test's own log.
+			buf := make([]byte, 1<<20)
+			os.Stderr.Write(buf[:runtime.Stack(buf, true)])
+			t.Fatalf("no progress within %v (deadlock?)", limit)
+		}
+	}
+}
+
+// lockedRegion registers a 64 KiB region at va on n under a DMA lock of its
+// own, the shape of a memory pool's region or a compute node's queue set.
+func lockedRegion(n *NIC, va uint64) *MR {
+	return n.RegisterMRLocked(va, make([]byte, 64<<10), new(sync.Mutex))
+}
+
+// mixedWR alternates 8500 B writes (nine segments) with 64 B reads between
+// two regions at va, so both WRITE serialization and READ responses run
+// while other posters take the same regions' locks.
+func mixedWR(va uint64, rkey uint32) func(i int) WorkRequest {
+	return func(i int) WorkRequest {
+		off := uint64(i%7) * 8500
+		wr := WorkRequest{ID: uint64(i), LocalVA: va + off, RemoteVA: va + off, RKey: rkey, Verb: VerbRead, Length: 64}
+		if i%2 == 0 {
+			wr.Verb, wr.Length = VerbWrite, 8500
+		}
+		return wr
+	}
+}
+
+// TestInlinePassiveResponder: with no interposer and no latency, every
+// request frame to a QP that never posts is handled on the requester's
+// goroutine — Inline counts exactly the request frames — and the
+// responder's inbox goroutine is never woken. Responses still take the
+// requester's inbox.
+func TestInlinePassiveResponder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = 10 * time.Second // no replay adds request frames
+	p := newPair(t, cfg)
+	lockedRegion(p.cli, 0x10000)
+	remote := lockedRegion(p.srv, 0x10000)
+	const n = 1000
+	if err := closedLoop(p.cliQP, p.cliCQ, n, 8, mixedWR(0x10000, remote.RKey)); err != nil {
+		t.Fatal(err)
+	}
+	requests := int64(n/2*9 + n/2) // writes are nine segments, reads one frame
+	if st := p.fabric.Stats(); st.Inline != requests {
+		t.Fatalf("Inline = %d, want the %d request frames (%+v)", st.Inline, requests, st)
+	}
+	if w := p.srv.Stats().Wakeups; w != 0 {
+		t.Fatalf("passive responder's inbox woke %d times, want 0", w)
+	}
+}
+
+// TestPassiveQPTurnsActiveOnPost: the first PostSend makes a QP active for
+// good, and requests to it queue in its NIC's inbox from then on.
+func TestPassiveQPTurnsActiveOnPost(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	local := lockedRegion(p.cli, 0x10000)
+	remote := lockedRegion(p.srv, 0x10000)
+	read := func(q *QP, cq *CQ, rkey uint32) {
+		t.Helper()
+		if err := closedLoop(q, cq, 1, 1, func(int) WorkRequest {
+			return WorkRequest{ID: 1, Verb: VerbRead, LocalVA: 0x10000, Length: 64, RemoteVA: 0x10000, RKey: rkey}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(p.cliQP, p.cliCQ, remote.RKey)
+	if got := p.fabric.Stats().Inline; got != 1 {
+		t.Fatalf("Inline = %d before the server posts, want 1", got)
+	}
+	read(p.srvQP, p.srvCQ, local.RKey) // the server's QP posts: active now
+	before := p.fabric.Stats().Inline
+	read(p.cliQP, p.cliCQ, remote.RKey)
+	if got := p.fabric.Stats().Inline; got != before {
+		t.Fatalf("a request to an active QP was handled inline (Inline %d → %d)", before, got)
+	}
+}
+
+// TestDeadlockBothSidesPost: one QP pair, both sides posting into the other
+// at once, 10 000 operations each, each NIC's one region the source of its
+// writes and the target of the peer's. The active mark keeps the two from
+// delivering inline into each other; a miss parks both posters, each
+// holding its own QP lock and waiting for the other's.
+func TestDeadlockBothSidesPost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := newPair(t, DefaultConfig())
+	a := lockedRegion(p.cli, 0x10000)
+	b := lockedRegion(p.srv, 0x10000)
+	const n = 10_000
+	runBounded(t, 2*time.Minute,
+		func() error { return closedLoop(p.cliQP, p.cliCQ, n, 8, mixedWR(0x10000, b.RKey)) },
+		func() error { return closedLoop(p.srvQP, p.srvCQ, n, 8, mixedWR(0x10000, a.RKey)) },
+	)
+}
+
+// TestDeadlockRing: three NICs in a ring, each posting into the next through
+// a passive QP, so every responder runs inline on its predecessor's
+// goroutine; 10 000 operations each. A NIC's one region is both the source
+// of its own writes and the target of its predecessor's, so a requester that
+// kept its region's DMA lock across Send would close a lock cycle round the
+// ring (A's lock → B's → C's → A's).
+func TestDeadlockRing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	f := NewFabric()
+	t.Cleanup(f.Close)
+	const ring, n = 3, 10_000
+	nics := make([]*NIC, ring)
+	mrs := make([]*MR, ring)
+	for i := range nics {
+		nics[i] = NewNIC(f, wire.MAC{2, 0, 0, 0, 1, byte(i)}, wire.IPv4Addr{10, 0, 1, byte(i)}, DefaultConfig())
+		t.Cleanup(nics[i].Close)
+		mrs[i] = lockedRegion(nics[i], 0x10000)
+	}
+	loops := make([]func() error, ring)
+	for i := range nics {
+		next := (i + 1) % ring
+		cq := NewCQ()
+		q, _ := ConnectPair(nics[i], cq, uint32(100*i), nics[next], uint32(100*i+50))
+		wr := mixedWR(0x10000, mrs[next].RKey)
+		loops[i] = func() error { return closedLoop(q, cq, n, 8, wr) }
+	}
+	runBounded(t, 2*time.Minute, loops...)
+	if got := f.Stats().Inline; got == 0 {
+		t.Fatal("no request frame was handled inline; the ring tests nothing")
+	}
+}
+
+// TestInlineOrderAcrossKnobFlips: a closed loop whose fabric changes under
+// it every 100 frames — latency between 0 and 2 µs, a drop-nothing loss
+// predicate on and off — so the server's flow keeps switching between its
+// inbox and the inline path. A request handled inline while an earlier one
+// of its flow still sat in the inbox would open a PSN gap, which the
+// responder NAKs and the requester answers with a replay; the RTO is far
+// above the run's round trips, so a replay can come from nothing else.
+func TestInlineOrderAcrossKnobFlips(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = 10 * time.Second
+	p := newPair(t, cfg)
+	lockedRegion(p.cli, 0x10000)
+	remote := lockedRegion(p.srv, 0x10000)
+	keepAll := func([]byte) bool { return false }
+	last := int64(-1)
+	flip := func() {
+		k := p.fabric.Stats().Frames / 100
+		if k == last {
+			return
+		}
+		last = k
+		if k%2 == 1 {
+			p.fabric.SetLatency(2 * time.Microsecond)
+		} else {
+			p.fabric.SetLatency(0)
+		}
+		if k/2%2 == 1 {
+			p.fabric.SetLossFn(keepAll)
+		} else {
+			p.fabric.SetLossFn(nil)
+		}
+	}
+	const n = 10_000
+	wr := func(i int) WorkRequest {
+		flip()
+		w := WorkRequest{ID: uint64(i), Verb: VerbRead, LocalVA: 0x10000 + uint64(i%256)*64, Length: 64, RemoteVA: 0x10000 + uint64(i%256)*64, RKey: remote.RKey}
+		if i%4 == 0 {
+			w.Verb = VerbWrite
+		}
+		return w
+	}
+	runBounded(t, 2*time.Minute, func() error { return closedLoop(p.cliQP, p.cliCQ, n, 16, wr) })
+	if st := p.cli.Stats(); st.Replays != 0 {
+		t.Fatalf("%d replays: a request overtook a queued one (%+v)", st.Replays, st)
+	}
+	if in := p.fabric.Stats().Inline; in == 0 || in >= n {
+		t.Fatalf("Inline = %d of %d requests: the run did not switch between the two paths", in, n)
+	}
+}

@@ -59,20 +59,22 @@ type NIC struct {
 	qpSnap atomic.Pointer[map[uint32]*QP]
 	mrSnap atomic.Pointer[mrTable]
 
-	rx wire.Packet // reusable decode target; Input is single-goroutine
+	inbox *inbox // this NIC's delivery queue on the fabric
 
 	rtoExpiries, replays atomic.Int64 // NICStats, bumped on the retry path only
 }
 
-// NICStats counts the Go-Back-N retry path of every QP on a NIC.
+// NICStats counts the Go-Back-N retry path of every QP on a NIC, and the
+// wake-ups of its inbox goroutine.
 type NICStats struct {
 	RTOExpiries int64 // retransmission ticks that found no progress and charged a retry
 	Replays     int64 // send-queue replays, from an RTO expiry or a PSN-sequence NAK
+	Wakeups     int64 // frames whose arrival woke the NIC's parked inbox goroutine
 }
 
-// Stats returns a snapshot of the retry-path counters.
+// Stats returns a snapshot of the retry-path and wake-up counters.
 func (n *NIC) Stats() NICStats {
-	return NICStats{RTOExpiries: n.rtoExpiries.Load(), Replays: n.replays.Load()}
+	return NICStats{RTOExpiries: n.rtoExpiries.Load(), Replays: n.replays.Load(), Wakeups: n.inbox.wakeups.Load()}
 }
 
 // NewNIC creates a NIC, attaches it to the fabric, and returns it.
@@ -92,7 +94,7 @@ func NewNIC(f *Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *NIC {
 	}
 	n.publishQPsLocked()
 	n.publishMRsLocked()
-	f.Attach(n)
+	n.inbox = f.attach(n)
 	return n
 }
 
@@ -191,8 +193,13 @@ func (n *NIC) RegisterMR(base uint64, buf []byte) *MR {
 // application threads mutate concurrently with engine DMA (the Cowbird
 // queue sets).
 //
-// Lock-ordering invariant: DMA locks nest inside QP datapath locks, so
-// verbs (PostSend) must never be called while holding a DMA lock.
+// Lock-ordering invariant: DMA locks nest inside QP datapath locks — a
+// requester's, which serializes a WRITE's payload under its local region's
+// lock, and a passive responder's, which a request frame reaches on the
+// requester's goroutine with the requester's QP lock held (Fabric.Send). So
+// verbs (PostSend) must never be called while holding a DMA lock, and a
+// region's lock must not be held by anything that waits on a responder of
+// the same NIC.
 func (n *NIC) RegisterMRLocked(base uint64, buf []byte, lock sync.Locker) *MR {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -238,19 +245,20 @@ func ConnectPair(a *NIC, aSendCQ *CQ, aPSN uint32, b *NIC, bPSN uint32) (aQP, bQ
 	return aQP, bQP
 }
 
-// Input implements Device: parse and dispatch one frame. The inbox calls it
-// from a single goroutine, so the decode target is reused across frames; the
-// destination QP is resolved in the published snapshot and handled under
-// that QP's own lock.
+// Input implements Device: parse and dispatch one frame. The destination
+// QP is read from the raw BTH and resolved in the published snapshot; the
+// frame is decoded into that QP's scratch packet and handled under that QP's
+// own lock, so Input may run on many goroutines at once — the inbox's and,
+// for a passive QP, every requester's (Fabric.Send).
 func (n *NIC) Input(frame []byte) {
+	if q := (*n.qpSnap.Load())[flowKey(frame)]; q != nil {
+		n.input(q, frame)
+	}
+}
+
+// input decodes frame into q's scratch packet and handles it under q.mu.
+func (n *NIC) input(q *QP, frame []byte) {
 	if n.closed.Load() || n.dead.Load() {
-		return
-	}
-	if err := n.rx.DecodeFromBytes(frame); err != nil {
-		return // not RoCE, corrupt, or truncated: drop silently
-	}
-	q := (*n.qpSnap.Load())[n.rx.BTH.DestQP]
-	if q == nil {
 		return
 	}
 	q.mu.Lock()
@@ -258,34 +266,40 @@ func (n *NIC) Input(frame []byte) {
 	if n.closed.Load() || !q.connected {
 		return
 	}
-	if n.rx.BTH.OpCode.IsRequest() {
-		q.handleRequest(&n.rx)
+	p := &q.rx
+	if err := p.DecodeFromBytes(frame); err != nil {
+		return // not RoCE, corrupt, or truncated: drop silently
+	}
+	if p.BTH.OpCode.IsRequest() {
+		q.handleRequest(p)
 	} else {
-		q.handleResponse(&n.rx)
+		q.handleResponse(p)
 	}
+	p.Payload = nil // the frame is recycled once Input returns
 }
 
-// sendPacket serializes q.tx (or any packet) into a pooled frame buffer and
-// transmits it. Caller holds q.mu — which is what makes the per-QP tx
-// scratch packet safe to reuse.
-func (n *NIC) sendPacket(p *wire.Packet) {
+// passiveQP returns the QP a request frame is addressed to if that QP has
+// never posted, or nil: the test Fabric.Send runs before handling a frame on
+// its sender's goroutine.
+func (n *NIC) passiveQP(frame []byte) *QP {
+	qpn := flowKey(frame)
+	if qpn == nonQPFlow || !wire.OpCode(frame[bthOffset]).IsRequest() {
+		return nil
+	}
+	if q := (*n.qpSnap.Load())[qpn]; q != nil && !q.active.Load() {
+		return q
+	}
+	return nil
+}
+
+// build serializes one packet from q to its peer into a pooled frame buffer,
+// or returns nil when the NIC is dead (a crashed host transmits nothing, not
+// even retransmissions). Caller holds q.mu, which is what makes the per-QP
+// tx scratch packet safe to reuse.
+func (n *NIC) build(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wire.AETH, payload []byte, ackReq bool) []byte {
 	if n.dead.Load() {
-		return // crashed hosts transmit nothing, not even retransmissions
+		return nil
 	}
-	sz := 0
-	if p.BTH.OpCode.HasPayload() {
-		sz = len(p.Payload)
-	}
-	frame, err := p.SerializeInto(n.fabric.pool.get(wire.WireLen(p.BTH.OpCode, sz)))
-	if err != nil {
-		return
-	}
-	n.fabric.Send(frame)
-}
-
-// emit serializes and transmits one packet from q to its peer.
-// Caller holds q.mu.
-func (n *NIC) emit(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wire.AETH, payload []byte, ackReq bool) {
 	p := &q.tx
 	n.fillEnvelope(p, q)
 	p.BTH.OpCode = op
@@ -298,7 +312,20 @@ func (n *NIC) emit(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wir
 		p.AETH = *aeth
 	}
 	p.Payload = payload
-	n.sendPacket(p)
+	frame, err := p.SerializeInto(n.fabric.pool.get(wire.WireLen(op, len(payload))))
+	p.Payload = nil
+	if err != nil {
+		return nil
+	}
+	return frame
+}
+
+// emit serializes and transmits one packet from q to its peer.
+// Caller holds q.mu.
+func (n *NIC) emit(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wire.AETH, payload []byte, ackReq bool) {
+	if fr := n.build(q, op, psn, reth, aeth, payload, ackReq); fr != nil {
+		n.fabric.Send(fr)
+	}
 }
 
 // fillEnvelope sets the addressing fields for a packet from q to its peer.

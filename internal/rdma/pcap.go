@@ -14,9 +14,8 @@ import (
 // Wireshark or tcpdump, which both dissect RoCEv2 natively.
 //
 // Install with Fabric.SetTap; remove by setting a nil tap. Capture runs on
-// the delivery path after the interposer (on the fabric's forwarding
-// goroutine, or directly on sender goroutines when the fast path is
-// active), so what it sees is exactly what the devices receive. Capture
+// the delivery path after the interposer and the loss predicate, on the
+// sender's goroutine, so what it sees is exactly what the devices receive. Capture
 // copies the frame before returning, so recycled frames are safe to tap.
 type PcapTap struct {
 	mu     sync.Mutex

@@ -22,8 +22,9 @@ import "sync"
 // Lifecycle: NIC.emit* — or a FrameReleaser interposer, through
 // Fabric.FrameBuf — gets a buffer and serializes into it
 // (wire.Packet.SerializeInto); Fabric.Send transfers ownership to the
-// fabric; after the destination device's Input returns, the inbox returns
-// the buffer to the pool — unless the frame passed through an interposer
+// fabric; after the destination device's Input returns, the inbox — or Send,
+// for a request handled on the sender's goroutine — returns the buffer to
+// the pool — unless the frame passed through an interposer
 // that is not a FrameReleaser (it might retain it) or the device is not one
 // of ours (NIC, UDP proxy), which never keep a frame past Input. A frame a
 // FrameReleaser consumed, or the loss predicate dropped, goes back at once.

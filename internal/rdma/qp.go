@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cowbird/internal/container"
@@ -72,6 +73,11 @@ type QP struct {
 	connected bool
 	errored   bool
 
+	// active is set, under mu, by the first PostSend and never cleared. A
+	// QP without it is passive: the fabric hands it request frames on the
+	// sender's goroutine (Fabric.Send), which reads it without mu.
+	active atomic.Bool
+
 	sendCQ *CQ
 
 	// Requester state.
@@ -111,8 +117,12 @@ type QP struct {
 	msn       uint32
 
 	// tx is the reusable serialization scratch for every packet this QP
-	// emits; q.mu makes it single-writer.
-	tx wire.Packet
+	// emits, rx the decode target of every frame it receives, and txq the
+	// frames of one WRITE, serialized under the local region's DMA lock and
+	// sent after it is released; q.mu makes all three single-writer.
+	tx  wire.Packet
+	rx  wire.Packet
+	txq [][]byte
 
 	// RTT sampling: one PSN at a time, posted on the idle→busy edge or after
 	// a tick, so the clock is read about once per RTO. Off the hot cache
@@ -309,6 +319,9 @@ func (q *QP) PostSend(wr WorkRequest) error {
 		q.timing, q.sampleDue = true, false
 		q.timedPSN, q.timedAt = s.lastPSN, time.Now()
 	}
+	if !q.active.Load() {
+		q.active.Store(true) // before the first transmit: see Fabric.Send
+	}
 	q.transmitWR(s)
 	// A post is progress — except the one that starts the clock (the
 	// idle→busy edge): the first tick is that post's own RTO.
@@ -331,10 +344,10 @@ func (q *QP) transmitWR(s *sendWR) {
 		n := len(s.local)
 		npkts := int(s.lastPSN-s.firstPSN) + 1
 		// Serialization copies the payload out of the local region; hold its
-		// DMA lock so a concurrent remote write into the same MR (now only
-		// per-QP-serialized, not NIC-serialized) cannot race the read.
+		// DMA lock so a concurrent remote write into the same MR cannot race
+		// the read. Hold it only for that: Send may run a passive responder
+		// inline, which takes the lock of the region it writes.
 		s.mr.lockDMA()
-		defer s.mr.unlockDMA()
 		for i := 0; i < npkts; i++ {
 			lo := i * mtu
 			hi := lo + mtu
@@ -357,8 +370,16 @@ func (q *QP) transmitWR(s *sendWR) {
 				reth = &wire.RETH{VA: s.remoteVA, RKey: s.rkey, DMALen: uint32(n)}
 			}
 			last := i == npkts-1
-			q.nic.emit(q, op, s.firstPSN+uint32(i), reth, nil, s.local[lo:hi], last)
+			if fr := q.nic.build(q, op, s.firstPSN+uint32(i), reth, nil, s.local[lo:hi], last); fr != nil {
+				q.txq = append(q.txq, fr)
+			}
 		}
+		s.mr.unlockDMA()
+		for i, fr := range q.txq {
+			q.txq[i] = nil
+			q.nic.fabric.Send(fr)
+		}
+		q.txq = q.txq[:0]
 	}
 }
 
