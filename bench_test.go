@@ -168,9 +168,3 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 func BenchmarkAblationPauseRule(b *testing.B) {
 	runExperiment(b, "ablation-pause")
 }
-
-// BenchmarkAblationGoBackN — §5.3: functional drain/resync recovery cost
-// under increasing frame loss (wall-clock, real Cowbird-P4 engine).
-func BenchmarkAblationGoBackN(b *testing.B) {
-	runExperiment(b, "ablation-gbn")
-}

@@ -29,7 +29,6 @@ func main() {
 
 	cfg := cowbird.DefaultConfig()
 	cfg.Engine = cowbird.EngineP4
-	cfg.P4.Timeout = 20 * time.Millisecond
 	sys, err := cowbird.NewSystem(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -20,16 +20,17 @@ import (
 
 func main() {
 	records := flag.Int("records", 40, "records to write before and after the crash")
-	detect := flag.Duration("detect", 2*time.Millisecond, "replica-death detection budget (pool retry timeout x retries)")
+	detect := flag.Duration("detect", 2*time.Millisecond, "replica-death detection budget (pool retry timeouts, doubling, summed)")
 	flag.Parse()
 
 	cfg := cowbird.DefaultConfig()
 	cfg.PoolReplicas = 2
 	// Tighten Go-Back-N on the engine→pool QPs only, so the demo detects the
-	// crash in ~2ms instead of the production 50ms. The engine↔compute path
-	// keeps the forgiving defaults.
-	cfg.PoolRetransmitTimeout = *detect / 4
-	cfg.PoolMaxRetries = 4
+	// crash within detect (the timeout doubles per retry: detect/8 ·
+	// (1+2+4), and one timeout more) instead of the production 41 ms. The
+	// engine↔compute path keeps the forgiving defaults.
+	cfg.PoolRetransmitTimeout = *detect / 8
+	cfg.PoolMaxRetries = 2
 	cfg.Spot.ProbeInterval = 5 * time.Microsecond
 	cfg.Spot.PoolHeartbeatInterval = 500 * time.Microsecond
 

@@ -1,14 +1,8 @@
 package bench
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
-
 	"cowbird/internal/cpumodel"
 	"cowbird/internal/perfsim"
-	"cowbird/internal/system"
 )
 
 // The ablations probe the design choices DESIGN.md §5 calls out. They are
@@ -110,77 +104,8 @@ func AblationPauseRule() Experiment {
 	return e
 }
 
-// AblationGoBackN measures the functional cost of loss recovery: the real
-// Cowbird-P4 engine (not the model) runs a fixed workload under increasing
-// frame-loss rates, reporting completion time and recovery counts. This is
-// the §5.3 drain-and-resync machinery under stress.
-func AblationGoBackN() Experiment {
-	e := Experiment{
-		ID:     "ablation-gbn",
-		Title:  "Go-Back-N recovery cost vs frame loss (functional Cowbird-P4)",
-		Cols:   []string{"ops", "wall time", "recoveries", "NAKs", "completed"},
-		XLabel: "loss %",
-	}
-	for _, loss := range []int{0, 5, 10, 20} {
-		cfg := system.DefaultConfig()
-		cfg.Engine = system.EngineP4
-		cfg.P4.ProbeInterval = 2 * time.Microsecond
-		cfg.P4.Timeout = 20 * time.Millisecond
-		sys, err := system.New(cfg)
-		if err != nil {
-			e.Notes = append(e.Notes, "setup failed: "+err.Error())
-			continue
-		}
-		var mu sync.Mutex
-		rng := rand.New(rand.NewSource(int64(loss) + 1))
-		sys.Fabric.SetLossFn(func([]byte) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return rng.Intn(100) < loss
-		})
-		th, _ := sys.Client.Thread(0)
-		g := th.PollCreate()
-		const ops = 40
-		start := time.Now()
-		issued := 0
-		for i := 0; i < ops; i++ {
-			data := make([]byte, 300)
-			for j := range data {
-				data[j] = byte(i)
-			}
-			if id, err := th.AsyncWrite(0, data, uint64(i)*512); err == nil {
-				if g.Add(id) == nil {
-					issued++
-				}
-			}
-		}
-		done := 0
-		deadline := time.Now().Add(60 * time.Second)
-		for done < issued && time.Now().Before(deadline) {
-			done += len(g.Wait(64, 500*time.Millisecond))
-		}
-		wall := time.Since(start)
-		st := sys.P4.Stats()
-		sys.Close()
-		e.Rows = append(e.Rows, Row{
-			Label: fmt.Sprintf("%d%% loss", loss),
-			Values: []string{
-				fmt.Sprintf("%d", issued),
-				wall.Round(time.Millisecond).String(),
-				fmt.Sprintf("%d", st.Recoveries),
-				fmt.Sprintf("%d", st.NAKs),
-				fmt.Sprintf("%d/%d", done, issued),
-			},
-		})
-	}
-	e.Notes = append(e.Notes,
-		"functional run (wall clock): recovery cost = drain (one timeout) + control-plane resync + re-execution")
-	return e
-}
-
 func init() {
 	registry["ablation-probe"] = AblationProbeRate
 	registry["ablation-batch"] = AblationBatchSize
 	registry["ablation-pause"] = AblationPauseRule
-	registry["ablation-gbn"] = AblationGoBackN
 }

@@ -17,7 +17,6 @@ func TestIDsCoverEveryExhibit(t *testing.T) {
 		"fig9a", "fig9b", "fig10a", "fig10b",
 		"fig11", "fig12", "fig13", "fig14", "table5",
 		"ablation-probe", "ablation-batch", "ablation-pause",
-		"ablation-gbn",
 		"cache-sweep", "engine-scale", "multitenant-scale",
 	}
 	got := IDs()

@@ -29,7 +29,8 @@ type ChaosRecoveryReport struct {
 	hostEnv
 	GeneratedAt string `json:"generated_at"`
 	// DetectBudgetMicros is the configured replica-death detection budget:
-	// pool retry timeout x max retries, the floor of any recovery time.
+	// the pool retry timeout doubled per retry, summed over the retries and
+	// the first timeout — the floor of any recovery time.
 	DetectBudgetMicros float64 `json:"detect_budget_us"`
 	// HealthyReadMicros is the median latency of a synchronous read on a
 	// healthy two-replica deployment — the baseline the recovery latency is
@@ -45,9 +46,13 @@ type ChaosRecoveryReport struct {
 	Throughput []ChaosRecoveryPoint `json:"throughput"`
 }
 
+// The pool QPs' budget: a silent pool fails them after
+// 350 µs·(1+2+4) = 2.45 ms, and within one RTO more, 2.8 ms — no later than
+// the 2.5–3 ms of (4+1)·500 µs to (4+2)·500 µs before the RTO doubled per
+// expiry.
 const (
-	chaosPoolRTO     = 500 * time.Microsecond
-	chaosPoolRetries = 4
+	chaosPoolRTO     = 350 * time.Microsecond
+	chaosPoolRetries = 2
 )
 
 func chaosConfig(replicas int) system.Config {
@@ -165,7 +170,7 @@ func runChaosRecoveryReport(opsPerThread, _ int) (ChaosRecoveryReport, error) {
 	r := ChaosRecoveryReport{
 		hostEnv:            currentEnv(),
 		GeneratedAt:        time.Now().UTC().Format(time.RFC3339),
-		DetectBudgetMicros: float64((chaosPoolRTO * chaosPoolRetries).Microseconds()),
+		DetectBudgetMicros: float64((chaosPoolRTO * (1<<(chaosPoolRetries+1) - 1)).Microseconds()),
 	}
 	var healthies []float64
 	for i := 0; i < trials; i++ {

@@ -52,9 +52,10 @@ const (
 	// heals. The engine is never killed: it keeps serving into the void and
 	// its in-flight writes come back as retransmissions when the partition
 	// heals, which is exactly the split-brain window fencing (DESIGN.md §14)
-	// must make harmless. Keep Dur under the compute-path retry budget
-	// (MaxRetries x RetransmitTimeout) if the deployment has no standby:
-	// with no one to promote, exhausting those retries bricks the instance.
+	// must make harmless. Keep Dur under the compute-path retry budget (the
+	// RTO doubled per retry, summed over MaxRetries+1 expiries: DESIGN.md
+	// §9) if the deployment has no standby: with no one to promote,
+	// exhausting those retries bricks the instance.
 	KindZombiePrimary
 )
 
@@ -136,8 +137,9 @@ type Profile struct {
 
 	// MaxLossPct caps loss-burst drop probability. Keep well below 1.0 on
 	// default NIC timeouts: a burst that blanks every frame for longer than
-	// MaxRetries x RetransmitTimeout bricks healthy QPs through Go-Back-N
-	// retry exhaustion, turning a transient fault into a permanent one.
+	// the retry budget (the RTO doubled per retry, summed over MaxRetries+1
+	// expiries: DESIGN.md §9) bricks healthy QPs through Go-Back-N retry
+	// exhaustion, turning a transient fault into a permanent one.
 	MaxLossPct float64
 	// MaxBurst caps loss-burst and delay-spike duration.
 	MaxBurst time.Duration

@@ -47,13 +47,13 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 // fastNIC tightens Go-Back-N on the engine→pool QPs so replica-death
-// detection costs ~1.5ms instead of the production 50ms, keeping chaos runs
-// quick. The override is scoped to the pool path on purpose: applying it
+// detection costs 250 µs·(1+2+4) ≈ 1.75 ms instead of the production 41 ms,
+// keeping chaos runs quick. The override is scoped to the pool path on purpose: applying it
 // NIC-wide would let any scheduling stall on the engine↔compute path
 // exhaust that QP's retries and wedge the whole deployment.
 func fastNIC(c *system.Config) {
-	c.PoolRetransmitTimeout = 300 * time.Microsecond
-	c.PoolMaxRetries = 5
+	c.PoolRetransmitTimeout = 250 * time.Microsecond
+	c.PoolMaxRetries = 2
 	c.Spot.ProbeInterval = 2 * time.Microsecond
 	c.Spot.PoolHeartbeatInterval = 200 * time.Microsecond
 }

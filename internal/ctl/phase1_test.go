@@ -232,3 +232,41 @@ func TestMemnodeHandlerRejectsBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestAddPeerOfLocalMACIsAnError: an add_peer_addr naming a MAC a device of
+// the process's own fabric already holds — the memnode's or the engine's own
+// NIC — must get an error response. Attaching a second device under that MAC
+// panics, and Serve runs handlers without recover, so a panic here would let
+// any control-port client take the process down.
+func TestAddPeerOfLocalMACIsAnError(t *testing.T) {
+	poolFab, poolBr := bridged(t)
+	pool := memnode.New(poolFab, ctl.PoolMAC, ctl.PoolIP, rdma.DefaultConfig())
+	t.Cleanup(pool.Close)
+
+	engFab, engBr := bridged(t)
+	engNIC := rdma.NewNIC(engFab, ctl.EngineMAC, ctl.EngineIP, rdma.DefaultConfig())
+	t.Cleanup(engNIC.Close)
+	eng := spot.New(engNIC, spot.DefaultConfig())
+	ec := ha.NewEngineControl(eng, engBr, engNIC, ctl.EngineMAC, ctl.EngineIP, false)
+
+	for _, c := range []struct {
+		name string
+		h    ctl.Handler
+		mac  [6]byte
+	}{
+		{"memnode", ctl.MemnodeHandler(pool, poolBr), ctl.PoolMAC},
+		{"engine", ec.Handle, ctl.EngineMAC},
+	} {
+		req := ctl.Request{Op: "add_peer_addr", Remote: &ctl.QPEndpoint{MAC: c.mac}, PeerAddr: "127.0.0.1:1"}
+		if resp := c.h(req); resp.Err == "" {
+			t.Errorf("%s: add_peer_addr of its own MAC answered %+v, want an error", c.name, resp)
+		}
+		// A real peer's MAC is still accepted, and again (a re-wire).
+		req.Remote.MAC = ctl.ComputeMAC
+		for i := 0; i < 2; i++ {
+			if resp := c.h(req); resp.Err != "" {
+				t.Errorf("%s: add_peer_addr of the compute MAC: %s", c.name, resp.Err)
+			}
+		}
+	}
+}

@@ -162,9 +162,13 @@ func newHostSim(t *testing.T) *hostSim {
 	t.Cleanup(fabric.Close)
 	eng := New(fabric, wire.MAC{2, 0xEE, 7, 0, 0, 1}, wire.IPv4Addr{10, 8, 7, 1}, Config{
 		ProbeInterval: time.Hour, // unused: the test injects ticks itself
-		Timeout:       time.Hour, // recovery must never trigger mid-gate
 		MTU:           1024,
 	})
+	// The protocol runs on the test goroutine, so the wall clock between two
+	// steps is the test's own; on a frozen engine clock no exchange ever
+	// looks late, and recovery never triggers mid-gate.
+	frozen := time.Now()
+	eng.clock = func() time.Time { return frozen }
 	const baseVA = 0x10_0000
 	info := &core.Instance{
 		ID:      0,

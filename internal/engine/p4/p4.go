@@ -63,8 +63,6 @@ type Config struct {
 	// 2 µs for FASTER). Probes are time-division multiplexed round-robin
 	// across instances and queues (§5.4).
 	ProbeInterval time.Duration
-	// Timeout is the data-plane timeout driving Go-Back-N recovery (§5.3).
-	Timeout time.Duration
 	// MTU must match the host NICs' RDMA MTU: the engine counts PSNs at
 	// this MTU while the hosts segment at theirs. system.New sets it from
 	// the deployment's NIC config.
@@ -79,7 +77,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		ProbeInterval: 20 * time.Microsecond,
-		Timeout:       20 * time.Millisecond,
 		MTU:           1024,
 	}
 }
@@ -200,6 +197,11 @@ type queueState struct {
 	// independent clients: one queue's completions must not hide another's
 	// stuck exchange.
 	since time.Time
+	// rto is the queue's timeout, the estimator every rdma.QP uses, fed
+	// with its probe round trips (probeAt is the outstanding probe's
+	// departure on the engine clock) and backed off per timeout.
+	rto     rdma.RTOEstimator
+	probeAt time.Time
 
 	// Requests fetched but not yet retired, in arrival order per type.
 	// Ring FIFOs retire from the front without the allocator churn of
@@ -306,10 +308,11 @@ type Engine struct {
 
 	// Everything below is data-plane state, touched only inside Process,
 	// which the fabric calls under its forwarding lock. No locks of its own.
-	now             time.Time   // the engine clock: wall time of the latest generator tick
-	rrInst, rrQueue int         // TDM round-robin cursor (§5.4)
-	rx, tx          wire.Packet // reusable decoder/encoder
-	out             [][]byte    // reusable Process return slice
+	now             time.Time        // the engine clock: wall time of the latest generator tick
+	clock           func() time.Time // reads the wall time: time.Now, or a test's frozen clock
+	rrInst, rrQueue int              // TDM round-robin cursor (§5.4)
+	rx, tx          wire.Packet      // reusable decoder/encoder
+	out             [][]byte         // reusable Process return slice
 	freeOp          []*pendingOp
 	freeReq         []*request
 	heldScratch     []*request
@@ -335,6 +338,7 @@ func New(f *rdma.Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *Engine {
 		cfg:     cfg,
 		tel:     cfg.Telemetry,
 		nextQPN: switchQPNBase,
+		clock:   time.Now,
 		ctlDone: make(chan *inst, 16),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -525,6 +529,7 @@ func (e *Engine) nextProbe(t *instTable) {
 			q.since = e.now // the probe is the queue's only exchange
 		}
 		q.probeOutstanding = true
+		q.probeAt = e.now
 		psn := e.allocPSNs(&in.compPSN, 1)
 		op := e.getOp()
 		*op = pendingOp{kind: opProbeResp, q: q, firstPSN: psn, npkts: 1}
@@ -560,18 +565,33 @@ func (e *Engine) npktsFor(length uint32) int {
 	return n
 }
 
+// chainRTTs is how many round trips a queue's longest exchange chain spans
+// between two moves of its stamp (probe, metadata fetch, data fetch, the
+// response write's ACK); each probe round trip is observed at this multiple.
+const chainRTTs = 4
+
+// timeout returns q's current timeout, backoff included, floored as every
+// QP's is by default.
+func (q *queueState) timeout() time.Duration { return q.rto.RTO(rdma.DefaultRTOFloor) }
+
 // checkTimeouts drives §5.3 fault recovery, on the engine clock, at every
 // tick. A running instance begins a drain once one of its queues has
 // something outstanding — requests in flight, a probe or a metadata fetch —
-// and a progress stamp Timeout old; once a drain window ends, the resync is
-// launched. The stamp moves when a probe goes out with nothing else
-// outstanding, when a request completes, and at every resync.
+// a progress stamp older than its timeout, and nothing unread at a host of
+// the instance (rdma.Fabric.Queued); the expiry doubles that queue's
+// timeout. Once a drain window ends, the resync is launched. The stamp
+// moves when a probe goes out with nothing else outstanding, when a request
+// completes, and at every resync.
 func (e *Engine) checkTimeouts(t *instTable) {
 	for _, in := range t.instances {
 		switch in.state {
 		case stateRunning:
 			for _, q := range in.queues {
-				if (q.open > 0 || q.probeOutstanding || q.fetchOutstanding) && e.now.Sub(q.since) >= e.cfg.Timeout {
+				if (q.open > 0 || q.probeOutstanding || q.fetchOutstanding) && e.now.Sub(q.since) >= q.timeout() {
+					if e.fabric.Queued(in.compute.MAC, in.compute.QPN) || e.fabric.Queued(in.pool.MAC, in.pool.QPN) {
+						continue // slow, not silent
+					}
+					q.rto.Expire()
 					e.beginRecovery(in)
 					break
 				}
@@ -584,15 +604,22 @@ func (e *Engine) checkTimeouts(t *instTable) {
 	}
 }
 
-// beginRecovery enters the drain phase. Crucially, in-flight operations
-// keep completing during the drain: PSN space is never reused, so every
-// late response or ACK still maps to its true operation — chains unaffected
-// by the loss retire normally, which is what keeps recovery making forward
-// progress under sustained loss. Only NEW issues are gated until the resync.
+// beginRecovery enters the drain phase, for the longest of the instance's
+// queue timeouts without backoff: a backed-off queue has lost its own
+// exchanges, and the drain only waits out the others'. Crucially, in-flight
+// operations keep completing during the drain: PSN space is never reused,
+// so every late response or ACK still maps to its true operation — chains
+// unaffected by the loss retire normally, which is what keeps recovery
+// making forward progress under sustained loss. Only NEW issues are gated
+// until the resync.
 func (e *Engine) beginRecovery(in *inst) {
 	e.stats.recoveries.Add(1)
 	in.state = stateDraining
-	in.drainUntil = e.now.Add(e.cfg.Timeout)
+	var drain time.Duration
+	for _, q := range in.queues {
+		drain = max(drain, q.rto.Base(rdma.DefaultRTOFloor))
+	}
+	in.drainUntil = e.now.Add(drain)
 }
 
 // resyncWindow bounds how many recovered requests are re-issued at once;

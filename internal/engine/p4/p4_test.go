@@ -84,7 +84,6 @@ type instanceEnv struct {
 func testConfig() Config {
 	return Config{
 		ProbeInterval: 2 * time.Microsecond,
-		Timeout:       50 * time.Millisecond,
 		MTU:           1024,
 	}
 }
@@ -96,7 +95,7 @@ func newMultiInstance(t *testing.T, n int) (*Engine, []*instanceEnv) {
 
 // newMultiInstanceCfg is newMultiInstance with the queues per instance
 // (client threads) and the engine configuration given.
-func newMultiInstanceCfg(t *testing.T, n, threads int, cfg Config) (*Engine, []*instanceEnv) {
+func newMultiInstanceCfg(t testing.TB, n, threads int, cfg Config) (*Engine, []*instanceEnv) {
 	t.Helper()
 	fabric := rdma.NewFabric()
 	t.Cleanup(fabric.Close)
@@ -282,66 +281,74 @@ func ackOf(host wire.MAC, write func(p *wire.Packet) bool) func(p *wire.Packet) 
 	}
 }
 
+const stuckLen = 256
+
+// stuckOld is the block the stuck operation reads, stuckData what a stuck
+// write puts there.
+var stuckOld, stuckData = bytes.Repeat([]byte{0x3C}, stuckLen), bytes.Repeat([]byte{0xC3}, stuckLen)
+
+// stuckRows are the frames TestStuckOpRecoversWithinBound loses, one per
+// row, and what the stuck operation is.
+var stuckRows = []struct {
+	name  string
+	lose  func(env *instanceEnv) func(p *wire.Packet) bool
+	write bool // the stuck operation is a write, else a read
+	idle  bool // the operation is issued only after the recovery
+	peer  bool // queue 1 of the same instance runs a closed loop throughout
+}{
+	{name: "switch→pool read request", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return func(p *wire.Packet) bool {
+			return p.Eth.Dst == env.pool.NIC().MAC() && p.BTH.OpCode == wire.OpReadRequest
+		}
+	}},
+	{name: "pool→switch read response", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return func(p *wire.Packet) bool {
+			return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode.IsReadResponse()
+		}
+	}},
+	{name: "compute→switch probe response on an idle queue", idle: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return func(p *wire.Packet) bool {
+			return p.Eth.Src == env.compute.MAC() && p.BTH.OpCode.IsReadResponse() && len(p.Payload) == rings.GreenSize
+		}
+	}},
+	{name: "compute→switch metadata response", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return func(p *wire.Packet) bool {
+			return p.Eth.Src == env.compute.MAC() && p.BTH.OpCode.IsReadResponse() && len(p.Payload) == rings.MetaEntrySize
+		}
+	}},
+	{name: "pool→switch write ACK", write: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return func(p *wire.Packet) bool {
+			return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode == wire.OpAcknowledge
+		}
+	}},
+	{name: "compute→switch ACK of a response write", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return ackOf(env.compute.MAC(), func(p *wire.Packet) bool { return len(p.Payload) == stuckLen })
+	}},
+	// Queue 1's completions must not hide queue 0's stuck read, as one
+	// stamp per instance would.
+	{name: "two queues, queue 0's pool read response", peer: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
+		return func(p *wire.Packet) bool {
+			return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode.IsReadResponse() &&
+				len(p.Payload) > 0 && p.Payload[0] == stuckOld[0]
+		}
+	}},
+}
+
 // TestStuckOpRecoversWithinBound loses, in each row, one frame that only the
 // data-plane timeout can see: the switch NAKs nothing, and nothing follows a
 // lost frame toward a host on its QP, so no host NAKs either.
 // Every queue's progress stamp moves at least once per probe while it has
 // nothing outstanding, so the stuck queue's stamp is at most one probe older
-// than the loss, and recovery must start within 1.5 × Timeout of it
-// (scheduling slack included). Then the operation must complete with the
-// right data, and the resync must restamp every queue: one more Timeout
-// passes without a second recovery.
+// than the loss, and recovery must start within 1.5 × the queue's timeout
+// of it (scheduling slack included). On the wall clock that timeout is only
+// known to be at most rdma.MaxRTO; TestStuckOpDetectedWithinTimeout holds
+// each row to the measured one on virtual time. Then the operation must
+// complete with the right data, and the resync must restamp every queue:
+// one more MaxRTO passes without a second recovery.
 func TestStuckOpRecoversWithinBound(t *testing.T) {
-	const length = 256
-	old, data := bytes.Repeat([]byte{0x3C}, length), bytes.Repeat([]byte{0xC3}, length)
-	rows := []struct {
-		name  string
-		lose  func(env *instanceEnv) func(p *wire.Packet) bool
-		write bool // the stuck operation is a write, else a read
-		idle  bool // the operation is issued only after the recovery
-		peer  bool // queue 1 of the same instance runs a closed loop throughout
-	}{
-		{name: "switch→pool read request", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return func(p *wire.Packet) bool {
-				return p.Eth.Dst == env.pool.NIC().MAC() && p.BTH.OpCode == wire.OpReadRequest
-			}
-		}},
-		{name: "pool→switch read response", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return func(p *wire.Packet) bool {
-				return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode.IsReadResponse()
-			}
-		}},
-		{name: "compute→switch probe response on an idle queue", idle: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return func(p *wire.Packet) bool {
-				return p.Eth.Src == env.compute.MAC() && p.BTH.OpCode.IsReadResponse() && len(p.Payload) == rings.GreenSize
-			}
-		}},
-		{name: "compute→switch metadata response", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return func(p *wire.Packet) bool {
-				return p.Eth.Src == env.compute.MAC() && p.BTH.OpCode.IsReadResponse() && len(p.Payload) == rings.MetaEntrySize
-			}
-		}},
-		{name: "pool→switch write ACK", write: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return func(p *wire.Packet) bool {
-				return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode == wire.OpAcknowledge
-			}
-		}},
-		{name: "compute→switch ACK of a response write", lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return ackOf(env.compute.MAC(), func(p *wire.Packet) bool { return len(p.Payload) == length })
-		}},
-		// Queue 1's completions must not hide queue 0's stuck read, as one
-		// stamp per instance would.
-		{name: "two queues, queue 0's pool read response", peer: true, lose: func(env *instanceEnv) func(p *wire.Packet) bool {
-			return func(p *wire.Packet) bool {
-				return p.Eth.Src == env.pool.NIC().MAC() && p.BTH.OpCode.IsReadResponse() &&
-					len(p.Payload) > 0 && p.Payload[0] == old[0]
-			}
-		}},
-	}
-	for _, row := range rows {
+	for _, row := range stuckRows {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.Timeout = 200 * time.Millisecond
 			threads := 1
 			if row.peer {
 				threads = 2
@@ -349,7 +356,7 @@ func TestStuckOpRecoversWithinBound(t *testing.T) {
 			eng, envs := newMultiInstanceCfg(t, 1, threads, cfg)
 			env := envs[0]
 			th, _ := env.client.Thread(0)
-			if err := th.WriteSync(0, old, 4096, 10*time.Second); err != nil {
+			if err := th.WriteSync(0, stuckOld, 4096, 10*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			peerReads := new(atomic.Int64)
@@ -358,23 +365,7 @@ func TestStuckOpRecoversWithinBound(t *testing.T) {
 			}
 
 			lostAt := loseOnce(eng, row.lose(env))
-			op := func() error {
-				want := old
-				if row.write {
-					if err := th.WriteSync(0, data, 4096, 10*time.Second); err != nil {
-						return err
-					}
-					want = data
-				}
-				dest := make([]byte, length)
-				if err := th.ReadSync(0, 4096, dest, 10*time.Second); err != nil {
-					return err
-				}
-				if !bytes.Equal(dest, want) {
-					return errors.New("wrong data after recovery")
-				}
-				return nil
-			}
+			op := func() error { return stuckOp(th, row.write) }
 			done := make(chan error, 1)
 			if !row.idle {
 				go func() { done <- op() }()
@@ -391,14 +382,11 @@ func TestStuckOpRecoversWithinBound(t *testing.T) {
 			if lostAt.Load() == 0 {
 				t.Fatal("a recovery began before anything was lost")
 			}
-			if took := time.Since(time.Unix(0, lostAt.Load())); took > cfg.Timeout*3/2 {
-				t.Fatalf("recovery began %v after the loss, want within 1.5 x %v", took, cfg.Timeout)
+			if took := time.Since(time.Unix(0, lostAt.Load())); took > rdma.MaxRTO*3/2 {
+				t.Fatalf("recovery began %v after the loss, want within 1.5 x %v", took, rdma.MaxRTO)
 			}
 			if st := eng.Stats(); st.NAKs != 0 {
 				t.Fatalf("recovery came from a NAK, not the timeout: %+v", st)
-			}
-			if row.peer && peerReads.Load() == armed {
-				t.Fatal("queue 1 made no progress while queue 0 was stuck: the row tests nothing")
 			}
 			if row.idle {
 				go func() { done <- op() }()
@@ -406,7 +394,15 @@ func TestStuckOpRecoversWithinBound(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(cfg.Timeout)
+			// A timeout of tens of µs can expire before queue 1 completes a
+			// read on a loaded host, so here queue 1 need only have run
+			// while queue 0's read was stuck or recovering;
+			// TestStuckOpDetectedWithinTimeout holds it to completing reads
+			// between the loss and the drain.
+			if row.peer && peerReads.Load() == armed {
+				t.Fatal("queue 1 made no progress while queue 0's read was stuck or recovering: the row tests nothing")
+			}
+			time.Sleep(rdma.MaxRTO)
 			if n := eng.Stats().Recoveries; n != 1 {
 				t.Fatalf("%d recoveries, want 1: the resync did not restamp every queue", n)
 			}
@@ -414,10 +410,31 @@ func TestStuckOpRecoversWithinBound(t *testing.T) {
 	}
 }
 
+// stuckOp is a stuck row's operation on th: a read of the block at 4096,
+// after a write of stuckData over it for a write row, checked against what
+// the block holds.
+func stuckOp(th *core.Thread, write bool) error {
+	want := stuckOld
+	if write {
+		if err := th.WriteSync(0, stuckData, 4096, 10*time.Second); err != nil {
+			return err
+		}
+		want = stuckData
+	}
+	dest := make([]byte, stuckLen)
+	if err := th.ReadSync(0, 4096, dest, 10*time.Second); err != nil {
+		return err
+	}
+	if !bytes.Equal(dest, want) {
+		return errors.New("wrong data after recovery")
+	}
+	return nil
+}
+
 // startPeerLoop runs queue 1 of env's instance as a closed loop of reads of a
 // block of its own, checking every read, until the test ends; it returns the
 // loop's read count once the loop is under way.
-func startPeerLoop(t *testing.T, env *instanceEnv) *atomic.Int64 {
+func startPeerLoop(t testing.TB, env *instanceEnv) *atomic.Int64 {
 	peer, _ := env.client.Thread(1)
 	block := bytes.Repeat([]byte{0x5A}, 256)
 	if err := peer.WriteSync(0, block, 8192, 10*time.Second); err != nil {
@@ -457,6 +474,33 @@ func startPeerLoop(t *testing.T, env *instanceEnv) *atomic.Int64 {
 	return reads
 }
 
+// TestDrainIgnoresBackoff: a queue whose own probes were lost has backed
+// off, but the drain waits out the other queues' exchanges, so it is sized
+// from the queues' timeouts without backoff; and the backed-off queue's next
+// probe round trip clears its backoff. Were either not so, an idle queue at
+// MaxRTO would stretch every drain of its instance to MaxRTO.
+func TestDrainIgnoresBackoff(t *testing.T) {
+	idle, busy := &queueState{}, &queueState{}
+	idle.rto.Observe(100 * time.Microsecond)
+	busy.rto.Observe(40 * time.Microsecond)
+	for i := 0; i < 20; i++ {
+		idle.rto.Expire()
+	}
+	if idle.timeout() != rdma.MaxRTO {
+		t.Fatalf("idle queue's timeout %v, want MaxRTO", idle.timeout())
+	}
+	e := &Engine{}
+	in := &inst{queues: []*queueState{busy, idle}}
+	e.beginRecovery(in)
+	if got, want := in.drainUntil.Sub(e.now), 300*time.Microsecond; got != want {
+		t.Fatalf("drain %v, want the idle queue's timeout without backoff, %v", got, want)
+	}
+	idle.rto.Observe(100 * time.Microsecond)
+	if got, want := idle.timeout(), 250*time.Microsecond; got != want {
+		t.Fatalf("timeout after a probe round trip %v, want %v", got, want)
+	}
+}
+
 // TestLostRedAckNeedsNoRecovery: nothing waits on a red write's ACK, so
 // losing one must start no recovery, and later operations complete.
 func TestLostRedAckNeedsNoRecovery(t *testing.T) {
@@ -469,7 +513,7 @@ func TestLostRedAckNeedsNoRecovery(t *testing.T) {
 	if err := th.WriteSync(0, data, 0, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(3 * cfg.Timeout)
+	time.Sleep(3 * rdma.MaxRTO)
 	if lostAt.Load() == 0 {
 		t.Fatal("no red write's ACK was lost")
 	}

@@ -38,12 +38,11 @@ func (e *Engine) Process(frame []byte) [][]byte {
 	}
 	e.out = e.out[:0]
 	if uint16(frame[12])<<8|uint16(frame[13]) == etherTypeTick {
-		// Generator tick: advance the engine clock — the one wall-clock read
-		// of the data plane, ProbeInterval granularity against a timeout a
-		// thousand times that — resume finished resyncs, drive the timeout
-		// check, and emit the next probe, all within the pipeline's
-		// serialization point.
-		e.now = time.Now()
+		// Generator tick: advance the engine clock (the data plane's only
+		// other clock read is a probe response's arrival), resume finished
+		// resyncs, emit the next probe and drive the timeout check, all
+		// within the pipeline's serialization point.
+		e.now = e.clock()
 		t := e.tbl.Load()
 		for {
 			select {
@@ -54,8 +53,8 @@ func (e *Engine) Process(frame []byte) [][]byte {
 			}
 			break
 		}
-		e.checkTimeouts(t)
 		e.nextProbe(t)
+		e.checkTimeouts(t)
 		return e.result()
 	}
 	// The input frame's payload is copied into any output frames; the fabric
@@ -145,6 +144,10 @@ func (e *Engine) handleReadResponse(in *inst, fromCompute bool, p *wire.Packet) 
 func (e *Engine) onProbeResponse(in *inst, op *pendingOp, p *wire.Packet) {
 	q := op.q
 	q.probeOutstanding = false
+	// The response's arrival time is the ingress timestamp a switch stamps
+	// on every packet; a probe is never retransmitted, so the sample is
+	// unambiguous (Karn's rule). A fresh sample clears the backoff.
+	q.rto.Observe(chainRTTs * e.clock().Sub(q.probeAt))
 	if len(p.Payload) < rings.GreenSize {
 		return
 	}
@@ -411,6 +414,7 @@ func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 // the paper, which recycles every ACK (DESIGN.md §16).
 func (e *Engine) complete(in *inst, q *queueState) {
 	q.since = e.now
+	q.rto.Progress()
 	q.open--
 	q.sinceRed++
 	if q.open == 0 || q.sinceRed >= e.cfg.MTU/rings.MetaEntrySize {

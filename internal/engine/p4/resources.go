@@ -153,14 +153,17 @@ func Pipeline() []StageSpec {
 		{
 			// §5.3 recovery, as Process keeps it: every queue's progress
 			// stamp on the engine clock (queueState.since, 32-bit ns —
-			// compared modulo 4.3 s, far above any Timeout), each
+			// compared modulo 4.3 s, far above any timeout) beside its
+			// measured timeout (queueState.rto: SRTT and RTTVAR as 24-bit
+			// µs fields and an 8-bit backoff; 88 bits, rounded up), each
 			// instance's state and drain deadline (inst.state, drainUntil),
 			// and its backlog of requests to re-issue (inst.backlog; the
 			// resync window's in-flight count is the sum of its queues'
-			// phase4_open).
+			// phase4_open). A probe's departure stamp rides in its
+			// pending entry.
 			Name: "timeout_gbn",
 			Registers: []RegisterSpec{
-				{Name: "queue_progress", Entries: maxInstances * 16, WidthBits: 32},
+				{Name: "queue_progress", Entries: maxInstances * 16, WidthBits: 96},
 				{Name: "recovery_state", Entries: maxInstances, WidthBits: 64},
 				{Name: "resync_backlog", Entries: maxInstances, WidthBits: 16},
 			},

@@ -33,7 +33,7 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 // nodes, node r hosting the 1 MiB regions hosts[r] lists, every QP on the
 // NIC's default retry budget: each QP's RTO follows its own measured round
 // trips, so a scheduler stall does not read as a dead replica, and a crashed
-// one is declared dead within MaxRetries+2 RTOs. Nodes beyond the first
+// one is declared dead within the retry budget's sum (DESIGN.md §9). Nodes beyond the first
 // place their regions at a shifted base so the test exercises per-replica
 // address translation, not just QP fan-out. The client addresses each
 // region's first copy.

@@ -17,6 +17,7 @@ package rdma
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,15 +229,19 @@ func (f *Fabric) Stats() Stats {
 }
 
 // Attach connects a device. It panics if the MAC is already in use.
-func (f *Fabric) Attach(d Device) { f.attach(d) }
+func (f *Fabric) Attach(d Device) {
+	if _, err := f.attach(d); err != nil {
+		panic(err)
+	}
+}
 
-// attach connects d and returns its inbox.
-func (f *Fabric) attach(d Device) *inbox {
+// attach connects d and returns its inbox, or an error if its MAC is in use.
+func (f *Fabric) attach(d Device) (*inbox, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	mac := d.MAC()
 	if _, dup := f.devices[mac]; dup {
-		panic("rdma: duplicate MAC on fabric: " + mac.String())
+		return nil, errors.New("rdma: duplicate MAC on fabric: " + mac.String())
 	}
 	ib := newInbox(d, f.pool)
 	f.devices[mac] = ib
@@ -246,7 +251,18 @@ func (f *Fabric) attach(d Device) *inbox {
 		defer f.wg.Done()
 		ib.run()
 	}()
-	return ib
+	return ib, nil
+}
+
+// Queued reports whether frames for QP qpn reached the device that owns mac
+// and are not yet read: queued in its inbox (a frame due later under
+// SetLatency is still on the wire), or taken by the inbox goroutine and not
+// yet delivered. The P4 switch's queue timeouts consult it, as QP.onTick
+// consults its own NIC's inbox: a software NIC the scheduler has not run is
+// slow, not silent.
+func (f *Fabric) Queued(mac wire.MAC, qpn uint32) bool {
+	ib := f.snap.Load().devices[macKey(mac[:])]
+	return ib != nil && ib.queued(qpn)
 }
 
 // FrameBuf returns an empty buffer with capacity for an n-byte frame, drawn
@@ -414,11 +430,13 @@ type inbox struct {
 }
 
 // inboxFlow is one destination QP's FIFO within an inbox. queued marks
-// membership in the active ring so a flow is never enqueued twice; both
-// fields are guarded by the inbox mutex.
+// membership in the active ring so a flow is never enqueued twice;
+// delivering counts its frames in the consumer's current batch. All three
+// are guarded by the inbox mutex.
 type inboxFlow struct {
-	frames container.Ring[inboxItem]
-	queued bool
+	frames     container.Ring[inboxItem]
+	queued     bool
+	delivering int
 }
 
 type inboxItem struct {
@@ -523,14 +541,38 @@ func (ib *inbox) close() {
 	ib.mu.Unlock()
 }
 
+// queued reports whether frames for flow key wait unread: queued, or in the
+// consumer's current batch (Fabric.Queued, QP.onTick).
+func (ib *inbox) queued(key uint32) bool {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	fl := ib.flows[key]
+	switch {
+	case fl == nil:
+		return false
+	case fl.delivering > 0:
+		return true
+	case fl.frames.Len() == 0:
+		return false
+	}
+	due := fl.frames.Front().due
+	return due.IsZero() || !due.After(time.Now())
+}
+
 // pending reports queued frames; callers hold ib.mu. The active ring is
 // non-empty exactly when some flow has frames.
 func (ib *inbox) pending() bool { return ib.active.Len() > 0 }
 
 func (ib *inbox) run() {
 	var buf [inboxBatch]inboxItem
+	var from [inboxBatch]*inboxFlow // buf[i]'s flow
+	n := 0
 	for {
 		ib.mu.Lock()
+		for i := 0; i < n; i++ {
+			from[i].delivering--
+			from[i] = nil
+		}
 		for !ib.pending() && !ib.closed.Load() {
 			ib.busy.Store(false) // nothing queued, the last batch delivered
 			ib.waiting = true
@@ -544,10 +586,11 @@ func (ib *inbox) run() {
 		// One frame per active flow per turn: a burst on one QP contributes
 		// one frame per round while every waiting peer's head frame departs
 		// in the same round.
-		n := 0
+		n = 0
 		for n < inboxBatch && ib.active.Len() > 0 {
 			fl := ib.active.Pop()
-			buf[n] = fl.frames.Pop()
+			buf[n], from[n] = fl.frames.Pop(), fl
+			fl.delivering++
 			n++
 			if fl.frames.Len() > 0 {
 				ib.active.Push(fl)

@@ -14,7 +14,9 @@ type Config struct {
 	// segments at 1024 bytes ("when the requested data size is larger than
 	// 1024 bytes, RDMA will automatically segment the response").
 	MTU int
-	// RetransmitTimeout is the Go-Back-N retransmission timer.
+	// RetransmitTimeout is only the floor of each QP's retransmission
+	// timeout, which is measured from the QP's own round trips and doubles
+	// on each expiry (RTOEstimator).
 	RetransmitTimeout time.Duration
 	// MaxRetries bounds consecutive timeouts before a WR fails.
 	MaxRetries int
@@ -22,7 +24,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-faithful defaults.
 func DefaultConfig() Config {
-	return Config{MTU: 1024, RetransmitTimeout: 2 * time.Millisecond, MaxRetries: 25}
+	return Config{MTU: 1024, RetransmitTimeout: DefaultRTOFloor, MaxRetries: DefaultMaxRetries}
 }
 
 // mrTable is the immutable registration snapshot the datapath reads
@@ -94,7 +96,11 @@ func NewNIC(f *Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *NIC {
 	}
 	n.publishQPsLocked()
 	n.publishMRsLocked()
-	n.inbox = f.attach(n)
+	ib, err := f.attach(n)
+	if err != nil {
+		panic(err)
+	}
+	n.inbox = ib
 	return n
 }
 

@@ -84,13 +84,13 @@ type QP struct {
 	nextPSN uint32 // next unassigned request PSN
 	ackPSN  uint32 // all request PSNs below this are acknowledged
 	sq      container.Ring[sendWR]
-	retries int
+	retries int // consecutive expiries, reset when a WR completes
 	// The retransmission timer ticks; nothing re-aims it. Armed on the
 	// idle→busy edge (a post that finds ticking false), it re-arms itself once
 	// per RTO while work is outstanding. progress records whether anything was
 	// posted or acknowledged since the previous tick: a tick that finds it
-	// clear charges a retry and replays the send queue, so n consecutive
-	// retries take [n·RTO, (n+1)·RTO). A Go-Back-N replay is not progress.
+	// clear, and no answer queued in the NIC's inbox, charges a retry, doubles
+	// the RTO and replays the send queue. A Go-Back-N replay is not progress.
 	timer     *time.Timer
 	ticking   bool
 	progress  bool
@@ -100,7 +100,7 @@ type QP struct {
 
 	// Per-QP Go-Back-N overrides; zero values fall back to the NIC-wide
 	// Config knobs (SetRetryPolicy).
-	rtoOverride        time.Duration
+	floorOverride      time.Duration
 	maxRetriesOverride int
 
 	// fenceEpoch is stamped into BTH.PKey on every packet this QP emits
@@ -126,10 +126,10 @@ type QP struct {
 
 	// RTT sampling: one PSN at a time, posted on the idle→busy edge or after
 	// a tick, so the clock is read about once per RTO. Off the hot cache
-	// lines: read only when a sample starts or ends. srtt is 0 until one ends.
-	timedPSN     uint32 // the sample ends when ackPSN passes it
-	timedAt      time.Time
-	srtt, rttvar time.Duration
+	// lines: read only when a sample starts or ends, and at ticks.
+	timedPSN uint32 // the sample ends when ackPSN passes it
+	timedAt  time.Time
+	est      RTOEstimator // the RTO: measured, backed off per expiry
 }
 
 // QPN returns the queue pair number.
@@ -139,15 +139,15 @@ func (q *QP) QPN() uint32 { return q.qpn }
 func (q *QP) Remote() RemoteEndpoint { return q.remote }
 
 // SetRetryPolicy overrides the NIC-wide Go-Back-N knobs for this QP
-// alone. Zero values keep the NIC defaults; rto is the floor of the
+// alone. Zero values keep the NIC defaults; floor is the floor of the
 // measured RTO (RTO). The intended use is asymmetric failure budgets: a
 // requester that must detect a dead peer quickly (an offload engine probing
 // memory-pool replicas) tightens its pool-facing QPs while paths to
 // healthy-but-occasionally-slow peers keep the forgiving defaults.
-func (q *QP) SetRetryPolicy(rto time.Duration, maxRetries int) {
+func (q *QP) SetRetryPolicy(floor time.Duration, maxRetries int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.rtoOverride = rto
+	q.floorOverride = floor
 	q.maxRetriesOverride = maxRetries
 	if q.ticking {
 		q.timer.Reset(q.rto()) // the tick in flight was aimed with the old RTO
@@ -195,14 +195,8 @@ func (q *QP) CancelSend(id uint64) bool {
 	return false
 }
 
-// initialRTO is RFC 6298's conservative RTO for a path not yet measured,
-// scaled to an in-process fabric. maxRTO caps the measured RTO, so a dead
-// peer fails within (MaxRetries+2)·maxRTO however slow its path had been.
-const initialRTO, maxRTO = 20 * time.Millisecond, 100 * time.Millisecond
-
-// RTO returns the QP's current retransmission timeout: SRTT + 4·RTTVAR of its
-// own round trips (initialRTO before the first), capped at maxRTO, floored
-// at the configured timeout (Config.RetransmitTimeout or SetRetryPolicy).
+// RTO returns the QP's retransmission timeout: its RTOEstimator's, floored
+// at Config.RetransmitTimeout or the SetRetryPolicy value.
 func (q *QP) RTO() time.Duration {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -211,27 +205,11 @@ func (q *QP) RTO() time.Duration {
 
 // rto returns the effective retransmission timeout. Caller holds q.mu.
 func (q *QP) rto() time.Duration {
-	floor := q.rtoOverride
+	floor := q.floorOverride
 	if floor <= 0 {
 		floor = q.nic.cfg.RetransmitTimeout
 	}
-	measured := initialRTO
-	if q.srtt > 0 {
-		measured = min(q.srtt+4*q.rttvar, maxRTO)
-	}
-	return max(floor, measured)
-}
-
-// observeRTT folds one round-trip sample into SRTT and RTTVAR with RFC 6298's
-// gains (1/8, 1/4). Caller holds q.mu.
-func (q *QP) observeRTT(r time.Duration) {
-	r = max(r, 1) // a zero SRTT reads as unmeasured
-	if q.srtt == 0 {
-		q.srtt, q.rttvar = r, r/2
-		return
-	}
-	q.rttvar += (time.Duration(absDiff(int64(q.srtt), int64(r))) - q.rttvar) / 4
-	q.srtt += (r - q.srtt) / 8
+	return q.est.RTO(floor)
 }
 
 // maxRetries returns the effective retry bound. Caller holds q.mu.
@@ -405,8 +383,9 @@ func (q *QP) stopTimer() {
 
 // onTick is the retransmission timer. With nothing outstanding it lapses
 // until the next post; with progress since the previous tick it only clears
-// the flag. Otherwise it implements Go-Back-N recovery: rewind to the oldest
-// unacked request and replay every outstanding work request (§5.3:
+// the flag; with the peer's answers unread in its NIC's inbox it re-arms.
+// Otherwise it implements Go-Back-N recovery: double the RTO, rewind to the
+// oldest unacked request and replay every outstanding work request (§5.3:
 // "Cowbird-P4 can detect a timeout and utilize a Go-Back-N approach by
 // resetting the local head pointer and PSN and re-executing ... from that
 // point" — the same strategy the software requester uses).
@@ -423,7 +402,12 @@ func (q *QP) onTick() {
 		q.armTimer()
 		return
 	}
+	if q.nic.inbox.queued(q.qpn) {
+		q.armTimer()
+		return
+	}
 	q.retries++
+	q.est.Expire()
 	q.nic.rtoExpiries.Add(1)
 	if q.retries > q.maxRetries() {
 		q.failAllLocked(StatusRetryExceeded)
@@ -434,9 +418,14 @@ func (q *QP) onTick() {
 }
 
 // replay retransmits every outstanding work request. Karn's rule: the RTT
-// sample in flight is abandoned. Caller holds q.mu.
+// sample in flight is abandoned, once the path is measured. Before, it runs
+// on from the first transmission and can only overestimate; abandoned, the
+// first completion would leave the RTO at InitialRTO on a slower path.
+// Caller holds q.mu.
 func (q *QP) replay() {
-	q.timing = false
+	if q.est.Measured() {
+		q.timing = false
+	}
 	q.nic.replays.Add(1)
 	for i := 0; i < q.sq.Len(); i++ {
 		q.transmitWR(q.sq.At(i))
@@ -665,7 +654,7 @@ func (q *QP) responseTarget(psn uint32) *sendWR {
 func (q *QP) completeAcked() {
 	if q.timing && q.ackPSN > q.timedPSN {
 		q.timing = false
-		q.observeRTT(time.Since(q.timedAt))
+		q.est.Observe(time.Since(q.timedAt))
 	}
 	progressed := false
 	for q.sq.Len() > 0 {
@@ -687,5 +676,6 @@ func (q *QP) completeAcked() {
 	}
 	if progressed {
 		q.retries = 0
+		q.est.Progress()
 	}
 }

@@ -14,6 +14,48 @@ import (
 // accepted in. The one wall-clock bound (a silent peer) is the contract
 // itself.
 
+// TestRTOEstimatorBackoff pins RFC 6298's arithmetic: RTO = SRTT + 4·RTTVAR
+// raised to the floor, doubled per expiry up to MaxRTO, and the backoff
+// cleared by progress and by a fresh sample (§5.7), which Base never
+// includes.
+func TestRTOEstimatorBackoff(t *testing.T) {
+	const floor = 20 * time.Microsecond
+	var e RTOEstimator
+	if got := e.RTO(floor); got != InitialRTO {
+		t.Fatalf("unmeasured RTO %v, want InitialRTO %v", got, InitialRTO)
+	}
+	e.Observe(10 * time.Microsecond) // SRTT 10 µs, RTTVAR 5 µs
+	if got, want := e.RTO(floor), 30*time.Microsecond; got != want {
+		t.Fatalf("RTO %v, want %v", got, want)
+	}
+	e.Expire()
+	e.Expire()
+	if got, want := e.RTO(floor), 120*time.Microsecond; got != want {
+		t.Fatalf("RTO after two expiries %v, want %v", got, want)
+	}
+	for i := 0; i < 40; i++ {
+		e.Expire()
+	}
+	if got := e.RTO(floor); got != MaxRTO {
+		t.Fatalf("RTO after 42 expiries %v, want MaxRTO %v", got, MaxRTO)
+	}
+	if got, want := e.Base(floor), 30*time.Microsecond; got != want {
+		t.Fatalf("Base %v, want %v: it includes the backoff", got, want)
+	}
+	e.Progress()
+	if got, want := e.RTO(floor), 30*time.Microsecond; got != want {
+		t.Fatalf("RTO after progress %v, want %v", got, want)
+	}
+	e.Expire()
+	e.Observe(10 * time.Microsecond) // RTTVAR decays to 3.75 µs
+	if got, want := e.RTO(floor), 25*time.Microsecond; got != want {
+		t.Fatalf("RTO after a fresh sample %v, want %v: the sample left the backoff", got, want)
+	}
+	if got := e.RTO(time.Second); got != time.Second {
+		t.Fatalf("RTO under a 1 s floor %v, want the floor", got)
+	}
+}
+
 // TestReadResponsesAcceptedInOrder: two READs in flight, the first one's
 // response lost. The second response arrives intact — and must be discarded,
 // as RC hardware would: its buffer stays untouched and nothing completes
@@ -114,11 +156,14 @@ func TestRTOArmsOncePerBusyPeriod(t *testing.T) {
 }
 
 // TestSilentPeerFailsWithinBudget: against a peer that has fallen silent, a
-// post fails with RETRY_EXCEEDED no earlier than MaxRetries+1 timeouts and
-// within (MaxRetries+2)·RTO — ticking instead of re-aiming the timer must not
-// stretch failure detection. RTO is the QP's current value once one
-// acknowledged post has measured the path (an unmeasured path runs on
-// maxRTO) and the busy period that post opened has lapsed.
+// post fails with RETRY_EXCEEDED no earlier than the sum of MaxRetries+1
+// backed-off timeouts, RTO·(2⁰+2¹+…+2^MaxRetries) with each term capped at
+// MaxRTO, and within one RTO more (DESIGN.md §9) — ticking instead of
+// re-aiming the timer must not stretch failure detection. RTO is the QP's
+// current value once one acknowledged post has measured the path and the
+// busy period that post opened has lapsed: the 50 ms floor, whose one RTO of
+// slack absorbs the four timers' lateness on a loaded host under -race (at a
+// 10 ms floor they ran 13.6 ms over the sum).
 func TestSilentPeerFailsWithinBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = 50 * time.Millisecond
@@ -150,32 +195,37 @@ func TestSilentPeerFailsWithinBudget(t *testing.T) {
 	if e.Status != StatusRetryExceeded {
 		t.Fatalf("status = %v, want RETRY_EXCEEDED", e.Status)
 	}
-	if lo, hi := time.Duration(cfg.MaxRetries+1)*rto, time.Duration(cfg.MaxRetries+2)*rto; elapsed < lo || elapsed > hi {
-		t.Fatalf("dead peer detected after %v, want within [%v, %v] (RTO %v)", elapsed, lo, hi, rto)
+	if lo := exhaustion(rto, cfg.MaxRetries); elapsed < lo || elapsed > lo+rto {
+		t.Fatalf("dead peer detected after %v, want within [%v, %v] (RTO %v)", elapsed, lo, lo+rto, rto)
 	}
 }
 
+// exhaustion is the detection contract's sum: the timeouts of MaxRetries+1
+// consecutive expiries, each double the one before, capped at MaxRTO (or at
+// rto, if higher).
+func exhaustion(rto time.Duration, maxRetries int) time.Duration {
+	var sum time.Duration
+	for k := 0; k <= maxRetries; k++ {
+		sum += min(rto<<k, max(MaxRTO, rto))
+	}
+	return sum
+}
+
 // TestMeasuredRTOAbsorbsLatency: a path whose round trip (10 ms of fabric
-// latency) is thirty times the configured 300 µs × 3 budget still carries a
-// stream of posts without a single retry charged, because the QP's RTO comes
-// from the round trips it measures. A fixed 300 µs RTO fails the first post
-// with RETRY_EXCEEDED.
+// latency) is thirty times the configured 300 µs floor carries a stream of
+// posts without a single retry charged, because the QP's RTO comes from the
+// round trips it measures. The first post, on an unmeasured path, backs off
+// until the path answers and keeps that RTO until a round trip is timed; a
+// fixed 300 µs RTO would fail it with RETRY_EXCEEDED after 11 expiries.
 func TestMeasuredRTOAbsorbsLatency(t *testing.T) {
 	const lat = 5 * time.Millisecond
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = 300 * time.Microsecond
-	cfg.MaxRetries = 3
 	p := newPair(t, cfg)
 	p.fabric.SetLatency(lat)
 	p.cli.RegisterMR(0x1000, make([]byte, 64))
 	srvMR := p.srv.RegisterMR(0x9000, make([]byte, 64))
-	const depth, posts = 4, 40
-	for i := 0; i < posts; i++ {
-		if i >= depth {
-			if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
-				t.Fatalf("write %d: %v", e.WRID, e.Status)
-			}
-		}
+	post := func(i int) {
 		err := p.cliQP.PostSend(WorkRequest{
 			ID: uint64(i), Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey,
 		})
@@ -183,13 +233,30 @@ func TestMeasuredRTOAbsorbsLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	post(0)
+	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+		t.Fatalf("first write: %v", e.Status)
+	}
+	found := p.cli.Stats()
+	if found.RTOExpiries == 0 {
+		t.Fatalf("the first post found a 10 ms path without backing off: %+v", found)
+	}
+	const depth, posts = 4, 40
+	for i := 1; i <= posts; i++ {
+		if i > depth {
+			if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+				t.Fatalf("write %d: %v", e.WRID, e.Status)
+			}
+		}
+		post(i)
+	}
 	for _, e := range waitCQE(t, p.cliCQ, depth, 5*time.Second) {
 		if e.Status != StatusOK {
 			t.Fatalf("write %d: %v", e.WRID, e.Status)
 		}
 	}
-	if st := p.cli.Stats(); st.RTOExpiries != 0 || st.Replays != 0 {
-		t.Fatalf("retry path taken on a slow but healthy path: %+v", st)
+	if st := p.cli.Stats(); st.RTOExpiries != found.RTOExpiries || st.Replays != found.Replays {
+		t.Fatalf("retry path taken on a slow but healthy path: %+v after the first post, %+v at the end", found, st)
 	}
 	if rto := p.cliQP.RTO(); rto < 2*lat {
 		t.Fatalf("RTO %v below the path's %v round trip", rto, 2*lat)
@@ -232,5 +299,59 @@ func TestSteadyStreamNeverRetries(t *testing.T) {
 	}
 	if st := p.fabric.Stats(); st.Frames != int64(2*posted) {
 		t.Fatalf("%d frames for %d acknowledged posts, want %d: something was replayed", st.Frames, posted, 2*posted)
+	}
+}
+
+// TestQueuedAnswerIsNoExpiry: a retransmission tick that finds no progress
+// while the peer's answer sits unread in the requester's own inbox must
+// neither charge a retry nor replay: the peer has answered, and a replay
+// would only add frames behind the unread ones. The test stops the client
+// NIC's inbox consumer inside a frame for a second QP, lets the first QP's
+// ACK queue behind it, and lets ten ticks pass.
+func TestQueuedAnswerIsNoExpiry(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = time.Millisecond
+	p := newPair(t, cfg)
+	p.cli.RegisterMR(0x1000, make([]byte, 64))
+	srvMR := p.srv.RegisterMR(0x9000, make([]byte, 64))
+	other, srvOther := ConnectPair(p.cli, NewCQ(), 500, p.srv, 9000)
+	wr := WorkRequest{ID: 1, Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey}
+	if err := p.cliQP.PostSend(wr); err != nil { // measure the path: the RTO is the floor
+		t.Fatal(err)
+	}
+	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+		t.Fatalf("warm-up write: %v", e.Status)
+	}
+	for deadline := time.Now().Add(5 * time.Second); p.cliQP.isTicking(); {
+		if time.Now().After(deadline) {
+			t.Fatal("retransmission timer never lapsed on an idle QP")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	release := other.hold()
+	defer release()
+	srvOther.mu.Lock()
+	ack := p.srv.build(srvOther, wire.OpAcknowledge, 500, nil, &wire.AETH{Syndrome: wire.SyndromeACK}, nil, false)
+	srvOther.mu.Unlock()
+	p.fabric.Send(ack)
+	for deadline := time.Now().Add(5 * time.Second); !p.cli.inbox.inDelivery(other.QPN()); {
+		if time.Now().After(deadline) {
+			t.Fatal("the inbox consumer never took the held QP's frame")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	if err := p.cliQP.PostSend(wr); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * cfg.RetransmitTimeout)
+	st := p.cli.Stats()
+	release()
+	if st.RTOExpiries != 0 || st.Replays != 0 {
+		t.Fatalf("ticks with the ACK queued in the inbox charged the QP: %+v", st)
+	}
+	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+		t.Fatalf("write: %v", e.Status)
 	}
 }

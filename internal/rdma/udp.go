@@ -57,7 +57,7 @@ func (b *UDPBridge) LocalAddr() string { return b.conn.LocalAddr().String() }
 
 // AddPeer routes frames addressed to mac over UDP to addr. It attaches a
 // proxy device under that MAC, so the local fabric forwards to it like any
-// other device.
+// other device; a MAC a local device already holds is an error.
 func (b *UDPBridge) AddPeer(mac wire.MAC, addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -65,11 +65,13 @@ func (b *UDPBridge) AddPeer(mac wire.MAC, addr string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.peers[mac] = ua
 	if !b.proxies[mac] {
+		if _, err := b.fabric.attach(&udpProxy{b: b, mac: mac}); err != nil {
+			return fmt.Errorf("rdma: udp peer %s: %w", addr, err)
+		}
 		b.proxies[mac] = true
-		b.fabric.Attach(&udpProxy{b: b, mac: mac})
 	}
+	b.peers[mac] = ua
 	return nil
 }
 

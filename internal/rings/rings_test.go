@@ -434,3 +434,91 @@ func TestQuickMixedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzQueueSetRed drives a queue set with an arbitrary red block — the half
+// the engine writes by RDMA, so the bytes the client must survive whatever
+// they are — and a short sequence of PushRead, PushWrite, FreeResponse and
+// Progress calls, with the red block written in between. Every call must
+// succeed or fail with one of the package's errors, none may panic, and no
+// successful push may reserve past its ring's capacity.
+func FuzzQueueSetRed(f *testing.F) {
+	zero := make([]byte, RedSize)
+	f.Add(zero, []byte{0x08, 0x09, 0x0a, 0x02, 0x03})
+	consumed := make([]byte, RedSize)
+	EncodeRed(Red{MetaHead: 2, ReqDataHead: 64, ReadProgress: 1}, consumed)
+	f.Add(consumed, []byte{0x10, 0x19, 0x04, 0x10, 0x02, 0x39, 0x04, 0x11})
+	f.Add(bytes.Repeat([]byte{0xff}, RedSize), []byte{0x04, 0x08, 0x09, 0x02})
+	f.Fuzz(func(t *testing.T, red, ops []byte) {
+		l := Layout{MetaEntries: 4, ReqDataBytes: 256, RespDataBytes: 256}
+		q, err := NewQueueSet(0x1000, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red = append(red, make([]byte, RedSize)...)[:RedSize]
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		var reads []uint32 // lengths of pushed reads not yet freed, oldest first
+		for _, op := range ops {
+			// The low three bits pick the call, the rest a length of up to
+			// 310 bytes: past both rings' 256.
+			length := uint32(op>>3) * 10
+			switch op & 7 {
+			case 0, 5:
+				respVA, err := q.PushRead(0, length, 0)
+				if err != nil {
+					checkErr(t, err)
+					continue
+				}
+				lo := q.Base() + uint64(l.RespDataOffset())
+				if respVA < lo || respVA+uint64(length) > lo+uint64(l.RespDataBytes) {
+					t.Fatalf("read of %d bytes placed at %#x, outside the response ring [%#x, %#x)", length, respVA, lo, lo+uint64(l.RespDataBytes))
+				}
+				if g := q.Green(); g.RespDataTail-g.RespDataHead > uint64(l.RespDataBytes) {
+					t.Fatalf("response ring reserved %d bytes of %d", g.RespDataTail-g.RespDataHead, l.RespDataBytes)
+				}
+				reads = append(reads, length)
+			case 1, 6:
+				if err := q.PushWrite(make([]byte, length), 0, 0); err != nil {
+					checkErr(t, err)
+					continue
+				}
+				g, r := q.Green(), q.Red()
+				if g.ReqDataTail-r.ReqDataHead > uint64(l.ReqDataBytes) {
+					t.Fatalf("request ring reserved %d bytes of %d", g.ReqDataTail-r.ReqDataHead, l.ReqDataBytes)
+				}
+				e := DecodeEntry(q.Bytes()[l.MetaOffset(int((g.MetaTail-1)%uint64(l.MetaEntries))):])
+				lo := q.Base() + uint64(l.ReqDataOffset())
+				if e.ReqAddr < lo || e.ReqAddr+uint64(length) > lo+uint64(l.ReqDataBytes) {
+					t.Fatalf("write of %d bytes staged at %#x, outside the request ring", length, e.ReqAddr)
+				}
+			case 2:
+				if len(reads) > 0 {
+					q.FreeResponse(reads[0])
+					reads = reads[1:]
+				}
+			case 3:
+				q.Progress()
+			case 4, 7:
+				// The engine's RDMA write of the red block.
+				q.Mutex().Lock()
+				copy(q.Bytes()[l.RedOffset():], red)
+				q.Mutex().Unlock()
+			}
+			if g, r := q.Green(), q.Red(); r.MetaHead <= g.MetaTail && g.MetaTail-r.MetaHead > uint64(l.MetaEntries) {
+				t.Fatalf("metadata ring holds %d entries of %d", g.MetaTail-r.MetaHead, l.MetaEntries)
+			}
+		}
+	})
+}
+
+// checkErr fails t unless err is one a push may return.
+func checkErr(t *testing.T, err error) {
+	t.Helper()
+	for _, want := range []error{ErrRedCorrupt, ErrMetaFull, ErrReqDataFull, ErrRespDataFull, ErrTooLarge} {
+		if errors.Is(err, want) {
+			return
+		}
+	}
+	t.Fatalf("unexpected error: %v", err)
+}

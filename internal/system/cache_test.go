@@ -199,8 +199,8 @@ func TestCacheChaosPoolFailover(t *testing.T) {
 	s := startSystem(t, func(c *Config) {
 		c.Threads = 2
 		c.PoolReplicas = 2
-		c.PoolRetransmitTimeout = 300 * time.Microsecond
-		c.PoolMaxRetries = 5
+		c.PoolRetransmitTimeout = 250 * time.Microsecond
+		c.PoolMaxRetries = 2
 		c.Spot.PoolHeartbeatInterval = 200 * time.Microsecond
 		c.Cache = testCacheConfig()
 	})

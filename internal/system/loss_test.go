@@ -1,0 +1,292 @@
+//go:build goexperiment.synctest
+
+//go:debug asynctimerchan=0
+
+package system
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"testing/synctest"
+	"time"
+
+	"cowbird/internal/core"
+	"cowbird/internal/rdma"
+	"cowbird/internal/wire"
+)
+
+// The loss-recovery exhibit (EXPERIMENTS.md, "Loss recovery on the bubble
+// clock"): what frame loss costs a closed loop of reads on each engine, read
+// off the live Go-Back-N code — the QP retransmission timer on spot, the
+// switch's per-queue progress register and drain on P4 — rather than a model
+// of it. Each run sits in a synctest bubble, so the fabric latency, the
+// retransmission timers and the engines' idle waits all run on virtual time.
+// Run it with
+//
+//	GOEXPERIMENT=synctest go test -run TestLossRecoveryExhibit -v ./internal/system/
+//
+// The driver follows internal/ha/blackout_test.go: it polls with
+// WaitErr(n, 0) and sleeps on an empty poll (a WaitErr with a timeout yields
+// near its deadline, and a goroutine that only yields stops the clock), and
+// it closes the System inside the bubble.
+
+const (
+	// lossLatency is the fabric's one-way propagation latency: a 4 µs round
+	// trip.
+	lossLatency = 2 * time.Microsecond
+	// lossPoll is the driver's sleep on an empty poll.
+	lossPoll = 500 * time.Nanosecond
+	// lossOps reads of lossSize bytes over lossBlocks blocks, lossWindow at
+	// a time.
+	lossOps, lossSize, lossBlocks, lossWindow = 2000, 64, 1024, 16
+)
+
+// lossRow is one run, read off the bubble clock and the counters.
+type lossRow struct {
+	elapsed    time.Duration // virtual time for lossOps reads
+	frames     int64         // frames put on the fabric, the lost ones included
+	recoveries int64         // spot: send-queue replays; P4: drains
+}
+
+func (r lossRow) String() string {
+	return fmt.Sprintf("%v, %.3f frames/op, %.4f recoveries/op", r.elapsed,
+		float64(r.frames)/lossOps, float64(r.recoveries)/lossOps)
+}
+
+// matches reports whether r repeats want: the same frames and recoveries,
+// and the same virtual time within one floor RTO. The clock is held to that
+// because one row has been seen to land a floor RTO apart between runs with
+// the same frames: a tick and a delivery due at one instant still meet in
+// an order no seed fixes.
+func (r lossRow) matches(want lossRow) bool {
+	d := r.elapsed - want.elapsed
+	return r.frames == want.frames && r.recoveries == want.recoveries &&
+		-rdma.DefaultRTOFloor <= d && d <= rdma.DefaultRTOFloor
+}
+
+type lossResult struct {
+	row lossRow
+	err error
+}
+
+// runLossBubble runs runLoss in a fresh bubble.
+func runLossBubble(c lossCase) (lossRow, error) {
+	// The result leaves the bubble on a channel made outside it: the race
+	// detector sees no edge from the bubble's end to Run's return.
+	out := make(chan lossResult, 1)
+	synctest.Run(func() {
+		row, err := runLoss(c)
+		out <- lossResult{row, err}
+	})
+	res := <-out
+	return res.row, res.err
+}
+
+// runLoss runs lossOps reads through thread 0 of a System with c.threads
+// queue sets, whose fabric drops c.pct % of frames (lossFn), and checks every
+// read's bytes. Any other thread stays idle: its queue only answers probes.
+func runLoss(c lossCase) (lossRow, error) {
+	cfg := DefaultConfig()
+	cfg.Engine = c.engine
+	cfg.Threads = c.threads
+	s, err := New(cfg)
+	if err != nil {
+		return lossRow{}, err
+	}
+	defer s.Close()
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, lossSize/2) }
+	for i := 0; i < lossBlocks; i++ {
+		if err := s.Pool.Poke(0, uint64(i)*lossSize, block(i)); err != nil {
+			return lossRow{}, err
+		}
+	}
+	s.Fabric.SetLatency(lossLatency)
+	s.Fabric.SetLossFn(lossFn(c.pct, c.seed))
+
+	th, err := s.Client.Thread(0)
+	if err != nil {
+		return lossRow{}, err
+	}
+	g := th.PollCreate()
+	var bufs [lossWindow][lossSize]byte
+	slotOf := make(map[core.ReqID]int, lossWindow)
+	blockOf := [lossWindow]int{}
+	free := make([]int, 0, lossWindow)
+	for i := lossWindow - 1; i >= 0; i-- {
+		free = append(free, i)
+	}
+	start := time.Now()
+	deadline := start.Add(time.Minute)
+	issued, done := 0, 0
+	for done < lossOps {
+		for issued < lossOps && len(free) > 0 {
+			slot := free[len(free)-1]
+			blk := issued % lossBlocks
+			id, err := th.AsyncRead(0, uint64(blk)*lossSize, bufs[slot][:])
+			if err != nil {
+				break // rings full: the engine is behind
+			}
+			if err := g.Add(id); err != nil {
+				return lossRow{}, err
+			}
+			free = free[:len(free)-1]
+			slotOf[id], blockOf[slot] = slot, blk
+			issued++
+		}
+		ids, err := g.WaitErr(lossWindow, 0)
+		if err != nil {
+			return lossRow{}, err
+		}
+		for _, id := range ids {
+			slot := slotOf[id]
+			delete(slotOf, id)
+			if want := block(blockOf[slot]); !bytes.Equal(bufs[slot][:], want) {
+				return lossRow{}, fmt.Errorf("read of block %d returned % x, want % x", blockOf[slot], bufs[slot][:8], want[:8])
+			}
+			free = append(free, slot)
+			done++
+		}
+		if len(ids) > 0 {
+			continue
+		}
+		if time.Now().After(deadline) {
+			return lossRow{}, fmt.Errorf("%d of %d reads done after %v", done, lossOps, time.Minute)
+		}
+		time.Sleep(lossPoll)
+	}
+	row := lossRow{elapsed: time.Since(start)}
+	fs := s.Fabric.Stats()
+	row.frames = fs.Frames + fs.Dropped
+	if s.Spot != nil {
+		row.recoveries = s.Spot.NIC().Stats().Replays
+	} else {
+		row.recoveries = s.P4.Stats().Recoveries
+	}
+	return row, nil
+}
+
+// lossFn drops pct % of frames. Each frame's coin is drawn from its
+// identity — sender, BTH opcode, destination QP and PSN, and how often that
+// identity has been sent before — rather than from one generator in
+// forwarding order: goroutines that send at one virtual instant reach the
+// forwarding lock in the host scheduler's order, and a shared generator
+// would hand their coins out in that order. The predicate runs one frame at a
+// time under the forwarding lock, so its map needs no lock.
+func lossFn(pct int, seed int64) func([]byte) bool {
+	const bth = wire.EthernetLen + wire.IPv4Len + wire.UDPLen
+	sent := make(map[string]int)
+	return func(fr []byte) bool {
+		if len(fr) < bth+wire.BTHLen {
+			return false
+		}
+		id := string(fr[6:12]) + string(fr[bth:bth+wire.BTHLen])
+		n := sent[id]
+		sent[id] = n + 1
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d/%d/%s", seed, n, id)
+		return h.Sum64()%100 < uint64(pct)
+	}
+}
+
+// lossCase names one row of the exhibit.
+type lossCase struct {
+	engine  EngineKind
+	threads int
+	pct     int
+	seed    int64
+}
+
+// lossSpot is every spot row. On one P without the race detector a
+// one-queue spot System repeats to the frame and, but for one floor RTO, to
+// the nanosecond (matches).
+var lossSpot = map[lossCase]lossRow{
+	{EngineSpot, 1, 0, 1}:  {1522500 * time.Nanosecond, 5000, 0},
+	{EngineSpot, 1, 0, 2}:  {1522500 * time.Nanosecond, 5000, 0},
+	{EngineSpot, 1, 1, 1}:  {2602500 * time.Nanosecond, 9012, 178},
+	{EngineSpot, 1, 1, 2}:  {2634500 * time.Nanosecond, 10552, 231},
+	{EngineSpot, 1, 2, 1}:  {3570500 * time.Nanosecond, 15903, 464},
+	{EngineSpot, 1, 2, 2}:  {4298500 * time.Nanosecond, 13009, 365},
+	{EngineSpot, 1, 5, 1}:  {5822500 * time.Nanosecond, 26516, 920},
+	{EngineSpot, 1, 5, 2}:  {6882000 * time.Nanosecond, 22667, 776},
+	{EngineSpot, 1, 10, 1}: {9806000 * time.Nanosecond, 55874, 2282},
+	{EngineSpot, 1, 10, 2}: {9702000 * time.Nanosecond, 49622, 2131},
+}
+
+// lossColumn is one column of rows: an engine and how many queue sets its
+// System has, and the ceiling on each row's virtual time by loss %. At 2 %
+// loss the one-queue ceilings are the targets the exhibit was built for; the
+// others leave the same headroom.
+type lossColumn struct {
+	name    string
+	engine  EngineKind
+	threads int
+	ceiling map[int]time.Duration
+}
+
+var lossColumns = []lossColumn{
+	{"spot", EngineSpot, 1, map[int]time.Duration{0: 1530 * time.Microsecond, 1: 15 * time.Millisecond, 2: 25 * time.Millisecond, 5: 50 * time.Millisecond, 10: 100 * time.Millisecond}},
+	{"p4", EngineP4, 1, p4Ceiling},
+	// A second queue that only answers probes: its lost probes drain the
+	// instance too, and its backed-off timeout must not stretch every drain
+	// (the drain is sized without backoff, and a probe's round trip clears
+	// it). The same ceilings hold.
+	{"p4x2", EngineP4, 2, p4Ceiling},
+}
+
+var p4Ceiling = map[int]time.Duration{0: 2530 * time.Microsecond, 1: 20 * time.Millisecond, 2: 30 * time.Millisecond, 5: 60 * time.Millisecond, 10: 120 * time.Millisecond}
+
+// TestLossRecoveryExhibit sweeps the loss rate on both engines, two seeds
+// a row. It runs on one P with the collector off between runs. With several
+// Ps, goroutines that run at one virtual instant run in parallel, and which
+// of a retransmission tick and a frame delivery due at that instant goes
+// first decides whether the tick replays; the collector's workers take the
+// one P at moments the wall clock picks. Without either, runnable
+// goroutines run in run-queue order and the rows repeat (lossRow.matches
+// says how closely).
+//
+// Spot rows are asserted against lossSpot. P4 rows repeat too, but are
+// held to their column's ceilings and, with one queue and no loss, to the
+// 2.51 ms the pipeline has always taken: their timing hinges on the switch
+// generator's hot rung, a scheduler yield, so the ticks — probes and timeout
+// checks — that fall at one virtual instant follow the runtime's run-queue
+// order, which a Go release may change without the switch behaving any
+// differently. Under the race detector, which randomizes run-queue order,
+// spot rows are held to the ceilings too.
+func TestLossRecoveryExhibit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	t.Logf("%-4s %-4s %-4s %-10s %-10s %s", "", "loss", "seed", "time", "frames/op", "recoveries/op")
+	for _, col := range lossColumns {
+		for _, pct := range []int{0, 1, 2, 5, 10} {
+			for seed := int64(1); seed <= 2; seed++ {
+				c := lossCase{col.engine, col.threads, pct, seed}
+				runtime.GC()
+				row, err := runLossBubble(c)
+				if err != nil {
+					t.Fatalf("%s %d%% seed %d: %v", col.name, pct, seed, err)
+				}
+				t.Logf("%-4s %3d%% %-4d %-10v %-10.3f %.4f", col.name, pct, seed, row.elapsed,
+					float64(row.frames)/lossOps, float64(row.recoveries)/lossOps)
+				if want, ok := lossSpot[c]; ok && !raceEnabled && !row.matches(want) {
+					t.Errorf("%s %d%% seed %d: got %v, want %v", col.name, pct, seed, row, want)
+				}
+				if hi := col.ceiling[pct]; row.elapsed > hi {
+					t.Errorf("%s %d%% seed %d: %v, want at most %v", col.name, pct, seed, row.elapsed, hi)
+				}
+				if pct == 0 && row.recoveries != 0 {
+					t.Errorf("%s lossless seed %d: %d recoveries", col.name, seed, row.recoveries)
+				}
+				if pct > 0 && row.recoveries == 0 {
+					t.Errorf("%s %d%% seed %d: no recovery: the row tests nothing", col.name, pct, seed)
+				}
+				if col.name == "p4" && pct == 0 && row.elapsed < 2510*time.Microsecond {
+					t.Errorf("p4 lossless seed %d: %v, below the pipeline's 2.51 ms", seed, row.elapsed)
+				}
+			}
+		}
+	}
+}

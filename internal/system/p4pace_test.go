@@ -143,7 +143,6 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 	s := startSystem(t, func(c *Config) {
 		c.Engine = EngineP4
 		c.RegionSize = blocks * 64
-		c.P4.Timeout = 40 * time.Millisecond // as TestP4LossRecovery, for the same reason
 	})
 	block := func(i int) []byte { return bytes.Repeat([]byte{byte(seed), byte(i)}, 32) }
 	for i := 0; i < blocks; i++ {

@@ -16,8 +16,8 @@ import (
 func TestPoolReplicasFailover(t *testing.T) {
 	s := startSystem(t, func(c *Config) {
 		c.PoolReplicas = 2
-		c.PoolRetransmitTimeout = 300 * time.Microsecond
-		c.PoolMaxRetries = 3
+		c.PoolRetransmitTimeout = 170 * time.Microsecond
+		c.PoolMaxRetries = 2
 		c.Spot.PoolHeartbeatInterval = 200 * time.Microsecond
 	})
 	if len(s.Pools) != 2 || s.Pool != s.Pools[0] {

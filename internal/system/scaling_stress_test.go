@@ -11,7 +11,6 @@ import (
 
 	"cowbird/internal/cluster"
 	"cowbird/internal/core"
-	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
 )
@@ -48,20 +47,10 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 
 	compact := rings.Layout{MetaEntries: 64, ReqDataBytes: 16 << 10, RespDataBytes: 16 << 10}
 	tel := telemetry.New(telemetry.Config{SampleEvery: 64})
-	// A real backlog, not a stall the measured RTO follows: under -race the
-	// compute NIC's one inbox can leave an idle queue set's probe unanswered
-	// for more than 26 of its RTOs (2–5 of the 512 compute paths die on the
-	// default 2 ms × 25 budget), and a dead path wedges its instance by
-	// design. A wide budget keeps loss recovery live so the test exercises
-	// interleavings, not spurious path deaths.
-	nicCfg := rdma.DefaultConfig()
-	nicCfg.RetransmitTimeout = 50 * time.Millisecond
-	nicCfg.MaxRetries = 200
 	s := startSystem(t, func(c *Config) {
 		c.Threads = totalQueueSets
 		c.Layout = compact
 		c.Telemetry = tel
-		c.NIC = nicCfg
 		// 4 s probes: under race each parked worker's wakeup is a fully
 		// instrumented fabric round trip, and when this test runs late in
 		// the suite (big heap, instrumented GC) 512 wakeups/s of those is

@@ -50,7 +50,8 @@ type Config struct {
 
 	// PoolRetransmitTimeout and PoolMaxRetries tighten Go-Back-N on the
 	// engine→pool QPs alone (rdma.QP.SetRetryPolicy), bounding replica-death
-	// detection at roughly their product without touching the engine↔compute
+	// detection at PoolRetransmitTimeout·(2^(PoolMaxRetries+1)−1) on a fast
+	// path — the timeout doubles per retry — without touching the engine↔compute
 	// path, whose responder shares DMA mutexes with the polling client and
 	// must tolerate scheduling stalls. Zero keeps the NIC-wide Config.NIC.
 	PoolRetransmitTimeout time.Duration

@@ -385,13 +385,7 @@ func TestP4LossRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dropping := false
 	dropped := 0
-	s := startSystem(t, func(c *Config) {
-		c.Engine = EngineP4
-		// Generous relative to the fabric's RTT even under -race slowdown:
-		// a timeout shorter than a healthy round trip causes spurious
-		// recoveries that look like livelock.
-		c.P4.Timeout = 40 * time.Millisecond
-	})
+	s := startSystem(t, func(c *Config) { c.Engine = EngineP4 })
 	s.Fabric.SetLossFn(func(frame []byte) bool {
 		mu.Lock()
 		defer mu.Unlock()
