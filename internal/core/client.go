@@ -143,6 +143,24 @@ func NewClient(nic *rdma.NIC, cfg ClientConfig) (*Client, error) {
 // its gauges (cache.RegisterMetrics); tests and benches read its stats.
 func (c *Client) Cache() *cache.Cache { return c.cache }
 
+// Stats counts the client's idle waits: the rungs its threads' waiters
+// (WaitErr, Select, WaitAll) ran between empty harvests.
+type Stats struct {
+	WaitYields int64 // waits that handed the processor over once
+	WaitBlocks int64 // waits that blocked on the waiter's timer
+}
+
+// Stats returns the waiters' counts, summed over the client's threads. Safe
+// to call while the threads run.
+func (c *Client) Stats() Stats {
+	var st Stats
+	for _, t := range c.threads {
+		st.WaitYields += t.wait.Yields()
+		st.WaitBlocks += t.wait.Blocks()
+	}
+	return st
+}
+
 // SetLiveness installs the engine-liveness check consulted by blocking
 // waits; internal/ha's Monitor installs its Alive method here. The default
 // (nil) means "always alive", preserving the original spin-forever

@@ -256,3 +256,45 @@ func TestHostSimLifecycle(t *testing.T) {
 		t.Fatalf("probe/red accounting: %+v", st)
 	}
 }
+
+// TestCompletionStampedAtNextTick: a queue's progress stamp must not read
+// earlier than its last completion. The engine clock moves only at ticks, so
+// the test controls it: two reads of one batch are fetched at a tick, the
+// first completes, the second's pool read stays unanswered, and the next
+// tick comes a second later — far beyond the queue's timeout, but only just
+// after the completion. A completion stamped with the previous tick's time
+// would make that tick start a drain on a queue that just progressed.
+func TestCompletionStampedAtNextTick(t *testing.T) {
+	h := newHostSim(t)
+	now := time.Now()
+	h.eng.clock = func() time.Time { return now }
+	h.runOp(rings.OpRead)
+
+	isPoolRead := func(fr []byte) bool {
+		var p wire.Packet
+		return p.DecodeFromBytes(fr) == nil && p.BTH.DestQP == h.poolQPN && p.BTH.OpCode == wire.OpReadRequest
+	}
+	h.entry = rings.Entry{Type: rings.OpRead, ReqAddr: 0x30_0000, RespAddr: 0x31_0000, Length: uint32(len(h.dataBuf))}
+	h.tail += 2
+	h.fabric.Send(h.eng.tick)
+	h.fabric.Send(h.respond(h.recv())) // the probe
+	h.fabric.Send(h.respond(h.recv())) // the metadata fetch
+	first, second := h.recv(), h.recv()
+	if !isPoolRead(first) || !isPoolRead(second) {
+		t.Fatal("the batch's two pool reads did not follow its metadata fetch")
+	}
+	h.fabric.Send(h.respond(first))
+	h.fabric.Send(h.respond(h.recv())) // the first read's response write: its ACK completes it
+	if st := h.eng.Stats(); st.ReadsCompleted != 2 {
+		t.Fatalf("%d reads completed, want the warm-up's and the batch's first", st.ReadsCompleted)
+	}
+
+	now = now.Add(time.Second)
+	h.fabric.Send(h.eng.tick)
+	if st := h.eng.Stats(); st.Recoveries != 0 {
+		t.Fatalf("a drain began at the first tick after a completion (%d recoveries)", st.Recoveries)
+	}
+	if in := h.eng.tbl.Load().instances[0]; in.state != stateRunning {
+		t.Fatalf("instance left the running state (%v) on a queue that progressed", in.state)
+	}
+}

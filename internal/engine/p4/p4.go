@@ -195,8 +195,12 @@ type queueState struct {
 	// since is the queue's progress stamp on the engine clock (§5.3,
 	// checkTimeouts). It is per queue because an instance's queues have
 	// independent clients: one queue's completions must not hide another's
-	// stuck exchange.
-	since time.Time
+	// stuck exchange. progressed marks a completion since the last tick,
+	// which stamps since with its own time: the engine clock moves only at
+	// ticks, so a completion stamped with it would read early by up to the
+	// gap between two ticks.
+	since      time.Time
+	progressed bool
 	// rto is the queue's timeout, the estimator every rdma.QP uses, fed
 	// with its probe round trips (probeAt is the outstanding probe's
 	// departure on the engine clock) and backed off per timeout.
@@ -580,13 +584,16 @@ func (q *queueState) timeout() time.Duration { return q.rto.RTO(rdma.DefaultRTOF
 // a progress stamp older than its timeout, and nothing unread at a host of
 // the instance (rdma.Fabric.Queued); the expiry doubles that queue's
 // timeout. Once a drain window ends, the resync is launched. The stamp
-// moves when a probe goes out with nothing else outstanding, when a request
-// completes, and at every resync.
+// moves when a probe goes out with nothing else outstanding, at the first
+// tick after a request completes, and at every resync.
 func (e *Engine) checkTimeouts(t *instTable) {
 	for _, in := range t.instances {
 		switch in.state {
 		case stateRunning:
 			for _, q := range in.queues {
+				if q.progressed {
+					q.since, q.progressed = e.now, false
+				}
 				if (q.open > 0 || q.probeOutstanding || q.fetchOutstanding) && e.now.Sub(q.since) >= q.timeout() {
 					if e.fabric.Queued(in.compute.MAC, in.compute.QPN) || e.fabric.Queued(in.pool.MAC, in.pool.QPN) {
 						continue // slow, not silent

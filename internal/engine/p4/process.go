@@ -404,16 +404,17 @@ func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 	e.putOp(op)
 }
 
-// complete moves the queue's progress stamp, counts one completion in its
-// Phase IV register, and recycles its ACK into the red write only if it
-// leaves no request of the queue in flight, or is the MTU/MetaEntrySize-th
+// complete marks the queue as progressed (the next tick stamps it), counts
+// one completion in its Phase IV register, and recycles its ACK into the red
+// write only if it leaves no request of the queue in flight, or is the
+// MTU/MetaEntrySize-th
 // completion since the last red write (so a queue that never drains still
 // publishes). Any other completion's ACK is consumed: the red block carries
 // absolute heads and counters, so the next red write subsumes it — one red
 // write per drained batch, as spot publishes one per round. A deviation from
 // the paper, which recycles every ACK (DESIGN.md §16).
 func (e *Engine) complete(in *inst, q *queueState) {
-	q.since = e.now
+	q.progressed = true
 	q.rto.Progress()
 	q.open--
 	q.sinceRed++

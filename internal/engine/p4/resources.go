@@ -153,7 +153,8 @@ func Pipeline() []StageSpec {
 		{
 			// §5.3 recovery, as Process keeps it: every queue's progress
 			// stamp on the engine clock (queueState.since, 32-bit ns —
-			// compared modulo 4.3 s, far above any timeout) beside its
+			// compared modulo 4.3 s, far above any timeout — whose low bit
+			// carries the completion mark, queueState.progressed) beside its
 			// measured timeout (queueState.rto: SRTT and RTTVAR as 24-bit
 			// µs fields and an 8-bit backoff; 88 bits, rounded up), each
 			// instance's state and drain deadline (inst.state, drainUntil),

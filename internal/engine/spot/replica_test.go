@@ -273,3 +273,48 @@ func TestPlacedHeartbeatCoversEveryPool(t *testing.T) {
 		t.Fatalf("PoolFailovers = %d, want 0 (no region's READs moved)", n)
 	}
 }
+
+// TestInlineFencingNAKDemotes: a round with two writes, each mirrored on two
+// replicas whose fence floor is above the engine's epoch, on a fabric that
+// delivers inline. The first write's NAKs land inside its own posts, so the
+// second write's posts are refused by QPs already in the error state. The
+// refusal must read as the fencing verdict it is: the engine demotes itself,
+// and no replica is declared dead, no read fails over and no compute path is
+// retired.
+func TestInlineFencingNAKDemotes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ProbeInterval = 100 * time.Millisecond // one cold probe collects both entries
+	cfg.HeartbeatInterval = time.Minute
+	h := wireReplicated(t, 2, cfg)
+	for deadline := time.Now().Add(10 * time.Second); h.eng.Stats().Probes == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the engine never probed its new slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, pool := range h.pools {
+		if err := pool.Fence(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	th, _ := h.client.Thread(0)
+	data := bytes.Repeat([]byte{0x6E}, 64)
+	for i := 0; i < 2; i++ {
+		if _, err := th.AsyncWrite(0, data, uint64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); !h.eng.Fenced(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine not fenced after its writes were NAKed: %+v", h.eng.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st := h.eng.Stats()
+	if h.eng.PoolDegraded() || st.PoolFailovers != 0 || st.ComputePathsDead != 0 {
+		t.Fatalf("a fencing NAK was read as a death: degraded %v, %+v", h.eng.PoolDegraded(), st)
+	}
+	if st.EntriesServed != 0 {
+		t.Fatalf("%d entries served past a fencing NAK", st.EntriesServed)
+	}
+}

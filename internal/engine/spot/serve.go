@@ -136,6 +136,7 @@ func (e *Engine) serveRound(s *shard, inst *instance, q *queueState, limit int) 
 	count := min(int(green.MetaTail-q.red.MetaHead), limit)
 	q.lastFound = count
 	if count == 0 {
+		s.stats.empty.Add(1)
 		if qos != nil {
 			qos.refund(limit)
 		}

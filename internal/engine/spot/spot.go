@@ -130,6 +130,7 @@ const idleYieldRounds = 128
 // Stats counts engine activity, for tests and overhead accounting.
 type Stats struct {
 	Probes          int64 // green-block reads issued
+	EmptyProbes     int64 // probes that found no entry to serve
 	EntriesServed   int64 // metadata entries executed
 	ReadsExecuted   int64
 	WritesExecuted  int64
@@ -212,8 +213,9 @@ type shard struct {
 // shardCounters are the per-shard halves of Stats. Plain atomics: the
 // owning worker is the only writer, Stats() the only other reader.
 type shardCounters struct {
-	probes, entries, reads, writes  atomic.Int64
-	batches, stalls, reds, hbWrites atomic.Int64
+	probes, empty, entries, reads atomic.Int64
+	writes, batches, stalls, reds atomic.Int64
+	hbWrites                      atomic.Int64
 }
 
 // conn is one queue set's endpoints: the compute-node QP and one pool QP
@@ -754,15 +756,16 @@ func (e *Engine) markReplicaDead(inst *instance, idx int) {
 // dead (markReplicaDead). A compute-QP failure is the caller's to classify
 // (computePathDead); timeouts retry at probe pace.
 func (e *Engine) notePoolFailure(inst *instance, c conn, err error) {
-	var wf *wrFailure
-	if !errors.As(err, &wf) {
-		return
-	}
-	if wf.st == rdma.StatusFenced {
+	if isFencedFailure(err) {
 		// A fenced NAK is not a replica death: the replica is alive and its
 		// state is authoritative under the NEW epoch holder. It is this
 		// engine that is finished — demote it instead of marking replicas.
+		// A post the compute QP refused after one says the same.
 		e.tripFenced()
+		return
+	}
+	var wf *wrFailure
+	if !errors.As(err, &wf) {
 		return
 	}
 	for i, qp := range c.pools {
@@ -800,7 +803,9 @@ func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance, now time.T
 		err := e.postAndWait(s, c.cq, c.pools[idx], rdma.WorkRequest{
 			Verb: rdma.VerbRead, LocalVA: hbVA, Length: 8, RemoteVA: r.hb.Base, RKey: r.hb.RKey,
 		})
-		if err != nil && !errors.Is(err, ErrPreempted) && !errors.Is(err, errTimeout) {
+		// A post refused because this engine already halted says nothing
+		// about the replica.
+		if err != nil && !errors.Is(err, ErrPreempted) && !errors.Is(err, core.ErrFenced) && !errors.Is(err, errTimeout) {
 			if isFencedFailure(err) {
 				e.tripFenced()
 				return
@@ -831,6 +836,7 @@ func (e *Engine) Stats() Stats {
 	var st Stats
 	for _, s := range e.shards {
 		st.Probes += s.stats.probes.Load()
+		st.EmptyProbes += s.stats.empty.Load()
 		st.EntriesServed += s.stats.entries.Load()
 		st.ReadsExecuted += s.stats.reads.Load()
 		st.WritesExecuted += s.stats.writes.Load()
@@ -869,6 +875,7 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		}
 	}
 	reg.Gauge("cowbird_spot_probes", field(func(c *shardCounters) int64 { return c.probes.Load() }))
+	reg.Gauge("cowbird_spot_empty_probes", field(func(c *shardCounters) int64 { return c.empty.Load() }))
 	reg.Gauge("cowbird_spot_entries_served", field(func(c *shardCounters) int64 { return c.entries.Load() }))
 	reg.Gauge("cowbird_spot_reads_executed", field(func(c *shardCounters) int64 { return c.reads.Load() }))
 	reg.Gauge("cowbird_spot_writes_executed", field(func(c *shardCounters) int64 { return c.writes.Load() }))
@@ -966,10 +973,13 @@ func (e *Engine) tripFenced() {
 	e.tripHalt()
 }
 
-// isFencedFailure reports whether err carries a StatusFenced completion.
+// isFencedFailure reports whether err carries a StatusFenced completion, or
+// is a post refused by a QP that a fencing NAK moved to the error state.
 func isFencedFailure(err error) bool {
 	var wf *wrFailure
-	return errors.As(err, &wf) && wf.st == rdma.StatusFenced
+	var qe *rdma.QPError
+	return errors.As(err, &wf) && wf.st == rdma.StatusFenced ||
+		errors.As(err, &qe) && qe.Status == rdma.StatusFenced
 }
 
 // SetFenceEpoch stamps the fencing epoch on every QP the engine serves
@@ -1114,12 +1124,15 @@ func (e *Engine) idleCap(s *shard, nslots int) time.Duration {
 // computePathDead retires sl if err says its compute QP is in the error
 // state: a post refused by the QP (pool-QP posts never surface that bare,
 // failedPost wraps them) or a failed completion carrying the QP's number —
-// other than a fencing NAK, which deposes the whole engine instead
-// (notePoolFailure). It reports whether the slot is dead.
+// other than a fencing verdict, either way, which deposes the whole engine
+// instead (notePoolFailure). It reports whether the slot is dead.
 func (e *Engine) computePathDead(sl *slot, err error) bool {
+	if isFencedFailure(err) {
+		return sl.dead
+	}
 	var wf *wrFailure
 	if errors.Is(err, rdma.ErrQPError) || errors.Is(err, rdma.ErrNotConnected) ||
-		errors.As(err, &wf) && wf.qpn == sl.q.conn.computeQP.QPN() && wf.st != rdma.StatusFenced {
+		errors.As(err, &wf) && wf.qpn == sl.q.conn.computeQP.QPN() {
 		sl.dead = true
 		e.computePathsDead.Add(1)
 	}
@@ -1153,14 +1166,19 @@ func (f *wrFailure) Error() string {
 }
 
 // failedPost wraps a PostSend error on a pool replica QP as a wrFailure so
-// notePoolFailure can attribute it: posting on a QP that a previous round
-// moved to the error state means that replica is dead.
+// notePoolFailure can attribute it: posting on a QP that an earlier failure
+// moved to the error state means that replica is dead — unless a fencing
+// NAK moved it there, maybe inline within this very round, which keeps its
+// StatusFenced and demotes the engine instead.
 func failedPost(qp *rdma.QP, err error) error {
 	if err == nil {
 		return nil
 	}
 	if errors.Is(err, ErrPreempted) || errors.Is(err, core.ErrFenced) {
 		return err
+	}
+	if isFencedFailure(err) {
+		return &wrFailure{qpn: qp.QPN(), st: rdma.StatusFenced}
 	}
 	if errors.Is(err, rdma.ErrQPError) || errors.Is(err, rdma.ErrNotConnected) {
 		return &wrFailure{qpn: qp.QPN(), st: rdma.StatusFlushed}

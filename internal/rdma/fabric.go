@@ -11,8 +11,9 @@
 // modelled in internal/perfsim, and this package's own costs, as a software
 // datapath, are what the repository benchmark (benchmark/) and its layer
 // probe benchmark/probes/rdma measure. What it does keep of the testbed's
-// shape is that a memory pool is a plain RDMA responder: no thread of the
-// pool's own wakes to serve a request (Fabric.Send).
+// shape is that a memory pool is a plain RDMA responder, and its answer
+// reaches the requester's completion queue, with no thread of either host
+// waking to carry a frame (Fabric.Send).
 package rdma
 
 import (
@@ -23,15 +24,16 @@ import (
 	"time"
 
 	"cowbird/internal/container"
+	"cowbird/internal/telemetry"
 	"cowbird/internal/wire"
 )
 
 // Device is anything attached to a Fabric that can receive Ethernet frames.
 // The fabric calls Input from the device's inbox goroutine, in delivery
-// order; a NIC of this package also takes request frames for its passive
-// QPs on the sender's goroutine (Fabric.Send), so NIC.Input runs on many
-// goroutines at once. A device defined outside this package is only ever
-// called from its inbox goroutine. Either way a frame is dead once Input
+// order; a NIC of this package also takes frames for its QPs on the
+// sender's goroutine (Fabric.Send), so NIC.Input runs on many goroutines at
+// once. A device defined outside this package is only ever called from its
+// inbox goroutine. Either way a frame is dead once Input
 // returns: the fabric may recycle it, so a device that needs a frame past
 // Input must copy it — unless it avoids implementing nonRetaining, in which
 // case its frames are never recycled.
@@ -56,10 +58,11 @@ type nonRetaining interface {
 // for all requests"). It returns the frames to forward (possibly rewritten,
 // possibly more or fewer than one).
 //
-// Process runs on the sender's goroutine, inside Fabric.Send, so it
-// must not call anything that takes a QP's lock (senders hold theirs across
-// Send) and must not call Send itself. The fabric consumes the returned slice
-// before the next Process call, so an interposer may reuse it.
+// Process runs on the sender's goroutine, inside Fabric.Send and under the
+// forwarding lock, so it must not call Send itself, nor wait on anything
+// that a sender waits on. No sender holds a QP or region lock across Send.
+// The fabric consumes the returned slice before the next Process call, so an
+// interposer may reuse it.
 //
 // No frame that passed through an interposer is recycled — it may have
 // retained or aliased them — unless it also implements FrameReleaser.
@@ -93,7 +96,7 @@ type Stats struct {
 	Frames  int64
 	Bytes   int64
 	Dropped int64
-	Inline  int64 // request frames handled on the sender's goroutine
+	Inline  int64 // frames handled on the sender's goroutine
 	Wakeups int64 // inbox Signals that found the delivery goroutine parked
 }
 
@@ -122,10 +125,10 @@ type fabricSnap struct {
 // frame under the one forwarding lock: the interposer's serialization point,
 // and what calls a loss predicate one frame at a time.
 //
-// Lock order: a requester's qp.mu → fwdMu (released before the next) → a
-// passive responder's qp.mu → its region DMA lock → the requester's
-// inbox.mu. Nothing called under fwdMu (interposer, loss predicate) may take
-// a QP's lock.
+// Lock order: no QP or region lock is held across Send; a sender holds at
+// most fwdMu (released before an inline handler runs), then the destination
+// inbox's lock. A handler takes its QP's lock, then a region's DMA lock or
+// an inbox lock (QP.onTick), and releases both before its frames leave.
 type Fabric struct {
 	mu      sync.Mutex // control plane: guards the master copies below
 	devices map[wire.MAC]*inbox
@@ -187,9 +190,9 @@ func (f *Fabric) SetInterposer(i Interposer) {
 
 // SetLossFn installs a frame-drop predicate for fault-injection tests. It
 // runs on the sender's goroutine under the forwarding lock, after the
-// interposer, so calls never overlap. It must be leaf code: the sender holds
-// its QP's lock and maybe a region's DMA lock, so no lock the predicate takes
-// may be held across a verb or a DMA-locked access.
+// interposer, so calls never overlap. It must be leaf code: a verb sends on
+// its caller's goroutine, so no lock the predicate takes may be held across
+// a verb.
 func (f *Fabric) SetLossFn(fn func(frame []byte) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -206,7 +209,7 @@ func (f *Fabric) SetLossFn(fn func(frame []byte) bool) {
 // many requests in flight hide this latency; engines that wait out each
 // round trip pay it in full, which is exactly what the engine-scaling
 // benchmarks (internal/bench) measure. With a latency set, every frame
-// queues, requests to passive QPs included (Send).
+// queues (Send).
 func (f *Fabric) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -226,6 +229,31 @@ func (f *Fabric) Stats() Stats {
 		st.Wakeups += ib.wakeups.Load()
 	}
 	return st
+}
+
+// RegisterMetrics exports the fabric's traffic as gauges on reg, read at
+// scrape time: frames forwarded and handled inline, inbox wake-ups, and the
+// retry path of every NIC attached (NICStats) — how many frames still cost a
+// goroutine hand-off, and how many a loss cost.
+func (f *Fabric) RegisterMetrics(reg *telemetry.Registry) {
+	reg.Gauge("cowbird_fabric_frames", f.frames.Load)
+	reg.Gauge("cowbird_fabric_inline", f.inline.Load)
+	reg.Gauge("cowbird_fabric_wakeups", func() int64 { return f.Stats().Wakeups })
+	// Only the NICs' own counters are read: a NIC is on the snapshot
+	// before NewNIC has returned, and its inbox field is set after.
+	nics := func(pick func(*NIC) int64) func() int64 {
+		return func() int64 {
+			var total int64
+			for _, ib := range f.snap.Load().devices {
+				if ib.nic != nil {
+					total += pick(ib.nic)
+				}
+			}
+			return total
+		}
+	}
+	reg.Gauge("cowbird_rdma_rto_expiries", nics(func(n *NIC) int64 { return n.rtoExpiries.Load() }))
+	reg.Gauge("cowbird_rdma_replays", nics(func(n *NIC) int64 { return n.replays.Load() }))
 }
 
 // Attach connects a device. It panics if the MAC is already in use.
@@ -275,18 +303,18 @@ func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
 // returns (the fabric may recycle it into the frame pool once delivered).
 // Safe for concurrent use.
 //
-// A request frame (READ request, WRITE segment) to a passive QP — one that
-// has never posted — is handled right here, on the sender's goroutine, when
-// the fabric has no interposer and zero latency: a memory pool or a compute
-// node is a plain RDMA responder, and no goroutine of its own wakes per
-// request. Responses, ACKs and NAKs, frames to QPs that post, every frame
-// through an interposer and every frame under SetLatency take the
-// destination inbox. The handler runs once the fabric's locks are released,
-// holding the sender's QP lock (hence the lock order on Fabric). Two QPs
-// that both post never deliver inline into each other: PostSend marks its QP
-// active before its first transmit and senders read the mark, both
-// sequentially consistent atomics, so of two crossing first posts at least
-// one sees the other's mark.
+// A frame for a QP of this package's NIC — a request, a READ response, an
+// ACK or a NAK — is handled right here, on the sender's goroutine, when the
+// fabric has no interposer and zero latency and the destination inbox holds
+// nothing: a memory pool or a compute node is a plain RDMA responder, and a
+// requester's answer lands in its completion queue, with no goroutine waking
+// per frame. The handler runs once the fabric's locks are released; it
+// sends what it emits (a response, an ACK) on the same goroutine, so a round
+// trip completes inside the requester's PostSend. Senders hold no QP or
+// region lock across Send (QP.unlock), which is what makes any two QPs safe
+// to deliver inline into each other. Every frame through an interposer,
+// every frame under SetLatency and every frame for another device takes the
+// destination inbox.
 func (f *Fabric) Send(frame []byte) {
 	var q *QP
 	if s := f.snap.Load(); s.interposer == nil && s.lossFn == nil {
@@ -321,7 +349,7 @@ func (f *Fabric) Close() {
 // under fwdMu; loading the snapshot here makes a Set* call take effect on the
 // very next frame. Interposed frames are recycled only when a FrameReleaser
 // vouches for them: any other interposer may retain them. It returns the
-// passive QP to hand the frame to once fwdMu is released (see deliver).
+// QP to hand the frame to once fwdMu is released (see deliver).
 func (f *Fabric) forward(frame []byte) *QP {
 	s := f.snap.Load()
 	if s.interposer == nil {
@@ -344,9 +372,9 @@ func (f *Fabric) forward(frame []byte) *QP {
 }
 
 // deliver applies the loss predicate and the tap, then deposits fr into the
-// destination inbox — or, for a request frame to a passive QP with the
-// fabric's interposer and latency both off (inbox.passiveQP), returns that
-// QP, and the caller hands fr to it. recycle marks the frame pool-returnable:
+// destination inbox — or, for a frame to a NIC's QP with the fabric's
+// interposer and latency both off (inbox.inlineQP), returns that QP, and
+// the caller hands fr to it. recycle marks the frame pool-returnable:
 // at once if it is dropped, else once a non-retaining destination device has
 // consumed it.
 func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) *QP {
@@ -370,7 +398,7 @@ func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) *QP {
 		return nil
 	}
 	if s.interposer == nil && s.latency == 0 {
-		if q := ib.passiveQP(fr); q != nil {
+		if q := ib.inlineQP(fr); q != nil {
 			f.inline.Add(1)
 			return q
 		}
@@ -386,9 +414,8 @@ func macKey(b []byte) uint64 {
 	return uint64(binary.BigEndian.Uint16(b[0:2]))<<32 | uint64(binary.BigEndian.Uint32(b[2:6]))
 }
 
-// inbox delivers frames to one device on a dedicated goroutine, so device
-// handlers can send synchronously without deadlock. It carries every frame
-// Fabric.Send does not hand to a passive QP on the sender's goroutine. Each
+// inbox delivers frames to one device on a dedicated goroutine. It carries
+// every frame Fabric.Send does not hand to a QP on the sender's goroutine. Each
 // frame carries an optional deliver-at time (SetLatency); times are stamped
 // under the inbox lock in arrival order. Queues are rings, not
 // appended-and-resliced slices: a reslice pins every delivered frame until
@@ -407,11 +434,11 @@ func macKey(b []byte) uint64 {
 //
 // busy is set by the first frame queued after the consumer parked and
 // cleared only when the consumer parks again, having found nothing queued
-// and delivered everything it popped. A frame is handed to a passive QP
-// inline only while it is clear, so a flow that switches from the queue to
-// the inline path (a latency or loss knob changed, a burst drained) never
-// lets a frame overtake one still queued: a flow's frames come from its one
-// requester, under that requester's QP lock. The producer only reads the
+// and delivered everything it popped. A frame is handed to a QP inline only
+// while it is clear, so a flow that switches from the queue to the inline
+// path (a latency knob changed, a burst drained) never lets a frame overtake
+// one still queued: a flow's frames come from its one peer QP, which sends
+// them one goroutine at a time (QP.unlock). The producer only reads the
 // flag on the hot path, one load per queued frame; a count of the queued
 // frames would cost two atomic read-modify-writes.
 type inbox struct {
@@ -494,15 +521,14 @@ func newInbox(d Device, pool *framePool) *inbox {
 	return ib
 }
 
-// passiveQP returns the passive QP a request frame may be handed to on the
-// sender's goroutine, or nil when the frame must queue: the device is not a
-// NIC, the inbox is closed or not empty, or the frame is no request to a QP
-// that has never posted.
-func (ib *inbox) passiveQP(fr []byte) *QP {
+// inlineQP returns the QP a frame may be handed to on the sender's
+// goroutine, or nil when the frame must queue: the device is not a NIC, the
+// inbox is closed or not empty, or the frame is for no QP of the NIC.
+func (ib *inbox) inlineQP(fr []byte) *QP {
 	if ib.nic == nil || ib.busy.Load() || ib.closed.Load() {
 		return nil
 	}
-	return ib.nic.passiveQP(fr)
+	return ib.nic.qpFor(fr)
 }
 
 func (ib *inbox) put(frame []byte, latency time.Duration, recycle bool) {

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 )
@@ -141,8 +142,10 @@ func TestFenceFloorMonotone(t *testing.T) {
 func TestFenceFailsWholePipeline(t *testing.T) {
 	// A fencing NAK fails every outstanding WR on the QP (like any Go-Back-N
 	// NAK, the pipeline state past it is indeterminate) — the requester-side
-	// contract the engine's demotion path relies on.
+	// contract the engine's demotion path relies on. The fabric's latency
+	// keeps all three WRs outstanding when the NAK lands.
 	p := newPair(t, DefaultConfig())
+	p.fabric.SetLatency(time.Millisecond)
 	src := make([]byte, 128)
 	p.cli.RegisterMR(0x1000, src)
 	remote := p.srv.RegisterMR(0x9000, make([]byte, 128))
@@ -161,5 +164,31 @@ func TestFenceFailsWholePipeline(t *testing.T) {
 		if e.Status == StatusOK {
 			t.Fatalf("WR %d completed OK past a fencing NAK", e.WRID)
 		}
+	}
+}
+
+// TestFencedPostSaysFenced: on an inline fabric the fencing NAK lands inside
+// the first PostSend, so the QP is in the error state before the second
+// post. That post is refused, and its error must still say StatusFenced —
+// a bare "QP in error state" reads as a dead peer to the engine, which would
+// then retire a live replica instead of demoting itself.
+func TestFencedPostSaysFenced(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	p.cli.RegisterMR(0x1000, make([]byte, 128))
+	remote := p.srv.RegisterMR(0x9000, make([]byte, 128))
+	remote.SetFenceFloor(4)
+	wr := WorkRequest{ID: 1, Verb: VerbWrite, LocalVA: 0x1000, Length: 32, RemoteVA: 0x9000, RKey: remote.RKey}
+	if err := p.cliQP.PostSend(wr); err != nil {
+		t.Fatal(err)
+	}
+	var cqe [1]CQE
+	if n := p.cliCQ.PollInto(cqe[:]); n != 1 || cqe[0].Status != StatusFenced {
+		t.Fatalf("after the first post: %d completions (%+v), want its FENCED one, delivered inline", n, cqe[0])
+	}
+	wr.ID = 2
+	err := p.cliQP.PostSend(wr)
+	var qe *QPError
+	if !errors.Is(err, ErrQPError) || !errors.As(err, &qe) || qe.Status != StatusFenced {
+		t.Fatalf("second post: %v, want a QPError with status FENCED", err)
 	}
 }

@@ -88,13 +88,13 @@ func mixedWR(va uint64, rkey uint32) func(i int) WorkRequest {
 }
 
 // TestInlinePassiveResponder: with no interposer and no latency, every
-// request frame to a QP that never posts is handled on the requester's
-// goroutine — Inline counts exactly the request frames — and the
-// responder's inbox goroutine is never woken. Responses still take the
-// requester's inbox.
+// frame of a round trip is handled on the requester's goroutine — each
+// request by the responder, each READ response and ACK by the requester —
+// so Inline counts every frame on the fabric and neither NIC's inbox
+// goroutine is ever woken.
 func TestInlinePassiveResponder(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Second // no replay adds request frames
+	cfg.RetransmitTimeout = 10 * time.Second // no replay adds frames
 	p := newPair(t, cfg)
 	lockedRegion(p.cli, 0x10000)
 	remote := lockedRegion(p.srv, 0x10000)
@@ -102,46 +102,52 @@ func TestInlinePassiveResponder(t *testing.T) {
 	if err := closedLoop(p.cliQP, p.cliCQ, n, 8, mixedWR(0x10000, remote.RKey)); err != nil {
 		t.Fatal(err)
 	}
-	requests := int64(n/2*9 + n/2) // writes are nine segments, reads one frame
-	if st := p.fabric.Stats(); st.Inline != requests {
-		t.Fatalf("Inline = %d, want the %d request frames (%+v)", st.Inline, requests, st)
+	// A write is nine segments and one ACK, a read one request and one
+	// response.
+	frames := int64(n/2*(9+1) + n/2*2)
+	if st := p.fabric.Stats(); st.Frames != frames || st.Inline != frames {
+		t.Fatalf("Frames = %d, Inline = %d, want both %d (%+v)", st.Frames, st.Inline, frames, st)
 	}
-	if w := p.srv.Stats().Wakeups; w != 0 {
-		t.Fatalf("passive responder's inbox woke %d times, want 0", w)
+	if w := p.srv.Stats().Wakeups + p.cli.Stats().Wakeups; w != 0 {
+		t.Fatalf("the inboxes woke %d times, want 0", w)
 	}
 }
 
-// TestPassiveQPTurnsActiveOnPost: the first PostSend makes a QP active for
-// good, and requests to it queue in its NIC's inbox from then on.
-func TestPassiveQPTurnsActiveOnPost(t *testing.T) {
+// TestResponseToPostingQPInline: a READ response is handled inline by the
+// QP that posted the READ, so the completion is on the CQ when PostSend
+// returns — and it stays so once the responder's QP posts too: no QP is
+// ever marked off the inline path.
+func TestResponseToPostingQPInline(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	local := lockedRegion(p.cli, 0x10000)
 	remote := lockedRegion(p.srv, 0x10000)
 	read := func(q *QP, cq *CQ, rkey uint32) {
 		t.Helper()
-		if err := closedLoop(q, cq, 1, 1, func(int) WorkRequest {
-			return WorkRequest{ID: 1, Verb: VerbRead, LocalVA: 0x10000, Length: 64, RemoteVA: 0x10000, RKey: rkey}
-		}); err != nil {
+		before := p.fabric.Stats().Inline
+		if err := q.PostSend(WorkRequest{ID: 1, Verb: VerbRead, LocalVA: 0x10000, Length: 64, RemoteVA: 0x10000, RKey: rkey}); err != nil {
 			t.Fatal(err)
+		}
+		var cqe [1]CQE
+		if n := cq.PollInto(cqe[:]); n != 1 || cqe[0].Status != StatusOK {
+			t.Fatalf("%d completions when PostSend returned (%+v), want the READ's", n, cqe[0])
+		}
+		if got := p.fabric.Stats().Inline - before; got != 2 {
+			t.Fatalf("%d frames of the round trip went inline, want the request and the response", got)
 		}
 	}
 	read(p.cliQP, p.cliCQ, remote.RKey)
-	if got := p.fabric.Stats().Inline; got != 1 {
-		t.Fatalf("Inline = %d before the server posts, want 1", got)
-	}
-	read(p.srvQP, p.srvCQ, local.RKey) // the server's QP posts: active now
-	before := p.fabric.Stats().Inline
+	read(p.srvQP, p.srvCQ, local.RKey) // the server's QP posts as well now
 	read(p.cliQP, p.cliCQ, remote.RKey)
-	if got := p.fabric.Stats().Inline; got != before {
-		t.Fatalf("a request to an active QP was handled inline (Inline %d → %d)", before, got)
+	if w := p.srv.Stats().Wakeups + p.cli.Stats().Wakeups; w != 0 {
+		t.Fatalf("the inboxes woke %d times, want 0", w)
 	}
 }
 
 // TestDeadlockBothSidesPost: one QP pair, both sides posting into the other
 // at once, 10 000 operations each, each NIC's one region the source of its
-// writes and the target of the peer's. The active mark keeps the two from
-// delivering inline into each other; a miss parks both posters, each
-// holding its own QP lock and waiting for the other's.
+// writes and the target of the peer's, and every frame either way delivered
+// inline. A sender that held its QP's lock across Send would park both
+// posters, each holding its own QP lock and waiting for the other's.
 func TestDeadlockBothSidesPost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := newPair(t, DefaultConfig())
@@ -156,7 +162,8 @@ func TestDeadlockBothSidesPost(t *testing.T) {
 
 // TestDeadlockRing: three NICs in a ring, each posting into the next through
 // a passive QP, so every responder runs inline on its predecessor's
-// goroutine; 10 000 operations each. A NIC's one region is both the source
+// goroutine, and every requester's answer on its successor's; 10 000
+// operations each. A NIC's one region is both the source
 // of its own writes and the target of its predecessor's, so a requester that
 // kept its region's DMA lock across Send would close a lock cycle round the
 // ring (A's lock → B's → C's → A's).

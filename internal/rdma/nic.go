@@ -143,8 +143,9 @@ func (n *NIC) Config() Config { return n.cfg }
 
 // Close stops all QP timers. The NIC stops transmitting retransmissions;
 // outstanding WRs are flushed. Close acquires every QP's datapath lock, so
-// it returns only after in-flight frame handlers and verbs have finished,
-// and later deliveries become no-ops.
+// it returns only after in-flight frame handlers and verbs have finished
+// with registered memory, and later deliveries become no-ops; frames they
+// built before Close may still be on their way out.
 func (n *NIC) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -199,13 +200,14 @@ func (n *NIC) RegisterMR(base uint64, buf []byte) *MR {
 // application threads mutate concurrently with engine DMA (the Cowbird
 // queue sets).
 //
-// Lock-ordering invariant: DMA locks nest inside QP datapath locks — a
-// requester's, which serializes a WRITE's payload under its local region's
-// lock, and a passive responder's, which a request frame reaches on the
-// requester's goroutine with the requester's QP lock held (Fabric.Send). So
-// verbs (PostSend) must never be called while holding a DMA lock, and a
-// region's lock must not be held by anything that waits on a responder of
-// the same NIC.
+// Lock-ordering invariant: a DMA lock is held only for the copy into or out
+// of the region, under the lock of the QP doing it, and never across
+// Fabric.Send: a WRITE's payload and a READ's response are serialized into
+// the QP's frame queue under the lock and sent after it is released. A verb
+// still sends on its caller's goroutine, and the fabric may run the peer's
+// handler there, which copies into or out of the peer's regions. So verbs
+// (PostSend) must never be called while holding a DMA lock, and a region's
+// lock must not be held by anything that waits on a QP of the same fabric.
 func (n *NIC) RegisterMRLocked(base uint64, buf []byte, lock sync.Locker) *MR {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -254,21 +256,23 @@ func ConnectPair(a *NIC, aSendCQ *CQ, aPSN uint32, b *NIC, bPSN uint32) (aQP, bQ
 // Input implements Device: parse and dispatch one frame. The destination
 // QP is read from the raw BTH and resolved in the published snapshot; the
 // frame is decoded into that QP's scratch packet and handled under that QP's
-// own lock, so Input may run on many goroutines at once — the inbox's and,
-// for a passive QP, every requester's (Fabric.Send).
+// own lock, so Input may run on many goroutines at once — the inbox's and
+// every sender's (Fabric.Send).
 func (n *NIC) Input(frame []byte) {
-	if q := (*n.qpSnap.Load())[flowKey(frame)]; q != nil {
+	if q := n.qpFor(frame); q != nil {
 		n.input(q, frame)
 	}
 }
 
-// input decodes frame into q's scratch packet and handles it under q.mu.
+// input decodes frame into q's scratch packet and handles it under q.mu;
+// whatever the handler emits (a response, an ACK or NAK, a replay) is sent
+// once the lock is released.
 func (n *NIC) input(q *QP, frame []byte) {
 	if n.closed.Load() || n.dead.Load() {
 		return
 	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	if n.closed.Load() || !q.connected {
 		return
 	}
@@ -284,18 +288,10 @@ func (n *NIC) input(q *QP, frame []byte) {
 	p.Payload = nil // the frame is recycled once Input returns
 }
 
-// passiveQP returns the QP a request frame is addressed to if that QP has
-// never posted, or nil: the test Fabric.Send runs before handling a frame on
-// its sender's goroutine.
-func (n *NIC) passiveQP(frame []byte) *QP {
-	qpn := flowKey(frame)
-	if qpn == nonQPFlow || !wire.OpCode(frame[bthOffset]).IsRequest() {
-		return nil
-	}
-	if q := (*n.qpSnap.Load())[qpn]; q != nil && !q.active.Load() {
-		return q
-	}
-	return nil
+// qpFor returns the QP a RoCE frame is addressed to, or nil (nonQPFlow is
+// no QPN).
+func (n *NIC) qpFor(frame []byte) *QP {
+	return (*n.qpSnap.Load())[flowKey(frame)]
 }
 
 // build serializes one packet from q to its peer into a pooled frame buffer,
@@ -326,11 +322,11 @@ func (n *NIC) build(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wi
 	return frame
 }
 
-// emit serializes and transmits one packet from q to its peer.
-// Caller holds q.mu.
+// emit builds one packet from q to its peer and queues it on q's frame
+// queue, which QP.unlock sends once q.mu is released. Caller holds q.mu.
 func (n *NIC) emit(q *QP, op wire.OpCode, psn uint32, reth *wire.RETH, aeth *wire.AETH, payload []byte, ackReq bool) {
 	if fr := n.build(q, op, psn, reth, aeth, payload, ackReq); fr != nil {
-		n.fabric.Send(fr)
+		q.txq = append(q.txq, fr)
 	}
 }
 
@@ -347,7 +343,7 @@ func (n *NIC) fillEnvelope(p *wire.Packet, q *QP) {
 	p.BTH.PKey = q.fenceEpoch
 }
 
-// emitAETH transmits an ACK/NAK carrying the given syndrome and PSN.
+// emitAETH queues an ACK/NAK carrying the given syndrome and PSN.
 // Caller holds q.mu.
 func (n *NIC) emitAETH(q *QP, syndrome uint8, psn uint32) {
 	aeth := &wire.AETH{Syndrome: syndrome, MSN: q.msn & 0x00ffffff}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cowbird/internal/container"
@@ -34,6 +33,20 @@ var (
 	ErrQPError      = errors.New("rdma: QP in error state")
 	ErrBadVerb      = errors.New("rdma: unsupported verb for PostSend")
 )
+
+// QPError is what PostSend returns on a QP in the error state. It matches
+// ErrQPError (errors.Is) and carries the status that moved the QP there, so
+// a post refused after a fencing NAK still says StatusFenced: with inline
+// delivery the NAK can land between two posts of one round, before the
+// poster has seen a single completion.
+type QPError struct {
+	Status Status
+}
+
+func (e *QPError) Error() string { return "rdma: QP in error state: " + e.Status.String() }
+
+// Is makes errors.Is(err, ErrQPError) hold.
+func (e *QPError) Is(target error) bool { return target == ErrQPError }
 
 type sendWR struct {
 	id       uint64
@@ -72,11 +85,7 @@ type QP struct {
 
 	connected bool
 	errored   bool
-
-	// active is set, under mu, by the first PostSend and never cleared. A
-	// QP without it is passive: the fabric hands it request frames on the
-	// sender's goroutine (Fabric.Send), which reads it without mu.
-	active atomic.Bool
+	errStatus Status // the status that moved the QP to the error state
 
 	sendCQ *CQ
 
@@ -86,16 +95,19 @@ type QP struct {
 	sq      container.Ring[sendWR]
 	retries int // consecutive expiries, reset when a WR completes
 	// The retransmission timer ticks; nothing re-aims it. Armed on the
-	// idle→busy edge (a post that finds ticking false), it re-arms itself once
-	// per RTO while work is outstanding. progress records whether anything was
-	// posted or acknowledged since the previous tick: a tick that finds it
-	// clear, and no answer queued in the NIC's inbox, charges a retry, doubles
-	// the RTO and replays the send queue. A Go-Back-N replay is not progress.
+	// idle→busy edge — a send that leaves work outstanding while ticking is
+	// false (settle) — it re-arms itself once per RTO while work is
+	// outstanding. An inline round trip leaves nothing outstanding, so it
+	// never touches the timer. progress records whether anything was posted
+	// or acknowledged since the previous tick: a tick that finds it clear, and
+	// no answer queued in the NIC's inbox, charges a retry, doubles the RTO
+	// and replays the send queue. A Go-Back-N replay is not progress.
 	timer     *time.Timer
 	ticking   bool
 	progress  bool
 	timing    bool // an RTT sample is in flight (the fields at the end)
 	sampleDue bool // a tick passed since the last sample began
+	posted    bool // a post since the last settle: its PSN may start a sample
 	timerArms int  // how often the timer was armed from idle, for tests
 
 	// Per-QP Go-Back-N overrides; zero values fall back to the NIC-wide
@@ -117,16 +129,22 @@ type QP struct {
 	msn       uint32
 
 	// tx is the reusable serialization scratch for every packet this QP
-	// emits, rx the decode target of every frame it receives, and txq the
-	// frames of one WRITE, serialized under the local region's DMA lock and
-	// sent after it is released; q.mu makes all three single-writer.
-	tx  wire.Packet
-	rx  wire.Packet
-	txq [][]byte
+	// emits and rx the decode target of every frame it receives; q.mu makes
+	// both single-writer. txq holds the frames built under q.mu, in the
+	// order they were built, until unlock sends them: no QP lock is held
+	// across Fabric.Send. sending marks the one goroutine sending them, whose
+	// batch buffer is txOut.
+	tx      wire.Packet
+	rx      wire.Packet
+	txq     [][]byte
+	txOut   [][]byte
+	sending bool
 
-	// RTT sampling: one PSN at a time, posted on the idle→busy edge or after
-	// a tick, so the clock is read about once per RTO. Off the hot cache
-	// lines: read only when a sample starts or ends, and at ticks.
+	// RTT sampling: one PSN at a time, started when a post leaves work
+	// outstanding on the idle→busy edge or after a tick (settle), so the
+	// clock is read about once per RTO and never on an inline round trip.
+	// Off the hot cache lines: read only when a sample starts or ends, and
+	// at ticks.
 	timedPSN uint32 // the sample ends when ackPSN passes it
 	timedAt  time.Time
 	est      RTOEstimator // the RTO: measured, backed off per expiry
@@ -258,15 +276,19 @@ func (q *QP) Connect(remote RemoteEndpoint, remoteFirstPSN uint32) {
 }
 
 // PostSend queues wr and transmits its packets. Completion is reported on
-// the QP's send CQ. Equivalent to ibv_post_send with IBV_SEND_SIGNALED.
+// the QP's send CQ. Equivalent to ibv_post_send with IBV_SEND_SIGNALED. The
+// packets leave once the QP's lock is released (unlock), on this goroutine
+// unless another is already sending the QP's frames; on a fabric that
+// delivers inline, the responder's answer may complete wr before PostSend
+// returns.
 func (q *QP) PostSend(wr WorkRequest) error {
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	if !q.connected {
 		return ErrNotConnected
 	}
 	if q.errored {
-		return ErrQPError
+		return &QPError{Status: q.errStatus}
 	}
 	mr, local, err := q.nic.translateLocal(wr.LocalVA, wr.Length)
 	if err != nil {
@@ -292,26 +314,79 @@ func (q *QP) PostSend(wr WorkRequest) error {
 		respNext: q.nextPSN,
 	})
 	q.nextPSN += uint32(npkts)
-	s := q.sq.At(q.sq.Len() - 1)
-	if !q.timing && (!q.ticking || q.sampleDue) {
-		q.timing, q.sampleDue = true, false
-		q.timedPSN, q.timedAt = s.lastPSN, time.Now()
-	}
-	if !q.active.Load() {
-		q.active.Store(true) // before the first transmit: see Fabric.Send
-	}
-	q.transmitWR(s)
+	q.transmitWR(q.sq.At(q.sq.Len() - 1))
 	// A post is progress — except the one that starts the clock (the
 	// idle→busy edge): the first tick is that post's own RTO.
 	q.progress = q.ticking
-	if !q.ticking {
-		q.timerArms++
-		q.armTimer()
-	}
+	q.posted = true
 	return nil
 }
 
-// transmitWR emits all packets of s. Caller holds q.mu.
+// unlock releases q.mu and sends the frames built under it. One goroutine
+// sends a QP's frames at a time, so they leave in the order they were
+// built: if another is sending, it sends these too, after its own, and this
+// call only releases the lock. The goroutine that empties txq settles the
+// retransmission timer. Send may run the peer's handler, and through it
+// this QP's, on this goroutine (Fabric.Send): that nested handler finds
+// sending set and leaves its frames to the loop below.
+func (q *QP) unlock() {
+	if q.sending {
+		q.mu.Unlock()
+		return
+	}
+	if len(q.txq) > 0 {
+		q.sending = true
+		for len(q.txq) > 0 {
+			out := q.txq
+			q.txq = q.txOut[:0]
+			q.mu.Unlock()
+			for i, fr := range out {
+				out[i] = nil
+				q.nic.fabric.Send(fr)
+			}
+			q.mu.Lock()
+			q.txOut = out[:0]
+		}
+		q.sending = false
+	}
+	q.settle()
+	q.mu.Unlock()
+}
+
+// settle arms the retransmission timer when the QP's frames are out and
+// work is still outstanding, and starts an RTT sample there, timing the
+// last posted PSN, if a post is among what was sent and the timer was idle
+// or has ticked since the last sample. A post whose round trip ended before
+// its frames were all out (inline delivery) spent no time on the wire: it
+// is sampled as zero, without a clock read. Otherwise the only samples of an
+// inline path would be the ones a loss left outstanding, and its RTO would
+// settle at the first loss's wait instead of its floor. Caller holds q.mu.
+func (q *QP) settle() {
+	posted := q.posted
+	q.posted = false
+	if q.errored {
+		return
+	}
+	if q.sq.Len() == 0 {
+		if posted {
+			q.est.Observe(0)
+		}
+		return
+	}
+	edge := !q.ticking
+	if edge {
+		q.timerArms++
+		q.armTimer()
+	}
+	if posted && !q.timing && (edge || q.sampleDue) {
+		q.timing, q.sampleDue = true, false
+		q.timedPSN, q.timedAt = q.nextPSN-1, time.Now()
+	}
+}
+
+// transmitWR builds all packets of s into txq. A WRITE's payload is copied
+// out of the local region under its DMA lock, so a concurrent remote write
+// into the same MR cannot race the read. Caller holds q.mu.
 func (q *QP) transmitWR(s *sendWR) {
 	mtu := q.nic.cfg.MTU
 	switch s.verb {
@@ -321,10 +396,6 @@ func (q *QP) transmitWR(s *sendWR) {
 	case VerbWrite:
 		n := len(s.local)
 		npkts := int(s.lastPSN-s.firstPSN) + 1
-		// Serialization copies the payload out of the local region; hold its
-		// DMA lock so a concurrent remote write into the same MR cannot race
-		// the read. Hold it only for that: Send may run a passive responder
-		// inline, which takes the lock of the region it writes.
 		s.mr.lockDMA()
 		for i := 0; i < npkts; i++ {
 			lo := i * mtu
@@ -347,17 +418,9 @@ func (q *QP) transmitWR(s *sendWR) {
 			if op == wire.OpWriteFirst || op == wire.OpWriteOnly {
 				reth = &wire.RETH{VA: s.remoteVA, RKey: s.rkey, DMALen: uint32(n)}
 			}
-			last := i == npkts-1
-			if fr := q.nic.build(q, op, s.firstPSN+uint32(i), reth, nil, s.local[lo:hi], last); fr != nil {
-				q.txq = append(q.txq, fr)
-			}
+			q.nic.emit(q, op, s.firstPSN+uint32(i), reth, nil, s.local[lo:hi], i == npkts-1)
 		}
 		s.mr.unlockDMA()
-		for i, fr := range q.txq {
-			q.txq[i] = nil
-			q.nic.fabric.Send(fr)
-		}
-		q.txq = q.txq[:0]
 	}
 }
 
@@ -382,8 +445,9 @@ func (q *QP) stopTimer() {
 }
 
 // onTick is the retransmission timer. With nothing outstanding it lapses
-// until the next post; with progress since the previous tick it only clears
-// the flag; with the peer's answers unread in its NIC's inbox it re-arms.
+// until the next post; with its own frames still being sent it counts that
+// as progress; with progress since the previous tick it only clears the
+// flag; with the peer's answers unread in its NIC's inbox it re-arms.
 // Otherwise it implements Go-Back-N recovery: double the RTO, rewind to the
 // oldest unacked request and replay every outstanding work request (§5.3:
 // "Cowbird-P4 can detect a timeout and utilize a Go-Back-N approach by
@@ -391,12 +455,20 @@ func (q *QP) stopTimer() {
 // point" — the same strategy the software requester uses).
 func (q *QP) onTick() {
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	q.ticking = false
 	if q.sq.Len() == 0 || q.errored {
 		return
 	}
 	q.sampleDue = true // the next post may time a fresh PSN
+	if q.sending {
+		// This QP's own frames are still on their way out, on a goroutine
+		// the scheduler has not run: slow, not silent. Counted as progress,
+		// the RTO runs again from when they are out.
+		q.progress = true
+		q.armTimer()
+		return
+	}
 	if q.progress {
 		q.progress = false
 		q.armTimer()
@@ -433,13 +505,16 @@ func (q *QP) replay() {
 }
 
 // failAllLocked flushes the send queue (which may be empty) with the given
-// status and moves the QP to the error state. Caller holds q.mu.
+// status and moves the QP to the error state; the first such status is the
+// one later posts report (QPError). Caller holds q.mu.
 func (q *QP) failAllLocked(st Status) {
 	for q.sq.Len() > 0 {
 		s := q.sq.Pop()
 		q.sendCQ.push(CQE{WRID: s.id, QPN: q.qpn, Status: st, Verb: s.verb, Bytes: uint32(len(s.local))})
 	}
-	q.errored = true
+	if !q.errored {
+		q.errored, q.errStatus = true, st
+	}
 	q.stopTimer()
 }
 
@@ -538,7 +613,6 @@ func (q *QP) handleRequest(p *wire.Packet) {
 		}
 		q.msn++
 		mr.lockDMA()
-		defer mr.unlockDMA()
 		for i := 0; i < npkts; i++ {
 			lo := i * mtu
 			hi := lo + mtu
@@ -562,6 +636,7 @@ func (q *QP) handleRequest(p *wire.Packet) {
 			}
 			q.nic.emit(q, rop, psn+uint32(i), nil, aeth, buf[lo:hi], false)
 		}
+		mr.unlockDMA()
 	}
 }
 

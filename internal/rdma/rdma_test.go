@@ -3,6 +3,7 @@ package rdma
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -237,8 +238,10 @@ func TestRemoteAccessErrorBadRKey(t *testing.T) {
 	if es[0].Status != StatusRemoteAccessError {
 		t.Fatalf("status = %v, want REMOTE_ACCESS_ERROR", es[0].Status)
 	}
-	// QP is now in error state.
-	if err := p.cliQP.PostSend(WorkRequest{ID: 10, Verb: VerbWrite, LocalVA: 0x1000, Length: 64}); err != ErrQPError {
+	// QP is now in error state, and says why.
+	err := p.cliQP.PostSend(WorkRequest{ID: 10, Verb: VerbWrite, LocalVA: 0x1000, Length: 64})
+	var qe *QPError
+	if !errors.Is(err, ErrQPError) || !errors.As(err, &qe) || qe.Status != StatusRemoteAccessError {
 		t.Fatalf("post on errored QP: %v", err)
 	}
 }

@@ -129,17 +129,13 @@ func TestReadResponsesAcceptedInOrder(t *testing.T) {
 	}
 }
 
-// TestRTOArmsOncePerBusyPeriod: a thousand posts, each acknowledged, inside
-// one RTO touch the runtime timer once — on the idle→busy edge. No post, ACK
-// or completion re-aims it.
-func TestRTOArmsOncePerBusyPeriod(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = time.Minute // the whole test is one RTO
-	p := newPair(t, cfg)
-	src := make([]byte, 64)
-	p.cli.RegisterMR(0x1000, src)
+// postAcked posts n 64 B writes on p's client QP one at a time, each waited
+// for, and returns the server region they land in.
+func postAcked(t *testing.T, p *pair, n int) *MR {
+	t.Helper()
+	p.cli.RegisterMR(0x1000, make([]byte, 64))
 	srvMR := p.srv.RegisterMR(0x9000, make([]byte, 64))
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < n; i++ {
 		err := p.cliQP.PostSend(WorkRequest{
 			ID: uint64(i), Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey,
 		})
@@ -150,8 +146,33 @@ func TestRTOArmsOncePerBusyPeriod(t *testing.T) {
 			t.Fatalf("write %d: %v", i, e.Status)
 		}
 	}
+	return srvMR
+}
+
+// TestRTOArmsOncePerBusyPeriod: a thousand posts, each acknowledged, inside
+// one RTO touch the runtime timer once — on the idle→busy edge. No post, ACK
+// or completion re-aims it. The fabric's latency keeps each post outstanding
+// past its send.
+func TestRTOArmsOncePerBusyPeriod(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = time.Minute // the whole test is one RTO
+	p := newPair(t, cfg)
+	p.fabric.SetLatency(time.Microsecond)
+	postAcked(t, p, 1000)
 	if n := p.cliQP.timerArmCount(); n > 1 {
 		t.Fatalf("retransmission timer armed %d times for 1000 posts inside one RTO, want at most 1", n)
+	}
+}
+
+// TestInlineRoundTripsArmNoTimer: on an inline fabric each post's round trip
+// completes before PostSend returns, so nothing is ever outstanding once a
+// post's frames are out and a thousand acknowledged posts arm the
+// retransmission timer exactly zero times.
+func TestInlineRoundTripsArmNoTimer(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	postAcked(t, p, 1000)
+	if n := p.cliQP.timerArmCount(); n != 0 {
+		t.Fatalf("retransmission timer armed %d times for 1000 inline round trips, want 0", n)
 	}
 }
 
@@ -307,7 +328,9 @@ func TestSteadyStreamNeverRetries(t *testing.T) {
 // neither charge a retry nor replay: the peer has answered, and a replay
 // would only add frames behind the unread ones. The test stops the client
 // NIC's inbox consumer inside a frame for a second QP, lets the first QP's
-// ACK queue behind it, and lets ten ticks pass.
+// ACK queue behind it, and lets ten ticks pass. The stopping frame is put in
+// the inbox directly: sent, it would be handled inline, on this goroutine,
+// which holds the QP it is for.
 func TestQueuedAnswerIsNoExpiry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = time.Millisecond
@@ -334,7 +357,7 @@ func TestQueuedAnswerIsNoExpiry(t *testing.T) {
 	srvOther.mu.Lock()
 	ack := p.srv.build(srvOther, wire.OpAcknowledge, 500, nil, &wire.AETH{Syndrome: wire.SyndromeACK}, nil, false)
 	srvOther.mu.Unlock()
-	p.fabric.Send(ack)
+	p.cli.inbox.put(ack, 0, true)
 	for deadline := time.Now().Add(5 * time.Second); !p.cli.inbox.inDelivery(other.QPN()); {
 		if time.Now().After(deadline) {
 			t.Fatal("the inbox consumer never took the held QP's frame")
@@ -353,5 +376,78 @@ func TestQueuedAnswerIsNoExpiry(t *testing.T) {
 	}
 	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
 		t.Fatalf("write: %v", e.Status)
+	}
+}
+
+// TestInlineLossKeepsRTOAtFloor: an inline path samples each round trip as
+// zero, without a clock read, so after a lost response it is still measured
+// at its floor. Were it sampled only when work is left outstanding, the one
+// sample it ever took would be the loss's own wait (Karn's rule keeps an
+// unmeasured path's sample across the replay), and every later loss would
+// cost that.
+func TestInlineLossKeepsRTOAtFloor(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	srvMR := postAcked(t, p, 10)
+	var dec wire.Packet
+	lost := false
+	p.fabric.SetLossFn(func(frame []byte) bool {
+		if lost || dec.DecodeFromBytes(frame) != nil || dec.BTH.OpCode != wire.OpAcknowledge {
+			return false
+		}
+		lost = true
+		return true
+	})
+	err := p.cliQP.PostSend(WorkRequest{ID: 10, Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
+		t.Fatalf("write after the lost ACK: %v", e.Status)
+	}
+	if st := p.cli.Stats(); st.Replays == 0 {
+		t.Fatalf("the ACK was lost and nothing replayed: %+v", st)
+	}
+	if rto := p.cliQP.RTO(); rto != DefaultRTOFloor {
+		t.Fatalf("RTO %v after one loss on an inline path, want the floor %v", rto, DefaultRTOFloor)
+	}
+}
+
+// TestStalledSenderIsNoExpiry: a QP's frames leave on the goroutine that
+// sends them, after its lock is released, so that goroutine can be held up
+// while the retransmission timer ticks. A tick that finds the QP's own
+// frames still on their way out must charge nothing: the QP is slow, not
+// its peer silent. The loss predicate, which runs on the sender's goroutine,
+// holds the second post's request for 20 RTOs; the first post is still
+// outstanding, so the timer is ticking throughout.
+func TestStalledSenderIsNoExpiry(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = time.Millisecond
+	p := newPair(t, cfg)
+	p.fabric.SetLatency(time.Microsecond) // every answer queues: the first post stays outstanding past its send
+	p.cli.RegisterMR(0x1000, make([]byte, 64))
+	srvMR := p.srv.RegisterMR(0x9000, make([]byte, 64))
+	cliMAC := p.cli.MAC()
+	requests := 0
+	p.fabric.SetLossFn(func(frame []byte) bool {
+		if wire.MAC(frame[6:12]) == cliMAC {
+			if requests++; requests == 2 {
+				time.Sleep(20 * cfg.RetransmitTimeout)
+			}
+		}
+		return false
+	})
+	for i := uint64(1); i <= 2; i++ {
+		err := p.cliQP.PostSend(WorkRequest{ID: i, Verb: VerbWrite, LocalVA: 0x1000, Length: 64, RemoteVA: 0x9000, RKey: srvMR.RKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range waitCQE(t, p.cliCQ, 2, 5*time.Second) {
+		if e.Status != StatusOK {
+			t.Fatalf("write %d: %v", e.WRID, e.Status)
+		}
+	}
+	if st := p.cli.Stats(); st.RTOExpiries != 0 || st.Replays != 0 {
+		t.Fatalf("ticks while the QP's own request was being sent charged it: %+v", st)
 	}
 }

@@ -100,6 +100,9 @@ type replicaSlot struct {
 // (regions allocated later inherit it). No engines or tenants yet.
 func newDeployment(sh shape) (*deployment, error) {
 	d := &deployment{shape: sh, fabric: rdma.NewFabric(), dead: make(map[int]bool), tenants: make(map[int]*Tenant), psn: 100_000}
+	if tel := sh.clientCfg.Telemetry; tel != nil {
+		d.fabric.RegisterMetrics(tel.Reg)
+	}
 	for m := 0; m < sh.memnodes; m++ {
 		a := sh.addr(roleMemnode, m)
 		d.memnodes = append(d.memnodes, memnode.New(d.fabric, a.mac, a.ip, sh.nicCfg))

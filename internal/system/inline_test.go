@@ -6,42 +6,39 @@ import (
 
 	"cowbird/internal/core"
 	"cowbird/internal/rdma"
-	"cowbird/internal/wire"
+	"cowbird/internal/telemetry"
 )
 
-// requestCounter is a drop-nothing loss predicate that counts request
-// frames. Installed, it puts every frame under the fabric's forwarding lock,
-// where the fabric also decides which frames go inline, so the predicate can
-// read its count and the fabric's Inline counter as of one frame.
-type requestCounter struct {
-	f    *rdma.Fabric
-	reqs int64 // the predicate's calls never overlap
-	ask  chan chan [2]int64
+// frameCounter is a drop-nothing loss predicate that counts frames.
+// Installed, it puts every frame under the fabric's forwarding lock, where
+// the fabric also decides which frames go inline, so the predicate can read
+// its count and the fabric's Inline counter as of one frame.
+type frameCounter struct {
+	f      *rdma.Fabric
+	frames int64 // the predicate's calls never overlap
+	ask    chan chan [2]int64
 }
 
-func countRequests(f *rdma.Fabric) *requestCounter {
-	c := &requestCounter{f: f, ask: make(chan chan [2]int64, 1)}
+func countFrames(f *rdma.Fabric) *frameCounter {
+	c := &frameCounter{f: f, ask: make(chan chan [2]int64, 1)}
 	f.SetLossFn(c.pass)
 	return c
 }
 
-func (c *requestCounter) pass(fr []byte) bool {
+func (c *frameCounter) pass(fr []byte) bool {
 	select {
 	case reply := <-c.ask:
-		reply <- [2]int64{c.reqs, c.f.Stats().Inline}
+		reply <- [2]int64{c.frames, c.f.Stats().Inline}
 	default:
 	}
-	const bth = wire.EthernetLen + wire.IPv4Len + wire.UDPLen
-	if len(fr) > bth && wire.OpCode(fr[bth]).IsRequest() {
-		c.reqs++
-	}
+	c.frames++
 	return false
 }
 
-// read returns the request frames counted so far and the fabric's Inline
-// counter, both as of the next frame forwarded: every frame before it is in
-// both counts, and no frame after it in either.
-func (c *requestCounter) read(t *testing.T) (reqs, inline int64) {
+// read returns the frames counted so far and the fabric's Inline counter,
+// both as of the next frame forwarded: every frame before it is in both
+// counts, and no frame after it in either.
+func (c *frameCounter) read(t *testing.T) (frames, inline int64) {
 	t.Helper()
 	reply := make(chan [2]int64, 1)
 	c.ask <- reply
@@ -98,42 +95,43 @@ func runMixed(t *testing.T, c *core.Client, n, stripes int) {
 	}
 }
 
-// checkInline asserts that between the two readings every request frame went
-// inline and that none of the responders' inboxes woke.
-func checkInline(t *testing.T, reqs, inline, wakeups int64) {
+// checkInline asserts that between the two readings every frame went inline
+// and that no inbox woke: not the responders', and not the engine's.
+func checkInline(t *testing.T, frames, inline, wakeups int64) {
 	t.Helper()
-	t.Logf("%d request frames, %d inline, %d wake-ups", reqs, inline, wakeups)
-	if reqs < 2000 {
-		t.Fatalf("%d request frames for 2 000 operations: the run measured nothing", reqs)
+	t.Logf("%d frames, %d inline, %d wake-ups", frames, inline, wakeups)
+	if frames < 4000 {
+		t.Fatalf("%d frames for 2 000 operations: the run measured nothing", frames)
 	}
-	if inline != reqs {
-		t.Fatalf("Inline grew by %d over %d request frames: every request goes to a passive QP here", inline, reqs)
+	if inline != frames {
+		t.Fatalf("Inline grew by %d over %d frames: every frame goes to a NIC's QP here", inline, frames)
 	}
 	if wakeups != 0 {
-		t.Fatalf("the pool and compute-node inboxes woke %d times after set-up, want 0", wakeups)
+		t.Fatalf("the inboxes woke %d times after set-up, want 0", wakeups)
 	}
 }
 
-// TestInlineRespondersSystem: in a lossless, zero-latency spot System the
-// memory pool and the compute node are plain responders. Every request frame
-// the engine sends them — probes, fetches, response and bookkeeping writes,
-// pool reads and writes — is handled on the engine's goroutine, and neither
-// NIC's inbox goroutine wakes once the deployment is set up.
+// TestInlineRespondersSystem: in a lossless, zero-latency spot System no
+// frame takes an inbox. Every request the engine sends — probes, fetches,
+// response and bookkeeping writes, pool reads and writes — is handled by
+// the memory pool or the compute node on the engine's goroutine, and so is
+// every READ response and ACK back to the engine; no NIC's inbox goroutine
+// wakes once the deployment is set up.
 func TestInlineRespondersSystem(t *testing.T) {
 	s := startSystem(t, nil)
-	rc := countRequests(s.Fabric)
-	nics := []*rdma.NIC{s.Compute}
+	fc := countFrames(s.Fabric)
+	nics := []*rdma.NIC{s.Compute, s.Spot.NIC()}
 	for _, p := range s.Pools {
 		nics = append(nics, p.NIC())
 	}
 	// A frame sent before the predicate was installed is counted inline
 	// without passing it; the warm-up outlasts any such frame.
 	runMixed(t, s.Client, 200, 1)
-	r0, i0 := rc.read(t)
+	f0, i0 := fc.read(t)
 	w0 := inboxWakeups(nics)
 	runMixed(t, s.Client, 2000, 1)
-	r1, i1 := rc.read(t)
-	checkInline(t, r1-r0, i1-i0, inboxWakeups(nics)-w0)
+	f1, i1 := fc.read(t)
+	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
 }
 
 // TestInlineRespondersFleet is the same check on a Fleet: two tenants
@@ -146,7 +144,7 @@ func TestInlineRespondersFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rc := countRequests(f.Fabric)
+	fc := countFrames(f.Fabric)
 	var nics []*rdma.NIC
 	for m := 0; m < cfg.Memnodes; m++ {
 		nics = append(nics, f.Memnode(m).NIC())
@@ -160,11 +158,42 @@ func TestInlineRespondersFleet(t *testing.T) {
 		tenants = append(tenants, ten)
 		nics = append(nics, ten.nic)
 	}
-	r0, i0 := rc.read(t)
+	for _, eng := range f.d.engines {
+		nics = append(nics, eng.NIC())
+	}
+	f0, i0 := fc.read(t)
 	w0 := inboxWakeups(nics)
 	for _, ten := range tenants {
 		runMixed(t, ten.Client, 1000, cfg.StripesPerTenant)
 	}
-	r1, i1 := rc.read(t)
-	checkInline(t, r1-r0, i1-i0, inboxWakeups(nics)-w0)
+	f1, i1 := fc.read(t)
+	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
+}
+
+// TestFabricMetricsScrape: the fabric's gauges land in the deployment's
+// registry, and a scrape after a lossless spot run shows what the counters
+// do: every frame handled inline, no inbox wake-up since set-up and nothing
+// on the retry path. The engine is stopped before the last scrape, so no
+// frame is between the two counters it reads.
+func TestFabricMetricsScrape(t *testing.T) {
+	tel := telemetry.New(telemetry.Config{})
+	s := startSystem(t, func(c *Config) { c.Telemetry = tel })
+	before := tel.Reg.Snapshot().Gauges
+	runMixed(t, s.Client, 2000, 1)
+	s.Spot.Stop()
+	after := tel.Reg.Snapshot().Gauges
+	if frames := after["cowbird_fabric_frames"]; frames < 4000 || after["cowbird_fabric_inline"] != frames {
+		t.Fatalf("scraped %d frames, %d inline: want every frame of the run inline", frames, after["cowbird_fabric_inline"])
+	}
+	if w := after["cowbird_fabric_wakeups"] - before["cowbird_fabric_wakeups"]; w != 0 {
+		t.Fatalf("the inboxes woke %d times after set-up, want 0", w)
+	}
+	if after["cowbird_rdma_rto_expiries"] != 0 || after["cowbird_rdma_replays"] != 0 {
+		t.Fatalf("a lossless run took the retry path: %v", after)
+	}
+	st := s.Spot.Stats()
+	if st.EmptyProbes != after["cowbird_spot_empty_probes"] || st.EmptyProbes > st.Probes {
+		t.Fatalf("EmptyProbes = %d (scraped %d) of %d probes", st.EmptyProbes, after["cowbird_spot_empty_probes"], st.Probes)
+	}
+	t.Logf("client waits: %+v", s.Client.Stats())
 }
