@@ -34,8 +34,9 @@ type hostSim struct {
 	greenVA, redVA   uint64
 	metaLo, metaHi   uint64
 
-	tail  uint64      // green MetaTail published to the engine
-	entry rings.Entry // every entry a metadata fetch returns
+	tail  uint64         // green MetaTail published to the engine
+	entry rings.Entry    // every entry a metadata fetch returns...
+	types []rings.OpType // ...but with entry i of a fetch typed types[i%len], if set
 
 	dec, enc wire.Packet
 	greenBuf [rings.GreenSize]byte
@@ -51,7 +52,14 @@ func (h *hostSim) Input(frame []byte) { h.rx <- frame }
 
 // respond parses one switch-emitted frame and builds the host's answer in
 // place, or returns nil for frames a host would not acknowledge.
-func (h *hostSim) respond(frame []byte) []byte {
+func (h *hostSim) respond(frame []byte) []byte { return h.reply(frame, false) }
+
+// ackOf builds, in place, the host's ACK of the switch's write frame, as if
+// it had asked for one: the ACK a host sends for a duplicate of it.
+func (h *hostSim) ackOf(frame []byte) []byte { return h.reply(frame, true) }
+
+// reply is respond, acknowledging every write when ackAll is set.
+func (h *hostSim) reply(frame []byte, ackAll bool) []byte {
 	if err := h.dec.DecodeFromBytes(frame); err != nil {
 		h.t.Fatalf("hostSim: undecodable switch frame: %v", err)
 	}
@@ -87,8 +95,12 @@ func (h *hostSim) respond(frame []byte) []byte {
 			payload = h.greenBuf[:]
 		case toCompute && va >= h.metaLo && va < h.metaHi:
 			payload = h.metaBuf[:dmaLen]
+			ent := h.entry
 			for i := 0; i < len(payload); i += rings.MetaEntrySize {
-				rings.EncodeEntry(h.entry, payload[i:])
+				if len(h.types) > 0 {
+					ent.Type = h.types[i/rings.MetaEntrySize%len(h.types)]
+				}
+				rings.EncodeEntry(ent, payload[i:])
 			}
 		default:
 			// Data fetch: a write payload from compute memory or read data
@@ -101,8 +113,8 @@ func (h *hostSim) respond(frame []byte) []byte {
 		h.enc.BTH.OpCode = wire.OpReadResponseOnly
 		h.enc.Payload = payload
 	case op.IsWrite():
-		if !h.dec.BTH.AckReq {
-			return nil // unacknowledged middle packet; nothing to say
+		if !h.dec.BTH.AckReq && !ackAll {
+			return nil // nothing asked for an ACK; a later one covers it
 		}
 		h.enc.BTH.OpCode = wire.OpAcknowledge
 	default:
@@ -259,34 +271,36 @@ func TestHostSimLifecycle(t *testing.T) {
 
 // TestCompletionStampedAtNextTick: a queue's progress stamp must not read
 // earlier than its last completion. The engine clock moves only at ticks, so
-// the test controls it: two reads of one batch are fetched at a tick, the
-// first completes, the second's pool read stays unanswered, and the next
-// tick comes a second later — far beyond the queue's timeout, but only just
-// after the completion. A completion stamped with the previous tick's time
-// would make that tick start a drain on a queue that just progressed.
+// the test controls it: a read and a write of one batch are fetched at a
+// tick, the read completes, the write's payload fetch stays unanswered, and
+// the next tick comes a second later — far beyond the queue's timeout, but
+// only just after the completion. A completion stamped with the previous
+// tick's time would make that tick start a drain on a queue that just
+// progressed.
 func TestCompletionStampedAtNextTick(t *testing.T) {
 	h := newHostSim(t)
 	now := time.Now()
 	h.eng.clock = func() time.Time { return now }
 	h.runOp(rings.OpRead)
 
-	isPoolRead := func(fr []byte) bool {
+	isRead := func(fr []byte, qpn uint32) bool {
 		var p wire.Packet
-		return p.DecodeFromBytes(fr) == nil && p.BTH.DestQP == h.poolQPN && p.BTH.OpCode == wire.OpReadRequest
+		return p.DecodeFromBytes(fr) == nil && p.BTH.DestQP == qpn && p.BTH.OpCode == wire.OpReadRequest
 	}
-	h.entry = rings.Entry{Type: rings.OpRead, ReqAddr: 0x30_0000, RespAddr: 0x31_0000, Length: uint32(len(h.dataBuf))}
+	h.entry = rings.Entry{ReqAddr: 0x30_0000, RespAddr: 0x31_0000, Length: uint32(len(h.dataBuf))}
+	h.types = []rings.OpType{rings.OpRead, rings.OpWrite}
 	h.tail += 2
 	h.fabric.Send(h.eng.tick)
 	h.fabric.Send(h.respond(h.recv())) // the probe
 	h.fabric.Send(h.respond(h.recv())) // the metadata fetch
-	first, second := h.recv(), h.recv()
-	if !isPoolRead(first) || !isPoolRead(second) {
-		t.Fatal("the batch's two pool reads did not follow its metadata fetch")
+	read, fetch := h.recv(), h.recv()
+	if !isRead(read, h.poolQPN) || !isRead(fetch, h.compQPN) {
+		t.Fatal("the batch's pool read and payload fetch did not follow its metadata fetch")
 	}
-	h.fabric.Send(h.respond(first))
-	h.fabric.Send(h.respond(h.recv())) // the first read's response write: its ACK completes it
-	if st := h.eng.Stats(); st.ReadsCompleted != 2 {
-		t.Fatalf("%d reads completed, want the warm-up's and the batch's first", st.ReadsCompleted)
+	h.fabric.Send(h.respond(read))
+	h.fabric.Send(h.respond(h.recv())) // the read's response write: its ACK completes it
+	if st := h.eng.Stats(); st.ReadsCompleted != 2 || st.WritesCompleted != 0 {
+		t.Fatalf("%d reads and %d writes completed, want the warm-up's read and the batch's", st.ReadsCompleted, st.WritesCompleted)
 	}
 
 	now = now.Add(time.Second)

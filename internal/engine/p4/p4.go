@@ -149,6 +149,7 @@ type request struct {
 	seq    uint64 // per-type sequence number within its queue
 	issued bool
 	held   bool // parked in heldReads by the pause-all-reads rule
+	reexec bool // re-issued by kick after a resync: its data write asks for an ACK
 	done   bool
 	t0     time.Time // metadata-arrival timestamp; zero unless sampled
 }
@@ -161,13 +162,12 @@ const (
 	opMetaResp                // read response carrying metadata entries
 	opReadData                // pool read response carrying read-request data
 	opWriteData               // compute read response carrying write payload
-	opRespAck                 // compute ACK of a response-data write
-	opWriteAck                // pool ACK of a converted write
 )
 
-// pendingOp tracks an in-flight exchange: the switch sent a request and
-// expects npkts response packets (or one ACK) with PSNs starting at
-// firstPSN. This is the "hash table" of §5.2 Phase III.
+// pendingOp tracks an in-flight exchange: the switch sent a read request
+// and expects npkts response packets with PSNs starting at firstPSN. This
+// is the "hash table" of §5.2 Phase III; the data writes that end Phase III
+// wait for their ACKs in the instance's ackRings instead.
 type pendingOp struct {
 	kind     opKind
 	q        *queueState
@@ -191,6 +191,10 @@ type queueState struct {
 	// Phase IV coalescing register: requests issued and not yet completed,
 	// and completions since the last red write (see complete).
 	open, sinceRed int
+	// Issued reads whose pool data, and issued writes whose payload, has
+	// not all arrived: a data write asks for an ACK once the other reads or
+	// writes of its queue have none on its way (Engine.awaitAck).
+	readsWaiting, writesWaiting int
 
 	// since is the queue's progress stamp on the engine clock (§5.3,
 	// checkTimeouts). It is per queue because an instance's queues have
@@ -222,6 +226,26 @@ type psnState struct {
 	next uint32
 }
 
+// ackRing holds one direction's converted data writes — read responses
+// written to compute, write payloads written to the pool — that are not yet
+// acknowledged, in PSN order (DESIGN.md §16, cumulative ACKs). A write asks
+// for an ACK only now and then (Engine.awaitAck); the host's ACK for PSN n
+// says that every request up to n has landed, as RC ordering guarantees, so
+// it completes every waiting write up to n. uncovered counts the waiting
+// writes behind the last one that asked for an ACK: no ACK asked for so far
+// covers them.
+type ackRing struct {
+	writes    container.Ring[ackWait]
+	uncovered int
+}
+
+// ackWait is a data write waiting for its ACK: the PSN of its last packet
+// and the request it completes.
+type ackWait struct {
+	psn uint32
+	req *request
+}
+
 // inst is one Cowbird instance (compute/pool pair) — §5.4. All fields below
 // the Setup-time constants are soft state owned by Process; the control plane
 // never touches them after publication.
@@ -242,6 +266,10 @@ type inst struct {
 
 	pendingComp map[uint32]*pendingOp // expected PSN (from compute) → op
 	pendingPool map[uint32]*pendingOp
+
+	// Data writes awaiting their ACKs: response writes to compute, payload
+	// writes to the pool.
+	ackComp, ackPool ackRing
 
 	writesInFlight int        // writes between discovery and Step 2b issue
 	heldReads      []*request // reads paused by the linearizability rule
@@ -646,6 +674,8 @@ func (e *Engine) startResync(in *inst) {
 	in.state = stateResyncing
 	clear(in.pendingComp)
 	clear(in.pendingPool)
+	in.ackComp.clear()
+	in.ackPool.clear()
 	in.writesInFlight = 0
 	for _, r := range in.heldReads {
 		r.held = false
@@ -655,7 +685,7 @@ func (e *Engine) startResync(in *inst) {
 	for _, q := range in.queues {
 		q.probeOutstanding = false
 		q.fetchOutstanding = false
-		q.open = 0
+		q.open, q.readsWaiting, q.writesWaiting = 0, 0, 0
 		// Anything not done goes back to the un-issued backlog.
 		for i := 0; i < q.writes.Len(); i++ {
 			if r := *q.writes.At(i); !r.done {
@@ -716,9 +746,9 @@ func (e *Engine) finishResync(in *inst) {
 }
 
 // kick issues un-issued backlog requests (writes first, per queue) up to
-// the resync window. Outside recovery the backlog counter is zero and the
-// call is O(1): in normal operation requests are issued as their metadata
-// is fetched, so there is nothing to scan.
+// the resync window, each marked reexec. Outside recovery the backlog
+// counter is zero and the call is O(1): in normal operation requests are
+// issued as their metadata is fetched, so there is nothing to scan.
 func (e *Engine) kick(in *inst) {
 	if in.state != stateRunning || in.backlog == 0 {
 		return
@@ -736,6 +766,7 @@ func (e *Engine) kick(in *inst) {
 			if r.done || r.issued || r.held {
 				continue
 			}
+			r.reexec = true
 			e.issueRequest(in, r)
 			in.backlog--
 			budget--
@@ -745,6 +776,7 @@ func (e *Engine) kick(in *inst) {
 			if r.done || r.issued || r.held {
 				continue
 			}
+			r.reexec = true
 			e.issueRequest(in, r)
 			in.backlog--
 			budget--

@@ -74,31 +74,49 @@ func (h *hostSim) step(frame []byte) [][]byte {
 	return append([][]byte(nil), h.eng.Process(frame)...)
 }
 
+// one steps frame and returns the one frame the engine emitted for it.
+func (h *hostSim) one(frame []byte) []byte {
+	h.t.Helper()
+	out := h.step(frame)
+	if len(out) != 1 {
+		h.t.Fatalf("engine emitted %d frames, want 1", len(out))
+	}
+	return out[0]
+}
+
 // TestRedPublishedWithoutDrain: three metadata fetches stay overlapped — the
-// oldest fetch's reads complete only once two later fetches are issued — so
-// no completion ever leaves the queue without a request in flight. Phase IV
-// must still publish every MTU/MetaEntrySize completions, each red block
-// showing every completion so far, and the final drain must publish the
-// rest: nothing wedges waiting for a drain that never comes.
+// pool answers the oldest fetch's reads only once two later fetches are
+// issued — so a read always waits for its data and no completion ever
+// leaves the queue without a request in flight. The switch must still ask
+// for an ACK every MTU/MetaEntrySize response writes, and Phase IV must
+// still publish every MTU/MetaEntrySize completions, each red block showing
+// every completion so far; and the final drain must publish the rest:
+// nothing wedges waiting for a drain that never comes.
 func TestRedPublishedWithoutDrain(t *testing.T) {
 	h := newHostSim(t)
 	every := h.eng.cfg.MTU / rings.MetaEntrySize
 	const perFetch, fetches, overlap = 4, 41, 3
 	h.entry = rings.Entry{Type: rings.OpRead, ReqAddr: 0x30_0000, RespAddr: 0x31_0000, Length: uint32(len(h.dataBuf))}
 
-	one := func(frame []byte) []byte {
-		out := h.step(frame)
-		if len(out) != 1 {
-			t.Fatalf("engine emitted %d frames, want 1", len(out))
-		}
-		return out[0]
-	}
 	var p wire.Packet
 	var reds []rings.Red
-	completions := 0
-	complete := func(ack []byte) {
-		completions++
-		for _, f := range h.step(ack) {
+	writes, asked := 0, 0
+	// answer hands the engine the pool's answer to one read and the host's
+	// ACK of the response write it becomes, if that write asks for one.
+	answer := func(data []byte) {
+		writes++
+		ack := h.respond(h.one(data))
+		if ack == nil {
+			return
+		}
+		asked++
+		before := h.eng.Stats().ReadsCompleted
+		out := h.step(ack)
+		completions := h.eng.Stats().ReadsCompleted
+		if completions != int64(writes) {
+			t.Fatalf("the ACK of write %d left %d of them completed (%d before it)", writes, completions, before)
+		}
+		for _, f := range out {
 			if err := p.DecodeFromBytes(f); err != nil || p.RETH.VA != h.redVA {
 				t.Fatalf("completion %d emitted something other than a red write", completions)
 			}
@@ -113,38 +131,38 @@ func TestRedPublishedWithoutDrain(t *testing.T) {
 		}
 	}
 
-	var held [][][]byte // per fetch, the response-write ACKs not yet delivered
+	var held [][][]byte // per fetch, the pool's answers not yet delivered
 	for f := 0; f < fetches; f++ {
 		h.tail += perFetch
-		reads := h.step(h.respond(one(h.respond(one(h.eng.tick))))) // probe → fetch → pool reads
+		reads := h.step(h.respond(h.one(h.respond(h.one(h.eng.tick))))) // probe → fetch → pool reads
 		if len(reads) != perFetch {
 			t.Fatalf("fetch %d issued %d reads, want %d", f, len(reads), perFetch)
 		}
-		var acks [][]byte
+		var answers [][]byte
 		for _, r := range reads {
-			acks = append(acks, h.respond(one(h.respond(r)))) // pool data → response write → ACK
+			answers = append(answers, h.respond(r))
 		}
-		if held = append(held, acks); len(held) == overlap {
+		if held = append(held, answers); len(held) == overlap {
 			for _, a := range held[0] {
-				complete(a)
+				answer(a)
 			}
 			held = held[1:]
 		}
 	}
-	if want := completions / every; len(reds) != want {
-		t.Fatalf("%d red writes over %d completions of a queue that never drained, want one per %d (%d)",
-			len(reds), completions, every, want)
+	if want := writes / every; asked != want || len(reds) != want {
+		t.Fatalf("%d ACKs asked for and %d red writes over %d completions of a queue that never drained, want one each per %d (%d)",
+			asked, len(reds), writes, every, want)
 	}
-	for _, acks := range held {
-		for _, a := range acks {
-			complete(a)
+	for _, answers := range held {
+		for _, a := range answers {
+			answer(a)
 		}
 	}
 	last := reds[len(reds)-1]
 	if total := uint64(fetches * perFetch); last.ReadProgress != total || last.MetaHead != total {
 		t.Fatalf("after the drain the red block shows progress %d, head %d; want %d", last.ReadProgress, last.MetaHead, total)
 	}
-	if want := completions/every + 1; len(reds) != want {
+	if want := writes/every + 1; len(reds) != want {
 		t.Fatalf("%d red writes in all, want %d (one per %d completions and one for the drain)", len(reds), want, every)
 	}
 }

@@ -152,14 +152,14 @@ func (e *Engine) onProbeResponse(in *inst, op *pendingOp, p *wire.Packet) {
 		return
 	}
 	green := rings.DecodeGreen(p.Payload)
-	if green.MetaTail <= q.red.MetaHead {
+	if green.MetaTail <= q.red.MetaHead || q.fetchOutstanding {
+		// Nothing new, or nothing the queue can take yet: a fetch is still
+		// out, which with inline delivery means it was lost, and a probe
+		// that kept the generator hot would spin it until the timeout.
 		e.miss()
 		return
 	}
 	e.misses.Store(0) // work: the generator is hot
-	if q.fetchOutstanding {
-		return
-	}
 	count := int(green.MetaTail - q.red.MetaHead)
 	// The fetch must fit one response packet (no reassembly state in the
 	// pipeline) and must not wrap the metadata ring (one contiguous read).
@@ -251,11 +251,13 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 		}
 		r.issued = true
 		r.q.open++
+		r.q.readsWaiting++
 		e.emit(e.buildRead(in, false, psn, r.entry.ReqAddr, r.region.RKey, r.entry.Length, dataTOS))
 		return
 	}
 	// Write: Step 1b — fetch the to-be-written data from the compute node.
 	in.writesInFlight++
+	r.q.writesWaiting++
 	npkts := e.npktsFor(r.entry.Length)
 	psn := e.allocPSNs(&in.compPSN, npkts)
 	op := e.getOp()
@@ -272,7 +274,9 @@ func (e *Engine) issueRequest(in *inst, r *request) {
 // recycled — new header, unmodified payload — into an RDMA write of the
 // result into the compute node's response ring. Segmented responses convert
 // packet-for-packet (Read Response First/Middle/Last → Write
-// First/Middle/Last).
+// First/Middle/Last). The last packet waits in ackComp for its ACK, and asks
+// for one only when no other read of the queue still waits for its data
+// (awaitAck).
 func (e *Engine) onReadData(in *inst, op *pendingOp, p *wire.Packet) {
 	r := op.req
 	idx := int((p.BTH.PSN - op.firstPSN) & psnMask)
@@ -290,11 +294,10 @@ func (e *Engine) onReadData(in *inst, op *pendingOp, p *wire.Packet) {
 		return
 	}
 	outPSN := op.outFirstPSN + uint32(idx)
-	last := idx == op.npkts-1
-	if last {
-		aop := e.getOp()
-		*aop = pendingOp{kind: opRespAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
-		in.pendingComp[key(outPSN)] = aop
+	ackReq := false
+	if idx == op.npkts-1 {
+		op.q.readsWaiting--
+		ackReq = e.awaitAck(in, &in.ackComp, r, outPSN, op.q.readsWaiting == 0)
 	}
 	var reth wire.RETH
 	hasRETH := outOp == wire.OpWriteFirst || outOp == wire.OpWriteOnly
@@ -302,14 +305,16 @@ func (e *Engine) onReadData(in *inst, op *pendingOp, p *wire.Packet) {
 		reth = wire.RETH{VA: r.entry.RespAddr, RKey: op.q.qi.RKey, DMALen: op.totalLen}
 	}
 	e.stats.packetsRecycled.Add(1)
-	e.emit(e.buildWrite(in, true, outOp, outPSN, reth, hasRETH, p.Payload, last, dataTOS))
+	e.emit(e.buildWrite(in, true, outOp, outPSN, reth, hasRETH, p.Payload, ackReq, dataTOS))
 }
 
 // onWriteData is Phase III Step 2b: the fetched to-be-written payload from
 // the compute node is recycled into an RDMA write toward the memory pool.
 // When the last packet is issued the write stops blocking reads ("Step 2b
 // and subsequent operations are not explicitly synchronized as they will be
-// serialized by the switch/RNIC").
+// serialized by the switch/RNIC"), and waits in ackPool for its ACK, asking
+// for one only when no other write of the queue still waits for its
+// payload (awaitAck).
 func (e *Engine) onWriteData(in *inst, op *pendingOp, p *wire.Packet) {
 	r := op.req
 	idx := int((p.BTH.PSN - op.firstPSN) & psnMask)
@@ -328,23 +333,65 @@ func (e *Engine) onWriteData(in *inst, op *pendingOp, p *wire.Packet) {
 	}
 	outPSN := op.outFirstPSN + uint32(idx)
 	last := idx == op.npkts-1
+	ackReq := false
+	if last {
+		in.writesInFlight--
+		op.q.writesWaiting--
+		ackReq = e.awaitAck(in, &in.ackPool, r, outPSN, op.q.writesWaiting == 0)
+	}
 	var reth wire.RETH
 	hasRETH := outOp == wire.OpWriteFirst || outOp == wire.OpWriteOnly
 	if hasRETH {
 		reth = wire.RETH{VA: r.entry.RespAddr, RKey: r.region.RKey, DMALen: op.totalLen}
 	}
-	if last {
-		aop := e.getOp()
-		*aop = pendingOp{kind: opWriteAck, q: op.q, req: r, firstPSN: outPSN, npkts: 1}
-		in.pendingPool[key(outPSN)] = aop
-	}
 	e.stats.packetsRecycled.Add(1)
-	e.emit(e.buildWrite(in, false, outOp, outPSN, reth, hasRETH, p.Payload, last, dataTOS))
+	e.emit(e.buildWrite(in, false, outOp, outPSN, reth, hasRETH, p.Payload, ackReq, dataTOS))
 	if last {
 		// The payload is fully fetched: held reads may proceed.
-		in.writesInFlight--
 		e.releaseHeld(in)
 	}
+}
+
+// awaitAck queues r's data write, whose last packet has PSN psn, on w to
+// wait for its ACK, and reports whether that packet asks for one. It does
+// when nothing else of its kind is on its way — idle: no other read of r's
+// queue waits for its pool data, or no other write for its payload — so
+// the last write of a batch asks and its ACK completes the batch (per queue,
+// because an instance's queues have independent clients: a read lost on one
+// must not hold back the others' completions until the drain); when it is
+// the MTU/MetaEntrySize-th write no ACK asked for covers, the red rule's
+// count (complete), so a queue kept busy by overlapping fetches still
+// completes and publishes; and when the instance is re-executing a resync
+// backlog, so one lost frame there costs one request, not the window.
+func (e *Engine) awaitAck(in *inst, w *ackRing, r *request, psn uint32, idle bool) bool {
+	ask := idle || w.uncovered+1 >= e.cfg.MTU/rings.MetaEntrySize || r.reexec || in.backlog > 0
+	w.writes.Push(ackWait{psn: psn, req: r})
+	if ask {
+		w.uncovered = 0
+	} else {
+		w.uncovered++
+	}
+	return ask
+}
+
+// acked pops, in PSN order, every write on w up to and including PSN psn (a
+// 24-bit wire PSN) and calls done for each. It returns how many it popped.
+func (w *ackRing) acked(psn uint32, done func(r *request)) int {
+	n := 0
+	for w.writes.Len() > 0 && (psn-w.writes.Front().psn)&psnMask < 1<<23 {
+		done(w.writes.Pop().req)
+		n++
+	}
+	w.uncovered = min(w.uncovered, w.writes.Len())
+	return n
+}
+
+// clear drops every waiting write (startResync).
+func (w *ackRing) clear() {
+	for w.writes.Len() > 0 {
+		w.writes.Pop()
+	}
+	w.uncovered = 0
 }
 
 // releaseHeld re-issues reads held by the pause rule once no write is in
@@ -364,7 +411,10 @@ func (e *Engine) releaseHeld(in *inst) {
 	e.heldScratch = scratch[:0]
 }
 
-// handleAck processes ACK/NAK packets addressed to the switch.
+// handleAck processes ACK/NAK packets addressed to the switch. An ACK for
+// PSN n from a host completes every data write to that host still waiting
+// up to n (ackRing): RC delivers in PSN order, so the ACK of any later PSN —
+// a red write's too — says they all landed.
 func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 	if p.AETH.IsNAK() {
 		// PSN desynchronization (§5.3): a packet toward this host was lost.
@@ -379,40 +429,40 @@ func (e *Engine) handleAck(in *inst, fromCompute bool, p *wire.Packet) {
 	if p.AETH.Syndrome == wire.SyndromeRNRNAK {
 		return
 	}
-	pend := in.pendingFor(fromCompute)
-	op, ok := pend[key(p.BTH.PSN)]
-	if !ok {
-		return
+	w := &in.ackPool
+	if fromCompute {
+		w = &in.ackComp
 	}
-	delete(pend, key(p.BTH.PSN))
-	op.received++
-	if op.kind == opRespAck || op.kind == opWriteAck {
-		// Phase IV: a read's response data is in compute memory, or a
-		// write's payload is in the pool. Retire in order and publish.
-		op.req.done = true
-		e.observeService(op.req)
-		if op.kind == opRespAck {
-			e.stats.readsCompleted.Add(1)
-			e.retireReads(op.q)
-		} else {
-			e.stats.writesCompleted.Add(1)
-			e.retireWrites(op.q)
-		}
-		e.complete(in, op.q)
+	if w.acked(p.BTH.PSN, func(r *request) { e.completeRequest(in, r) }) > 0 {
 		e.kick(in)
 	}
-	e.putOp(op)
+}
+
+// completeRequest is Phase IV for one request: a read's response data is in
+// compute memory, or a write's payload is in the pool. It retires the
+// queue's done prefix in order and counts the completion (complete).
+func (e *Engine) completeRequest(in *inst, r *request) {
+	q := r.q
+	r.done = true
+	e.observeService(r)
+	if r.entry.Type == rings.OpWrite {
+		e.stats.writesCompleted.Add(1)
+		e.retireWrites(q) // may recycle r
+	} else {
+		e.stats.readsCompleted.Add(1)
+		e.retireReads(q)
+	}
+	e.complete(in, q)
 }
 
 // complete marks the queue as progressed (the next tick stamps it), counts
-// one completion in its Phase IV register, and recycles its ACK into the red
+// one completion in its Phase IV register, and follows it with the red
 // write only if it leaves no request of the queue in flight, or is the
-// MTU/MetaEntrySize-th
-// completion since the last red write (so a queue that never drains still
-// publishes). Any other completion's ACK is consumed: the red block carries
-// absolute heads and counters, so the next red write subsumes it — one red
-// write per drained batch, as spot publishes one per round. A deviation from
-// the paper, which recycles every ACK (DESIGN.md §16).
+// MTU/MetaEntrySize-th completion since the last red write (so a queue that
+// never drains still publishes). The red block carries absolute heads and
+// counters, so the next red write subsumes every one skipped — one red
+// write per drained batch, as spot publishes one per round. A deviation
+// from the paper, which recycles every ACK (DESIGN.md §16).
 func (e *Engine) complete(in *inst, q *queueState) {
 	q.progressed = true
 	q.rto.Progress()
@@ -459,10 +509,10 @@ func (e *Engine) retireWrites(q *queueState) {
 
 // redWrite emits the Phase IV bookkeeping update: one RDMA write covering
 // the whole packed red block (head pointers, both progress counters, and
-// the lease heartbeat), §5.2 Phase IV. Nothing waits on its ACK, which
-// handleAck finds in no pending table and drops: a lost red write is NAKed
-// by the compute node at the next probe on the same QP, and finishResync
-// republishes the block.
+// the lease heartbeat), §5.2 Phase IV. It is not in ackComp: nothing waits
+// on its ACK, which only completes the response writes before it, as any
+// compute ACK does. A lost red write is NAKed by the compute node at the
+// next probe on the same QP, and finishResync republishes the block.
 func (e *Engine) redWrite(in *inst, q *queueState) {
 	psn := e.allocPSNs(&in.compPSN, 1)
 	q.sinceRed = 0

@@ -143,10 +143,12 @@ func Pipeline() []StageSpec {
 			Registers: []RegisterSpec{
 				{Name: "progress_counters", Entries: maxInstances * 16, WidthBits: 64},
 				{Name: "req_data_head", Entries: maxInstances * 16, WidthBits: 64},
-				// Phase IV coalescing (queueState.open, sinceRed): requests
-				// in flight and completions since the last red write, two
-				// 16-bit halves updated by one read-modify-write.
-				{Name: "phase4_open", Entries: maxInstances * 16, WidthBits: 32},
+				// Phase IV coalescing (queueState.open, sinceRed) and the
+				// cumulative-ACK counts (readsWaiting, writesWaiting):
+				// requests in flight, completions since the last red write,
+				// and reads and writes waiting on their data, four 16-bit
+				// fields updated by one read-modify-write.
+				{Name: "phase4_open", Entries: maxInstances * 16, WidthBits: 64},
 			},
 			VLIW: 4, // + recycle-or-consume on the register's output
 		},

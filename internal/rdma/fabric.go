@@ -30,8 +30,8 @@ import (
 
 // Device is anything attached to a Fabric that can receive Ethernet frames.
 // The fabric calls Input from the device's inbox goroutine, in delivery
-// order; a NIC of this package also takes frames for its QPs on the
-// sender's goroutine (Fabric.Send), so NIC.Input runs on many goroutines at
+// order; a NIC of this package also takes frames for its QPs on a sending
+// goroutine (Fabric.Send), so NIC.Input runs on many goroutines at
 // once. A device defined outside this package is only ever called from its
 // inbox goroutine. Either way a frame is dead once Input
 // returns: the fabric may recycle it, so a device that needs a frame past
@@ -62,7 +62,11 @@ type nonRetaining interface {
 // forwarding lock, so it must not call Send itself, nor wait on anything
 // that a sender waits on. No sender holds a QP or region lock across Send.
 // The fabric consumes the returned slice before the next Process call, so an
-// interposer may reuse it.
+// interposer may reuse it. The returned frames join the fabric's egress FIFO
+// and are delivered in order, those for a NIC's QP on the goroutine draining
+// it (Fabric.Send): a host's answer re-enters Send, passes Process and joins
+// the same FIFO, so a whole exchange chain runs on one goroutine with no
+// inbox goroutine waking.
 //
 // No frame that passed through an interposer is recycled — it may have
 // retained or aliased them — unless it also implements FrameReleaser.
@@ -93,10 +97,11 @@ func (f InterposerFunc) Process(frame []byte) [][]byte { return f(frame) }
 // Stats counts fabric traffic, for bandwidth-overhead accounting, and the
 // two ways a frame reaches its device.
 type Stats struct {
-	Frames  int64
+	Sent    int64 // frames handed to Send, those an interposer consumes included
+	Frames  int64 // frames delivered to a device
 	Bytes   int64
 	Dropped int64
-	Inline  int64 // frames handled on the sender's goroutine
+	Inline  int64 // frames handled on a sending goroutine
 	Wakeups int64 // inbox Signals that found the delivery goroutine parked
 }
 
@@ -117,13 +122,15 @@ type fabricSnap struct {
 // frames sent to the fabric are forwarded — through the interposer, if any —
 // to the device owning the destination MAC. Per-flow delivery is FIFO.
 //
-// Send runs on the caller's goroutine and returns only once the frame is
-// deposited in its destination inbox or handled, so one sender's frames
-// never reorder. With neither an interposer nor a loss predicate installed
-// it works from the published snapshot alone, so senders to different
-// destinations share nothing but atomic counters. Either knob puts every
-// frame under the one forwarding lock: the interposer's serialization point,
-// and what calls a loss predicate one frame at a time.
+// Send runs on the caller's goroutine and returns once the frame is
+// deposited in its destination inbox or handled, or queued in the egress
+// FIFO behind an interposer, whose one drainer delivers in order; so one
+// sender's frames never reorder. With neither an interposer nor a loss
+// predicate installed it works from the published snapshot alone, so
+// senders to different destinations share nothing but atomic counters.
+// Either knob puts every frame under the one forwarding lock: the
+// interposer's serialization point, and what calls a loss predicate one
+// frame at a time.
 //
 // Lock order: no QP or region lock is held across Send; a sender holds at
 // most fwdMu (released before an inline handler runs), then the destination
@@ -140,12 +147,22 @@ type Fabric struct {
 
 	snap atomic.Pointer[fabricSnap]
 
+	sent    atomic.Int64
 	frames  atomic.Int64
 	bytes   atomic.Int64
 	dropped atomic.Int64
 	inline  atomic.Int64
 
-	fwdMu sync.Mutex // the forwarding lock: held across forward
+	fwdMu sync.Mutex // the forwarding lock: held across forward and drain
+	// egress holds the frames under fwdMu awaiting delivery, in forwarding
+	// order: an interposer's outputs, and any frame forwarded while a drain
+	// runs. draining marks the one goroutine delivering them (drain); it is
+	// written under fwdMu and read by Send's lock-free path. cur is the flow
+	// of the frame that goroutine is handing to a QP with fwdMu released,
+	// or noFlow.
+	egress   container.Ring[egressItem]
+	draining atomic.Bool
+	cur      flow
 
 	pool *framePool
 	wg   sync.WaitGroup // inbox goroutines
@@ -156,6 +173,7 @@ func NewFabric() *Fabric {
 	f := &Fabric{
 		devices: make(map[wire.MAC]*inbox),
 		pool:    newFramePool(),
+		cur:     noFlow,
 	}
 	f.publishLocked()
 	return f
@@ -220,6 +238,7 @@ func (f *Fabric) SetLatency(d time.Duration) {
 // Stats returns a snapshot of the traffic counters.
 func (f *Fabric) Stats() Stats {
 	st := Stats{
+		Sent:    f.sent.Load(),
 		Frames:  f.frames.Load(),
 		Bytes:   f.bytes.Load(),
 		Dropped: f.dropped.Load(),
@@ -232,10 +251,12 @@ func (f *Fabric) Stats() Stats {
 }
 
 // RegisterMetrics exports the fabric's traffic as gauges on reg, read at
-// scrape time: frames forwarded and handled inline, inbox wake-ups, and the
-// retry path of every NIC attached (NICStats) — how many frames still cost a
-// goroutine hand-off, and how many a loss cost.
+// scrape time: frames sent, delivered and handled inline, inbox wake-ups,
+// and the retry path of every NIC attached (NICStats) — how many frames an
+// interposer consumes, how many still cost a goroutine hand-off, and how many
+// a loss cost.
 func (f *Fabric) RegisterMetrics(reg *telemetry.Registry) {
+	reg.Gauge("cowbird_fabric_sent", f.sent.Load)
 	reg.Gauge("cowbird_fabric_frames", f.frames.Load)
 	reg.Gauge("cowbird_fabric_inline", f.inline.Load)
 	reg.Gauge("cowbird_fabric_wakeups", func() int64 { return f.Stats().Wakeups })
@@ -282,14 +303,26 @@ func (f *Fabric) attach(d Device) (*inbox, error) {
 	return ib, nil
 }
 
-// Queued reports whether frames for QP qpn reached the device that owns mac
-// and are not yet read: queued in its inbox (a frame due later under
-// SetLatency is still on the wire), or taken by the inbox goroutine and not
-// yet delivered. The P4 switch's queue timeouts consult it, as QP.onTick
-// consults its own NIC's inbox: a software NIC the scheduler has not run is
-// slow, not silent.
+// Queued reports whether frames for QP qpn of the device that owns mac were
+// forwarded and are not yet read: waiting in the egress FIFO, being handed
+// to the QP by the goroutine draining it, queued in the device's inbox (a
+// frame due later under SetLatency is still on the wire), or taken by the
+// inbox goroutine and not yet delivered. The P4 switch's queue timeouts
+// consult it, as QP.onTick consults its own NIC's inbox: a software NIC the
+// scheduler has not run, or a drain descheduled mid-chain, is slow, not
+// silent. The egress FIFO is guarded by the forwarding lock, so Queued is
+// for an Interposer: call it from Process.
 func (f *Fabric) Queued(mac wire.MAC, qpn uint32) bool {
-	ib := f.snap.Load().devices[macKey(mac[:])]
+	fl := flow{macKey(mac[:]), qpn}
+	if f.cur == fl {
+		return true
+	}
+	for i := 0; i < f.egress.Len(); i++ {
+		if flowOf(f.egress.At(i).frame) == fl {
+			return true
+		}
+	}
+	ib := f.snap.Load().devices[fl.mac]
 	return ib != nil && ib.queued(qpn)
 }
 
@@ -304,20 +337,30 @@ func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
 // Safe for concurrent use.
 //
 // A frame for a QP of this package's NIC — a request, a READ response, an
-// ACK or a NAK — is handled right here, on the sender's goroutine, when the
-// fabric has no interposer and zero latency and the destination inbox holds
-// nothing: a memory pool or a compute node is a plain RDMA responder, and a
-// requester's answer lands in its completion queue, with no goroutine waking
-// per frame. The handler runs once the fabric's locks are released; it
-// sends what it emits (a response, an ACK) on the same goroutine, so a round
-// trip completes inside the requester's PostSend. Senders hold no QP or
-// region lock across Send (QP.unlock), which is what makes any two QPs safe
-// to deliver inline into each other. Every frame through an interposer,
-// every frame under SetLatency and every frame for another device takes the
-// destination inbox.
+// ACK or a NAK — is handled on a sending goroutine when the fabric has zero
+// latency and the destination inbox holds nothing: a memory pool or a
+// compute node is a plain RDMA responder, and a requester's answer lands in
+// its completion queue, with no goroutine waking per frame. The handler runs
+// once the fabric's locks are released; it sends what it emits (a response,
+// an ACK) on the same goroutine, so a round trip completes inside the
+// requester's PostSend. Senders hold no QP or region lock across Send
+// (QP.unlock), which is what makes any two QPs safe to deliver inline into
+// each other. Every frame under SetLatency and every frame for another
+// device takes the destination inbox.
+//
+// With neither an interposer nor a loss predicate, Send delivers from the
+// published snapshot alone and returns once the frame is handled or queued.
+// Either knob puts the frame under the forwarding lock. An interposer's
+// outputs join the egress FIFO, which one sender at a time drains (drain):
+// a sender that finds another draining leaves its frames to it and returns,
+// so the frames of a P4 exchange chain — each host's answer re-enters Send,
+// passes Process and joins the FIFO — are all handled on the goroutine that
+// started the chain. Per-flow order holds across both paths: a frame goes
+// inline only when no earlier frame of its flow is queued anywhere.
 func (f *Fabric) Send(frame []byte) {
+	f.sent.Add(1)
 	var q *QP
-	if s := f.snap.Load(); s.interposer == nil && s.lossFn == nil {
+	if s := f.snap.Load(); s.interposer == nil && s.lossFn == nil && !f.draining.Load() {
 		q = f.deliver(s, frame, true)
 	} else {
 		f.fwdMu.Lock()
@@ -345,35 +388,100 @@ func (f *Fabric) Close() {
 	f.wg.Wait()
 }
 
-// forward runs one frame through the interposer, if any, then delivery,
-// under fwdMu; loading the snapshot here makes a Set* call take effect on the
-// very next frame. Interposed frames are recycled only when a FrameReleaser
-// vouches for them: any other interposer may retain them. It returns the
-// QP to hand the frame to once fwdMu is released (see deliver).
+// forward runs one frame through the interposer, if any, under fwdMu;
+// loading the snapshot here makes a Set* call take effect on the very next
+// frame. Without an interposer and with no drain running it delivers the
+// frame at once, and returns the QP to hand it to once fwdMu is released
+// (see deliver). Otherwise the frame, or what Process returned for it, joins
+// the egress FIFO, and the caller drains it unless a drain is running.
+// Interposed frames are recycled only when a FrameReleaser vouches for them:
+// any other interposer may retain them.
 func (f *Fabric) forward(frame []byte) *QP {
 	s := f.snap.Load()
-	if s.interposer == nil {
+	switch {
+	case s.interposer == nil && !f.draining.Load():
 		return f.deliver(s, frame, true)
-	}
-	consumed := s.releases
-	for _, fr := range s.interposer.Process(frame) {
-		if consumed && len(fr) > 0 && len(frame) > 0 && &fr[0] == &frame[0] {
-			consumed = false
+	case s.interposer == nil:
+		f.egress.Push(egressItem{frame: frame, recycle: true})
+	default:
+		consumed := s.releases
+		for _, fr := range s.interposer.Process(frame) {
+			if consumed && len(fr) > 0 && len(frame) > 0 && &fr[0] == &frame[0] {
+				consumed = false
+			}
+			f.egress.Push(egressItem{frame: fr, recycle: s.releases})
 		}
-		f.deliver(s, fr, s.releases)
+		if consumed {
+			// put keeps buffers below the small class out of the pool, which
+			// is what keeps an interposer's own static frames (the P4
+			// generator tick) from ever being handed out as somebody's
+			// output buffer.
+			f.pool.put(frame)
+		}
 	}
-	if consumed {
-		// put keeps buffers below the small class out of the pool, which is
-		// what keeps an interposer's own static frames (the P4 generator
-		// tick) from ever being handed out as somebody's output buffer.
-		f.pool.put(frame)
+	if !f.draining.Load() {
+		f.drain()
 	}
 	return nil
 }
 
+// egressItem is one frame in the egress FIFO; recycle marks it
+// pool-returnable, as deliver's argument does.
+type egressItem struct {
+	frame   []byte
+	recycle bool
+}
+
+// flow names a frame's destination for Queued: the device's MAC key and the
+// RoCEv2 destination QP.
+type flow struct {
+	mac uint64
+	qpn uint32
+}
+
+// noFlow matches no query: a MAC key has 48 bits, and a QPN 24.
+var noFlow = flow{^uint64(0), nonQPFlow}
+
+// flowOf returns fr's flow, or noFlow for a frame too short to address.
+func flowOf(fr []byte) flow {
+	if len(fr) < wire.EthernetLen {
+		return noFlow
+	}
+	return flow{macKey(fr), flowKey(fr)}
+}
+
+// drain delivers the egress FIFO in order until it is empty; caller holds
+// fwdMu. Each frame is delivered with the snapshot current when it leaves
+// the FIFO, so the choice between a QP on this goroutine and the inbox is
+// made at dequeue time, when every earlier frame of its flow is already
+// handled or queued. For a QP, fwdMu is released while the handler runs:
+// the frames it emits re-enter Send and join the FIFO behind the others,
+// and senders on other goroutines keep forwarding. One goroutine drains at
+// a time — the pattern of QP.unlock's sending — so a frame never overtakes
+// one ahead of it, and inline depth stays one handler.
+func (f *Fabric) drain() {
+	f.draining.Store(true)
+	for f.egress.Len() > 0 {
+		it := f.egress.Pop()
+		q := f.deliver(f.snap.Load(), it.frame, it.recycle)
+		if q == nil {
+			continue
+		}
+		f.cur = flowOf(it.frame)
+		f.fwdMu.Unlock()
+		q.nic.input(q, it.frame)
+		if it.recycle {
+			f.pool.put(it.frame)
+		}
+		f.fwdMu.Lock()
+		f.cur = noFlow
+	}
+	f.draining.Store(false)
+}
+
 // deliver applies the loss predicate and the tap, then deposits fr into the
 // destination inbox — or, for a frame to a NIC's QP with the fabric's
-// interposer and latency both off (inbox.inlineQP), returns that QP, and
+// latency off and the inbox idle (inbox.inlineQP), returns that QP, and
 // the caller hands fr to it. recycle marks the frame pool-returnable:
 // at once if it is dropped, else once a non-retaining destination device has
 // consumed it.
@@ -397,7 +505,7 @@ func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) *QP {
 	if ib == nil {
 		return nil
 	}
-	if s.interposer == nil && s.latency == 0 {
+	if s.latency == 0 {
 		if q := ib.inlineQP(fr); q != nil {
 			f.inline.Add(1)
 			return q
@@ -415,7 +523,7 @@ func macKey(b []byte) uint64 {
 }
 
 // inbox delivers frames to one device on a dedicated goroutine. It carries
-// every frame Fabric.Send does not hand to a QP on the sender's goroutine. Each
+// every frame Fabric.Send does not hand to a QP on a sending goroutine. Each
 // frame carries an optional deliver-at time (SetLatency); times are stamped
 // under the inbox lock in arrival order. Queues are rings, not
 // appended-and-resliced slices: a reslice pins every delivered frame until
@@ -438,9 +546,10 @@ func macKey(b []byte) uint64 {
 // while it is clear, so a flow that switches from the queue to the inline
 // path (a latency knob changed, a burst drained) never lets a frame overtake
 // one still queued: a flow's frames come from its one peer QP, which sends
-// them one goroutine at a time (QP.unlock). The producer only reads the
-// flag on the hot path, one load per queued frame; a count of the queued
-// frames would cost two atomic read-modify-writes.
+// them one goroutine at a time (QP.unlock), or, behind an interposer, from
+// the one goroutine draining the egress FIFO (Fabric.drain). The producer
+// only reads the flag on the hot path, one load per queued frame; a count of
+// the queued frames would cost two atomic read-modify-writes.
 type inbox struct {
 	mu         sync.Mutex
 	cond       *sync.Cond

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -241,5 +242,173 @@ func TestInlineOrderAcrossKnobFlips(t *testing.T) {
 	}
 	if in := p.fabric.Stats().Inline; in == 0 || in >= n {
 		t.Fatalf("Inline = %d of %d requests: the run did not switch between the two paths", in, n)
+	}
+}
+
+// nonQPSwitch is a FrameReleaser interposer that forwards every frame and,
+// before every third, sends its destination a frame for no QP: the NIC
+// ignores it, but it takes the NIC's inbox, so the QP frames behind it must
+// queue too, and the flow keeps switching between the inbox and the inline
+// path. Its extra frames come from Fabric.FrameBuf, as a releaser's must.
+type nonQPSwitch struct {
+	f   *Fabric
+	n   int
+	out [][]byte
+}
+
+func (s *nonQPSwitch) Process(fr []byte) [][]byte {
+	s.out = s.out[:0]
+	if s.n++; s.n%3 == 0 {
+		nf := s.f.FrameBuf(64)[:64]
+		clear(nf)
+		copy(nf[0:6], fr[0:6])
+		nf[12], nf[13] = 0x88, 0xB6 // local experimental EtherType: no IPv4, no QP
+		s.out = append(s.out, nf)
+	}
+	return append(s.out, fr)
+}
+
+func (s *nonQPSwitch) ReleasesFrames() {}
+
+// TestInterposedInlineOrder: behind a switch, the frames it returns reach
+// the hosts through the fabric's egress FIFO, each going inline or to the
+// inbox as the destination stands when it leaves the FIFO. A closed loop
+// runs while the latency flips between 0 and 2 µs every 100 frames and the
+// switch puts a non-QP frame in front of every third: a QP frame handed
+// inline while an earlier one of its flow still sat in the inbox would open
+// a PSN gap, which the responder NAKs and the requester answers with a
+// replay; the RTO is far above the run's round trips, so a replay can come
+// from nothing else. Then, with a switch that keeps every frame it passes,
+// no frame may be recycled after it was handled inline: the switch never
+// promised to let go of them.
+func TestInterposedInlineOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = 10 * time.Second
+	p := newPair(t, cfg)
+	lockedRegion(p.cli, 0x10000)
+	remote := lockedRegion(p.srv, 0x10000)
+	p.fabric.SetInterposer(&nonQPSwitch{f: p.fabric})
+	last := int64(-1)
+	wr := func(i int) WorkRequest {
+		if k := p.fabric.Stats().Frames / 100; k != last {
+			last = k
+			p.fabric.SetLatency(time.Duration(k%2) * 2 * time.Microsecond)
+		}
+		w := WorkRequest{ID: uint64(i), Verb: VerbRead, LocalVA: 0x10000 + uint64(i%256)*64, Length: 64, RemoteVA: 0x10000 + uint64(i%256)*64, RKey: remote.RKey}
+		if i%4 == 0 {
+			w.Verb = VerbWrite
+		}
+		return w
+	}
+	const n = 10_000
+	runBounded(t, 2*time.Minute, func() error { return closedLoop(p.cliQP, p.cliCQ, n, 16, wr) })
+	if st := p.cli.Stats(); st.Replays != 0 {
+		t.Fatalf("%d replays: a frame overtook a queued one (%+v)", st.Replays, st)
+	}
+	st := p.fabric.Stats()
+	if st.Inline == 0 || st.Inline >= st.Frames*2/3 {
+		t.Fatalf("Inline = %d of %d frames: the run did not switch between the two paths", st.Inline, st.Frames)
+	}
+
+	// A switch that keeps every frame, and a copy of it, and checks at the
+	// end that no frame changed under it.
+	p.fabric.SetLatency(0)
+	var kept, copies [][]byte
+	p.fabric.SetInterposer(InterposerFunc(func(fr []byte) [][]byte {
+		kept, copies = append(kept, fr), append(copies, append([]byte(nil), fr...))
+		return [][]byte{fr}
+	}))
+	inline := p.fabric.Stats().Inline
+	if err := closedLoop(p.cliQP, p.cliCQ, 2000, 16, mixedWR(0x10000, remote.RKey)); err != nil {
+		t.Fatal(err)
+	}
+	if p.fabric.Stats().Inline == inline {
+		t.Fatal("no frame was handled inline behind the retaining switch: the check tests nothing")
+	}
+	p.fabric.fwdMu.Lock() // the switch appends under the forwarding lock
+	defer p.fabric.fwdMu.Unlock()
+	for i := range kept {
+		if !bytes.Equal(kept[i], copies[i]) {
+			t.Fatalf("frame %d of %d changed after the fabric handled it: a retained frame was recycled", i, len(kept))
+		}
+	}
+}
+
+// TestQueuedCountsEgress: behind an interposer, Fabric.Queued counts a
+// frame from the moment the interposer returns it until its handler
+// returns: waiting in the egress FIFO, or being handed to its QP by the
+// goroutine draining the FIFO. The server QP's lock is held, so that
+// goroutine stops inside the delivery of the client's WRITE; meanwhile the
+// switch, asked through frames addressed to itself, sees the WRITE in
+// delivery and then an ACK for the client queued behind it.
+func TestQueuedCountsEgress(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	lockedRegion(p.cli, 0x10000)
+	remote := lockedRegion(p.srv, 0x10000)
+	self := wire.MAC{2, 0, 0, 0, 0, 0xEE}
+	var asked [][2]bool // per question: the server's QP queued, the client's
+	p.fabric.SetInterposer(InterposerFunc(func(fr []byte) [][]byte {
+		if bytes.Equal(fr[0:6], self[:]) {
+			asked = append(asked, [2]bool{p.fabric.Queued(p.srv.MAC(), p.srvQP.QPN()), p.fabric.Queued(p.cli.MAC(), p.cliQP.QPN())})
+			return nil
+		}
+		return [][]byte{fr}
+	}))
+	ask := func() [2]bool {
+		p.fabric.Send(append(self[:], make([]byte, 8)...))
+		p.fabric.fwdMu.Lock()
+		defer p.fabric.fwdMu.Unlock()
+		return asked[len(asked)-1]
+	}
+	if got := ask(); got != [2]bool{} {
+		t.Fatalf("queued %v on an idle fabric", got)
+	}
+
+	release := p.srvQP.hold()
+	defer release() // a failed check must not leave the cleanups' Close waiting for it
+	posted := make(chan error, 1)
+	go func() {
+		posted <- p.cliQP.PostSend(WorkRequest{ID: 1, Verb: VerbWrite, LocalVA: 0x10000, Length: 64, RemoteVA: 0x10000, RKey: remote.RKey})
+	}()
+	srvMAC := p.srv.MAC()
+	srvFlow := flow{macKey(srvMAC[:]), p.srvQP.QPN()}
+	for {
+		p.fabric.fwdMu.Lock()
+		in := p.fabric.cur == srvFlow
+		p.fabric.fwdMu.Unlock()
+		if in {
+			break
+		}
+		runtime.Gosched()
+	}
+	if got := ask(); got != [2]bool{true, false} {
+		t.Fatalf("queued %v with the WRITE in delivery, want the server's QP only", got)
+	}
+	// An ACK for the client, below its first PSN so that it changes nothing,
+	// waits in the FIFO behind the WRITE.
+	ack := wire.Packet{}
+	ack.Eth.Src, ack.Eth.Dst = p.srv.MAC(), p.cli.MAC()
+	ack.IP.Src, ack.IP.Dst = p.srv.IP(), p.cli.IP()
+	ack.BTH = wire.BTH{OpCode: wire.OpAcknowledge, DestQP: p.cliQP.QPN(), PSN: 99}
+	ack.AETH = wire.AETH{Syndrome: wire.SyndromeACK}
+	fr, err := ack.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.fabric.Send(fr)
+	if got := ask(); got != [2]bool{true, true} {
+		t.Fatalf("queued %v with the ACK in the FIFO, want both QPs", got)
+	}
+	release()
+	if err := <-posted; err != nil {
+		t.Fatal(err)
+	}
+	var cqe [1]CQE
+	if n := p.cliCQ.PollInto(cqe[:]); n != 1 || cqe[0].Status != StatusOK {
+		t.Fatalf("the WRITE did not complete inside PostSend: %d completions (%+v)", n, cqe[0])
+	}
+	if got := ask(); got != [2]bool{} {
+		t.Fatalf("queued %v once the FIFO drained", got)
 	}
 }

@@ -170,6 +170,30 @@ func TestInlineRespondersFleet(t *testing.T) {
 	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
 }
 
+// TestInlineP4System: the same check behind the P4 switch. Every frame the
+// switch emits — probes, fetches, pool reads and writes, response and
+// bookkeeping writes — is handled by the compute node or the memory pool on
+// the goroutine draining the fabric's egress FIFO, and every answer re-enters
+// the switch on it, so no NIC's inbox goroutine wakes once the deployment is
+// set up. The switch's input, the frames handed to Send, is logged per
+// operation: READ responses and ACKs the switch consumes, which Frames does
+// not count.
+func TestInlineP4System(t *testing.T) {
+	s := startSystem(t, func(c *Config) { c.Engine = EngineP4 })
+	fc := countFrames(s.Fabric)
+	nics := []*rdma.NIC{s.Compute}
+	for _, p := range s.Pools {
+		nics = append(nics, p.NIC())
+	}
+	runMixed(t, s.Client, 200, 1)
+	f0, i0 := fc.read(t)
+	w0, sent0 := inboxWakeups(nics), s.Fabric.Stats().Sent
+	runMixed(t, s.Client, 2000, 1)
+	f1, i1 := fc.read(t)
+	t.Logf("%.2f frames sent per operation", float64(s.Fabric.Stats().Sent-sent0)/2000)
+	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
+}
+
 // TestFabricMetricsScrape: the fabric's gauges land in the deployment's
 // registry, and a scrape after a lossless spot run shows what the counters
 // do: every frame handled inline, no inbox wake-up since set-up and nothing
@@ -184,6 +208,9 @@ func TestFabricMetricsScrape(t *testing.T) {
 	after := tel.Reg.Snapshot().Gauges
 	if frames := after["cowbird_fabric_frames"]; frames < 4000 || after["cowbird_fabric_inline"] != frames {
 		t.Fatalf("scraped %d frames, %d inline: want every frame of the run inline", frames, after["cowbird_fabric_inline"])
+	}
+	if sent := after["cowbird_fabric_sent"]; sent != after["cowbird_fabric_frames"] {
+		t.Fatalf("scraped %d frames sent and %d delivered: without a switch every frame sent is delivered", sent, after["cowbird_fabric_frames"])
 	}
 	if w := after["cowbird_fabric_wakeups"] - before["cowbird_fabric_wakeups"]; w != 0 {
 		t.Fatalf("the inboxes woke %d times after set-up, want 0", w)

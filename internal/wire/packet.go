@@ -40,9 +40,10 @@ var (
 
 // icrcTable is the CRC-32C table used for the invariant CRC. (The IB spec
 // uses the CRC-32 polynomial; Castagnoli here is an acceptable stand-in
-// because both ends of this stack agree, and — mirroring the paper's §5.1
-// footnote — verification can be disabled entirely for switch-generated
-// packets.)
+// because both ends of this stack agree. Every frame carries one and every
+// decode checks it, the switch's included: the paper's §5.1 footnote turns
+// the check off on the hosts because a Tofino cannot compute ICRCs, and
+// this software switch can.)
 var icrcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC-32C of data using the same Castagnoli table as
@@ -51,18 +52,6 @@ var icrcTable = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(data []byte) uint32 {
 	return crc32.Update(0, icrcTable, data)
 }
-
-// VerifyICRC controls whether DecodeFromBytes checks the ICRC trailer.
-// Cowbird-P4 cannot compute ICRCs in the data plane, so deployments using it
-// disable the check on end hosts, exactly as the paper does.
-var VerifyICRC = true
-
-// ComputeICRC controls whether SerializeTo/SerializeInto compute the ICRC
-// trailer. On real testbeds the transmit-side ICRC is generated by the RNIC
-// hardware, not by a host core; benchmarks that model that offload can clear
-// this (together with VerifyICRC) to keep the CRC out of the measured CPU
-// path. When false the trailer is written as zero. Default true.
-var ComputeICRC = true
 
 // headerLen returns the total length of all headers for op, excluding
 // payload and ICRC.
@@ -138,10 +127,8 @@ func (p *Packet) DecodeFromBytes(buf []byte) error {
 	}
 	p.Payload = buf[off : end-pad]
 	p.ICRC = uint32(buf[end])<<24 | uint32(buf[end+1])<<16 | uint32(buf[end+2])<<8 | uint32(buf[end+3])
-	if VerifyICRC {
-		if want := p.computeICRC(buf[:end]); want != p.ICRC {
-			return fmt.Errorf("%w: got 0x%08x want 0x%08x", ErrBadICRC, p.ICRC, want)
-		}
+	if want := p.computeICRC(buf[:end]); want != p.ICRC {
+		return fmt.Errorf("%w: got 0x%08x want 0x%08x", ErrBadICRC, p.ICRC, want)
 	}
 	return nil
 }
@@ -213,11 +200,7 @@ func (p *Packet) SerializeTo(buf []byte) (int, error) {
 		buf[off+i] = 0
 	}
 	off += pad
-	if ComputeICRC {
-		p.ICRC = p.computeICRC(buf[:off])
-	} else {
-		p.ICRC = 0
-	}
+	p.ICRC = p.computeICRC(buf[:off])
 	buf[off] = byte(p.ICRC >> 24)
 	buf[off+1] = byte(p.ICRC >> 16)
 	buf[off+2] = byte(p.ICRC >> 8)

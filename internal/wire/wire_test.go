@@ -155,21 +155,6 @@ func TestICRCIgnoresVariantFields(t *testing.T) {
 	}
 }
 
-func TestVerifyICRCDisabled(t *testing.T) {
-	defer func() { VerifyICRC = true }()
-	in := samplePacket(OpAcknowledge, nil)
-	frame, _ := in.Serialize()
-	frame[len(frame)-1] ^= 0xff // corrupt ICRC itself
-	var out Packet
-	if err := out.DecodeFromBytes(frame); err == nil {
-		t.Fatal("corrupt ICRC accepted with verification on")
-	}
-	VerifyICRC = false
-	if err := out.DecodeFromBytes(frame); err != nil {
-		t.Fatalf("ICRC checked despite VerifyICRC=false: %v", err)
-	}
-}
-
 func TestDecodeRejectsGarbage(t *testing.T) {
 	var p Packet
 	cases := [][]byte{
