@@ -52,7 +52,7 @@ type closedLoop struct {
 	// warmWindow, when larger than window, is the in-flight bound of the
 	// warm-up prefix. A sweep that gates on allocations warms at twice the
 	// measured window so every high-water mark — frame-pool population,
-	// inbox backlog depth, ring occupancy — is set before the window opens;
+	// delay-line depth, ring occupancy — is set before the window opens;
 	// a new high during measurement would show up as a one-off pool-miss
 	// allocation.
 	warmWindow int

@@ -214,7 +214,7 @@ func TestReleasingInterposerRecycles(t *testing.T) {
 }
 
 // TestLatencyAppliesOnFastPath: SetLatency must delay delivery even when
-// frames take the direct path (latency is an inbox property, not a
+// frames take the direct path (latency is the delay line's property, not a
 // forwarding one).
 func TestLatencyAppliesOnFastPath(t *testing.T) {
 	p := newAllocPair(t, DefaultConfig())

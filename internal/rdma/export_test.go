@@ -33,19 +33,19 @@ func (q *QP) retryCount() int {
 }
 
 // hold takes q's datapath lock until release is called (once or more): a
-// frame for q then stops its NIC's inbox consumer inside Input, and every
-// frame behind it waits in the inbox.
+// frame for q then stops the goroutine delivering it inside Input; when that
+// is the delay line's, every frame behind it waits on the line.
 func (q *QP) hold() (release func()) {
 	q.mu.Lock()
 	var once sync.Once
 	return func() { once.Do(q.mu.Unlock) }
 }
 
-// inDelivery reports whether the inbox consumer has taken a frame of flow
-// key and not yet come back for more.
-func (ib *inbox) inDelivery(key uint32) bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	fl := ib.flows[key]
-	return fl != nil && fl.delivering > 0
+// inDelivery reports whether the delay line's goroutine is handing a frame
+// of q's flow to q.
+func (q *QP) inDelivery() bool {
+	l := &q.nic.fabric.line
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.cur == flow{macKey(q.nic.mac[:]), q.qpn}
 }

@@ -29,14 +29,14 @@ import (
 )
 
 // Device is anything attached to a Fabric that can receive Ethernet frames.
-// The fabric calls Input from the device's inbox goroutine, in delivery
-// order; a NIC of this package also takes frames for its QPs on a sending
-// goroutine (Fabric.Send), so NIC.Input runs on many goroutines at
-// once. A device defined outside this package is only ever called from its
-// inbox goroutine. Either way a frame is dead once Input
-// returns: the fabric may recycle it, so a device that needs a frame past
-// Input must copy it — unless it avoids implementing nonRetaining, in which
-// case its frames are never recycled.
+// The fabric calls Input on whichever goroutine delivers the frame — a
+// sender's, or the delay line's (Fabric.Send) — so Input runs on many
+// goroutines at once, and must be safe for that. Per-flow order holds: the
+// frames of one flow (one destination QP, or all of a device's non-RoCE
+// frames from one sender) reach Input one at a time, in forwarding order.
+// A frame is dead once Input returns: the fabric may recycle it, so a device
+// that needs a frame past Input must copy it — unless it avoids implementing
+// nonRetaining, in which case its frames are never recycled.
 type Device interface {
 	MAC() wire.MAC
 	Input(frame []byte)
@@ -63,10 +63,9 @@ type nonRetaining interface {
 // that a sender waits on. No sender holds a QP or region lock across Send.
 // The fabric consumes the returned slice before the next Process call, so an
 // interposer may reuse it. The returned frames join the fabric's egress FIFO
-// and are delivered in order, those for a NIC's QP on the goroutine draining
-// it (Fabric.Send): a host's answer re-enters Send, passes Process and joins
-// the same FIFO, so a whole exchange chain runs on one goroutine with no
-// inbox goroutine waking.
+// and are delivered in order on the goroutine draining it (Fabric.Send): a
+// host's answer re-enters Send, passes Process and joins the same FIFO, so a
+// whole exchange chain runs on one goroutine.
 //
 // No frame that passed through an interposer is recycled — it may have
 // retained or aliased them — unless it also implements FrameReleaser.
@@ -94,15 +93,14 @@ type InterposerFunc func(frame []byte) [][]byte
 // Process implements Interposer.
 func (f InterposerFunc) Process(frame []byte) [][]byte { return f(frame) }
 
-// Stats counts fabric traffic, for bandwidth-overhead accounting, and the
-// two ways a frame reaches its device.
+// Stats counts fabric traffic, for bandwidth-overhead accounting. Frames
+// less Inline is how many frames took the delay line.
 type Stats struct {
 	Sent    int64 // frames handed to Send, those an interposer consumes included
 	Frames  int64 // frames delivered to a device
 	Bytes   int64
 	Dropped int64
-	Inline  int64 // frames handled on a sending goroutine
-	Wakeups int64 // inbox Signals that found the delivery goroutine parked
+	Inline  int64 // frames handed to their device on a sending goroutine
 }
 
 // fabricSnap is the immutable forwarding state published to the datapath.
@@ -110,35 +108,43 @@ type Stats struct {
 // the Set* knobs) rebuilds and republishes it under Fabric.mu. This is the
 // copy-on-write device table the sharded fast path reads lock-free.
 type fabricSnap struct {
-	devices    map[uint64]*inbox // keyed by macKey
+	devices    map[uint64]port // keyed by macKey
 	interposer Interposer
 	releases   bool // interposer is a FrameReleaser
 	lossFn     func(frame []byte) bool
 	latency    time.Duration
 	tap        *PcapTap
+	closed     bool // Close ran: every frame is dropped
+}
+
+// port is an attached device; recyclable marks it nonRetaining.
+type port struct {
+	dev        Device
+	recyclable bool
 }
 
 // Fabric is an in-process Ethernet segment: devices attach with a MAC, and
 // frames sent to the fabric are forwarded — through the interposer, if any —
 // to the device owning the destination MAC. Per-flow delivery is FIFO.
 //
-// Send runs on the caller's goroutine and returns once the frame is
-// deposited in its destination inbox or handled, or queued in the egress
-// FIFO behind an interposer, whose one drainer delivers in order; so one
-// sender's frames never reorder. With neither an interposer nor a loss
-// predicate installed it works from the published snapshot alone, so
-// senders to different destinations share nothing but atomic counters.
-// Either knob puts every frame under the one forwarding lock: the
-// interposer's serialization point, and what calls a loss predicate one
-// frame at a time.
+// Send runs on the caller's goroutine and returns once the frame is handled,
+// queued on the delay line, or queued in the egress FIFO behind an
+// interposer, whose one drainer delivers in order; so one sender's frames
+// never reorder. With neither an interposer nor a loss predicate installed
+// it works from the published snapshot alone, so senders to different
+// destinations share nothing but atomic counters. Either knob puts every
+// frame under the one forwarding lock: the interposer's serialization point,
+// and what calls a loss predicate one frame at a time. A fabric runs one
+// goroutine of its own, the delay line's (delayLine), however many devices
+// are attached.
 //
 // Lock order: no QP or region lock is held across Send; a sender holds at
-// most fwdMu (released before an inline handler runs), then the destination
-// inbox's lock. A handler takes its QP's lock, then a region's DMA lock or
-// an inbox lock (QP.onTick), and releases both before its frames leave.
+// most fwdMu (released before a device's Input runs), then the delay line's
+// lock. A handler takes its QP's lock, then a region's DMA lock or the delay
+// line's (QP.onTick), and releases both before its frames leave.
 type Fabric struct {
 	mu      sync.Mutex // control plane: guards the master copies below
-	devices map[wire.MAC]*inbox
+	devices map[wire.MAC]port
 	interp  Interposer
 	lossFn  func(frame []byte) bool
 	latency time.Duration
@@ -164,17 +170,19 @@ type Fabric struct {
 	draining atomic.Bool
 	cur      flow
 
+	line delayLine
 	pool *framePool
-	wg   sync.WaitGroup // inbox goroutines
 }
 
-// NewFabric returns a running fabric with no devices attached.
+// NewFabric returns a running fabric with no devices attached, and starts
+// its delay line's goroutine; Close stops it.
 func NewFabric() *Fabric {
 	f := &Fabric{
-		devices: make(map[wire.MAC]*inbox),
+		devices: make(map[wire.MAC]port),
 		pool:    newFramePool(),
 		cur:     noFlow,
 	}
+	f.line.start(f.pool)
 	f.publishLocked()
 	return f
 }
@@ -182,9 +190,9 @@ func NewFabric() *Fabric {
 // publishLocked rebuilds the datapath snapshot from the master state.
 // Caller holds f.mu (or, in NewFabric, exclusive access).
 func (f *Fabric) publishLocked() {
-	devices := make(map[uint64]*inbox, len(f.devices))
-	for mac, ib := range f.devices {
-		devices[macKey(mac[:])] = ib
+	devices := make(map[uint64]port, len(f.devices))
+	for mac, p := range f.devices {
+		devices[macKey(mac[:])] = p
 	}
 	_, releases := f.interp.(FrameReleaser)
 	f.snap.Store(&fabricSnap{
@@ -194,6 +202,7 @@ func (f *Fabric) publishLocked() {
 		lossFn:     f.lossFn,
 		latency:    f.latency,
 		tap:        f.tap,
+		closed:     f.closed,
 	})
 }
 
@@ -221,13 +230,14 @@ func (f *Fabric) SetLossFn(fn func(frame []byte) bool) {
 // SetLatency introduces a fixed propagation latency per frame: a frame
 // becomes deliverable d after it was forwarded, but consecutive frames'
 // latencies overlap — an infinite-bandwidth, fixed-latency pipe, the model
-// of the testbed network that matters for pipelining experiments. Per-
-// destination FIFO ordering is preserved (deliver-at times are stamped
-// under the destination inbox's lock, in arrival order). Engines that keep
-// many requests in flight hide this latency; engines that wait out each
-// round trip pay it in full, which is exactly what the engine-scaling
-// benchmarks (internal/bench) measure. With a latency set, every frame
-// queues (Send).
+// of the testbed network that matters for pipelining experiments. With a
+// latency set, every frame waits on the fabric's delay line, which delivers
+// in forwarding order; a frame forwarded after the latency is lowered waits
+// behind the earlier ones and never overtakes them. Engines that keep many
+// requests in flight hide this latency; engines that wait out each round
+// trip pay it in full. The engine-scaling and client-cache sweeps
+// (internal/bench) run under a latency, and the chaos injector's latency
+// events set one for their span.
 func (f *Fabric) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -237,37 +247,29 @@ func (f *Fabric) SetLatency(d time.Duration) {
 
 // Stats returns a snapshot of the traffic counters.
 func (f *Fabric) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Sent:    f.sent.Load(),
 		Frames:  f.frames.Load(),
 		Bytes:   f.bytes.Load(),
 		Dropped: f.dropped.Load(),
 		Inline:  f.inline.Load(),
 	}
-	for _, ib := range f.snap.Load().devices {
-		st.Wakeups += ib.wakeups.Load()
-	}
-	return st
 }
 
 // RegisterMetrics exports the fabric's traffic as gauges on reg, read at
-// scrape time: frames sent, delivered and handled inline, inbox wake-ups,
-// and the retry path of every NIC attached (NICStats) — how many frames an
-// interposer consumes, how many still cost a goroutine hand-off, and how many
-// a loss cost.
+// scrape time: frames sent, delivered and handed over inline, and the retry
+// path of every NIC attached (NICStats) — how many frames an interposer
+// consumes, how many took the delay line, and how many a loss cost.
 func (f *Fabric) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("cowbird_fabric_sent", f.sent.Load)
 	reg.Gauge("cowbird_fabric_frames", f.frames.Load)
 	reg.Gauge("cowbird_fabric_inline", f.inline.Load)
-	reg.Gauge("cowbird_fabric_wakeups", func() int64 { return f.Stats().Wakeups })
-	// Only the NICs' own counters are read: a NIC is on the snapshot
-	// before NewNIC has returned, and its inbox field is set after.
 	nics := func(pick func(*NIC) int64) func() int64 {
 		return func() int64 {
 			var total int64
-			for _, ib := range f.snap.Load().devices {
-				if ib.nic != nil {
-					total += pick(ib.nic)
+			for _, p := range f.snap.Load().devices {
+				if n, ok := p.dev.(*NIC); ok {
+					total += pick(n)
 				}
 			}
 			return total
@@ -279,37 +281,31 @@ func (f *Fabric) RegisterMetrics(reg *telemetry.Registry) {
 
 // Attach connects a device. It panics if the MAC is already in use.
 func (f *Fabric) Attach(d Device) {
-	if _, err := f.attach(d); err != nil {
+	if err := f.attach(d); err != nil {
 		panic(err)
 	}
 }
 
-// attach connects d and returns its inbox, or an error if its MAC is in use.
-func (f *Fabric) attach(d Device) (*inbox, error) {
+// attach connects d, or returns an error if its MAC is in use.
+func (f *Fabric) attach(d Device) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	mac := d.MAC()
 	if _, dup := f.devices[mac]; dup {
-		return nil, errors.New("rdma: duplicate MAC on fabric: " + mac.String())
+		return errors.New("rdma: duplicate MAC on fabric: " + mac.String())
 	}
-	ib := newInbox(d, f.pool)
-	f.devices[mac] = ib
+	_, recyclable := d.(nonRetaining)
+	f.devices[mac] = port{dev: d, recyclable: recyclable}
 	f.publishLocked()
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		ib.run()
-	}()
-	return ib, nil
+	return nil
 }
 
 // Queued reports whether frames for QP qpn of the device that owns mac were
 // forwarded and are not yet read: waiting in the egress FIFO, being handed
-// to the QP by the goroutine draining it, queued in the device's inbox (a
-// frame due later under SetLatency is still on the wire), or taken by the
-// inbox goroutine and not yet delivered. The P4 switch's queue timeouts
-// consult it, as QP.onTick consults its own NIC's inbox: a software NIC the
-// scheduler has not run, or a drain descheduled mid-chain, is slow, not
+// to the QP by the goroutine draining it, or due on the delay line or in its
+// delivery (a frame not yet due under SetLatency is still on the wire). The
+// P4 switch's queue timeouts consult it, as QP.onTick consults the delay
+// line: a drain descheduled mid-chain, or a line behind, is slow, not
 // silent. The egress FIFO is guarded by the forwarding lock, so Queued is
 // for an Interposer: call it from Process.
 func (f *Fabric) Queued(mac wire.MAC, qpn uint32) bool {
@@ -322,8 +318,7 @@ func (f *Fabric) Queued(mac wire.MAC, qpn uint32) bool {
 			return true
 		}
 	}
-	ib := f.snap.Load().devices[fl.mac]
-	return ib != nil && ib.queued(qpn)
+	return f.line.queued(fl, fl)
 }
 
 // FrameBuf returns an empty buffer with capacity for an n-byte frame, drawn
@@ -336,17 +331,18 @@ func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
 // returns (the fabric may recycle it into the frame pool once delivered).
 // Safe for concurrent use.
 //
-// A frame for a QP of this package's NIC — a request, a READ response, an
-// ACK or a NAK — is handled on a sending goroutine when the fabric has zero
-// latency and the destination inbox holds nothing: a memory pool or a
-// compute node is a plain RDMA responder, and a requester's answer lands in
-// its completion queue, with no goroutine waking per frame. The handler runs
-// once the fabric's locks are released; it sends what it emits (a response,
-// an ACK) on the same goroutine, so a round trip completes inside the
-// requester's PostSend. Senders hold no QP or region lock across Send
-// (QP.unlock), which is what makes any two QPs safe to deliver inline into
-// each other. Every frame under SetLatency and every frame for another
-// device takes the destination inbox.
+// One rule decides how a frame reaches its device. With zero latency and
+// nothing on the delay line, the frame is handed to its device on the
+// sending goroutine, once the fabric's locks are released: a memory pool or
+// a compute node is a plain RDMA responder, and a requester's answer lands
+// in its completion queue, with no goroutine waking per frame. A handler
+// sends what it emits (a response, an ACK) on the same goroutine, so a round
+// trip completes inside the requester's PostSend. Senders hold no QP or
+// region lock across Send (QP.unlock), which is what makes any two QPs safe
+// to deliver into each other. Every other frame — under SetLatency, or
+// forwarded while the line holds frames or is delivering one — joins the
+// delay line, whose one goroutine delivers in forwarding order; a frame a
+// handler emits on that goroutine queues behind the rest.
 //
 // With neither an interposer nor a loss predicate, Send delivers from the
 // published snapshot alone and returns once the frame is handled or queued.
@@ -355,25 +351,30 @@ func (f *Fabric) FrameBuf(n int) []byte { return f.pool.get(n) }
 // a sender that finds another draining leaves its frames to it and returns,
 // so the frames of a P4 exchange chain — each host's answer re-enters Send,
 // passes Process and joins the FIFO — are all handled on the goroutine that
-// started the chain. Per-flow order holds across both paths: a frame goes
-// inline only when no earlier frame of its flow is queued anywhere.
+// started the chain. Per-flow order holds across every path: a frame goes
+// inline only when no earlier frame is queued anywhere.
 func (f *Fabric) Send(frame []byte) {
 	f.sent.Add(1)
-	var q *QP
+	var dev Device
+	var recycle bool
 	if s := f.snap.Load(); s.interposer == nil && s.lossFn == nil && !f.draining.Load() {
-		q = f.deliver(s, frame, true)
+		dev, recycle = f.deliver(s, frame, true)
 	} else {
 		f.fwdMu.Lock()
-		q = f.forward(frame)
+		dev, recycle = f.forward(frame)
 		f.fwdMu.Unlock()
 	}
-	if q != nil {
-		q.nic.input(q, frame)
-		f.pool.put(frame)
+	if dev != nil {
+		dev.Input(frame)
+		if recycle {
+			f.pool.put(frame)
+		}
 	}
 }
 
-// Close stops the fabric and waits for delivery goroutines to drain.
+// Close stops the fabric: later frames are dropped, the frames on the delay
+// line too, and Close returns once the line's goroutine, having finished the
+// frame in delivery, has exited.
 func (f *Fabric) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -381,22 +382,20 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closed = true
-	for _, ib := range f.devices {
-		ib.close()
-	}
+	f.publishLocked()
 	f.mu.Unlock()
-	f.wg.Wait()
+	f.line.close()
 }
 
 // forward runs one frame through the interposer, if any, under fwdMu;
 // loading the snapshot here makes a Set* call take effect on the very next
 // frame. Without an interposer and with no drain running it delivers the
-// frame at once, and returns the QP to hand it to once fwdMu is released
+// frame at once, and returns the device to hand it to once fwdMu is released
 // (see deliver). Otherwise the frame, or what Process returned for it, joins
 // the egress FIFO, and the caller drains it unless a drain is running.
 // Interposed frames are recycled only when a FrameReleaser vouches for them:
 // any other interposer may retain them.
-func (f *Fabric) forward(frame []byte) *QP {
+func (f *Fabric) forward(frame []byte) (Device, bool) {
 	s := f.snap.Load()
 	switch {
 	case s.interposer == nil && !f.draining.Load():
@@ -422,7 +421,7 @@ func (f *Fabric) forward(frame []byte) *QP {
 	if !f.draining.Load() {
 		f.drain()
 	}
-	return nil
+	return nil, false
 }
 
 // egressItem is one frame in the egress FIFO; recycle marks it
@@ -432,8 +431,8 @@ type egressItem struct {
 	recycle bool
 }
 
-// flow names a frame's destination for Queued: the device's MAC key and the
-// RoCEv2 destination QP.
+// flow names a frame's destination: the device's MAC key and the RoCEv2
+// destination QP.
 type flow struct {
 	mac uint64
 	qpn uint32
@@ -452,25 +451,25 @@ func flowOf(fr []byte) flow {
 
 // drain delivers the egress FIFO in order until it is empty; caller holds
 // fwdMu. Each frame is delivered with the snapshot current when it leaves
-// the FIFO, so the choice between a QP on this goroutine and the inbox is
-// made at dequeue time, when every earlier frame of its flow is already
-// handled or queued. For a QP, fwdMu is released while the handler runs:
-// the frames it emits re-enter Send and join the FIFO behind the others,
-// and senders on other goroutines keep forwarding. One goroutine drains at
-// a time — the pattern of QP.unlock's sending — so a frame never overtakes
-// one ahead of it, and inline depth stays one handler.
+// the FIFO, so the choice between this goroutine and the delay line is made
+// at dequeue time, when every earlier frame is already handled or queued.
+// fwdMu is released while the device's Input runs: the frames a handler
+// emits re-enter Send and join the FIFO behind the others, and senders on
+// other goroutines keep forwarding. One goroutine drains at a time — the
+// pattern of QP.unlock's sending — so a frame never overtakes one ahead of
+// it, and inline depth stays one handler.
 func (f *Fabric) drain() {
 	f.draining.Store(true)
 	for f.egress.Len() > 0 {
 		it := f.egress.Pop()
-		q := f.deliver(f.snap.Load(), it.frame, it.recycle)
-		if q == nil {
+		dev, recycle := f.deliver(f.snap.Load(), it.frame, it.recycle)
+		if dev == nil {
 			continue
 		}
 		f.cur = flowOf(it.frame)
 		f.fwdMu.Unlock()
-		q.nic.input(q, it.frame)
-		if it.recycle {
+		dev.Input(it.frame)
+		if recycle {
 			f.pool.put(it.frame)
 		}
 		f.fwdMu.Lock()
@@ -479,40 +478,38 @@ func (f *Fabric) drain() {
 	f.draining.Store(false)
 }
 
-// deliver applies the loss predicate and the tap, then deposits fr into the
-// destination inbox — or, for a frame to a NIC's QP with the fabric's
-// latency off and the inbox idle (inbox.inlineQP), returns that QP, and
-// the caller hands fr to it. recycle marks the frame pool-returnable:
-// at once if it is dropped, else once a non-retaining destination device has
-// consumed it.
-func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) *QP {
+// deliver applies the loss predicate and the tap, then either puts fr on the
+// delay line or — with the fabric's latency off and the line idle — returns
+// its device, which the caller hands fr to, and whether the caller recycles
+// fr afterwards. recycle marks the frame pool-returnable: at once if it is
+// dropped, else once a non-retaining destination device has consumed it.
+func (f *Fabric) deliver(s *fabricSnap, fr []byte, recycle bool) (Device, bool) {
 	if len(fr) < wire.EthernetLen {
-		return nil
+		return nil, false
 	}
 	if s.lossFn != nil && s.lossFn(fr) {
 		f.dropped.Add(1)
 		if recycle {
 			f.pool.put(fr)
 		}
-		return nil
+		return nil, false
 	}
 	if s.tap != nil {
 		s.tap.Capture(fr)
 	}
-	ib := s.devices[macKey(fr)]
+	p, ok := s.devices[macKey(fr)]
 	f.frames.Add(1)
 	f.bytes.Add(int64(len(fr)))
-	if ib == nil {
-		return nil
+	if !ok || s.closed {
+		return nil, false
 	}
-	if s.latency == 0 {
-		if q := ib.inlineQP(fr); q != nil {
-			f.inline.Add(1)
-			return q
-		}
+	recycle = recycle && p.recyclable
+	if s.latency == 0 && !f.line.busy.Load() {
+		f.inline.Add(1)
+		return p.dev, recycle
 	}
-	ib.put(fr, s.latency, recycle && ib.recyclable)
-	return nil
+	f.line.push(fr, p.dev, recycle, s.latency)
+	return nil, false
 }
 
 // macKey packs the MAC in b's first six bytes into a word: the snapshot's
@@ -522,68 +519,8 @@ func macKey(b []byte) uint64 {
 	return uint64(binary.BigEndian.Uint16(b[0:2]))<<32 | uint64(binary.BigEndian.Uint32(b[2:6]))
 }
 
-// inbox delivers frames to one device on a dedicated goroutine. It carries
-// every frame Fabric.Send does not hand to a QP on a sending goroutine. Each
-// frame carries an optional deliver-at time (SetLatency); times are stamped
-// under the inbox lock in arrival order. Queues are rings, not
-// appended-and-resliced slices: a reslice pins every delivered frame until
-// the backing array turns over, which under bursty traffic retained
-// megabytes of dead frames.
-//
-// Frames are queued per source flow — the RoCEv2 BTH destination QP — and
-// drained round-robin across flows, one frame per flow per turn. A single
-// global FIFO head-of-line-blocked every tenant behind the hottest QP's
-// burst inside each pop batch; with per-flow queues a 10k-frame aggressor
-// burst delays a peer's lone frame by at most the frames ahead of it in its
-// own flow plus one round of the active flows. FIFO order is preserved
-// within a flow (where RC ordering actually matters); cross-flow order was
-// never guaranteed by real hardware either. Non-RoCEv2 frames share one
-// overflow flow.
-//
-// busy is set by the first frame queued after the consumer parked and
-// cleared only when the consumer parks again, having found nothing queued
-// and delivered everything it popped. A frame is handed to a QP inline only
-// while it is clear, so a flow that switches from the queue to the inline
-// path (a latency knob changed, a burst drained) never lets a frame overtake
-// one still queued: a flow's frames come from its one peer QP, which sends
-// them one goroutine at a time (QP.unlock), or, behind an interposer, from
-// the one goroutine draining the egress FIFO (Fabric.drain). The producer
-// only reads the flag on the hot path, one load per queued frame; a count of
-// the queued frames would cost two atomic read-modify-writes.
-type inbox struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	flows      map[uint32]*inboxFlow
-	active     container.Ring[*inboxFlow] // flows with queued frames, RR order
-	waiting    bool                       // consumer is parked in cond.Wait; Signal only then
-	closed     atomic.Bool                // written under mu
-	busy       atomic.Bool                // frames queued or in delivery; written under mu
-	wakeups    atomic.Int64               // Signals that found the consumer parked
-	dev        Device
-	nic        *NIC // dev, when it is this package's NIC: the one inline target
-	pool       *framePool
-	recyclable bool
-}
-
-// inboxFlow is one destination QP's FIFO within an inbox. queued marks
-// membership in the active ring so a flow is never enqueued twice;
-// delivering counts its frames in the consumer's current batch. All three
-// are guarded by the inbox mutex.
-type inboxFlow struct {
-	frames     container.Ring[inboxItem]
-	queued     bool
-	delivering int
-}
-
-type inboxItem struct {
-	frame   []byte
-	due     time.Time
-	recycle bool
-}
-
-// nonQPFlow keys the shared flow for frames that aren't RoCEv2 (ARP-less
-// test traffic, truncated frames). Real DestQPs are 24-bit, so the key
-// cannot collide.
+// nonQPFlow keys the frames that aren't RoCEv2 (ARP-less test traffic,
+// truncated frames). Real DestQPs are 24-bit, so the key cannot collide.
 const nonQPFlow = ^uint32(0)
 
 // flowKey classifies a frame by its RoCEv2 BTH destination QP, or nonQPFlow
@@ -609,143 +546,149 @@ func flowKey(frame []byte) uint32 {
 // opcode.
 const bthOffset = wire.EthernetLen + wire.IPv4Len + wire.UDPLen
 
-// inboxBatch is how many queued frames the delivery goroutine drains per
-// lock acquisition. Batching amortizes the mutex and condvar traffic under
-// load without adding latency: the consumer only batches what is already
-// queued, and delivers it in order, so a smaller limit would add lock round
-// trips without shortening any frame's wait.
-const inboxBatch = 32
+// delayLine carries every frame Fabric.Send does not hand over on its
+// sender's goroutine: one FIFO per fabric, served by one goroutine, which
+// sleeps until the head frame is due and then hands it to its device. Each
+// frame carries a deliver-at time, stamped at push; the latency is
+// fabric-wide, so stamps never decrease along the line, and a frame pushed
+// after the latency was lowered takes its predecessor's stamp rather than
+// overtake it. The zero time means due at once. A frame a handler emits on
+// the line's goroutine finds the line busy and queues behind the rest, so
+// the line keeps forwarding order whatever the handlers send. The queue is
+// a ring, not an appended-and-resliced slice: a reslice pins every delivered
+// frame until the backing array turns over.
+//
+// busy is set by the first frame pushed after the goroutine parked and
+// cleared only when it parks again, with nothing queued and nothing in
+// delivery. A frame is handed over inline only while it is clear, so a flow
+// that switches from the line to the inline path (a latency knob changed,
+// a backlog delivered) never lets a frame overtake one still queued: a
+// flow's frames come from its one peer QP, which sends them one goroutine
+// at a time (QP.unlock), or, behind an interposer, from the one goroutine
+// draining the egress FIFO (Fabric.drain). The sender only reads the flag,
+// one load per frame.
+type delayLine struct {
+	mu     sync.Mutex
+	cond   sync.Cond // the goroutine parks on it when the line is empty
+	q      container.Ring[lineItem]
+	cur    flow // the flow of the frame in delivery, or noFlow
+	closed bool
+	busy   atomic.Bool // frames queued or one in delivery; written under mu
+	done   chan struct{}
+	pool   *framePool
+}
 
-func newInbox(d Device, pool *framePool) *inbox {
-	_, recyclable := d.(nonRetaining)
-	nic, _ := d.(*NIC)
-	ib := &inbox{
-		dev:        d,
-		nic:        nic,
-		pool:       pool,
-		recyclable: recyclable,
-		flows:      make(map[uint32]*inboxFlow),
+// lineItem is one frame on the delay line, with its device, its flow
+// (delayLine.queued) and its deliver-at time.
+type lineItem struct {
+	frame   []byte
+	dev     Device
+	fl      flow
+	due     time.Time
+	recycle bool
+}
+
+// start readies the line and starts its goroutine.
+func (l *delayLine) start(pool *framePool) {
+	l.cond.L = &l.mu
+	l.cur = noFlow
+	l.pool = pool
+	l.done = make(chan struct{})
+	go l.run()
+}
+
+// push queues fr for dev, due latency from now but not before the frame
+// ahead of it. A closed line drops it.
+func (l *delayLine) push(fr []byte, dev Device, recycle bool, latency time.Duration) {
+	fl := flowOf(fr) // parse outside the lock; a pure read of the frame
+	var due time.Time
+	if latency > 0 {
+		due = time.Now().Add(latency)
 	}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
-}
-
-// inlineQP returns the QP a frame may be handed to on the sender's
-// goroutine, or nil when the frame must queue: the device is not a NIC, the
-// inbox is closed or not empty, or the frame is for no QP of the NIC.
-func (ib *inbox) inlineQP(fr []byte) *QP {
-	if ib.nic == nil || ib.busy.Load() || ib.closed.Load() {
-		return nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return
 	}
-	return ib.nic.qpFor(fr)
-}
-
-func (ib *inbox) put(frame []byte, latency time.Duration, recycle bool) {
-	key := flowKey(frame) // parse outside the lock; pure read of the frame
-	ib.mu.Lock()
-	if !ib.closed.Load() {
-		if !ib.busy.Load() {
-			ib.busy.Store(true)
-		}
-		var due time.Time
-		if latency > 0 {
-			due = time.Now().Add(latency)
-		}
-		fl := ib.flows[key]
-		if fl == nil {
-			fl = &inboxFlow{}
-			ib.flows[key] = fl
-		}
-		fl.frames.Push(inboxItem{frame: frame, due: due, recycle: recycle})
-		if !fl.queued {
-			fl.queued = true
-			ib.active.Push(fl)
-		}
-		if ib.waiting {
-			ib.cond.Signal()
-			ib.wakeups.Add(1)
+	if n := l.q.Len(); n > 0 {
+		if tail := l.q.At(n - 1).due; tail.After(due) {
+			due = tail
 		}
 	}
-	ib.mu.Unlock()
+	if !l.busy.Load() {
+		l.busy.Store(true)
+	}
+	l.q.Push(lineItem{frame: fr, dev: dev, fl: fl, due: due, recycle: recycle})
+	if l.q.Len() == 1 {
+		l.cond.Signal()
+	}
 }
 
-func (ib *inbox) close() {
-	ib.mu.Lock()
-	ib.closed.Store(true)
-	ib.cond.Signal()
-	ib.mu.Unlock()
-}
-
-// queued reports whether frames for flow key wait unread: queued, or in the
-// consumer's current batch (Fabric.Queued, QP.onTick).
-func (ib *inbox) queued(key uint32) bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	fl := ib.flows[key]
-	switch {
-	case fl == nil:
-		return false
-	case fl.delivering > 0:
+// queued reports whether a frame of flow a or b is in delivery, or waits due
+// on the line (QP.onTick, Fabric.Queued). Stamps never decrease, so the
+// scan stops at the first frame not yet due.
+func (l *delayLine) queued(a, b flow) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cur == a || l.cur == b {
 		return true
-	case fl.frames.Len() == 0:
-		return false
 	}
-	due := fl.frames.Front().due
-	return due.IsZero() || !due.After(time.Now())
+	var now time.Time
+	for i := 0; i < l.q.Len(); i++ {
+		it := l.q.At(i)
+		if !it.due.IsZero() {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			if it.due.After(now) {
+				return false
+			}
+		}
+		if it.fl == a || it.fl == b {
+			return true
+		}
+	}
+	return false
 }
 
-// pending reports queued frames; callers hold ib.mu. The active ring is
-// non-empty exactly when some flow has frames.
-func (ib *inbox) pending() bool { return ib.active.Len() > 0 }
+// close drops the queued frames and waits for the goroutine to exit.
+func (l *delayLine) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.q = container.Ring[lineItem]{}
+	l.cond.Signal()
+	l.mu.Unlock()
+	<-l.done
+}
 
-func (ib *inbox) run() {
-	var buf [inboxBatch]inboxItem
-	var from [inboxBatch]*inboxFlow // buf[i]'s flow
-	n := 0
-	for {
-		ib.mu.Lock()
-		for i := 0; i < n; i++ {
-			from[i].delivering--
-			from[i] = nil
+// run is the line's goroutine: it delivers the head frame once it is due,
+// with the lock released, until the line is closed.
+func (l *delayLine) run() {
+	defer close(l.done)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !l.closed {
+		if l.q.Len() == 0 {
+			l.busy.Store(false) // nothing queued, the last frame delivered
+			l.cond.Wait()
+			continue
 		}
-		for !ib.pending() && !ib.closed.Load() {
-			ib.busy.Store(false) // nothing queued, the last batch delivered
-			ib.waiting = true
-			ib.cond.Wait()
-			ib.waiting = false
-		}
-		if !ib.pending() {
-			ib.mu.Unlock()
-			return
-		}
-		// One frame per active flow per turn: a burst on one QP contributes
-		// one frame per round while every waiting peer's head frame departs
-		// in the same round.
-		n = 0
-		for n < inboxBatch && ib.active.Len() > 0 {
-			fl := ib.active.Pop()
-			buf[n], from[n] = fl.frames.Pop(), fl
-			fl.delivering++
-			n++
-			if fl.frames.Len() > 0 {
-				ib.active.Push(fl)
-			} else {
-				fl.queued = false
+		if due := l.q.Front().due; !due.IsZero() {
+			if d := time.Until(due); d > 0 {
+				l.mu.Unlock()
+				time.Sleep(d)
+				l.mu.Lock()
+				continue
 			}
 		}
-		ib.mu.Unlock()
-		for i := 0; i < n; i++ {
-			it := buf[i]
-			buf[i] = inboxItem{} // don't pin delivered frames
-			if !it.due.IsZero() {
-				if d := time.Until(it.due); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			ib.dev.Input(it.frame)
-			if it.recycle {
-				ib.pool.put(it.frame)
-			}
+		it := l.q.Pop()
+		l.cur = it.fl
+		l.mu.Unlock()
+		it.dev.Input(it.frame)
+		if it.recycle {
+			l.pool.put(it.frame)
 		}
+		l.mu.Lock()
+		l.cur = noFlow
 	}
 }

@@ -61,22 +61,18 @@ type NIC struct {
 	qpSnap atomic.Pointer[map[uint32]*QP]
 	mrSnap atomic.Pointer[mrTable]
 
-	inbox *inbox // this NIC's delivery queue on the fabric
-
 	rtoExpiries, replays atomic.Int64 // NICStats, bumped on the retry path only
 }
 
-// NICStats counts the Go-Back-N retry path of every QP on a NIC, and the
-// wake-ups of its inbox goroutine.
+// NICStats counts the Go-Back-N retry path of every QP on a NIC.
 type NICStats struct {
 	RTOExpiries int64 // retransmission ticks that found no progress and charged a retry
 	Replays     int64 // send-queue replays, from an RTO expiry or a PSN-sequence NAK
-	Wakeups     int64 // frames whose arrival woke the NIC's parked inbox goroutine
 }
 
-// Stats returns a snapshot of the retry-path and wake-up counters.
+// Stats returns a snapshot of the retry-path counters.
 func (n *NIC) Stats() NICStats {
-	return NICStats{RTOExpiries: n.rtoExpiries.Load(), Replays: n.replays.Load(), Wakeups: n.inbox.wakeups.Load()}
+	return NICStats{RTOExpiries: n.rtoExpiries.Load(), Replays: n.replays.Load()}
 }
 
 // NewNIC creates a NIC, attaches it to the fabric, and returns it.
@@ -96,11 +92,7 @@ func NewNIC(f *Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *NIC {
 	}
 	n.publishQPsLocked()
 	n.publishMRsLocked()
-	ib, err := f.attach(n)
-	if err != nil {
-		panic(err)
-	}
-	n.inbox = ib
+	f.Attach(n)
 	return n
 }
 
@@ -256,8 +248,9 @@ func ConnectPair(a *NIC, aSendCQ *CQ, aPSN uint32, b *NIC, bPSN uint32) (aQP, bQ
 // Input implements Device: parse and dispatch one frame. The destination
 // QP is read from the raw BTH and resolved in the published snapshot; the
 // frame is decoded into that QP's scratch packet and handled under that QP's
-// own lock, so Input may run on many goroutines at once — the inbox's and
-// every sender's (Fabric.Send).
+// own lock, so Input may run on many goroutines at once — every sender's
+// and the delay line's (Fabric.Send). A frame for no QP of the NIC is
+// dropped.
 func (n *NIC) Input(frame []byte) {
 	if q := n.qpFor(frame); q != nil {
 		n.input(q, frame)

@@ -16,17 +16,17 @@ import "sync"
 // frame path, and an uncontended mutex around an append costs a fraction of
 // the two channel operations (runtime lock plus non-blocking select) a frame
 // used to pay. It is MPMC like the channel was — any NIC on the fabric gets
-// frames, any inbox goroutine returns them, so asymmetric traffic still
+// frames, any delivering goroutine returns them, so asymmetric traffic still
 // recirculates buffers globally — and hands back the buffer used last.
 //
 // Lifecycle: NIC.emit* — or a FrameReleaser interposer, through
 // Fabric.FrameBuf — gets a buffer and serializes into it
 // (wire.Packet.SerializeInto); Fabric.Send transfers ownership to the
-// fabric; after the destination device's Input returns, the inbox — or Send,
-// for a request handled on the sender's goroutine — returns the buffer to
-// the pool — unless the frame passed through an interposer
-// that is not a FrameReleaser (it might retain it) or the device is not one
-// of ours (NIC, UDP proxy), which never keep a frame past Input. A frame a
+// fabric; after the destination device's Input returns, the goroutine that
+// delivered it — the sender's, or the fabric's delay line — returns the
+// buffer to the pool — unless the frame passed through an interposer that
+// is not a FrameReleaser (it might retain it) or the device is not one of
+// ours (NIC, UDP proxy), which never keep a frame past Input. A frame a
 // FrameReleaser consumed, or the loss predicate dropped, goes back at once.
 type framePool struct {
 	small frameClass // every buffer has cap >= frameClassSmall

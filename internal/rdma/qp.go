@@ -100,8 +100,9 @@ type QP struct {
 	// outstanding. An inline round trip leaves nothing outstanding, so it
 	// never touches the timer. progress records whether anything was posted
 	// or acknowledged since the previous tick: a tick that finds it clear, and
-	// no answer queued in the NIC's inbox, charges a retry, doubles the RTO
-	// and replays the send queue. A Go-Back-N replay is not progress.
+	// no frame of the connection due on the fabric's delay line, charges a
+	// retry, doubles the RTO and replays the send queue. A Go-Back-N replay
+	// is not progress.
 	timer     *time.Timer
 	ticking   bool
 	progress  bool
@@ -447,7 +448,9 @@ func (q *QP) stopTimer() {
 // onTick is the retransmission timer. With nothing outstanding it lapses
 // until the next post; with its own frames still being sent it counts that
 // as progress; with progress since the previous tick it only clears the
-// flag; with the peer's answers unread in its NIC's inbox it re-arms.
+// flag; with a frame of its connection due on the fabric's delay line, or in
+// delivery there, it re-arms — a request to the peer or the peer's answer,
+// either way slow, not silent.
 // Otherwise it implements Go-Back-N recovery: double the RTO, rewind to the
 // oldest unacked request and replay every outstanding work request (§5.3:
 // "Cowbird-P4 can detect a timeout and utilize a Go-Back-N approach by
@@ -474,7 +477,7 @@ func (q *QP) onTick() {
 		q.armTimer()
 		return
 	}
-	if q.nic.inbox.queued(q.qpn) {
+	if q.nic.fabric.line.queued(flow{macKey(q.nic.mac[:]), q.qpn}, flow{macKey(q.remote.MAC[:]), q.remote.QPN}) {
 		q.armTimer()
 		return
 	}
@@ -556,6 +559,15 @@ func (q *QP) handleRequest(p *wire.Packet) {
 	isNew := psn == q.ePSN
 	op := p.BTH.OpCode
 	switch {
+	case op.IsWrite() && !isNew:
+		// A duplicate: its bytes have landed. Writing them again, or taking a
+		// duplicate First's RETH as the write context, would let it clobber
+		// a newer message mid-reassembly, whose later segments would then
+		// land nowhere while ePSN moves on.
+		if p.BTH.AckReq {
+			q.nic.emitAETH(q, wire.SyndromeACK, psn)
+		}
+
 	case op.IsWrite():
 		if op == wire.OpWriteFirst || op == wire.OpWriteOnly {
 			mr, buf, err := q.nic.translateRemoteKey(p.RETH.RKey, p.RETH.VA, p.RETH.DMALen)
@@ -573,22 +585,18 @@ func (q *QP) handleRequest(p *wire.Packet) {
 			q.wctx = writeCtx{mr: mr, buf: buf, basePSN: psn}
 			q.wctxValid = true
 		}
+		// A middle or last with no context (ResetExpectedPSN dropped it)
+		// lands nothing.
 		if q.wctxValid {
-			if off := int64(psn) - int64(q.wctx.basePSN); off >= 0 {
-				byteOff := off * int64(q.nic.cfg.MTU)
-				if byteOff <= int64(len(q.wctx.buf)) {
-					q.wctx.mr.lockDMA()
-					copy(q.wctx.buf[byteOff:], p.Payload)
-					q.wctx.mr.unlockDMA()
-				}
+			byteOff := int64(psn-q.wctx.basePSN) * int64(q.nic.cfg.MTU)
+			if byteOff <= int64(len(q.wctx.buf)) {
+				q.wctx.mr.lockDMA()
+				copy(q.wctx.buf[byteOff:], p.Payload)
+				q.wctx.mr.unlockDMA()
 			}
 		}
-		// A stale middle/last with no (or a mismatched) context is ignored;
-		// Go-Back-N replays the whole message in order.
-		if isNew {
-			q.ePSN++
-		}
-		if isNew && (op == wire.OpWriteLast || op == wire.OpWriteOnly) {
+		q.ePSN++
+		if op == wire.OpWriteLast || op == wire.OpWriteOnly {
 			q.wctx = writeCtx{}
 			q.wctxValid = false
 			q.msn++

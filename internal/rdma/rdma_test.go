@@ -58,9 +58,9 @@ func quiesce(p *pair) {
 		}
 		prev = cur
 	}
-	// The server inbox may still be draining delivered frames; Close takes
-	// the NIC lock, so it returns only after any in-flight handler finishes,
-	// and later deliveries become no-ops.
+	// A sender or the delay line may still be handing the server a frame;
+	// Close takes the NIC lock, so it returns only after any in-flight
+	// handler finishes, and later deliveries become no-ops.
 	p.srv.Close()
 }
 
@@ -124,6 +124,53 @@ func TestRDMAWriteSegmented(t *testing.T) {
 	waitCQE(t, p.cliCQ, 1, time.Second)
 	if !bytes.Equal(src, dst) {
 		t.Fatal("segmented write corrupted data")
+	}
+}
+
+// TestDuplicateWriteIgnored: a duplicate WRITE packet lands nothing and
+// leaves the message being reassembled alone. Two 3 KiB writes, A and B, are
+// captured off the wire and fed to the responder as A1 A2 A3 B1 A1 B2 B3:
+// the stale A1 arrives between B's first and second segment, and must not
+// take over B's write context, or B2 and B3 would land nowhere.
+func TestDuplicateWriteIgnored(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = 10 * time.Second // no replay joins the capture
+	p := newPair(t, cfg)
+	const n = 3 << 10
+	src := append(bytes.Repeat([]byte{0xAA}, n), bytes.Repeat([]byte{0xBB}, n)...)
+	dst := make([]byte, 2*n)
+	p.cli.RegisterMR(0x1000, src)
+	remote := p.srv.RegisterMR(0x9000, dst)
+	srv := p.srv.MAC()
+	var reqs [][]byte // the requests, in sending order
+	p.fabric.SetLossFn(func(fr []byte) bool {
+		if [6]byte(fr[:6]) != srv {
+			return false
+		}
+		reqs = append(reqs, append([]byte(nil), fr...))
+		return true
+	})
+	for i := uint64(0); i < 2; i++ {
+		if err := p.cliQP.PostSend(WorkRequest{ID: i, Verb: VerbWrite, LocalVA: 0x1000 + i*n, Length: n, RemoteVA: 0x9000 + i*n, RKey: remote.RKey}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.fabric.SetLossFn(nil)
+	if len(reqs) != 6 {
+		t.Fatalf("captured %d request frames, want 6", len(reqs))
+	}
+	for _, i := range []int{0, 1, 2, 3, 0, 4, 5} {
+		p.srv.Input(reqs[i])
+	}
+	for _, e := range waitCQE(t, p.cliCQ, 2, 5*time.Second) {
+		if e.Status != StatusOK {
+			t.Fatalf("write %d: %v", e.WRID, e.Status)
+		}
+	}
+	for at := range dst {
+		if dst[at] != src[at] {
+			t.Fatalf("write %c: byte %d reads %02x, want %02x", "AB"[at/n], at%n, dst[at], src[at])
+		}
 	}
 }
 

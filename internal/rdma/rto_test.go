@@ -95,7 +95,7 @@ func TestReadResponsesAcceptedInOrder(t *testing.T) {
 		}
 	}
 	// Two requests and the second response delivered, the first response
-	// dropped; then give the client's inbox time to hand the survivor over.
+	// dropped; then give the fabric time to hand the survivor over.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		if st := p.fabric.Stats(); st.Frames >= 3 && st.Dropped >= 1 {
 			break
@@ -324,13 +324,14 @@ func TestSteadyStreamNeverRetries(t *testing.T) {
 }
 
 // TestQueuedAnswerIsNoExpiry: a retransmission tick that finds no progress
-// while the peer's answer sits unread in the requester's own inbox must
-// neither charge a retry nor replay: the peer has answered, and a replay
-// would only add frames behind the unread ones. The test stops the client
-// NIC's inbox consumer inside a frame for a second QP, lets the first QP's
-// ACK queue behind it, and lets ten ticks pass. The stopping frame is put in
-// the inbox directly: sent, it would be handled inline, on this goroutine,
-// which holds the QP it is for.
+// while a frame of its connection waits due on the fabric's delay line must
+// neither charge a retry nor replay: the exchange is slow, not silent, and a
+// replay would only add frames behind the unread ones. The test stops the
+// line's goroutine inside a frame for a second client QP, lets the first
+// QP's WRITE queue behind it (and, once released, the server's ACK), and
+// lets ten ticks pass. The stopping frame is put on the line directly: sent,
+// it would be handled inline, on this goroutine, which holds the QP it is
+// for.
 func TestQueuedAnswerIsNoExpiry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = time.Millisecond
@@ -357,10 +358,10 @@ func TestQueuedAnswerIsNoExpiry(t *testing.T) {
 	srvOther.mu.Lock()
 	ack := p.srv.build(srvOther, wire.OpAcknowledge, 500, nil, &wire.AETH{Syndrome: wire.SyndromeACK}, nil, false)
 	srvOther.mu.Unlock()
-	p.cli.inbox.put(ack, 0, true)
-	for deadline := time.Now().Add(5 * time.Second); !p.cli.inbox.inDelivery(other.QPN()); {
+	p.fabric.line.push(ack, p.cli, true, 0)
+	for deadline := time.Now().Add(5 * time.Second); !other.inDelivery(); {
 		if time.Now().After(deadline) {
-			t.Fatal("the inbox consumer never took the held QP's frame")
+			t.Fatal("the delay line never took the held QP's frame")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -372,7 +373,7 @@ func TestQueuedAnswerIsNoExpiry(t *testing.T) {
 	st := p.cli.Stats()
 	release()
 	if st.RTOExpiries != 0 || st.Replays != 0 {
-		t.Fatalf("ticks with the ACK queued in the inbox charged the QP: %+v", st)
+		t.Fatalf("ticks with the WRITE queued on the delay line charged the QP: %+v", st)
 	}
 	if e := waitCQE(t, p.cliCQ, 1, 5*time.Second)[0]; e.Status != StatusOK {
 		t.Fatalf("write: %v", e.Status)

@@ -66,7 +66,7 @@ func (b *UDPBridge) AddPeer(mac wire.MAC, addr string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.proxies[mac] {
-		if _, err := b.fabric.attach(&udpProxy{b: b, mac: mac}); err != nil {
+		if err := b.fabric.attach(&udpProxy{b: b, mac: mac}); err != nil {
 			return fmt.Errorf("rdma: udp peer %s: %w", addr, err)
 		}
 		b.proxies[mac] = true

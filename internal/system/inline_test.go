@@ -51,15 +51,6 @@ func (c *frameCounter) read(t *testing.T) (frames, inline int64) {
 	}
 }
 
-// inboxWakeups sums the inbox wake-ups of nics.
-func inboxWakeups(nics []*rdma.NIC) int64 {
-	var w int64
-	for _, n := range nics {
-		w += n.Stats().Wakeups
-	}
-	return w
-}
-
 // runMixed drives n 64 B operations through thread 0 of c, three reads to a
 // write, eight at a time, spread over the client's first stripes regions.
 func runMixed(t *testing.T, c *core.Client, n, stripes int) {
@@ -95,43 +86,34 @@ func runMixed(t *testing.T, c *core.Client, n, stripes int) {
 	}
 }
 
-// checkInline asserts that between the two readings every frame went inline
-// and that no inbox woke: not the responders', and not the engine's.
-func checkInline(t *testing.T, frames, inline, wakeups int64) {
+// checkInline asserts that between the two readings every frame went inline:
+// none took the fabric's delay line, to the responders or to the engine.
+func checkInline(t *testing.T, frames, inline int64) {
 	t.Helper()
-	t.Logf("%d frames, %d inline, %d wake-ups", frames, inline, wakeups)
+	t.Logf("%d frames, %d inline", frames, inline)
 	if frames < 4000 {
 		t.Fatalf("%d frames for 2 000 operations: the run measured nothing", frames)
 	}
 	if inline != frames {
-		t.Fatalf("Inline grew by %d over %d frames: every frame goes to a NIC's QP here", inline, frames)
-	}
-	if wakeups != 0 {
-		t.Fatalf("the inboxes woke %d times after set-up, want 0", wakeups)
+		t.Fatalf("Inline grew by %d over %d frames: every frame is handed over on its sender's goroutine here", inline, frames)
 	}
 }
 
 // TestInlineRespondersSystem: in a lossless, zero-latency spot System no
-// frame takes an inbox. Every request the engine sends — probes, fetches,
-// response and bookkeeping writes, pool reads and writes — is handled by
-// the memory pool or the compute node on the engine's goroutine, and so is
-// every READ response and ACK back to the engine; no NIC's inbox goroutine
-// wakes once the deployment is set up.
+// frame takes the delay line. Every request the engine sends — probes,
+// fetches, response and bookkeeping writes, pool reads and writes — is
+// handled by the memory pool or the compute node on the engine's goroutine,
+// and so is every READ response and ACK back to the engine.
 func TestInlineRespondersSystem(t *testing.T) {
 	s := startSystem(t, nil)
 	fc := countFrames(s.Fabric)
-	nics := []*rdma.NIC{s.Compute, s.Spot.NIC()}
-	for _, p := range s.Pools {
-		nics = append(nics, p.NIC())
-	}
 	// A frame sent before the predicate was installed is counted inline
 	// without passing it; the warm-up outlasts any such frame.
 	runMixed(t, s.Client, 200, 1)
 	f0, i0 := fc.read(t)
-	w0 := inboxWakeups(nics)
 	runMixed(t, s.Client, 2000, 1)
 	f1, i1 := fc.read(t)
-	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
+	checkInline(t, f1-f0, i1-i0)
 }
 
 // TestInlineRespondersFleet is the same check on a Fleet: two tenants
@@ -145,10 +127,6 @@ func TestInlineRespondersFleet(t *testing.T) {
 	}
 	defer f.Close()
 	fc := countFrames(f.Fabric)
-	var nics []*rdma.NIC
-	for m := 0; m < cfg.Memnodes; m++ {
-		nics = append(nics, f.Memnode(m).NIC())
-	}
 	var tenants []*Tenant
 	for id := 0; id < 2; id++ {
 		ten, err := f.AddTenant(id)
@@ -156,53 +134,42 @@ func TestInlineRespondersFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		tenants = append(tenants, ten)
-		nics = append(nics, ten.nic)
-	}
-	for _, eng := range f.d.engines {
-		nics = append(nics, eng.NIC())
 	}
 	f0, i0 := fc.read(t)
-	w0 := inboxWakeups(nics)
 	for _, ten := range tenants {
 		runMixed(t, ten.Client, 1000, cfg.StripesPerTenant)
 	}
 	f1, i1 := fc.read(t)
-	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
+	checkInline(t, f1-f0, i1-i0)
 }
 
 // TestInlineP4System: the same check behind the P4 switch. Every frame the
 // switch emits — probes, fetches, pool reads and writes, response and
 // bookkeeping writes — is handled by the compute node or the memory pool on
 // the goroutine draining the fabric's egress FIFO, and every answer re-enters
-// the switch on it, so no NIC's inbox goroutine wakes once the deployment is
+// the switch on it, so no frame takes the delay line once the deployment is
 // set up. The switch's input, the frames handed to Send, is logged per
 // operation: READ responses and ACKs the switch consumes, which Frames does
 // not count.
 func TestInlineP4System(t *testing.T) {
 	s := startSystem(t, func(c *Config) { c.Engine = EngineP4 })
 	fc := countFrames(s.Fabric)
-	nics := []*rdma.NIC{s.Compute}
-	for _, p := range s.Pools {
-		nics = append(nics, p.NIC())
-	}
 	runMixed(t, s.Client, 200, 1)
 	f0, i0 := fc.read(t)
-	w0, sent0 := inboxWakeups(nics), s.Fabric.Stats().Sent
+	sent0 := s.Fabric.Stats().Sent
 	runMixed(t, s.Client, 2000, 1)
 	f1, i1 := fc.read(t)
 	t.Logf("%.2f frames sent per operation", float64(s.Fabric.Stats().Sent-sent0)/2000)
-	checkInline(t, f1-f0, i1-i0, inboxWakeups(nics)-w0)
+	checkInline(t, f1-f0, i1-i0)
 }
 
 // TestFabricMetricsScrape: the fabric's gauges land in the deployment's
 // registry, and a scrape after a lossless spot run shows what the counters
-// do: every frame handled inline, no inbox wake-up since set-up and nothing
-// on the retry path. The engine is stopped before the last scrape, so no
+// do: every frame handled inline and nothing on the retry path. The engine is stopped before the last scrape, so no
 // frame is between the two counters it reads.
 func TestFabricMetricsScrape(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{})
 	s := startSystem(t, func(c *Config) { c.Telemetry = tel })
-	before := tel.Reg.Snapshot().Gauges
 	runMixed(t, s.Client, 2000, 1)
 	s.Spot.Stop()
 	after := tel.Reg.Snapshot().Gauges
@@ -211,9 +178,6 @@ func TestFabricMetricsScrape(t *testing.T) {
 	}
 	if sent := after["cowbird_fabric_sent"]; sent != after["cowbird_fabric_frames"] {
 		t.Fatalf("scraped %d frames sent and %d delivered: without a switch every frame sent is delivered", sent, after["cowbird_fabric_frames"])
-	}
-	if w := after["cowbird_fabric_wakeups"] - before["cowbird_fabric_wakeups"]; w != 0 {
-		t.Fatalf("the inboxes woke %d times after set-up, want 0", w)
 	}
 	if after["cowbird_rdma_rto_expiries"] != 0 || after["cowbird_rdma_replays"] != 0 {
 		t.Fatalf("a lossless run took the retry path: %v", after)

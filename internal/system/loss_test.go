@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"cowbird/internal/core"
-	"cowbird/internal/rdma"
 	"cowbird/internal/wire"
 )
 
@@ -57,16 +56,11 @@ func (r lossRow) String() string {
 		float64(r.frames)/lossOps, float64(r.recoveries)/lossOps)
 }
 
-// matches reports whether r repeats want: the same frames and recoveries,
-// and the same virtual time within one floor RTO. The clock is held to that
-// because one row has been seen to land a floor RTO apart between runs with
-// the same frames: a tick and a delivery due at one instant still meet in
-// an order no seed fixes.
-func (r lossRow) matches(want lossRow) bool {
-	d := r.elapsed - want.elapsed
-	return r.frames == want.frames && r.recoveries == want.recoveries &&
-		-rdma.DefaultRTOFloor <= d && d <= rdma.DefaultRTOFloor
-}
+// matches reports whether r repeats want exactly: the same frames,
+// recoveries and virtual time. Every delayed frame waits on the fabric's one
+// delay line, whose one goroutine delivers in forwarding order, so a tick
+// and a delivery due at one instant meet in run-queue order, which repeats.
+func (r lossRow) matches(want lossRow) bool { return r == want }
 
 type lossResult struct {
 	row lossRow
@@ -201,8 +195,8 @@ type lossCase struct {
 }
 
 // lossSpot is every spot row. On one P without the race detector a
-// one-queue spot System repeats to the frame and, but for one floor RTO, to
-// the nanosecond (matches).
+// one-queue spot System repeats to the frame and to the nanosecond
+// (matches).
 var lossSpot = map[lossCase]lossRow{
 	{EngineSpot, 1, 0, 1}:  {1522500 * time.Nanosecond, 5000, 0},
 	{EngineSpot, 1, 0, 2}:  {1522500 * time.Nanosecond, 5000, 0},
@@ -211,9 +205,9 @@ var lossSpot = map[lossCase]lossRow{
 	{EngineSpot, 1, 2, 1}:  {3570500 * time.Nanosecond, 15903, 464},
 	{EngineSpot, 1, 2, 2}:  {4298500 * time.Nanosecond, 13009, 365},
 	{EngineSpot, 1, 5, 1}:  {5822500 * time.Nanosecond, 26516, 920},
-	{EngineSpot, 1, 5, 2}:  {6882000 * time.Nanosecond, 22667, 776},
-	{EngineSpot, 1, 10, 1}: {9806000 * time.Nanosecond, 55874, 2282},
-	{EngineSpot, 1, 10, 2}: {9702000 * time.Nanosecond, 49622, 2131},
+	{EngineSpot, 1, 5, 2}:  {6882500 * time.Nanosecond, 22667, 776},
+	{EngineSpot, 1, 10, 1}: {9786500 * time.Nanosecond, 55874, 2282},
+	{EngineSpot, 1, 10, 2}: {9722500 * time.Nanosecond, 49622, 2131},
 }
 
 // lossColumn is one column of rows: an engine and how many queue sets its
@@ -245,8 +239,8 @@ var p4Ceiling = map[int]time.Duration{0: 2530 * time.Microsecond, 1: 20 * time.M
 // of a retransmission tick and a frame delivery due at that instant goes
 // first decides whether the tick replays; the collector's workers take the
 // one P at moments the wall clock picks. Without either, runnable
-// goroutines run in run-queue order and the rows repeat (lossRow.matches
-// says how closely).
+// goroutines run in run-queue order and the rows repeat exactly
+// (lossRow.matches).
 //
 // Spot rows are asserted against lossSpot. P4 rows repeat too, but are
 // held to their column's ceilings and, with one queue and no loss, to the

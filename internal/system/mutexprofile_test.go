@@ -16,8 +16,8 @@ import (
 // carries pkgPrefix (a fully-qualified function-name prefix such as
 // "cowbird/internal/engine/spot."). Records where an engine frame merely
 // appears deeper in the stack are the rdma layer's own sharded per-QP /
-// per-CQ / inbox locks, contended by design against the fabric's delivery
-// goroutines and gated by that layer's benchmarks, not here. Cold-path
+// per-CQ / delay-line locks, contended by design against the fabric's
+// delivering goroutines and gated by that layer's benchmarks, not here. Cold-path
 // owners — the adoption barrier, instance registration, the control
 // plane — are expected to contend and are excluded; the point of the gate
 // is the per-request path, which after the control/data split holds no

@@ -153,7 +153,7 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 	// The predicate runs on the senders' goroutines, one frame at a time
 	// under the forwarding lock, so its generator needs no lock of its own —
 	// and must not share one with this goroutine, which issues reads while
-	// an inbox goroutine may be mid-Send holding the ring's DMA lock.
+	// another goroutine may be mid-Send holding the ring's DMA lock.
 	loss := rand.New(rand.NewSource(seed))
 	s.Fabric.SetLossFn(func([]byte) bool { return loss.Intn(100) < 15 })
 	rng := rand.New(rand.NewSource(^seed))
