@@ -6,6 +6,7 @@ import (
 
 	"cowbird/internal/cache"
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/system"
 	"cowbird/internal/ycsb"
 )
@@ -119,8 +120,8 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 	// Two loops per thread over one key generator: a pipelined read-only
 	// warm-up that fills the tier at a fraction of the synchronous loop's
 	// wall clock, then the measured synchronous (window 1) YCSB-B loop.
-	warm := make([]*closedLoop, p.threads)
-	measured := make([]*closedLoop, p.threads)
+	warm := make([]*driver.Loop, p.threads)
+	measured := make([]*driver.Loop, p.threads)
 	for ti := range measured {
 		th, err := sys.Client.Thread(ti)
 		if err != nil {
@@ -131,10 +132,10 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 			return CacheSweepPoint{}, err
 		}
 		who := fmt.Sprintf("thread %d", ti)
-		warm[ti] = &closedLoop{
-			th: th, who: who + " warmup", window: cacheSweepWarmupWindow,
-			ops: cacheSweepWarmup / p.threads, destBytes: cacheSweepValueSize,
-			issue: func(_ int, dest []byte) (core.ReqID, error) {
+		warm[ti] = &driver.Loop{
+			Thread: th, Who: who + " warmup", Window: cacheSweepWarmupWindow,
+			Ops: cacheSweepWarmup / p.threads, DestBytes: cacheSweepValueSize,
+			Issue: func(_ int, dest []byte) (core.ReqID, error) {
 				return th.AsyncRead(0, uint64(g.NextIndex())*cacheSweepValueSize, dest)
 			},
 		}
@@ -142,9 +143,9 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 		// streams do not trivially prefetch for each other.
 		stripe := ti * (cacheSweepRecords / p.threads)
 		wbuf := make([]byte, cacheSweepValueSize)
-		measured[ti] = &closedLoop{
-			th: th, who: who, window: 1, ops: p.opsPerThread, destBytes: cacheSweepValueSize,
-			issue: func(i int, dest []byte) (core.ReqID, error) {
+		measured[ti] = &driver.Loop{
+			Thread: th, Who: who, Window: 1, Ops: p.opsPerThread, DestBytes: cacheSweepValueSize, Timed: true,
+			Issue: func(i int, dest []byte) (core.ReqID, error) {
 				if p.sequential {
 					return th.AsyncRead(0, uint64((stripe+i)%cacheSweepRecords)*cacheSweepValueSize, dest)
 				}
@@ -163,7 +164,7 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 	// tier. Cache-off points have no state to warm, and the sequential pair
 	// is the prefetcher's cold-start exhibit by design.
 	if p.enabled && !p.sequential {
-		if err := driveThreads(warm, nil); err != nil {
+		if err := driver.RunAll(warm, nil); err != nil {
 			return CacheSweepPoint{}, err
 		}
 	}
@@ -173,7 +174,7 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 	if cc := sys.Client.Cache(); cc != nil {
 		st0 = cc.Stats()
 	}
-	if err := driveThreads(measured, nil); err != nil {
+	if err := driver.RunAll(measured, nil); err != nil {
 		return CacheSweepPoint{}, err
 	}
 	sum := summarize(measured...)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/system"
 )
 
@@ -77,9 +78,9 @@ func mixedThroughput(sys *system.System, ops int, fill byte) (liveSummary, error
 	}
 	defer keepTimersFine()()
 	wbuf := bytes.Repeat([]byte{fill}, 256)
-	l := &closedLoop{
-		th: th, who: "thread 0", window: 16, ops: ops, destBytes: 256,
-		issue: func(i int, dest []byte) (core.ReqID, error) {
+	l := &driver.Loop{
+		Thread: th, Who: "thread 0", Window: 16, Ops: ops, DestBytes: 256, Timed: true,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			off := uint64(i%1024) * 1024
 			if i%2 == 0 {
 				return th.AsyncWrite(0, wbuf, off)
@@ -87,7 +88,7 @@ func mixedThroughput(sys *system.System, ops int, fill byte) (liveSummary, error
 			return th.AsyncRead(0, off, dest)
 		},
 	}
-	if err := l.run(nil); err != nil {
+	if err := l.Run(nil); err != nil {
 		return liveSummary{}, err
 	}
 	return summarize(l), nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/rings"
 	"cowbird/internal/system"
 )
@@ -101,7 +102,7 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	defer keepTimersFine()()
 
 	// 3:1 read:write on disjoint per-thread strips, 64 B payloads.
-	loops := make([]*closedLoop, engineScaleActive)
+	loops := make([]*driver.Loop, engineScaleActive)
 	for ti := range loops {
 		th, err := sys.Client.Thread(ti)
 		if err != nil {
@@ -109,11 +110,11 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 		}
 		base := uint64(ti) * 0x80000
 		wbuf := make([]byte, 64)
-		loops[ti] = &closedLoop{
-			th: th, who: fmt.Sprintf("thread %d", ti),
-			window: engineScaleWindow, warmWindow: 2 * engineScaleWindow,
-			warmup: engineScaleWarmup(opsPerThread), ops: opsPerThread, destBytes: 64,
-			issue: func(i int, dest []byte) (core.ReqID, error) {
+		loops[ti] = &driver.Loop{
+			Thread: th, Who: fmt.Sprintf("thread %d", ti),
+			Window: engineScaleWindow, WarmWindow: 2 * engineScaleWindow,
+			Warmup: engineScaleWarmup(opsPerThread), Ops: opsPerThread, DestBytes: 64, Timed: true,
+			Issue: func(i int, dest []byte) (core.ReqID, error) {
 				off := base + uint64(i%1024)*256
 				if i%4 == 3 {
 					return th.AsyncWrite(0, wbuf, off+0x40000)
@@ -130,7 +131,7 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	// runtime's sudog cache, which restockSudogs refills before the count
 	// starts.
 	var m0, m1 runtime.MemStats
-	err = driveThreads(loops, func() {
+	err = driver.RunAll(loops, func() {
 		runtime.GC()
 		restockSudogs()
 		runtime.ReadMemStats(&m0)

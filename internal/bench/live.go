@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -10,173 +9,15 @@ import (
 	"sync"
 	"time"
 
-	"cowbird/internal/core"
+	"cowbird/internal/driver"
 )
 
-// This file is the one driver under the wall-clock sweeps over the live
-// datapath (engine scaling, multi-tenant, client cache, chaos recovery,
-// split brain). A sweep is a deployment config, an op generator
-// (closedLoop.issue), an audit and a gate (Check); everything that measures
-// lives here once: the closed loop, the thread barrier, the latency summary,
-// best-of-N, the timer keeper, and the report writer with its env block.
-
-// loopStallTimeout bounds how long a closed loop may go without a single
-// completion before it gives up, naming the thread and its progress.
-const loopStallTimeout = 120 * time.Second
-
-// loopSlot tracks one in-flight request of a closed-loop window.
-type loopSlot struct {
-	id   core.ReqID
-	idx  int // issue index; ops below the warm-up mark are not recorded
-	t0   time.Time
-	busy bool
-	dest []byte // this slot's read destination, handed to issue
-}
-
-// closedLoop drives warmup+ops operations through one client thread with a
-// fixed slot table: issue until the window is full, harvest by polling
-// Completed over the slots, repeat. The table, the read destinations and the
-// latency slice are allocated before the first op and nothing grows
-// afterwards — no per-op map, no poll group — so an allocs/op figure taken
-// across the measured window counts the system (client rings, fabric,
-// engine) and not the harness. A synchronous loop is window 1.
-//
-// Warm-up flows straight into the measured ops with no barrier in between:
-// any pause long enough for the thread's engine worker to exhaust its idle
-// ladder and park would put one ProbeInterval into the latency tail,
-// measuring the harness's phase structure instead of the datapath.
-type closedLoop struct {
-	th     *core.Thread
-	who    string // names the thread in a stall error
-	window int    // in-flight bound of the measured ops
-	// warmWindow, when larger than window, is the in-flight bound of the
-	// warm-up prefix. A sweep that gates on allocations warms at twice the
-	// measured window so every high-water mark — frame-pool population,
-	// delay-line depth, ring occupancy — is set before the window opens;
-	// a new high during measurement would show up as a one-off pool-miss
-	// allocation.
-	warmWindow int
-	warmup     int // ops issued ahead of the measured ones; latencies not recorded
-	ops        int // measured ops
-	destBytes  int // size of each slot's read destination
-	// issue starts op i (0-based, warm-up included), reading into dest if it
-	// is a read. An error means "ring full": the loop harvests and calls
-	// issue(i) again.
-	issue func(i int, dest []byte) (core.ReqID, error)
-
-	// Results of the last run.
-	lats   []time.Duration // one per measured op, in completion order
-	warmAt time.Time       // the warm-up prefix had completed
-	end    time.Time
-
-	slots []loopSlot
-}
-
-// run executes the loop. onWarm, if non-nil, fires exactly once, when the
-// warm-up prefix has completed (at entry when there is none). A loop value
-// can be run again; it reuses its buffers.
-func (l *closedLoop) run(onWarm func()) error {
-	if depth := max(l.window, l.warmWindow); len(l.slots) != depth {
-		l.slots = make([]loopSlot, depth)
-		for i := range l.slots {
-			l.slots[i].dest = make([]byte, l.destBytes)
-		}
-	}
-	if cap(l.lats) < l.ops {
-		l.lats = make([]time.Duration, 0, l.ops)
-	}
-	l.lats = l.lats[:0]
-	l.warmAt = time.Time{}
-
-	total := l.warmup + l.ops
-	deadline := time.Now().Add(loopStallTimeout)
-	issued, done, inflight := 0, 0, 0
-	var issueErr error
-	for {
-		if l.warmAt.IsZero() && done >= l.warmup {
-			l.warmAt = time.Now()
-			if onWarm != nil {
-				onWarm()
-			}
-		}
-		if done == total {
-			break
-		}
-		limit := l.window
-		if issued < l.warmup && l.warmWindow > limit {
-			limit = l.warmWindow
-		}
-		for si := range l.slots {
-			if issued == total || inflight >= limit {
-				break
-			}
-			s := &l.slots[si]
-			if s.busy {
-				continue
-			}
-			t0 := time.Now()
-			id, err := l.issue(issued, s.dest)
-			if err != nil {
-				issueErr = err
-				break // ring full: harvest first
-			}
-			s.id, s.idx, s.t0, s.busy = id, issued, t0, true
-			issued++
-			inflight++
-		}
-		progressed := false
-		for si := range l.slots {
-			s := &l.slots[si]
-			if !s.busy || !l.th.Completed(s.id) {
-				continue
-			}
-			if s.idx >= l.warmup {
-				l.lats = append(l.lats, time.Since(s.t0))
-			}
-			s.busy = false
-			inflight--
-			done++
-			progressed = true
-		}
-		if !progressed {
-			runtime.Gosched()
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%s stalled at %d/%d ops (last issue error: %v)", l.who, done, total, issueErr)
-			}
-		}
-	}
-	l.end = time.Now()
-	return nil
-}
-
-// driveThreads runs every loop on its own goroutine and returns when all
-// have finished. whenWarm, if non-nil, runs on the caller's goroutine once
-// every loop is past its warm-up prefix — traffic keeps flowing through it,
-// so no engine worker goes idle around the call — and nothing here allocates
-// between that call and the return, so a caller can bracket the measured
-// window with runtime.ReadMemStats.
-func driveThreads(loops []*closedLoop, whenWarm func()) error {
-	errs := make([]error, len(loops))
-	var warmWG, runWG sync.WaitGroup
-	warmWG.Add(len(loops))
-	runWG.Add(len(loops))
-	for i, l := range loops {
-		go func() {
-			defer runWG.Done()
-			warmed := false
-			errs[i] = l.run(func() { warmed = true; warmWG.Done() })
-			if !warmed {
-				warmWG.Done()
-			}
-		}()
-	}
-	warmWG.Wait()
-	if whenWarm != nil {
-		whenWarm()
-	}
-	runWG.Wait()
-	return errors.Join(errs...)
-}
+// This file is what the wall-clock sweeps over the live datapath (engine
+// scaling, multi-tenant, client cache, chaos recovery, split brain) share
+// beyond the closed loop itself, which is internal/driver's: a sweep is a
+// deployment config, an op generator (driver.Loop.Issue), an audit and a gate
+// (Check); the latency summary, best-of-N, the timer keeper and the report
+// writer with its env block live here once.
 
 // liveSummary is the measured window of one or more finished loops.
 type liveSummary struct {
@@ -186,18 +27,18 @@ type liveSummary struct {
 	p50, p99  float64 // µs
 }
 
-func summarize(loops ...*closedLoop) liveSummary {
+func summarize(loops ...*driver.Loop) liveSummary {
 	var (
 		lats              []time.Duration
 		lastWarm, lastEnd time.Time
 	)
 	for _, l := range loops {
-		lats = append(lats, l.lats...)
-		if l.warmAt.After(lastWarm) {
-			lastWarm = l.warmAt
+		lats = append(lats, l.Lats...)
+		if l.WarmAt.After(lastWarm) {
+			lastWarm = l.WarmAt
 		}
-		if l.end.After(lastEnd) {
-			lastEnd = l.end
+		if l.End.After(lastEnd) {
+			lastEnd = l.End
 		}
 	}
 	slices.Sort(lats)

@@ -5,100 +5,22 @@ import (
 	"encoding/json"
 	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
-	"cowbird/internal/core"
-	"cowbird/internal/system"
-	"cowbird/internal/telemetry"
+	"cowbird/internal/driver"
 )
 
-// TestClosedLoopDrivesEveryOp runs the shared driver at 2 threads x window 8
-// against a default deployment with an every-request telemetry hub: the hub
-// must harvest exactly the ops the loops were asked for (warm-up included),
-// each loop must record one latency per measured op, and the loops must
-// never hold more than their window in flight.
-func TestClosedLoopDrivesEveryOp(t *testing.T) {
-	const threads, window, warmup, ops = 2, 8, 24, 60
-	hub := telemetry.New(telemetry.Config{SampleEvery: 1})
-	cfg := system.DefaultConfig()
-	cfg.Threads = threads
-	cfg.Telemetry = hub
-	sys, err := system.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-
-	harvested := func() int64 { return hub.ReadsHarvested.Value() + hub.WritesHarvested.Value() }
-	var issued, overshoot atomic.Int64
-	loops := make([]*closedLoop, threads)
-	for ti := range loops {
-		th, err := sys.Client.Thread(ti)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wbuf := bytes.Repeat([]byte{byte(0xC0 + ti)}, 64)
-		loops[ti] = &closedLoop{
-			th: th, who: "test thread", window: window, warmup: warmup, ops: ops, destBytes: 64,
-			issue: func(i int, dest []byte) (core.ReqID, error) {
-				// issued is read before harvested, and harvested only grows,
-				// so this never overstates what the loops hold in flight.
-				if n := issued.Load() + 1 - harvested(); n > threads*window {
-					overshoot.Store(n)
-				}
-				off := uint64(ti)<<16 + uint64(i%64)*64
-				var id core.ReqID
-				var err error
-				if i%4 == 3 {
-					id, err = th.AsyncWrite(0, wbuf, off)
-				} else {
-					id, err = th.AsyncRead(0, off, dest)
-				}
-				if err == nil {
-					issued.Add(1)
-				}
-				return id, err
-			},
-		}
-	}
-	warm := false
-	if err := driveThreads(loops, func() { warm = true }); err != nil {
-		t.Fatal(err)
-	}
-	if !warm {
-		t.Error("whenWarm never ran")
-	}
-	if got, want := harvested(), int64(threads*(warmup+ops)); got != want {
-		t.Errorf("hub harvested %d ops, want %d", got, want)
-	}
-	for ti, l := range loops {
-		if len(l.lats) != ops {
-			t.Errorf("thread %d recorded %d latencies, want %d", ti, len(l.lats), ops)
-		}
-		if l.warmAt.IsZero() || !l.end.After(l.warmAt) {
-			t.Errorf("thread %d: warm %v, end %v", ti, l.warmAt, l.end)
-		}
-	}
-	if n := overshoot.Load(); n != 0 {
-		t.Errorf("%d ops in flight, windows allow %d", n, threads*window)
-	}
-	if hub.StageExecute.Count() == 0 || hub.EndToEndReads.Count() == 0 {
-		t.Error("no stage samples despite SampleEvery=1")
-	}
-	if sum := summarize(loops...); sum.ops != threads*ops || sum.wall <= 0 || sum.p50 <= 0 || sum.p99 < sum.p50 {
+// TestSummarizeLoops: the summary pools every loop's measured latencies and
+// spans the last loop to warm up to the last to finish.
+func TestSummarizeLoops(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	a := &driver.Loop{Lats: []time.Duration{ms(3), ms(1)}, WarmAt: t0, End: t0.Add(ms(500))}
+	b := &driver.Loop{Lats: []time.Duration{ms(2), ms(4)}, WarmAt: t0.Add(ms(100)), End: t0.Add(ms(400))}
+	sum := summarize(a, b)
+	if sum.ops != 4 || sum.wall != ms(400) || sum.opsPerSec != 10 || sum.p50 != 2000 || sum.p99 != 3000 {
 		t.Errorf("summary %+v", sum)
-	}
-
-	// A loop value runs again over its buffers (the noisy-neighbor aggressor
-	// laps one): same op count, fresh results.
-	again := loops[0]
-	again.warmup = 0
-	if err := again.run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(again.lats) != ops {
-		t.Errorf("second run recorded %d latencies, want %d", len(again.lats), ops)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/engine/spot"
 	"cowbird/internal/rings"
 	"cowbird/internal/system"
@@ -89,7 +90,7 @@ type MultiTenantPoint struct {
 // multiTenantWindow, 3:1 write:read, 64 B tag payloads, stripes alternated
 // so the composed address space (distinct memnodes per stripe) is on the
 // measured path.
-func tenantLoop(ten *system.Tenant, tag byte, warmup, ops int) (*closedLoop, error) {
+func tenantLoop(ten *system.Tenant, tag byte, warmup, ops int) (*driver.Loop, error) {
 	th, err := ten.Client.Thread(0)
 	if err != nil {
 		return nil, err
@@ -98,10 +99,10 @@ func tenantLoop(ten *system.Tenant, tag byte, warmup, ops int) (*closedLoop, err
 	for i := range wbuf {
 		wbuf[i] = tag
 	}
-	return &closedLoop{
-		th: th, who: fmt.Sprintf("tenant %d", ten.ID),
-		window: multiTenantWindow, warmup: warmup, ops: ops, destBytes: 64,
-		issue: func(i int, dest []byte) (core.ReqID, error) {
+	return &driver.Loop{
+		Thread: th, Who: fmt.Sprintf("tenant %d", ten.ID),
+		Window: multiTenantWindow, Warmup: warmup, Ops: ops, DestBytes: 64, Timed: true,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			stripe := uint16(i % 2)
 			off := uint64(i%(multiTenantSpan/64)) * 64
 			if i%4 == 3 {
@@ -191,7 +192,7 @@ func runMultiTenantRung(tenants, opsPerTenant int) (MultiTenantPoint, error) {
 
 	warmup := min(multiTenantWindow*4, opsPerTenant)
 	best, err := bestOf(multiTenantTrials, func(int) (MultiTenantPoint, error) {
-		loops := make([]*closedLoop, len(activeIDs))
+		loops := make([]*driver.Loop, len(activeIDs))
 		for i, id := range activeIDs {
 			ten, _ := f.Tenant(id)
 			l, err := tenantLoop(ten, tags[id], warmup, opsPerTenant)
@@ -200,7 +201,7 @@ func runMultiTenantRung(tenants, opsPerTenant int) (MultiTenantPoint, error) {
 			}
 			loops[i] = l
 		}
-		if err := driveThreads(loops, nil); err != nil {
+		if err := driver.RunAll(loops, nil); err != nil {
 			return MultiTenantPoint{}, err
 		}
 		sum := summarize(loops...)
@@ -237,7 +238,7 @@ type NoisyNeighborResult struct {
 
 // noisyNeighborLoop is a tenant's closed loop of 64 B writes over one 4 KiB
 // strip: window 1 for the synchronous victim, deeper for the aggressor.
-func noisyNeighborLoop(ten *system.Tenant, who string, fill byte, window int) (*closedLoop, error) {
+func noisyNeighborLoop(ten *system.Tenant, who string, fill byte, window int) (*driver.Loop, error) {
 	th, err := ten.Client.Thread(0)
 	if err != nil {
 		return nil, err
@@ -246,9 +247,9 @@ func noisyNeighborLoop(ten *system.Tenant, who string, fill byte, window int) (*
 	for i := range wbuf {
 		wbuf[i] = fill
 	}
-	return &closedLoop{
-		th: th, who: who, window: window,
-		issue: func(i int, _ []byte) (core.ReqID, error) {
+	return &driver.Loop{
+		Thread: th, Who: who, Window: window, Timed: true,
+		Issue: func(i int, _ []byte) (core.ReqID, error) {
 			return th.AsyncWrite(0, wbuf, uint64(i%64)*64)
 		},
 	}, nil
@@ -278,8 +279,8 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 	if err != nil {
 		return NoisyNeighborResult{}, err
 	}
-	victim.warmup, victim.ops = 32, victimOps
-	if err := victim.run(nil); err != nil {
+	victim.Warmup, victim.Ops = 32, victimOps
+	if err := victim.Run(nil); err != nil {
 		return NoisyNeighborResult{}, err
 	}
 	baseline := summarize(victim)
@@ -297,7 +298,7 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 	if err != nil {
 		return NoisyNeighborResult{}, err
 	}
-	aggressor.ops = aggressorBurst
+	aggressor.Ops = aggressorBurst
 	var (
 		stop    = make(chan struct{})
 		aggWG   sync.WaitGroup
@@ -316,14 +317,14 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 				return
 			default:
 			}
-			if aggErr = aggressor.run(nil); aggErr != nil {
+			if aggErr = aggressor.Run(nil); aggErr != nil {
 				return
 			}
-			aggDone += aggressor.ops
+			aggDone += aggressor.Ops
 		}
 	}()
-	victim.warmup = 0
-	err = victim.run(nil)
+	victim.Warmup = 0
+	err = victim.Run(nil)
 	close(stop)
 	aggWG.Wait()
 	if err = errors.Join(err, aggErr); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,6 +203,27 @@ func TestChaosSmokeZombiePrimary(t *testing.T) {
 	}
 	if err := CheckReplicas(s.Pools, 0, 4<<20); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunWorkloadFailsOnDeadPath: a deployment whose fabric drops every
+// frame after set-up completes nothing, and the workload fails at its stall
+// bound, naming the stall, instead of waiting forever.
+func TestRunWorkloadFailsOnDeadPath(t *testing.T) {
+	s := startChaosSystem(t, nil)
+	s.Fabric.SetLossFn(func([]byte) bool { return true })
+	cfg := DefaultWorkloadConfig()
+	cfg.DrainTimeout = 200 * time.Millisecond
+	th, _ := s.Client.Thread(0)
+	errc := make(chan error, 1)
+	go func() { errc <- RunWorkload(th, 1, cfg) }()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "stalled") {
+			t.Fatalf("got %v, want a stall", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunWorkload still running 2 s after its path died")
 	}
 }
 

@@ -1,14 +1,14 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/memnode"
-	"cowbird/internal/rings"
 )
 
 // WorkloadConfig sizes an invariant-checking workload.
@@ -19,13 +19,13 @@ type WorkloadConfig struct {
 	SlotSize int
 	// Ops is the number of operations to issue.
 	Ops int
-	// Window caps in-flight operations; the workload drains completions
-	// when it is reached (and on ring-full backpressure).
+	// Window caps in-flight operations.
 	Window int
-	// DrainTimeout bounds the final wait for stragglers after the last op.
+	// DrainTimeout bounds how long the workload may go without a single
+	// completion before it fails (driver.Loop.Stall).
 	DrainTimeout time.Duration
-	// OnOp, if set, runs before issuing operation i — the hook property
-	// tests use to fire a fault at a seeded point in the workload.
+	// OnOp, if set, runs once before operation i is first issued — the hook
+	// property tests use to fire a fault at a seeded point in the workload.
 	OnOp func(i int)
 }
 
@@ -41,19 +41,29 @@ func DefaultWorkloadConfig() WorkloadConfig {
 	}
 }
 
-// RunWorkload drives a seeded random read/write workload over th and checks
-// the fault-tolerance invariants the ISSUE's property tests rely on:
+// workloadOp is one operation of the workload, drawn when it is first issued.
+type workloadOp struct {
+	read bool
+	slot int
+	tag  byte // a write's fill byte; for a read, that of the last write issued before it
+}
+
+// RunWorkload drives a seeded random read/write workload over th through
+// internal/driver's closed loop and checks the fault-tolerance invariants
+// the property tests rely on:
 //
 //   - every acked write is readable: a read returns the bytes of the last
 //     write issued before it to the same slot (per-queue ring order plus the
 //     engine's conflict splits make "last issued" well-defined);
-//   - no completion is lost: every issued operation is delivered before the
-//     drain deadline;
-//   - no completion is duplicated: each ReqID is delivered exactly once.
+//   - no completion is lost: every issued operation completes, with no
+//     stretch longer than DrainTimeout between completions;
+//   - no completion is duplicated or unknown: the driver fails a completion
+//     of an op that is not in flight.
 //
-// ErrPoolDegraded from the poll group is an advisory and does not fail the
-// workload; ErrEngineDead does. The workload is deterministic given the
-// seed: the operation sequence consumes only the seeded source.
+// ErrPoolDegraded and ErrEngineDead from the poll group count as an empty
+// poll; a workload that never recovers from either fails at the stall bound.
+// The workload is deterministic given the seed: the operation sequence
+// consumes only the seeded source.
 func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 	if cfg.Slots <= 0 || cfg.SlotSize <= 0 || cfg.Ops <= 0 {
 		return fmt.Errorf("chaos: bad workload config %+v", cfg)
@@ -65,112 +75,69 @@ func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 		cfg.DrainTimeout = 30 * time.Second
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := th.PollCreate()
-
-	type pend struct {
-		read bool
-		slot int
-		tag  byte   // for reads: fill byte of the last write issued before it
-		dest []byte // for reads
-	}
-	pending := make(map[core.ReqID]pend, cfg.Window)
-	delivered := make(map[core.ReqID]bool, cfg.Ops)
+	ops := make([]workloadOp, cfg.Ops)
+	drawn := 0                         // ops[:drawn] are drawn; a ring-full retry reissues the same op
 	lastTag := make([]byte, cfg.Slots) // 0 = never written (region starts zeroed)
 	buf := make([]byte, cfg.SlotSize)
 	nextTag := byte(0)
-
-	// drain pulls completions and checks the invariants on each.
-	drain := func(timeout time.Duration) error {
-		ids, err := g.WaitErr(cfg.Window, timeout)
-		if err != nil && !errors.Is(err, core.ErrPoolDegraded) {
-			return fmt.Errorf("chaos: wait: %w", err)
-		}
-		for _, id := range ids {
-			if delivered[id] {
-				return fmt.Errorf("chaos: duplicate completion for %v", id)
-			}
-			delivered[id] = true
-			p, ok := pending[id]
-			if !ok {
-				return fmt.Errorf("chaos: completion for unknown request %v", id)
-			}
-			delete(pending, id)
-			if p.read {
-				for off, b := range p.dest {
-					if b != p.tag {
-						return fmt.Errorf("chaos: read of slot %d byte %d: got %#x, want %#x (acked write lost or reordered)", p.slot, off, b, p.tag)
-					}
+	l := &driver.Loop{
+		Thread: th, Who: "chaos workload", Window: cfg.Window, Ops: cfg.Ops,
+		DestBytes: cfg.SlotSize, Stall: cfg.DrainTimeout,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			op := &ops[i]
+			if i == drawn {
+				if cfg.OnOp != nil {
+					cfg.OnOp(i)
 				}
+				op.slot = rng.Intn(cfg.Slots)
+				op.read = rng.Intn(2) != 0
+				if op.read {
+					op.tag = lastTag[op.slot]
+				} else {
+					// A fresh non-zero tag fills the slot.
+					if nextTag++; nextTag == 0 {
+						nextTag = 1
+					}
+					op.tag = nextTag
+				}
+				drawn++
 			}
-		}
-		return nil
-	}
-
-	for i := 0; i < cfg.Ops; i++ {
-		if cfg.OnOp != nil {
-			cfg.OnOp(i)
-		}
-		for len(pending) >= cfg.Window {
-			if err := drain(time.Second); err != nil {
-				return err
-			}
-		}
-		slot := rng.Intn(cfg.Slots)
-		off := uint64(slot * cfg.SlotSize)
-		if rng.Intn(2) == 0 {
-			// Write: a fresh non-zero tag fills the slot.
-			nextTag++
-			if nextTag == 0 {
-				nextTag = 1
+			off := uint64(op.slot * cfg.SlotSize)
+			if op.read {
+				return th.AsyncRead(0, off, dest)
 			}
 			for j := range buf {
-				buf[j] = nextTag
+				buf[j] = op.tag
 			}
 			id, err := th.AsyncWrite(0, buf, off)
-			for isRingFull(err) {
-				if derr := drain(time.Second); derr != nil {
-					return derr
+			if err == nil {
+				lastTag[op.slot] = op.tag
+			}
+			return id, err
+		},
+		Done: func(i int, dest []byte, _ time.Time) error {
+			op := ops[i]
+			if !op.read {
+				return nil
+			}
+			for off, b := range dest {
+				if b != op.tag {
+					return fmt.Errorf("chaos: read of slot %d byte %d: got %#x, want %#x (acked write lost or reordered)", op.slot, off, b, op.tag)
 				}
-				id, err = th.AsyncWrite(0, buf, off)
 			}
-			if err != nil {
-				return fmt.Errorf("chaos: write op %d: %w", i, err)
+			return nil
+		},
+		// The rungs a thread's own timed WaitErr climbs (core's pace.Waiter),
+		// with sleeps for blocks, so a bubble's clock moves too.
+		Idle: func(misses int) {
+			if misses <= 64 {
+				runtime.Gosched()
+			} else {
+				time.Sleep(20 * time.Microsecond)
 			}
-			lastTag[slot] = nextTag
-			pending[id] = pend{slot: slot}
-			if err := g.Add(id); err != nil {
-				return fmt.Errorf("chaos: poll add: %w", err)
-			}
-		} else {
-			dest := make([]byte, cfg.SlotSize)
-			want := lastTag[slot]
-			id, err := th.AsyncRead(0, off, dest)
-			for isRingFull(err) {
-				if derr := drain(time.Second); derr != nil {
-					return derr
-				}
-				id, err = th.AsyncRead(0, off, dest)
-			}
-			if err != nil {
-				return fmt.Errorf("chaos: read op %d: %w", i, err)
-			}
-			pending[id] = pend{read: true, slot: slot, tag: want, dest: dest}
-			if err := g.Add(id); err != nil {
-				return fmt.Errorf("chaos: poll add: %w", err)
-			}
-		}
+		},
 	}
-
-	deadline := time.Now().Add(cfg.DrainTimeout)
-	for len(pending) > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: %d of %d completions lost (drain deadline passed)", len(pending), cfg.Ops)
-		}
-		if err := drain(time.Second); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.Run(nil)
 }
 
 // CheckReplicas verifies the replica-integrity half of the fencing
@@ -208,10 +175,4 @@ func CheckReplicas(pools []*memnode.Node, regionID uint16, size int) error {
 		}
 	}
 	return nil
-}
-
-func isRingFull(err error) bool {
-	return errors.Is(err, rings.ErrMetaFull) ||
-		errors.Is(err, rings.ErrReqDataFull) ||
-		errors.Is(err, rings.ErrRespDataFull)
 }

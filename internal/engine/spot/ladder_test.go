@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/wire"
@@ -23,36 +24,14 @@ import (
 // completed.
 func closedLoopReads(t *testing.T, th *core.Thread, window, total int) {
 	t.Helper()
-	grp := th.PollCreate()
-	bufs := make([][]byte, window)
-	for i := range bufs {
-		bufs[i] = make([]byte, 64)
+	l := &driver.Loop{
+		Thread: th, Who: "closed loop", Window: window, Ops: total, DestBytes: 64, Stall: 60 * time.Second,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			return th.AsyncRead(0, uint64(i%window)*64, dest)
+		},
 	}
-	issued, done := 0, 0
-	for deadline := time.Now().Add(60 * time.Second); done < total; {
-		ids, err := grp.WaitErr(window, 0)
-		if err != nil {
-			t.Fatalf("poll after %d ops: %v", done, err)
-		}
-		done += len(ids)
-		progressed := len(ids) > 0
-		for issued < total && issued-done < window {
-			id, err := th.AsyncRead(0, uint64(issued%window)*64, bufs[issued%window])
-			if err != nil {
-				break // ring full: harvest first
-			}
-			if err := grp.Add(id); err != nil {
-				t.Fatal(err)
-			}
-			issued++
-			progressed = true
-		}
-		if !progressed {
-			if time.Now().After(deadline) {
-				t.Fatalf("closed loop stalled at %d/%d ops", done, total)
-			}
-			runtime.Gosched()
-		}
+	if err := l.Run(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

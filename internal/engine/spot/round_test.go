@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/memnode"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
@@ -306,48 +307,39 @@ func speculativeFetchUnderLoss(t *testing.T, seed int64) {
 	})
 	eng.Run()
 
-	// The shadow model: the version last written to each slot, and for every
-	// read in flight the bytes it must return (reads only touch the
-	// preloaded, never-written pattern).
-	type inflight struct {
-		id   core.ReqID
-		dest []byte
-		off  uint64
-	}
+	// The shadow model: the version last written to each slot, and the
+	// offset of every read (reads only touch the preloaded, never-written
+	// pattern).
 	var version [slots]byte
-	var pending []inflight
+	readOff := make(map[int]uint64)
 	ops := rand.New(rand.NewSource(seed ^ 0x5eed))
-	issued, done := 0, 0
-	for deadline := time.Now().Add(60 * time.Second); done < total; {
-		for issued < total && len(pending) < window {
-			var fl inflight
-			var err error
+	l := &driver.Loop{
+		Thread: th, Who: "closed loop", Window: window, Ops: total, DestBytes: 64, Stall: 60 * time.Second,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			delete(readOff, i) // a ring-full retry draws afresh
 			if ops.Intn(4) == 0 {
 				slot := ops.Intn(slots)
-				version[slot]++
-				fl.id, err = th.AsyncWrite(0, bytes.Repeat([]byte{version[slot]}, 64), writeBase+uint64(slot)*64)
-			} else {
-				fl.off = uint64(ops.Intn(len(preload)/64)) * 64
-				fl.dest = make([]byte, 64)
-				fl.id, err = th.AsyncRead(0, fl.off, fl.dest)
+				id, err := th.AsyncWrite(0, bytes.Repeat([]byte{version[slot] + 1}, 64), writeBase+uint64(slot)*64)
+				if err == nil {
+					version[slot]++
+				}
+				return id, err
 			}
-			if err != nil {
-				t.Fatalf("issue %d: %v", issued, err)
+			off := uint64(ops.Intn(len(preload)/64)) * 64
+			readOff[i] = off
+			return th.AsyncRead(0, off, dest)
+		},
+		Done: func(i int, dest []byte, _ time.Time) error {
+			off, ok := readOff[i]
+			if ok && !bytes.Equal(dest, bytes.Repeat([]byte{pattern(off)}, 64)) {
+				return fmt.Errorf("op %d: read of %d returned %#x.., want %#x..", i, off, dest[0], pattern(off))
 			}
-			pending = append(pending, fl)
-			issued++
-		}
-		for len(pending) > 0 && th.Completed(pending[0].id) {
-			if fl := pending[0]; fl.dest != nil && !bytes.Equal(fl.dest, bytes.Repeat([]byte{pattern(fl.off)}, 64)) {
-				t.Fatalf("op %d: read of %d returned %#x.., want %#x..", done, fl.off, fl.dest[0], pattern(fl.off))
-			}
-			pending = pending[1:]
-			done++
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stalled at %d/%d ops: %+v", done, total, eng.Stats())
-		}
-		time.Sleep(5 * time.Microsecond)
+			return nil
+		},
+		Idle: func(int) { time.Sleep(5 * time.Microsecond) },
+	}
+	if err := l.Run(nil); err != nil {
+		t.Fatalf("%v: %+v", err, eng.Stats())
 	}
 	eng.Stop()
 	f.SetLossFn(nil)

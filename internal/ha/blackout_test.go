@@ -6,7 +6,6 @@ package ha
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/engine/spot"
 )
 
@@ -27,15 +27,9 @@ import (
 //
 //	GOEXPERIMENT=synctest go test -run TestFailoverBlackout -v ./internal/ha/
 //
-// In a bubble, virtual time advances only when every goroutine is durably
-// blocked, which shapes the driver below:
-//   - it polls with WaitErr(n, 0) and sleeps on an empty poll. A WaitErr
-//     with a timeout yields instead of blocking within pace.Slack of its
-//     deadline, and a goroutine that only yields stops the clock for good;
-//   - it sleeps on ErrEngineDead as on an empty poll, since WaitErr returns
-//     that at once until the monitor's next sample;
-//   - it builds the rig with newRig and closes it inside the bubble, because
-//     t.Cleanup runs after the bubble has ended.
+// The closed loop is internal/driver's, whose package comment has the
+// bubble's pitfalls; it sleeps on an empty poll and builds and closes the rig
+// inside the bubble.
 
 const (
 	// blackoutLatency is the fabric's one-way propagation latency.
@@ -47,6 +41,9 @@ const (
 	blackoutDepth = 8
 	// blackoutSeeds is how many preemption points each heartbeat runs.
 	blackoutSeeds = 100
+	// blackoutMaxOps bounds a run's ops; it ends well before, two windows
+	// after the takeover.
+	blackoutMaxOps = 1 << 20
 )
 
 // blackoutRun is one preemption, read off the bubble clock.
@@ -167,97 +164,78 @@ func runBlackout(hb, lease, interval time.Duration, seed int64) (blackoutRun, er
 	if err != nil {
 		return blackoutRun{}, err
 	}
-	g := th.PollCreate()
-	src, dest := make([]byte, 64), make([]byte, 64)
-	issuedAt := make(map[core.ReqID]time.Time)
-	doneAt := make(map[core.ReqID]time.Time)
+	src := make([]byte, 64)
 	var (
 		death, firstAfter time.Time
 		tk                *takeover
 		afterTakeover     int
+		stranded          int
 	)
-	deadline := time.Now().Add(time.Second)
-	for n := 0; ; {
-		now := time.Now()
-		if now.After(deadline) {
-			return blackoutRun{}, fmt.Errorf("%d requests outstanding after %v (preempted=%v promoted=%v)",
-				g.Len(), time.Second, r.primary.Preempted(), r.standby.Promoted())
-		}
+	// observe notes the instant of death and picks up the takeover; the loop
+	// calls it after every wait and before every completion.
+	var promoteErr error
+	observe := func() {
 		if death.IsZero() && r.primary.Preempted() {
-			death = now
+			death = time.Now()
 		}
-		if tk == nil {
+		if tk == nil && promoteErr == nil {
 			select {
 			case v := <-took:
 				if v.err != nil {
-					return blackoutRun{}, fmt.Errorf("promote: %w", v.err)
+					promoteErr = fmt.Errorf("promote: %w", v.err)
+				} else {
+					tk = &v
 				}
-				tk = &v
 			default:
 			}
 		}
-		issuing := tk == nil || afterTakeover < 2*blackoutDepth
-		for issuing && g.Len() < blackoutDepth {
-			addr := uint64(n%256) * 64
-			var id core.ReqID
-			if n%2 == 0 {
-				id, err = th.AsyncWrite(0, src, addr)
-			} else {
-				id, err = th.AsyncRead(0, addr, dest)
+	}
+	l := &driver.Loop{
+		Thread: th, Who: "blackout loop", Window: blackoutDepth, Ops: blackoutMaxOps, DestBytes: 64, Stall: time.Second,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			if promoteErr != nil || tk != nil && afterTakeover >= 2*blackoutDepth {
+				return 0, driver.Stop
 			}
-			if err != nil {
-				break // rings full: the engine is behind
+			addr := uint64(i%256) * 64
+			if i%2 == 0 {
+				return th.AsyncWrite(0, src, addr)
 			}
-			if err := g.Add(id); err != nil {
-				return blackoutRun{}, err
+			return th.AsyncRead(0, addr, dest)
+		},
+		Done: func(_ int, _ []byte, issuedAt time.Time) error {
+			observe()
+			if promoteErr != nil {
+				return promoteErr
 			}
-			issuedAt[id] = now
-			n++
-		}
-		ids, err := g.WaitErr(blackoutDepth, 0)
-		if err != nil && !errors.Is(err, core.ErrEngineDead) {
-			return blackoutRun{}, err
-		}
-		for _, id := range ids {
-			if _, dup := doneAt[id]; dup {
-				return blackoutRun{}, fmt.Errorf("request %v completed twice", id)
-			}
-			doneAt[id] = now
-			if tk != nil && !now.Before(tk.promoted) {
+			if now := time.Now(); tk != nil && !now.Before(tk.promoted) {
 				if firstAfter.IsZero() {
 					firstAfter = now
 				}
 				afterTakeover++
+				if issuedAt.Before(death) {
+					stranded++
+				}
 			}
-		}
-		if len(ids) > 0 {
-			continue
-		}
-		if !issuing && g.Len() == 0 {
-			break
-		}
-		time.Sleep(blackoutPoll)
+			return nil
+		},
+		Idle: func(int) {
+			time.Sleep(blackoutPoll)
+			observe()
+		},
 	}
-
+	if err := l.Run(nil); err != nil {
+		return blackoutRun{}, fmt.Errorf("%w (preempted=%v promoted=%v)", err, r.primary.Preempted(), r.standby.Promoted())
+	}
+	if promoteErr != nil {
+		return blackoutRun{}, promoteErr
+	}
 	if death.IsZero() || tk == nil {
 		return blackoutRun{}, fmt.Errorf("no takeover (preempted=%v)", r.primary.Preempted())
 	}
-	run := blackoutRun{
+	return blackoutRun{
 		detect:   tk.detected.Sub(death),
 		promote:  tk.promoted.Sub(tk.detected),
 		blackout: firstAfter.Sub(death),
-	}
-	for id, at := range issuedAt {
-		done, ok := doneAt[id]
-		if !ok {
-			return blackoutRun{}, fmt.Errorf("request %v never completed", id)
-		}
-		if at.Before(death) && !done.Before(tk.promoted) {
-			run.stranded++
-		}
-	}
-	if len(doneAt) != len(issuedAt) {
-		return blackoutRun{}, fmt.Errorf("%d completions for %d issued requests", len(doneAt), len(issuedAt))
-	}
-	return run, nil
+		stranded: stranded,
+	}, nil
 }

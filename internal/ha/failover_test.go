@@ -1,13 +1,14 @@
 package ha
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 )
 
 // TestFailoverExactlyOnceProperty is the tentpole property test: preempt
@@ -44,87 +45,43 @@ func runFailoverScenario(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := th.PollCreate()
 
 	const n = 25
 	const hotAddr = 4096 // all traffic targets one address: maximal conflicts
 	const reqLen = 64
 
-	completions := make(map[core.ReqID]int)
-	var issued []core.ReqID
-	var readOrder []core.ReqID
-	readDest := make(map[core.ReqID][]byte)
-	readFloor := make(map[core.ReqID]int) // value the read must at least see
-
-	deadline := time.Now().Add(60 * time.Second)
-	drain := func(timeout time.Duration) {
-		ids, err := g.WaitErr(4*n, timeout)
-		if err != nil {
-			if errors.Is(err, core.ErrEngineDead) {
-				return // detector tripped; auto-promotion is in flight
-			}
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			completions[id]++
-		}
-	}
-	pattern := func(v int) []byte {
-		b := make([]byte, reqLen)
-		for j := range b {
-			b[j] = byte(v)
-		}
-		return b
-	}
-	// issuePair writes value v to the hot address and immediately reads it
-	// back. The overlapping read forces the engine's conflict split, so the
-	// read is held while the write is in flight — preemption inside that
-	// window is exactly the "mid-write with paused reads" case.
-	issuePair := func(v int) {
-		for {
-			id, err := th.AsyncWrite(0, pattern(v), hotAddr)
-			if err == nil {
-				issued = append(issued, id)
-				if err := g.Add(id); err != nil {
-					t.Fatal(err)
+	// reads[v] is what the read issued right after the write of value v
+	// returned.
+	reads := make([][]byte, n+2)
+	// pairs writes values first..last to the hot address, each immediately
+	// read back, all of them in flight at once. The overlapping read forces
+	// the engine's conflict split, so the read is held while the write is in
+	// flight — preemption inside that window is exactly the "mid-write with
+	// paused reads" case. The driver fails a completion delivered twice or
+	// for no request, and a run that stalls.
+	pairs := func(first, last int) {
+		ops := 2 * (last - first + 1)
+		l := &driver.Loop{
+			Thread: th, Who: "failover workload", Window: ops, Ops: ops, DestBytes: reqLen, Stall: 60 * time.Second,
+			Issue: func(i int, dest []byte) (core.ReqID, error) {
+				if v := first + i/2; i%2 == 0 {
+					return th.AsyncWrite(0, bytes.Repeat([]byte{byte(v)}, reqLen), hotAddr)
 				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("issue write %d: %v", v, err)
-			}
-			drain(20 * time.Millisecond)
-		}
-		for {
-			dest := make([]byte, reqLen)
-			id, err := th.AsyncRead(0, hotAddr, dest)
-			if err == nil {
-				issued = append(issued, id)
-				readOrder = append(readOrder, id)
-				readDest[id] = dest
-				readFloor[id] = v
-				if err := g.Add(id); err != nil {
-					t.Fatal(err)
+				return th.AsyncRead(0, hotAddr, dest)
+			},
+			Done: func(i int, dest []byte, _ time.Time) error {
+				if i%2 == 1 {
+					reads[first+i/2] = bytes.Clone(dest)
 				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("issue read %d: %v", v, err)
-			}
-			drain(20 * time.Millisecond)
+				return nil
+			},
+			Idle: func(int) { time.Sleep(20 * time.Microsecond) },
+		}
+		if err := l.Run(nil); err != nil {
+			t.Fatalf("%v (primary preempted=%v, standby promoted=%v)", err, r.primary.Preempted(), r.standby.Promoted())
 		}
 	}
-
-	for v := 1; v <= n; v++ {
-		issuePair(v)
-	}
-	for g.Len() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d requests never completed (primary preempted=%v, standby promoted=%v)",
-				g.Len(), r.primary.Preempted(), r.standby.Promoted())
-		}
-		drain(50 * time.Millisecond)
-	}
+	pairs(1, n)
 
 	// If the injected kill never fired, the whole run completed on the
 	// primary; force the revocation now and prove takeover from idle.
@@ -132,13 +89,7 @@ func runFailoverScenario(t *testing.T, seed int64) {
 	if !r.primary.Preempted() {
 		r.primary.Preempt()
 		last = n + 1
-		issuePair(last)
-		for g.Len() > 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("idle-failover requests never completed")
-			}
-			drain(50 * time.Millisecond)
-		}
+		pairs(last, last)
 	}
 
 	// Every failover path ends promoted: the kill either fired mid-workload
@@ -150,33 +101,23 @@ func runFailoverScenario(t *testing.T, seed int64) {
 		t.Fatal("monitor never observed the preemption")
 	}
 
-	// Exactly-once completion delivery.
-	for _, id := range issued {
-		if c := completions[id]; c != 1 {
-			t.Fatalf("request %v completed %d times, want exactly once", id, c)
-		}
-	}
-	if len(completions) != len(issued) {
-		t.Fatalf("%d completions for %d issued requests", len(completions), len(issued))
-	}
-
 	// Per-type ordering across the failover boundary: reads complete in
 	// issue order, the hot address's value only grows, and a replayed read
 	// may legally observe a later (unpublished-at-death) write but never an
 	// earlier one. So in issue order: untorn data, value ≥ the write issued
 	// just before the read, values nondecreasing.
 	prev := 0
-	for _, id := range readOrder {
-		b := readDest[id]
+	for floor := 1; floor <= last; floor++ {
+		b := reads[floor]
 		v := int(b[0])
 		for _, x := range b {
 			if int(x) != v {
 				t.Fatalf("torn read: %v", b[:8])
 			}
 		}
-		if v < readFloor[id] || v > last {
+		if v < floor || v > last {
 			t.Fatalf("read issued after write %d observed value %d (max %d): read-after-write broken across failover",
-				readFloor[id], v, last)
+				floor, v, last)
 		}
 		if v < prev {
 			t.Fatalf("per-type read ordering violated: value %d observed after %d", v, prev)

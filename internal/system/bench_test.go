@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 )
 
 // Functional throughput benchmarks: real protocol, real goroutines, real
@@ -24,42 +25,21 @@ func benchSystem(b *testing.B, kind EngineKind, size int, write bool) {
 	}
 	defer s.Close()
 	th, _ := s.Client.Thread(0)
-	g := th.PollCreate()
 	buf := make([]byte, size)
-	const window = 32
-	pending := 0
+	l := &driver.Loop{
+		Thread: th, Who: "benchmark", Window: 32, Ops: b.N, DestBytes: size,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			off := uint64(i%1024) * uint64(size)
+			if write {
+				return th.AsyncWrite(0, buf, off)
+			}
+			return th.AsyncRead(0, off, dest)
+		},
+	}
 	b.SetBytes(int64(size))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := uint64(i%1024) * uint64(size)
-		for {
-			var id core.ReqID
-			var err error
-			if write {
-				id, err = th.AsyncWrite(0, buf, off)
-			} else {
-				id, err = th.AsyncRead(0, off, buf)
-			}
-			if err == nil {
-				if err := g.Add(id); err != nil {
-					b.Fatal(err)
-				}
-				pending++
-				break
-			}
-			// Ring full: drain and retry.
-			pending -= len(g.Wait(window, 100*time.Millisecond))
-		}
-		if pending >= window {
-			pending -= len(g.Wait(window/2, time.Second))
-		}
-	}
-	for pending > 0 {
-		got := len(g.Wait(window, time.Second))
-		if got == 0 {
-			b.Fatalf("stalled with %d pending", pending)
-		}
-		pending -= got
+	if err := l.Run(nil); err != nil {
+		b.Fatal(err)
 	}
 }
 

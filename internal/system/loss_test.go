@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/wire"
 )
 
@@ -28,10 +29,8 @@ import (
 //
 //	GOEXPERIMENT=synctest go test -run TestLossRecoveryExhibit -v ./internal/system/
 //
-// The driver follows internal/ha/blackout_test.go: it polls with
-// WaitErr(n, 0) and sleeps on an empty poll (a WaitErr with a timeout yields
-// near its deadline, and a goroutine that only yields stops the clock), and
-// it closes the System inside the bubble.
+// The closed loop is internal/driver's, whose package comment has the
+// bubble's pitfalls; it sleeps on an empty poll.
 
 const (
 	// lossLatency is the fabric's one-way propagation latency: a 4 µs round
@@ -105,52 +104,22 @@ func runLoss(c lossCase) (lossRow, error) {
 	if err != nil {
 		return lossRow{}, err
 	}
-	g := th.PollCreate()
-	var bufs [lossWindow][lossSize]byte
-	slotOf := make(map[core.ReqID]int, lossWindow)
-	blockOf := [lossWindow]int{}
-	free := make([]int, 0, lossWindow)
-	for i := lossWindow - 1; i >= 0; i-- {
-		free = append(free, i)
+	l := &driver.Loop{
+		Thread: th, Who: "loss exhibit", Window: lossWindow, Ops: lossOps, DestBytes: lossSize, Stall: time.Minute,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			return th.AsyncRead(0, uint64(i%lossBlocks)*lossSize, dest)
+		},
+		Done: func(i int, dest []byte, _ time.Time) error {
+			if want := block(i % lossBlocks); !bytes.Equal(dest, want) {
+				return fmt.Errorf("read of block %d returned % x, want % x", i%lossBlocks, dest[:8], want[:8])
+			}
+			return nil
+		},
+		Idle: func(int) { time.Sleep(lossPoll) },
 	}
 	start := time.Now()
-	deadline := start.Add(time.Minute)
-	issued, done := 0, 0
-	for done < lossOps {
-		for issued < lossOps && len(free) > 0 {
-			slot := free[len(free)-1]
-			blk := issued % lossBlocks
-			id, err := th.AsyncRead(0, uint64(blk)*lossSize, bufs[slot][:])
-			if err != nil {
-				break // rings full: the engine is behind
-			}
-			if err := g.Add(id); err != nil {
-				return lossRow{}, err
-			}
-			free = free[:len(free)-1]
-			slotOf[id], blockOf[slot] = slot, blk
-			issued++
-		}
-		ids, err := g.WaitErr(lossWindow, 0)
-		if err != nil {
-			return lossRow{}, err
-		}
-		for _, id := range ids {
-			slot := slotOf[id]
-			delete(slotOf, id)
-			if want := block(blockOf[slot]); !bytes.Equal(bufs[slot][:], want) {
-				return lossRow{}, fmt.Errorf("read of block %d returned % x, want % x", blockOf[slot], bufs[slot][:8], want[:8])
-			}
-			free = append(free, slot)
-			done++
-		}
-		if len(ids) > 0 {
-			continue
-		}
-		if time.Now().After(deadline) {
-			return lossRow{}, fmt.Errorf("%d of %d reads done after %v", done, lossOps, time.Minute)
-		}
-		time.Sleep(lossPoll)
+	if err := l.Run(nil); err != nil {
+		return lossRow{}, err
 	}
 	row := lossRow{elapsed: time.Since(start)}
 	fs := s.Fabric.Stats()

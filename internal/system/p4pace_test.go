@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/engine/p4"
 	"cowbird/internal/rings"
 )
@@ -159,52 +160,35 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(^seed))
 
 	th, _ := s.Client.Thread(0)
-	g := th.PollCreate()
 	qs := th.QueueSet()
-	type slot struct {
-		buf [64]byte
-		blk int
-	}
-	var slots [window]slot
-	bySlot := map[core.ReqID]int{}
-	issued := 0
-	issue := func(i int) {
-		slots[i].blk = rng.Intn(blocks)
-		id, err := th.AsyncRead(0, uint64(slots[i].blk)*64, slots[i].buf[:])
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := g.Add(id); err != nil {
-			t.Fatal(err)
-		}
-		bySlot[id] = i
-		issued++
-	}
-	for i := range slots {
-		issue(i)
-	}
-
 	var seen rings.Red
-	deadline := time.Now().Add(120 * time.Second)
-	for done := 0; done < reads; {
-		if time.Now().After(deadline) {
-			t.Fatalf("seed %d: %d of %d reads completed (%+v)", seed, done, reads, s.P4.Stats())
-		}
-		ids := g.Wait(window, 5*time.Millisecond)
+	checkRed := func() {
 		red := qs.Red()
 		if red.MetaHead < seen.MetaHead || red.ReadProgress < seen.ReadProgress || red.Heartbeat < seen.Heartbeat {
 			t.Fatalf("seed %d: the client's red block went backwards: %+v after %+v", seed, red, seen)
 		}
 		seen = red
-		for _, id := range ids {
-			i := bySlot[id]
-			delete(bySlot, id)
-			if want := block(slots[i].blk); !bytes.Equal(slots[i].buf[:], want) {
-				t.Fatalf("seed %d: read of block %d returned % x", seed, slots[i].blk, slots[i].buf[:4])
+	}
+	var blk [reads]int
+	l := &driver.Loop{
+		Thread: th, Who: fmt.Sprintf("seed %d", seed), Window: window, Ops: reads, DestBytes: 64, Stall: 120 * time.Second,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			blk[i] = rng.Intn(blocks)
+			return th.AsyncRead(0, uint64(blk[i])*64, dest)
+		},
+		Done: func(i int, dest []byte, _ time.Time) error {
+			checkRed()
+			if want := block(blk[i]); !bytes.Equal(dest, want) {
+				return fmt.Errorf("read of block %d returned % x", blk[i], dest[:4])
 			}
-			if done++; issued < reads {
-				issue(i)
-			}
-		}
+			return nil
+		},
+		Idle: func(int) {
+			checkRed()
+			runtime.Gosched()
+		},
+	}
+	if err := l.Run(nil); err != nil {
+		t.Fatalf("seed %d: %v (%+v)", seed, err, s.P4.Stats())
 	}
 }

@@ -2,7 +2,6 @@ package system
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/driver"
 	"cowbird/internal/rings"
 )
 
@@ -198,59 +198,27 @@ func testRingWrapWithRetry(t *testing.T, kind EngineKind) {
 		c.Layout = rings.Layout{MetaEntries: 8, ReqDataBytes: 2048, RespDataBytes: 2048}
 	})
 	th, _ := s.Client.Thread(0)
-	g := th.PollCreate()
-	const ops = 100
-	pending := 0
-	verify := make(map[core.ReqID]func() bool)
-	bufs := make([][]byte, 0, ops)
-	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; i < ops; i++ {
-		data := bytes.Repeat([]byte{byte(i)}, 300)
-		off := uint64(i%16) * 512
-		for {
-			id, err := th.AsyncWrite(0, data, off)
-			if err == nil {
-				if err := g.Add(id); err != nil {
-					t.Fatal(err)
-				}
-				pending++
-				break
+	// 100 pairs of a 300 B write and a read of the same block; each read
+	// follows its overlapping write, so RAW means it sees that write's data.
+	const ops = 200
+	l := &driver.Loop{
+		Thread: th, Who: "ring wrap", Window: ops, Ops: ops, DestBytes: 300, Stall: 30 * time.Second,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			off := uint64(i/2%16) * 512
+			if i%2 == 0 {
+				return th.AsyncWrite(0, bytes.Repeat([]byte{byte(i / 2)}, 300), off)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("write %d never fit: %v", i, err)
+			return th.AsyncRead(0, off, dest)
+		},
+		Done: func(i int, dest []byte, _ time.Time) error {
+			if i%2 == 1 && (dest[0] != byte(i/2) || dest[299] != byte(i/2)) {
+				return fmt.Errorf("read %d returned stale/corrupt data (%d)", i/2, dest[0])
 			}
-			pending -= len(g.Wait(pending, 10*time.Millisecond))
-		}
-		dest := make([]byte, 300)
-		bufs = append(bufs, dest)
-		for {
-			id, err := th.AsyncRead(0, off, dest)
-			if err == nil {
-				if err := g.Add(id); err != nil {
-					t.Fatal(err)
-				}
-				pending++
-				_ = verify
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("read %d never fit: %v", i, err)
-			}
-			pending -= len(g.Wait(pending, 10*time.Millisecond))
-		}
+			return nil
+		},
 	}
-	for pending > 0 && time.Now().Before(deadline) {
-		pending -= len(g.Wait(pending, 100*time.Millisecond))
-	}
-	if pending != 0 {
-		t.Fatalf("%d requests never completed", pending)
-	}
-	// Each read followed its overlapping write: RAW means it must have
-	// seen that write's data.
-	for i, b := range bufs {
-		if b[0] != byte(i) || b[299] != byte(i) {
-			t.Fatalf("read %d returned stale/corrupt data (%d)", i, b[0])
-		}
+	if err := l.Run(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -464,42 +432,25 @@ func p4ReqDataUnderLoss(t *testing.T, seed int64) {
 	loss := rand.New(rand.NewSource(seed))
 	s.Fabric.SetLossFn(func([]byte) bool { return loss.Intn(100) < 2 })
 	th, _ := s.Client.Thread(0)
-	g := th.PollCreate()
-	wait := func(i int, id core.ReqID) {
-		if err := g.Add(id); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for len(g.Wait(1, 10*time.Millisecond)) == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: op %d did not complete (%+v)", seed, i, s.P4.Stats())
+	want := func(i int) []byte { return bytes.Repeat([]byte{byte(seed), byte(i), byte(i >> 8), 0xa5}, 16) }
+	l := &driver.Loop{
+		Thread: th, Who: fmt.Sprintf("seed %d", seed), Window: 1, Ops: ops, DestBytes: 64, Stall: 30 * time.Second,
+		Issue: func(i int, dest []byte) (core.ReqID, error) {
+			off := uint64(i/2%blocks) * 64
+			if i%2 == 0 {
+				return th.AsyncWrite(0, want(i), off)
 			}
-		}
+			return th.AsyncRead(0, off, dest)
+		},
+		Done: func(i int, dest []byte, _ time.Time) error {
+			if i%2 == 1 && !bytes.Equal(dest, want(i-1)) {
+				return fmt.Errorf("read at op %d returned %x, want %x", i, dest, want(i-1))
+			}
+			return nil
+		},
 	}
-	got := make([]byte, 64)
-	for i := 0; i < ops; i += 2 {
-		off := uint64(i/2%blocks) * 64
-		want := bytes.Repeat([]byte{byte(seed), byte(i), byte(i >> 8), 0xa5}, 16)
-		var wid core.ReqID
-		for retry := time.Now().Add(2 * time.Second); ; {
-			var err error
-			if wid, err = th.AsyncWrite(0, want, off); err == nil {
-				break
-			}
-			if !errors.Is(err, rings.ErrReqDataFull) || time.Now().After(retry) {
-				t.Fatalf("seed %d: write at op %d: %v (red %+v, green %+v)", seed, i, err, th.QueueSet().Red(), th.QueueSet().Green())
-			}
-			time.Sleep(time.Millisecond)
-		}
-		wait(i, wid)
-		rid, err := th.AsyncRead(0, off, got)
-		if err != nil {
-			t.Fatalf("seed %d: read at op %d: %v", seed, i+1, err)
-		}
-		wait(i+1, rid)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: read at op %d returned %x, want %x", seed, i+1, got, want)
-		}
+	if err := l.Run(nil); err != nil {
+		t.Fatalf("seed %d: %v (red %+v, green %+v, %+v)", seed, err, th.QueueSet().Red(), th.QueueSet().Green(), s.P4.Stats())
 	}
 	if s.P4.Stats().Recoveries == 0 {
 		t.Fatalf("seed %d: no recovery ran; the test is vacuous", seed)
