@@ -122,6 +122,7 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 	// wall clock, then the measured synchronous (window 1) YCSB-B loop.
 	warm := make([]*driver.Loop, p.threads)
 	measured := make([]*driver.Loop, p.threads)
+	times := make([]*timing, p.threads)
 	for ti := range measured {
 		th, err := sys.Client.Thread(ti)
 		if err != nil {
@@ -144,7 +145,7 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 		stripe := ti * (cacheSweepRecords / p.threads)
 		wbuf := make([]byte, cacheSweepValueSize)
 		measured[ti] = &driver.Loop{
-			Thread: th, Who: who, Window: 1, Ops: p.opsPerThread, DestBytes: cacheSweepValueSize, Timed: true,
+			Thread: th, Who: who, Window: 1, Ops: p.opsPerThread, DestBytes: cacheSweepValueSize,
 			Issue: func(i int, dest []byte) (core.ReqID, error) {
 				if p.sequential {
 					return th.AsyncRead(0, uint64((stripe+i)%cacheSweepRecords)*cacheSweepValueSize, dest)
@@ -157,6 +158,7 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 				return th.AsyncRead(0, off, dest)
 			},
 		}
+		times[ti] = timed(measured[ti])
 	}
 
 	// Cache-enabled skew points warm the tier first: the sweep reports
@@ -177,7 +179,7 @@ func runCacheSweep(p cacheSweepParams, seed int64) (CacheSweepPoint, error) {
 	if err := driver.RunAll(measured, nil); err != nil {
 		return CacheSweepPoint{}, err
 	}
-	sum := summarize(measured...)
+	sum := summarize(times...)
 	pt := CacheSweepPoint{
 		Workload:     p.workloadName(),
 		CacheEnabled: p.enabled,

@@ -79,7 +79,7 @@ func mixedThroughput(sys *system.System, ops int, fill byte) (liveSummary, error
 	defer keepTimersFine()()
 	wbuf := bytes.Repeat([]byte{fill}, 256)
 	l := &driver.Loop{
-		Thread: th, Who: "thread 0", Window: 16, Ops: ops, DestBytes: 256, Timed: true,
+		Thread: th, Who: "thread 0", Window: 16, Ops: ops, DestBytes: 256,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			off := uint64(i%1024) * 1024
 			if i%2 == 0 {
@@ -88,10 +88,11 @@ func mixedThroughput(sys *system.System, ops int, fill byte) (liveSummary, error
 			return th.AsyncRead(0, off, dest)
 		},
 	}
+	t := timed(l)
 	if err := l.Run(nil); err != nil {
 		return liveSummary{}, err
 	}
-	return summarize(l), nil
+	return summarize(t), nil
 }
 
 // chaosThroughput measures mixedThroughput on a fresh deployment. When

@@ -103,6 +103,7 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 
 	// 3:1 read:write on disjoint per-thread strips, 64 B payloads.
 	loops := make([]*driver.Loop, engineScaleActive)
+	times := make([]*timing, engineScaleActive)
 	for ti := range loops {
 		th, err := sys.Client.Thread(ti)
 		if err != nil {
@@ -113,7 +114,7 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 		loops[ti] = &driver.Loop{
 			Thread: th, Who: fmt.Sprintf("thread %d", ti),
 			Window: engineScaleWindow, WarmWindow: 2 * engineScaleWindow,
-			Warmup: engineScaleWarmup(opsPerThread), Ops: opsPerThread, DestBytes: 64, Timed: true,
+			Warmup: engineScaleWarmup(opsPerThread), Ops: opsPerThread, DestBytes: 64,
 			Issue: func(i int, dest []byte) (core.ReqID, error) {
 				off := base + uint64(i%1024)*256
 				if i%4 == 3 {
@@ -122,6 +123,7 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 				return th.AsyncRead(0, off, dest)
 			},
 		}
+		times[ti] = timed(loops[ti])
 	}
 	// The allocation window opens once every thread is past its warmup
 	// prefix. The forced GC drains the garbage of setup and settle first:
@@ -143,7 +145,7 @@ func runEngineScale(registered, opsPerThread int) (EngineScalePoint, error) {
 	if dead := sys.Spot.Stats().ComputePathsDead; dead != 0 {
 		return EngineScalePoint{}, fmt.Errorf("%d compute paths died on a healthy deployment", dead)
 	}
-	sum := summarize(loops...)
+	sum := summarize(times...)
 	return EngineScalePoint{
 		Registered:  registered,
 		Active:      engineScaleActive,

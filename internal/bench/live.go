@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"cowbird/internal/core"
 	"cowbird/internal/driver"
 )
 
@@ -19,6 +20,35 @@ import (
 // (Check); the latency summary, best-of-N, the timer keeper and the report
 // writer with its env block live here once.
 
+// timing is the latency of every measured op of one loop, in completion
+// order. timed sizes it for the loop's Warmup and Ops as they are at the call
+// (a later run may not grow them) and takes over the loop's Issue, to note
+// when each op goes out, and its Done.
+type timing struct {
+	loop  *driver.Loop
+	start []time.Time
+	lats  []time.Duration
+}
+
+func timed(l *driver.Loop) *timing {
+	t := &timing{loop: l, start: make([]time.Time, l.Warmup+l.Ops), lats: make([]time.Duration, 0, l.Ops)}
+	issue := l.Issue
+	l.Issue = func(i int, dest []byte) (core.ReqID, error) {
+		if i == 0 {
+			t.lats = t.lats[:0] // a new run
+		}
+		t.start[i] = time.Now()
+		return issue(i, dest)
+	}
+	l.Done = func(i int, _ []byte) error {
+		if i >= l.Warmup {
+			t.lats = append(t.lats, time.Since(t.start[i]))
+		}
+		return nil
+	}
+	return t
+}
+
 // liveSummary is the measured window of one or more finished loops.
 type liveSummary struct {
 	ops       int
@@ -27,18 +57,18 @@ type liveSummary struct {
 	p50, p99  float64 // µs
 }
 
-func summarize(loops ...*driver.Loop) liveSummary {
+func summarize(ts ...*timing) liveSummary {
 	var (
 		lats              []time.Duration
 		lastWarm, lastEnd time.Time
 	)
-	for _, l := range loops {
-		lats = append(lats, l.Lats...)
-		if l.WarmAt.After(lastWarm) {
-			lastWarm = l.WarmAt
+	for _, t := range ts {
+		lats = append(lats, t.lats...)
+		if t.loop.WarmAt.After(lastWarm) {
+			lastWarm = t.loop.WarmAt
 		}
-		if l.End.After(lastEnd) {
-			lastEnd = l.End
+		if t.loop.End.After(lastEnd) {
+			lastEnd = t.loop.End
 		}
 	}
 	slices.Sort(lats)

@@ -16,8 +16,8 @@ import (
 func TestSummarizeLoops(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	a := &driver.Loop{Lats: []time.Duration{ms(3), ms(1)}, WarmAt: t0, End: t0.Add(ms(500))}
-	b := &driver.Loop{Lats: []time.Duration{ms(2), ms(4)}, WarmAt: t0.Add(ms(100)), End: t0.Add(ms(400))}
+	a := &timing{loop: &driver.Loop{WarmAt: t0, End: t0.Add(ms(500))}, lats: []time.Duration{ms(3), ms(1)}}
+	b := &timing{loop: &driver.Loop{WarmAt: t0.Add(ms(100)), End: t0.Add(ms(400))}, lats: []time.Duration{ms(2), ms(4)}}
 	sum := summarize(a, b)
 	if sum.ops != 4 || sum.wall != ms(400) || sum.opsPerSec != 10 || sum.p50 != 2000 || sum.p99 != 3000 {
 		t.Errorf("summary %+v", sum)

@@ -101,7 +101,7 @@ func tenantLoop(ten *system.Tenant, tag byte, warmup, ops int) (*driver.Loop, er
 	}
 	return &driver.Loop{
 		Thread: th, Who: fmt.Sprintf("tenant %d", ten.ID),
-		Window: multiTenantWindow, Warmup: warmup, Ops: ops, DestBytes: 64, Timed: true,
+		Window: multiTenantWindow, Warmup: warmup, Ops: ops, DestBytes: 64,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			stripe := uint16(i % 2)
 			off := uint64(i%(multiTenantSpan/64)) * 64
@@ -193,18 +193,19 @@ func runMultiTenantRung(tenants, opsPerTenant int) (MultiTenantPoint, error) {
 	warmup := min(multiTenantWindow*4, opsPerTenant)
 	best, err := bestOf(multiTenantTrials, func(int) (MultiTenantPoint, error) {
 		loops := make([]*driver.Loop, len(activeIDs))
+		times := make([]*timing, len(activeIDs))
 		for i, id := range activeIDs {
 			ten, _ := f.Tenant(id)
 			l, err := tenantLoop(ten, tags[id], warmup, opsPerTenant)
 			if err != nil {
 				return MultiTenantPoint{}, err
 			}
-			loops[i] = l
+			loops[i], times[i] = l, timed(l)
 		}
 		if err := driver.RunAll(loops, nil); err != nil {
 			return MultiTenantPoint{}, err
 		}
-		sum := summarize(loops...)
+		sum := summarize(times...)
 		return MultiTenantPoint{
 			Tenants:      tenants,
 			Engines:      engines,
@@ -248,7 +249,7 @@ func noisyNeighborLoop(ten *system.Tenant, who string, fill byte, window int) (*
 		wbuf[i] = fill
 	}
 	return &driver.Loop{
-		Thread: th, Who: who, Window: window, Timed: true,
+		Thread: th, Who: who, Window: window,
 		Issue: func(i int, _ []byte) (core.ReqID, error) {
 			return th.AsyncWrite(0, wbuf, uint64(i%64)*64)
 		},
@@ -280,10 +281,11 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 		return NoisyNeighborResult{}, err
 	}
 	victim.Warmup, victim.Ops = 32, victimOps
+	victimTimes := timed(victim)
 	if err := victim.Run(nil); err != nil {
 		return NoisyNeighborResult{}, err
 	}
-	baseline := summarize(victim)
+	baseline := summarize(victimTimes)
 
 	// Cap the aggressor and let it hammer with a deep window while the
 	// victim repeats its run. The aggressor goes round in burst-sized laps
@@ -330,7 +332,7 @@ func runNoisyNeighbor(victimOps int, aggressorRate float64) (NoisyNeighborResult
 	if err = errors.Join(err, aggErr); err != nil {
 		return NoisyNeighborResult{}, err
 	}
-	contended := summarize(victim)
+	contended := summarize(victimTimes)
 
 	r := NoisyNeighborResult{
 		VictimOps:           victimOps,

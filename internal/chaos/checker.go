@@ -115,7 +115,7 @@ func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 			}
 			return id, err
 		},
-		Done: func(i int, dest []byte, _ time.Time) error {
+		Done: func(i int, dest []byte) error {
 			op := ops[i]
 			if !op.read {
 				return nil

@@ -41,11 +41,11 @@ var Stop = errors.New("driver: stop issuing")
 const DefaultStall = 120 * time.Second
 
 // Loop drives Warmup+Ops operations through one client thread. Its slot
-// table, read destinations, poll group and latency record are allocated
-// before the first op and never grow, so an allocs/op figure taken across a
-// run counts the system and not the loop. Warm-up flows straight into the
-// measured ops: a pause long enough for the engine worker to park would put
-// one ProbeInterval into the latency tail.
+// table, read destinations and poll group are allocated before the first op
+// and never grow, so an allocs/op figure taken across a run counts the system
+// and not the loop. Warm-up flows straight into the measured ops: a pause
+// long enough for the engine worker to park would put one ProbeInterval into
+// the latency tail.
 type Loop struct {
 	Thread *core.Thread
 	Who    string // names the loop in its errors
@@ -61,8 +61,6 @@ type Loop struct {
 	// Stall fails the run when nothing completes for this long (0:
 	// DefaultStall).
 	Stall time.Duration
-	// Timed records the latency of every measured op in Lats.
-	Timed bool
 
 	// Issue starts op i (0-based, warm-up included), reading into dest if it
 	// is a read. A ring-full error ends issuing for this pass, and the loop
@@ -71,14 +69,13 @@ type Loop struct {
 	Issue func(i int, dest []byte) (core.ReqID, error)
 	// Done, if set, verifies op i once it has completed; an error ends the
 	// run. dest is the slot's read destination, valid until Done returns.
-	Done func(i int, dest []byte, issuedAt time.Time) error
+	Done func(i int, dest []byte) error
 	// Idle waits after an empty poll; misses counts the empty polls in a row,
 	// this one included. Nil yields the processor.
 	Idle func(misses int)
 
 	// Results of the last run.
-	Lats   []time.Duration // one per measured op in completion order, if Timed
-	WarmAt time.Time       // the warm-up prefix had completed
+	WarmAt time.Time // the warm-up prefix had completed
 	End    time.Time
 
 	slots []slot
@@ -89,7 +86,6 @@ type Loop struct {
 type slot struct {
 	id   core.ReqID
 	op   int
-	t0   time.Time
 	busy bool
 	dest []byte
 }
@@ -107,10 +103,6 @@ func (l *Loop) Run(onWarm func()) error {
 	if l.group == nil {
 		l.group = l.Thread.PollCreate()
 	}
-	if l.Timed && cap(l.Lats) < l.Ops {
-		l.Lats = make([]time.Duration, 0, l.Ops)
-	}
-	l.Lats = l.Lats[:0]
 	l.WarmAt = time.Time{}
 	stall := l.Stall
 	if stall <= 0 {
@@ -144,7 +136,6 @@ func (l *Loop) Run(onWarm func()) error {
 			if s.busy {
 				continue
 			}
-			t0 := time.Now()
 			id, err := l.Issue(issued, s.dest)
 			if errors.Is(err, Stop) {
 				stopped = true
@@ -160,7 +151,7 @@ func (l *Loop) Run(onWarm func()) error {
 			if err := l.group.Add(id); err != nil {
 				return fmt.Errorf("%s: %w", l.Who, err)
 			}
-			s.id, s.op, s.t0, s.busy = id, issued, t0, true
+			s.id, s.op, s.busy = id, issued, true
 			issued++
 		}
 		ids, err := l.group.WaitErr(len(l.slots), 0)
@@ -175,11 +166,8 @@ func (l *Loop) Run(onWarm func()) error {
 			if s == nil {
 				return fmt.Errorf("%s: completion for %v, which is not in flight", l.Who, id)
 			}
-			if l.Timed && s.op >= l.Warmup {
-				l.Lats = append(l.Lats, time.Since(s.t0))
-			}
 			if l.Done != nil {
-				if err := l.Done(s.op, s.dest, s.t0); err != nil {
+				if err := l.Done(s.op, s.dest); err != nil {
 					return err
 				}
 			}

@@ -28,8 +28,8 @@ func newSystem(t *testing.T, cfg system.Config) *system.System {
 // TestClosedLoopDrivesEveryOp runs the driver at 2 threads x window 8
 // against a default deployment with an every-request telemetry hub: the hub
 // must harvest exactly the ops the loops were asked for (warm-up included),
-// each loop must record one latency per measured op and hand every op to
-// Done once, and the loops must never hold more than their window in flight.
+// each loop must hand every op to Done once, and the loops must never hold
+// more than their window in flight.
 func TestClosedLoopDrivesEveryOp(t *testing.T) {
 	const threads, window, warmup, ops = 2, 8, 24, 60
 	hub := telemetry.New(telemetry.Config{SampleEvery: 1})
@@ -49,7 +49,7 @@ func TestClosedLoopDrivesEveryOp(t *testing.T) {
 		}
 		wbuf := bytes.Repeat([]byte{byte(0xC0 + ti)}, 64)
 		loops[ti] = &Loop{
-			Thread: th, Who: "test thread", Window: window, Warmup: warmup, Ops: ops, DestBytes: 64, Timed: true,
+			Thread: th, Who: "test thread", Window: window, Warmup: warmup, Ops: ops, DestBytes: 64,
 			Issue: func(i int, dest []byte) (core.ReqID, error) {
 				// issued is read before harvested, and harvested only grows,
 				// so this never overstates what the loops hold in flight.
@@ -69,7 +69,7 @@ func TestClosedLoopDrivesEveryOp(t *testing.T) {
 				}
 				return id, err
 			},
-			Done: func(int, []byte, time.Time) error { done[ti]++; return nil },
+			Done: func(int, []byte) error { done[ti]++; return nil },
 		}
 	}
 	warm := false
@@ -83,9 +83,6 @@ func TestClosedLoopDrivesEveryOp(t *testing.T) {
 		t.Errorf("hub harvested %d ops, want %d", got, want)
 	}
 	for ti, l := range loops {
-		if len(l.Lats) != ops {
-			t.Errorf("thread %d recorded %d latencies, want %d", ti, len(l.Lats), ops)
-		}
 		if l.WarmAt.IsZero() || !l.End.After(l.WarmAt) {
 			t.Errorf("thread %d: warm %v, end %v", ti, l.WarmAt, l.End)
 		}
@@ -101,14 +98,11 @@ func TestClosedLoopDrivesEveryOp(t *testing.T) {
 	}
 
 	// A loop value runs again over its buffers (the noisy-neighbor aggressor
-	// laps one): same op count, fresh results.
+	// laps one): the measured ops, and nothing more, run again.
 	again := loops[0]
-	again.Warmup = 0
-	if err := again.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Lats) != ops {
-		t.Errorf("second run recorded %d latencies, want %d", len(again.Lats), ops)
+	again.Warmup, done[0] = 0, 0
+	if err := again.Run(nil); err != nil || done[0] != ops {
+		t.Errorf("second run: %v, Done ran %d times, want %d", err, done[0], ops)
 	}
 }
 
@@ -127,7 +121,7 @@ func TestStopDrainsInFlight(t *testing.T) {
 			}
 			return th.AsyncRead(0, uint64(i)*64, dest)
 		},
-		Done: func(i int, _ []byte, _ time.Time) error {
+		Done: func(i int, _ []byte) error {
 			if i >= stopAt {
 				return fmt.Errorf("op %d done, issued after Stop", i)
 			}

@@ -21,18 +21,28 @@ import (
 // a client that shares its P.
 
 // closedLoopReads keeps window 64 B reads in flight on th until total have
-// completed.
+// completed, within a minute.
 func closedLoopReads(t *testing.T, th *core.Thread, window, total int) {
 	t.Helper()
+	deadline := time.Now().Add(time.Minute)
 	l := &driver.Loop{
-		Thread: th, Who: "closed loop", Window: window, Ops: total, DestBytes: 64, Stall: 60 * time.Second,
+		Thread: th, Who: "closed loop", Window: window, Ops: total, DestBytes: 64, Stall: time.Minute,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			return th.AsyncRead(0, uint64(i%window)*64, dest)
 		},
+		Done: func(i int, _ []byte) error { return pastDeadline(deadline, i) },
 	}
 	if err := l.Run(nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pastDeadline fails op i of a closed loop that completed after deadline.
+func pastDeadline(deadline time.Time, i int) error {
+	if late := time.Since(deadline); late > 0 {
+		return fmt.Errorf("op %d completed %v past the run's deadline", i, late)
+	}
+	return nil
 }
 
 func TestProbeEconomyDedicated(t *testing.T) {

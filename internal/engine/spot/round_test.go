@@ -309,27 +309,34 @@ func speculativeFetchUnderLoss(t *testing.T, seed int64) {
 
 	// The shadow model: the version last written to each slot, and the
 	// offset of every read (reads only touch the preloaded, never-written
-	// pattern).
+	// pattern). Any issue error fails the run, a full ring included (%v,
+	// not %w, so the driver does not retry it).
 	var version [slots]byte
 	readOff := make(map[int]uint64)
 	ops := rand.New(rand.NewSource(seed ^ 0x5eed))
+	deadline := time.Now().Add(60 * time.Second)
 	l := &driver.Loop{
 		Thread: th, Who: "closed loop", Window: window, Ops: total, DestBytes: 64, Stall: 60 * time.Second,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
-			delete(readOff, i) // a ring-full retry draws afresh
+			var id core.ReqID
+			var err error
 			if ops.Intn(4) == 0 {
 				slot := ops.Intn(slots)
-				id, err := th.AsyncWrite(0, bytes.Repeat([]byte{version[slot] + 1}, 64), writeBase+uint64(slot)*64)
-				if err == nil {
-					version[slot]++
-				}
-				return id, err
+				version[slot]++
+				id, err = th.AsyncWrite(0, bytes.Repeat([]byte{version[slot]}, 64), writeBase+uint64(slot)*64)
+			} else {
+				readOff[i] = uint64(ops.Intn(len(preload)/64)) * 64
+				id, err = th.AsyncRead(0, readOff[i], dest)
 			}
-			off := uint64(ops.Intn(len(preload)/64)) * 64
-			readOff[i] = off
-			return th.AsyncRead(0, off, dest)
+			if err != nil {
+				return 0, fmt.Errorf("issue %d: %v", i, err)
+			}
+			return id, nil
 		},
-		Done: func(i int, dest []byte, _ time.Time) error {
+		Done: func(i int, dest []byte) error {
+			if err := pastDeadline(deadline, i); err != nil {
+				return err
+			}
 			off, ok := readOff[i]
 			if ok && !bytes.Equal(dest, bytes.Repeat([]byte{pattern(off)}, 64)) {
 				return fmt.Errorf("op %d: read of %d returned %#x.., want %#x..", i, off, dest[0], pattern(off))

@@ -42,8 +42,10 @@ const (
 	// blackoutSeeds is how many preemption points each heartbeat runs.
 	blackoutSeeds = 100
 	// blackoutMaxOps bounds a run's ops; it ends well before, two windows
-	// after the takeover.
+	// after the takeover, or fails at blackoutBound.
 	blackoutMaxOps = 1 << 20
+	// blackoutBound is the virtual time a run may take.
+	blackoutBound = time.Second
 )
 
 // blackoutRun is one preemption, read off the bubble clock.
@@ -170,6 +172,7 @@ func runBlackout(hb, lease, interval time.Duration, seed int64) (blackoutRun, er
 		tk                *takeover
 		afterTakeover     int
 		stranded          int
+		issuedAt          []time.Time // by op
 	)
 	// observe notes the instant of death and picks up the takeover; the loop
 	// calls it after every wait and before every completion.
@@ -190,19 +193,24 @@ func runBlackout(hb, lease, interval time.Duration, seed int64) (blackoutRun, er
 			}
 		}
 	}
+	start := time.Now()
 	l := &driver.Loop{
-		Thread: th, Who: "blackout loop", Window: blackoutDepth, Ops: blackoutMaxOps, DestBytes: 64, Stall: time.Second,
+		Thread: th, Who: "blackout loop", Window: blackoutDepth, Ops: blackoutMaxOps, DestBytes: 64, Stall: blackoutBound,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			if promoteErr != nil || tk != nil && afterTakeover >= 2*blackoutDepth {
 				return 0, driver.Stop
 			}
+			if time.Since(start) > blackoutBound {
+				return 0, fmt.Errorf("not done after %v", blackoutBound)
+			}
+			issuedAt = append(issuedAt[:i], time.Now()) // a ring-full retry reissues op i
 			addr := uint64(i%256) * 64
 			if i%2 == 0 {
 				return th.AsyncWrite(0, src, addr)
 			}
 			return th.AsyncRead(0, addr, dest)
 		},
-		Done: func(_ int, _ []byte, issuedAt time.Time) error {
+		Done: func(i int, _ []byte) error {
 			observe()
 			if promoteErr != nil {
 				return promoteErr
@@ -212,7 +220,7 @@ func runBlackout(hb, lease, interval time.Duration, seed int64) (blackoutRun, er
 					firstAfter = now
 				}
 				afterTakeover++
-				if issuedAt.Before(death) {
+				if issuedAt[i].Before(death) {
 					stranded++
 				}
 			}

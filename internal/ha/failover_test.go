@@ -53,23 +53,27 @@ func runFailoverScenario(t *testing.T, seed int64) {
 	// reads[v] is what the read issued right after the write of value v
 	// returned.
 	reads := make([][]byte, n+2)
+	deadline := time.Now().Add(60 * time.Second)
 	// pairs writes values first..last to the hot address, each immediately
 	// read back, all of them in flight at once. The overlapping read forces
 	// the engine's conflict split, so the read is held while the write is in
 	// flight — preemption inside that window is exactly the "mid-write with
 	// paused reads" case. The driver fails a completion delivered twice or
-	// for no request, and a run that stalls.
+	// for no request, and a run that stalls; Done fails one past the deadline.
 	pairs := func(first, last int) {
 		ops := 2 * (last - first + 1)
 		l := &driver.Loop{
-			Thread: th, Who: "failover workload", Window: ops, Ops: ops, DestBytes: reqLen, Stall: 60 * time.Second,
+			Thread: th, Who: "failover workload", Window: ops, Ops: ops, DestBytes: reqLen, Stall: max(time.Until(deadline), time.Millisecond),
 			Issue: func(i int, dest []byte) (core.ReqID, error) {
 				if v := first + i/2; i%2 == 0 {
 					return th.AsyncWrite(0, bytes.Repeat([]byte{byte(v)}, reqLen), hotAddr)
 				}
 				return th.AsyncRead(0, hotAddr, dest)
 			},
-			Done: func(i int, dest []byte, _ time.Time) error {
+			Done: func(i int, dest []byte) error {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("op %d of values %d..%d done past the deadline", i, first, last)
+				}
 				if i%2 == 1 {
 					reads[first+i/2] = bytes.Clone(dest)
 				}

@@ -104,20 +104,21 @@ func runLoss(c lossCase) (lossRow, error) {
 	if err != nil {
 		return lossRow{}, err
 	}
+	start := time.Now()
+	deadline := start.Add(time.Minute)
 	l := &driver.Loop{
 		Thread: th, Who: "loss exhibit", Window: lossWindow, Ops: lossOps, DestBytes: lossSize, Stall: time.Minute,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			return th.AsyncRead(0, uint64(i%lossBlocks)*lossSize, dest)
 		},
-		Done: func(i int, dest []byte, _ time.Time) error {
+		Done: func(i int, dest []byte) error {
 			if want := block(i % lossBlocks); !bytes.Equal(dest, want) {
 				return fmt.Errorf("read of block %d returned % x, want % x", i%lossBlocks, dest[:8], want[:8])
 			}
-			return nil
+			return pastDeadline(deadline, i)
 		},
 		Idle: func(int) { time.Sleep(lossPoll) },
 	}
-	start := time.Now()
 	if err := l.Run(nil); err != nil {
 		return lossRow{}, err
 	}

@@ -170,18 +170,23 @@ func coalescedRedUnderLoss(t *testing.T, seed int64) {
 		seen = red
 	}
 	var blk [reads]int
+	deadline := time.Now().Add(120 * time.Second)
 	l := &driver.Loop{
 		Thread: th, Who: fmt.Sprintf("seed %d", seed), Window: window, Ops: reads, DestBytes: 64, Stall: 120 * time.Second,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			blk[i] = rng.Intn(blocks)
-			return th.AsyncRead(0, uint64(blk[i])*64, dest)
+			id, err := th.AsyncRead(0, uint64(blk[i])*64, dest)
+			if err != nil { // fatal, a full ring included: %v, not %w
+				return 0, fmt.Errorf("read %d: %v", i, err)
+			}
+			return id, nil
 		},
-		Done: func(i int, dest []byte, _ time.Time) error {
+		Done: func(i int, dest []byte) error {
 			checkRed()
 			if want := block(blk[i]); !bytes.Equal(dest, want) {
 				return fmt.Errorf("read of block %d returned % x", blk[i], dest[:4])
 			}
-			return nil
+			return pastDeadline(deadline, i)
 		},
 		Idle: func(int) {
 			checkRed()

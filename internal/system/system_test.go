@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -42,6 +43,14 @@ func waitIDs(t *testing.T, g *core.PollGroup, n int, timeout time.Duration) []co
 		t.Fatalf("timed out: %d of %d completions", len(out), n)
 	}
 	return out
+}
+
+// pastDeadline fails op i of a closed loop that completed after deadline.
+func pastDeadline(deadline time.Time, i int) error {
+	if late := time.Since(deadline); late > 0 {
+		return fmt.Errorf("op %d completed %v past the run's deadline", i, late)
+	}
+	return nil
 }
 
 func testReadRoundTrip(t *testing.T, kind EngineKind) {
@@ -127,67 +136,49 @@ func testMixedWorkload(t *testing.T, kind EngineKind) {
 		c.Engine = kind
 		c.Threads = 3
 	})
-	var wg sync.WaitGroup
-	for ti := 0; ti < 3; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			th, err := s.Client.Thread(ti)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rng := rand.New(rand.NewSource(int64(ti)))
-			g := th.PollCreate()
-			base := uint64(ti) * 1 << 20 // disjoint pool slices per thread
-			// Write a pattern, then read it back, across many offsets.
-			const ops = 60
-			bufs := make([][]byte, ops)
-			want := make([][]byte, ops)
-			for i := 0; i < ops; i++ {
-				size := rng.Intn(900) + 8
-				data := make([]byte, size)
-				rng.Read(data)
-				want[i] = data
-				off := base + uint64(i)*1024
-				id, err := th.AsyncWrite(0, data, off)
+	// Each thread writes 60 random patterns across disjoint offsets and reads
+	// each one back, all 120 ops in flight at once, within 30 s. Any issue
+	// error fails the run (%v, not %w, so the driver does not retry a full
+	// ring).
+	const ops = 120
+	deadline := time.Now().Add(30 * time.Second)
+	loops := make([]*driver.Loop, 3)
+	for ti := range loops {
+		th, err := s.Client.Thread(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(ti)))
+		base := uint64(ti) * 1 << 20 // disjoint pool slices per thread
+		want := make([][]byte, ops/2)
+		loops[ti] = &driver.Loop{
+			Thread: th, Who: fmt.Sprintf("thread %d", ti), Window: ops, Ops: ops, DestBytes: 908, Stall: 30 * time.Second,
+			Issue: func(i int, dest []byte) (core.ReqID, error) {
+				var id core.ReqID
+				var err error
+				if off := base + uint64(i/2)*1024; i%2 == 0 {
+					want[i/2] = make([]byte, rng.Intn(900)+8)
+					rng.Read(want[i/2])
+					id, err = th.AsyncWrite(0, want[i/2], off)
+				} else {
+					id, err = th.AsyncRead(0, off, dest[:len(want[i/2])])
+				}
 				if err != nil {
-					t.Errorf("thread %d write %d: %v", ti, i, err)
-					return
+					return 0, fmt.Errorf("op %d: %v", i, err)
 				}
-				if err := g.Add(id); err != nil {
-					t.Error(err)
-					return
+				return id, nil
+			},
+			Done: func(i int, dest []byte) error {
+				if i%2 == 1 && !bytes.Equal(dest[:len(want[i/2])], want[i/2]) {
+					return fmt.Errorf("op %d: data mismatch", i)
 				}
-				bufs[i] = make([]byte, size)
-				rid, err := th.AsyncRead(0, off, bufs[i])
-				if err != nil {
-					t.Errorf("thread %d read %d: %v", ti, i, err)
-					return
-				}
-				if err := g.Add(rid); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			got := 0
-			for got < 2*ops && time.Now().Before(deadline) {
-				got += len(g.Wait(2*ops-got, 100*time.Millisecond))
-			}
-			if got != 2*ops {
-				t.Errorf("thread %d: %d of %d completions", ti, got, 2*ops)
-				return
-			}
-			for i := range bufs {
-				if !bytes.Equal(bufs[i], want[i]) {
-					t.Errorf("thread %d op %d: data mismatch", ti, i)
-					return
-				}
-			}
-		}(ti)
+				return pastDeadline(deadline, i)
+			},
+		}
 	}
-	wg.Wait()
+	if err := driver.RunAll(loops, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // testRingWrapWithRetry drives enough traffic through tiny rings to wrap
@@ -201,6 +192,7 @@ func testRingWrapWithRetry(t *testing.T, kind EngineKind) {
 	// 100 pairs of a 300 B write and a read of the same block; each read
 	// follows its overlapping write, so RAW means it sees that write's data.
 	const ops = 200
+	deadline := time.Now().Add(30 * time.Second)
 	l := &driver.Loop{
 		Thread: th, Who: "ring wrap", Window: ops, Ops: ops, DestBytes: 300, Stall: 30 * time.Second,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
@@ -210,11 +202,11 @@ func testRingWrapWithRetry(t *testing.T, kind EngineKind) {
 			}
 			return th.AsyncRead(0, off, dest)
 		},
-		Done: func(i int, dest []byte, _ time.Time) error {
+		Done: func(i int, dest []byte) error {
 			if i%2 == 1 && (dest[0] != byte(i/2) || dest[299] != byte(i/2)) {
 				return fmt.Errorf("read %d returned stale/corrupt data (%d)", i/2, dest[0])
 			}
-			return nil
+			return pastDeadline(deadline, i)
 		},
 	}
 	if err := l.Run(nil); err != nil {
@@ -433,16 +425,33 @@ func p4ReqDataUnderLoss(t *testing.T, seed int64) {
 	s.Fabric.SetLossFn(func([]byte) bool { return loss.Intn(100) < 2 })
 	th, _ := s.Client.Thread(0)
 	want := func(i int) []byte { return bytes.Repeat([]byte{byte(seed), byte(i), byte(i >> 8), 0xa5}, 16) }
+	// A write may find the request-data ring full for up to 2 s; any other
+	// issue error, a full ring on a read included, fails the run (%v, not
+	// %w, so the driver does not retry it).
+	var fullSince time.Time
 	l := &driver.Loop{
 		Thread: th, Who: fmt.Sprintf("seed %d", seed), Window: 1, Ops: ops, DestBytes: 64, Stall: 30 * time.Second,
 		Issue: func(i int, dest []byte) (core.ReqID, error) {
 			off := uint64(i/2%blocks) * 64
-			if i%2 == 0 {
-				return th.AsyncWrite(0, want(i), off)
+			var id core.ReqID
+			var err error
+			if i%2 == 1 {
+				id, err = th.AsyncRead(0, off, dest)
+			} else if id, err = th.AsyncWrite(0, want(i), off); errors.Is(err, rings.ErrReqDataFull) {
+				if fullSince.IsZero() {
+					fullSince = time.Now()
+				}
+				if time.Since(fullSince) < 2*time.Second {
+					return 0, err
+				}
 			}
-			return th.AsyncRead(0, off, dest)
+			if err != nil {
+				return 0, fmt.Errorf("op %d: %v", i, err)
+			}
+			fullSince = time.Time{}
+			return id, nil
 		},
-		Done: func(i int, dest []byte, _ time.Time) error {
+		Done: func(i int, dest []byte) error {
 			if i%2 == 1 && !bytes.Equal(dest, want(i-1)) {
 				return fmt.Errorf("read at op %d returned %x, want %x", i, dest, want(i-1))
 			}
